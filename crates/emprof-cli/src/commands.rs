@@ -143,7 +143,7 @@ fn streaming_cross_check(
         return;
     }
     let mut s = StreamingEmprof::new(config, rate, clock_hz);
-    s.extend(magnitude.iter().copied());
+    s.extend_from_slice(magnitude);
     let stats = s.stats();
     let streamed = s.finish();
     let agreement = if streamed.events() == batch.events() {
@@ -1179,7 +1179,7 @@ fn replay(opts: &ReplayOpts) -> Result<String, CliError> {
     );
     let batch = Emprof::new(rec.meta.config).profile_magnitude(&signal, rate, clock);
     let mut streaming = StreamingEmprof::new(rec.meta.config, rate, clock);
-    streaming.extend(signal.iter().copied());
+    streaming.extend_from_slice(&signal);
     let streamed = streaming.finish();
     if streamed.events() != batch.events() {
         return Err(CliError::Runtime(

@@ -15,12 +15,19 @@
 //! windows; feed the same finite signal through [`StreamingEmprof`] and
 //! the results match the batch profile event for event — see the
 //! equivalence tests.)
+//!
+//! Static detection is one [`FusedPass`] resumed across every pushed
+//! slice, so each sample is read once by the same kernel loop the batch
+//! detector runs; adaptive detection runs the gated kernel once per
+//! calibration block. Both hand their runs to one shared back half:
+//! stitch, refine from the below-edge run list, abut-merge, filter and
+//! emit (DESIGN.md §13).
 
 use std::collections::VecDeque;
 use std::time::Instant;
 
 use emprof_obs as obs;
-use emprof_signal::fused;
+use emprof_signal::fused::{self, FusedPass, LevelRuns};
 
 use crate::calib::{BlockParams, Calibrator};
 use crate::config::EmprofConfig;
@@ -70,32 +77,27 @@ pub struct StreamingEmprof {
     config: EmprofConfig,
     sample_rate_hz: f64,
     clock_hz: f64,
-    /// Raw samples still needed: the normalization window must be able to
-    /// look `half` samples ahead of the sample being normalized, and edge
-    /// refinement needs the normalized values themselves, so we buffer
-    /// `window` raw samples.
-    raw: VecDeque<f64>,
-    /// Index of the first sample in `raw`.
-    raw_base: usize,
-    /// Monotonic deques of (index, value) for windowed min and max.
-    min_wedge: VecDeque<(usize, f64)>,
-    max_wedge: VecDeque<(usize, f64)>,
-    /// Total samples pushed.
+    /// How detection runs: one resumed fused pass (static) or per-block
+    /// gated kernel calls (adaptive).
+    engine: Engine,
+    /// Buffered survivor samples from `buf_base` on — what the kernel
+    /// has yet to read, plus (static) the samples it has read but whose
+    /// centered window is not complete yet.
+    buf: Vec<f64>,
+    buf_base: usize,
+    /// Total samples pushed (accepted).
     pushed: usize,
-    /// Next sample index to normalize (trails `pushed` by `half`).
-    normalized: usize,
-    /// Recent normalized samples (for edge refinement), indexed from
-    /// `norm_base`.
-    norm: VecDeque<f64>,
-    norm_base: usize,
-    /// Current below-threshold run start, if inside a dip.
-    open_dip: Option<usize>,
-    /// Completed raw dips awaiting merge/refine/flush, as (start, end).
+    /// Detection frontier: positions in `[0, position)` have been
+    /// normalized and scanned by the kernel.
+    position: usize,
+    /// Kernel output, reused across calls.
+    runs: LevelRuns,
+    /// Stitched below-threshold runs (batch merge criterion applied)
+    /// awaiting finality.
     pending: VecDeque<(usize, usize)>,
-    /// Most recent normalized index at or above `edge_level` — the left
-    /// boundary any future edge refinement could reach, hence the trim
-    /// point for normalized history while no dip is in flight.
-    last_high: usize,
+    /// Stitched below-edge runs (gap-0 rejoin across kernel cuts); the
+    /// last run is always retained — it may still be growing.
+    edge_runs: VecDeque<(usize, usize)>,
     /// Finished events ready for the caller.
     events: Vec<StallEvent>,
     /// The most recent refined run as `(start, end, represented)`,
@@ -131,11 +133,16 @@ pub struct StreamingEmprof {
     /// *end* falls in, so in-place merges recompute consistently with
     /// the batch final-extent computation. One bool per ~window samples.
     block_degraded: Vec<bool>,
-    /// Online-calibration state; `Some` iff `config.calib.enabled`. When
-    /// set, the wedge/normalize machinery above is bypassed entirely and
-    /// detection runs block-by-block through the same gated fused kernel
-    /// and parameter schedule as the batch adaptive path.
-    adaptive: Option<AdaptiveState>,
+}
+
+/// The detection engine behind a [`StreamingEmprof`].
+#[derive(Debug, Clone)]
+enum Engine {
+    /// Fixed window and threshold: one [`FusedPass`] resumed across
+    /// every pushed slice, cut at the frontier after each one.
+    Static(FusedPass),
+    /// Online calibration (`config.calib.enabled`).
+    Adaptive(AdaptiveState),
 }
 
 /// Streaming state of the adaptive (calibrated) detector. The stream is
@@ -144,8 +151,8 @@ pub struct StreamingEmprof {
 /// through `fused::detect_runs_range_gated` with the causally-computed
 /// [`BlockParams`], and the resulting runs are stitched exactly like the
 /// parallel detector's seams. Everything downstream (refinement,
-/// merge/duration/classify, drain sealing) reuses the static streaming
-/// machinery.
+/// merge/duration/classify, drain sealing) is shared with the static
+/// engine.
 #[derive(Debug, Clone)]
 struct AdaptiveState {
     /// Calibration block length in samples.
@@ -154,23 +161,64 @@ struct AdaptiveState {
     /// Adaptation only ever shrinks the window, so buffering `half`
     /// samples past a block suffices for any adapted window.
     half: usize,
-    /// Buffered survivor samples from `buf_base` onward.
-    buf: Vec<f64>,
-    buf_base: usize,
     cal: Calibrator,
     /// Parameters for block `next_block` (causal: computed from the
     /// blocks before it).
     cur: BlockParams,
     next_block: usize,
-    /// Detection frontier: samples in `[0, position)` have been through
-    /// the kernel.
-    position: usize,
-    /// Stitched below-threshold runs (batch merge criterion applied)
-    /// awaiting finality.
-    pending: VecDeque<(usize, usize)>,
-    /// Stitched below-edge runs (gap-0 rejoin across block seams); the
-    /// last run is always retained — it may still be growing.
-    edge_runs: VecDeque<(usize, usize)>,
+}
+
+impl AdaptiveState {
+    /// Runs block `next_block` through the gated fused kernel with its
+    /// causal [`BlockParams`] — identical inputs to the batch adaptive
+    /// path's per-block kernel call, by construction — appending its
+    /// runs to `runs` in global coordinates. Observes the block for the
+    /// calibrator, trims `buf` to what the next block's window can
+    /// reach, and returns the new detection frontier.
+    fn run_block(
+        &mut self,
+        buf: &mut Vec<f64>,
+        buf_base: &mut usize,
+        pushed: usize,
+        runs: &mut LevelRuns,
+        block_degraded: &mut Vec<bool>,
+    ) -> usize {
+        let start = self.next_block * self.block;
+        // Truncated only at the true end of the capture (finish), which
+        // is exactly when the batch kernel's window clips there too.
+        let end = (start + self.block).min(pushed);
+        let p = self.cur;
+        let base = *buf_base;
+        let block_runs = fused::detect_runs_range_gated(
+            buf,
+            p.window,
+            p.threshold,
+            p.edge_level,
+            p.min_range,
+            start - base,
+            end - base,
+            None,
+        )
+        .expect("rejection happens at ingest; the buffer is finite");
+        let global = |&(s, e): &(usize, usize)| (s + base, e + base);
+        runs.below_threshold
+            .extend(block_runs.below_threshold.iter().map(global));
+        runs.below_edge.extend(block_runs.below_edge.iter().map(global));
+        self.cal.observe_block(&buf[start - base..end - base]);
+        block_degraded.push(p.degraded);
+        self.next_block += 1;
+        self.cur = self.cal.params();
+        // During `finish` the final right-truncated block can place the
+        // nominal trim point past the capture end, so clamp to what was
+        // pushed.
+        let keep_from = (self.next_block * self.block)
+            .saturating_sub(self.half)
+            .min(pushed)
+            .max(base);
+        buf.drain(..keep_from - base);
+        *buf_base = keep_from;
+        end
+    }
 }
 
 impl StreamingEmprof {
@@ -189,37 +237,39 @@ impl StreamingEmprof {
             "rates must be positive"
         );
         let calib_block = config.calib.block(config.norm_window_samples).max(1);
-        let adaptive = config.calib.enabled.then(|| {
+        let engine = if config.calib.enabled {
             let cal = Calibrator::new(&config);
             let cur = cal.params();
-            AdaptiveState {
+            Engine::Adaptive(AdaptiveState {
                 block: calib_block,
                 half: config.norm_window_samples / 2,
-                buf: Vec::new(),
-                buf_base: 0,
                 cal,
                 cur,
                 next_block: 0,
-                position: 0,
-                pending: VecDeque::new(),
-                edge_runs: VecDeque::new(),
-            }
-        });
+            })
+        } else {
+            // The static configuration is the constant schedule: base
+            // window and threshold, no contrast gate.
+            Engine::Static(FusedPass::new(
+                config.norm_window_samples,
+                config.threshold,
+                config.edge_level,
+                0.0,
+                0..usize::MAX,
+            ))
+        };
         StreamingEmprof {
             config,
             sample_rate_hz,
             clock_hz,
-            raw: VecDeque::new(),
-            raw_base: 0,
-            min_wedge: VecDeque::new(),
-            max_wedge: VecDeque::new(),
+            engine,
+            buf: Vec::new(),
+            buf_base: 0,
             pushed: 0,
-            normalized: 0,
-            norm: VecDeque::new(),
-            norm_base: 0,
-            open_dip: None,
+            position: 0,
+            runs: LevelRuns::default(),
             pending: VecDeque::new(),
-            last_high: 0,
+            edge_runs: VecDeque::new(),
             events: Vec::new(),
             last_run: None,
             drained: 0,
@@ -230,7 +280,6 @@ impl StreamingEmprof {
             gaps: VecDeque::new(),
             calib_block,
             block_degraded: Vec::new(),
-            adaptive,
         }
     }
 
@@ -254,7 +303,8 @@ impl StreamingEmprof {
         self.clock_hz
     }
 
-    /// Pushes one magnitude sample.
+    /// Pushes one magnitude sample: a one-element
+    /// [`extend_from_slice`](StreamingEmprof::extend_from_slice).
     ///
     /// Non-finite samples (NaN, ±inf) are **rejected, not processed**:
     /// a single NaN would otherwise lodge permanently in the moving
@@ -265,321 +315,160 @@ impl StreamingEmprof {
     /// indices are positions within the *accepted* samples, identical
     /// to running the batch detector on the pre-filtered signal.
     pub fn push(&mut self, value: f64) {
-        if !value.is_finite() {
-            self.rejected += 1;
-            // Record where the gap collapsed to in survivor coordinates
-            // (one point per contiguous run of rejections): events
-            // touching it are demoted to degraded confidence.
-            if self.gaps.back() != Some(&self.pushed) {
-                self.gaps.push_back(self.pushed);
+        self.extend_from_slice(&[value]);
+    }
+
+    /// Pushes a batch of samples, in slices of up to 1024.
+    pub fn extend<I: IntoIterator<Item = f64>>(&mut self, samples: I) {
+        let mut chunk = [0.0; 1024];
+        let mut n = 0;
+        for s in samples {
+            chunk[n] = s;
+            n += 1;
+            if n == chunk.len() {
+                self.extend_from_slice(&chunk);
+                n = 0;
             }
-            obs::counter_add!("detect.samples_rejected", 1);
+        }
+        self.extend_from_slice(&chunk[..n]);
+    }
+
+    /// Pushes a batch of samples from a slice — the server ingest
+    /// hot-path entry point. Any split of a signal into slices gives the
+    /// same events; only the drain points differ.
+    pub fn extend_from_slice(&mut self, samples: &[f64]) {
+        let before = self.buf.len();
+        if samples.iter().all(|v| v.is_finite()) {
+            self.buf.extend_from_slice(samples);
+        } else {
+            for &v in samples {
+                if v.is_finite() {
+                    self.buf.push(v);
+                    continue;
+                }
+                // Record where the gap collapsed to in survivor
+                // coordinates (one point per contiguous run of
+                // rejections): events touching it are demoted to
+                // degraded confidence.
+                let at = self.buf_base + self.buf.len();
+                if self.gaps.back() != Some(&at) {
+                    self.gaps.push_back(at);
+                }
+            }
+            let rejected = samples.len() - (self.buf.len() - before);
+            self.rejected += rejected;
+            obs::counter_add!("detect.samples_rejected", rejected as u64);
+        }
+        let accepted = self.buf.len() - before;
+        if accepted == 0 {
             return;
         }
         if self.started_at.is_none() {
             self.started_at = Some(Instant::now());
         }
-        self.unflushed += 1;
+        self.pushed += accepted;
+        match &mut self.engine {
+            Engine::Static(pass) => {
+                pass.feed(&self.buf, self.buf_base, &mut self.runs)
+                    .expect("rejection happens at ingest; the buffer is finite");
+                pass.cut(&mut self.runs);
+                self.position = pass.next_output();
+                // Drop what the pass will never read again, amortized:
+                // only once the dead prefix outweighs the live samples.
+                let dead = pass.first_needed() - self.buf_base;
+                if 2 * dead >= self.buf.len() {
+                    self.buf.drain(..dead);
+                    self.buf_base += dead;
+                }
+            }
+            Engine::Adaptive(ad) => {
+                while (ad.next_block + 1) * ad.block + ad.half <= self.pushed {
+                    self.position = ad.run_block(
+                        &mut self.buf,
+                        &mut self.buf_base,
+                        self.pushed,
+                        &mut self.runs,
+                        &mut self.block_degraded,
+                    );
+                }
+            }
+        }
+        self.stitch();
+        self.process_pending(false);
+        self.unflushed += accepted;
         if self.unflushed >= OBS_FLUSH_INTERVAL {
             self.flush_obs();
         }
-        if self.adaptive.is_some() {
-            self.push_adaptive(value);
-            return;
-        }
-        let idx = self.pushed;
-        self.pushed += 1;
-        self.raw.push_back(value);
-        // Admit into the monotonic wedges.
-        while let Some(&(_, v)) = self.min_wedge.back() {
-            if value <= v {
-                self.min_wedge.pop_back();
-            } else {
-                break;
-            }
-        }
-        self.min_wedge.push_back((idx, value));
-        while let Some(&(_, v)) = self.max_wedge.back() {
-            if value >= v {
-                self.max_wedge.pop_back();
-            } else {
-                break;
-            }
-        }
-        self.max_wedge.push_back((idx, value));
-
-        // Normalize every sample whose centered window is now complete:
-        // sample i needs samples up to i + half.
-        let half = self.config.norm_window_samples / 2;
-        while self.normalized + half < self.pushed {
-            self.normalize_one();
-        }
-        self.process_pending(false);
     }
 
-    /// Pushes a batch of samples.
-    pub fn extend<I: IntoIterator<Item = f64>>(&mut self, samples: I) {
-        for s in samples {
-            self.push(s);
+    /// Moves the kernel's fresh runs onto the pending lists with the
+    /// parallel detector's seam rules: below-threshold runs merge across gaps of at most
+    /// `merge_gap_samples` (the batch merge criterion), below-edge runs
+    /// rejoin where they meet exactly at a kernel cut. Then trims
+    /// below-edge runs to what refinement of the still-pending dips can
+    /// consult — always keeping the last, which may still be growing.
+    fn stitch(&mut self) {
+        let gap = self.config.merge_gap_samples;
+        for &(s, e) in &self.runs.below_threshold {
+            match self.pending.back_mut() {
+                Some(last) if s - last.1 <= gap => last.1 = e,
+                _ => self.pending.push_back((s, e)),
+            }
+        }
+        for &(s, e) in &self.runs.below_edge {
+            match self.edge_runs.back_mut() {
+                Some(last) if last.1 == s => last.1 = e,
+                _ => self.edge_runs.push_back((s, e)),
+            }
+        }
+        self.runs.below_threshold.clear();
+        self.runs.below_edge.clear();
+        let bound = self.pending.front().map_or(self.position, |r| r.0);
+        while self.edge_runs.len() > 1 && self.edge_runs.front().is_some_and(|r| r.1 <= bound) {
+            self.edge_runs.pop_front();
         }
     }
 
-    /// Pushes a batch of samples from a slice. Equivalent to
-    /// [`extend`](StreamingEmprof::extend); this is the server ingest
-    /// hot-path entry point, taking the borrowed batch directly.
-    pub fn extend_from_slice(&mut self, samples: &[f64]) {
-        for &s in samples {
-            self.push(s);
-        }
-    }
-
-    /// Normalizes sample `self.normalized` using the exact centered
-    /// window the batch detector uses, then advances the detector state.
-    fn normalize_one(&mut self) {
-        let i = self.normalized;
-        let half = self.config.norm_window_samples / 2;
-        let win_start = i.saturating_sub(half);
-        // Evict wedge entries that fell out of the window.
-        while self.min_wedge.front().is_some_and(|&(j, _)| j < win_start) {
-            self.min_wedge.pop_front();
-        }
-        while self.max_wedge.front().is_some_and(|&(j, _)| j < win_start) {
-            self.max_wedge.pop_front();
-        }
-        let lo = self.min_wedge.front().expect("window non-empty").1;
-        let hi = self.max_wedge.front().expect("window non-empty").1;
-        let value = self.raw[i - self.raw_base];
-        // Flat windows (hi == lo) carry no dip information and read as
-        // fully busy — mirroring `stats::normalize_moving_minmax`.
-        let normalized = if hi > lo {
-            ((value - lo) / (hi - lo)).clamp(0.0, 1.0)
-        } else {
-            1.0
-        };
-        self.norm.push_back(normalized);
-        self.normalized += 1;
-
-        // Threshold crossing bookkeeping.
-        if normalized < self.config.threshold {
-            if self.open_dip.is_none() {
-                self.open_dip = Some(i);
-            }
-        } else if let Some(start) = self.open_dip.take() {
-            self.push_raw_dip(start, i);
-        }
-        if normalized >= self.config.edge_level {
-            self.last_high = i;
-        }
-        // With nothing in flight, normalized history older than the last
-        // above-edge sample can never be consulted again.
-        if self.pending.is_empty() && self.open_dip.is_none() {
-            while self.norm_base < self.last_high {
-                self.norm.pop_front();
-                self.norm_base += 1;
-            }
-        }
-
-        // Trim raw samples no longer needed by any future window. Sample j
-        // is needed while some i with |i - j| <= half is un-normalized;
-        // the oldest such j is normalized - half.
-        let keep_from = self.normalized.saturating_sub(half + 1);
-        while self.raw_base < keep_from {
-            self.raw.pop_front();
-            self.raw_base += 1;
-        }
-    }
-
-    fn push_raw_dip(&mut self, start: usize, end: usize) {
-        // Merge with the previous pending dip when close enough.
-        if let Some(last) = self.pending.back_mut() {
-            if start - last.1 <= self.config.merge_gap_samples {
-                last.1 = end;
-                return;
-            }
-        }
-        self.pending.push_back((start, end));
-    }
-
-    /// Refines and emits pending dips that can no longer change. A dip is
-    /// final once normalization has advanced `merge_gap + 1` samples past
-    /// its end (no future dip can merge into it) and its right edge has
-    /// been refined to a sample at or above `edge_level`.
+    /// Refines and emits pending dips that can no longer change. Edge
+    /// refinement consults the stitched below-edge *run list* (as the
+    /// batch path does via `refine_from_runs`), never a normalized
+    /// sample history.
     fn process_pending(&mut self, flush: bool) {
         let gap = self.config.merge_gap_samples;
-        let edge = self.config.edge_level;
         while let Some(&(start, end)) = self.pending.front() {
-            if !flush {
-                // It may still merge with an ongoing or future dip.
-                if self.open_dip.is_some() {
-                    break;
-                }
-                if self.normalized < end + gap + 2 {
-                    break;
-                }
-            }
-            // Edge refinement within the retained normalized history. The
-            // left bound is the previous *refined run* (not the previous
-            // emitted event — a run can fail the duration filter and
-            // still bound refinement, exactly as in the batch detector).
-            let mut s = start;
-            let left_bound = self
-                .last_run
-                .map(|(_, end, _)| end)
-                .unwrap_or(0)
-                .max(self.norm_base);
-            while s > left_bound && self.norm_at(s - 1).is_some_and(|v| v < edge) {
-                s -= 1;
-            }
-            let right_bound = self
-                .pending
-                .get(1)
-                .map(|n| n.0)
-                .unwrap_or(self.normalized);
-            let mut e = end;
-            while e < right_bound && self.norm_at(e).is_some_and(|v| v < edge) {
-                e += 1;
-            }
-            if !flush && e == right_bound && self.pending.len() < 2 && e == self.normalized {
-                // The right edge is still growing; wait for more samples.
-                break;
-            }
-            self.pending.pop_front();
-            self.tail_sealed = self.norm_at(e).is_some_and(|v| v >= edge);
-            self.emit(s, e);
-            // Trim normalized history: keep what edge refinement of the
-            // next dip might need (back to this event's end).
-            let keep_from = e.min(self.normalized.saturating_sub(1));
-            while self.norm_base < keep_from {
-                self.norm.pop_front();
-                self.norm_base += 1;
-            }
-        }
-    }
-
-    /// Adaptive-mode ingest: buffer the survivor sample, run the gated
-    /// kernel over every calibration block whose right normalization
-    /// context is now complete, and flush finalized dips.
-    fn push_adaptive(&mut self, value: f64) {
-        let mut ad = self.adaptive.take().expect("adaptive mode");
-        self.pushed += 1;
-        ad.buf.push(value);
-        while (ad.next_block + 1) * ad.block + ad.half <= self.pushed {
-            self.process_block(&mut ad);
-        }
-        self.adaptive_process_pending(&mut ad, false);
-        self.adaptive = Some(ad);
-    }
-
-    /// Runs block `ad.next_block` through the gated fused kernel with
-    /// its causal [`BlockParams`], stitches the resulting runs (the
-    /// parallel detector's seam rules), observes the block for the
-    /// calibrator, and advances the frontier. Identical inputs to the
-    /// batch adaptive path's per-block kernel call, by construction.
-    fn process_block(&mut self, ad: &mut AdaptiveState) {
-        let k = ad.next_block;
-        let start = k * ad.block;
-        // Truncated only at the true end of the capture (finish), which
-        // is exactly when the batch kernel's window clips there too.
-        let end = ((k + 1) * ad.block).min(self.pushed);
-        let p = ad.cur;
-        let runs = fused::detect_runs_range_gated(
-            &ad.buf,
-            p.window,
-            p.threshold,
-            p.edge_level,
-            p.min_range,
-            start - ad.buf_base,
-            end - ad.buf_base,
-            None,
-        )
-        .expect("rejection happens at ingest; the buffer is finite");
-        let gap = self.config.merge_gap_samples;
-        for (s, e) in runs.below_threshold {
-            let (s, e) = (s + ad.buf_base, e + ad.buf_base);
-            match ad.pending.back_mut() {
-                Some(last) if s - last.1 <= gap => last.1 = e,
-                _ => ad.pending.push_back((s, e)),
-            }
-        }
-        for (s, e) in runs.below_edge {
-            let (s, e) = (s + ad.buf_base, e + ad.buf_base);
-            match ad.edge_runs.back_mut() {
-                Some(last) if last.1 == s => last.1 = e,
-                _ => ad.edge_runs.push_back((s, e)),
-            }
-        }
-        ad.cal
-            .observe_block(&ad.buf[start - ad.buf_base..end - ad.buf_base]);
-        self.block_degraded.push(p.degraded);
-        ad.next_block += 1;
-        ad.position = end;
-        ad.cur = ad.cal.params();
-        // Trim the sample buffer to what the next block's (base) window
-        // can still reach, and below-edge runs to what refinement of the
-        // still-pending dips can still consult — always keeping the last
-        // run, which may still be growing across the frontier. During
-        // `finish` the final right-truncated block can place the nominal
-        // trim point past the capture end, so clamp to what was pushed.
-        let keep_from = (ad.next_block * ad.block)
-            .saturating_sub(ad.half)
-            .min(self.pushed)
-            .max(ad.buf_base);
-        ad.buf.drain(..keep_from - ad.buf_base);
-        ad.buf_base = keep_from;
-        let bound = ad.pending.front().map_or(ad.position, |r| r.0);
-        while ad.edge_runs.len() > 1 && ad.edge_runs.front().is_some_and(|r| r.1 <= bound) {
-            ad.edge_runs.pop_front();
-        }
-    }
-
-    /// Adaptive-mode counterpart of [`process_pending`]: same finality
-    /// and emission rules, but edge refinement consults the stitched
-    /// below-edge *run list* (as the batch adaptive path does via
-    /// `refine_from_runs`) instead of a normalized-sample history.
-    ///
-    /// [`process_pending`]: StreamingEmprof::process_pending
-    fn adaptive_process_pending(&mut self, ad: &mut AdaptiveState, flush: bool) {
-        let gap = self.config.merge_gap_samples;
-        while let Some(&(start, end)) = ad.pending.front() {
             // Final once the frontier is far enough past the run's end
             // that no future run can merge into it (a run ending exactly
-            // at the frontier may still grow into the next block).
-            if !flush && ad.position < end + gap + 1 {
+            // at the frontier may still grow past it).
+            if !flush && self.position < end + gap + 1 {
                 break;
             }
             let left_bound = self.last_run.map(|(_, e, _)| e).unwrap_or(0);
-            let cs = *ad
+            let cs = *self
                 .edge_runs
                 .iter()
                 .find(|r| r.1 > start)
                 .expect("run start lies in a below-edge run");
             debug_assert!(cs.0 <= start, "run start not below edge");
             let refined_s = cs.0.max(left_bound);
-            let right_bound = ad.pending.get(1).map(|n| n.0).unwrap_or(ad.position);
-            let ce = *ad
+            let right_bound = self.pending.get(1).map(|n| n.0).unwrap_or(self.position);
+            let ce = *self
                 .edge_runs
                 .iter()
                 .find(|r| r.1 > end - 1)
                 .expect("run end lies in a below-edge run");
             debug_assert!(ce.0 < end, "run end not below edge");
             let refined_e = ce.1.min(right_bound);
-            if !flush && refined_e == ad.position && ad.pending.len() < 2 {
-                // The right edge is still growing; wait for more blocks.
+            if !flush && refined_e == self.position && self.pending.len() < 2 {
+                // The right edge is still growing; wait for more samples.
                 break;
             }
-            ad.pending.pop_front();
+            self.pending.pop_front();
             // Sealed iff the run ended on an at-or-above-edge sample —
             // i.e. at its container's settled end, not clipped by a
             // neighbour or the frontier.
-            self.tail_sealed = refined_e == ce.1 && ce.1 < ad.position;
+            self.tail_sealed = refined_e == ce.1 && ce.1 < self.position;
             self.emit(refined_s, refined_e);
         }
-    }
-
-    fn norm_at(&self, idx: usize) -> Option<f64> {
-        idx.checked_sub(self.norm_base)
-            .and_then(|o| self.norm.get(o))
-            .copied()
     }
 
     /// The duration filter floor, in samples.
@@ -728,12 +617,13 @@ impl StreamingEmprof {
         self.rejected
     }
 
-    /// Current buffered-memory footprint in samples (bounded by the
-    /// normalization window plus any unfinished dip).
+    /// Current buffered-memory footprint in samples: the raw-sample
+    /// buffer, bounded by the normalization window (static: the
+    /// `window / 2` samples behind the frontier plus a not-yet-dropped
+    /// prefix no longer than them; adaptive: a calibration block plus
+    /// half a window).
     pub fn buffered_samples(&self) -> usize {
-        self.raw.len()
-            + self.norm.len()
-            + self.adaptive.as_ref().map_or(0, |a| a.buf.len())
+        self.buf.len()
     }
 
     /// Progress counters for live monitoring: samples seen, events
@@ -770,25 +660,28 @@ impl StreamingEmprof {
     /// flushes pending events, and returns the complete [`Profile`].
     pub fn finish(mut self) -> Profile {
         let _s = obs::span!("stream.finish");
-        if let Some(mut ad) = self.adaptive.take() {
-            // Remaining (right-truncated) blocks: the kernel's windows
-            // clip at the true capture end, exactly as in batch.
-            while ad.position < self.pushed {
-                self.process_block(&mut ad);
+        // The tail positions have truncated (right-clipped) windows,
+        // exactly as in the batch detector.
+        match &mut self.engine {
+            Engine::Static(pass) => {
+                pass.finish(&self.buf, self.buf_base, &mut self.runs)
+                    .expect("rejection happens at ingest; the buffer is finite");
+                self.position = self.pushed;
             }
-            self.adaptive_process_pending(&mut ad, true);
-        } else {
-            // The tail samples have truncated (right-clipped) windows;
-            // the wedges already contain exactly the in-window
-            // candidates.
-            while self.normalized < self.pushed {
-                self.normalize_one();
+            Engine::Adaptive(ad) => {
+                while self.position < self.pushed {
+                    self.position = ad.run_block(
+                        &mut self.buf,
+                        &mut self.buf_base,
+                        self.pushed,
+                        &mut self.runs,
+                        &mut self.block_degraded,
+                    );
+                }
             }
-            if let Some(start) = self.open_dip.take() {
-                self.push_raw_dip(start, self.pushed);
-            }
-            self.process_pending(true);
         }
+        self.stitch();
+        self.process_pending(true);
         self.flush_obs();
         if obs::is_enabled() {
             // Widths are only final now (merges may have grown events), so

@@ -281,7 +281,7 @@ impl Session {
                 StreamingEmprof::new(meta.config, meta.sample_rate_hz, meta.clock_hz);
             let mut events = Vec::new();
             for (_, samples) in &rec.samples {
-                detector.extend(samples.iter().copied());
+                detector.extend_from_slice(samples);
                 events.extend(detector.drain_events());
             }
             // Events finalized after the last journaled one (a crash

@@ -127,6 +127,9 @@ pub fn detect_runs_range(
 /// windows while leaving true dip windows (whose range carries the dip
 /// contrast) untouched.
 ///
+/// This is a [`FusedPass`] primed at `start`, fed the whole signal
+/// once, and finished at `end`.
+///
 /// # Errors / Panics
 ///
 /// Identical to [`detect_runs_range`].
@@ -139,128 +142,304 @@ pub fn detect_runs_range_gated(
     min_range: f64,
     start: usize,
     end: usize,
-    mut norm_out: Option<&mut Vec<f64>>,
+    norm_out: Option<&mut Vec<f64>>,
 ) -> Result<LevelRuns, usize> {
-    assert!(window > 0, "window must be nonzero");
     let n = signal.len();
     assert!(
         start <= end && end <= n,
         "range {start}..{end} out of bounds for length {n}"
     );
+    let mut pass = FusedPass::new(window, threshold, edge_level, min_range, start..end);
     let mut runs = LevelRuns::default();
-    if start == end {
-        return Ok(runs);
-    }
-    let half = window / 2;
-    let last = n - 1;
-    // Monotonic wedges over (index, value): values are stored alongside
-    // indices so wedge maintenance never re-reads the signal. Bounded by
-    // the window length, so the pass allocates O(window), not O(n).
-    let mut min_wedge: VecDeque<(usize, f64)> = VecDeque::with_capacity(window.min(n) + 1);
-    let mut max_wedge: VecDeque<(usize, f64)> = VecDeque::with_capacity(window.min(n) + 1);
-    let mut right = start.saturating_sub(half); // next index to admit
-    // Prime both wedges with the first admitted sample so the hot loop
-    // can keep each wedge's front entry cached in locals (`min_front`,
-    // `max_front`) instead of going through the ring buffer every
-    // iteration; the wedges are non-empty from here on (eviction only
-    // removes samples that left the window, and the window always holds
-    // at least the output sample itself).
-    let v0 = signal[right];
-    if !v0.is_finite() {
-        return Err(right);
-    }
-    min_wedge.push_back((right, v0));
-    max_wedge.push_back((right, v0));
-    let mut min_front = (right, v0);
-    let mut max_front = (right, v0);
-    right += 1;
-    let mut th_start: Option<usize> = None;
-    let mut ed_start: Option<usize> = None;
-    for (off, &v_i) in signal[start..end].iter().enumerate() {
-        let i = start + off;
-        // Admit every sample the window centered on `i` can see. Each
-        // sample is admitted exactly once — this is where it is read,
-        // and where it is checked finite.
-        let win_end = (i + half).min(last);
-        while right <= win_end {
-            let v = signal[right];
-            if !v.is_finite() {
-                return Err(right);
-            }
-            if v <= min_front.1 {
-                // New window minimum: the pop loop below would drain the
-                // whole wedge (every stored value is >= the front's), so
-                // collapse it in one step and refresh the cached front.
-                min_wedge.clear();
-                min_wedge.push_back((right, v));
-                min_front = (right, v);
-            } else {
-                while min_wedge.back().is_some_and(|&(_, b)| v <= b) {
-                    min_wedge.pop_back();
-                }
-                min_wedge.push_back((right, v));
-            }
-            if v >= max_front.1 {
-                max_wedge.clear();
-                max_wedge.push_back((right, v));
-                max_front = (right, v);
-            } else {
-                while max_wedge.back().is_some_and(|&(_, b)| v >= b) {
-                    max_wedge.pop_back();
-                }
-                max_wedge.push_back((right, v));
-            }
-            right += 1;
-        }
-        // Evict entries that fell out of the window, then normalize
-        // inline — the same expression as `normalize_moving_minmax`.
-        // Only the cached fronts are consulted on the no-eviction path.
-        let win_start = i.saturating_sub(half);
-        while min_front.0 < win_start {
-            min_wedge.pop_front();
-            min_front = *min_wedge.front().expect("window always non-empty");
-        }
-        while max_front.0 < win_start {
-            max_wedge.pop_front();
-            max_front = *max_wedge.front().expect("window always non-empty");
-        }
-        let lo = min_front.1;
-        let hi = max_front.1;
-        let v = v_i;
-        // `hi - lo > 0.0` is exactly `hi > lo` for finite samples, so the
-        // ungated (`min_range == 0.0`) pass matches `normalize_moving_minmax`
-        // bit for bit.
-        let normalized = if hi - lo > min_range {
-            ((v - lo) / (hi - lo)).clamp(0.0, 1.0)
-        } else {
-            1.0
-        };
-        if let Some(out) = norm_out.as_deref_mut() {
-            out.push(normalized);
-        }
-        // Run bookkeeping for both levels.
-        if normalized < threshold {
-            if th_start.is_none() {
-                th_start = Some(i);
-            }
-        } else if let Some(s) = th_start.take() {
-            runs.below_threshold.push((s, i));
-        }
-        if normalized < edge_level {
-            if ed_start.is_none() {
-                ed_start = Some(i);
-            }
-        } else if let Some(s) = ed_start.take() {
-            runs.below_edge.push((s, i));
-        }
-    }
-    if let Some(s) = th_start {
-        runs.below_threshold.push((s, end));
-    }
-    if let Some(s) = ed_start {
-        runs.below_edge.push((s, end));
-    }
+    pass.advance(signal, 0, end, &mut runs, norm_out)?;
+    pass.cut(&mut runs);
     Ok(runs)
+}
+
+/// The fused pass as a resumable state machine: the two monotonic
+/// wedges with their cached fronts, the admission cursor, the next
+/// output position and the open below-level run starts. Feeding it a
+/// signal in successive slices and finishing it once yields exactly the
+/// runs of one [`detect_runs_range_gated`] call over the whole signal —
+/// the one-shot functions *are* this state, fed once — so a streaming
+/// caller reads each sample once without re-priming per slice.
+///
+/// The caller owns the samples. Each call takes a slice holding the
+/// signal from some global index `base` up to the current frontier and
+/// must cover everything from [`FusedPass::first_needed`] on: the
+/// samples the pass has yet to admit, and those it has admitted but not
+/// yet normalized. Everything before that lives in the wedges, so a
+/// streaming caller keeps only about `window / 2` samples behind the
+/// frontier.
+#[derive(Debug, Clone)]
+pub struct FusedPass {
+    half: usize,
+    threshold: f64,
+    edge_level: f64,
+    min_range: f64,
+    /// Output positions stop here (exclusive).
+    end: usize,
+    /// Monotonic wedges over (index, value): values are stored alongside
+    /// indices so wedge maintenance never re-reads the signal. Bounded by
+    /// the window length, so the pass holds O(window), not O(n). Both
+    /// are empty until the pass is primed.
+    min_wedge: VecDeque<(usize, f64)>,
+    max_wedge: VecDeque<(usize, f64)>,
+    /// The wedges' front entries, cached so the hot loop rarely touches
+    /// the ring buffers.
+    min_front: (usize, f64),
+    max_front: (usize, f64),
+    /// Next index to admit.
+    right: usize,
+    /// Next output position to normalize.
+    next: usize,
+    /// Starts of the below-threshold / below-edge runs still open.
+    th_start: Option<usize>,
+    ed_start: Option<usize>,
+}
+
+impl FusedPass {
+    /// A pass that will emit runs for output positions `range` (use
+    /// `0..usize::MAX` for an open-ended stream), normalizing each
+    /// against the centered `window` and flattening windows whose range
+    /// does not exceed `min_range` (see [`detect_runs_range_gated`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window == 0` or the range is reversed.
+    pub fn new(
+        window: usize,
+        threshold: f64,
+        edge_level: f64,
+        min_range: f64,
+        range: std::ops::Range<usize>,
+    ) -> FusedPass {
+        assert!(window > 0, "window must be nonzero");
+        assert!(range.start <= range.end, "reversed range {range:?}");
+        let half = window / 2;
+        FusedPass {
+            half,
+            threshold,
+            edge_level,
+            min_range,
+            end: range.end,
+            min_wedge: VecDeque::new(),
+            max_wedge: VecDeque::new(),
+            min_front: (0, 0.0),
+            max_front: (0, 0.0),
+            right: range.start.saturating_sub(half),
+            next: range.start,
+            th_start: None,
+            ed_start: None,
+        }
+    }
+
+    /// The next output position: every position before it has been
+    /// normalized and scanned.
+    pub fn next_output(&self) -> usize {
+        self.next
+    }
+
+    /// The first global sample index later calls still read; callers
+    /// may drop everything before it.
+    pub fn first_needed(&self) -> usize {
+        self.right.min(self.next)
+    }
+
+    /// Advances over every output position whose centered window lies
+    /// wholly inside `signal` — sample `base + k` is `signal[k]`, and
+    /// `base + signal.len()` is the frontier — appending the runs that
+    /// closed to `runs`. Runs still open at the new output position stay
+    /// open for the next call.
+    ///
+    /// # Errors
+    ///
+    /// `Err(i)` when sample `i` is the first non-finite sample admitted.
+    /// The pass stops just before it, consistent: dropping the sample
+    /// from the caller's buffer and feeding again resumes as if it had
+    /// never been there.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `signal` does not cover [`FusedPass::first_needed`].
+    pub fn feed(&mut self, signal: &[f64], base: usize, runs: &mut LevelRuns) -> Result<(), usize> {
+        let complete = (base + signal.len()).saturating_sub(self.half);
+        self.advance(signal, base, complete.min(self.end), runs, None)
+    }
+
+    /// Treats `signal`'s end as the end of the whole signal: normalizes
+    /// every remaining output position (windows clipped at the end, as
+    /// in the one-shot pass), then closes the open runs there.
+    ///
+    /// # Errors / Panics
+    ///
+    /// As [`FusedPass::feed`].
+    pub fn finish(&mut self, signal: &[f64], base: usize, runs: &mut LevelRuns) -> Result<(), usize> {
+        let end = (base + signal.len()).min(self.end);
+        self.advance(signal, base, end, runs, None)?;
+        self.cut(runs);
+        Ok(())
+    }
+
+    /// Closes the open runs at the current output position, as if the
+    /// signal were cut there. A caller that cuts after every feed and
+    /// rejoins runs that meet exactly at a cut (a true run boundary
+    /// never has a gap of zero) recovers the uncut run lists.
+    pub fn cut(&mut self, runs: &mut LevelRuns) {
+        if let Some(s) = self.th_start.take() {
+            runs.below_threshold.push((s, self.next));
+        }
+        if let Some(s) = self.ed_start.take() {
+            runs.below_edge.push((s, self.next));
+        }
+    }
+
+    /// The kernel loop: normalizes output positions `[self.next,
+    /// out_end)` with windows clipped at the end of `signal`, admitting
+    /// samples as their windows need them, and optionally appends each
+    /// normalized value to `norm_out`.
+    fn advance(
+        &mut self,
+        signal: &[f64],
+        base: usize,
+        out_end: usize,
+        runs: &mut LevelRuns,
+        mut norm_out: Option<&mut Vec<f64>>,
+    ) -> Result<(), usize> {
+        if out_end <= self.next {
+            return Ok(());
+        }
+        assert!(
+            base <= self.first_needed() && out_end <= base + signal.len(),
+            "signal {base}..{} does not cover the pass at {}..{out_end}",
+            base + signal.len(),
+            self.first_needed()
+        );
+        let last = base + signal.len() - 1;
+        if self.min_wedge.is_empty() {
+            // Prime both wedges with the first admitted sample so the hot
+            // loop can keep each wedge's front entry cached in locals
+            // (`min_front`, `max_front`) instead of going through the
+            // ring buffer every iteration; the wedges are non-empty from
+            // here on (eviction only removes samples that left the
+            // window, and the window always holds at least the output
+            // sample itself).
+            let v0 = signal[self.right - base];
+            if !v0.is_finite() {
+                return Err(self.right);
+            }
+            self.min_wedge.push_back((self.right, v0));
+            self.max_wedge.push_back((self.right, v0));
+            self.min_front = (self.right, v0);
+            self.max_front = (self.right, v0);
+            self.right += 1;
+        }
+        let (half, threshold, edge_level, min_range) =
+            (self.half, self.threshold, self.edge_level, self.min_range);
+        let min_wedge = &mut self.min_wedge;
+        let max_wedge = &mut self.max_wedge;
+        let mut min_front = self.min_front;
+        let mut max_front = self.max_front;
+        let mut right = self.right;
+        let mut th_start = self.th_start;
+        let mut ed_start = self.ed_start;
+        let first = self.next;
+        let mut stopped = None;
+        'out: for (off, &v_i) in signal[first - base..out_end - base].iter().enumerate() {
+            let i = first + off;
+            // Admit every sample the window centered on `i` can see. Each
+            // sample is admitted exactly once — this is where it is read,
+            // and where it is checked finite.
+            let win_end = (i + half).min(last);
+            while right <= win_end {
+                let v = signal[right - base];
+                if !v.is_finite() {
+                    stopped = Some((i, right));
+                    break 'out;
+                }
+                if v <= min_front.1 {
+                    // New window minimum: the pop loop below would drain
+                    // the whole wedge (every stored value is >= the
+                    // front's), so collapse it in one step and refresh
+                    // the cached front.
+                    min_wedge.clear();
+                    min_wedge.push_back((right, v));
+                    min_front = (right, v);
+                } else {
+                    while min_wedge.back().is_some_and(|&(_, b)| v <= b) {
+                        min_wedge.pop_back();
+                    }
+                    min_wedge.push_back((right, v));
+                }
+                if v >= max_front.1 {
+                    max_wedge.clear();
+                    max_wedge.push_back((right, v));
+                    max_front = (right, v);
+                } else {
+                    while max_wedge.back().is_some_and(|&(_, b)| v >= b) {
+                        max_wedge.pop_back();
+                    }
+                    max_wedge.push_back((right, v));
+                }
+                right += 1;
+            }
+            // Evict entries that fell out of the window, then normalize
+            // inline — the same expression as `normalize_moving_minmax`.
+            // Only the cached fronts are consulted on the no-eviction path.
+            let win_start = i.saturating_sub(half);
+            while min_front.0 < win_start {
+                min_wedge.pop_front();
+                min_front = *min_wedge.front().expect("window always non-empty");
+            }
+            while max_front.0 < win_start {
+                max_wedge.pop_front();
+                max_front = *max_wedge.front().expect("window always non-empty");
+            }
+            let lo = min_front.1;
+            let hi = max_front.1;
+            // `hi - lo > 0.0` is exactly `hi > lo` for finite samples, so
+            // the ungated (`min_range == 0.0`) pass matches
+            // `normalize_moving_minmax` bit for bit.
+            let normalized = if hi - lo > min_range {
+                ((v_i - lo) / (hi - lo)).clamp(0.0, 1.0)
+            } else {
+                1.0
+            };
+            if let Some(out) = norm_out.as_deref_mut() {
+                out.push(normalized);
+            }
+            // Run bookkeeping for both levels.
+            if normalized < threshold {
+                if th_start.is_none() {
+                    th_start = Some(i);
+                }
+            } else if let Some(s) = th_start.take() {
+                runs.below_threshold.push((s, i));
+            }
+            if normalized < edge_level {
+                if ed_start.is_none() {
+                    ed_start = Some(i);
+                }
+            } else if let Some(s) = ed_start.take() {
+                runs.below_edge.push((s, i));
+            }
+        }
+        self.min_front = min_front;
+        self.max_front = max_front;
+        self.right = right;
+        self.th_start = th_start;
+        self.ed_start = ed_start;
+        match stopped {
+            None => {
+                self.next = out_end;
+                Ok(())
+            }
+            Some((i, bad)) => {
+                self.next = i;
+                Err(bad)
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -31,10 +31,10 @@ use std::path::{Path, PathBuf};
 
 use emprof_obs as obs;
 
-use crate::record::{Record, SegmentFooter};
+use crate::record::{encode_samples_payload, Record, RecordKind, SegmentFooter};
 use crate::segment::{
-    encode_record_frame, encode_segment_header, parse_segment_file_name, scan_segment,
-    segment_file_name, SEGMENT_HEADER_LEN,
+    encode_segment_header, parse_segment_file_name, scan_segment, segment_file_name,
+    write_record_frame, SEGMENT_HEADER_LEN,
 };
 
 /// Journal tuning knobs.
@@ -112,6 +112,13 @@ impl SegmentInfo {
             self.has_samples = true;
         }
     }
+
+    fn note_samples(&mut self, count: usize, frame_len: u64) {
+        self.bytes += frame_len;
+        self.records += 1;
+        self.stats.note_samples(count);
+        self.has_samples = true;
+    }
 }
 
 /// Point-in-time size accounting for telemetry and the inspect verb.
@@ -145,6 +152,10 @@ pub struct Journal {
     active: SegmentInfo,
     writer: fs::File,
     next_index: u64,
+    /// Reused frame buffer: each append encodes its frame here and
+    /// writes it with one call, so steady-state appends allocate
+    /// nothing.
+    frame: Vec<u8>,
 }
 
 impl Journal {
@@ -284,6 +295,7 @@ impl Journal {
             active,
             writer,
             next_index,
+            frame: Vec::new(),
         };
         Ok(Recovered {
             journal,
@@ -349,16 +361,43 @@ impl Journal {
     /// Propagates write failures; the record is not counted on failure
     /// (the torn bytes, if any, are repaired by the next open).
     pub fn append(&mut self, rec: &Record) -> io::Result<u64> {
-        let frame = encode_record_frame(rec);
-        self.writer.write_all(&frame)?;
+        let index = self.write_frame(rec.kind(), |p| rec.encode_into(p))?;
+        self.active.note_record(rec, self.frame.len() as u64);
+        Ok(index)
+    }
+
+    /// Appends a [`Record::Samples`] record encoded straight from the
+    /// borrowed `samples`: the same bytes as [`Journal::append`] of the
+    /// owned record, without first copying the batch into one.
+    ///
+    /// # Errors
+    ///
+    /// As [`Journal::append`].
+    pub fn append_samples(&mut self, seq: u64, samples: &[f64]) -> io::Result<u64> {
+        let index = self.write_frame(RecordKind::Samples, |p| {
+            encode_samples_payload(p, seq, samples)
+        })?;
+        self.active.note_samples(samples.len(), self.frame.len() as u64);
+        Ok(index)
+    }
+
+    /// Encodes one frame into the reused buffer and writes it; the
+    /// caller notes the record into the active segment's accounting.
+    fn write_frame(
+        &mut self,
+        kind: RecordKind,
+        payload: impl FnOnce(&mut Vec<u8>),
+    ) -> io::Result<u64> {
+        self.frame.clear();
+        write_record_frame(&mut self.frame, kind, payload);
+        self.writer.write_all(&self.frame)?;
         if self.cfg.sync_on_append {
             self.writer.sync_data()?;
         }
         let index = self.next_index;
         self.next_index += 1;
-        self.active.note_record(rec, frame.len() as u64);
         obs::counter_add!("store.appends", 1);
-        obs::counter_add!("store.bytes_written", frame.len() as u64);
+        obs::counter_add!("store.bytes_written", self.frame.len() as u64);
         Ok(index)
     }
 
@@ -420,6 +459,7 @@ fn new_segment(dir: &Path, base_index: u64) -> io::Result<SegmentInfo> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::encode_record_frame;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static DIR_ID: AtomicU64 = AtomicU64::new(0);
@@ -470,6 +510,29 @@ mod tests {
         assert_eq!(got, recs);
         assert_eq!(rec.journal.next_index(), 3);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn borrowed_samples_append_writes_the_owned_record_bytes() {
+        let samples = [5.0, -0.0, f64::NAN, 0.8, f64::NEG_INFINITY];
+        let owned = Record::Samples {
+            seq: 9,
+            samples: samples.to_vec(),
+        };
+        let (da, db) = (tmp_dir("borrowed-a"), tmp_dir("borrowed-b"));
+        let mut a = Journal::open(&da).unwrap().journal;
+        let mut b = Journal::open(&db).unwrap().journal;
+        for _ in 0..3 {
+            a.append(&owned).unwrap();
+            b.append_samples(9, &samples).unwrap();
+        }
+        assert_eq!(a.stats(), b.stats());
+        assert_eq!(a.active.stats, b.active.stats);
+        assert_eq!(a.active.has_samples, b.active.has_samples);
+        let seg = segment_file_name(0);
+        assert_eq!(fs::read(da.join(&seg)).unwrap(), fs::read(db.join(&seg)).unwrap());
+        fs::remove_dir_all(&da).unwrap();
+        fs::remove_dir_all(&db).unwrap();
     }
 
     #[test]

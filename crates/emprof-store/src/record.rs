@@ -90,9 +90,7 @@ impl SegmentFooter {
     pub fn note(&mut self, rec: &Record) {
         match rec {
             Record::Footer(_) => return,
-            Record::Samples { samples, .. } => {
-                self.samples_count += samples.len() as u64;
-            }
+            Record::Samples { samples, .. } => return self.note_samples(samples.len()),
             Record::Events { first_seq, events } => {
                 for (i, e) in events.iter().enumerate() {
                     let seq = first_seq + i as u64;
@@ -113,6 +111,14 @@ impl SegmentFooter {
             }
             Record::Meta(_) | Record::Cursor { .. } | Record::Finished { .. } => {}
         }
+        self.record_count += 1;
+    }
+
+    /// Folds in one [`Record::Samples`] record of `count` samples — the
+    /// whole of what [`SegmentFooter::note`] takes from such a record,
+    /// for writers that journal borrowed samples without building one.
+    pub fn note_samples(&mut self, count: usize) {
+        self.samples_count += count as u64;
         self.record_count += 1;
     }
 
@@ -305,6 +311,18 @@ fn put_string(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&bytes[..len]);
 }
 
+/// Appends the payload of a [`Record::Samples`] record — sequence,
+/// count, then each sample's raw bits — straight from borrowed samples.
+pub fn encode_samples_payload(out: &mut Vec<u8>, seq: u64, samples: &[f64]) {
+    out.extend_from_slice(&seq.to_le_bytes());
+    out.extend_from_slice(&(samples.len() as u32).to_le_bytes());
+    let at = out.len();
+    out.resize(at + samples.len() * 8, 0);
+    for (dst, s) in out[at..].chunks_exact_mut(8).zip(samples) {
+        dst.copy_from_slice(&s.to_le_bytes());
+    }
+}
+
 /// Event kind byte: bit 0 is the refresh classification, bit 1 the
 /// degraded-confidence mark, so replaying a journal reproduces exactly
 /// the confidence the live session reported.
@@ -368,6 +386,13 @@ impl Record {
     /// Encodes the payload (framing and CRC are the segment layer's).
     pub fn encode(&self) -> Vec<u8> {
         let mut p = Vec::new();
+        self.encode_into(&mut p);
+        p
+    }
+
+    /// Appends the encoded payload to `p` — [`Record::encode`] into a
+    /// caller-owned buffer.
+    pub fn encode_into(&self, p: &mut Vec<u8>) {
         match self {
             Record::Meta(m) => {
                 p.extend_from_slice(&m.session_id.to_le_bytes());
@@ -392,20 +417,14 @@ impl Record {
                 p.extend_from_slice(&c.calib.degraded_exit.to_le_bytes());
                 p.extend_from_slice(&(c.calib.window_min as u64).to_le_bytes());
                 p.extend_from_slice(&c.calib.drift_tolerance.to_le_bytes());
-                put_string(&mut p, &m.device);
+                put_string(p, &m.device);
             }
-            Record::Samples { seq, samples } => {
-                p.extend_from_slice(&seq.to_le_bytes());
-                p.extend_from_slice(&(samples.len() as u32).to_le_bytes());
-                for s in samples {
-                    p.extend_from_slice(&s.to_le_bytes());
-                }
-            }
+            Record::Samples { seq, samples } => encode_samples_payload(p, *seq, samples),
             Record::Events { first_seq, events } => {
                 p.extend_from_slice(&first_seq.to_le_bytes());
                 p.extend_from_slice(&(events.len() as u32).to_le_bytes());
                 for e in events {
-                    encode_event(&mut p, e);
+                    encode_event(p, e);
                 }
             }
             Record::Cursor { acked_events } => {
@@ -421,6 +440,7 @@ impl Record {
                 p.extend_from_slice(&last_samples_seq.to_le_bytes());
             }
             Record::Footer(f) => {
+                let at = p.len();
                 p.extend_from_slice(&f.record_count.to_le_bytes());
                 p.extend_from_slice(&f.event_count.to_le_bytes());
                 p.extend_from_slice(&f.degraded_count.to_le_bytes());
@@ -432,10 +452,9 @@ impl Record {
                 p.extend_from_slice(&f.max_event_seq.to_le_bytes());
                 p.extend_from_slice(&f.min_duration_cycles.to_le_bytes());
                 p.extend_from_slice(&f.max_duration_cycles.to_le_bytes());
-                debug_assert_eq!(p.len(), FOOTER_PAYLOAD_LEN);
+                debug_assert_eq!(p.len() - at, FOOTER_PAYLOAD_LEN);
             }
         }
-        p
     }
 
     /// Decodes a payload whose CRC already verified.
@@ -490,10 +509,11 @@ impl Record {
                 if count > MAX_SAMPLES_PER_RECORD {
                     return Err(DecodeError("sample count exceeds bound"));
                 }
-                let mut samples = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    samples.push(r.f64()?);
-                }
+                let samples = r
+                    .take(count as usize * 8)?
+                    .chunks_exact(8)
+                    .map(|b| f64::from_le_bytes(b.try_into().unwrap()))
+                    .collect();
                 Record::Samples { seq, samples }
             }
             RecordKind::Events => {

@@ -29,7 +29,7 @@ use std::io;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 
-use crate::crc::crc32;
+use crate::crc::{crc32, Crc32};
 use crate::record::{Record, RecordKind, SegmentFooter, FOOTER_PAYLOAD_LEN};
 
 /// First eight bytes of every segment file.
@@ -86,20 +86,35 @@ pub fn decode_segment_header(h: &[u8]) -> Option<u64> {
     Some(u64::from_le_bytes(h[12..20].try_into().unwrap()))
 }
 
+/// The CRC-32 a record frame carries: over its kind byte, then its
+/// payload, fed incrementally so neither is copied.
+pub fn frame_crc(kind: u8, payload: &[u8]) -> u32 {
+    let mut crc = Crc32::new();
+    crc.update(&[kind]);
+    crc.update(payload);
+    crc.finish()
+}
+
+/// Appends one record frame to `out`: `payload` writes the payload
+/// bytes straight into `out` after a reserved frame header, which is
+/// then filled in. The frame buffer is the only copy of the payload.
+pub fn write_record_frame(out: &mut Vec<u8>, kind: RecordKind, payload: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    out.extend_from_slice(&[0; RECORD_HEADER_LEN]);
+    payload(out);
+    let body = &out[at + RECORD_HEADER_LEN..];
+    debug_assert!(body.len() <= MAX_RECORD as usize, "record too large");
+    let len = body.len() as u32;
+    let crc = frame_crc(kind as u8, body);
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+    out[at + 4] = kind as u8;
+    out[at + 5..at + RECORD_HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+}
+
 /// Serializes one record frame (header + payload) ready to append.
 pub fn encode_record_frame(rec: &Record) -> Vec<u8> {
-    let payload = rec.encode();
-    debug_assert!(payload.len() <= MAX_RECORD as usize, "record too large");
-    let kind = rec.kind() as u8;
-    let mut crc_input = Vec::with_capacity(1 + payload.len());
-    crc_input.push(kind);
-    crc_input.extend_from_slice(&payload);
-    let crc = crc32(&crc_input);
-    let mut out = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.push(kind);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out.extend_from_slice(&payload);
+    let mut out = Vec::new();
+    write_record_frame(&mut out, rec.kind(), |p| rec.encode_into(p));
     out
 }
 
@@ -158,10 +173,7 @@ pub fn scan_segment(path: &Path) -> io::Result<Option<SegmentScan>> {
             break;
         }
         let payload = &bytes[pos + RECORD_HEADER_LEN..end];
-        let mut crc_input = Vec::with_capacity(1 + payload.len());
-        crc_input.push(kind);
-        crc_input.extend_from_slice(payload);
-        if crc32(&crc_input) != crc {
+        if frame_crc(kind, payload) != crc {
             torn = true;
             break;
         }
@@ -214,10 +226,7 @@ pub fn read_segment_footer(path: &Path) -> io::Result<Option<SegmentFooter>> {
         return Ok(None);
     }
     let payload = &tail[RECORD_HEADER_LEN..];
-    let mut crc_input = Vec::with_capacity(1 + payload.len());
-    crc_input.push(kind);
-    crc_input.extend_from_slice(payload);
-    if crc32(&crc_input) != crc {
+    if frame_crc(kind, payload) != crc {
         return Ok(None);
     }
     match Record::decode(kind, payload) {

@@ -177,6 +177,14 @@ impl SessionJournal {
     /// Rolls segments at the size target, re-writing the checkpoint at
     /// the head of the new segment, then appends `rec`.
     fn append_checked(&mut self, rec: &Record) -> io::Result<()> {
+        self.roll_if_due()?;
+        self.journal.append(rec)?;
+        Ok(())
+    }
+
+    /// Rolls to a new segment when the active one has outgrown the size
+    /// target, re-writing the checkpoint at the head of the new one.
+    fn roll_if_due(&mut self) -> io::Result<()> {
         if self.journal.would_roll() {
             self.journal.roll()?;
             self.journal.append(&Record::Meta(self.meta.clone()))?;
@@ -187,7 +195,6 @@ impl SessionJournal {
                 self.journal.append(&fin)?;
             }
         }
-        self.journal.append(rec)?;
         Ok(())
     }
 
@@ -207,10 +214,9 @@ impl SessionJournal {
                 "samples batch exceeds one journal record",
             ));
         }
-        self.append_checked(&Record::Samples {
-            seq,
-            samples: samples.to_vec(),
-        })
+        self.roll_if_due()?;
+        self.journal.append_samples(seq, samples)?;
+        Ok(())
     }
 
     /// Journals freshly finalized events. Call *before* offering them

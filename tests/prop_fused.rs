@@ -171,3 +171,181 @@ fn extreme_finite_values_match_reference() {
         assert_eq!(runs.below_edge, reference_runs(&norm, 0.5));
     }
 }
+
+/// Slice lengths for feeding a resumable pass, from arbitrary picks:
+/// empty slices, single samples, lengths that put the frontier exactly
+/// on a half-window or window edge, and arbitrary spans.
+fn slice_lengths(picks: &[(u8, u16)], window: usize) -> Vec<usize> {
+    picks
+        .iter()
+        .map(|&(kind, len)| match kind % 5 {
+            0 => 0,
+            1 => 1,
+            2 => window / 2,
+            3 => window / 2 + 1,
+            _ => len as usize % 400,
+        })
+        .collect()
+}
+
+/// Feeds `signal` to a fresh pass in slices ending at `cuts` (sorted
+/// global frontiers), each call seeing only the samples from
+/// `first_needed()` to the frontier — so a pass that reads anything it
+/// claims to have dropped fails the slice bounds — then finishes it.
+#[allow(clippy::too_many_arguments)]
+fn feed_at(
+    signal: &[f64],
+    cuts: &[usize],
+    window: usize,
+    threshold: f64,
+    edge_level: f64,
+    min_range: f64,
+    start: usize,
+    end: usize,
+) -> LevelRuns {
+    let mut pass = fused::FusedPass::new(window, threshold, edge_level, min_range, start..end);
+    let mut runs = LevelRuns::default();
+    for &frontier in cuts {
+        let from = pass.first_needed().min(frontier);
+        pass.feed(&signal[from..frontier], from, &mut runs)
+            .expect("finite signal");
+    }
+    let from = pass.first_needed().min(signal.len());
+    pass.finish(&signal[from..], from, &mut runs)
+        .expect("finite signal");
+    runs
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The resumable pass fed any split of a signal — empty slices,
+    /// 1-sample slices, frontiers on window edges, arbitrary spans —
+    /// and finished once gives exactly the one-shot gated pass's runs,
+    /// for any output range and contrast gate. Splits at every run
+    /// boundary (and one sample either side of it, i.e. inside the
+    /// dips) are checked as well.
+    #[test]
+    fn resumable_pass_equals_one_shot_over_any_split(
+        signal in bounded_signal(600),
+        window in 1usize..300,
+        threshold in 0.05f64..0.9,
+        edge_gap in 0.0f64..0.4,
+        gate in 0.0f64..1.0,
+        cut in 0.0f64..1.0,
+        width in 0.0f64..1.0,
+        picks in prop::collection::vec((any::<u8>(), any::<u16>()), 0..40),
+    ) {
+        let n = signal.len();
+        let edge_level = (threshold + edge_gap).min(0.99);
+        // Half the cases ungated, half gating away part of the windows.
+        let min_range = if gate < 0.5 { 0.0 } else { gate * 1e6 };
+        let start = ((n as f64) * cut) as usize;
+        let end = (start + (((n - start) as f64) * width) as usize).min(n);
+        let one_shot = fused::detect_runs_range_gated(
+            &signal, window, threshold, edge_level, min_range, start, end, None,
+        ).expect("finite signal");
+
+        let mut cuts = Vec::new();
+        let mut frontier = 0;
+        for len in slice_lengths(&picks, window) {
+            frontier = (frontier + len).min(n);
+            cuts.push(frontier);
+        }
+        let fed = feed_at(&signal, &cuts, window, threshold, edge_level, min_range, start, end);
+        prop_assert_eq!(&fed, &one_shot);
+
+        let mut at_runs: Vec<usize> = one_shot
+            .below_threshold
+            .iter()
+            .chain(&one_shot.below_edge)
+            .flat_map(|&(s, e)| [s.saturating_sub(1), s, s + 1, e.saturating_sub(1), e, e + 1])
+            .map(|c| c.min(n))
+            .collect();
+        at_runs.sort_unstable();
+        let fed = feed_at(&signal, &at_runs, window, threshold, edge_level, min_range, start, end);
+        prop_assert_eq!(&fed, &one_shot);
+    }
+
+    /// A cut after every feed, rejoined where runs meet exactly at a
+    /// cut, recovers the uncut run lists — the seam rule the streaming
+    /// detector stitches on.
+    #[test]
+    fn cut_runs_rejoin_to_the_uncut_runs(
+        signal in bounded_signal(500),
+        window in 1usize..200,
+        picks in prop::collection::vec((any::<u8>(), any::<u16>()), 0..40),
+    ) {
+        let uncut = fused::detect_runs(&signal, window, 0.35, 0.5).expect("finite signal");
+        let mut pass = fused::FusedPass::new(window, 0.35, 0.5, 0.0, 0..usize::MAX);
+        let mut runs = LevelRuns::default();
+        let mut frontier = 0;
+        for len in slice_lengths(&picks, window) {
+            frontier = (frontier + len).min(signal.len());
+            pass.feed(&signal[..frontier], 0, &mut runs).expect("finite signal");
+            pass.cut(&mut runs);
+        }
+        pass.finish(&signal, 0, &mut runs).expect("finite signal");
+        let rejoin = |runs: &[(usize, usize)]| {
+            let mut out: Vec<(usize, usize)> = Vec::new();
+            for &(s, e) in runs {
+                match out.last_mut() {
+                    Some(last) if last.1 == s => last.1 = e,
+                    _ => out.push((s, e)),
+                }
+            }
+            out
+        };
+        prop_assert_eq!(rejoin(&runs.below_threshold), uncut.below_threshold);
+        prop_assert_eq!(rejoin(&runs.below_edge), uncut.below_edge);
+    }
+
+    /// The gated kernel with `min_range = 0` is bit-identical to
+    /// `detect_runs`, and — since both share the kernel — to the
+    /// independent multi-pass reference, on signals built to stress the
+    /// gate's `hi - lo > 0` test against the reference's `hi > lo`:
+    /// flat plateaus, signed zeros, subnormals and near-overflow ranges.
+    #[test]
+    fn ungated_kernel_is_bit_identical_to_detect_runs(
+        picks in prop::collection::vec((any::<u8>(), any::<u8>()), 1..60),
+        window in 1usize..120,
+    ) {
+        const VALUES: [f64; 8] =
+            [0.0, -0.0, 1.0, 5.0, 0.2, f64::from_bits(1), f64::MAX / 2.0, -f64::MAX / 2.0];
+        let signal: Vec<f64> = picks
+            .iter()
+            .flat_map(|&(v, reps)| std::iter::repeat_n(VALUES[v as usize % 8], 1 + reps as usize % 40))
+            .collect();
+        let mut gated_norm = Vec::new();
+        let gated = fused::detect_runs_range_gated(
+            &signal, window, 0.35, 0.5, 0.0, 0, signal.len(), Some(&mut gated_norm),
+        ).expect("finite signal");
+        let plain = fused::detect_runs(&signal, window, 0.35, 0.5).expect("finite signal");
+        prop_assert_eq!(&gated, &plain);
+        let norm = normalize_moving_minmax(&signal, window);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&gated_norm), bits(&norm));
+        prop_assert_eq!(&gated.below_threshold, &reference_runs(&norm, 0.35));
+        prop_assert_eq!(&gated.below_edge, &reference_runs(&norm, 0.5));
+    }
+}
+
+/// A non-finite sample stops the resumable pass just before it; dropping
+/// it from the buffer and feeding again resumes as if it had never been
+/// there.
+#[test]
+fn resumable_pass_resumes_after_a_dropped_non_finite_sample() {
+    let clean: Vec<f64> = (0..900)
+        .map(|i| if i % 53 < 6 { 0.7 } else { 5.0 + (i % 7) as f64 / 10.0 })
+        .collect();
+    let want = fused::detect_runs(&clean, 64, 0.35, 0.5).expect("finite signal");
+    let mut buf = clean.clone();
+    buf.insert(400, f64::NAN);
+    let mut pass = fused::FusedPass::new(64, 0.35, 0.5, 0.0, 0..usize::MAX);
+    let mut runs = LevelRuns::default();
+    assert_eq!(pass.feed(&buf, 0, &mut runs), Err(400));
+    buf.remove(400);
+    pass.feed(&buf, 0, &mut runs).expect("finite now");
+    pass.finish(&buf, 0, &mut runs).expect("finite now");
+    assert_eq!(runs, want);
+}

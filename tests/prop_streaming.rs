@@ -4,7 +4,7 @@
 //! events for any signal: same starts, same ends, same classification —
 //! this is what makes live monitoring trustworthy.
 
-use emprof::core::{Emprof, EmprofConfig, StreamingEmprof};
+use emprof::core::{CalibConfig, Emprof, EmprofConfig, StreamingEmprof};
 use proptest::prelude::*;
 
 const FS: f64 = 40e6;
@@ -138,6 +138,173 @@ proptest! {
         let mut live = Vec::new();
         for c in signal.chunks(chunk) {
             streaming.extend(c.iter().copied());
+            live.extend(streaming.drain_events());
+        }
+        let profile = streaming.finish();
+        prop_assert_eq!(&live[..], &profile.events()[..live.len()]);
+        live.extend_from_slice(&profile.events()[live.len()..]);
+        prop_assert_eq!(&live[..], batch.events());
+    }
+}
+
+/// [`build_signal`] with a quarter of the busy gaps only 1–3 samples
+/// long, so dips closer than the merge gap (and just past it) occur
+/// often, and with 0–2-sample shoulders on either side of each dip at a
+/// level that normalizes to roughly between `threshold` and
+/// `edge_level`, so edge refinement has something to widen.
+fn short_gap_signal(segments: &[(u16, u16, u8)]) -> Vec<f64> {
+    let mut s = Vec::new();
+    for (i, &(gap, dip, depth)) in segments.iter().enumerate() {
+        let gap = if gap % 4 == 0 {
+            1 + (gap / 4) as usize % 3
+        } else {
+            3 + gap as usize % 600
+        };
+        let (left, right) = ((dip / 160) as usize % 3, (dip / 480) as usize % 3);
+        let dip = dip as usize % 160;
+        let dip_level = 0.3 + (depth as f64 / 255.0) * 1.2;
+        let shoulder = dip_level + 0.42 * (5.15 - dip_level);
+        for k in 0..gap {
+            s.push(5.0 + (((i * 131 + k) * 2654435761) % 997) as f64 / 3000.0);
+        }
+        if dip > 0 {
+            s.extend(std::iter::repeat_n(shoulder, left));
+        }
+        for k in 0..dip {
+            s.push(dip_level + (((i * 137 + k) * 2654435761) % 997) as f64 / 5000.0);
+        }
+        if dip > 0 {
+            s.extend(std::iter::repeat_n(shoulder, right));
+        }
+    }
+    s.extend(std::iter::repeat_n(5.0, 300));
+    s
+}
+
+/// Cuts `signal` into slices of the picked sizes (1 to 20 000 samples;
+/// a third of the picks are at most 8 samples and a third at most 400,
+/// so slice boundaries are dense), placing each picked burst of NaN/±inf exactly at a slice
+/// boundary: at the end of its slice, at the start of the next, or
+/// split across the two. Returns the fed slices in order; their
+/// concatenation is the dirty signal.
+fn boundary_burst_slices(signal: &[f64], picks: &[(u16, u8, u8)]) -> Vec<Vec<f64>> {
+    const BAD: [f64; 3] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+    let mut slices: Vec<Vec<f64>> = Vec::new();
+    let mut carry: Vec<f64> = Vec::new();
+    let mut rest = signal;
+    for (k, &(size, sel, burst)) in picks.iter().enumerate() {
+        if rest.is_empty() {
+            break;
+        }
+        let size = 1 + size as usize % [8, 400, 20_000][sel as usize % 3];
+        let (head, tail) = rest.split_at(size.min(rest.len()));
+        rest = tail;
+        let len = burst as usize % 5;
+        let bad = (0..len).map(|i| BAD[(k + i) % 3]);
+        let mut slice = std::mem::take(&mut carry);
+        match (sel / 3) % 4 {
+            // Burst closes this slice.
+            0 => {
+                slice.extend_from_slice(head);
+                slice.extend(bad);
+            }
+            // Burst opens the next slice.
+            1 => {
+                slice.extend_from_slice(head);
+                carry.extend(bad);
+            }
+            // Burst straddles the boundary.
+            2 => {
+                slice.extend_from_slice(head);
+                let bad: Vec<f64> = bad.collect();
+                let (a, b) = bad.split_at(bad.len() / 2);
+                slice.extend_from_slice(a);
+                carry.extend_from_slice(b);
+            }
+            // Burst opens this slice.
+            _ => {
+                slice.extend(bad);
+                slice.extend_from_slice(head);
+            }
+        }
+        slices.push(slice);
+    }
+    carry.extend_from_slice(rest);
+    slices.push(carry);
+    slices
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random slice sizes from 1 to 20 000 samples, with NaN/±inf
+    /// bursts at slice boundaries, on both detector engines and on
+    /// signals whose dips are often closer than the merge gap: the events
+    /// drained after every slice, followed by the finish tail, are the
+    /// batch events of the dirty signal (confidence marks included), and
+    /// no drained event is ever revised afterwards.
+    #[test]
+    fn random_slices_with_boundary_bursts_drain_the_batch_events(
+        segments in prop::collection::vec((any::<u16>(), any::<u16>(), any::<u8>()), 1..40),
+        picks in prop::collection::vec((any::<u16>(), any::<u8>(), any::<u8>()), 1..120),
+        adaptive in any::<bool>(),
+    ) {
+        let signal = short_gap_signal(&segments);
+        let slices = boundary_burst_slices(&signal, &picks);
+        let dirty: Vec<f64> = slices.concat();
+        let mut config = EmprofConfig::for_rates(FS, CLK);
+        if adaptive {
+            config.calib = CalibConfig::adaptive();
+        }
+        let batch = Emprof::new(config).profile_magnitude(&dirty, FS, CLK);
+        let mut streaming = StreamingEmprof::new(config, FS, CLK);
+        let mut live = Vec::new();
+        for slice in &slices {
+            streaming.extend_from_slice(slice);
+            live.extend(streaming.drain_events());
+        }
+        prop_assert_eq!(streaming.samples_pushed(), signal.len());
+        prop_assert_eq!(streaming.samples_rejected(), dirty.len() - signal.len());
+        let profile = streaming.finish();
+        prop_assert!(live.len() <= profile.events().len());
+        prop_assert_eq!(&live[..], &profile.events()[..live.len()]);
+        live.extend_from_slice(&profile.events()[live.len()..]);
+        prop_assert_eq!(&live[..], batch.events());
+        prop_assert_eq!(profile.total_samples(), batch.total_samples());
+    }
+
+    /// One push per sample, so every sample boundary is a slice
+    /// boundary and the frontier stops at every position, with dense
+    /// NaN/±inf bursts and dips often closer than the merge gap, on both
+    /// engines: drained events plus the finish tail equal batch on the
+    /// dirty signal, confidence marks included.
+    #[test]
+    fn single_pushes_with_dense_bursts_and_short_gaps_equal_batch(
+        segments in prop::collection::vec((any::<u16>(), any::<u16>(), any::<u8>()), 1..25),
+        bursts in prop::collection::vec((any::<u16>(), any::<u8>()), 0..80),
+        adaptive in any::<bool>(),
+    ) {
+        const BAD: [f64; 3] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let mut dirty = short_gap_signal(&segments);
+        let mut at: Vec<(usize, u8)> = bursts
+            .iter()
+            .map(|&(pos, len)| (pos as usize % (dirty.len() + 1), len))
+            .collect();
+        at.sort_unstable_by(|a, b| b.cmp(a));
+        for (pos, len) in at {
+            for i in 0..1 + len as usize % 3 {
+                dirty.insert(pos, BAD[(pos + i) % 3]);
+            }
+        }
+        let mut config = EmprofConfig::for_rates(FS, CLK);
+        if adaptive {
+            config.calib = CalibConfig::adaptive();
+        }
+        let batch = Emprof::new(config).profile_magnitude(&dirty, FS, CLK);
+        let mut streaming = StreamingEmprof::new(config, FS, CLK);
+        let mut live = Vec::new();
+        for &v in &dirty {
+            streaming.push(v);
             live.extend(streaming.drain_events());
         }
         let profile = streaming.finish();
