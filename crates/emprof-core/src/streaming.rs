@@ -201,9 +201,9 @@ impl AdaptiveState {
         )
         .expect("rejection happens at ingest; the buffer is finite");
         let global = |&(s, e): &(usize, usize)| (s + base, e + base);
-        runs.below_threshold
-            .extend(block_runs.below_threshold.iter().map(global));
-        runs.below_edge.extend(block_runs.below_edge.iter().map(global));
+        let (th, ed) = (&block_runs.below_threshold, &block_runs.below_edge);
+        runs.below_threshold.extend(th.iter().map(global));
+        runs.below_edge.extend(ed.iter().map(global));
         self.cal.observe_block(&buf[start - base..end - base]);
         block_degraded.push(p.degraded);
         self.next_block += 1;
@@ -402,11 +402,9 @@ impl StreamingEmprof {
     }
 
     /// Moves the kernel's fresh runs onto the pending lists with the
-    /// parallel detector's seam rules: below-threshold runs merge across gaps of at most
-    /// `merge_gap_samples` (the batch merge criterion), below-edge runs
-    /// rejoin where they meet exactly at a kernel cut. Then trims
-    /// below-edge runs to what refinement of the still-pending dips can
-    /// consult — always keeping the last, which may still be growing.
+    /// parallel detector's seam rules: below-threshold runs merge across
+    /// gaps of at most `merge_gap_samples` (the batch merge criterion),
+    /// below-edge runs rejoin where they meet exactly at a kernel cut.
     fn stitch(&mut self) {
         let gap = self.config.merge_gap_samples;
         for &(s, e) in &self.runs.below_threshold {
@@ -423,7 +421,12 @@ impl StreamingEmprof {
         }
         self.runs.below_threshold.clear();
         self.runs.below_edge.clear();
-        let bound = self.pending.front().map_or(self.position, |r| r.0);
+    }
+
+    /// Drops below-edge runs ending at or before `bound` — no pending or
+    /// future dip starts inside them, so refinement never consults them
+    /// again — always keeping the last, which may still be growing.
+    fn trim_edge_runs(&mut self, bound: usize) {
         while self.edge_runs.len() > 1 && self.edge_runs.front().is_some_and(|r| r.1 <= bound) {
             self.edge_runs.pop_front();
         }
@@ -442,6 +445,9 @@ impl StreamingEmprof {
             if !flush && self.position < end + gap + 1 {
                 break;
             }
+            // Keeps the searches below O(1) amortized however many dips
+            // one slice finalizes.
+            self.trim_edge_runs(start);
             let left_bound = self.last_run.map(|(_, e, _)| e).unwrap_or(0);
             let cs = *self
                 .edge_runs
@@ -469,6 +475,8 @@ impl StreamingEmprof {
             self.tail_sealed = refined_e == ce.1 && ce.1 < self.position;
             self.emit(refined_s, refined_e);
         }
+        let bound = self.pending.front().map_or(self.position, |r| r.0);
+        self.trim_edge_runs(bound);
     }
 
     /// The duration filter floor, in samples.
@@ -824,6 +832,25 @@ mod tests {
         }
         let profile = s.finish();
         assert!(profile.miss_count() > 90);
+    }
+
+    #[test]
+    fn one_big_slice_leaves_short_run_lists() {
+        // A whole capture in one slice finalizes thousands of dips in one
+        // call; the below-edge list must shrink as they finalize, or every
+        // refinement rescans all the runs before it.
+        let signal: Vec<f64> = (0..200_000)
+            .map(|i| if i % 97 < 12 { 0.8 } else { 5.0 })
+            .collect();
+        let mut s = StreamingEmprof::new(config(), FS, CLK);
+        s.extend_from_slice(&signal);
+        assert!(s.events.len() > 2_000);
+        assert!(
+            s.edge_runs.len() <= 2 && s.pending.len() <= 2,
+            "{} below-edge and {} pending runs retained",
+            s.edge_runs.len(),
+            s.pending.len()
+        );
     }
 
     #[test]

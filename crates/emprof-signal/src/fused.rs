@@ -262,7 +262,12 @@ impl FusedPass {
     /// # Panics
     ///
     /// Panics if `signal` does not cover [`FusedPass::first_needed`].
-    pub fn feed(&mut self, signal: &[f64], base: usize, runs: &mut LevelRuns) -> Result<(), usize> {
+    pub fn feed(
+        &mut self,
+        signal: &[f64],
+        base: usize,
+        runs: &mut LevelRuns,
+    ) -> Result<(), usize> {
         let complete = (base + signal.len()).saturating_sub(self.half);
         self.advance(signal, base, complete.min(self.end), runs, None)
     }
@@ -274,7 +279,12 @@ impl FusedPass {
     /// # Errors / Panics
     ///
     /// As [`FusedPass::feed`].
-    pub fn finish(&mut self, signal: &[f64], base: usize, runs: &mut LevelRuns) -> Result<(), usize> {
+    pub fn finish(
+        &mut self,
+        signal: &[f64],
+        base: usize,
+        runs: &mut LevelRuns,
+    ) -> Result<(), usize> {
         let end = (base + signal.len()).min(self.end);
         self.advance(signal, base, end, runs, None)?;
         self.cut(runs);

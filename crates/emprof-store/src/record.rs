@@ -117,7 +117,7 @@ impl SegmentFooter {
     /// Folds in one [`Record::Samples`] record of `count` samples — the
     /// whole of what [`SegmentFooter::note`] takes from such a record,
     /// for writers that journal borrowed samples without building one.
-    pub fn note_samples(&mut self, count: usize) {
+    pub(crate) fn note_samples(&mut self, count: usize) {
         self.samples_count += count as u64;
         self.record_count += 1;
     }
@@ -313,7 +313,7 @@ fn put_string(out: &mut Vec<u8>, s: &str) {
 
 /// Appends the payload of a [`Record::Samples`] record — sequence,
 /// count, then each sample's raw bits — straight from borrowed samples.
-pub fn encode_samples_payload(out: &mut Vec<u8>, seq: u64, samples: &[f64]) {
+pub(crate) fn encode_samples_payload(out: &mut Vec<u8>, seq: u64, samples: &[f64]) {
     out.extend_from_slice(&seq.to_le_bytes());
     out.extend_from_slice(&(samples.len() as u32).to_le_bytes());
     let at = out.len();

@@ -88,7 +88,7 @@ pub fn decode_segment_header(h: &[u8]) -> Option<u64> {
 
 /// The CRC-32 a record frame carries: over its kind byte, then its
 /// payload, fed incrementally so neither is copied.
-pub fn frame_crc(kind: u8, payload: &[u8]) -> u32 {
+fn frame_crc(kind: u8, payload: &[u8]) -> u32 {
     let mut crc = Crc32::new();
     crc.update(&[kind]);
     crc.update(payload);
@@ -98,7 +98,11 @@ pub fn frame_crc(kind: u8, payload: &[u8]) -> u32 {
 /// Appends one record frame to `out`: `payload` writes the payload
 /// bytes straight into `out` after a reserved frame header, which is
 /// then filled in. The frame buffer is the only copy of the payload.
-pub fn write_record_frame(out: &mut Vec<u8>, kind: RecordKind, payload: impl FnOnce(&mut Vec<u8>)) {
+pub(crate) fn write_record_frame(
+    out: &mut Vec<u8>,
+    kind: RecordKind,
+    payload: impl FnOnce(&mut Vec<u8>),
+) {
     let at = out.len();
     out.extend_from_slice(&[0; RECORD_HEADER_LEN]);
     payload(out);
