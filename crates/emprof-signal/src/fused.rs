@@ -255,9 +255,8 @@ impl FusedPass {
     /// # Errors
     ///
     /// `Err(i)` when sample `i` is the first non-finite sample admitted.
-    /// The pass stops just before it, consistent: dropping the sample
-    /// from the caller's buffer and feeding again resumes as if it had
-    /// never been there.
+    /// The pass is unusable after an error; callers that stream must
+    /// drop non-finite samples before feeding.
     ///
     /// # Panics
     ///
@@ -354,8 +353,7 @@ impl FusedPass {
         let mut th_start = self.th_start;
         let mut ed_start = self.ed_start;
         let first = self.next;
-        let mut stopped = None;
-        'out: for (off, &v_i) in signal[first - base..out_end - base].iter().enumerate() {
+        for (off, &v_i) in signal[first - base..out_end - base].iter().enumerate() {
             let i = first + off;
             // Admit every sample the window centered on `i` can see. Each
             // sample is admitted exactly once — this is where it is read,
@@ -364,8 +362,7 @@ impl FusedPass {
             while right <= win_end {
                 let v = signal[right - base];
                 if !v.is_finite() {
-                    stopped = Some((i, right));
-                    break 'out;
+                    return Err(right);
                 }
                 if v <= min_front.1 {
                     // New window minimum: the pop loop below would drain
@@ -439,16 +436,8 @@ impl FusedPass {
         self.right = right;
         self.th_start = th_start;
         self.ed_start = ed_start;
-        match stopped {
-            None => {
-                self.next = out_end;
-                Ok(())
-            }
-            Some((i, bad)) => {
-                self.next = i;
-                Err(bad)
-            }
-        }
+        self.next = out_end;
+        Ok(())
     }
 }
 

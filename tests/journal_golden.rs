@@ -6,11 +6,6 @@
 //! keep writing exactly those bytes — any change to framing, CRCs or
 //! payload layout breaks every journal already on disk — and the reader
 //! must keep reading them back.
-//!
-//! To regenerate the fixture after a *deliberate* format change, run
-//! `EMPROF_BLESS_GOLDEN=1 cargo test --test journal_golden --
-//! --test-threads=1` and commit the rewritten directory together with
-//! the format bump.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -125,14 +120,6 @@ fn segment_files(dir: &Path) -> Vec<(u64, PathBuf)> {
 fn encoder_writes_the_golden_bytes() {
     let dir = scratch_dir("write");
     write_journal(&dir);
-    if std::env::var_os("EMPROF_BLESS_GOLDEN").is_some() {
-        let golden = fixture_dir();
-        let _ = fs::remove_dir_all(&golden);
-        fs::create_dir_all(&golden).expect("fixture dir");
-        for (base, path) in segment_files(&dir) {
-            fs::copy(&path, golden.join(segment_file_name(base))).expect("bless");
-        }
-    }
     let written = segment_files(&dir);
     let golden = segment_files(&fixture_dir());
     let names = |v: &[(u64, PathBuf)]| v.iter().map(|(b, _)| *b).collect::<Vec<_>>();

@@ -329,23 +329,3 @@ proptest! {
         prop_assert_eq!(&gated.below_edge, &reference_runs(&norm, 0.5));
     }
 }
-
-/// A non-finite sample stops the resumable pass just before it; dropping
-/// it from the buffer and feeding again resumes as if it had never been
-/// there.
-#[test]
-fn resumable_pass_resumes_after_a_dropped_non_finite_sample() {
-    let clean: Vec<f64> = (0..900)
-        .map(|i| if i % 53 < 6 { 0.7 } else { 5.0 + (i % 7) as f64 / 10.0 })
-        .collect();
-    let want = fused::detect_runs(&clean, 64, 0.35, 0.5).expect("finite signal");
-    let mut buf = clean.clone();
-    buf.insert(400, f64::NAN);
-    let mut pass = fused::FusedPass::new(64, 0.35, 0.5, 0.0, 0..usize::MAX);
-    let mut runs = LevelRuns::default();
-    assert_eq!(pass.feed(&buf, 0, &mut runs), Err(400));
-    buf.remove(400);
-    pass.feed(&buf, 0, &mut runs).expect("finite now");
-    pass.finish(&buf, 0, &mut runs).expect("finite now");
-    assert_eq!(runs, want);
-}
