@@ -93,8 +93,10 @@ pub struct StreamingEmprof {
     /// Kernel output, reused across calls.
     runs: LevelRuns,
     /// Stitched below-threshold runs (batch merge criterion applied)
-    /// awaiting finality.
-    pending: VecDeque<(usize, usize)>,
+    /// awaiting finality, as `(start, end, first_end)`: `first_end` is
+    /// where the first kernel run merged into it ends, the first sample
+    /// after `start` at or above threshold.
+    pending: VecDeque<(usize, usize, usize)>,
     /// Stitched below-edge runs (gap-0 rejoin across kernel cuts); the
     /// last run is always retained — it may still be growing.
     edge_runs: VecDeque<(usize, usize)>,
@@ -335,7 +337,8 @@ impl StreamingEmprof {
 
     /// Pushes a batch of samples from a slice — the server ingest
     /// hot-path entry point. Any split of a signal into slices gives the
-    /// same events; only the drain points differ.
+    /// same events; with a fixed threshold it also gives the same drained
+    /// events at every slice boundary.
     pub fn extend_from_slice(&mut self, samples: &[f64]) {
         let before = self.buf.len();
         if samples.iter().all(|v| v.is_finite()) {
@@ -409,8 +412,15 @@ impl StreamingEmprof {
         let gap = self.config.merge_gap_samples;
         for &(s, e) in &self.runs.below_threshold {
             match self.pending.back_mut() {
-                Some(last) if s - last.1 <= gap => last.1 = e,
-                _ => self.pending.push_back((s, e)),
+                Some(last) if s - last.1 <= gap => {
+                    // A run starting where the last one ends continues
+                    // it across a kernel cut.
+                    if s == last.2 {
+                        last.2 = e;
+                    }
+                    last.1 = e;
+                }
+                _ => self.pending.push_back((s, e, e)),
             }
         }
         for &(s, e) in &self.runs.below_edge {
@@ -438,7 +448,7 @@ impl StreamingEmprof {
     /// sample history.
     fn process_pending(&mut self, flush: bool) {
         let gap = self.config.merge_gap_samples;
-        while let Some(&(start, end)) = self.pending.front() {
+        while let Some(&(start, end, _)) = self.pending.front() {
             // Final once the frontier is far enough past the run's end
             // that no future run can merge into it (a run ending exactly
             // at the frontier may still grow past it).
@@ -464,8 +474,7 @@ impl StreamingEmprof {
                 .expect("run end lies in a below-edge run");
             debug_assert!(ce.0 < end, "run end not below edge");
             let refined_e = ce.1.min(right_bound);
-            if !flush && refined_e == self.position && self.pending.len() < 2 {
-                // The right edge is still growing; wait for more samples.
+            if !flush && !self.front_is_final(end, ce.1, refined_e) {
                 break;
             }
             self.pending.pop_front();
@@ -477,6 +486,32 @@ impl StreamingEmprof {
         }
         let bound = self.pending.front().map_or(self.position, |r| r.0);
         self.trim_edge_runs(bound);
+    }
+
+    /// Whether the front pending run, ending at `end` inside the
+    /// below-edge run ending at `edge_end` and refined to end at
+    /// `refined_e`, may be emitted now. Adaptive: once its right edge
+    /// stops growing. Static: exactly when a detector fed one sample at
+    /// a time would — at the first frontier `p >= end + merge_gap + 2`
+    /// whose last sample `p - 1` is at or above threshold and at which
+    /// the right edge has stopped growing — so drains do not depend on
+    /// how the stream is sliced.
+    fn front_is_final(&self, end: usize, edge_end: usize, refined_e: usize) -> bool {
+        let next = self.pending.get(1);
+        match self.engine {
+            Engine::Adaptive(_) => refined_e < self.position || next.is_some(),
+            Engine::Static(_) => {
+                // Either the next run's first kernel run has closed, which
+                // bounds the right edge at a sample above threshold...
+                if next.is_some_and(|q| q.2 < self.position) {
+                    return true;
+                }
+                // ...or the edge has settled and a sample above threshold
+                // follows it before the next run starts.
+                let p = (end + self.config.merge_gap_samples + 2).max(edge_end + 1);
+                p <= self.position && next.is_none_or(|q| q.0 >= p)
+            }
+        }
     }
 
     /// The duration filter floor, in samples.
@@ -851,6 +886,77 @@ mod tests {
             s.edge_runs.len(),
             s.pending.len()
         );
+    }
+
+    #[test]
+    fn static_release_waits_until_merge_gap_plus_two_past_a_dip() {
+        let cfg = config();
+        let half = cfg.norm_window_samples / 2;
+        let end = 5_012 + cfg.merge_gap_samples + 2;
+        let signal = dipped_signal(&[(5_000, 12)], 30_000);
+        let mut s = StreamingEmprof::new(cfg, FS, CLK);
+        s.extend_from_slice(&signal[..end + half - 1]);
+        assert!(s.drain_events().is_empty());
+        s.push(signal[end + half - 1]);
+        assert_eq!(s.drain_events().len(), 1);
+    }
+
+    #[test]
+    fn static_release_waits_for_a_dip_just_past_the_merge_gap_to_close() {
+        // The second dip starts one sample too far away to merge, so the
+        // first has no sample above threshold after its gap until the
+        // second closes at 5_027; a slice boundary inside the second dip
+        // must not release the first early.
+        let cfg = config();
+        let half = cfg.norm_window_samples / 2;
+        let second = 5_012 + cfg.merge_gap_samples + 1;
+        let signal = dipped_signal(&[(5_000, 12), (second, 12)], 30_000);
+        let closed = second + 12 + 1;
+        let mut s = StreamingEmprof::new(cfg, FS, CLK);
+        s.extend_from_slice(&signal[..second + 5 + half]);
+        assert!(s.drain_events().is_empty());
+        s.extend_from_slice(&signal[second + 5 + half..closed + half - 1]);
+        assert!(s.drain_events().is_empty());
+        s.push(signal[closed + half - 1]);
+        assert_eq!(s.drain_events().len(), 1);
+    }
+
+    #[test]
+    fn static_drains_do_not_depend_on_slicing() {
+        // A busy level with frequent excursions below threshold and
+        // edge: runs open, close and merge near every slice boundary.
+        let mut signal = Vec::with_capacity(40_000);
+        let mut h = 1usize;
+        while signal.len() < 40_000 {
+            h = h.wrapping_mul(2654435761).wrapping_add(12345) % 1_000_003;
+            let level = match h % 10 {
+                0..=2 => 0.8,
+                3 => 2.3,
+                _ => 5.0 + (h % 500) as f64 / 1000.0,
+            };
+            signal.extend(std::iter::repeat_n(level, 1 + h % 24));
+        }
+        let mut one = StreamingEmprof::new(config(), FS, CLK);
+        let mut want = Vec::with_capacity(signal.len());
+        let mut n = 0;
+        for &v in &signal {
+            one.push(v);
+            n += one.drain_events().len();
+            want.push(n);
+        }
+        assert!(n > 20, "only {n} events drained");
+        let mut s = StreamingEmprof::new(config(), FS, CLK);
+        let (mut at, mut got) = (0, 0);
+        for len in [1usize, 2, 7, 64, 333, 4_096, 3].into_iter().cycle() {
+            if at == signal.len() {
+                break;
+            }
+            let next = (at + len).min(signal.len());
+            s.extend_from_slice(&signal[at..next]);
+            at = next;
+            got += s.drain_events().len();
+            assert_eq!(got, want[at - 1], "drained after {at} samples");
+        }
     }
 
     #[test]
