@@ -889,77 +889,6 @@ mod tests {
     }
 
     #[test]
-    fn static_release_waits_until_merge_gap_plus_two_past_a_dip() {
-        let cfg = config();
-        let half = cfg.norm_window_samples / 2;
-        let end = 5_012 + cfg.merge_gap_samples + 2;
-        let signal = dipped_signal(&[(5_000, 12)], 30_000);
-        let mut s = StreamingEmprof::new(cfg, FS, CLK);
-        s.extend_from_slice(&signal[..end + half - 1]);
-        assert!(s.drain_events().is_empty());
-        s.push(signal[end + half - 1]);
-        assert_eq!(s.drain_events().len(), 1);
-    }
-
-    #[test]
-    fn static_release_waits_for_a_dip_just_past_the_merge_gap_to_close() {
-        // The second dip starts one sample too far away to merge, so the
-        // first has no sample above threshold after its gap until the
-        // second closes at 5_027; a slice boundary inside the second dip
-        // must not release the first early.
-        let cfg = config();
-        let half = cfg.norm_window_samples / 2;
-        let second = 5_012 + cfg.merge_gap_samples + 1;
-        let signal = dipped_signal(&[(5_000, 12), (second, 12)], 30_000);
-        let closed = second + 12 + 1;
-        let mut s = StreamingEmprof::new(cfg, FS, CLK);
-        s.extend_from_slice(&signal[..second + 5 + half]);
-        assert!(s.drain_events().is_empty());
-        s.extend_from_slice(&signal[second + 5 + half..closed + half - 1]);
-        assert!(s.drain_events().is_empty());
-        s.push(signal[closed + half - 1]);
-        assert_eq!(s.drain_events().len(), 1);
-    }
-
-    #[test]
-    fn static_drains_do_not_depend_on_slicing() {
-        // A busy level with frequent excursions below threshold and
-        // edge: runs open, close and merge near every slice boundary.
-        let mut signal = Vec::with_capacity(40_000);
-        let mut h = 1usize;
-        while signal.len() < 40_000 {
-            h = h.wrapping_mul(2654435761).wrapping_add(12345) % 1_000_003;
-            let level = match h % 10 {
-                0..=2 => 0.8,
-                3 => 2.3,
-                _ => 5.0 + (h % 500) as f64 / 1000.0,
-            };
-            signal.extend(std::iter::repeat_n(level, 1 + h % 24));
-        }
-        let mut one = StreamingEmprof::new(config(), FS, CLK);
-        let mut want = Vec::with_capacity(signal.len());
-        let mut n = 0;
-        for &v in &signal {
-            one.push(v);
-            n += one.drain_events().len();
-            want.push(n);
-        }
-        assert!(n > 20, "only {n} events drained");
-        let mut s = StreamingEmprof::new(config(), FS, CLK);
-        let (mut at, mut got) = (0, 0);
-        for len in [1usize, 2, 7, 64, 333, 4_096, 3].into_iter().cycle() {
-            if at == signal.len() {
-                break;
-            }
-            let next = (at + len).min(signal.len());
-            s.extend_from_slice(&signal[at..next]);
-            at = next;
-            got += s.drain_events().len();
-            assert_eq!(got, want[at - 1], "drained after {at} samples");
-        }
-    }
-
-    #[test]
     fn drain_delivers_events_incrementally() {
         let mut s = StreamingEmprof::new(config(), FS, CLK);
         let signal = dipped_signal(&[(5_000, 12), (40_000, 12)], 60_000);

@@ -313,3 +313,80 @@ proptest! {
         prop_assert_eq!(&live[..], batch.events());
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// With a fixed threshold, the events drained after a slice depend
+    /// only on the samples pushed so far, not on how they were sliced:
+    /// random slices with NaN/±inf bursts at their boundaries drain
+    /// exactly what one push per sample has drained at the same point.
+    #[test]
+    fn static_drains_do_not_depend_on_slicing(
+        segments in prop::collection::vec((any::<u16>(), any::<u16>(), any::<u8>()), 1..40),
+        picks in prop::collection::vec((any::<u16>(), any::<u8>(), any::<u8>()), 1..120),
+    ) {
+        let signal = short_gap_signal(&segments);
+        let slices = boundary_burst_slices(&signal, &picks);
+        let config = EmprofConfig::for_rates(FS, CLK);
+        let mut one = StreamingEmprof::new(config, FS, CLK);
+        let mut want = vec![0];
+        for &v in slices.iter().flatten() {
+            one.push(v);
+            let n = want[want.len() - 1] + one.drain_events().len();
+            want.push(n);
+        }
+        let mut sliced = StreamingEmprof::new(config, FS, CLK);
+        let (mut at, mut got) = (0, 0);
+        for slice in &slices {
+            sliced.extend_from_slice(slice);
+            at += slice.len();
+            got += sliced.drain_events().len();
+            prop_assert_eq!(got, want[at], "drained after {} samples", at);
+        }
+    }
+}
+
+/// `len` busy samples with clean dips at `(start, width)`.
+fn dipped(dips: &[(usize, usize)], len: usize) -> Vec<f64> {
+    let mut v = vec![5.0; len];
+    for &(start, width) in dips {
+        v[start..start + width].fill(0.8);
+    }
+    v
+}
+
+/// With a fixed threshold a clean dip is released once the frontier is
+/// `merge_gap + 2` past its end, not a sample earlier.
+#[test]
+fn static_release_waits_until_merge_gap_plus_two_past_a_dip() {
+    let config = EmprofConfig::for_rates(FS, CLK);
+    let half = config.norm_window_samples / 2;
+    let end = 5_012 + config.merge_gap_samples + 2;
+    let signal = dipped(&[(5_000, 12)], 30_000);
+    let mut s = StreamingEmprof::new(config, FS, CLK);
+    s.extend_from_slice(&signal[..end + half - 1]);
+    assert!(s.drain_events().is_empty());
+    s.push(signal[end + half - 1]);
+    assert_eq!(s.drain_events().len(), 1);
+}
+
+/// A second dip starting one sample too far away to merge leaves the
+/// first no sample above threshold past its merge gap until the second
+/// closes; a slice boundary inside the second must not release the
+/// first early.
+#[test]
+fn static_release_waits_for_a_dip_just_past_the_merge_gap_to_close() {
+    let config = EmprofConfig::for_rates(FS, CLK);
+    let half = config.norm_window_samples / 2;
+    let second = 5_012 + config.merge_gap_samples + 1;
+    let signal = dipped(&[(5_000, 12), (second, 12)], 30_000);
+    let closed = second + 12 + 1;
+    let mut s = StreamingEmprof::new(config, FS, CLK);
+    s.extend_from_slice(&signal[..second + 5 + half]);
+    assert!(s.drain_events().is_empty());
+    s.extend_from_slice(&signal[second + 5 + half..closed + half - 1]);
+    assert!(s.drain_events().is_empty());
+    s.push(signal[closed + half - 1]);
+    assert_eq!(s.drain_events().len(), 1);
+}
