@@ -2124,7 +2124,7 @@ mod tests {
         .unwrap();
         assert!(out.contains("faults injected:"), "{out}");
         // corrupt=2e-3 over tens of thousands of samples injects NaN/inf
-        // the server must reject rather than let them poison the wedge.
+        // the server must reject rather than let them poison the windows.
         assert!(out.contains("server rejected"), "{out}");
         assert!(out.contains("misses:"), "{out}");
         server.shutdown();

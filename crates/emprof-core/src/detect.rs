@@ -69,7 +69,7 @@ impl Emprof {
         }
         let _profile_span = obs::span!("detect.profile");
         // The fused kernel reads the signal exactly once: both moving
-        // wedges advance together, normalization happens inline, the
+        // extremes advance together, normalization happens inline, the
         // below-threshold/below-edge runs come out directly, and the
         // finite-sample admission check rides along — no separate
         // pre-scan, no intermediate signal-sized vector.

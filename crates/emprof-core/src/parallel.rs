@@ -7,8 +7,8 @@
 //! argument (DESIGN.md §8) has three legs:
 //!
 //! 1. **Normalization** — each chunk runs
-//!    [`fused::detect_runs_range`], whose moving wedges read
-//!    moving-extreme context from the full signal. Every chunk sample is
+//!    [`fused::detect_runs_range`], whose moving extremes read their
+//!    context from the full signal. Every chunk sample is
 //!    therefore normalized to the bit-identical value the batch kernel
 //!    produces; the overlap margin (`norm_window / 2` on each side) is
 //!    implicit in the shared full-signal slice. The normalized values
@@ -67,36 +67,41 @@ impl Emprof {
             // is schedule-identical across all entry points.
             return self.profile_adaptive(magnitude, sample_rate_hz, clock_hz, par);
         }
-        if par.is_sequential() {
-            // The batch path folds the finite check into the fused kernel;
-            // handing off before sanitizing keeps the clean-path sequential
-            // case at exactly one read of the signal.
-            return self.profile_magnitude(magnitude, sample_rate_hz, clock_hz);
-        }
-        // Same non-finite rejection as the batch path, applied before
-        // chunking so every worker sees the identical survivor signal.
-        let (magnitude, rejected, gaps) = sanitize_magnitude(magnitude);
-        if rejected > 0 {
-            obs::counter_add!("detect.samples_rejected", rejected as u64);
-        }
-        let magnitude = &magnitude[..];
         let n = magnitude.len();
-        if n < 2 {
-            // Already sanitized, so the batch fused pass cannot fail.
+        if par.is_sequential() || n < 2 {
+            // The batch path folds the finite check into the fused kernel;
+            // handing off keeps the clean-path sequential case at exactly
+            // one read of the signal.
             return self.profile_magnitude(magnitude, sample_rate_hz, clock_hz);
         }
         let _span = obs::span!("par.profile");
+        // The chunk passes read every sample between them and check each
+        // one finite, so a clean signal is read once. A dirty one takes
+        // the batch path's policy: drop the non-finite samples and rerun
+        // on the survivors, so every worker sees the same signal.
+        if let Ok(parts) = self.chunk_runs(magnitude, par) {
+            return self.stitch_profile(parts, n, &[], sample_rate_hz, clock_hz);
+        }
+        let (kept, rejected, gaps) = sanitize_magnitude(magnitude);
+        obs::counter_add!("detect.samples_rejected", rejected as u64);
+        if kept.len() < 2 {
+            return self.profile_magnitude(&kept, sample_rate_hz, clock_hz);
+        }
+        let parts = self
+            .chunk_runs(&kept, par)
+            .expect("survivors are finite by construction");
+        self.stitch_profile(parts, kept.len(), &gaps, sample_rate_hz, clock_hz)
+    }
+
+    /// Per chunk: one fused pass over the core range against full-signal
+    /// context, emitting below-threshold and below-edge runs directly in
+    /// global coordinates. `Err` if any chunk reads a non-finite sample.
+    fn chunk_runs(&self, magnitude: &[f64], par: Parallelism) -> Result<Vec<LevelRuns>, usize> {
         let cfg = self.config();
-        let margin = cfg.norm_window_samples / 2;
-        let plan = ChunkPlan::new(n, par.get(), margin);
+        let plan = ChunkPlan::new(magnitude.len(), par.get(), cfg.norm_window_samples / 2);
         obs::gauge_set!("par.chunks", plan.count() as f64);
         obs::gauge_set!("par.threads", par.get().min(plan.count()) as f64);
-
-        // Per chunk: one fused pass over the core range against
-        // full-signal context, emitting below-threshold and below-edge
-        // runs directly in global coordinates. The signal is sanitized,
-        // so the pass cannot hit a non-finite sample.
-        let parts: Vec<LevelRuns> = pool::parallel_map(par, plan.chunks(), |c| {
+        pool::parallel_map(par, plan.chunks(), |c| {
             fused::detect_runs_range(
                 magnitude,
                 cfg.norm_window_samples,
@@ -106,9 +111,23 @@ impl Emprof {
                 c.end,
                 None,
             )
-            .expect("chunk passes run on the sanitized signal")
-        });
+        })
+        .into_iter()
+        .collect()
+    }
 
+    /// Stitches per-chunk runs over an `n`-sample finite signal into the
+    /// batch profile; `gaps` are the positions where non-finite samples
+    /// were dropped.
+    fn stitch_profile(
+        &self,
+        parts: Vec<LevelRuns>,
+        n: usize,
+        gaps: &[usize],
+        sample_rate_hz: f64,
+        clock_hz: f64,
+    ) -> Profile {
+        let cfg = self.config();
         let _stitch = obs::span!("par.stitch");
         let mut raw: Vec<(usize, usize)> = Vec::new();
         let mut below_edge: Vec<(usize, usize)> = Vec::new();
@@ -146,7 +165,7 @@ impl Emprof {
 
         let dips = refine_from_runs(merged, &below_edge, n);
         let mut events = self.events_from_dips(dips, clock_hz / sample_rate_hz);
-        crate::calib::mark_gap_degraded(&mut events, &gaps);
+        crate::calib::mark_gap_degraded(&mut events, gaps);
         obs::counter_add!("detect.samples", n as u64);
         record_event_metrics(&events);
         Profile::new(events, n, sample_rate_hz, clock_hz)

@@ -309,8 +309,8 @@ impl StreamingEmprof {
     /// [`extend_from_slice`](StreamingEmprof::extend_from_slice).
     ///
     /// Non-finite samples (NaN, ±inf) are **rejected, not processed**:
-    /// a single NaN would otherwise lodge permanently in the moving
-    /// min/max wedges and poison every window that sees it. Rejected
+    /// a single NaN would otherwise poison the moving min/max of every
+    /// window that sees it. Rejected
     /// samples are counted (`detect.samples_rejected` telemetry,
     /// [`samples_rejected`](StreamingEmprof::samples_rejected)) and the
     /// detector proceeds on the surviving subsequence — all event
@@ -661,10 +661,10 @@ impl StreamingEmprof {
     }
 
     /// Current buffered-memory footprint in samples: the raw-sample
-    /// buffer, bounded by the normalization window (static: the
-    /// `window / 2` samples behind the frontier plus a not-yet-dropped
-    /// prefix no longer than them; adaptive: a calibration block plus
-    /// half a window).
+    /// buffer, bounded by the normalization window (static: the up to
+    /// one window of samples behind the frontier the fused pass still
+    /// reads, plus a not-yet-dropped prefix no longer than them;
+    /// adaptive: a calibration block plus half a window).
     pub fn buffered_samples(&self) -> usize {
         self.buf.len()
     }

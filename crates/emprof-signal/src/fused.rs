@@ -4,29 +4,29 @@
 //! samples per second; the multi-pass pipeline in [`crate::stats`]
 //! (moving min, moving max, normalize, then a threshold scan downstream)
 //! reads the signal four times and materializes three intermediate
-//! vectors. This module fuses all of it into a single pass: both
-//! monotonic wedges advance together, each sample is normalized inline
-//! the moment its centered window is complete, and the below-level runs
-//! the detector needs are emitted directly — no intermediate vector is
-//! written unless the caller explicitly asks for the normalized signal.
+//! vectors. This module fuses all of it into a single pass: both moving
+//! extremes advance together as van Herk/Gil-Werman blocks (see
+//! [`FusedPass`]), each sample is normalized inline the moment its
+//! centered window is complete, and the below-level runs the detector
+//! needs are emitted directly — no intermediate vector is written unless
+//! the caller explicitly asks for the normalized signal.
 //!
 //! The output is **bit-identical** to the multi-pass reference: the
-//! wedges admit and evict in the same order as
+//! block extremes equal the extremes of
 //! [`stats::moving_min_range`](crate::stats::moving_min_range) /
-//! [`stats::moving_max_range`](crate::stats::moving_max_range), and the
-//! normalization expression is character-for-character the one in
+//! [`stats::moving_max_range`](crate::stats::moving_max_range), ties
+//! between `-0.0` and `0.0` included, and the normalization expression
+//! is character-for-character the one in
 //! [`stats::normalize_moving_minmax`](crate::stats::normalize_moving_minmax).
 //! `tests/prop_fused.rs` property-checks this equivalence.
 //!
 //! The pass also carries the detector's finite-sample admission check:
-//! every sample it reads is verified finite *as it enters the wedges*
-//! (each sample enters exactly once), so callers no longer need a
-//! separate whole-signal pre-scan to know a signal is clean — the
-//! overwhelmingly common case costs zero extra reads, and a dirty signal
-//! is reported via `Err` with the offending index so the caller can fall
-//! back to its sanitize-and-retry path.
-
-use std::collections::VecDeque;
+//! every sample it reads is verified finite the first time it is read,
+//! in index order, so callers no longer need a separate whole-signal
+//! pre-scan to know a signal is clean — the overwhelmingly common case
+//! costs zero extra reads, and a dirty signal is reported via `Err` with
+//! the offending index so the caller can fall back to its
+//! sanitize-and-retry path.
 
 /// Below-level runs found by one fused pass, each as `(start, end)` in
 /// **global** signal coordinates (half-open, `end` exclusive).
@@ -156,21 +156,44 @@ pub fn detect_runs_range_gated(
     Ok(runs)
 }
 
-/// The fused pass as a resumable state machine: the two monotonic
-/// wedges with their cached fronts, the admission cursor, the next
-/// output position and the open below-level run starts. Feeding it a
-/// signal in successive slices and finishing it once yields exactly the
-/// runs of one [`detect_runs_range_gated`] call over the whole signal —
-/// the one-shot functions *are* this state, fed once — so a streaming
-/// caller reads each sample once without re-priming per slice.
+/// The fused pass as a resumable state machine: the current block's
+/// suffix extremes, the running prefix extremes, the next output
+/// position and the open below-level run starts. Feeding it a signal in
+/// successive slices and finishing it once yields exactly the runs of
+/// one [`detect_runs_range_gated`] call over the whole signal — the
+/// one-shot functions *are* this state, fed once — so a streaming caller
+/// reads each sample once without re-priming per slice.
+///
+/// # Block extremes
+///
+/// The moving min and max come from van Herk/Gil-Werman blocks rather
+/// than monotonic wedges, so the hot loop has no data-dependent inner
+/// loop. With `half = window / 2`, output positions are tiled into
+/// blocks of `L = 2·half + 1` starting at the range start. The window of
+/// an output `i` in the block starting at `b` is `[i - half, i + half]`,
+/// which the sample `b + half` splits into a left part
+/// `[i - half, b + half)` and a right part `[b + half, i + half]`. When
+/// a block starts, one backward sweep over `[b - half, b + half)` fills
+/// the left parts of all `L` outputs (the suffix arrays); the right part
+/// grows by one sample per output (the prefix). Each output then costs
+/// one prefix update and one combine per extreme.
+///
+/// Windows clipped at index 0, or at the end of the signal in
+/// [`FusedPass::finish`], behave as if padded with ±∞, which is exact
+/// for finite samples. Min and max are exact, so the only freedom is
+/// which of two equal values (`-0.0` and `0.0`) is returned; the pass
+/// returns the latest one in the window, as a monotonic wedge does: the
+/// backward sweep replaces only on a strict `<`/`>`, the prefix replaces
+/// on `<=`/`>=`, and the combine prefers the prefix on a tie.
+///
+/// # Samples the caller keeps
 ///
 /// The caller owns the samples. Each call takes a slice holding the
 /// signal from some global index `base` up to the current frontier and
 /// must cover everything from [`FusedPass::first_needed`] on: the
-/// samples the pass has yet to admit, and those it has admitted but not
-/// yet normalized. Everything before that lives in the wedges, so a
-/// streaming caller keeps only about `window / 2` samples behind the
-/// frontier.
+/// samples the current block has yet to read, and those the next
+/// block's sweep reads back to. A streaming caller therefore keeps at
+/// most one window of samples behind the frontier.
 #[derive(Debug, Clone)]
 pub struct FusedPass {
     half: usize,
@@ -179,18 +202,18 @@ pub struct FusedPass {
     min_range: f64,
     /// Output positions stop here (exclusive).
     end: usize,
-    /// Monotonic wedges over (index, value): values are stored alongside
-    /// indices so wedge maintenance never re-reads the signal. Bounded by
-    /// the window length, so the pass holds O(window), not O(n). Both
-    /// are empty until the pass is primed.
-    min_wedge: VecDeque<(usize, f64)>,
-    max_wedge: VecDeque<(usize, f64)>,
-    /// The wedges' front entries, cached so the hot loop rarely touches
-    /// the ring buffers.
-    min_front: (usize, f64),
-    max_front: (usize, f64),
-    /// Next index to admit.
-    right: usize,
+    /// Suffix extremes of the current block: entry `k` holds the
+    /// `(min, max)` of samples `[b - half + k, b + half)` for the block
+    /// starting at `b`. `L` entries, allocated when the first block
+    /// starts; the last entry is the empty suffix (±∞) and is never
+    /// written.
+    suffix: Vec<(f64, f64)>,
+    /// Extremes of the samples `[b + half, next + half)` read so far for
+    /// the current block.
+    pre_min: f64,
+    pre_max: f64,
+    /// End of the current block (exclusive); the next block starts here.
+    block_end: usize,
     /// Next output position to normalize.
     next: usize,
     /// Starts of the below-threshold / below-edge runs still open.
@@ -216,18 +239,16 @@ impl FusedPass {
     ) -> FusedPass {
         assert!(window > 0, "window must be nonzero");
         assert!(range.start <= range.end, "reversed range {range:?}");
-        let half = window / 2;
         FusedPass {
-            half,
+            half: window / 2,
             threshold,
             edge_level,
             min_range,
             end: range.end,
-            min_wedge: VecDeque::new(),
-            max_wedge: VecDeque::new(),
-            min_front: (0, 0.0),
-            max_front: (0, 0.0),
-            right: range.start.saturating_sub(half),
+            suffix: Vec::new(),
+            pre_min: f64::INFINITY,
+            pre_max: f64::NEG_INFINITY,
+            block_end: range.start,
             next: range.start,
             th_start: None,
             ed_start: None,
@@ -241,9 +262,11 @@ impl FusedPass {
     }
 
     /// The first global sample index later calls still read; callers
-    /// may drop everything before it.
+    /// may drop everything before it. The next block's sweep reads back
+    /// to `block_end - half`, so this trails the frontier by at most
+    /// one window.
     pub fn first_needed(&self) -> usize {
-        self.right.min(self.next)
+        self.next.min(self.block_end.saturating_sub(self.half))
     }
 
     /// Advances over every output position whose centered window lies
@@ -254,7 +277,7 @@ impl FusedPass {
     ///
     /// # Errors
     ///
-    /// `Err(i)` when sample `i` is the first non-finite sample admitted.
+    /// `Err(i)` when sample `i` is the first non-finite sample read.
     /// The pass is unusable after an error; callers that stream must
     /// drop non-finite samples before feeding.
     ///
@@ -273,7 +296,8 @@ impl FusedPass {
 
     /// Treats `signal`'s end as the end of the whole signal: normalizes
     /// every remaining output position (windows clipped at the end, as
-    /// in the one-shot pass), then closes the open runs there.
+    /// in the one-shot pass), then closes the open runs there. This
+    /// ends the pass: it is not fed again.
     ///
     /// # Errors / Panics
     ///
@@ -303,10 +327,47 @@ impl FusedPass {
         }
     }
 
+    /// Starts the block at `self.block_end`: sweeps its left
+    /// half-windows backwards into the suffix arrays (windows clipped
+    /// at index 0 or at `last`) and empties the prefix. The first block
+    /// also reads its sweep span for the first time, so it checks those
+    /// samples finite in index order; every later block's span was read
+    /// by the previous block's prefix.
+    fn start_block(&mut self, signal: &[f64], base: usize, last: usize) -> Result<(), usize> {
+        let (half, b) = (self.half, self.block_end);
+        let lo = b.saturating_sub(half);
+        let hi = (b + half).min(last + 1);
+        let span = &signal[lo - base..hi - base];
+        if self.suffix.is_empty() {
+            if let Some(k) = span.iter().position(|v| !v.is_finite()) {
+                return Err(lo + k);
+            }
+            self.suffix = vec![(f64::INFINITY, f64::NEG_INFINITY); 2 * half + 1];
+        }
+        // Sample `j` lands in entry `j + half - b`; a window clipped at
+        // index 0 sees the whole span from 0.
+        let skip = lo + half - b;
+        let (mut m, mut mx) = (f64::INFINITY, f64::NEG_INFINITY);
+        for (&v, entry) in span.iter().zip(&mut self.suffix[skip..]).rev() {
+            if v < m {
+                m = v;
+            }
+            if v > mx {
+                mx = v;
+            }
+            *entry = (m, mx);
+        }
+        self.suffix[..skip].fill((m, mx));
+        self.pre_min = f64::INFINITY;
+        self.pre_max = f64::NEG_INFINITY;
+        self.block_end = b + 2 * half + 1;
+        Ok(())
+    }
+
     /// The kernel loop: normalizes output positions `[self.next,
-    /// out_end)` with windows clipped at the end of `signal`, admitting
-    /// samples as their windows need them, and optionally appends each
-    /// normalized value to `norm_out`.
+    /// out_end)` with windows clipped at the end of `signal`, reading
+    /// each sample as the first window that needs it arrives, and
+    /// optionally appends each normalized value to `norm_out`.
     fn advance(
         &mut self,
         signal: &[f64],
@@ -325,118 +386,71 @@ impl FusedPass {
             self.first_needed()
         );
         let last = base + signal.len() - 1;
-        if self.min_wedge.is_empty() {
-            // Prime both wedges with the first admitted sample so the hot
-            // loop can keep each wedge's front entry cached in locals
-            // (`min_front`, `max_front`) instead of going through the
-            // ring buffer every iteration; the wedges are non-empty from
-            // here on (eviction only removes samples that left the
-            // window, and the window always holds at least the output
-            // sample itself).
-            let v0 = signal[self.right - base];
-            if !v0.is_finite() {
-                return Err(self.right);
-            }
-            self.min_wedge.push_back((self.right, v0));
-            self.max_wedge.push_back((self.right, v0));
-            self.min_front = (self.right, v0);
-            self.max_front = (self.right, v0);
-            self.right += 1;
-        }
         let (half, threshold, edge_level, min_range) =
             (self.half, self.threshold, self.edge_level, self.min_range);
-        let min_wedge = &mut self.min_wedge;
-        let max_wedge = &mut self.max_wedge;
-        let mut min_front = self.min_front;
-        let mut max_front = self.max_front;
-        let mut right = self.right;
         let mut th_start = self.th_start;
         let mut ed_start = self.ed_start;
-        let first = self.next;
-        for (off, &v_i) in signal[first - base..out_end - base].iter().enumerate() {
-            let i = first + off;
-            // Admit every sample the window centered on `i` can see. Each
-            // sample is admitted exactly once — this is where it is read,
-            // and where it is checked finite.
-            let win_end = (i + half).min(last);
-            while right <= win_end {
-                let v = signal[right - base];
+        while self.next < out_end {
+            if self.next == self.block_end {
+                self.start_block(signal, base, last)?;
+            }
+            let first = self.next;
+            let stop = out_end.min(self.block_end);
+            let k0 = first + 2 * half + 1 - self.block_end;
+            let (mut pre_min, mut pre_max) = (self.pre_min, self.pre_max);
+            for (off, (&v_i, &(s_min, s_max))) in
+                signal[first - base..stop - base].iter().zip(&self.suffix[k0..]).enumerate()
+            {
+                let i = first + off;
+                // Read the sample entering the prefix. Past the end of the
+                // signal the last sample is read again, which cannot move
+                // either extreme and keeps the latest-index tie rule.
+                let j = (i + half).min(last);
+                let v = signal[j - base];
                 if !v.is_finite() {
-                    return Err(right);
+                    return Err(j);
                 }
-                if v <= min_front.1 {
-                    // New window minimum: the pop loop below would drain
-                    // the whole wedge (every stored value is >= the
-                    // front's), so collapse it in one step and refresh
-                    // the cached front.
-                    min_wedge.clear();
-                    min_wedge.push_back((right, v));
-                    min_front = (right, v);
+                if v <= pre_min {
+                    pre_min = v;
+                }
+                if v >= pre_max {
+                    pre_max = v;
+                }
+                let lo = if pre_min <= s_min { pre_min } else { s_min };
+                let hi = if pre_max >= s_max { pre_max } else { s_max };
+                // `hi - lo > 0.0` is exactly `hi > lo` for finite samples, so
+                // the ungated (`min_range == 0.0`) pass matches
+                // `normalize_moving_minmax` bit for bit.
+                let normalized = if hi - lo > min_range {
+                    ((v_i - lo) / (hi - lo)).clamp(0.0, 1.0)
                 } else {
-                    while min_wedge.back().is_some_and(|&(_, b)| v <= b) {
-                        min_wedge.pop_back();
+                    1.0
+                };
+                if let Some(out) = norm_out.as_deref_mut() {
+                    out.push(normalized);
+                }
+                // Run bookkeeping for both levels.
+                if normalized < threshold {
+                    if th_start.is_none() {
+                        th_start = Some(i);
                     }
-                    min_wedge.push_back((right, v));
+                } else if let Some(s) = th_start.take() {
+                    runs.below_threshold.push((s, i));
                 }
-                if v >= max_front.1 {
-                    max_wedge.clear();
-                    max_wedge.push_back((right, v));
-                    max_front = (right, v);
-                } else {
-                    while max_wedge.back().is_some_and(|&(_, b)| v >= b) {
-                        max_wedge.pop_back();
+                if normalized < edge_level {
+                    if ed_start.is_none() {
+                        ed_start = Some(i);
                     }
-                    max_wedge.push_back((right, v));
+                } else if let Some(s) = ed_start.take() {
+                    runs.below_edge.push((s, i));
                 }
-                right += 1;
             }
-            // Evict entries that fell out of the window, then normalize
-            // inline — the same expression as `normalize_moving_minmax`.
-            // Only the cached fronts are consulted on the no-eviction path.
-            let win_start = i.saturating_sub(half);
-            while min_front.0 < win_start {
-                min_wedge.pop_front();
-                min_front = *min_wedge.front().expect("window always non-empty");
-            }
-            while max_front.0 < win_start {
-                max_wedge.pop_front();
-                max_front = *max_wedge.front().expect("window always non-empty");
-            }
-            let lo = min_front.1;
-            let hi = max_front.1;
-            // `hi - lo > 0.0` is exactly `hi > lo` for finite samples, so
-            // the ungated (`min_range == 0.0`) pass matches
-            // `normalize_moving_minmax` bit for bit.
-            let normalized = if hi - lo > min_range {
-                ((v_i - lo) / (hi - lo)).clamp(0.0, 1.0)
-            } else {
-                1.0
-            };
-            if let Some(out) = norm_out.as_deref_mut() {
-                out.push(normalized);
-            }
-            // Run bookkeeping for both levels.
-            if normalized < threshold {
-                if th_start.is_none() {
-                    th_start = Some(i);
-                }
-            } else if let Some(s) = th_start.take() {
-                runs.below_threshold.push((s, i));
-            }
-            if normalized < edge_level {
-                if ed_start.is_none() {
-                    ed_start = Some(i);
-                }
-            } else if let Some(s) = ed_start.take() {
-                runs.below_edge.push((s, i));
-            }
+            self.pre_min = pre_min;
+            self.pre_max = pre_max;
+            self.next = stop;
         }
-        self.min_front = min_front;
-        self.max_front = max_front;
-        self.right = right;
         self.th_start = th_start;
         self.ed_start = ed_start;
-        self.next = out_end;
         Ok(())
     }
 }

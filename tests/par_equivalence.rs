@@ -4,7 +4,10 @@
 //! This file holds the telemetry-sensitive assertions in a dedicated
 //! integration-test binary: telemetry state is process-global, and a
 //! dedicated binary is its own process, so nothing else records into the
-//! registry mid-run.
+//! registry mid-run. The two tests in it both reset and enable that
+//! registry, so they serialize on `OBS_LOCK`.
+
+use std::sync::Mutex;
 
 use emprof::core::{Emprof, EmprofConfig};
 use emprof::emsim::{Receiver, ReceiverConfig};
@@ -14,6 +17,9 @@ use emprof::sim::PowerTrace;
 
 const FS: f64 = 40e6;
 const CLK: f64 = 1.0e9;
+
+/// Serializes the tests that reset and enable the global registry.
+static OBS_LOCK: Mutex<()> = Mutex::new(());
 
 /// Busy signal with drift, pseudo-noise, and dips of several widths —
 /// including one planted across the 2-thread seam of a 120_000-sample
@@ -59,6 +65,7 @@ fn width_histogram(snap: &obs::Snapshot) -> (u64, u64, Option<u64>, Option<u64>)
 
 #[test]
 fn parallel_and_batch_report_identical_detect_telemetry() {
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let signal = test_signal();
     let config = EmprofConfig::for_rates(FS, CLK);
 
@@ -92,6 +99,7 @@ fn parallel_and_batch_report_identical_detect_telemetry() {
 
 #[test]
 fn parallel_capture_chain_is_bit_exact_with_telemetry_on() {
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     // End-to-end: synthesize a capture sequentially and in parallel with
     // telemetry enabled; IQ, magnitude, and emsim.samples must agree.
     let mut power = vec![5.0f32; 200_000];

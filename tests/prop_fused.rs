@@ -329,3 +329,128 @@ proptest! {
         prop_assert_eq!(&gated.below_edge, &reference_runs(&norm, 0.5));
     }
 }
+
+/// Block seams of a pass whose outputs start at `start`: the block
+/// starts `start + k·L` for `L = 2·(window / 2) + 1`.
+fn block_len(window: usize) -> usize {
+    2 * (window / 2) + 1
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Output ranges that end on, or one either side of, a block seam
+    /// normalize bit-identically to `normalize_moving_minmax_range`, on
+    /// plateau signals with values planted right at the seams: at each
+    /// block start, at the sample that splits its windows (`b + half`),
+    /// at the first sample its sweep reads (`b - half`), and one either
+    /// side of each. Half the cases plant only `-0.0`/`0.0` ties, where
+    /// only the latest-index tie rule gives the reference's bits; the
+    /// other half also plant window extremes, which a sweep or prefix
+    /// that misses a seam sample gets wrong.
+    #[test]
+    fn norm_out_is_bit_identical_across_block_seams(
+        picks in prop::collection::vec((0usize..4, 1usize..30), 1..40),
+        planted_vals in prop::collection::vec(0usize..4, 1..64),
+        spikes in any::<bool>(),
+        window in 1usize..40,
+        start_frac in 0.0f64..1.0,
+        blocks in 0usize..6,
+        delta in 0usize..3,
+    ) {
+        const VALUES: [f64; 4] = [0.0, -0.0, 1.0, 0.5];
+        let mut signal: Vec<f64> = picks
+            .iter()
+            .flat_map(|&(v, reps)| std::iter::repeat_n(VALUES[v], reps))
+            .collect();
+        let n = signal.len();
+        let (half, l) = (window / 2, block_len(window));
+        let start = ((n as f64) * start_frac) as usize;
+        let seams = (0..=blocks + 1).map(|k| (start + k * l) as isize);
+        let half_i = half as isize;
+        let planted = seams.flat_map(|b| {
+            [b, b + half_i, b - half_i]
+                .into_iter()
+                .flat_map(|p| [p - 1, p, p + 1])
+        });
+        const PLANTED: [f64; 4] = [0.0, -0.0, -1.0, 2.0];
+        let kinds = if spikes { 4 } else { 2 };
+        for (p, &v) in planted.zip(planted_vals.iter().cycle()) {
+            if let Some(slot) = usize::try_from(p).ok().and_then(|p| signal.get_mut(p)) {
+                *slot = PLANTED[v % kinds];
+            }
+        }
+        let end = (start + blocks * l + delta).saturating_sub(1).clamp(start, n);
+        let mut norm = Vec::new();
+        fused::detect_runs_range(&signal, window, 0.35, 0.5, start, end, Some(&mut norm))
+            .expect("finite signal");
+        let reference = normalize_moving_minmax_range(&signal, window, start, end);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&norm), bits(&reference));
+    }
+
+    /// A range pass reports the lowest non-finite index among the
+    /// samples its windows read, `[start - half, end + half)` clipped to
+    /// the signal, wherever the bad samples sit relative to the blocks:
+    /// at either end of a block's backward sweep span (`b - half`,
+    /// `b + half - 1`), at the first sample of its prefix half
+    /// (`b + half`), one either side of those, or anywhere.
+    #[test]
+    fn non_finite_error_is_the_lowest_index_read(
+        signal in bounded_signal(300),
+        window in 1usize..60,
+        cut in 0.0f64..1.0,
+        width in 0.0f64..1.0,
+        bad in prop::collection::vec((0usize..4, 0usize..4, 0usize..3, 0usize..3), 1..4),
+        anywhere in 0usize..400,
+    ) {
+        let mut signal = signal;
+        let n = signal.len();
+        let (half, l) = (window / 2, block_len(window));
+        let start = ((n as f64) * cut) as usize;
+        let end = (start + (((n - start) as f64) * width) as usize).min(n);
+        for &(block, anchor, d, kind) in &bad {
+            let b = start + block * l;
+            let p = match anchor {
+                0 => b.saturating_sub(half),
+                1 => b + half,
+                2 => b,
+                _ => anywhere,
+            };
+            let p = (p + d).saturating_sub(1);
+            if p < n {
+                signal[p] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][kind];
+            }
+        }
+        let read = start.saturating_sub(half)..(end + half).min(n);
+        let expect = if start == end {
+            None
+        } else {
+            read.clone().find(|&i| !signal[i].is_finite())
+        };
+        let got = fused::detect_runs_range(&signal, window, 0.35, 0.5, start, end, None);
+        prop_assert_eq!(got.err(), expect);
+    }
+
+    /// A streaming caller keeps at most one window behind the frontier:
+    /// after every feed, `frontier - first_needed() <= window`, however
+    /// the stream is sliced and wherever the outputs start.
+    #[test]
+    fn first_needed_trails_the_frontier_by_at_most_a_window(
+        signal in bounded_signal(600),
+        window in 1usize..200,
+        start in 0usize..300,
+        picks in prop::collection::vec((any::<u8>(), any::<u16>()), 0..40),
+    ) {
+        let mut pass = fused::FusedPass::new(window, 0.35, 0.5, 0.0, start..usize::MAX);
+        let mut runs = LevelRuns::default();
+        let mut frontier = 0;
+        for len in slice_lengths(&picks, window) {
+            frontier = (frontier + len).min(signal.len());
+            let from = pass.first_needed().min(frontier);
+            pass.feed(&signal[from..frontier], from, &mut runs).expect("finite signal");
+            let behind = frontier.saturating_sub(pass.first_needed());
+            prop_assert!(behind <= window, "{} behind at frontier {}", behind, frontier);
+        }
+    }
+}
