@@ -13,19 +13,18 @@
 //!    [`fir::filter`] across kernel lengths, locating the overlap-save
 //!    crossover.
 //!
+//! Both thread sweeps stop at the host's parallelism: a run with more
+//! threads than cores time-shares them, and its "speedup" says nothing
+//! about the implementation.
+//!
 //! Results are printed as tables and written to `BENCH_pipeline.json`
-//! (override with `--out PATH`). `--smoke` shrinks every leg for CI;
+//! (override with `--out PATH`), with the host's fingerprint (its
+//! parallelism and CPU model). `--smoke` shrinks every leg for CI;
 //! absolute numbers are only meaningful in full mode on an idle host.
-//! Runs with more threads than the host has cores are marked
-//! `oversubscribed` and publish no speedup — time-shared "speedups" say
-//! nothing about the implementation (the `host_parallelism` field
-//! records what the bench ran on). `--check-against BASELINE.json`
-//! turns the run into a regression gate: the process exits nonzero when
-//! the 1-thread detector *or* 1-thread end-to-end pipeline throughput
-//! falls more than 20% below the baseline's. On a host too small for
-//! the sweep (any row ran oversubscribed) the gate is skipped outright
-//! with a logged reason — time-shared throughput is noise and a pass or
-//! fail from it would be equally meaningless.
+//! `--check-against BASELINE.json` turns the run into a regression gate:
+//! the process exits nonzero when the 1-thread detector *or* 1-thread
+//! end-to-end pipeline throughput falls more than 20% below the
+//! baseline's. Those rows run on every host, so the gate always runs.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -40,6 +39,29 @@ use emprof_sim::PowerTrace;
 const FS: f64 = 40e6;
 const CLK: f64 = 1.0e9;
 const THREAD_SWEEP: [usize; 3] = [1, 2, 4];
+
+/// The thread counts a sweep runs on a host with `host` cores: the
+/// sequential run always, the rest only where every thread has a core.
+fn thread_sweep(host: usize) -> Vec<usize> {
+    THREAD_SWEEP
+        .into_iter()
+        .filter(|&t| t == 1 || t <= host)
+        .collect()
+}
+
+/// The CPU model this bench ran on, from `/proc/cpuinfo` where there is
+/// one.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, model)| model.trim().replace('"', "'"))
+        })
+        .unwrap_or_else(|| "unknown".to_string())
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -57,14 +79,16 @@ fn main() {
         .cloned();
 
     let host = Parallelism::available().get();
+    let cpu = cpu_model();
     println!(
-        "pipeline throughput bench ({} mode, host parallelism {host})\n",
+        "pipeline throughput bench ({} mode, host parallelism {host}, {cpu})\n",
         if smoke { "smoke" } else { "full" }
     );
 
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"mode\": \"{}\",", if smoke { "smoke" } else { "full" });
     let _ = writeln!(json, "  \"host_parallelism\": {host},");
+    let _ = writeln!(json, "  \"host_cpu\": \"{cpu}\",");
 
     bench_detector(smoke, host, &mut json);
     bench_pipeline(smoke, host, &mut json);
@@ -86,22 +110,9 @@ const REGRESSION_FLOOR: f64 = 0.8;
 /// The `--check-against BASELINE.json` regression gate: compares this
 /// run's 1-thread detector and 1-thread end-to-end pipeline throughput
 /// against the committed baseline and exits nonzero on a >20%
-/// regression in either leg. Single-thread rows only — they are the
-/// numbers that are meaningful on any host where the sweep itself fit;
-/// when it did not (any `"oversubscribed": true` row in the fresh run)
-/// the whole gate is skipped with a logged reason rather than passing
-/// or failing on time-shared noise.
+/// regression in either leg. Single-thread rows only — they run
+/// unshared on every host, whatever its core count.
 fn check_regression(baseline_path: &str, fresh_json: &str) {
-    if fresh_json.contains("\"oversubscribed\": true") {
-        let host = Parallelism::available().get();
-        println!(
-            "regression gate: SKIPPED — host parallelism {host} is below the \
-             {}-thread sweep, so this run was oversubscribed and its \
-             throughput numbers are time-shared noise",
-            THREAD_SWEEP.iter().max().expect("sweep is non-empty")
-        );
-        return;
-    }
     let baseline = std::fs::read_to_string(baseline_path)
         .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
     let mut failed = false;
@@ -181,16 +192,10 @@ fn synthetic_magnitude(len: usize) -> Vec<f64> {
 }
 
 /// Renders one thread-sweep leg as a table and JSON array entry.
-///
-/// Runs with more threads than the host has cores are annotated
-/// `oversubscribed` and publish no speedup (JSON `null`, table `--`):
-/// a "speedup" measured while threads time-share a core says nothing
-/// about the parallel implementation.
 fn report_sweep(
     title: &str,
     json_key: &str,
     samples: usize,
-    host: usize,
     runs: &[(usize, f64)],
     json: &mut String,
 ) {
@@ -201,28 +206,17 @@ fn report_sweep(
     let _ = writeln!(json, "    \"runs\": [");
     for (idx, &(threads, secs)) in runs.iter().enumerate() {
         let sps = samples as f64 / secs;
-        let oversubscribed = threads > host;
-        let speedup_cell = if oversubscribed {
-            "-- (oversubscribed)".to_string()
-        } else {
-            format!("{:.2}x", base / secs)
-        };
-        let speedup_json = if oversubscribed {
-            "null".to_string()
-        } else {
-            format!("{:.3}", base / secs)
-        };
+        let speedup = base / secs;
         t.row(vec![
             threads.to_string(),
             format!("{secs:.3}"),
             format!("{:.1}", sps / 1e6),
-            speedup_cell,
+            format!("{speedup:.2}x"),
         ]);
         let _ = writeln!(
             json,
             "      {{\"threads\": {threads}, \"secs\": {secs:.6}, \
-             \"samples_per_sec\": {sps:.0}, \"oversubscribed\": {oversubscribed}, \
-             \"speedup_vs_1\": {speedup_json}}}{}",
+             \"samples_per_sec\": {sps:.0}, \"speedup_vs_1\": {speedup:.3}}}{}",
             if idx + 1 < runs.len() { "," } else { "" }
         );
     }
@@ -243,7 +237,7 @@ fn bench_detector(smoke: bool, host: usize, json: &mut String) {
 
     let mut runs = Vec::new();
     let mut reference: Option<Profile> = None;
-    for threads in THREAD_SWEEP {
+    for threads in thread_sweep(host) {
         let par = Parallelism::new(threads);
         let (secs, profile) =
             time_best(reps, || emprof.profile_magnitude_par(&magnitude, FS, CLK, par));
@@ -253,7 +247,7 @@ fn bench_detector(smoke: bool, host: usize, json: &mut String) {
         }
         runs.push((threads, secs));
     }
-    report_sweep("detector leg", "detector", len, host, &runs, json);
+    report_sweep("detector leg", "detector", len, &runs, json);
 }
 
 fn bench_pipeline(smoke: bool, host: usize, json: &mut String) {
@@ -275,7 +269,7 @@ fn bench_pipeline(smoke: bool, host: usize, json: &mut String) {
 
     let mut runs = Vec::new();
     let mut reference: Option<Profile> = None;
-    for threads in THREAD_SWEEP {
+    for threads in thread_sweep(host) {
         let par = Parallelism::new(threads);
         let (secs, profile) = time_best(reps, || {
             let rx =
@@ -292,7 +286,7 @@ fn bench_pipeline(smoke: bool, host: usize, json: &mut String) {
         }
         runs.push((threads, secs));
     }
-    report_sweep("end-to-end sim→EM→detect leg", "pipeline", cycles, host, &runs, json);
+    report_sweep("end-to-end sim→EM→detect leg", "pipeline", cycles, &runs, json);
 }
 
 fn bench_fir(smoke: bool, json: &mut String) {

@@ -52,9 +52,11 @@ impl Emprof {
     /// the batch detector's for any thread count.
     ///
     /// Emits the same `detect.samples` / `detect.events` /
-    /// `detect.refresh_events` counters and `detect.event_width_samples`
-    /// histogram as the batch path, plus `par.chunks`, `par.threads` and
-    /// `par.merge_fixups` gauges describing the chunking itself.
+    /// `detect.refresh_events` counters, `detect.event_width_samples`
+    /// histogram and `detect.fused` / `detect.merge` / `detect.refine`
+    /// stage spans as the batch path, plus `par.profile` / `par.stitch`
+    /// spans and `par.chunks`, `par.threads` and `par.merge_fixups`
+    /// gauges describing the chunking itself.
     pub fn profile_magnitude_par(
         &self,
         magnitude: &[f64],
@@ -101,6 +103,9 @@ impl Emprof {
         let plan = ChunkPlan::new(magnitude.len(), par.get(), cfg.norm_window_samples / 2);
         obs::gauge_set!("par.chunks", plan.count() as f64);
         obs::gauge_set!("par.threads", par.get().min(plan.count()) as f64);
+        // The batch stage names, recorded on the calling thread around the
+        // whole fan-out, so a run's spans do not depend on its thread count.
+        let _s = obs::span!("detect.fused");
         pool::parallel_map(par, plan.chunks(), |c| {
             fused::detect_runs_range(
                 magnitude,
@@ -148,22 +153,29 @@ impl Emprof {
         // chunk, threshold runs are never abutting (a run only ends on an
         // above-threshold sample), so a gap of exactly 0 can only be a run
         // split at a chunk seam.
-        let mut merged: Vec<(usize, usize)> = Vec::with_capacity(raw.len());
-        let mut fixups = 0u64;
-        for run in raw {
-            match merged.last_mut() {
-                Some(last) if run.0 - last.1 <= cfg.merge_gap_samples => {
-                    if run.0 == last.1 {
-                        fixups += 1;
+        let merged = {
+            let _s = obs::span!("detect.merge");
+            let mut merged: Vec<(usize, usize)> = Vec::with_capacity(raw.len());
+            let mut fixups = 0u64;
+            for run in raw {
+                match merged.last_mut() {
+                    Some(last) if run.0 - last.1 <= cfg.merge_gap_samples => {
+                        if run.0 == last.1 {
+                            fixups += 1;
+                        }
+                        last.1 = run.1;
                     }
-                    last.1 = run.1;
+                    _ => merged.push(run),
                 }
-                _ => merged.push(run),
             }
-        }
-        obs::gauge_set!("par.merge_fixups", fixups as f64);
+            obs::gauge_set!("par.merge_fixups", fixups as f64);
+            merged
+        };
 
-        let dips = refine_from_runs(merged, &below_edge, n);
+        let dips = {
+            let _s = obs::span!("detect.refine");
+            refine_from_runs(merged, &below_edge, n)
+        };
         let mut events = self.events_from_dips(dips, clock_hz / sample_rate_hz);
         crate::calib::mark_gap_degraded(&mut events, gaps);
         obs::counter_add!("detect.samples", n as u64);

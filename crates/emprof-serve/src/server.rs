@@ -23,10 +23,12 @@
 //! ## Shutdown
 //!
 //! [`Server::shutdown`] raises a flag, wakes the acceptor, joins the
-//! readers, lets the workers drain every queue, finalizes every
-//! remaining session (`finish()` runs for each — trailing events are
-//! never lost; they land in the tail and the event counters), and only
-//! then returns the final stats.
+//! readers (each first reads and ingests every complete frame its peer
+//! had already sent, up to end of stream or a quiet read timeout), lets
+//! the workers drain every queue, finalizes every remaining session
+//! (`finish()` runs for each — trailing events are never lost; they land
+//! in the tail and the event counters), and only then returns the final
+//! stats. [`Server::kill`] skips the socket drain and the finalization.
 
 use std::collections::{HashMap, VecDeque};
 use std::fs;
@@ -62,6 +64,11 @@ const POLL_INTERVAL: Duration = Duration::from_millis(100);
 /// How long a reader waits for the worker pool to answer a FLUSH/FIN
 /// marker before giving up on the connection.
 const REPLY_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Longest a graceful shutdown keeps reading one connection whose peer
+/// is still sending; a peer that pauses for a read timeout ends the
+/// drain sooner.
+const SHUTDOWN_DRAIN_LIMIT: Duration = Duration::from_secs(2);
 
 /// Events per EVENTS frame in a reply (below the protocol bound).
 const EVENTS_PER_FRAME: usize = 50_000;
@@ -234,6 +241,10 @@ struct Shared {
     ready_tx: Mutex<Option<mpsc::Sender<Arc<Session>>>>,
     ready_rx: Mutex<mpsc::Receiver<Arc<Session>>>,
     shutdown: AtomicBool,
+    /// Raised by [`Server::kill`] before `shutdown`: readers then stop at
+    /// once, as a crash would, instead of first reading what their peers
+    /// already sent.
+    killed: AtomicBool,
     /// Drain mode (set by a CLUSTER_JOIN drain verb or [`Server::drain`]):
     /// health reports unhealthy and fresh HELLOs are rejected, but
     /// resumes and in-flight sessions keep working — the node empties
@@ -453,6 +464,7 @@ impl Server {
             ready_tx: Mutex::new(Some(ready_tx)),
             ready_rx: Mutex::new(ready_rx),
             shutdown: AtomicBool::new(false),
+            killed: AtomicBool::new(false),
             draining: AtomicBool::new(false),
             local_addr: Mutex::new(local_addr.to_string()),
             reader_handles: Mutex::new(Vec::new()),
@@ -571,6 +583,9 @@ impl Server {
     }
 
     fn shutdown_inner(&mut self, finalize: bool) {
+        if !finalize {
+            self.shared.killed.store(true, Ordering::SeqCst);
+        }
         if self.shared.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
@@ -902,6 +917,9 @@ fn scrape_body(shared: &Arc<Shared>) -> String {
 struct Conn {
     stream: TcpStream,
     buf: Vec<u8>,
+    /// When a graceful shutdown's drain of this socket gives up, set the
+    /// first time a read sees the shutdown flag.
+    drain_deadline: Option<Instant>,
 }
 
 impl Conn {
@@ -911,13 +929,21 @@ impl Conn {
         Ok(Conn {
             stream,
             buf: Vec::new(),
+            drain_deadline: None,
         })
     }
 
     /// Reads one frame. `Ok(None)` means the peer closed cleanly between
     /// frames, or shutdown was requested while waiting.
-    fn read_frame(&mut self, shutdown: &AtomicBool) -> Result<Option<Frame>, ProtoError> {
-        self.read_frame_hb(shutdown, None::<(Duration, fn() -> Frame)>, Vec::new)
+    ///
+    /// A graceful shutdown first drains the socket: reads continue until
+    /// end of stream or until the peer has nothing more queued (a read
+    /// times out), and every complete frame is still returned, so bytes
+    /// a client sent before the shutdown are processed, not dropped. A
+    /// peer that never pauses is cut off after [`SHUTDOWN_DRAIN_LIMIT`].
+    /// After [`Server::kill`] the reader stops at once, like a crash.
+    fn read_frame(&mut self, shared: &Shared) -> Result<Option<Frame>, ProtoError> {
+        self.read_frame_hb(shared, None::<(Duration, fn() -> Frame)>, Vec::new)
     }
 
     /// [`Conn::read_frame`] with an optional heartbeat: while the peer
@@ -931,7 +957,7 @@ impl Conn {
     /// making steady-state ingest allocation-free per frame.
     fn read_frame_hb<F: Fn() -> Frame>(
         &mut self,
-        shutdown: &AtomicBool,
+        shared: &Shared,
         heartbeat: Option<(Duration, F)>,
         mut samples_buf: impl FnMut() -> Vec<f64>,
     ) -> Result<Option<Frame>, ProtoError> {
@@ -959,8 +985,13 @@ impl Conn {
                     Err(e) => return Err(e),
                 }
             }
-            if shutdown.load(Ordering::SeqCst) {
-                return Ok(None);
+            if shared.shutdown.load(Ordering::SeqCst) {
+                let deadline = *self
+                    .drain_deadline
+                    .get_or_insert_with(|| Instant::now() + SHUTDOWN_DRAIN_LIMIT);
+                if shared.killed.load(Ordering::SeqCst) || Instant::now() >= deadline {
+                    return Ok(None);
+                }
             }
             let mut tmp = [0u8; 64 * 1024];
             match self.stream.read(&mut tmp) {
@@ -983,6 +1014,13 @@ impl Conn {
                             | io::ErrorKind::Interrupted
                     ) =>
                 {
+                    // Shutting down and a whole read timeout passed with
+                    // nothing from the peer: the drain is complete.
+                    if e.kind() != io::ErrorKind::Interrupted
+                        && shared.shutdown.load(Ordering::SeqCst)
+                    {
+                        return Ok(None);
+                    }
                     if let Some((interval, make)) = heartbeat.as_ref() {
                         if last_io.elapsed() >= *interval {
                             self.write(&make())?;
@@ -1051,7 +1089,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let Ok(mut conn) = Conn::new(stream) else {
         return;
     };
-    let hello = match conn.read_frame(&shared.shutdown) {
+    let hello = match conn.read_frame(shared) {
         Ok(Some(Frame::Hello(h))) => h,
         // Observability pollers skip the HELLO handshake entirely: a
         // metrics request is its own introduction. This path records no
@@ -1095,7 +1133,7 @@ fn metrics_connection(conn: &mut Conn, shared: &Arc<Shared>, first: Frame) {
     loop {
         let frame = match next.take() {
             Some(f) => f,
-            None => match conn.read_frame(&shared.shutdown) {
+            None => match conn.read_frame(shared) {
                 Ok(Some(f)) => f,
                 Ok(None) => return,
                 Err(e) => {
@@ -1176,7 +1214,7 @@ fn watch_connection(conn: &mut Conn, shared: &Arc<Shared>) {
             .config
             .heartbeat_interval
             .map(|iv| (iv, || Frame::Heartbeat { acked_seq: 0 }));
-        match conn.read_frame_hb(&shared.shutdown, hb, Vec::new) {
+        match conn.read_frame_hb(shared, hb, Vec::new) {
             Ok(Some(Frame::Watch { cursor })) => {
                 let (next, missed, events) = shared
                     .tail
@@ -1388,7 +1426,7 @@ fn session_loop(
         });
         // SAMPLES frames decode into buffers recycled from this session's
         // pool, so a steady sample stream allocates nothing per frame.
-        match conn.read_frame_hb(&shared.shutdown, hb, || session.take_buffer()) {
+        match conn.read_frame_hb(shared, hb, || session.take_buffer()) {
             Ok(Some(Frame::Samples { seq, samples })) => {
                 if !session.is_current(generation) {
                     // A resumed connection took over; bow out silently.

@@ -3,7 +3,9 @@
 //! The capture rig in the paper band-limits the EM signal to the measurement
 //! bandwidth (20–160 MHz around the clock frequency). The reproduction's
 //! receiver models that band-limiting with linear-phase FIR lowpass filters
-//! designed here.
+//! designed here, and applies them by point evaluation
+//! ([`filter_direct_at`], [`filter_direct_pair`]) at just the positions
+//! its resampler reads.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -116,6 +118,11 @@ pub fn lowpass_cached(taps: usize, cutoff: f64, window: WindowKind) -> Arc<Vec<f
 /// `16·log2(4k)` flops per sample. The curves cross near `k ≈ 48` on
 /// commodity cores (measured by the `perf_pipeline` bench scenario, FIR
 /// leg), so short kernels keep the cache-friendly direct path.
+///
+/// The crossover only matters when every output is wanted. The receiver
+/// chain reads about 2 filtered values in every 25, so `resample`
+/// evaluates the direct sum at those positions instead and never calls
+/// [`filter`].
 pub const FFT_MIN_TAPS: usize = 48;
 
 /// Whether [`filter`] will take the overlap-save FFT path for this
@@ -138,6 +145,12 @@ pub fn uses_overlap_save(signal_len: usize, taps: usize) -> bool {
 /// short ones by direct convolution ([`uses_overlap_save`] is the
 /// crossover); both produce the same zero-padded linear convolution, the
 /// FFT path within a few ulps.
+///
+/// Use this when most outputs are needed. The receiver's band-limiting
+/// (`resample`, `decimate`) reads only the outputs its rate reduction
+/// keeps and evaluates those with [`filter_direct_at`] and
+/// [`filter_direct_pair`] instead, so nothing in the capture chain takes
+/// the overlap-save path.
 ///
 /// # Example
 ///
@@ -175,34 +188,111 @@ pub fn filter_par(signal: &[f64], taps: &[f64], par: Parallelism) -> Vec<f64> {
 /// Direct (time-domain) convolution, always, regardless of kernel length.
 ///
 /// This is the reference implementation the FFT path is validated
-/// against; production code calls [`filter`], which picks the faster
-/// path.
+/// against. Every output is [`filter_direct_at`] at its index, so a
+/// caller that needs only some outputs can evaluate just those.
 pub fn filter_direct(signal: &[f64], taps: &[f64]) -> Vec<f64> {
     assert!(!taps.is_empty(), "FIR filter must have at least one tap");
     filter_direct_par(signal, taps, Parallelism::sequential())
 }
 
 fn filter_direct_par(signal: &[f64], taps: &[f64], par: Parallelism) -> Vec<f64> {
-    let delay = (taps.len() - 1) / 2;
-    let n = signal.len();
-    pool::map_ranges(par, n, |range| {
-        range
-            .map(|i| {
-                // Output index i corresponds to convolution output at
-                // i + delay.
-                let center = i + delay;
-                let mut acc = 0.0;
-                for (k, &t) in taps.iter().enumerate() {
-                    if let Some(j) = center.checked_sub(k) {
-                        if j < n {
-                            acc += t * signal[j];
-                        }
-                    }
-                }
-                acc
-            })
-            .collect()
+    pool::map_ranges(par, signal.len(), |range| {
+        range.map(|i| filter_direct_at(signal, taps, i)).collect()
     })
+}
+
+/// Output `i` of [`filter_direct`], computed alone.
+///
+/// The sum runs over the taps in index order, skipping the taps that
+/// fall off either end of the zero-padded signal, so the result is
+/// bit-identical to `filter_direct(signal, taps)[i]`. Costs one pass
+/// over the taps and allocates nothing.
+///
+/// # Panics
+///
+/// Panics if `taps` is empty or `i` is not an index into `signal`.
+///
+/// # Example
+///
+/// ```
+/// use emprof_signal::fir;
+///
+/// let x: Vec<f64> = (0..100).map(|i| (i as f64 * 0.3).sin()).collect();
+/// let taps = fir::lowpass(21, 0.1);
+/// assert_eq!(fir::filter_direct_at(&x, &taps, 40), fir::filter_direct(&x, &taps)[40]);
+/// ```
+pub fn filter_direct_at(signal: &[f64], taps: &[f64], i: usize) -> f64 {
+    assert!(!taps.is_empty(), "FIR filter must have at least one tap");
+    assert!(
+        i < signal.len(),
+        "output {i} outside a {}-sample signal",
+        signal.len()
+    );
+    // Output i is the convolution output at i + delay: the sum over taps
+    // k of taps[k] * signal[center - k], for the k that land inside the
+    // signal.
+    let center = i + (taps.len() - 1) / 2;
+    let k_lo = (center + 1).saturating_sub(signal.len());
+    let k_hi = taps.len().min(center + 1);
+    let mut acc = 0.0;
+    for k in k_lo..k_hi {
+        acc += taps[k] * signal[center - k];
+    }
+    acc
+}
+
+/// Outputs `i` and `i + 1` of [`filter_direct`] from one pass over the
+/// taps.
+///
+/// Away from the signal's edges the two sums read overlapping windows
+/// and run as two independent accumulators, each in
+/// [`filter_direct_at`]'s order, so both values are bit-identical to
+/// it while the two add chains overlap in the pipeline. Near an edge it
+/// is two [`filter_direct_at`] calls.
+///
+/// # Panics
+///
+/// Panics if `taps` is empty or `i + 1` is not an index into `signal`.
+///
+/// # Example
+///
+/// ```
+/// use emprof_signal::fir;
+///
+/// let x: Vec<f64> = (0..100).map(|i| (i as f64 * 0.3).sin()).collect();
+/// let taps = fir::lowpass(21, 0.1);
+/// let y = fir::filter_direct(&x, &taps);
+/// assert_eq!(fir::filter_direct_pair(&x, &taps, 40), (y[40], y[41]));
+/// ```
+pub fn filter_direct_pair(signal: &[f64], taps: &[f64], i: usize) -> (f64, f64) {
+    assert!(!taps.is_empty(), "FIR filter must have at least one tap");
+    assert!(
+        i + 1 < signal.len(),
+        "output pair {i} outside a {}-sample signal",
+        signal.len()
+    );
+    let k = taps.len();
+    let center = i + (k - 1) / 2;
+    if center + 1 < k || center + 1 >= signal.len() {
+        // Some tap falls off an edge for one output or both.
+        return (
+            filter_direct_at(signal, taps, i),
+            filter_direct_at(signal, taps, i + 1),
+        );
+    }
+    // Both sums use every tap: output i reads signal[center - k'] and
+    // output i + 1 reads signal[center + 1 - k'] for tap k'.
+    let window = &signal[center + 1 - k..=center + 1];
+    let (mut acc0, mut acc1) = (0.0, 0.0);
+    for ((&t, &x0), &x1) in taps
+        .iter()
+        .zip(window[..k].iter().rev())
+        .zip(window[1..].iter().rev())
+    {
+        acc0 += t * x0;
+        acc1 += t * x1;
+    }
+    (acc0, acc1)
 }
 
 /// Overlap-save FFT convolution of the zero-padded linear convolution,
@@ -416,6 +506,36 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn point_evaluation_matches_direct_at_every_index() {
+        // Signals shorter than, equal to and longer than the kernel, so
+        // every edge case of the pair (left edge, right edge, both) is hit.
+        for k in [1usize, 2, 31, 64, 417] {
+            let taps = lowpass(k, 0.07);
+            for n in [1, 2, k / 2 + 1, k, k + 1, 3 * k + 7] {
+                let x = wiggle(n);
+                let direct = filter_direct(&x, &taps);
+                for i in 0..n {
+                    assert_eq!(
+                        filter_direct_at(&x, &taps, i),
+                        direct[i],
+                        "k={k} n={n} i={i}"
+                    );
+                    if i + 1 < n {
+                        let pair = filter_direct_pair(&x, &taps, i);
+                        assert_eq!(pair, (direct[i], direct[i + 1]), "k={k} n={n} i={i}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside")]
+    fn pair_past_the_last_output_panics() {
+        filter_direct_pair(&[1.0, 2.0], &[1.0], 1);
     }
 
     #[test]

@@ -5,6 +5,15 @@
 //! The ratio is rarely an integer (e.g. 1.008 GHz / 40 MHz = 25.2), so the
 //! chain needs both integer decimation and fractional resampling. Both are
 //! anti-aliased by filtering *before* rate reduction.
+//!
+//! The filtered signal is never built. Each output reads only one or two
+//! filtered values (~2 in 25 at the Olimex ratio), so those values are
+//! computed where they are read, by [`fir::filter_direct_at`] and
+//! [`fir::filter_direct_pair`]. Every output is therefore bit-identical
+//! to [`fir::filter_direct`] followed by picking or interpolating, and
+//! neither function allocates anything proportional to the input.
+
+use std::sync::Arc;
 
 use emprof_par::{pool, Parallelism};
 
@@ -15,9 +24,10 @@ use crate::Complex;
 /// Decimates a real signal by an integer factor after applying an
 /// anti-aliasing lowpass filter.
 ///
-/// The cutoff is placed at `0.45 / factor` of the input rate (slightly
-/// inside Nyquist of the output rate) and the filter length scales with the
-/// factor so the transition band stays proportionally narrow.
+/// The filter is [`anti_alias_filter`] for the factor: its cutoff sits at
+/// `0.45 / factor` of the input rate (slightly inside Nyquist of the
+/// output rate) and its length scales with the factor so the transition
+/// band stays proportionally narrow.
 ///
 /// # Panics
 ///
@@ -40,6 +50,10 @@ pub fn decimate(signal: &[f64], factor: usize) -> Vec<f64> {
 /// [`decimate`] with the anti-aliasing filter fanned out over a worker
 /// pool; output is bit-identical to [`decimate`] for any thread count.
 ///
+/// Output `m` is [`fir::filter_direct_at`] at input `m * factor`, so it
+/// equals `fir::filter_direct(..)` stepped by `factor`, bit for bit,
+/// without filtering the samples in between.
+///
 /// # Panics
 ///
 /// Panics if `factor == 0`.
@@ -48,13 +62,12 @@ pub fn decimate_par(signal: &[f64], factor: usize, par: Parallelism) -> Vec<f64>
     if factor == 1 {
         return signal.to_vec();
     }
-    let taps = fir::lowpass_cached(
-        anti_alias_taps(factor),
-        0.45 / factor as f64,
-        WindowKind::Blackman,
-    );
-    let filtered = fir::filter_par(signal, &taps, par);
-    filtered.iter().step_by(factor).copied().collect()
+    let taps = anti_alias_filter(factor as f64);
+    pool::map_ranges(par, signal.len().div_ceil(factor), |range| {
+        range
+            .map(|m| fir::filter_direct_at(signal, &taps, m * factor))
+            .collect()
+    })
 }
 
 /// Resamples a real signal by an arbitrary positive rational-ish ratio
@@ -73,12 +86,16 @@ pub fn resample(signal: &[f64], in_rate: f64, out_rate: f64) -> Vec<f64> {
     resample_par(signal, in_rate, out_rate, Parallelism::sequential())
 }
 
-/// [`resample`] with the anti-aliasing filter and the interpolation loop
-/// fanned out over a worker pool.
+/// [`resample`] with the output samples fanned out over a worker pool.
+///
+/// When the rate falls, output `n` interpolates the band-limited signal
+/// between the two filtered values at `floor(n * ratio)` and the next
+/// index, both computed on the spot by [`fir::filter_direct_pair`]. The
+/// result is bit-identical to [`fir::filter_direct`] followed by linear
+/// interpolation, clamped to the last filtered value at the right edge.
 ///
 /// Output is bit-identical to [`resample`] for any thread count: every
-/// output sample is an independent function of the (identically filtered)
-/// source signal.
+/// output sample is an independent function of the source signal.
 ///
 /// # Panics
 ///
@@ -97,32 +114,54 @@ pub fn resample_par(
         return Vec::new();
     }
     let ratio = in_rate / out_rate;
-    let filtered: Vec<f64>;
-    let src: &[f64] = if ratio > 1.0 {
-        // Downsampling: band-limit to the output Nyquist first.
-        let factor = ratio.ceil() as usize;
-        let taps =
-            fir::lowpass_cached(anti_alias_taps(factor), 0.45 / ratio, WindowKind::Blackman);
-        filtered = fir::filter_par(signal, &taps, par);
-        &filtered
-    } else {
-        signal
-    };
     let out_len = ((signal.len() as f64) / ratio).floor() as usize;
+    if ratio <= 1.0 {
+        return pool::map_ranges(par, out_len, |range| {
+            range
+                .map(|n| {
+                    sample_linear(
+                        signal.len(),
+                        n as f64 * ratio,
+                        |i| signal[i],
+                        |i| (signal[i], signal[i + 1]),
+                    )
+                })
+                .collect()
+        });
+    }
+    // Downsampling: band-limit to the output Nyquist, evaluated only at
+    // the positions the interpolation reads.
+    let taps = anti_alias_filter(ratio);
     pool::map_ranges(par, out_len, |range| {
-        range.map(|n| sample_linear(src, n as f64 * ratio)).collect()
+        range
+            .map(|n| {
+                sample_linear(
+                    signal.len(),
+                    n as f64 * ratio,
+                    |i| fir::filter_direct_at(signal, &taps, i),
+                    |i| fir::filter_direct_pair(signal, &taps, i),
+                )
+            })
+            .collect()
     })
 }
 
-/// Linearly interpolates `signal` at a fractional index, clamping to the
-/// final sample at the right edge.
-fn sample_linear(signal: &[f64], pos: f64) -> f64 {
+/// Linearly interpolates a `len`-sample signal at a fractional index,
+/// clamping to the final sample at the right edge. The signal is read
+/// through `at` (one value) and `pair` (values `i` and `i + 1`).
+fn sample_linear(
+    len: usize,
+    pos: f64,
+    at: impl Fn(usize) -> f64,
+    pair: impl Fn(usize) -> (f64, f64),
+) -> f64 {
     let i = pos.floor() as usize;
-    if i + 1 >= signal.len() {
-        return *signal.last().expect("non-empty checked by caller");
+    if i + 1 >= len {
+        return at(len - 1);
     }
     let frac = pos - i as f64;
-    signal[i] * (1.0 - frac) + signal[i + 1] * frac
+    let (a, b) = pair(i);
+    a * (1.0 - frac) + b * frac
 }
 
 /// Complex variant of [`resample`] for IQ streams.
@@ -142,11 +181,21 @@ pub fn resample_complex(signal: &[Complex], in_rate: f64, out_rate: f64) -> Vec<
         .collect()
 }
 
-/// Picks an anti-aliasing filter length appropriate for a decimation factor:
-/// longer filters for larger factors so the transition band stays narrow
-/// relative to the output Nyquist. Clamped to keep cost bounded.
-fn anti_alias_taps(factor: usize) -> usize {
-    (16 * factor + 1).clamp(33, 513)
+/// The anti-aliasing lowpass [`decimate`] and [`resample`] apply when
+/// the rate falls by `ratio` (input rate over output rate, above 1).
+///
+/// The cutoff sits at `0.45 / ratio` of the input rate, slightly inside
+/// the output Nyquist. The length grows with `ceil(ratio)`, as
+/// `16·ceil(ratio) + 1` clamped to 33..=513 taps, so the transition band
+/// stays narrow relative to the output Nyquist while the cost stays
+/// bounded. Designs come from [`fir::lowpass_cached`].
+///
+/// # Panics
+///
+/// Panics if `ratio <= 0.9` (the cutoff would pass the input Nyquist).
+pub fn anti_alias_filter(ratio: f64) -> Arc<Vec<f64>> {
+    let taps = (16 * ratio.ceil() as usize + 1).clamp(33, 513);
+    fir::lowpass_cached(taps, 0.45 / ratio, WindowKind::Blackman)
 }
 
 #[cfg(test)]

@@ -8,15 +8,14 @@ cargo build --release
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Pipeline throughput smoke: sequential vs parallel at 1/2/4 threads plus
-# the direct-vs-FFT FIR crossover; asserts thread-count invariance. The
-# run is written to target/BENCH_pipeline.json and gated against the
-# committed BENCH_pipeline.json, which a verification pass never
-# rewrites: the bench exits nonzero if 1-thread detector or 1-thread
-# pipeline throughput drops >20% below the committed number (skipped,
-# with a logged reason, on hosts too small to run the sweep unshared).
-# Updating the committed baseline is an explicit step: copy the target/
-# file over it.
+# Pipeline throughput smoke: sequential vs parallel at 1/2/4 threads
+# (capped at the host's parallelism) plus the direct-vs-FFT FIR
+# crossover; asserts thread-count invariance. The run is written to
+# target/BENCH_pipeline.json and gated against the committed
+# BENCH_pipeline.json, which a verification pass never rewrites: the
+# bench exits nonzero if 1-thread detector or 1-thread pipeline
+# throughput drops >20% below the committed number. Updating the
+# committed baseline is an explicit step: copy the target/ file over it.
 mkdir -p target
 cargo run -q --release -p emprof-bench --bin perf_pipeline -- --smoke --out target/BENCH_pipeline.json --check-against BENCH_pipeline.json
 

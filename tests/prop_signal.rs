@@ -1,5 +1,6 @@
 //! Property-based tests on the DSP substrate's invariants.
 
+use emprof::par::Parallelism;
 use emprof::signal::stats::{moving_average, moving_max, moving_min, normalize_moving_minmax};
 use emprof::signal::{fft, fir, resample, Complex};
 use proptest::prelude::*;
@@ -108,5 +109,81 @@ proptest! {
             let mid = y[y.len() / 2];
             prop_assert!((mid - level).abs() < 1e-6 * level.abs().max(1.0));
         }
+    }
+}
+
+/// Rate ratios (input over output) the resampling properties sweep: the
+/// paper's Olimex ratio, an integer one, one just above an integer (so
+/// `ceil` picks the longer kernel) and a small one with a short kernel.
+const RATIOS: [f64; 4] = [25.2, 25.0, 4.0001, 1.5];
+const THREADS: [usize; 3] = [1, 2, 5];
+
+/// Linear interpolation of `filtered` at `n * ratio`, clamped to the last
+/// value at the right edge: the specification `resample` must meet.
+fn interpolate(filtered: &[f64], ratio: f64, out_len: usize) -> Vec<f64> {
+    (0..out_len)
+        .map(|n| {
+            let pos = n as f64 * ratio;
+            let i = pos.floor() as usize;
+            if i + 1 >= filtered.len() {
+                return filtered[filtered.len() - 1];
+            }
+            let frac = pos - i as f64;
+            filtered[i] * (1.0 - frac) + filtered[i + 1] * frac
+        })
+        .collect()
+}
+
+/// Asserts `got` is within `1e-9·scale` of `want`, elementwise.
+fn assert_close(got: &[f64], want: &[f64], scale: f64) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.len(), want.len());
+    for (i, (a, b)) in got.iter().zip(want).enumerate() {
+        prop_assert!((a - b).abs() < 1e-9 * scale, "i={}: {} vs {}", i, a, b);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Downsampling is exactly "filter, then interpolate": bit-identical
+    /// to `filter_direct` plus linear interpolation for every thread
+    /// count, and within FFT rounding of the overlap-save composite.
+    /// Lengths run from well under the 417-tap Olimex kernel to past the
+    /// overlap-save threshold.
+    #[test]
+    fn resample_is_filter_then_interpolate(signal in bounded_signal(2_500)) {
+        let scale = signal.iter().fold(1.0f64, |m, &v| m.max(v.abs()));
+        for ratio in RATIOS {
+            let taps = resample::anti_alias_filter(ratio);
+            let out_len = (signal.len() as f64 / ratio).floor() as usize;
+            let want = interpolate(&fir::filter_direct(&signal, &taps), ratio, out_len);
+            for threads in THREADS {
+                let got = resample::resample_par(&signal, ratio, 1.0, Parallelism::new(threads));
+                prop_assert_eq!(&got, &want, "ratio {} threads {}", ratio, threads);
+            }
+            let fft = interpolate(&fir::filter(&signal, &taps), ratio, out_len);
+            assert_close(&want, &fft, scale)?;
+        }
+    }
+
+    /// Integer decimation is exactly `filter_direct` stepped by the
+    /// factor, for every thread count, and within FFT rounding of the
+    /// overlap-save composite.
+    #[test]
+    fn decimate_is_filter_then_step(
+        signal in bounded_signal(2_500),
+        factor in 2usize..30,
+    ) {
+        let scale = signal.iter().fold(1.0f64, |m, &v| m.max(v.abs()));
+        let taps = resample::anti_alias_filter(factor as f64);
+        let want: Vec<f64> =
+            fir::filter_direct(&signal, &taps).into_iter().step_by(factor).collect();
+        for threads in THREADS {
+            let got = resample::decimate_par(&signal, factor, Parallelism::new(threads));
+            prop_assert_eq!(&got, &want, "factor {} threads {}", factor, threads);
+        }
+        let fft: Vec<f64> = fir::filter(&signal, &taps).into_iter().step_by(factor).collect();
+        assert_close(&want, &fft, scale)?;
     }
 }
