@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Full verification gate: release build, all tests, pedantic lints.
+# Full verification gate: release build, every workspace crate's tests,
+# pedantic lints.
 # Run from anywhere; operates on the repository containing this script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
-cargo test -q
+cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Pipeline throughput smoke: sequential vs parallel at 1/2/4 threads
@@ -31,10 +32,10 @@ cargo run -q --release -p emprof-bench --bin serve_soak -- --smoke --seconds 8
 # samples; the injector is deterministic and batch-boundary invariant.
 cargo test -q --release --test prop_fault
 
-# Adaptive calibration: with the knob off, all three detector paths are
-# bit-identical to the legacy fixed-threshold path; with it on, they
-# still agree bit-for-bit and the adapted threshold tracks a pure
-# attenuation ramp monotonically.
+# Adaptive calibration: with the knob off, batch, parallel and streaming
+# detection are bit-identical static detectors; with it on, they still
+# agree bit-for-bit and the adapted threshold tracks a pure attenuation
+# ramp monotonically.
 cargo test -q --release --test adaptive_equivalence
 
 # Transport resilience and exactly-once delivery: kill-and-resume at
