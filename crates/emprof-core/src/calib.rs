@@ -22,7 +22,7 @@
 //!   block boundaries. That is what keeps the batch, parallel, and
 //!   streaming adaptive paths bit-identical — all three compute the same
 //!   schedule and run the same fused range kernel per block, then share
-//!   the stitched merge/refine/filter back half.
+//!   the stitcher and the refine/filter/confidence back half.
 //!
 //! With [`CalibConfig::enabled`]` == false` (the default) none of this
 //! code runs and every detector path is bit-identical to the static
@@ -31,12 +31,10 @@
 use std::collections::VecDeque;
 
 use emprof_obs as obs;
-use emprof_par::{pool, Parallelism};
-use emprof_signal::fused;
 
 use crate::config::EmprofConfig;
-use crate::detect::{record_event_metrics, refine_from_runs, sanitize_magnitude};
-use crate::profile::{Confidence, Profile, StallEvent};
+use crate::detect::check_then_sanitize;
+use crate::profile::{Confidence, StallEvent};
 use crate::Emprof;
 
 /// Converts the mean absolute successive difference of a block into a
@@ -194,6 +192,21 @@ pub struct BlockParams {
     pub degraded: bool,
 }
 
+impl BlockParams {
+    /// The static detector's parameters: the base window, threshold and
+    /// edge level, with no contrast gate. A static configuration is the
+    /// constant schedule of these; the adaptive one starts from them.
+    pub(crate) fn base(config: &EmprofConfig) -> Self {
+        BlockParams {
+            window: config.norm_window_samples,
+            threshold: config.threshold,
+            edge_level: config.edge_level,
+            min_range: 0.0,
+            degraded: false,
+        }
+    }
+}
+
 /// The online calibration loop: feed it completed blocks in order via
 /// [`observe_block`](Calibrator::observe_block), read the parameters for
 /// the *next* block via [`params`](Calibrator::params).
@@ -204,9 +217,7 @@ pub struct BlockParams {
 #[derive(Debug, Clone)]
 pub struct Calibrator {
     cfg: CalibConfig,
-    base_window: usize,
-    base_threshold: f64,
-    base_edge: f64,
+    base: BlockParams,
     /// `edge_level - threshold` of the base config, preserved as the
     /// adapted threshold rises.
     edge_margin: f64,
@@ -230,9 +241,7 @@ impl Calibrator {
     pub fn new(config: &EmprofConfig) -> Self {
         Calibrator {
             cfg: config.calib,
-            base_window: config.norm_window_samples,
-            base_threshold: config.threshold,
-            base_edge: config.edge_level,
+            base: BlockParams::base(config),
             edge_margin: config.edge_level - config.threshold,
             inited: false,
             ranges: VecDeque::with_capacity(CONTRAST_RING),
@@ -266,30 +275,25 @@ impl Calibrator {
 
     /// Parameters for the next (not yet observed) block.
     pub fn params(&self) -> BlockParams {
+        let base = self.base;
         if !self.inited {
-            return BlockParams {
-                window: self.base_window,
-                threshold: self.base_threshold,
-                edge_level: self.base_edge,
-                min_range: 0.0,
-                degraded: false,
-            };
+            return base;
         }
         let q = self.noise_fraction();
         let threshold = (q + self.cfg.threshold_pad)
-            .clamp(self.base_threshold, self.cfg.threshold_max.max(self.base_threshold));
+            .clamp(base.threshold, self.cfg.threshold_max.max(base.threshold));
         let edge_level = (threshold + self.edge_margin).min(0.95).max(threshold);
         // Fast drift inflates a window's min/max range with fake
         // contrast; shrink the window until the drift it spans is back
         // under tolerance. The window only ever shrinks from the base,
         // which also bounds the lookahead every path needs.
-        let block = self.cfg.block(self.base_window) as f64;
+        let block = self.cfg.block(base.window) as f64;
         let drift_per_sample = self.drift_ew / block;
-        let window = if drift_per_sample * (self.base_window as f64) > self.cfg.drift_tolerance {
+        let window = if drift_per_sample * (base.window as f64) > self.cfg.drift_tolerance {
             let fit = (self.cfg.drift_tolerance / drift_per_sample) as usize;
-            fit.clamp(self.cfg.window_min.min(self.base_window), self.base_window)
+            fit.clamp(self.cfg.window_min.min(base.window), base.window)
         } else {
-            self.base_window
+            base.window
         };
         BlockParams {
             window,
@@ -302,27 +306,39 @@ impl Calibrator {
 
     /// Folds one completed block of (finite) samples into the estimates
     /// and steps the confidence state machine. Blocks must be fed in
-    /// order; all paths feed the identical block slices.
+    /// order; all paths feed the identical block slices. A block holding
+    /// a non-finite sample is not folded: it would poison every estimate.
     pub fn observe_block(&mut self, block: &[f64]) {
+        let _ = self.try_observe_block(block);
+    }
+
+    /// [`observe_block`](Calibrator::observe_block), or `Err(i)` when
+    /// `block[i]` is the block's first non-finite sample. The check rides
+    /// on the pass that reads the block and fails before any state
+    /// changes.
+    fn try_observe_block(&mut self, block: &[f64]) -> Result<(), usize> {
         if block.is_empty() {
-            return;
+            return Ok(());
         }
         let mut hi = f64::NEG_INFINITY;
         let mut lo = f64::INFINITY;
-        for &v in block {
+        let mut acc = 0.0;
+        for (i, &v) in block.iter().enumerate() {
+            if !v.is_finite() {
+                return Err(i);
+            }
             if v > hi {
                 hi = v;
             }
             if v < lo {
                 lo = v;
             }
+            if i > 0 {
+                acc += (v - block[i - 1]).abs();
+            }
         }
         let range = hi - lo;
         let masd = if block.len() > 1 {
-            let mut acc = 0.0;
-            for w in block.windows(2) {
-                acc += (w[1] - w[0]).abs();
-            }
             acc / (block.len() - 1) as f64
         } else {
             0.0
@@ -362,6 +378,31 @@ impl Calibrator {
             obs::gauge_set!("calib.window", p.window as f64);
             obs::gauge_set!("calib.min_range", p.min_range);
         }
+        Ok(())
+    }
+
+    /// Extends the causal schedule over `signal`, resuming at block
+    /// `schedule.len()`: entry `k` governs samples
+    /// `[k * block, (k + 1) * block)` and holds the parameters in force
+    /// before block `k` was observed. `Err(i)` when `signal[i]` is the
+    /// first non-finite sample; the blocks before its block stay planned
+    /// and observed, so a rerun on the survivors — identical up to that
+    /// block — resumes there without observing, or counting, any block
+    /// twice.
+    pub(crate) fn extend_schedule(
+        &mut self,
+        schedule: &mut Vec<BlockParams>,
+        signal: &[f64],
+    ) -> Result<(), usize> {
+        let block = self.cfg.block(self.base.window);
+        for start in (schedule.len() * block..signal.len()).step_by(block) {
+            let params = self.params();
+            let end = (start + block).min(signal.len());
+            self.try_observe_block(&signal[start..end])
+                .map_err(|i| start + i)?;
+            schedule.push(params);
+        }
+        Ok(())
     }
 
     /// Whether the state machine currently reports degraded confidence.
@@ -370,48 +411,67 @@ impl Calibrator {
     }
 }
 
-/// Computes the full causal parameter schedule for a (sanitized) signal:
-/// entry `k` governs samples `[k * block, (k + 1) * block)`. One cheap
-/// sequential pass; batch, parallel, and streaming all reproduce exactly
-/// this sequence.
-pub(crate) fn compute_schedule(config: &EmprofConfig, signal: &[f64]) -> Vec<BlockParams> {
-    let block = config.calib.block(config.norm_window_samples);
-    let blocks = signal.len().div_ceil(block);
-    let mut cal = Calibrator::new(config);
-    let mut out = Vec::with_capacity(blocks);
-    for k in 0..blocks {
-        out.push(cal.params());
-        let end = ((k + 1) * block).min(signal.len());
-        cal.observe_block(&signal[k * block..end]);
-    }
-    out
+/// Which calibration blocks the confidence state machine had degraded:
+/// flag `k` covers samples `[k * block, (k + 1) * block)`. Empty for the
+/// static detector.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DegradedBlocks {
+    block: usize,
+    flags: Vec<bool>,
 }
 
-/// Marks events that touch a collapsed dropout gap as
-/// [`Confidence::Degraded`]: a gap at survivor position `p` sits between
-/// samples `p - 1` and `p`, and an event over `[start, end)` touches it
-/// when `start <= p <= end + 1` (the same criterion as
-/// `emprof_fault::flag_degraded`). Events and gap points must both be
-/// sorted. Returns how many events were (newly) degraded.
-pub(crate) fn mark_gap_degraded(events: &mut [StallEvent], gaps: &[usize]) -> usize {
-    let mut marked = 0;
-    let mut cursor = 0usize;
-    for e in events.iter_mut() {
-        while cursor < gaps.len() && gaps[cursor] + 1 < e.start_sample {
-            cursor += 1;
-        }
-        if gaps[cursor..]
-            .iter()
-            .take_while(|&&p| p <= e.end_sample + 1)
-            .any(|&p| e.start_sample <= p)
-        {
-            if e.confidence != Confidence::Degraded {
-                marked += 1;
-            }
-            e.confidence = Confidence::Degraded;
+impl DegradedBlocks {
+    /// No blocks yet, for calibration blocks of `block` samples.
+    pub(crate) fn new(block: usize) -> Self {
+        DegradedBlocks {
+            block,
+            flags: Vec::new(),
         }
     }
-    marked
+
+    /// Records the next block's state.
+    pub(crate) fn push(&mut self, degraded: bool) {
+        self.flags.push(degraded);
+    }
+
+    /// The confidence rule. An event over `[start, end)` is degraded
+    /// when it touches a collapsed dropout gap — a point `p` of the
+    /// ascending `gaps` with `start <= p <= end + 1`, the
+    /// `emprof_fault::flag_degraded` criterion — or when it ends in a
+    /// block the state machine had degraded. Judging by the block of the
+    /// event's *end* lets an in-place merge, which only moves the end,
+    /// recompute the mark exactly as the final-extent batch pass does.
+    pub(crate) fn confidence(
+        &self,
+        gaps: impl IntoIterator<Item = usize>,
+        start: usize,
+        end: usize,
+    ) -> Confidence {
+        let touches_gap = gaps
+            .into_iter()
+            .take_while(|&p| p <= end + 1)
+            .any(|p| start <= p);
+        let degraded_block = !self.flags.is_empty()
+            && self.flags[(end.saturating_sub(1) / self.block).min(self.flags.len() - 1)];
+        if touches_gap || degraded_block {
+            Confidence::Degraded
+        } else {
+            Confidence::High
+        }
+    }
+
+    /// Applies [`confidence`](DegradedBlocks::confidence) to sorted
+    /// events against the ascending gap points, in one forward pass.
+    pub(crate) fn mark(&self, events: &mut [StallEvent], gaps: &[usize]) {
+        let mut cursor = 0usize;
+        for e in events {
+            while cursor < gaps.len() && gaps[cursor] + 1 < e.start_sample {
+                cursor += 1;
+            }
+            e.confidence =
+                self.confidence(gaps[cursor..].iter().copied(), e.start_sample, e.end_sample);
+        }
+    }
 }
 
 impl Emprof {
@@ -422,88 +482,12 @@ impl Emprof {
     /// through [`Emprof::profile_magnitude`] with
     /// [`CalibConfig::enabled`] set.
     pub fn calibration_schedule(&self, magnitude: &[f64]) -> Vec<BlockParams> {
-        let (survivors, _, _) = sanitize_magnitude(magnitude);
-        compute_schedule(&self.config(), &survivors)
-    }
-
-    /// The adaptive profiling path shared by the batch and parallel
-    /// entry points: compute the causal block schedule, run the gated
-    /// fused kernel per block (fanned out over `par`), stitch the runs
-    /// exactly like the parallel detector, then reuse the shared
-    /// refine/filter/classify back half. Sequential and parallel calls
-    /// produce bit-identical profiles because the schedule is computed
-    /// before any fan-out and blocks are stitched in order.
-    pub(crate) fn profile_adaptive(
-        &self,
-        magnitude: &[f64],
-        sample_rate_hz: f64,
-        clock_hz: f64,
-        par: Parallelism,
-    ) -> Profile {
-        let _span = obs::span!("detect.adaptive");
-        let cfg = self.config();
-        let (survivors, rejected, gaps) = sanitize_magnitude(magnitude);
-        if rejected > 0 {
-            obs::counter_add!("detect.samples_rejected", rejected as u64);
-        }
-        let signal = &survivors[..];
-        let n = signal.len();
-        let schedule = compute_schedule(&cfg, signal);
-        let block = cfg.calib.block(cfg.norm_window_samples);
-
-        let kernel = |k: usize| {
-            let p = &schedule[k];
-            fused::detect_runs_range_gated(
-                signal,
-                p.window,
-                p.threshold,
-                p.edge_level,
-                p.min_range,
-                k * block,
-                ((k + 1) * block).min(n),
-                None,
-            )
-            .expect("block passes run on the sanitized signal")
-        };
-        let indices: Vec<usize> = (0..schedule.len()).collect();
-        let parts = if par.is_sequential() || indices.len() <= 1 {
-            indices.iter().map(|&k| kernel(k)).collect::<Vec<_>>()
-        } else {
-            pool::parallel_map(par, &indices, |&k| kernel(k))
-        };
-
-        // Stitch exactly like the parallel detector: threshold runs via
-        // the batch gap-merge criterion (a gap-0 pair can only be a run
-        // split at a block boundary), below-edge runs via gap-0 rejoin.
-        let mut merged: Vec<(usize, usize)> = Vec::new();
-        let mut below_edge: Vec<(usize, usize)> = Vec::new();
-        for part in parts {
-            for run in part.below_threshold {
-                match merged.last_mut() {
-                    Some(last) if run.0 - last.1 <= cfg.merge_gap_samples => last.1 = run.1,
-                    _ => merged.push(run),
-                }
-            }
-            for run in part.below_edge {
-                match below_edge.last_mut() {
-                    Some(last) if last.1 == run.0 => last.1 = run.1,
-                    _ => below_edge.push(run),
-                }
-            }
-        }
-
-        let dips = refine_from_runs(merged, &below_edge, n);
-        let mut events = self.events_from_dips(dips, clock_hz / sample_rate_hz);
-        for e in &mut events {
-            let k = (e.end_sample.saturating_sub(1) / block).min(schedule.len().saturating_sub(1));
-            if schedule.get(k).is_some_and(|p| p.degraded) {
-                e.confidence = Confidence::Degraded;
-            }
-        }
-        mark_gap_degraded(&mut events, &gaps);
-        obs::counter_add!("detect.samples", n as u64);
-        record_event_metrics(&events);
-        Profile::new(events, n, sample_rate_hz, clock_hz)
+        let mut cal = Calibrator::new(&self.config());
+        let mut schedule = Vec::new();
+        check_then_sanitize(magnitude, |signal| {
+            cal.extend_schedule(&mut schedule, signal)
+        });
+        schedule
     }
 }
 
@@ -603,8 +587,9 @@ mod tests {
                 5.0 * atten + ((i * 2_654_435_761usize) % 1000) as f64 / 1000.0 * 0.2
             })
             .collect();
-        let full = compute_schedule(&cfg, &signal);
-        let prefix = compute_schedule(&cfg, &signal[..8_000]);
+        let e = Emprof::new(cfg);
+        let full = e.calibration_schedule(&signal);
+        let prefix = e.calibration_schedule(&signal[..8_000]);
         assert_eq!(&full[..prefix.len() - 1], &prefix[..prefix.len() - 1]);
     }
 
@@ -618,10 +603,27 @@ mod tests {
             confidence: Confidence::High,
         };
         let mut events = [ev(0, 2), ev(5, 9), ev(20, 25)];
-        let marked = mark_gap_degraded(&mut events, &[3, 6]);
-        assert_eq!(marked, 2);
+        DegradedBlocks::default().mark(&mut events, &[3, 6]);
         assert_eq!(events[0].confidence, Confidence::Degraded);
         assert_eq!(events[1].confidence, Confidence::Degraded);
         assert_eq!(events[2].confidence, Confidence::High);
+    }
+
+    #[test]
+    fn block_marks_follow_the_event_end() {
+        // Blocks of 10 samples; block 1 degraded. An event is judged by
+        // the block holding its last sample, gaps or not.
+        let mut marks = DegradedBlocks::new(10);
+        for degraded in [false, true, false] {
+            marks.push(degraded);
+        }
+        let none = std::iter::empty();
+        assert_eq!(marks.confidence(none.clone(), 5, 10), Confidence::High);
+        assert_eq!(marks.confidence(none.clone(), 5, 11), Confidence::Degraded);
+        assert_eq!(marks.confidence(none.clone(), 15, 21), Confidence::High);
+        // Past the last recorded block, the last block's state holds.
+        assert_eq!(marks.confidence(none, 40, 45), Confidence::High);
+        assert_eq!(marks.confidence([46], 40, 45), Confidence::Degraded);
+        assert_eq!(marks.confidence([47], 40, 45), Confidence::High);
     }
 }

@@ -1,12 +1,9 @@
 //! The EMPROF detector: normalization and dip extraction.
 
-use std::borrow::Cow;
-
 use emprof_obs as obs;
-use emprof_signal::fused::{self, LevelRuns};
+use emprof_par::Parallelism;
 use emprof_sim::PowerTrace;
 
-use crate::calib::mark_gap_degraded;
 use crate::config::EmprofConfig;
 use crate::profile::{Confidence, Profile, StallEvent, StallKind};
 
@@ -44,6 +41,8 @@ impl Emprof {
     ///
     /// This is the heart of EMPROF: moving-min/max normalization, then a
     /// duration-filtered threshold detector over the normalized signal.
+    /// It is the sequential call of the one detector engine
+    /// ([`profile_magnitude_par`](Emprof::profile_magnitude_par)).
     ///
     /// Non-finite samples (NaN, ±inf) are dropped before normalization —
     /// a single NaN would otherwise poison every moving min/max window
@@ -59,84 +58,12 @@ impl Emprof {
         sample_rate_hz: f64,
         clock_hz: f64,
     ) -> Profile {
-        if self.config.calib.enabled {
-            return self.profile_adaptive(
-                magnitude,
-                sample_rate_hz,
-                clock_hz,
-                emprof_par::Parallelism::sequential(),
-            );
-        }
-        let _profile_span = obs::span!("detect.profile");
-        // The fused kernel reads the signal exactly once: both moving
-        // extremes advance together, normalization happens inline, the
-        // below-threshold/below-edge runs come out directly, and the
-        // finite-sample admission check rides along — no separate
-        // pre-scan, no intermediate signal-sized vector.
-        let fused = {
-            let _s = obs::span!("detect.fused");
-            fused::detect_runs(
-                magnitude,
-                self.config.norm_window_samples,
-                self.config.threshold,
-                self.config.edge_level,
-            )
-        };
-        match fused {
-            Ok(runs) => {
-                self.profile_from_runs(runs, magnitude.len(), sample_rate_hz, clock_hz, &[])
-            }
-            Err(_first_bad) => {
-                // Rare path: the signal carries NaN/±inf. Drop them (a
-                // single NaN would otherwise poison every window that
-                // sees it) and rerun the fused pass on the survivors —
-                // identical to running on the pre-filtered signal, which
-                // is the same policy the streaming detector applies. The
-                // collapsed gap positions degrade the confidence of any
-                // event that touches them.
-                let (kept, rejected, gaps) = sanitize_magnitude(magnitude);
-                obs::counter_add!("detect.samples_rejected", rejected as u64);
-                let runs = {
-                    let _s = obs::span!("detect.fused");
-                    fused::detect_runs(
-                        &kept,
-                        self.config.norm_window_samples,
-                        self.config.threshold,
-                        self.config.edge_level,
-                    )
-                    .expect("survivors are finite by construction")
-                };
-                self.profile_from_runs(runs, kept.len(), sample_rate_hz, clock_hz, &gaps)
-            }
-        }
-    }
-
-    /// The shared back half of batch detection: merge the raw
-    /// below-threshold runs, refine edges from the below-edge run list,
-    /// filter and classify. Used by both the clean fused path and the
-    /// sanitize-and-retry fallback; `total` is the accepted-sample count
-    /// the profile reports.
-    fn profile_from_runs(
-        &self,
-        runs: LevelRuns,
-        total: usize,
-        sample_rate_hz: f64,
-        clock_hz: f64,
-        gaps: &[usize],
-    ) -> Profile {
-        let merged = {
-            let _s = obs::span!("detect.merge");
-            self.merge_runs(runs.below_threshold)
-        };
-        let dips = {
-            let _s = obs::span!("detect.refine");
-            refine_from_runs(merged, &runs.below_edge, total)
-        };
-        let mut events = self.events_from_dips(dips, clock_hz / sample_rate_hz);
-        mark_gap_degraded(&mut events, gaps);
-        obs::counter_add!("detect.samples", total as u64);
-        record_event_metrics(&events);
-        Profile::new(events, total, sample_rate_hz, clock_hz)
+        self.profile_magnitude_par(
+            magnitude,
+            sample_rate_hz,
+            clock_hz,
+            Parallelism::sequential(),
+        )
     }
 
     /// Profiles a captured EM signal (the physical-device path).
@@ -176,31 +103,16 @@ impl Emprof {
     }
 
     /// Turns refined dips into duration-filtered, classified stall
-    /// events — the last detection stage, shared verbatim by the batch
-    /// and parallel paths so their event streams cannot diverge.
+    /// events of high confidence — the last batch detection stage.
     pub(crate) fn events_from_dips(
         &self,
         dips: Vec<(usize, usize)>,
         cps: f64,
     ) -> Vec<StallEvent> {
-        let min_samples =
-            (self.config.min_duration_cycles / cps).max(self.config.min_duration_samples as f64);
+        let min_samples = min_event_samples(&self.config, cps);
         dips.into_iter()
             .filter(|&(s, e)| (e - s) as f64 >= min_samples)
-            .map(|(s, e)| {
-                let duration_cycles = (e - s) as f64 * cps;
-                StallEvent {
-                    start_sample: s,
-                    end_sample: e,
-                    duration_cycles,
-                    kind: if duration_cycles >= self.config.refresh_min_cycles {
-                        StallKind::RefreshCollision
-                    } else {
-                        StallKind::Normal
-                    },
-                    confidence: Confidence::High,
-                }
-            })
+            .map(|(s, e)| classify(&self.config, s, e, cps, Confidence::High))
             .collect()
     }
 
@@ -226,7 +138,10 @@ impl Emprof {
         raw
     }
 
-    /// Merges runs separated by at most `merge_gap_samples`.
+    /// Merges runs separated by at most `merge_gap_samples`. Reference
+    /// implementation; production stitches through
+    /// [`crate::engine::Stitcher`].
+    #[cfg(test)]
     fn merge_runs(&self, raw: Vec<(usize, usize)>) -> Vec<(usize, usize)> {
         let mut merged: Vec<(usize, usize)> = Vec::with_capacity(raw.len());
         for run in raw {
@@ -268,6 +183,35 @@ impl Emprof {
             }
         }
         out
+    }
+}
+
+/// The duration filter floor, in samples, at `cps` cycles per sample.
+pub(crate) fn min_event_samples(config: &EmprofConfig, cps: f64) -> f64 {
+    (config.min_duration_cycles / cps).max(config.min_duration_samples as f64)
+}
+
+/// The stall event over `[start, end)` at `cps` cycles per sample: a
+/// refresh collision from `refresh_min_cycles` on, a normal stall
+/// below. The one classification rule, for batch and streaming alike.
+pub(crate) fn classify(
+    config: &EmprofConfig,
+    start: usize,
+    end: usize,
+    cps: f64,
+    confidence: Confidence,
+) -> StallEvent {
+    let duration_cycles = (end - start) as f64 * cps;
+    StallEvent {
+        start_sample: start,
+        end_sample: end,
+        duration_cycles,
+        kind: if duration_cycles >= config.refresh_min_cycles {
+            StallKind::RefreshCollision
+        } else {
+            StallKind::Normal
+        },
+        confidence,
     }
 }
 
@@ -325,19 +269,22 @@ pub(crate) fn refine_from_runs(
     out
 }
 
-/// Drops non-finite samples ahead of detection, borrowing when the
-/// signal is already clean (the overwhelmingly common case — the scan
-/// is a single cheap pass). Used by the parallel entry point, which must
-/// know the survivor signal before it can chunk it; the batch path folds
-/// the same check into the fused kernel instead and only filters on the
-/// rare dirty signal. Returns the surviving
-/// samples and how many were rejected, plus the survivor positions where
-/// runs of rejected samples collapsed out (one point per contiguous gap,
-/// the `emprof_fault::survivor_dropout_points` convention) — events
-/// touching those positions carry [`Confidence::Degraded`].
-pub(crate) fn sanitize_magnitude(magnitude: &[f64]) -> (Cow<'_, [f64]>, usize, Vec<usize>) {
-    if magnitude.iter().all(|v| v.is_finite()) {
-        return (Cow::Borrowed(magnitude), 0, Vec::new());
+/// The one sanitize rule: check, then fall back. `run` reads the signal
+/// as given and reports its first non-finite sample as `Err`; only then
+/// are the non-finite samples dropped and `run` repeated on the
+/// survivors, which cannot fail. A clean signal — the overwhelmingly
+/// common case — is checked by `run`'s own read of it. Returns `run`'s
+/// output, how many samples were rejected, and the survivor positions
+/// where runs of rejected samples collapsed out (one point per
+/// contiguous gap, the `emprof_fault::survivor_dropout_points`
+/// convention) — events touching those positions carry
+/// [`Confidence::Degraded`].
+pub(crate) fn check_then_sanitize<T>(
+    magnitude: &[f64],
+    mut run: impl FnMut(&[f64]) -> Result<T, usize>,
+) -> (T, usize, Vec<usize>) {
+    if let Ok(out) = run(magnitude) {
+        return (out, 0, Vec::new());
     }
     let mut kept: Vec<f64> = Vec::with_capacity(magnitude.len());
     let mut gaps: Vec<usize> = Vec::new();
@@ -348,23 +295,28 @@ pub(crate) fn sanitize_magnitude(magnitude: &[f64]) -> (Cow<'_, [f64]>, usize, V
             gaps.push(kept.len());
         }
     }
-    let rejected = magnitude.len() - kept.len();
-    (Cow::Owned(kept), rejected, gaps)
+    let out = run(&kept).expect("survivors are finite by construction");
+    (out, magnitude.len() - kept.len(), gaps)
 }
 
 /// Flushes per-event telemetry shared by the batch and streaming paths:
-/// `detect.events` / `detect.refresh_events` counters and the
-/// `detect.event_width_samples` width histogram.
-pub(crate) fn record_event_metrics(events: &[StallEvent]) {
+/// the `detect.event_width_samples` and `detect.stall_latency_cycles`
+/// histograms and the `detect.confidence.events_degraded` count, which
+/// are only final once the profile is, plus — with `count_events`, for
+/// a caller that did not count events as it emitted them — the
+/// `detect.events` / `detect.refresh_events` counters.
+pub(crate) fn record_event_metrics(events: &[StallEvent], count_events: bool) {
     if !obs::is_enabled() {
         return;
     }
-    obs::counter_add!("detect.events", events.len() as u64);
-    let refresh = events
-        .iter()
-        .filter(|e| e.kind == StallKind::RefreshCollision)
-        .count();
-    obs::counter_add!("detect.refresh_events", refresh as u64);
+    if count_events {
+        obs::counter_add!("detect.events", events.len() as u64);
+        let refresh = events
+            .iter()
+            .filter(|e| e.kind == StallKind::RefreshCollision)
+            .count();
+        obs::counter_add!("detect.refresh_events", refresh as u64);
+    }
     let degraded = events
         .iter()
         .filter(|e| e.confidence == Confidence::Degraded)

@@ -47,9 +47,9 @@ pub mod accuracy;
 mod calib;
 mod config;
 mod detect;
+mod engine;
 mod fusion;
 mod histogram;
-mod parallel;
 mod profile;
 pub mod report;
 pub mod section;

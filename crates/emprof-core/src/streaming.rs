@@ -19,9 +19,10 @@
 //! Static detection is one [`FusedPass`] resumed across every pushed
 //! slice, so each sample is read once by the same kernel loop the batch
 //! detector runs; adaptive detection runs the gated kernel once per
-//! calibration block. Both hand their runs to one shared back half:
-//! stitch, refine from the below-edge run list, abut-merge, filter and
-//! emit (DESIGN.md §13).
+//! calibration block. Both hand their runs to the batch engine's
+//! [`Stitcher`], refine from the below-edge run list, abut-merge, filter
+//! and emit through the batch classification and confidence rules
+//! (DESIGN.md §13).
 
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -29,9 +30,11 @@ use std::time::Instant;
 use emprof_obs as obs;
 use emprof_signal::fused::{self, FusedPass, LevelRuns};
 
-use crate::calib::{BlockParams, Calibrator};
+use crate::calib::{BlockParams, Calibrator, DegradedBlocks};
 use crate::config::EmprofConfig;
-use crate::profile::{Confidence, Profile, StallEvent, StallKind};
+use crate::detect::{classify, min_event_samples, record_event_metrics};
+use crate::engine::Stitcher;
+use crate::profile::{Profile, StallEvent, StallKind};
 
 /// How many pushed samples accumulate between telemetry flushes. Pushing
 /// is the hot path, so the `detect.samples` counter and the streaming
@@ -92,14 +95,10 @@ pub struct StreamingEmprof {
     position: usize,
     /// Kernel output, reused across calls.
     runs: LevelRuns,
-    /// Stitched below-threshold runs (batch merge criterion applied)
-    /// awaiting finality, as `(start, end, first_end)`: `first_end` is
-    /// where the first kernel run merged into it ends, the first sample
-    /// after `start` at or above threshold.
-    pending: VecDeque<(usize, usize, usize)>,
-    /// Stitched below-edge runs (gap-0 rejoin across kernel cuts); the
-    /// last run is always retained — it may still be growing.
-    edge_runs: VecDeque<(usize, usize)>,
+    /// Stitched runs: the merged below-threshold runs awaiting finality
+    /// and the below-edge runs refinement reads, of which the last is
+    /// always retained — it may still be growing.
+    stitcher: Stitcher,
     /// Finished events ready for the caller.
     events: Vec<StallEvent>,
     /// The most recent refined run as `(start, end, represented)`,
@@ -125,16 +124,12 @@ pub struct StreamingEmprof {
     unflushed: usize,
     /// Survivor positions where runs of rejected samples collapsed out
     /// (the `survivor_dropout_points` convention, deduplicated). Events
-    /// touching one carry [`Confidence::Degraded`]; trimmed once no
-    /// future or still-mutable event can reach back to them.
+    /// touching one carry degraded confidence; trimmed once no future or
+    /// still-mutable event can reach back to them.
     gaps: VecDeque<usize>,
-    /// Calibration block length (meaningful in adaptive mode).
-    calib_block: usize,
-    /// Per processed calibration block: was the confidence state machine
-    /// degraded? Indexed by block; an event is degraded by the block its
-    /// *end* falls in, so in-place merges recompute consistently with
-    /// the batch final-extent computation. One bool per ~window samples.
-    block_degraded: Vec<bool>,
+    /// Per processed calibration block (adaptive mode): was the
+    /// confidence state machine degraded? One bool per ~window samples.
+    marks: DegradedBlocks,
 }
 
 /// The detection engine behind a [`StreamingEmprof`].
@@ -151,10 +146,10 @@ enum Engine {
 /// cut into the same absolute calibration blocks as the batch schedule;
 /// each block, once its right normalization context is buffered, runs
 /// through `fused::detect_runs_range_gated` with the causally-computed
-/// [`BlockParams`], and the resulting runs are stitched exactly like the
-/// parallel detector's seams. Everything downstream (refinement,
-/// merge/duration/classify, drain sealing) is shared with the static
-/// engine.
+/// [`BlockParams`], and the resulting runs go through the same
+/// [`Stitcher`] as the batch engine's block seams. Everything downstream
+/// (refinement, merge/duration/classify, drain sealing) is shared with
+/// the static engine.
 #[derive(Debug, Clone)]
 struct AdaptiveState {
     /// Calibration block length in samples.
@@ -172,8 +167,8 @@ struct AdaptiveState {
 
 impl AdaptiveState {
     /// Runs block `next_block` through the gated fused kernel with its
-    /// causal [`BlockParams`] — identical inputs to the batch adaptive
-    /// path's per-block kernel call, by construction — appending its
+    /// causal [`BlockParams`] — identical inputs to the batch engine's
+    /// kernel call for that block, by construction — appending its
     /// runs to `runs` in global coordinates. Observes the block for the
     /// calibrator, trims `buf` to what the next block's window can
     /// reach, and returns the new detection frontier.
@@ -183,7 +178,7 @@ impl AdaptiveState {
         buf_base: &mut usize,
         pushed: usize,
         runs: &mut LevelRuns,
-        block_degraded: &mut Vec<bool>,
+        marks: &mut DegradedBlocks,
     ) -> usize {
         let start = self.next_block * self.block;
         // Truncated only at the true end of the capture (finish), which
@@ -207,7 +202,7 @@ impl AdaptiveState {
         runs.below_threshold.extend(th.iter().map(global));
         runs.below_edge.extend(ed.iter().map(global));
         self.cal.observe_block(&buf[start - base..end - base]);
-        block_degraded.push(p.degraded);
+        marks.push(p.degraded);
         self.next_block += 1;
         self.cur = self.cal.params();
         // During `finish` the final right-truncated block can place the
@@ -250,13 +245,14 @@ impl StreamingEmprof {
                 next_block: 0,
             })
         } else {
-            // The static configuration is the constant schedule: base
-            // window and threshold, no contrast gate.
+            // The static configuration is the constant schedule of the
+            // base parameters.
+            let p = BlockParams::base(&config);
             Engine::Static(FusedPass::new(
-                config.norm_window_samples,
-                config.threshold,
-                config.edge_level,
-                0.0,
+                p.window,
+                p.threshold,
+                p.edge_level,
+                p.min_range,
                 0..usize::MAX,
             ))
         };
@@ -270,8 +266,7 @@ impl StreamingEmprof {
             pushed: 0,
             position: 0,
             runs: LevelRuns::default(),
-            pending: VecDeque::new(),
-            edge_runs: VecDeque::new(),
+            stitcher: Stitcher::new(config.merge_gap_samples),
             events: Vec::new(),
             last_run: None,
             drained: 0,
@@ -280,8 +275,7 @@ impl StreamingEmprof {
             started_at: None,
             unflushed: 0,
             gaps: VecDeque::new(),
-            calib_block,
-            block_degraded: Vec::new(),
+            marks: DegradedBlocks::new(calib_block),
         }
     }
 
@@ -391,12 +385,12 @@ impl StreamingEmprof {
                         &mut self.buf_base,
                         self.pushed,
                         &mut self.runs,
-                        &mut self.block_degraded,
+                        &mut self.marks,
                     );
                 }
             }
         }
-        self.stitch();
+        self.stitcher.push(&mut self.runs);
         self.process_pending(false);
         self.unflushed += accepted;
         if self.unflushed >= OBS_FLUSH_INTERVAL {
@@ -404,41 +398,13 @@ impl StreamingEmprof {
         }
     }
 
-    /// Moves the kernel's fresh runs onto the pending lists with the
-    /// parallel detector's seam rules: below-threshold runs merge across
-    /// gaps of at most `merge_gap_samples` (the batch merge criterion),
-    /// below-edge runs rejoin where they meet exactly at a kernel cut.
-    fn stitch(&mut self) {
-        let gap = self.config.merge_gap_samples;
-        for &(s, e) in &self.runs.below_threshold {
-            match self.pending.back_mut() {
-                Some(last) if s - last.1 <= gap => {
-                    // A run starting where the last one ends continues
-                    // it across a kernel cut.
-                    if s == last.2 {
-                        last.2 = e;
-                    }
-                    last.1 = e;
-                }
-                _ => self.pending.push_back((s, e, e)),
-            }
-        }
-        for &(s, e) in &self.runs.below_edge {
-            match self.edge_runs.back_mut() {
-                Some(last) if last.1 == s => last.1 = e,
-                _ => self.edge_runs.push_back((s, e)),
-            }
-        }
-        self.runs.below_threshold.clear();
-        self.runs.below_edge.clear();
-    }
-
     /// Drops below-edge runs ending at or before `bound` — no pending or
     /// future dip starts inside them, so refinement never consults them
     /// again — always keeping the last, which may still be growing.
     fn trim_edge_runs(&mut self, bound: usize) {
-        while self.edge_runs.len() > 1 && self.edge_runs.front().is_some_and(|r| r.1 <= bound) {
-            self.edge_runs.pop_front();
+        let edges = &mut self.stitcher.edges;
+        while edges.len() > 1 && edges.front().is_some_and(|r| r.1 <= bound) {
+            edges.pop_front();
         }
     }
 
@@ -448,7 +414,7 @@ impl StreamingEmprof {
     /// sample history.
     fn process_pending(&mut self, flush: bool) {
         let gap = self.config.merge_gap_samples;
-        while let Some(&(start, end, _)) = self.pending.front() {
+        while let Some(&(start, end, _)) = self.stitcher.dips.front() {
             // Final once the frontier is far enough past the run's end
             // that no future run can merge into it (a run ending exactly
             // at the frontier may still grow past it).
@@ -460,15 +426,17 @@ impl StreamingEmprof {
             self.trim_edge_runs(start);
             let left_bound = self.last_run.map(|(_, e, _)| e).unwrap_or(0);
             let cs = *self
-                .edge_runs
+                .stitcher
+                .edges
                 .iter()
                 .find(|r| r.1 > start)
                 .expect("run start lies in a below-edge run");
             debug_assert!(cs.0 <= start, "run start not below edge");
             let refined_s = cs.0.max(left_bound);
-            let right_bound = self.pending.get(1).map(|n| n.0).unwrap_or(self.position);
+            let right_bound = self.stitcher.dips.get(1).map_or(self.position, |n| n.0);
             let ce = *self
-                .edge_runs
+                .stitcher
+                .edges
                 .iter()
                 .find(|r| r.1 > end - 1)
                 .expect("run end lies in a below-edge run");
@@ -477,14 +445,14 @@ impl StreamingEmprof {
             if !flush && !self.front_is_final(end, ce.1, refined_e) {
                 break;
             }
-            self.pending.pop_front();
+            self.stitcher.dips.pop_front();
             // Sealed iff the run ended on an at-or-above-edge sample —
             // i.e. at its container's settled end, not clipped by a
             // neighbour or the frontier.
             self.tail_sealed = refined_e == ce.1 && ce.1 < self.position;
             self.emit(refined_s, refined_e);
         }
-        let bound = self.pending.front().map_or(self.position, |r| r.0);
+        let bound = self.stitcher.dips.front().map_or(self.position, |r| r.0);
         self.trim_edge_runs(bound);
     }
 
@@ -497,7 +465,7 @@ impl StreamingEmprof {
     /// the right edge has stopped growing — so drains do not depend on
     /// how the stream is sliced.
     fn front_is_final(&self, end: usize, edge_end: usize, refined_e: usize) -> bool {
-        let next = self.pending.get(1);
+        let next = self.stitcher.dips.get(1);
         match self.engine {
             Engine::Adaptive(_) => refined_e < self.position || next.is_some(),
             Engine::Static(_) => {
@@ -514,45 +482,18 @@ impl StreamingEmprof {
         }
     }
 
-    /// The duration filter floor, in samples.
-    fn min_samples(&self) -> f64 {
-        (self.config.min_duration_cycles / self.cycles_per_sample())
-            .max(self.config.min_duration_samples as f64)
-    }
-
-    /// Confidence of an event spanning `[start, end)`: degraded when it
-    /// touches a collapsed dropout gap (`start <= p <= end + 1`, the
-    /// `emprof_fault::flag_degraded` criterion) or, in adaptive mode,
-    /// when the calibration state machine was degraded in the block the
-    /// event *ends* in — the same final-extent rule the batch paths
-    /// apply, so in-place merges can recompute it consistently.
-    fn event_confidence(&self, start: usize, end: usize) -> Confidence {
-        if self.gaps.iter().any(|&p| start <= p && p <= end + 1) {
-            return Confidence::Degraded;
-        }
-        if !self.block_degraded.is_empty() {
-            let k = ((end.saturating_sub(1)) / self.calib_block)
-                .min(self.block_degraded.len() - 1);
-            if self.block_degraded[k] {
-                return Confidence::Degraded;
-            }
-        }
-        Confidence::High
-    }
-
+    /// The event spanning `[start, end)`, classified and marked by the
+    /// batch rules against the gap points and calibration blocks seen
+    /// so far.
     fn make_event(&self, start: usize, end: usize) -> StallEvent {
-        let duration_cycles = (end - start) as f64 * self.cycles_per_sample();
-        StallEvent {
-            start_sample: start,
-            end_sample: end,
-            duration_cycles,
-            kind: if duration_cycles >= self.config.refresh_min_cycles {
-                StallKind::RefreshCollision
-            } else {
-                StallKind::Normal
-            },
-            confidence: self.event_confidence(start, end),
-        }
+        let confidence = self.marks.confidence(self.gaps.iter().copied(), start, end);
+        classify(
+            &self.config,
+            start,
+            end,
+            self.cycles_per_sample(),
+            confidence,
+        )
     }
 
     /// Admits a refined run. Mirrors the batch detector's ordering
@@ -560,7 +501,7 @@ impl StreamingEmprof {
     /// to the *merged* run — so a sub-threshold run can still grow into
     /// (or extend) an event when a neighbour touches it.
     fn emit(&mut self, start: usize, end: usize) {
-        let min_samples = self.min_samples();
+        let min_samples = min_event_samples(&self.config, self.cycles_per_sample());
         if let Some((run_start, run_end, represented)) = self.last_run {
             if start <= run_end {
                 let new_end = run_end.max(end);
@@ -718,34 +659,17 @@ impl StreamingEmprof {
                         &mut self.buf_base,
                         self.pushed,
                         &mut self.runs,
-                        &mut self.block_degraded,
+                        &mut self.marks,
                     );
                 }
             }
         }
-        self.stitch();
+        self.stitcher.push(&mut self.runs);
         self.process_pending(true);
         self.flush_obs();
-        if obs::is_enabled() {
-            // Widths are only final now (merges may have grown events), so
-            // the histogram — unlike the counters — is recorded at the end.
-            for e in &self.events {
-                obs::histogram_record!(
-                    "detect.event_width_samples",
-                    (e.end_sample - e.start_sample) as u64
-                );
-                obs::histogram_record!("detect.stall_latency_cycles", e.duration_cycles as u64);
-            }
-            // Confidence is also only final now (merges recompute it),
-            // so — like the batch paths — degraded events are counted
-            // once per profile, at the end.
-            let degraded = self
-                .events
-                .iter()
-                .filter(|e| e.confidence == Confidence::Degraded)
-                .count();
-            obs::counter_add!("detect.confidence.events_degraded", degraded as u64);
-        }
+        // Widths and confidence are only final now (merges may have grown
+        // or re-marked events); the event counters were kept as emitted.
+        record_event_metrics(&self.events, false);
         Profile::new(
             self.events,
             self.pushed,
@@ -881,10 +805,10 @@ mod tests {
         s.extend_from_slice(&signal);
         assert!(s.events.len() > 2_000);
         assert!(
-            s.edge_runs.len() <= 2 && s.pending.len() <= 2,
+            s.stitcher.edges.len() <= 2 && s.stitcher.dips.len() <= 2,
             "{} below-edge and {} pending runs retained",
-            s.edge_runs.len(),
-            s.pending.len()
+            s.stitcher.edges.len(),
+            s.stitcher.dips.len()
         );
     }
 
