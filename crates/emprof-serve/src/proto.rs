@@ -7,7 +7,7 @@
 //! ```text
 //! offset  size  field
 //! 0       2     magic            0x454D ("EM")
-//! 2       2     protocol version (currently 4)
+//! 2       2     protocol version (currently 5)
 //! 4       1     frame type       (FrameType)
 //! 5       1     flags            (per-type bits)
 //! 6       2     header checksum  FNV-1a-16 of the other 14 header bytes
@@ -18,14 +18,21 @@
 //! Decoding is fuzz-resistant by construction: the header is validated
 //! (magic, version, header checksum, length bound) before a single
 //! payload byte is read, payload reads are exact-length, the payload
-//! checksum is verified before decoding, and the decoder itself is a
-//! bounds-checked cursor that can fail but never panic and never
-//! allocates more than the (bounded) payload it was handed.
+//! checksum is verified before decoding, and the decoder itself is the
+//! bounds-checked [`Reader`] of the byte codec shared with the journal
+//! ([`emprof_store::codec`]), which can fail but never panics and never
+//! allocates more than the (bounded) payload it was handed. Stall events,
+//! the detector configuration, sample batches and strings use that
+//! codec's one encoding, so a HELLO and a journal `Meta` record agree
+//! byte for byte.
 
 use std::io::{self, Read, Write};
 
-use emprof_core::{CalibConfig, Confidence, EmprofConfig, StallEvent, StallKind};
+#[cfg(test)]
+use emprof_core::{CalibConfig, Confidence, StallKind};
+use emprof_core::{EmprofConfig, StallEvent};
 use emprof_obs::{HistogramSnapshot, MeterSnapshot, Snapshot, SpanSnapshot};
+use emprof_store::codec::{self, DecodeError, Reader};
 
 /// First two header bytes: `b"EM"` read as a little-endian u16.
 pub const MAGIC: u16 = u16::from_le_bytes(*b"EM");
@@ -62,9 +69,6 @@ pub const MAX_PAYLOAD: u32 = 1 << 22;
 /// Upper bound on samples per SAMPLES frame (fits `MAX_PAYLOAD` exactly:
 /// a 4-byte count plus `2^19` 8-byte magnitudes).
 pub const MAX_SAMPLES_PER_FRAME: u32 = 1 << 19;
-
-/// Upper bound on any length-prefixed string in a payload.
-const MAX_STRING: usize = 256;
 
 /// Upper bound on events per EVENTS/TAIL frame.
 const MAX_EVENTS_PER_FRAME: u32 = 100_000;
@@ -745,6 +749,12 @@ impl From<io::Error> for ProtoError {
     }
 }
 
+impl From<DecodeError> for ProtoError {
+    fn from(e: DecodeError) -> Self {
+        ProtoError::Malformed(e.0)
+    }
+}
+
 impl ProtoError {
     /// The error code a peer should be told about this failure.
     pub fn error_code(&self) -> ErrorCode {
@@ -788,68 +798,8 @@ fn header_checksum(buf: &[u8; HEADER_LEN]) -> u16 {
 }
 
 // ---------------------------------------------------------------------
-// Payload encoding/decoding.
-
-/// Bounds-checked little-endian payload reader. Every accessor fails
-/// (rather than panicking) on truncation.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or(ProtoError::Malformed("truncated payload"))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, ProtoError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, ProtoError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, ProtoError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, ProtoError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, ProtoError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn string(&mut self) -> Result<String, ProtoError> {
-        let len = self.u16()? as usize;
-        if len > MAX_STRING {
-            return Err(ProtoError::Malformed("string too long"));
-        }
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ProtoError::Malformed("string not UTF-8"))
-    }
-
-    fn done(&self) -> Result<(), ProtoError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(ProtoError::Malformed("trailing bytes"))
-        }
-    }
-}
+// Payload encoding/decoding: frame payloads are field sequences over
+// `emprof_store::codec`; only wire-only shapes are written here.
 
 /// A SAMPLES frame decoded zero-copy: the sequence number plus the raw
 /// little-endian f64 payload bytes, borrowed straight from the receive
@@ -878,9 +828,7 @@ impl<'a> SamplesView<'a> {
 
     /// Iterates the samples, decoding each f64 from the borrowed bytes.
     pub fn iter(&self) -> impl Iterator<Item = f64> + 'a {
-        self.raw
-            .chunks_exact(8)
-            .map(|b| f64::from_le_bytes(b.try_into().expect("chunks_exact yields 8 bytes")))
+        codec::f64s(self.raw)
     }
 
     /// Appends every sample to `out`. Reserves once up front; when `out`
@@ -905,111 +853,11 @@ pub enum FrameView<'a> {
 /// Parses and bounds-checks a SAMPLES payload into a [`SamplesView`].
 /// Shares validation with the owned decode path: sequence number, sample
 /// count against [`MAX_SAMPLES_PER_FRAME`], exact payload length.
-fn samples_view(payload: &[u8]) -> Result<SamplesView<'_>, ProtoError> {
-    let mut c = Cursor::new(payload);
-    let seq = c.u64()?;
-    let count = c.u32()?;
-    if count > MAX_SAMPLES_PER_FRAME {
-        return Err(ProtoError::Malformed("sample count exceeds bound"));
-    }
-    let raw = c.take(count as usize * 8)?;
+fn samples_view(payload: &[u8]) -> Result<SamplesView<'_>, DecodeError> {
+    let mut c = Reader::new(payload);
+    let (seq, raw) = c.samples(MAX_SAMPLES_PER_FRAME)?;
     c.done()?;
     Ok(SamplesView { seq, raw })
-}
-
-fn put_string(out: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    let len = bytes.len().min(MAX_STRING);
-    out.extend_from_slice(&(len as u16).to_le_bytes());
-    out.extend_from_slice(&bytes[..len]);
-}
-
-/// Event kind byte: bit 0 is the refresh classification, bit 1 the
-/// degraded-confidence mark. Carrying confidence on the wire is what
-/// makes replayed and routed sessions agree with a local run.
-fn encode_event(out: &mut Vec<u8>, e: &StallEvent) {
-    out.extend_from_slice(&(e.start_sample as u64).to_le_bytes());
-    out.extend_from_slice(&(e.end_sample as u64).to_le_bytes());
-    out.extend_from_slice(&e.duration_cycles.to_le_bytes());
-    let mut kind = match e.kind {
-        StallKind::Normal => 0,
-        StallKind::RefreshCollision => 1,
-    };
-    if e.confidence == Confidence::Degraded {
-        kind |= 2;
-    }
-    out.push(kind);
-}
-
-fn decode_event(c: &mut Cursor<'_>) -> Result<StallEvent, ProtoError> {
-    let start_sample = c.u64()? as usize;
-    let end_sample = c.u64()? as usize;
-    let duration_cycles = c.f64()?;
-    let bits = c.u8()?;
-    if bits > 3 {
-        return Err(ProtoError::Malformed("unknown stall kind"));
-    }
-    let kind = if bits & 1 != 0 {
-        StallKind::RefreshCollision
-    } else {
-        StallKind::Normal
-    };
-    let confidence = if bits & 2 != 0 {
-        Confidence::Degraded
-    } else {
-        Confidence::High
-    };
-    if end_sample < start_sample {
-        return Err(ProtoError::Malformed("event ends before it starts"));
-    }
-    Ok(StallEvent {
-        start_sample,
-        end_sample,
-        duration_cycles,
-        kind,
-        confidence,
-    })
-}
-
-fn encode_event_list(out: &mut Vec<u8>, events: &[StallEvent]) {
-    out.extend_from_slice(&(events.len() as u32).to_le_bytes());
-    for e in events {
-        encode_event(out, e);
-    }
-}
-
-fn decode_event_count(c: &mut Cursor<'_>) -> Result<u32, ProtoError> {
-    let count = c.u32()?;
-    if count > MAX_EVENTS_PER_FRAME {
-        return Err(ProtoError::Malformed("event count exceeds bound"));
-    }
-    Ok(count)
-}
-
-/// Writes a string with a u32 length prefix (flight dumps exceed the
-/// 256-byte [`MAX_STRING`] bound of ordinary protocol strings).
-fn put_long_string(out: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    let len = bytes.len().min(MAX_FLIGHT_JSON);
-    out.extend_from_slice(&(len as u32).to_le_bytes());
-    out.extend_from_slice(&bytes[..len]);
-}
-
-fn take_long_string(c: &mut Cursor<'_>) -> Result<String, ProtoError> {
-    let len = c.u32()? as usize;
-    if len > MAX_FLIGHT_JSON {
-        return Err(ProtoError::Malformed("flight dump too long"));
-    }
-    let bytes = c.take(len)?;
-    String::from_utf8(bytes.to_vec()).map_err(|_| ProtoError::Malformed("string not UTF-8"))
-}
-
-fn decode_bounded_count(c: &mut Cursor<'_>, bound: u32, what: &'static str) -> Result<u32, ProtoError> {
-    let count = c.u32()?;
-    if count > bound {
-        return Err(ProtoError::Malformed(what));
-    }
-    Ok(count)
 }
 
 fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
@@ -1022,11 +870,11 @@ fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
     }
 }
 
-fn take_opt_u64(c: &mut Cursor<'_>) -> Result<Option<u64>, ProtoError> {
+fn take_opt_u64(c: &mut Reader<'_>) -> Result<Option<u64>, DecodeError> {
     match c.u8()? {
         0 => Ok(None),
         1 => Ok(Some(c.u64()?)),
-        _ => Err(ProtoError::Malformed("bad option tag")),
+        _ => Err(DecodeError("bad option tag")),
     }
 }
 
@@ -1045,12 +893,12 @@ fn encode_histogram_wire(out: &mut Vec<u8>, h: &HistogramSnapshot) {
     }
 }
 
-fn decode_histogram_wire(c: &mut Cursor<'_>) -> Result<HistogramSnapshot, ProtoError> {
+fn decode_histogram_wire(c: &mut Reader<'_>) -> Result<HistogramSnapshot, DecodeError> {
     let count = c.u64()?;
     let sum = c.u64()?;
     let min = take_opt_u64(c)?;
     let max = take_opt_u64(c)?;
-    let nb = decode_bounded_count(c, MAX_HISTOGRAM_BUCKETS, "bucket count exceeds bound")?;
+    let nb = c.count(MAX_HISTOGRAM_BUCKETS, "bucket count exceeds bound")?;
     let mut buckets = Vec::with_capacity(nb as usize);
     for _ in 0..nb {
         buckets.push((c.u64()?, c.u64()?, c.u64()?));
@@ -1067,28 +915,28 @@ fn decode_histogram_wire(c: &mut Cursor<'_>) -> Result<HistogramSnapshot, ProtoE
 fn encode_snapshot_wire(out: &mut Vec<u8>, s: &Snapshot) {
     out.extend_from_slice(&(s.counters.len() as u32).to_le_bytes());
     for (name, v) in &s.counters {
-        put_string(out, name);
+        codec::put_str(out, name);
         out.extend_from_slice(&v.to_le_bytes());
     }
     out.extend_from_slice(&(s.gauges.len() as u32).to_le_bytes());
     for (name, v) in &s.gauges {
-        put_string(out, name);
+        codec::put_str(out, name);
         out.extend_from_slice(&v.to_le_bytes());
     }
     out.extend_from_slice(&(s.meters.len() as u32).to_le_bytes());
     for (name, m) in &s.meters {
-        put_string(out, name);
+        codec::put_str(out, name);
         out.extend_from_slice(&m.count.to_le_bytes());
         out.extend_from_slice(&m.rate_per_sec.to_le_bytes());
     }
     out.extend_from_slice(&(s.histograms.len() as u32).to_le_bytes());
     for (name, h) in &s.histograms {
-        put_string(out, name);
+        codec::put_str(out, name);
         encode_histogram_wire(out, h);
     }
     out.extend_from_slice(&(s.spans.len() as u32).to_le_bytes());
     for (name, sp) in &s.spans {
-        put_string(out, name);
+        codec::put_str(out, name);
         out.extend_from_slice(&sp.count.to_le_bytes());
         out.extend_from_slice(&sp.total_ns.to_le_bytes());
         out.extend_from_slice(&sp.min_ns.to_le_bytes());
@@ -1096,19 +944,19 @@ fn encode_snapshot_wire(out: &mut Vec<u8>, s: &Snapshot) {
     }
 }
 
-fn decode_snapshot_wire(c: &mut Cursor<'_>) -> Result<Snapshot, ProtoError> {
+fn decode_snapshot_wire(c: &mut Reader<'_>) -> Result<Snapshot, DecodeError> {
     const TOO_MANY: &str = "metric entry count exceeds bound";
-    let n = decode_bounded_count(c, MAX_METRICS_ENTRIES, TOO_MANY)?;
+    let n = c.count(MAX_METRICS_ENTRIES, TOO_MANY)?;
     let mut counters = Vec::with_capacity(n as usize);
     for _ in 0..n {
         counters.push((c.string()?, c.u64()?));
     }
-    let n = decode_bounded_count(c, MAX_METRICS_ENTRIES, TOO_MANY)?;
+    let n = c.count(MAX_METRICS_ENTRIES, TOO_MANY)?;
     let mut gauges = Vec::with_capacity(n as usize);
     for _ in 0..n {
         gauges.push((c.string()?, c.f64()?));
     }
-    let n = decode_bounded_count(c, MAX_METRICS_ENTRIES, TOO_MANY)?;
+    let n = c.count(MAX_METRICS_ENTRIES, TOO_MANY)?;
     let mut meters = Vec::with_capacity(n as usize);
     for _ in 0..n {
         let name = c.string()?;
@@ -1120,13 +968,13 @@ fn decode_snapshot_wire(c: &mut Cursor<'_>) -> Result<Snapshot, ProtoError> {
             },
         ));
     }
-    let n = decode_bounded_count(c, MAX_METRICS_ENTRIES, TOO_MANY)?;
+    let n = c.count(MAX_METRICS_ENTRIES, TOO_MANY)?;
     let mut histograms = Vec::with_capacity(n as usize);
     for _ in 0..n {
         let name = c.string()?;
         histograms.push((name, decode_histogram_wire(c)?));
     }
-    let n = decode_bounded_count(c, MAX_METRICS_ENTRIES, TOO_MANY)?;
+    let n = c.count(MAX_METRICS_ENTRIES, TOO_MANY)?;
     let mut spans = Vec::with_capacity(n as usize);
     for _ in 0..n {
         let name = c.string()?;
@@ -1158,7 +1006,7 @@ fn encode_server_stats(out: &mut Vec<u8>, s: &ServerStatsWire) {
     out.extend_from_slice(&s.sheds.to_le_bytes());
 }
 
-fn decode_server_stats(c: &mut Cursor<'_>) -> Result<ServerStatsWire, ProtoError> {
+fn decode_server_stats(c: &mut Reader<'_>) -> Result<ServerStatsWire, DecodeError> {
     Ok(ServerStatsWire {
         sessions_active: c.u64()?,
         frames_in: c.u64()?,
@@ -1175,25 +1023,8 @@ fn encode_payload(frame: &Frame) -> (FrameType, u8, Vec<u8>) {
         Frame::Hello(h) => {
             p.extend_from_slice(&h.sample_rate_hz.to_le_bytes());
             p.extend_from_slice(&h.clock_hz.to_le_bytes());
-            let c = &h.config;
-            p.extend_from_slice(&(c.norm_window_samples as u64).to_le_bytes());
-            p.extend_from_slice(&c.threshold.to_le_bytes());
-            p.extend_from_slice(&c.min_duration_cycles.to_le_bytes());
-            p.extend_from_slice(&(c.min_duration_samples as u64).to_le_bytes());
-            p.extend_from_slice(&(c.merge_gap_samples as u64).to_le_bytes());
-            p.extend_from_slice(&c.edge_level.to_le_bytes());
-            p.extend_from_slice(&c.refresh_min_cycles.to_le_bytes());
-            p.push(c.calib.enabled as u8);
-            p.extend_from_slice(&(c.calib.block_samples as u64).to_le_bytes());
-            p.extend_from_slice(&c.calib.ewma_weight.to_le_bytes());
-            p.extend_from_slice(&c.calib.threshold_pad.to_le_bytes());
-            p.extend_from_slice(&c.calib.threshold_max.to_le_bytes());
-            p.extend_from_slice(&c.calib.gate_fraction.to_le_bytes());
-            p.extend_from_slice(&c.calib.degraded_enter.to_le_bytes());
-            p.extend_from_slice(&c.calib.degraded_exit.to_le_bytes());
-            p.extend_from_slice(&(c.calib.window_min as u64).to_le_bytes());
-            p.extend_from_slice(&c.calib.drift_tolerance.to_le_bytes());
-            put_string(&mut p, &h.device);
+            codec::put_config(&mut p, &h.config);
+            codec::put_str(&mut p, &h.device);
             p.extend_from_slice(&h.resume_session_id.to_le_bytes());
             p.extend_from_slice(&h.resume_token.to_le_bytes());
             let mut flags = 0;
@@ -1222,18 +1053,14 @@ fn encode_payload(frame: &Frame) -> (FrameType, u8, Vec<u8>) {
             (FrameType::HelloAck, 0, p)
         }
         Frame::Samples { seq, samples } => {
-            p.extend_from_slice(&seq.to_le_bytes());
-            p.extend_from_slice(&(samples.len() as u32).to_le_bytes());
-            for s in samples {
-                p.extend_from_slice(&s.to_le_bytes());
-            }
+            codec::put_samples(&mut p, *seq, samples);
             (FrameType::Samples, 0, p)
         }
         Frame::Flush => (FrameType::Flush, 0, p),
         Frame::Fin => (FrameType::Fin, 0, p),
         Frame::Events { first_seq, events } => {
             p.extend_from_slice(&first_seq.to_le_bytes());
-            encode_event_list(&mut p, events);
+            codec::put_events(&mut p, events);
             (FrameType::Events, 0, p)
         }
         Frame::Stats(s) => {
@@ -1253,7 +1080,7 @@ fn encode_payload(frame: &Frame) -> (FrameType, u8, Vec<u8>) {
         }
         Frame::Error { code, message } => {
             p.extend_from_slice(&(*code as u16).to_le_bytes());
-            put_string(&mut p, message);
+            codec::put_str(&mut p, message);
             (FrameType::Error, 0, p)
         }
         Frame::Watch { cursor } => {
@@ -1267,7 +1094,7 @@ fn encode_payload(frame: &Frame) -> (FrameType, u8, Vec<u8>) {
             p.extend_from_slice(&(t.events.len() as u32).to_le_bytes());
             for te in &t.events {
                 p.extend_from_slice(&te.session_id.to_le_bytes());
-                encode_event(&mut p, &te.event);
+                codec::put_event(&mut p, &te.event);
             }
             (FrameType::Tail, 0, p)
         }
@@ -1287,7 +1114,7 @@ fn encode_payload(frame: &Frame) -> (FrameType, u8, Vec<u8>) {
             for row in &m.sessions {
                 p.extend_from_slice(&row.session_id.to_le_bytes());
                 p.extend_from_slice(&row.trace_id.to_le_bytes());
-                put_string(&mut p, &row.device);
+                codec::put_str(&mut p, &row.device);
                 p.push(row.connected as u8);
                 p.extend_from_slice(&row.queue_depth.to_le_bytes());
                 p.extend_from_slice(&row.queue_capacity.to_le_bytes());
@@ -1321,13 +1148,13 @@ fn encode_payload(frame: &Frame) -> (FrameType, u8, Vec<u8>) {
             for d in dumps {
                 p.extend_from_slice(&d.session_id.to_le_bytes());
                 p.extend_from_slice(&d.trace_id.to_le_bytes());
-                put_long_string(&mut p, &d.json);
+                codec::put_long_str(&mut p, &d.json, MAX_FLIGHT_JSON);
             }
             (FrameType::FlightReply, 0, p)
         }
         Frame::ClusterJoin { name, addr, action } => {
-            put_string(&mut p, name);
-            put_string(&mut p, addr);
+            codec::put_str(&mut p, name);
+            codec::put_str(&mut p, addr);
             p.push(*action as u8);
             (FrameType::ClusterJoin, 0, p)
         }
@@ -1366,7 +1193,7 @@ fn encode_payload(frame: &Frame) -> (FrameType, u8, Vec<u8>) {
             p.extend_from_slice(&(r.sessions.len() as u32).to_le_bytes());
             for row in &r.sessions {
                 p.extend_from_slice(&row.session_id.to_le_bytes());
-                put_string(&mut p, &row.device);
+                codec::put_str(&mut p, &row.device);
                 p.extend_from_slice(&row.events.to_le_bytes());
                 p.extend_from_slice(&row.degraded.to_le_bytes());
                 p.extend_from_slice(&row.refresh_collisions.to_le_bytes());
@@ -1382,8 +1209,8 @@ fn encode_payload(frame: &Frame) -> (FrameType, u8, Vec<u8>) {
 }
 
 fn encode_node_health(out: &mut Vec<u8>, n: &NodeHealthWire) {
-    put_string(out, &n.name);
-    put_string(out, &n.addr);
+    codec::put_str(out, &n.name);
+    codec::put_str(out, &n.addr);
     out.push(n.up as u8);
     out.push(n.draining as u8);
     out.extend_from_slice(&n.sessions_active.to_le_bytes());
@@ -1394,7 +1221,7 @@ fn encode_node_health(out: &mut Vec<u8>, n: &NodeHealthWire) {
     out.extend_from_slice(&n.uptime_ms.to_le_bytes());
 }
 
-fn decode_node_health(c: &mut Cursor<'_>) -> Result<NodeHealthWire, ProtoError> {
+fn decode_node_health(c: &mut Reader<'_>) -> Result<NodeHealthWire, DecodeError> {
     Ok(NodeHealthWire {
         name: c.string()?,
         addr: c.string()?,
@@ -1409,33 +1236,13 @@ fn decode_node_health(c: &mut Cursor<'_>) -> Result<NodeHealthWire, ProtoError> 
     })
 }
 
-fn decode_payload(ty: FrameType, flags: u8, payload: &[u8]) -> Result<Frame, ProtoError> {
-    let mut c = Cursor::new(payload);
+fn decode_payload(ty: FrameType, flags: u8, payload: &[u8]) -> Result<Frame, DecodeError> {
+    let mut c = Reader::new(payload);
     let frame = match ty {
         FrameType::Hello => {
             let sample_rate_hz = c.f64()?;
             let clock_hz = c.f64()?;
-            let config = EmprofConfig {
-                norm_window_samples: c.u64()? as usize,
-                threshold: c.f64()?,
-                min_duration_cycles: c.f64()?,
-                min_duration_samples: c.u64()? as usize,
-                merge_gap_samples: c.u64()? as usize,
-                edge_level: c.f64()?,
-                refresh_min_cycles: c.f64()?,
-                calib: CalibConfig {
-                    enabled: c.u8()? != 0,
-                    block_samples: c.u64()? as usize,
-                    ewma_weight: c.f64()?,
-                    threshold_pad: c.f64()?,
-                    threshold_max: c.f64()?,
-                    gate_fraction: c.f64()?,
-                    degraded_enter: c.f64()?,
-                    degraded_exit: c.f64()?,
-                    window_min: c.u64()? as usize,
-                    drift_tolerance: c.f64()?,
-                },
-            };
+            let config = c.config()?;
             let device = c.string()?;
             let resume_session_id = c.u64()?;
             let resume_token = c.u64()?;
@@ -1473,11 +1280,7 @@ fn decode_payload(ty: FrameType, flags: u8, payload: &[u8]) -> Result<Frame, Pro
         FrameType::Fin => Frame::Fin,
         FrameType::Events => {
             let first_seq = c.u64()?;
-            let count = decode_event_count(&mut c)?;
-            let mut events = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                events.push(decode_event(&mut c)?);
-            }
+            let events = c.events(MAX_EVENTS_PER_FRAME)?;
             Frame::Events { first_seq, events }
         }
         FrameType::Stats => Frame::Stats(SessionStatsWire {
@@ -1500,13 +1303,12 @@ fn decode_payload(ty: FrameType, flags: u8, payload: &[u8]) -> Result<Frame, Pro
             let cursor = c.u64()?;
             let missed = c.u64()?;
             let server = decode_server_stats(&mut c)?;
-            let count = decode_event_count(&mut c)?;
+            let count = c.count(MAX_EVENTS_PER_FRAME, "event count exceeds bound")?;
             let mut events = Vec::with_capacity(count as usize);
             for _ in 0..count {
-                let session_id = c.u64()?;
                 events.push(TailEvent {
-                    session_id,
-                    event: decode_event(&mut c)?,
+                    session_id: c.u64()?,
+                    event: c.event()?,
                 });
             }
             Frame::Tail(Tail {
@@ -1524,8 +1326,7 @@ fn decode_payload(ty: FrameType, flags: u8, payload: &[u8]) -> Result<Frame, Pro
         FrameType::Metrics => {
             let snapshot = decode_snapshot_wire(&mut c)?;
             let server = decode_server_stats(&mut c)?;
-            let count =
-                decode_bounded_count(&mut c, MAX_SESSION_ROWS, "session row count exceeds bound")?;
+            let count = c.count(MAX_SESSION_ROWS, "session row count exceeds bound")?;
             let mut sessions = Vec::with_capacity(count as usize);
             for _ in 0..count {
                 sessions.push(SessionRow {
@@ -1564,14 +1365,13 @@ fn decode_payload(ty: FrameType, flags: u8, payload: &[u8]) -> Result<Frame, Pro
             session_id: c.u64()?,
         },
         FrameType::FlightReply => {
-            let count =
-                decode_bounded_count(&mut c, MAX_FLIGHT_DUMPS, "flight dump count exceeds bound")?;
+            let count = c.count(MAX_FLIGHT_DUMPS, "flight dump count exceeds bound")?;
             let mut dumps = Vec::with_capacity(count as usize);
             for _ in 0..count {
                 dumps.push(FlightDumpWire {
                     session_id: c.u64()?,
                     trace_id: c.u64()?,
-                    json: take_long_string(&mut c)?,
+                    json: c.long_string(MAX_FLIGHT_JSON)?,
                 });
             }
             Frame::FlightReply { dumps }
@@ -1579,14 +1379,13 @@ fn decode_payload(ty: FrameType, flags: u8, payload: &[u8]) -> Result<Frame, Pro
         FrameType::ClusterJoin => {
             let name = c.string()?;
             let addr = c.string()?;
-            let action = ClusterAction::from_u8(c.u8()?)
-                .ok_or(ProtoError::Malformed("unknown cluster action"))?;
+            let action =
+                ClusterAction::from_u8(c.u8()?).ok_or(DecodeError("unknown cluster action"))?;
             Frame::ClusterJoin { name, addr, action }
         }
         FrameType::ClusterState if flags & FLAG_REQUEST != 0 => Frame::ClusterStateRequest,
         FrameType::ClusterState => {
-            let count =
-                decode_bounded_count(&mut c, MAX_CLUSTER_NODES, "cluster node count exceeds bound")?;
+            let count = c.count(MAX_CLUSTER_NODES, "cluster node count exceeds bound")?;
             let mut nodes = Vec::with_capacity(count as usize);
             for _ in 0..count {
                 nodes.push(decode_node_health(&mut c)?);
@@ -1599,11 +1398,7 @@ fn decode_payload(ty: FrameType, flags: u8, payload: &[u8]) -> Result<Frame, Pro
             let t0 = c.u64()?;
             let t1 = c.u64()?;
             let bucket_samples = c.u64()?;
-            let n = decode_bounded_count(
-                &mut c,
-                MAX_QUERY_SESSIONS,
-                "query session count exceeds bound",
-            )?;
+            let n = c.count(MAX_QUERY_SESSIONS, "query session count exceeds bound")?;
             let mut sessions = Vec::with_capacity(n as usize);
             for _ in 0..n {
                 sessions.push(c.u64()?);
@@ -1620,20 +1415,12 @@ fn decode_payload(ty: FrameType, flags: u8, payload: &[u8]) -> Result<Frame, Pro
             let degraded = c.u64()?;
             let refresh_collisions = c.u64()?;
             let latency = decode_histogram_wire(&mut c)?;
-            let n = decode_bounded_count(
-                &mut c,
-                MAX_QUERY_BUCKETS,
-                "timeline bucket count exceeds bound",
-            )?;
+            let n = c.count(MAX_QUERY_BUCKETS, "timeline bucket count exceeds bound")?;
             let mut timeline = Vec::with_capacity(n as usize);
             for _ in 0..n {
                 timeline.push(c.u64()?);
             }
-            let n = decode_bounded_count(
-                &mut c,
-                MAX_SESSION_ROWS,
-                "query row count exceeds bound",
-            )?;
+            let n = c.count(MAX_SESSION_ROWS, "query row count exceeds bound")?;
             let mut sessions = Vec::with_capacity(n as usize);
             for _ in 0..n {
                 sessions.push(QueryRowWire {
@@ -1748,7 +1535,7 @@ where
     if fnv1a32(&payload) != sum {
         return Err(ProtoError::PayloadChecksum);
     }
-    decode_payload(ty, flags, &payload)
+    Ok(decode_payload(ty, flags, &payload)?)
 }
 
 /// Validates and splits one frame out of a byte slice **without
@@ -2442,6 +2229,50 @@ mod tests {
             decode_frame(&bytes),
             Err(ProtoError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn over_long_strings_are_cut_at_a_char_boundary() {
+        // 255 ASCII bytes then a 2-byte 'é': a byte cut at the 256-byte
+        // string bound would split the 'é', and the frame would encode
+        // but never decode.
+        let label = format!("{}é", "a".repeat(255));
+        let hello = Frame::Hello(Hello {
+            sample_rate_hz: 40e6,
+            clock_hz: 1.008e9,
+            config: sample_config(),
+            device: label.clone(),
+            watch: false,
+            proxied: false,
+            resume_session_id: 0,
+            resume_token: 0,
+        });
+        let decoded = |f: &Frame| decode_frame(&encode_frame(f)).expect("decodes").0;
+        let Frame::Hello(h) = decoded(&hello) else {
+            panic!("not a HELLO");
+        };
+        assert_eq!(h.device, "a".repeat(255));
+        let error = Frame::Error {
+            code: ErrorCode::Internal,
+            message: label,
+        };
+        let Frame::Error { message, .. } = decoded(&error) else {
+            panic!("not an ERROR");
+        };
+        assert_eq!(message, "a".repeat(255));
+        // The long-string writer keeps the same rule at its own bound.
+        let json = format!("{}é", "x".repeat(MAX_FLIGHT_JSON - 1));
+        let flight = Frame::FlightReply {
+            dumps: vec![FlightDumpWire {
+                session_id: 1,
+                trace_id: 2,
+                json,
+            }],
+        };
+        let Frame::FlightReply { dumps } = decoded(&flight) else {
+            panic!("not a FLIGHT reply");
+        };
+        assert_eq!(dumps[0].json, "x".repeat(MAX_FLIGHT_JSON - 1));
     }
 
     #[test]

@@ -31,7 +31,8 @@ use std::path::{Path, PathBuf};
 
 use emprof_obs as obs;
 
-use crate::record::{encode_samples_payload, Record, RecordKind, SegmentFooter};
+use crate::codec;
+use crate::record::{Record, RecordKind, SegmentFooter};
 use crate::segment::{
     encode_segment_header, parse_segment_file_name, scan_segment, segment_file_name,
     write_record_frame, SEGMENT_HEADER_LEN,
@@ -374,9 +375,8 @@ impl Journal {
     ///
     /// As [`Journal::append`].
     pub fn append_samples(&mut self, seq: u64, samples: &[f64]) -> io::Result<u64> {
-        let index = self.write_frame(RecordKind::Samples, |p| {
-            encode_samples_payload(p, seq, samples)
-        })?;
+        let index =
+            self.write_frame(RecordKind::Samples, |p| codec::put_samples(p, seq, samples))?;
         self.active.note_samples(samples.len(), self.frame.len() as u64);
         Ok(index)
     }

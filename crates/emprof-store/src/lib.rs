@@ -11,7 +11,10 @@
 //! Layers, bottom-up:
 //!
 //! - [`crc`] — dependency-free CRC-32 (IEEE) for at-rest integrity.
-//! - [`record`] — record kinds ([`Record`]) and their payload codec.
+//! - [`codec`] — the byte codec shared with the wire protocol: one
+//!   bounds-checked reader, one string writer, and one encoding each for
+//!   stall events, detector configs and sample batches.
+//! - [`record`] — record kinds ([`Record`]) and their payloads.
 //! - [`segment`] — on-disk framing: segment header + CRC-framed
 //!   records, and the torn-tail scanner.
 //! - [`journal`] — [`Journal`]: the multi-segment append log with
@@ -47,6 +50,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod codec;
 pub mod crc;
 pub mod flight;
 pub mod inspect;

@@ -1,16 +1,17 @@
-//! Journal record kinds and their payload codec (little-endian, same
-//! primitive encodings as the wire protocol: f64s as raw bits, strings
-//! length-prefixed).
+//! Journal record kinds and their payloads, written with the byte codec
+//! the wire protocol also uses ([`crate::codec`]): the same event,
+//! detector-config, sample-batch and string encodings, so a `Meta`
+//! record and a HELLO frame carry a configuration byte for byte alike.
 //!
 //! A record's payload is opaque to the segment layer — framing and CRC
 //! live in [`crate::segment`]. Decoding here is bounds-checked and
 //! never panics; a payload that passes its CRC but fails to decode is a
 //! format error (not a torn write) and is surfaced as such.
 
-use emprof_core::{CalibConfig, Confidence, EmprofConfig, StallEvent, StallKind};
+use emprof_core::{Confidence, EmprofConfig, StallEvent, StallKind};
 
-/// Upper bound on a device-label string.
-const MAX_STRING: usize = 256;
+pub use crate::codec::DecodeError;
+use crate::codec::{self, Reader};
 
 /// Upper bound on samples per [`Record::Samples`] record.
 pub const MAX_SAMPLES_PER_RECORD: u32 = 1 << 20;
@@ -233,143 +234,6 @@ impl RecordKind {
     }
 }
 
-/// Why a CRC-valid payload failed to decode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DecodeError(pub &'static str);
-
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "malformed record payload: {}", self.0)
-    }
-}
-
-impl std::error::Error for DecodeError {}
-
-/// Bounds-checked little-endian payload reader.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or(DecodeError("truncated payload"))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, DecodeError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, DecodeError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn string(&mut self) -> Result<String, DecodeError> {
-        let len = self.u16()? as usize;
-        if len > MAX_STRING {
-            return Err(DecodeError("string too long"));
-        }
-        String::from_utf8(self.take(len)?.to_vec()).map_err(|_| DecodeError("string not UTF-8"))
-    }
-
-    fn done(&self) -> Result<(), DecodeError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(DecodeError("trailing bytes"))
-        }
-    }
-}
-
-fn put_string(out: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    let len = bytes.len().min(MAX_STRING);
-    out.extend_from_slice(&(len as u16).to_le_bytes());
-    out.extend_from_slice(&bytes[..len]);
-}
-
-/// Appends the payload of a [`Record::Samples`] record — sequence,
-/// count, then each sample's raw bits — straight from borrowed samples.
-pub(crate) fn encode_samples_payload(out: &mut Vec<u8>, seq: u64, samples: &[f64]) {
-    out.extend_from_slice(&seq.to_le_bytes());
-    out.extend_from_slice(&(samples.len() as u32).to_le_bytes());
-    let at = out.len();
-    out.resize(at + samples.len() * 8, 0);
-    for (dst, s) in out[at..].chunks_exact_mut(8).zip(samples) {
-        dst.copy_from_slice(&s.to_le_bytes());
-    }
-}
-
-/// Event kind byte: bit 0 is the refresh classification, bit 1 the
-/// degraded-confidence mark, so replaying a journal reproduces exactly
-/// the confidence the live session reported.
-fn encode_event(out: &mut Vec<u8>, e: &StallEvent) {
-    out.extend_from_slice(&(e.start_sample as u64).to_le_bytes());
-    out.extend_from_slice(&(e.end_sample as u64).to_le_bytes());
-    out.extend_from_slice(&e.duration_cycles.to_le_bytes());
-    let mut kind = match e.kind {
-        StallKind::Normal => 0,
-        StallKind::RefreshCollision => 1,
-    };
-    if e.confidence == Confidence::Degraded {
-        kind |= 2;
-    }
-    out.push(kind);
-}
-
-fn decode_event(r: &mut Reader<'_>) -> Result<StallEvent, DecodeError> {
-    let start_sample = r.u64()? as usize;
-    let end_sample = r.u64()? as usize;
-    let duration_cycles = r.f64()?;
-    let bits = r.u8()?;
-    if bits > 3 {
-        return Err(DecodeError("unknown stall kind"));
-    }
-    let kind = if bits & 1 != 0 {
-        StallKind::RefreshCollision
-    } else {
-        StallKind::Normal
-    };
-    let confidence = if bits & 2 != 0 {
-        Confidence::Degraded
-    } else {
-        Confidence::High
-    };
-    if end_sample < start_sample {
-        return Err(DecodeError("event ends before it starts"));
-    }
-    Ok(StallEvent {
-        start_sample,
-        end_sample,
-        duration_cycles,
-        kind,
-        confidence,
-    })
-}
-
 impl Record {
     /// This record's on-disk discriminant.
     pub fn kind(&self) -> RecordKind {
@@ -399,33 +263,13 @@ impl Record {
                 p.extend_from_slice(&m.resume_token.to_le_bytes());
                 p.extend_from_slice(&m.sample_rate_hz.to_le_bytes());
                 p.extend_from_slice(&m.clock_hz.to_le_bytes());
-                let c = &m.config;
-                p.extend_from_slice(&(c.norm_window_samples as u64).to_le_bytes());
-                p.extend_from_slice(&c.threshold.to_le_bytes());
-                p.extend_from_slice(&c.min_duration_cycles.to_le_bytes());
-                p.extend_from_slice(&(c.min_duration_samples as u64).to_le_bytes());
-                p.extend_from_slice(&(c.merge_gap_samples as u64).to_le_bytes());
-                p.extend_from_slice(&c.edge_level.to_le_bytes());
-                p.extend_from_slice(&c.refresh_min_cycles.to_le_bytes());
-                p.push(c.calib.enabled as u8);
-                p.extend_from_slice(&(c.calib.block_samples as u64).to_le_bytes());
-                p.extend_from_slice(&c.calib.ewma_weight.to_le_bytes());
-                p.extend_from_slice(&c.calib.threshold_pad.to_le_bytes());
-                p.extend_from_slice(&c.calib.threshold_max.to_le_bytes());
-                p.extend_from_slice(&c.calib.gate_fraction.to_le_bytes());
-                p.extend_from_slice(&c.calib.degraded_enter.to_le_bytes());
-                p.extend_from_slice(&c.calib.degraded_exit.to_le_bytes());
-                p.extend_from_slice(&(c.calib.window_min as u64).to_le_bytes());
-                p.extend_from_slice(&c.calib.drift_tolerance.to_le_bytes());
-                put_string(p, &m.device);
+                codec::put_config(p, &m.config);
+                codec::put_str(p, &m.device);
             }
-            Record::Samples { seq, samples } => encode_samples_payload(p, *seq, samples),
+            Record::Samples { seq, samples } => codec::put_samples(p, *seq, samples),
             Record::Events { first_seq, events } => {
                 p.extend_from_slice(&first_seq.to_le_bytes());
-                p.extend_from_slice(&(events.len() as u32).to_le_bytes());
-                for e in events {
-                    encode_event(p, e);
-                }
+                codec::put_events(p, events);
             }
             Record::Cursor { acked_events } => {
                 p.extend_from_slice(&acked_events.to_le_bytes());
@@ -467,67 +311,25 @@ impl Record {
         let kind = RecordKind::from_u8(kind).ok_or(DecodeError("unknown record kind"))?;
         let mut r = Reader::new(payload);
         let rec = match kind {
-            RecordKind::Meta => {
-                let session_id = r.u64()?;
-                let resume_token = r.u64()?;
-                let sample_rate_hz = r.f64()?;
-                let clock_hz = r.f64()?;
-                let config = EmprofConfig {
-                    norm_window_samples: r.u64()? as usize,
-                    threshold: r.f64()?,
-                    min_duration_cycles: r.f64()?,
-                    min_duration_samples: r.u64()? as usize,
-                    merge_gap_samples: r.u64()? as usize,
-                    edge_level: r.f64()?,
-                    refresh_min_cycles: r.f64()?,
-                    calib: CalibConfig {
-                        enabled: r.u8()? != 0,
-                        block_samples: r.u64()? as usize,
-                        ewma_weight: r.f64()?,
-                        threshold_pad: r.f64()?,
-                        threshold_max: r.f64()?,
-                        gate_fraction: r.f64()?,
-                        degraded_enter: r.f64()?,
-                        degraded_exit: r.f64()?,
-                        window_min: r.u64()? as usize,
-                        drift_tolerance: r.f64()?,
-                    },
-                };
-                let device = r.string()?;
-                Record::Meta(SessionMeta {
-                    session_id,
-                    resume_token,
-                    sample_rate_hz,
-                    clock_hz,
-                    config,
-                    device,
-                })
-            }
+            RecordKind::Meta => Record::Meta(SessionMeta {
+                session_id: r.u64()?,
+                resume_token: r.u64()?,
+                sample_rate_hz: r.f64()?,
+                clock_hz: r.f64()?,
+                config: r.config()?,
+                device: r.string()?,
+            }),
             RecordKind::Samples => {
-                let seq = r.u64()?;
-                let count = r.u32()?;
-                if count > MAX_SAMPLES_PER_RECORD {
-                    return Err(DecodeError("sample count exceeds bound"));
+                let (seq, raw) = r.samples(MAX_SAMPLES_PER_RECORD)?;
+                Record::Samples {
+                    seq,
+                    samples: codec::f64s(raw).collect(),
                 }
-                let samples = r
-                    .take(count as usize * 8)?
-                    .chunks_exact(8)
-                    .map(|b| f64::from_le_bytes(b.try_into().unwrap()))
-                    .collect();
-                Record::Samples { seq, samples }
             }
-            RecordKind::Events => {
-                let first_seq = r.u64()?;
-                let count = r.u32()?;
-                if count > MAX_EVENTS_PER_RECORD {
-                    return Err(DecodeError("event count exceeds bound"));
-                }
-                let mut events = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    events.push(decode_event(&mut r)?);
-                }
-                Record::Events { first_seq, events }
-            }
+            RecordKind::Events => Record::Events {
+                first_seq: r.u64()?,
+                events: r.events(MAX_EVENTS_PER_RECORD)?,
+            },
             RecordKind::Cursor => Record::Cursor {
                 acked_events: r.u64()?,
             },
@@ -714,6 +516,21 @@ mod tests {
         let mut p = Record::Cursor { acked_events: 1 }.encode();
         p.push(0);
         assert!(Record::decode(RecordKind::Cursor as u8, &p).is_err());
+    }
+
+    #[test]
+    fn over_long_device_label_is_cut_at_a_char_boundary() {
+        // 255 ASCII bytes then a 2-byte 'é': cutting at byte 256 would
+        // split the 'é', leaving a CRC-valid Meta that never decodes, and
+        // recovery would drop the whole journal as torn.
+        let mut m = meta();
+        m.device = format!("{}é", "a".repeat(255));
+        let Record::Meta(back) = Record::decode(RecordKind::Meta as u8, &Record::Meta(m).encode())
+            .expect("Meta decodes")
+        else {
+            panic!("not a Meta record");
+        };
+        assert_eq!(back.device, "a".repeat(255));
     }
 
     #[test]
