@@ -757,6 +757,13 @@ fn human_rate(v: f64) -> String {
     }
 }
 
+/// `s` cut to at most `max` bytes for a fixed-width table column, at a
+/// char boundary: device labels and node names are any UTF-8 a remote
+/// client chose.
+fn clip(s: &str, max: usize) -> &str {
+    &s[..s.floor_char_boundary(max)]
+}
+
 /// Client-side rate figures between two METRICS polls of one session.
 ///
 /// A backend restart (or a session migrating to a fresh backend) resets
@@ -822,8 +829,7 @@ fn render_top_frame(
                 Some((dt, p)) if dt > 0.0 => session_rates(dt, p, row),
                 _ => (row.samples_per_sec, String::new()),
             };
-            let mut device = row.device.clone();
-            device.truncate(10);
+            let device = clip(&row.device, 10);
             let _ = writeln!(
                 out,
                 "{:<7} {:<18} {:<10} {:<4} {:>6} {:>12} {:>9} {:>8} {:>8} {:>5} {:>5} {:>5} {:>7}ms",
@@ -902,10 +908,8 @@ fn render_fleet_frame(
                     Some((dt, p)) if dt > 0.0 => session_rates(dt, p, row),
                     _ => (row.samples_per_sec, String::new()),
                 };
-                let mut device = row.device.clone();
-                device.truncate(10);
-                let mut node = addr.clone();
-                node.truncate(18);
+                let device = clip(&row.device, 10);
+                let node = clip(addr, 18);
                 let _ = writeln!(
                     out,
                     "{:<18} {:<7} {:<18} {:<10} {:<4} {:>6} {:>12} {:>9} {:>8} {:>8} {:>5} {:>5} {:>5} {:>7}ms",
@@ -1379,8 +1383,7 @@ fn render_query_table(out: &mut String, opts: &QueryOpts, r: &QueryResultWire) {
             "SESSION", "DEVICE", "EVENTS", "DEGR", "COLLISIONS"
         );
         for row in &r.sessions {
-            let mut device = row.device.clone();
-            device.truncate(12);
+            let device = clip(&row.device, 12);
             let _ = writeln!(
                 out,
                 "{:<9} {:<12} {:>8} {:>8} {:>10}",
@@ -1785,6 +1788,41 @@ mod tests {
         let (rate, suffix) = session_rates(2.0, &row(100, 7), &row(200, 2));
         assert_eq!(rate, 123.0);
         assert_eq!(suffix, " (reset)");
+    }
+
+    #[test]
+    fn tables_cut_non_ascii_labels_at_char_boundaries() {
+        // "sensor-ééé" is 13 bytes; byte 10 falls inside the second 'é'.
+        let device = "sensor-ééé";
+        let reply = MetricsReply {
+            sessions: vec![emprof_serve::SessionRow {
+                session_id: 7,
+                device: device.into(),
+                ..Default::default()
+            }],
+            ..Default::default()
+        };
+        let health = emprof_serve::HealthWire::default();
+        let mut out = String::new();
+        render_top_frame(&mut out, "127.0.0.1:7741", &reply, &health, None);
+        assert!(out.contains("sensor-é "), "{out}");
+        let node = "nœud-ééééééééééé:7741".to_string();
+        let mut out = String::new();
+        render_fleet_frame(&mut out, &[(node, reply, health)], &[], None);
+        assert!(out.contains("nœud-éééééé "), "{out}");
+        assert!(out.contains("sensor-é "), "{out}");
+
+        let result = QueryResultWire {
+            sessions: vec![emprof_serve::QueryRowWire {
+                session_id: 7,
+                device: device.into(),
+                ..Default::default()
+            }],
+            ..Default::default()
+        };
+        let mut out = String::new();
+        render_query_table(&mut out, &QueryOpts::default(), &result);
+        assert!(out.contains("sensor-éé "), "{out}");
     }
 
     #[test]
