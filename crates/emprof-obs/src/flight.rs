@@ -9,7 +9,7 @@
 //! request, [`FlightRecorder::dump_json`] serializes the ring (stamped
 //! with the session's trace id) for post-mortem analysis.
 //!
-//! Unlike the process-global metrics in [`crate::registry`], flight
+//! Unlike the process-global metrics in [`crate::registry()`], flight
 //! recorders are plain owned values: one per session, dropped with it.
 
 use std::collections::VecDeque;

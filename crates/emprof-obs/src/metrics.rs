@@ -92,7 +92,7 @@ const METER_WINDOW_SECS: f64 = 5.0;
 /// calls (no background thread): each fold blends the instantaneous
 /// rate observed since the previous fold with the running average using
 /// `alpha = 1 - exp(-elapsed / window)`, so the rate converges over a
-/// ~[`METER_WINDOW_SECS`]-second horizon and decays toward zero while
+/// ~5-second horizon (`METER_WINDOW_SECS`) and decays toward zero while
 /// the meter is idle but still being read.
 #[derive(Debug)]
 pub struct Meter {

@@ -69,7 +69,7 @@ impl Default for SpanStat {
     }
 }
 
-/// RAII guard returned by [`crate::span`]; records the elapsed time into
+/// RAII guard returned by [`crate::span()`]; records the elapsed time into
 /// the span's statistics (and the trace buffer, when tracing) on drop.
 ///
 /// When telemetry is disabled the guard is inert — constructing and

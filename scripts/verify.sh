@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Full verification gate: release build, every workspace crate's tests,
-# pedantic lints.
+# pedantic lints, warning-free rustdoc.
 # Run from anywhere; operates on the repository containing this script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -8,6 +8,10 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Rustdoc with warnings denied: broken or ambiguous intra-doc links
+# (and public docs linking private items) fail the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 # Pipeline throughput smoke: sequential vs parallel at 1/2/4 threads
 # (capped at the host's parallelism) plus the direct-vs-FFT FIR
