@@ -1176,8 +1176,8 @@ CALIBRATION (simulate / profile / push):
                    loop on: per-block SNR/dip-contrast tracking adapts the
                    detection threshold under probe drift and marks events
                    detected during degraded stretches with a confidence
-                   bit. Off (the default) keeps the legacy fixed-threshold
-                   path bit-identically. push forwards the choice to the
+                   bit. Off (the default) runs the static detector with
+                   its fixed threshold. push forwards the choice to the
                    service in its HELLO config.
   --dual-probe     (simulate only) synthesize a second, memory-side probe
                    from the same workload and cross-validate every CPU

@@ -1,8 +1,13 @@
 //! Prometheus text exposition encoding of a [`Snapshot`].
 //!
 //! Pure `std`: this module only formats strings; serving them over
-//! HTTP is the caller's job (`emprof serve --metrics-addr` mounts this
-//! behind a minimal `GET /metrics` responder).
+//! HTTP is the caller's job (`emprof serve --metrics-addr` and `emprof
+//! router --metrics-addr` mount it behind the minimal `GET /metrics`
+//! responder in `emprof_serve::net`).
+//!
+//! Every family is written as one group, as the exposition format
+//! requires: its `# TYPE` line, then all of its samples, before the next
+//! family starts. [`write_family`] is the one writer of such a group.
 //!
 //! Mapping (all families carry the `emprof_` prefix; dots and any
 //! other characters outside `[a-zA-Z0-9_:]` become `_`):
@@ -19,6 +24,8 @@
 //! values: integers in decimal, floats through Rust's round-trip
 //! `{:?}` formatting (non-finite floats use the Prometheus `NaN` /
 //! `+Inf` / `-Inf` literals).
+
+use std::fmt::{Display, Write as _};
 
 use crate::registry::Snapshot;
 
@@ -73,30 +80,47 @@ pub fn format_value(v: f64) -> String {
     }
 }
 
+/// Writes one family as a single exposition group: its `# TYPE` line,
+/// then one `name{labels} value` sample per entry of `samples`. Each
+/// label set is written as given, braces included (escape its values
+/// with [`escape_label_value`]); an unlabeled family passes one sample
+/// with an empty label set.
+pub fn write_family<L: Display, V: Display>(
+    out: &mut String,
+    name: &str,
+    kind: &str,
+    samples: impl IntoIterator<Item = (L, V)>,
+) {
+    // Writing into a String cannot fail.
+    let _ = writeln!(out, "# TYPE {name} {kind}");
+    for (labels, value) in samples {
+        let _ = writeln!(out, "{name}{labels} {value}");
+    }
+}
+
 /// Encodes a whole snapshot in Prometheus text exposition format.
 pub fn encode_snapshot(snapshot: &Snapshot) -> String {
     let mut out = String::new();
     for (name, value) in &snapshot.counters {
-        let f = family_name(name);
-        out.push_str(&format!("# TYPE {f} counter\n{f} {value}\n"));
+        write_family(&mut out, &family_name(name), "counter", [("", value)]);
     }
     for (name, value) in &snapshot.gauges {
-        let f = family_name(name);
-        out.push_str(&format!(
-            "# TYPE {f} gauge\n{f} {}\n",
-            format_value(*value)
-        ));
+        write_family(
+            &mut out,
+            &family_name(name),
+            "gauge",
+            [("", format_value(*value))],
+        );
     }
     for (name, m) in &snapshot.meters {
         let f = family_name(name);
-        out.push_str(&format!(
-            "# TYPE {f}_total counter\n{f}_total {}\n",
-            m.count
-        ));
-        out.push_str(&format!(
-            "# TYPE {f}_rate gauge\n{f}_rate {}\n",
-            format_value(m.rate_per_sec)
-        ));
+        write_family(&mut out, &format!("{f}_total"), "counter", [("", m.count)]);
+        write_family(
+            &mut out,
+            &format!("{f}_rate"),
+            "gauge",
+            [("", format_value(m.rate_per_sec))],
+        );
     }
     for (name, h) in &snapshot.histograms {
         let f = family_name(name);
@@ -112,22 +136,15 @@ pub fn encode_snapshot(snapshot: &Snapshot) -> String {
     }
     for (name, s) in &snapshot.spans {
         let f = family_name(name);
-        out.push_str(&format!(
-            "# TYPE {f}_count counter\n{f}_count {}\n",
-            s.count
-        ));
-        out.push_str(&format!(
-            "# TYPE {f}_total_ns counter\n{f}_total_ns {}\n",
-            s.total_ns
-        ));
-        out.push_str(&format!(
-            "# TYPE {f}_min_ns gauge\n{f}_min_ns {}\n",
-            s.min_ns
-        ));
-        out.push_str(&format!(
-            "# TYPE {f}_max_ns gauge\n{f}_max_ns {}\n",
-            s.max_ns
-        ));
+        write_family(&mut out, &format!("{f}_count"), "counter", [("", s.count)]);
+        write_family(
+            &mut out,
+            &format!("{f}_total_ns"),
+            "counter",
+            [("", s.total_ns)],
+        );
+        write_family(&mut out, &format!("{f}_min_ns"), "gauge", [("", s.min_ns)]);
+        write_family(&mut out, &format!("{f}_max_ns"), "gauge", [("", s.max_ns)]);
     }
     out
 }

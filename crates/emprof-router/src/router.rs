@@ -40,15 +40,16 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fs;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use emprof_obs as obs;
 use emprof_serve::client::{backoff_with_jitter, ClientConfig};
+use emprof_serve::net::{self, Conn, Edge, Stop, POLL_INTERVAL};
 use emprof_serve::proto::{
     self, ClusterAction, ErrorCode, Frame, HealthWire, Hello, MetricsReply, NodeHealthWire,
     ProtoError, QueryResultWire, QuerySpecWire, ServerStatsWire, SessionRow, SessionStatsWire,
@@ -57,9 +58,6 @@ use emprof_serve::proto::{
 use emprof_store::JournalConfig;
 
 use crate::ring::{fnv1a_64, HashRing};
-
-/// Read timeout on router-side sockets; bounds shutdown latency.
-const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
 /// How long a backend gets to answer a proxied control frame.
 const REPLY_TIMEOUT: Duration = Duration::from_secs(30);
@@ -285,10 +283,11 @@ struct RouterShared {
     counters: RouterCounters,
     next_rsid: AtomicU64,
     token_seed: u64,
-    shutdown: AtomicBool,
+    /// [`Router::shutdown`] raises the kill flag with the stop flag, so
+    /// every read, client- or backend-side, ends at once.
+    stop: Stop,
     epoch: Instant,
-    local_addr: Mutex<String>,
-    reader_handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    local_addr: String,
 }
 
 /// SplitMix64 — the same mixer the serve registry uses for resume
@@ -407,13 +406,21 @@ impl RouterShared {
 
     /// The router's own aggregate row (name `router`).
     fn self_health(&self) -> NodeHealthWire {
+        // The session map is read before the backends lock is taken: a
+        // session holder may wait on the backends lock while the map's
+        // holder waits on that session.
+        let sessions_active = self
+            .sessions
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .len() as u64;
         let backends = self.backends.lock().unwrap_or_else(|e| e.into_inner());
         NodeHealthWire {
             name: "router".into(),
-            addr: self.local_addr.lock().unwrap_or_else(|e| e.into_inner()).clone(),
+            addr: self.local_addr.clone(),
             up: backends.values().any(|b| b.up),
             draining: false,
-            sessions_active: self.sessions.lock().unwrap_or_else(|e| e.into_inner()).len() as u64,
+            sessions_active,
             max_sessions: backends.values().map(|b| b.max_sessions).sum(),
             migrations_in: 0,
             migrations_out: self.counters.migrations.load(Ordering::Relaxed),
@@ -425,7 +432,7 @@ impl RouterShared {
     fn health(&self) -> HealthWire {
         let s = self.self_health();
         HealthWire {
-            healthy: s.up && !self.shutdown.load(Ordering::SeqCst),
+            healthy: s.up && !self.stop.is_raised(),
             uptime_ms: s.uptime_ms,
             sessions_active: s.sessions_active,
             max_sessions: s.max_sessions,
@@ -482,94 +489,6 @@ impl RouterShared {
     }
 }
 
-// ---------------------------------------------------------------------
-// Framed connections (same contract as the serve-side reader: buffered
-// decode so short poll timeouts never lose frame sync).
-
-struct Conn {
-    stream: TcpStream,
-    buf: Vec<u8>,
-}
-
-impl Conn {
-    fn new(stream: TcpStream) -> io::Result<Conn> {
-        stream.set_read_timeout(Some(POLL_INTERVAL))?;
-        let _ = stream.set_nodelay(true);
-        Ok(Conn {
-            stream,
-            buf: Vec::new(),
-        })
-    }
-
-    /// Reads one frame; `Ok(None)` on clean close or shutdown. With a
-    /// `deadline`, a quiet peer past it is an I/O timeout error.
-    fn read_frame(
-        &mut self,
-        shutdown: &AtomicBool,
-        deadline: Option<Instant>,
-    ) -> Result<Option<Frame>, ProtoError> {
-        loop {
-            if self.buf.len() >= proto::HEADER_LEN {
-                match proto::decode_frame_view(&self.buf) {
-                    Ok((view, consumed)) => {
-                        let frame = match view {
-                            proto::FrameView::Samples(v) => {
-                                let mut samples = Vec::new();
-                                v.copy_into(&mut samples);
-                                Frame::Samples {
-                                    seq: v.seq,
-                                    samples,
-                                }
-                            }
-                            proto::FrameView::Owned(frame) => frame,
-                        };
-                        self.buf.drain(..consumed);
-                        return Ok(Some(frame));
-                    }
-                    Err(ProtoError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof => {}
-                    Err(e) => return Err(e),
-                }
-            }
-            if shutdown.load(Ordering::SeqCst) {
-                return Ok(None);
-            }
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                return Err(ProtoError::Io(io::ErrorKind::TimedOut.into()));
-            }
-            let mut tmp = [0u8; 64 * 1024];
-            match self.stream.read(&mut tmp) {
-                Ok(0) => {
-                    return if self.buf.is_empty() {
-                        Ok(None)
-                    } else {
-                        Err(ProtoError::Io(io::ErrorKind::UnexpectedEof.into()))
-                    }
-                }
-                Ok(n) => self.buf.extend_from_slice(&tmp[..n]),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock
-                            | io::ErrorKind::TimedOut
-                            | io::ErrorKind::Interrupted
-                    ) => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-
-    fn write(&mut self, frame: &Frame) -> io::Result<()> {
-        proto::write_frame(&mut self.stream, frame)
-    }
-
-    fn bail(&mut self, code: ErrorCode, message: &str) {
-        let _ = self.write(&Frame::Error {
-            code,
-            message: message.into(),
-        });
-    }
-}
-
 /// Why a backend operation failed.
 #[derive(Debug)]
 enum BErr {
@@ -613,21 +532,12 @@ impl std::fmt::Display for BErr {
 type BackendAck = (u64, u64, u64, u64);
 
 /// Dials `addr` and performs the HELLO handshake.
-fn dial_backend(
-    addr: &str,
-    hello: Hello,
-    shutdown: &AtomicBool,
-) -> Result<(Conn, BackendAck), BErr> {
-    let sock = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "unresolvable backend addr"))?;
-    let stream = TcpStream::connect_timeout(&sock, DIAL_TIMEOUT)?;
-    let mut conn = Conn::new(stream)?;
+fn dial_backend(addr: &str, hello: Hello, stop: &Stop) -> Result<(Conn, BackendAck), BErr> {
+    let mut conn = Conn::dial(addr, DIAL_TIMEOUT)?;
     conn.write(&Frame::Hello(hello))?;
     let deadline = Some(Instant::now() + REPLY_TIMEOUT);
     loop {
-        match conn.read_frame(shutdown, deadline)? {
+        match conn.read_frame(stop, deadline)? {
             Some(Frame::HelloAck {
                 version,
                 session_id,
@@ -661,12 +571,12 @@ fn dial_backend(
 /// EVENTS batch is handed to `on_events` (backend-space numbering).
 fn relay_reply(
     bconn: &mut Conn,
-    shutdown: &AtomicBool,
+    stop: &Stop,
     mut on_events: impl FnMut(u64, Vec<emprof_core::StallEvent>) -> Result<(), BErr>,
 ) -> Result<SessionStatsWire, BErr> {
     let deadline = Some(Instant::now() + REPLY_TIMEOUT);
     loop {
-        match bconn.read_frame(shutdown, deadline)? {
+        match bconn.read_frame(stop, deadline)? {
             Some(Frame::Events { first_seq, events }) => on_events(first_seq, events)?,
             Some(Frame::Stats(stats)) => return Ok(stats),
             Some(Frame::Heartbeat { .. }) => {}
@@ -713,7 +623,7 @@ fn migrate_session(shared: &Arc<RouterShared>, sess: &mut RouterSession) -> Resu
         }
 
         let (mut bconn, (bsid2, btoken2, _, _)) =
-            dial_backend(&new_addr, sess.hello(false), &shared.shutdown)?;
+            dial_backend(&new_addr, sess.hello(false), &shared.stop)?;
         // Replay the accepted sample stream with its original backend-
         // space sequence numbers: the deterministic detector rebuilds
         // the exact pre-crash state and event numbering.
@@ -733,7 +643,7 @@ fn migrate_session(shared: &Arc<RouterShared>, sess: &mut RouterSession) -> Resu
         } else {
             &Frame::Flush
         })?;
-        let stats = relay_reply(&mut bconn, &shared.shutdown, |_, _| Ok(()))?;
+        let stats = relay_reply(&mut bconn, &shared.stop, |_, _| Ok(()))?;
         if rec.acked_events > 0 {
             bconn.write(&Frame::EventsAck {
                 seq: rec.acked_events,
@@ -765,7 +675,7 @@ fn migrate_session(shared: &Arc<RouterShared>, sess: &mut RouterSession) -> Resu
         // sequence offsets. The detector state inside the lost window
         // is gone — honestly lossy, counted as such.
         let (bconn, (bsid2, btoken2, _, _)) =
-            dial_backend(&new_addr, sess.hello(false), &shared.shutdown)?;
+            dial_backend(&new_addr, sess.hello(false), &shared.stop)?;
         let backend_acked_c = sess.backend_acked + sess.seq_offset;
         sess.seq_offset = backend_acked_c;
         sess.event_offset = sess.last_offered_end_c.max(sess.events_acked_c);
@@ -794,10 +704,7 @@ fn migrate_session(shared: &Arc<RouterShared>, sess: &mut RouterSession) -> Resu
 /// stops it.
 pub struct Router {
     shared: Arc<RouterShared>,
-    local_addr: SocketAddr,
-    metrics_addr: Option<SocketAddr>,
-    accept_handle: Option<std::thread::JoinHandle<()>>,
-    metrics_handle: Option<std::thread::JoinHandle<()>>,
+    edge: Edge,
     prober_handle: Option<std::thread::JoinHandle<()>>,
     reaper_handle: Option<std::thread::JoinHandle<()>>,
 }
@@ -811,48 +718,30 @@ impl Router {
     ///
     /// Propagates listener binding failures.
     pub fn bind<A: ToSocketAddrs>(addr: A, config: RouterConfig) -> io::Result<Router> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let mut ring = HashRing::new(config.replicas);
-        let mut backends = HashMap::new();
-        for spec in &config.backends {
-            ring.add(&spec.name);
-            backends.insert(spec.name.clone(), BackendState::new(spec.clone()));
-        }
-        let token_seed = splitmix64(
-            fnv1a_64(local_addr.to_string().as_bytes()) ^ u64::from(std::process::id()),
-        );
-        let shared = Arc::new(RouterShared {
-            config,
-            ring: Mutex::new(ring),
-            backends: Mutex::new(backends),
-            sessions: Mutex::new(HashMap::new()),
-            counters: RouterCounters::default(),
-            next_rsid: AtomicU64::new(1),
-            token_seed,
-            shutdown: AtomicBool::new(false),
-            epoch: Instant::now(),
-            local_addr: Mutex::new(local_addr.to_string()),
-            reader_handles: Mutex::new(Vec::new()),
-        });
-
-        let accept_shared = Arc::clone(&shared);
-        let accept_handle = std::thread::Builder::new()
-            .name("emprof-router-accept".into())
-            .spawn(move || accept_loop(&listener, &accept_shared))?;
-
-        let mut metrics_addr = None;
-        let mut metrics_handle = None;
-        if let Some(addr) = shared.config.metrics_addr.clone() {
-            let metrics_listener = TcpListener::bind(&*addr)?;
-            metrics_addr = Some(metrics_listener.local_addr()?);
-            let metrics_shared = Arc::clone(&shared);
-            metrics_handle = Some(
-                std::thread::Builder::new()
-                    .name("emprof-router-metrics".into())
-                    .spawn(move || metrics_http_loop(&metrics_listener, &metrics_shared))?,
-            );
-        }
+        let metrics_addr = config.metrics_addr.clone();
+        let (edge, shared) = Edge::bind(addr, metrics_addr.as_deref(), |local_addr| {
+            let mut ring = HashRing::new(config.replicas);
+            let mut backends = HashMap::new();
+            for spec in &config.backends {
+                ring.add(&spec.name);
+                backends.insert(spec.name.clone(), BackendState::new(spec.clone()));
+            }
+            let local_addr = local_addr.to_string();
+            let token_seed =
+                splitmix64(fnv1a_64(local_addr.as_bytes()) ^ u64::from(std::process::id()));
+            Ok(RouterShared {
+                config,
+                ring: Mutex::new(ring),
+                backends: Mutex::new(backends),
+                sessions: Mutex::new(HashMap::new()),
+                counters: RouterCounters::default(),
+                next_rsid: AtomicU64::new(1),
+                token_seed,
+                stop: Stop::default(),
+                epoch: Instant::now(),
+                local_addr,
+            })
+        })?;
 
         let prober_shared = Arc::clone(&shared);
         let prober_handle = std::thread::Builder::new()
@@ -866,10 +755,7 @@ impl Router {
 
         Ok(Router {
             shared,
-            local_addr,
-            metrics_addr,
-            accept_handle: Some(accept_handle),
-            metrics_handle,
+            edge,
             prober_handle: Some(prober_handle),
             reaper_handle: Some(reaper_handle),
         })
@@ -877,12 +763,12 @@ impl Router {
 
     /// The client-facing listener address.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.edge.local_addr()
     }
 
     /// The `/metrics` HTTP listener address, when configured.
     pub fn metrics_local_addr(&self) -> Option<SocketAddr> {
-        self.metrics_addr
+        self.edge.metrics_addr()
     }
 
     /// A snapshot of the router counters.
@@ -909,29 +795,10 @@ impl Router {
     }
 
     fn shutdown_inner(&mut self) {
-        if self.shared.shutdown.swap(true, Ordering::SeqCst) {
+        if self.shared.stop.raise(true) {
             return;
         }
-        let _ = TcpStream::connect_timeout(&self.local_addr, POLL_INTERVAL);
-        if let Some(addr) = self.metrics_addr {
-            let _ = TcpStream::connect_timeout(&addr, POLL_INTERVAL);
-        }
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.metrics_handle.take() {
-            let _ = h.join();
-        }
-        let readers = std::mem::take(
-            &mut *self
-                .shared
-                .reader_handles
-                .lock()
-                .unwrap_or_else(|e| e.into_inner()),
-        );
-        for h in readers {
-            let _ = h.join();
-        }
+        self.edge.shutdown();
         if let Some(h) = self.prober_handle.take() {
             let _ = h.join();
         }
@@ -959,42 +826,19 @@ fn drain_backend_inner(shared: &Arc<RouterShared>, name: &str) -> bool {
     obs::counter_add!("router.drains", 1);
     // Forward the drain so the backend also rejects fresh sessions that
     // bypass the router. Best-effort: a dead backend is already drained.
-    let sock = addr.to_socket_addrs().ok().and_then(|mut a| a.next());
-    let stream = sock.and_then(|s| TcpStream::connect_timeout(&s, DIAL_TIMEOUT).ok());
-    if let Some(mut conn) = stream.and_then(|s| Conn::new(s).ok()) {
+    if let Ok(mut conn) = Conn::dial(&addr, DIAL_TIMEOUT) {
         let _ = conn.write(&Frame::ClusterJoin {
             name: name.to_string(),
             addr,
             action: ClusterAction::Drain,
         });
-        let _ = conn.read_frame(&shared.shutdown, Some(Instant::now() + DIAL_TIMEOUT));
+        let _ = conn.read_frame(&shared.stop, Some(Instant::now() + DIAL_TIMEOUT));
     }
     true
 }
 
 // ---------------------------------------------------------------------
 // Threads.
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<RouterShared>) {
-    loop {
-        let conn = listener.accept();
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let Ok((stream, _)) = conn else { continue };
-        let conn_shared = Arc::clone(shared);
-        let spawned = std::thread::Builder::new()
-            .name("emprof-router-conn".into())
-            .spawn(move || handle_connection(stream, &conn_shared));
-        if let Ok(handle) = spawned {
-            shared
-                .reader_handles
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push(handle);
-        }
-    }
-}
 
 /// Health probing: one NODE_HEALTH poll per backend per interval, with
 /// [`backoff_with_jitter`] pacing retries against failing nodes —
@@ -1003,7 +847,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<RouterShared>) {
 fn prober_loop(shared: &Arc<RouterShared>) {
     let mut rng: u64 = splitmix64(shared.token_seed ^ 0x0070_726f_6265);
     let mut next_probe: HashMap<String, Instant> = HashMap::new();
-    while !shared.shutdown.load(Ordering::SeqCst) {
+    while !shared.stop.is_raised() {
         let names: Vec<String> = shared
             .backends
             .lock()
@@ -1019,7 +863,7 @@ fn prober_loop(shared: &Arc<RouterShared>) {
             let Some(addr) = shared.backend_addr(&name) else {
                 continue;
             };
-            match probe_backend(&addr, &shared.shutdown) {
+            match probe_backend(&addr, &shared.stop) {
                 Ok(reply) => {
                     let mut backends = shared.backends.lock().unwrap_or_else(|e| e.into_inner());
                     if let Some(b) = backends.get_mut(&name) {
@@ -1040,21 +884,27 @@ fn prober_loop(shared: &Arc<RouterShared>) {
                 Err(_) => {
                     shared.counters.probe_failures.fetch_add(1, Ordering::Relaxed);
                     obs::counter_add!("router.probe_failures", 1);
-                    let failures = {
+                    let (failures, marked_down) = {
                         let mut backends =
                             shared.backends.lock().unwrap_or_else(|e| e.into_inner());
                         let Some(b) = backends.get_mut(&name) else {
                             continue;
                         };
                         b.consecutive_failures += 1;
-                        if b.up && b.consecutive_failures >= u64::from(shared.config.down_after) {
+                        let down =
+                            b.up && b.consecutive_failures >= u64::from(shared.config.down_after);
+                        if down {
                             b.up = false;
                             shared.counters.mark_downs.fetch_add(1, Ordering::Relaxed);
                             obs::counter_add!("router.mark_downs", 1);
-                            request_migrations(shared, &name);
                         }
-                        b.consecutive_failures
+                        (b.consecutive_failures, down)
                     };
+                    // Outside the backends lock: migrating takes session
+                    // locks and then the backends lock again.
+                    if marked_down {
+                        request_migrations(shared, &name);
+                    }
                     let attempt = u32::try_from(failures.saturating_sub(1)).unwrap_or(u32::MAX);
                     let delay = backoff_with_jitter(&shared.config.client, attempt, &mut rng);
                     next_probe.insert(name, now + shared.config.probe_interval.max(delay));
@@ -1067,15 +917,10 @@ fn prober_loop(shared: &Arc<RouterShared>) {
 }
 
 /// One NODE_HEALTH round trip.
-fn probe_backend(addr: &str, shutdown: &AtomicBool) -> Result<NodeHealthWire, BErr> {
-    let sock = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "unresolvable backend addr"))?;
-    let stream = TcpStream::connect_timeout(&sock, DIAL_TIMEOUT)?;
-    let mut conn = Conn::new(stream)?;
+fn probe_backend(addr: &str, stop: &Stop) -> Result<NodeHealthWire, BErr> {
+    let mut conn = Conn::dial(addr, DIAL_TIMEOUT)?;
     conn.write(&Frame::NodeHealthRequest)?;
-    match conn.read_frame(shutdown, Some(Instant::now() + REPLY_TIMEOUT))? {
+    match conn.read_frame(stop, Some(Instant::now() + REPLY_TIMEOUT))? {
         Some(Frame::NodeHealthReply(n)) => Ok(n),
         Some(Frame::Error { code, message }) => Err(BErr::Remote(code, message)),
         Some(_) => Err(BErr::Proto(ProtoError::Malformed(
@@ -1113,7 +958,7 @@ fn request_migrations(shared: &Arc<RouterShared>, dead: &str) {
 }
 
 fn reaper_loop(shared: &Arc<RouterShared>) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
+    while !shared.stop.is_raised() {
         std::thread::sleep(POLL_INTERVAL);
         let idle = shared.config.idle_timeout;
         let mut sessions = shared.sessions.lock().unwrap_or_else(|e| e.into_inner());
@@ -1133,7 +978,7 @@ fn handle_connection(stream: TcpStream, shared: &Arc<RouterShared>) {
     let Ok(mut conn) = Conn::new(stream) else {
         return;
     };
-    let first = match conn.read_frame(&shared.shutdown, None) {
+    let first = match conn.read_frame(&shared.stop, None) {
         Ok(Some(f)) => f,
         Ok(None) => return,
         Err(e) => {
@@ -1149,71 +994,50 @@ fn handle_connection(stream: TcpStream, shared: &Arc<RouterShared>) {
             );
         }
         Frame::Hello(h) => proxy_connection(&mut conn, shared, h),
-        poll @ (Frame::MetricsRequest
-        | Frame::HealthRequest
-        | Frame::FlightRequest { .. }
-        | Frame::NodeHealthRequest
-        | Frame::ClusterStateRequest
-        | Frame::ClusterJoin { .. }
-        | Frame::Query(_)) => observability_connection(&mut conn, shared, poll),
+        poll if net::is_poll(&poll) => {
+            net::serve_polls(&mut conn, &shared.stop, poll, |frame| {
+                answer_poll(shared, frame)
+            });
+        }
         _ => conn.bail(ErrorCode::Protocol, "expected HELLO first"),
     }
 }
 
-/// Serves observability pollers and cluster admin verbs on the router's
-/// own listener — the same poll loop a backend runs, plus the cluster
-/// table and topology verbs.
-fn observability_connection(conn: &mut Conn, shared: &Arc<RouterShared>, first: Frame) {
-    let mut next = Some(first);
-    loop {
-        let frame = match next.take() {
-            Some(f) => f,
-            None => match conn.read_frame(&shared.shutdown, None) {
-                Ok(Some(f)) => f,
-                Ok(None) => return,
-                Err(e) => {
-                    conn.bail(e.error_code(), &e.to_string());
-                    return;
-                }
-            },
-        };
-        let reply = match frame {
-            Frame::MetricsRequest => Frame::Metrics(shared.metrics_reply()),
-            Frame::HealthRequest => Frame::Health(shared.health()),
-            // The router has no per-session flight recorders; the
-            // backends do. Answer with an empty dump set rather than an
-            // error so fleet-blind pollers keep working.
-            Frame::FlightRequest { .. } => Frame::FlightReply { dumps: Vec::new() },
-            Frame::NodeHealthRequest => Frame::NodeHealthReply(shared.self_health()),
-            Frame::ClusterStateRequest => Frame::ClusterStateReply {
-                nodes: shared.cluster_state(),
-            },
-            Frame::ClusterJoin { name, addr, action } => {
-                let row = apply_cluster_join(shared, &name, &addr, action);
-                Frame::NodeHealthReply(row)
-            }
-            // A fleet query: fan the spec out to every up backend and
-            // merge the per-node results. Identical power-of-two
-            // histogram bounds make the merged statistics bit-identical
-            // to one query over the union of journals, so
-            // routed-equals-direct holds for queries too.
-            Frame::Query(spec) => match fan_out_query(shared, &spec) {
-                Some(merged) => Frame::QueryResult(merged),
-                None => {
-                    conn.bail(ErrorCode::Internal, "no backend answered the query");
-                    return;
-                }
-            },
-            Frame::Fin => return,
-            _ => {
-                conn.bail(ErrorCode::Protocol, "metrics connections may only poll");
-                return;
-            }
-        };
-        if conn.write(&reply).is_err() {
-            return;
+/// Answers one observability poll or cluster admin verb on the router's
+/// own listener: the polls a backend answers, plus the cluster table
+/// and topology verbs. `None` for any other frame.
+fn answer_poll(shared: &Arc<RouterShared>, frame: Frame) -> Option<net::Answer> {
+    let reply = match frame {
+        Frame::MetricsRequest => Frame::Metrics(shared.metrics_reply()),
+        Frame::HealthRequest => Frame::Health(shared.health()),
+        // The router has no per-session flight recorders; the backends
+        // do. Answer with an empty dump set rather than an error so
+        // fleet-blind pollers keep working.
+        Frame::FlightRequest { .. } => Frame::FlightReply { dumps: Vec::new() },
+        Frame::NodeHealthRequest => Frame::NodeHealthReply(shared.self_health()),
+        Frame::ClusterStateRequest => Frame::ClusterStateReply {
+            nodes: shared.cluster_state(),
+        },
+        Frame::ClusterJoin { name, addr, action } => {
+            Frame::NodeHealthReply(apply_cluster_join(shared, &name, &addr, action))
         }
-    }
+        // A fleet query: fan the spec out to every up backend and merge
+        // the per-node results. Identical power-of-two histogram bounds
+        // make the merged statistics bit-identical to one query over the
+        // union of journals, so routed-equals-direct holds for queries
+        // too.
+        Frame::Query(spec) => match fan_out_query(shared, &spec) {
+            Some(merged) => Frame::QueryResult(merged),
+            None => {
+                return Some(Err((
+                    ErrorCode::Internal,
+                    "no backend answered the query".into(),
+                )))
+            }
+        },
+        _ => return None,
+    };
+    Some(Ok(reply))
 }
 
 /// Fans a journal query out to every up backend and merges the
@@ -1231,7 +1055,7 @@ fn fan_out_query(shared: &Arc<RouterShared>, spec: &QuerySpecWire) -> Option<Que
     };
     let mut merged: Option<QueryResultWire> = None;
     for addr in &targets {
-        match query_backend(addr, spec, &shared.shutdown) {
+        match query_backend(addr, spec, &shared.stop) {
             Ok(result) => match merged.as_mut() {
                 Some(m) => m.merge(&result),
                 None => merged = Some(result),
@@ -1246,19 +1070,10 @@ fn fan_out_query(shared: &Arc<RouterShared>, spec: &QuerySpecWire) -> Option<Que
 
 /// One QUERY round trip against a backend, on a fresh connection (the
 /// probe-loop pattern: dial, ask, read one reply, drop).
-fn query_backend(
-    addr: &str,
-    spec: &QuerySpecWire,
-    shutdown: &AtomicBool,
-) -> Result<QueryResultWire, BErr> {
-    let sock = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "unresolvable backend addr"))?;
-    let stream = TcpStream::connect_timeout(&sock, DIAL_TIMEOUT)?;
-    let mut conn = Conn::new(stream)?;
+fn query_backend(addr: &str, spec: &QuerySpecWire, stop: &Stop) -> Result<QueryResultWire, BErr> {
+    let mut conn = Conn::dial(addr, DIAL_TIMEOUT)?;
     conn.write(&Frame::Query(spec.clone()))?;
-    match conn.read_frame(shutdown, Some(Instant::now() + REPLY_TIMEOUT))? {
+    match conn.read_frame(stop, Some(Instant::now() + REPLY_TIMEOUT))? {
         Some(Frame::QueryResult(r)) => Ok(r),
         Some(Frame::Error { code, message }) => Err(BErr::Remote(code, message)),
         Some(_) => Err(BErr::Proto(ProtoError::Malformed(
@@ -1365,7 +1180,7 @@ fn proxy_connection(conn: &mut Conn, shared: &Arc<RouterShared>, hello: Hello) {
             .remove(&rsid);
         shared.note_sessions_active();
     }
-    if matches!(exit, ProxyExit::Lost) && shared.shutdown.load(Ordering::SeqCst) {
+    if matches!(exit, ProxyExit::Lost) && shared.stop.is_raised() {
         conn.bail(ErrorCode::Shutdown, "router shutting down");
     }
 }
@@ -1405,7 +1220,7 @@ fn attach_fresh(
             resume_token: 0,
             ..hello.clone()
         };
-        match dial_backend(&addr, bh, &shared.shutdown) {
+        match dial_backend(&addr, bh, &shared.stop) {
             Ok((bconn, (bsid, btoken, _, _))) => break (bconn, name, bsid, btoken),
             Err(BErr::Remote(code, message)) => {
                 // The backend answered and refused (bad config, session
@@ -1510,7 +1325,7 @@ fn attach_resume(
     let bconn = match dial_backend(
         &shared.backend_addr(&s.backend).unwrap_or_default(),
         s.hello(true),
-        &shared.shutdown,
+        &shared.stop,
     ) {
         Ok((bconn, (_, _, acked_seq, _))) => {
             s.backend_acked = acked_seq;
@@ -1599,7 +1414,7 @@ fn proxy_loop(
     my_gen: u64,
 ) -> ProxyExit {
     loop {
-        let frame = match conn.read_frame(&shared.shutdown, None) {
+        let frame = match conn.read_frame(&shared.stop, None) {
             Ok(Some(f)) => f,
             Ok(None) => {
                 let s = entry.lock().unwrap_or_else(|e| e.into_inner());
@@ -1685,7 +1500,7 @@ fn proxy_loop(
                     let event_offset = s.event_offset;
                     let seq_offset = s.seq_offset;
                     let mut frames: Vec<Frame> = Vec::new();
-                    let stats = relay_reply(b, &shared.shutdown, |first_seq, events| {
+                    let stats = relay_reply(b, &shared.stop, |first_seq, events| {
                         frames.push(Frame::Events {
                             first_seq: first_seq + event_offset,
                             events,
@@ -1775,123 +1590,79 @@ fn proxy_loop(
     }
 }
 
-// ---------------------------------------------------------------------
-// The /metrics scrape endpoint (same minimal HTTP as the backend's).
+impl net::Service for RouterShared {
+    const NAME: &'static str = "emprof-router";
 
-const SCRAPE_READ_TIMEOUT: Duration = Duration::from_secs(2);
-const SCRAPE_REQUEST_MAX: usize = 8 * 1024;
+    fn stop(&self) -> &Stop {
+        &self.stop
+    }
 
-fn metrics_http_loop(listener: &TcpListener, shared: &Arc<RouterShared>) {
-    loop {
-        let conn = listener.accept();
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
+    fn serve(self: Arc<Self>, stream: TcpStream) {
+        handle_connection(stream, &self);
+    }
+
+    /// The obs snapshot, per-backend health rows, and the fleet
+    /// aggregates.
+    fn scrape_body(&self) -> String {
+        use emprof_obs::prom;
+        let mut out = prom::encode_snapshot(&obs::snapshot());
+        let nodes = self.cluster_state();
+        let labels: Vec<String> = nodes
+            .iter()
+            .map(|node| {
+                format!(
+                    "{{backend=\"{}\",addr=\"{}\"}}",
+                    prom::escape_label_value(&node.name),
+                    prom::escape_label_value(&node.addr)
+                )
+            })
+            .collect();
+        let mut family = |name: &str, kind: &str, value: fn(&NodeHealthWire) -> u64| {
+            let samples = labels.iter().zip(&nodes).map(|(l, n)| (l, value(n)));
+            prom::write_family(&mut out, name, kind, samples);
+        };
+        family("emprof_router_backend_up", "gauge", |n| u64::from(n.up));
+        family("emprof_router_backend_draining", "gauge", |n| {
+            u64::from(n.draining)
+        });
+        family("emprof_router_backend_sessions", "gauge", |n| {
+            n.sessions_active
+        });
+        family("emprof_router_backend_consecutive_failures", "gauge", |n| {
+            n.consecutive_failures
+        });
+        family("emprof_router_backend_migrations_in", "counter", |n| {
+            n.migrations_in
+        });
+        family("emprof_router_backend_migrations_out", "counter", |n| {
+            n.migrations_out
+        });
+        let stats = self.stats();
+        let healthy = u64::from(self.health().healthy);
+        for (name, kind, value) in [
+            (
+                "emprof_router_sessions_active",
+                "gauge",
+                stats.sessions_active,
+            ),
+            ("emprof_router_migrations", "counter", stats.migrations),
+            (
+                "emprof_router_migrations_lossy",
+                "counter",
+                stats.migrations_lossy,
+            ),
+            (
+                "emprof_router_probe_failures",
+                "counter",
+                stats.probe_failures,
+            ),
+            ("emprof_router_backends_up", "gauge", stats.backends_up),
+            ("emprof_router_healthy", "gauge", healthy),
+        ] {
+            prom::write_family(&mut out, name, kind, [("", value)]);
         }
-        let Ok((stream, _)) = conn else { continue };
-        serve_scrape(stream, shared);
+        out
     }
-}
-
-fn serve_scrape(mut stream: TcpStream, shared: &Arc<RouterShared>) {
-    let _ = stream.set_read_timeout(Some(SCRAPE_READ_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(SCRAPE_READ_TIMEOUT));
-    let mut buf = Vec::new();
-    let mut tmp = [0u8; 1024];
-    while !buf.windows(4).any(|w| w == b"\r\n\r\n") && buf.len() < SCRAPE_REQUEST_MAX {
-        match stream.read(&mut tmp) {
-            Ok(0) => break,
-            Ok(n) => buf.extend_from_slice(&tmp[..n]),
-            Err(_) => return,
-        }
-    }
-    let request = String::from_utf8_lossy(&buf);
-    let mut parts = request.lines().next().unwrap_or("").split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
-    let is_metrics = path == "/metrics" || path.starts_with("/metrics?");
-    let (status, body) = if method == "GET" && is_metrics {
-        ("200 OK", scrape_body(shared))
-    } else {
-        ("404 Not Found", "not found\n".to_string())
-    };
-    let _ = write!(
-        stream,
-        "HTTP/1.1 {status}\r\n\
-         Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
-         Content-Length: {}\r\n\
-         Connection: close\r\n\r\n{body}",
-        body.len()
-    );
-}
-
-/// The router exposition body: the obs snapshot, per-backend health
-/// rows, and the fleet aggregates.
-fn scrape_body(shared: &Arc<RouterShared>) -> String {
-    use emprof_obs::prom;
-    let mut out = prom::encode_snapshot(&obs::snapshot());
-    out.push_str("# TYPE emprof_router_backend_up gauge\n");
-    out.push_str("# TYPE emprof_router_backend_draining gauge\n");
-    out.push_str("# TYPE emprof_router_backend_sessions gauge\n");
-    out.push_str("# TYPE emprof_router_backend_consecutive_failures gauge\n");
-    out.push_str("# TYPE emprof_router_backend_migrations_in counter\n");
-    out.push_str("# TYPE emprof_router_backend_migrations_out counter\n");
-    for node in shared.cluster_state() {
-        let labels = format!(
-            "{{backend=\"{}\",addr=\"{}\"}}",
-            prom::escape_label_value(&node.name),
-            prom::escape_label_value(&node.addr)
-        );
-        out.push_str(&format!(
-            "emprof_router_backend_up{labels} {}\n",
-            u64::from(node.up)
-        ));
-        out.push_str(&format!(
-            "emprof_router_backend_draining{labels} {}\n",
-            u64::from(node.draining)
-        ));
-        out.push_str(&format!(
-            "emprof_router_backend_sessions{labels} {}\n",
-            node.sessions_active
-        ));
-        out.push_str(&format!(
-            "emprof_router_backend_consecutive_failures{labels} {}\n",
-            node.consecutive_failures
-        ));
-        out.push_str(&format!(
-            "emprof_router_backend_migrations_in{labels} {}\n",
-            node.migrations_in
-        ));
-        out.push_str(&format!(
-            "emprof_router_backend_migrations_out{labels} {}\n",
-            node.migrations_out
-        ));
-    }
-    let stats = shared.stats();
-    out.push_str(&format!(
-        "# TYPE emprof_router_sessions_active gauge\nemprof_router_sessions_active {}\n",
-        stats.sessions_active
-    ));
-    out.push_str(&format!(
-        "# TYPE emprof_router_migrations counter\nemprof_router_migrations {}\n",
-        stats.migrations
-    ));
-    out.push_str(&format!(
-        "# TYPE emprof_router_migrations_lossy counter\nemprof_router_migrations_lossy {}\n",
-        stats.migrations_lossy
-    ));
-    out.push_str(&format!(
-        "# TYPE emprof_router_probe_failures counter\nemprof_router_probe_failures {}\n",
-        stats.probe_failures
-    ));
-    out.push_str(&format!(
-        "# TYPE emprof_router_backends_up gauge\nemprof_router_backends_up {}\n",
-        stats.backends_up
-    ));
-    out.push_str(&format!(
-        "# TYPE emprof_router_healthy gauge\nemprof_router_healthy {}\n",
-        u64::from(shared.health().healthy)
-    ));
-    out
 }
 
 #[cfg(test)]

@@ -16,7 +16,11 @@
 //!   *blocks the socket reader*: backpressure is explicit and memory is
 //!   bounded, never silently buffered. Shed mode (opt-in) drops oldest
 //!   batches and counts them instead.
-//! * [`server`] — the TCP daemon: accept loop, worker pool sized by
+//! * [`net`] — the network edge the server and `emprof-router` share:
+//!   the framed connection reader, the accept loop, the listener
+//!   bind/stop lifecycle, the `GET /metrics` responder and the
+//!   observability poll loop.
+//! * [`server`] — the TCP daemon: worker pool sized by
 //!   [`Parallelism`](emprof_par::Parallelism), watch tail, graceful
 //!   drain-then-finish shutdown.
 //! * [`client`] — the blocking [`ProfileClient`] / [`WatchClient`] /
@@ -83,6 +87,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+pub mod net;
 pub mod proto;
 pub mod queue;
 pub mod server;

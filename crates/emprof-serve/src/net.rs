@@ -1,0 +1,623 @@
+//! The network edge shared by the ingest server and the router: the
+//! framed [`Conn`], the accept loop, the bind/stop lifecycle of the
+//! frame and `/metrics` listeners, the minimal `GET /metrics` HTTP
+//! responder, and the observability poll loop.
+//!
+//! A process mounts itself by implementing [`Service`]. [`Edge::bind`]
+//! binds its listeners and starts their threads; [`Edge::shutdown`]
+//! wakes and joins them once the process has raised its [`Stop`]. One
+//! [`Stop`] per process means "finish what the peer already sent, then
+//! stop" and "stop at once, as a crash would" read the same on every
+//! socket of either process.
+
+use std::io::{self, Read, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+use emprof_obs as obs;
+
+use crate::proto::{self, ErrorCode, Frame, ProtoError};
+
+/// Read timeout on every framed socket: the latency bound on observing
+/// a stop from a blocked read.
+pub const POLL_INTERVAL: Duration = Duration::from_millis(100);
+
+/// Longest a graceful stop keeps reading one connection whose peer is
+/// still sending; a peer that pauses for a read timeout ends the drain
+/// sooner.
+const SHUTDOWN_DRAIN_LIMIT: Duration = Duration::from_secs(2);
+
+/// How long a scrape client gets to send its request, and to take the
+/// response.
+const SCRAPE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Upper bound on a scrape request (request line + headers).
+const SCRAPE_REQUEST_MAX: usize = 8 * 1024;
+
+/// A process's stop flags, read by every socket loop it runs.
+#[derive(Debug, Default)]
+pub struct Stop {
+    stopping: AtomicBool,
+    /// Raised with `stopping` by a stop that must not drain: readers
+    /// then return at once instead of first reading what their peers
+    /// already sent.
+    killed: AtomicBool,
+}
+
+impl Stop {
+    /// Raises the stop flag, and with `kill` the kill flag too. Returns
+    /// whether the stop flag was already raised.
+    pub fn raise(&self, kill: bool) -> bool {
+        if kill {
+            self.killed.store(true, Ordering::SeqCst);
+        }
+        self.stopping.swap(true, Ordering::SeqCst)
+    }
+
+    /// Whether a stop was requested.
+    pub fn is_raised(&self) -> bool {
+        self.stopping.load(Ordering::SeqCst)
+    }
+}
+
+/// A framed connection with an accumulation buffer, so short read
+/// timeouts (used to observe a stop) never lose frame sync.
+pub struct Conn {
+    stream: TcpStream,
+    buf: Vec<u8>,
+    /// When a graceful stop's drain of this socket gives up, set the
+    /// first time a read sees the stop flag.
+    drain_deadline: Option<Instant>,
+}
+
+impl Conn {
+    /// Wraps an accepted or dialed stream.
+    ///
+    /// # Errors
+    ///
+    /// Propagates a failure to set the read timeout.
+    pub fn new(stream: TcpStream) -> io::Result<Conn> {
+        stream.set_read_timeout(Some(POLL_INTERVAL))?;
+        let _ = stream.set_nodelay(true);
+        Ok(Conn {
+            stream,
+            buf: Vec::new(),
+            drain_deadline: None,
+        })
+    }
+
+    /// Connects to the first address `addr` resolves to.
+    ///
+    /// # Errors
+    ///
+    /// Propagates resolution and connect failures, including a connect
+    /// that does not finish within `timeout`.
+    pub fn dial(addr: &str, timeout: Duration) -> io::Result<Conn> {
+        let sock = addr
+            .to_socket_addrs()?
+            .next()
+            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "unresolvable address"))?;
+        Conn::new(TcpStream::connect_timeout(&sock, timeout)?)
+    }
+
+    /// Reads one frame. `Ok(None)` means the peer closed cleanly between
+    /// frames, or a stop ended the read.
+    ///
+    /// After a stop without kill the socket is drained first: reads go
+    /// on until end of stream or until the peer has nothing more queued
+    /// (a read times out), and every complete frame is still returned,
+    /// so bytes the peer sent before the stop are processed, not
+    /// dropped. A peer that never pauses is cut off after two seconds.
+    /// After a kill the read ends at once.
+    ///
+    /// # Errors
+    ///
+    /// Transport failures and malformed frames; a quiet peer past
+    /// `deadline` is an [`io::ErrorKind::TimedOut`] error.
+    pub fn read_frame(
+        &mut self,
+        stop: &Stop,
+        deadline: Option<Instant>,
+    ) -> Result<Option<Frame>, ProtoError> {
+        self.read_frame_with(stop, deadline, None::<(Duration, fn() -> Frame)>, Vec::new)
+    }
+
+    /// [`Conn::read_frame`] with an optional heartbeat: while the peer
+    /// is quiet past `interval`, `make` builds a frame to write (the
+    /// liveness signal) and the idle clock restarts. A heartbeat write
+    /// failure is a transport loss, surfaced as an I/O error.
+    ///
+    /// SAMPLES frames are decoded zero-copy from the accumulation buffer
+    /// and their samples written into a vector obtained from
+    /// `samples_buf`: the server's session loop hands out pooled
+    /// buffers here, making steady-state ingest allocation-free per
+    /// frame.
+    ///
+    /// # Errors
+    ///
+    /// As [`Conn::read_frame`].
+    pub fn read_frame_with<F: Fn() -> Frame>(
+        &mut self,
+        stop: &Stop,
+        deadline: Option<Instant>,
+        heartbeat: Option<(Duration, F)>,
+        mut samples_buf: impl FnMut() -> Vec<f64>,
+    ) -> Result<Option<Frame>, ProtoError> {
+        let mut last_io = Instant::now();
+        loop {
+            if self.buf.len() >= proto::HEADER_LEN {
+                match proto::decode_frame_view(&self.buf) {
+                    Ok((view, consumed)) => {
+                        let frame = match view {
+                            proto::FrameView::Samples(v) => {
+                                let mut samples = samples_buf();
+                                samples.clear();
+                                v.copy_into(&mut samples);
+                                Frame::Samples {
+                                    seq: v.seq,
+                                    samples,
+                                }
+                            }
+                            proto::FrameView::Owned(frame) => frame,
+                        };
+                        self.buf.drain(..consumed);
+                        return Ok(Some(frame));
+                    }
+                    Err(ProtoError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof => {}
+                    Err(e) => return Err(e),
+                }
+            }
+            if stop.is_raised() {
+                let limit = *self
+                    .drain_deadline
+                    .get_or_insert_with(|| Instant::now() + SHUTDOWN_DRAIN_LIMIT);
+                if stop.killed.load(Ordering::SeqCst) || Instant::now() >= limit {
+                    return Ok(None);
+                }
+            }
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return Err(ProtoError::Io(io::ErrorKind::TimedOut.into()));
+            }
+            let mut tmp = [0u8; 64 * 1024];
+            match self.stream.read(&mut tmp) {
+                Ok(0) => {
+                    return if self.buf.is_empty() {
+                        Ok(None)
+                    } else {
+                        Err(ProtoError::Io(io::ErrorKind::UnexpectedEof.into()))
+                    }
+                }
+                Ok(n) => {
+                    self.buf.extend_from_slice(&tmp[..n]);
+                    last_io = Instant::now();
+                }
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock
+                            | io::ErrorKind::TimedOut
+                            | io::ErrorKind::Interrupted
+                    ) =>
+                {
+                    // Stopping and a whole read timeout passed with
+                    // nothing from the peer: the drain is complete.
+                    if e.kind() != io::ErrorKind::Interrupted && stop.is_raised() {
+                        return Ok(None);
+                    }
+                    if let Some((interval, make)) = heartbeat.as_ref() {
+                        if last_io.elapsed() >= *interval {
+                            self.write(&make())?;
+                            obs::counter_add!("serve.heartbeats", 1);
+                            last_io = Instant::now();
+                        }
+                    }
+                }
+                Err(e) => return Err(e.into()),
+            }
+        }
+    }
+
+    /// Writes one frame.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the socket write failure.
+    pub fn write(&mut self, frame: &Frame) -> io::Result<()> {
+        proto::write_frame(&mut self.stream, frame)
+    }
+
+    /// Best-effort error frame; the connection is abandoned after it.
+    pub fn bail(&mut self, code: ErrorCode, message: &str) {
+        let _ = self.write(&Frame::Error {
+            code,
+            message: message.into(),
+        });
+    }
+}
+
+/// What a process mounts on its [`Edge`].
+pub trait Service: Send + Sync + 'static {
+    /// Prefix of the edge's thread names: `<NAME>-accept`,
+    /// `<NAME>-metrics` and `<NAME>-conn`.
+    const NAME: &'static str;
+
+    /// The process's stop flags.
+    fn stop(&self) -> &Stop;
+
+    /// Serves one accepted frame connection, on its own reader thread.
+    fn serve(self: Arc<Self>, stream: TcpStream);
+
+    /// The `/metrics` exposition body. It must record no telemetry: a
+    /// scrape reports the process as it was, not as the scrape made it.
+    fn scrape_body(&self) -> String;
+}
+
+/// A process's bound listeners and the threads serving them.
+pub struct Edge {
+    local_addr: SocketAddr,
+    metrics_addr: Option<SocketAddr>,
+    /// The accept thread, then the scrape thread when one was bound.
+    acceptors: Vec<JoinHandle<()>>,
+    readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+}
+
+impl Edge {
+    /// Binds the frame listener at `addr` and, when given, the
+    /// `/metrics` listener at `metrics_addr`; builds the service with
+    /// `make`, which gets the bound frame address; then starts the
+    /// accept thread (one reader thread per connection) and the scrape
+    /// thread.
+    ///
+    /// # Errors
+    ///
+    /// Propagates bind, `make` and thread-spawn failures.
+    pub fn bind<S: Service>(
+        addr: impl ToSocketAddrs,
+        metrics_addr: Option<&str>,
+        make: impl FnOnce(SocketAddr) -> io::Result<S>,
+    ) -> io::Result<(Edge, Arc<S>)> {
+        let listener = TcpListener::bind(addr)?;
+        let local_addr = listener.local_addr()?;
+        let metrics = metrics_addr.map(TcpListener::bind).transpose()?;
+        let metrics_addr = metrics.as_ref().map(TcpListener::local_addr).transpose()?;
+        let service = Arc::new(make(local_addr)?);
+        let readers = Arc::new(Mutex::new(Vec::new()));
+
+        let (accept_service, accept_readers) = (Arc::clone(&service), Arc::clone(&readers));
+        let mut acceptors = vec![std::thread::Builder::new()
+            .name(format!("{}-accept", S::NAME))
+            .spawn(move || {
+                accept_until_stopped(&listener, accept_service.stop(), |stream| {
+                    let conn_service = Arc::clone(&accept_service);
+                    let spawned = std::thread::Builder::new()
+                        .name(format!("{}-conn", S::NAME))
+                        .spawn(move || conn_service.serve(stream));
+                    if let Ok(handle) = spawned {
+                        accept_readers
+                            .lock()
+                            .unwrap_or_else(|e| e.into_inner())
+                            .push(handle);
+                    }
+                });
+            })?];
+        if let Some(listener) = metrics {
+            let scrape_service = Arc::clone(&service);
+            acceptors.push(
+                std::thread::Builder::new()
+                    .name(format!("{}-metrics", S::NAME))
+                    .spawn(move || {
+                        // Scrapes are served inline: a snapshot render
+                        // is microseconds, and the read timeout bounds
+                        // how long a stalled client can hold the
+                        // acceptor.
+                        accept_until_stopped(&listener, scrape_service.stop(), |stream| {
+                            serve_scrape(stream, || scrape_service.scrape_body());
+                        });
+                    })?,
+            );
+        }
+        Ok((
+            Edge {
+                local_addr,
+                metrics_addr,
+                acceptors,
+                readers,
+            },
+            service,
+        ))
+    }
+
+    /// The frame listener's bound address.
+    pub fn local_addr(&self) -> SocketAddr {
+        self.local_addr
+    }
+
+    /// The `/metrics` listener's bound address, when one was bound.
+    pub fn metrics_addr(&self) -> Option<SocketAddr> {
+        self.metrics_addr
+    }
+
+    /// Wakes the acceptors with throwaway loopback connects, then joins
+    /// the accept, scrape and reader threads. Call it after raising the
+    /// service's [`Stop`]; readers observe the flag within one
+    /// [`POLL_INTERVAL`] (plus their drain, for a stop without kill).
+    pub fn shutdown(&mut self) {
+        let _ = TcpStream::connect_timeout(&self.local_addr, POLL_INTERVAL);
+        if let Some(addr) = self.metrics_addr {
+            let _ = TcpStream::connect_timeout(&addr, POLL_INTERVAL);
+        }
+        for h in self.acceptors.drain(..) {
+            let _ = h.join();
+        }
+        let readers = std::mem::take(&mut *self.readers.lock().unwrap_or_else(|e| e.into_inner()));
+        for h in readers {
+            let _ = h.join();
+        }
+    }
+}
+
+/// Hands every accepted stream to `on_accept` until `stop` is raised.
+fn accept_until_stopped(listener: &TcpListener, stop: &Stop, mut on_accept: impl FnMut(TcpStream)) {
+    loop {
+        let conn = listener.accept();
+        if stop.is_raised() {
+            return;
+        }
+        if let Ok((stream, _)) = conn {
+            on_accept(stream);
+        }
+    }
+}
+
+/// Answers one HTTP request on `stream`: `GET /metrics` gets `body()`
+/// in Prometheus text exposition format, anything else gets 404. Pure
+/// std, just enough HTTP/1.1 for Prometheus-style scrapers and `curl`.
+fn serve_scrape(mut stream: TcpStream, body: impl FnOnce() -> String) {
+    let _ = stream.set_read_timeout(Some(SCRAPE_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(SCRAPE_TIMEOUT));
+    let mut buf = Vec::new();
+    let mut tmp = [0u8; 1024];
+    while !buf.windows(4).any(|w| w == b"\r\n\r\n") && buf.len() < SCRAPE_REQUEST_MAX {
+        match stream.read(&mut tmp) {
+            Ok(0) => break,
+            Ok(n) => buf.extend_from_slice(&tmp[..n]),
+            Err(_) => return,
+        }
+    }
+    let request = String::from_utf8_lossy(&buf);
+    let mut parts = request.lines().next().unwrap_or("").split_whitespace();
+    let method = parts.next().unwrap_or("");
+    let path = parts.next().unwrap_or("");
+    let is_metrics = path == "/metrics" || path.starts_with("/metrics?");
+    let (status, body) = if method == "GET" && is_metrics {
+        ("200 OK", body())
+    } else {
+        ("404 Not Found", "not found\n".to_string())
+    };
+    let _ = write!(
+        stream,
+        "HTTP/1.1 {status}\r\n\
+         Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
+         Content-Length: {}\r\n\
+         Connection: close\r\n\r\n{body}",
+        body.len()
+    );
+}
+
+/// Whether `frame` opens a poll connection: an observability request or
+/// a cluster verb, which needs no HELLO first.
+pub fn is_poll(frame: &Frame) -> bool {
+    matches!(
+        frame,
+        Frame::MetricsRequest
+            | Frame::HealthRequest
+            | Frame::FlightRequest { .. }
+            | Frame::NodeHealthRequest
+            | Frame::ClusterStateRequest
+            | Frame::ClusterJoin { .. }
+            | Frame::Query(_)
+    )
+}
+
+/// A poll's reply, or the error code and message that end the
+/// connection.
+pub type Answer = Result<Frame, (ErrorCode, String)>;
+
+/// Serves a poll connection: `first`, the frame that opened it, and
+/// every later frame go through `answer` until the peer closes or sends
+/// FIN. `answer` returns `None` for a frame that is not a poll, which
+/// ends the connection with a protocol error.
+pub fn serve_polls(
+    conn: &mut Conn,
+    stop: &Stop,
+    first: Frame,
+    mut answer: impl FnMut(Frame) -> Option<Answer>,
+) {
+    let mut next = Some(first);
+    loop {
+        let frame = match next.take() {
+            Some(f) => f,
+            None => match conn.read_frame(stop, None) {
+                Ok(Some(f)) => f,
+                Ok(None) => return,
+                Err(e) => {
+                    conn.bail(e.error_code(), &e.to_string());
+                    return;
+                }
+            },
+        };
+        if matches!(frame, Frame::Fin) {
+            return;
+        }
+        match answer(frame) {
+            Some(Ok(reply)) => {
+                if conn.write(&reply).is_err() {
+                    return;
+                }
+            }
+            Some(Err((code, message))) => {
+                conn.bail(code, &message);
+                return;
+            }
+            None => {
+                conn.bail(ErrorCode::Protocol, "metrics connections may only poll");
+                return;
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A connected loopback pair: the framed side and its raw peer.
+    fn pair() -> (Conn, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (stream, _) = listener.accept().unwrap();
+        (Conn::new(stream).unwrap(), peer)
+    }
+
+    fn mixed_frames() -> Vec<Frame> {
+        let mut frames = Vec::new();
+        for i in 0..12u64 {
+            let n = [0usize, 1, 7, 300, 5000][i as usize % 5];
+            frames.push(Frame::Samples {
+                seq: i + 1,
+                samples: (0..n).map(|k| (k as f64).mul_add(0.25, i as f64)).collect(),
+            });
+            frames.push(match i % 4 {
+                0 => Frame::Flush,
+                1 => Frame::EventsAck { seq: i * 3 },
+                2 => Frame::Watch { cursor: i },
+                _ => Frame::Error {
+                    code: ErrorCode::Protocol,
+                    message: format!("frame {i}"),
+                },
+            });
+        }
+        frames.push(Frame::Fin);
+        frames
+    }
+
+    #[test]
+    fn pieces_straddling_poll_timeouts_decode_in_order() {
+        let frames = mixed_frames();
+        let bytes: Vec<u8> = frames.iter().flat_map(proto::encode_frame).collect();
+        let (mut conn, mut peer) = pair();
+        let writer = std::thread::spawn(move || {
+            // SplitMix64-driven piece sizes from 1 byte up to 1 KiB, with
+            // pauses longer than the read timeout after a few pieces.
+            let mut x = 0x5eed_u64;
+            let mut next = || {
+                x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = x;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^ (z >> 31)
+            };
+            let mut at = 0;
+            let mut pieces = 0;
+            while at < bytes.len() {
+                let r = next();
+                let len = if r % 3 == 0 {
+                    1
+                } else {
+                    1 + (r >> 8) as usize % 1024
+                };
+                let end = (at + len).min(bytes.len());
+                peer.write_all(&bytes[at..end]).unwrap();
+                peer.flush().unwrap();
+                at = end;
+                pieces += 1;
+                if pieces % 100 == 0 {
+                    std::thread::sleep(POLL_INTERVAL + POLL_INTERVAL / 2);
+                }
+            }
+            pieces
+        });
+        let stop = Stop::default();
+        let mut got = Vec::new();
+        while let Some(frame) = conn.read_frame(&stop, None).unwrap() {
+            let fin = matches!(frame, Frame::Fin);
+            got.push(frame);
+            if fin {
+                break;
+            }
+        }
+        let pieces = writer.join().unwrap();
+        assert!(pieces > 200, "the stream must straddle at least two pauses");
+        assert_eq!(got, frames);
+    }
+
+    #[test]
+    fn a_passed_deadline_times_out() {
+        let (mut conn, _peer) = pair();
+        let started = Instant::now();
+        let err = conn
+            .read_frame(&Stop::default(), Some(Instant::now()))
+            .unwrap_err();
+        assert!(
+            matches!(&err, ProtoError::Io(e) if e.kind() == io::ErrorKind::TimedOut),
+            "{err:?}"
+        );
+        assert!(started.elapsed() < POLL_INTERVAL);
+    }
+
+    #[test]
+    fn stop_without_kill_returns_queued_frames_then_none() {
+        let (mut conn, mut peer) = pair();
+        let frames = [
+            Frame::Samples {
+                seq: 1,
+                samples: vec![1.0, 2.0],
+            },
+            Frame::Flush,
+        ];
+        for frame in &frames {
+            proto::write_frame(&mut peer, frame).unwrap();
+        }
+        let stop = Stop::default();
+        assert!(!stop.raise(false));
+        for frame in &frames {
+            assert_eq!(conn.read_frame(&stop, None).unwrap().as_ref(), Some(frame));
+        }
+        assert!(conn.read_frame(&stop, None).unwrap().is_none());
+    }
+
+    #[test]
+    fn kill_returns_none_at_once() {
+        let (mut conn, mut peer) = pair();
+        proto::write_frame(&mut peer, &Frame::Flush).unwrap();
+        let stop = Stop::default();
+        assert!(!stop.raise(true));
+        let started = Instant::now();
+        assert!(conn.read_frame(&stop, None).unwrap().is_none());
+        assert!(started.elapsed() < POLL_INTERVAL);
+    }
+
+    #[test]
+    fn a_quiet_peer_gets_a_heartbeat() {
+        let (mut conn, mut peer) = pair();
+        let stop = Arc::new(Stop::default());
+        let reader_stop = Arc::clone(&stop);
+        let reader = std::thread::spawn(move || {
+            let heartbeat = Some((Duration::from_millis(10), || Frame::Heartbeat {
+                acked_seq: 7,
+            }));
+            conn.read_frame_with(&reader_stop, None, heartbeat, Vec::new)
+        });
+        peer.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        assert_eq!(
+            proto::read_frame(&mut peer).unwrap(),
+            Frame::Heartbeat { acked_seq: 7 }
+        );
+        stop.raise(true);
+        assert!(reader.join().unwrap().unwrap().is_none());
+    }
+}

@@ -6,7 +6,9 @@
 //!
 //! * **accept thread** — blocks on `accept`, spawns a reader per
 //!   connection. Woken for shutdown by a loopback self-connect (the
-//!   signal-free "shutdown pipe").
+//!   signal-free "shutdown pipe"). It, the framed reader and the
+//!   `/metrics` responder are the [`crate::net`] edge the router
+//!   shares.
 //! * **reader threads** — parse frames with short read timeouts (so
 //!   shutdown is observed within ~100 ms even on idle connections),
 //!   enqueue sample batches into the session's bounded queue, and write
@@ -32,12 +34,12 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fs;
-use std::io::{self, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use emprof_fault::{FaultInjector, FaultPlan};
 use emprof_obs as obs;
@@ -49,26 +51,17 @@ use emprof_store::{
 
 use emprof_core::StallEvent;
 
+use crate::net::{self, Conn, Edge, Stop, POLL_INTERVAL};
 use crate::proto::{
-    self, ClusterAction, ErrorCode, FlightDumpWire, Frame, HealthWire, Hello, MetricsReply,
-    NodeHealthWire, ProtoError, QueryResultWire, QueryRowWire, QuerySpecWire, ServerStatsWire,
-    SessionRow, Tail, TailEvent, MAX_FLIGHT_DUMPS, MAX_SAMPLES_PER_FRAME, MAX_SESSION_ROWS,
-    VERSION,
+    ClusterAction, ErrorCode, FlightDumpWire, Frame, HealthWire, Hello, MetricsReply,
+    NodeHealthWire, QueryResultWire, QueryRowWire, QuerySpecWire, ServerStatsWire, SessionRow,
+    Tail, TailEvent, MAX_FLIGHT_DUMPS, MAX_SAMPLES_PER_FRAME, MAX_SESSION_ROWS, VERSION,
 };
 use crate::session::{SeqAdmit, Session, SessionRegistry, Work};
-
-/// Read timeout on server-side sockets: the latency bound on observing
-/// shutdown from a blocked read.
-const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
 /// How long a reader waits for the worker pool to answer a FLUSH/FIN
 /// marker before giving up on the connection.
 const REPLY_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Longest a graceful shutdown keeps reading one connection whose peer
-/// is still sending; a peer that pauses for a read timeout ends the
-/// drain sooner.
-const SHUTDOWN_DRAIN_LIMIT: Duration = Duration::from_secs(2);
 
 /// Events per EVENTS frame in a reply (below the protocol bound).
 const EVENTS_PER_FRAME: usize = 50_000;
@@ -240,11 +233,10 @@ struct Shared {
     /// worker loop drains and exits.
     ready_tx: Mutex<Option<mpsc::Sender<Arc<Session>>>>,
     ready_rx: Mutex<mpsc::Receiver<Arc<Session>>>,
-    shutdown: AtomicBool,
-    /// Raised by [`Server::kill`] before `shutdown`: readers then stop at
-    /// once, as a crash would, instead of first reading what their peers
-    /// already sent.
-    killed: AtomicBool,
+    /// [`Server::kill`] raises the kill flag with the stop flag: readers
+    /// then stop at once, as a crash would, instead of first reading
+    /// what their peers already sent.
+    stop: Stop,
     /// Drain mode (set by a CLUSTER_JOIN drain verb or [`Server::drain`]):
     /// health reports unhealthy and fresh HELLOs are rejected, but
     /// resumes and in-flight sessions keep working — the node empties
@@ -252,8 +244,7 @@ struct Shared {
     draining: AtomicBool,
     /// The session listener's bound address, reported in NODE_HEALTH so
     /// a router can confirm which node answered a probe.
-    local_addr: Mutex<String>,
-    reader_handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    local_addr: String,
     /// Per-session chaos injectors when [`ServeConfig::fault_plan`] is
     /// set; entries live exactly as long as the session is registered so
     /// fault state (open dropout bursts, accumulated gain) survives a
@@ -345,7 +336,7 @@ impl Shared {
     fn health(&self) -> HealthWire {
         let active = self.registry.active();
         HealthWire {
-            healthy: !self.shutdown.load(Ordering::SeqCst)
+            healthy: !self.stop.is_raised()
                 && !self.draining.load(Ordering::SeqCst)
                 && active < self.config.max_sessions,
             uptime_ms: self
@@ -368,7 +359,7 @@ impl Shared {
         let health = self.health();
         NodeHealthWire {
             name: String::new(),
-            addr: self.local_addr.lock().unwrap_or_else(|e| e.into_inner()).clone(),
+            addr: self.local_addr.clone(),
             up: health.healthy,
             draining: self.draining.load(Ordering::SeqCst),
             sessions_active: health.sessions_active,
@@ -435,10 +426,7 @@ impl Shared {
 /// [`Server::shutdown`]) stops it gracefully.
 pub struct Server {
     shared: Arc<Shared>,
-    local_addr: SocketAddr,
-    metrics_addr: Option<SocketAddr>,
-    accept_handle: Option<std::thread::JoinHandle<()>>,
-    metrics_handle: Option<std::thread::JoinHandle<()>>,
+    edge: Edge,
     worker_handles: Vec<std::thread::JoinHandle<()>>,
     reaper_handle: Option<std::thread::JoinHandle<()>>,
 }
@@ -452,53 +440,32 @@ impl Server {
     ///
     /// Propagates listener binding failures.
     pub fn bind<A: ToSocketAddrs>(addr: A, config: ServeConfig) -> io::Result<Server> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
         let workers = config.threads.get();
-        let (ready_tx, ready_rx) = mpsc::channel();
-        let shared = Arc::new(Shared {
-            config,
-            registry: SessionRegistry::new(),
-            counters: ServerCounters::default(),
-            tail: Mutex::new(TailRing::new(1)),
-            ready_tx: Mutex::new(Some(ready_tx)),
-            ready_rx: Mutex::new(ready_rx),
-            shutdown: AtomicBool::new(false),
-            killed: AtomicBool::new(false),
-            draining: AtomicBool::new(false),
-            local_addr: Mutex::new(local_addr.to_string()),
-            reader_handles: Mutex::new(Vec::new()),
-            faults: Mutex::new(HashMap::new()),
-            query_cache: SegmentCache::default(),
-        });
-        *shared.tail.lock().unwrap_or_else(|e| e.into_inner()) =
-            TailRing::new(shared.config.tail_capacity);
-
-        if let Some(dir) = shared.config.journal_dir.clone() {
-            fs::create_dir_all(&dir)?;
-            recover_sessions(&shared, &dir);
-        }
-        if let Some(dir) = shared.config.flight_dir.as_ref() {
-            fs::create_dir_all(dir)?;
-        }
-
-        let accept_shared = Arc::clone(&shared);
-        let accept_handle = std::thread::Builder::new()
-            .name("emprof-serve-accept".into())
-            .spawn(move || accept_loop(&listener, &accept_shared))?;
-
-        let mut metrics_addr = None;
-        let mut metrics_handle = None;
-        if let Some(addr) = shared.config.metrics_addr.clone() {
-            let metrics_listener = TcpListener::bind(&*addr)?;
-            metrics_addr = Some(metrics_listener.local_addr()?);
-            let metrics_shared = Arc::clone(&shared);
-            metrics_handle = Some(
-                std::thread::Builder::new()
-                    .name("emprof-serve-metrics".into())
-                    .spawn(move || metrics_http_loop(&metrics_listener, &metrics_shared))?,
-            );
-        }
+        let metrics_addr = config.metrics_addr.clone();
+        let (edge, shared) = Edge::bind(addr, metrics_addr.as_deref(), |local_addr| {
+            let (ready_tx, ready_rx) = mpsc::channel();
+            let shared = Shared {
+                registry: SessionRegistry::new(),
+                counters: ServerCounters::default(),
+                tail: Mutex::new(TailRing::new(config.tail_capacity)),
+                ready_tx: Mutex::new(Some(ready_tx)),
+                ready_rx: Mutex::new(ready_rx),
+                stop: Stop::default(),
+                draining: AtomicBool::new(false),
+                local_addr: local_addr.to_string(),
+                faults: Mutex::new(HashMap::new()),
+                query_cache: SegmentCache::default(),
+                config,
+            };
+            if let Some(dir) = shared.config.journal_dir.clone() {
+                fs::create_dir_all(&dir)?;
+                recover_sessions(&shared, &dir);
+            }
+            if let Some(dir) = shared.config.flight_dir.as_ref() {
+                fs::create_dir_all(dir)?;
+            }
+            Ok(shared)
+        })?;
 
         let mut worker_handles = Vec::with_capacity(workers);
         for i in 0..workers {
@@ -517,10 +484,7 @@ impl Server {
 
         Ok(Server {
             shared,
-            local_addr,
-            metrics_addr,
-            accept_handle: Some(accept_handle),
-            metrics_handle,
+            edge,
             worker_handles,
             reaper_handle: Some(reaper_handle),
         })
@@ -528,13 +492,13 @@ impl Server {
 
     /// The address the listener is bound to.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.edge.local_addr()
     }
 
     /// The address the `/metrics` HTTP listener is bound to, when
     /// [`ServeConfig::metrics_addr`] was set.
     pub fn metrics_local_addr(&self) -> Option<SocketAddr> {
-        self.metrics_addr
+        self.edge.metrics_addr()
     }
 
     /// A snapshot of the server-wide counters.
@@ -583,34 +547,10 @@ impl Server {
     }
 
     fn shutdown_inner(&mut self, finalize: bool) {
-        if !finalize {
-            self.shared.killed.store(true, Ordering::SeqCst);
-        }
-        if self.shared.shutdown.swap(true, Ordering::SeqCst) {
+        if self.shared.stop.raise(!finalize) {
             return;
         }
-        // Wake the acceptors with throwaway loopback connections.
-        let _ = TcpStream::connect_timeout(&self.local_addr, POLL_INTERVAL);
-        if let Some(addr) = self.metrics_addr {
-            let _ = TcpStream::connect_timeout(&addr, POLL_INTERVAL);
-        }
-        if let Some(h) = self.accept_handle.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.metrics_handle.take() {
-            let _ = h.join();
-        }
-        // Readers observe the flag within one poll interval.
-        let readers = std::mem::take(
-            &mut *self
-                .shared
-                .reader_handles
-                .lock()
-                .unwrap_or_else(|e| e.into_inner()),
-        );
-        for h in readers {
-            let _ = h.join();
-        }
+        self.edge.shutdown();
         // Closing the ready channel lets workers drain it and exit.
         self.shared
             .ready_tx
@@ -644,7 +584,7 @@ impl Drop for Server {
 /// the registry. Unusable journals (no identity record survived) and
 /// sessions that were already finished *and* fully acknowledged are
 /// deleted instead.
-fn recover_sessions(shared: &Arc<Shared>, dir: &Path) {
+fn recover_sessions(shared: &Shared, dir: &Path) {
     let Ok(entries) = fs::read_dir(dir) else {
         return;
     };
@@ -719,28 +659,6 @@ fn delete_journal_and_flight(shared: &Arc<Shared>, session: &Session) {
     delete_journal(session);
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    loop {
-        let conn = listener.accept();
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let Ok((stream, _)) = conn else { continue };
-        shared.counters.connections.fetch_add(1, Ordering::Relaxed);
-        let conn_shared = Arc::clone(shared);
-        let spawned = std::thread::Builder::new()
-            .name("emprof-serve-conn".into())
-            .spawn(move || handle_connection(stream, &conn_shared));
-        if let Ok(handle) = spawned {
-            shared
-                .reader_handles
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push(handle);
-        }
-    }
-}
-
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
         let msg = {
@@ -761,7 +679,7 @@ fn worker_loop(shared: &Arc<Shared>) {
 }
 
 fn reaper_loop(shared: &Arc<Shared>) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
+    while !shared.stop.is_raised() {
         std::thread::sleep(POLL_INTERVAL);
         for session in shared.registry.reap_idle(shared.config.idle_timeout) {
             session.finalize(|evs| shared.record_events(session.id, evs));
@@ -773,277 +691,80 @@ fn reaper_loop(shared: &Arc<Shared>) {
     }
 }
 
-// ---------------------------------------------------------------------
-// The /metrics scrape endpoint: a minimal HTTP/1.1 responder over the
-// same telemetry snapshot the METRICS frame carries. Pure std — just
-// enough HTTP for Prometheus-style scrapers and `curl`.
+impl net::Service for Shared {
+    const NAME: &'static str = "emprof-serve";
 
-/// How long a scrape client gets to send its request line.
-const SCRAPE_READ_TIMEOUT: Duration = Duration::from_secs(2);
-
-/// Upper bound on a scrape request (request line + headers).
-const SCRAPE_REQUEST_MAX: usize = 8 * 1024;
-
-fn metrics_http_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    loop {
-        let conn = listener.accept();
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let Ok((stream, _)) = conn else { continue };
-        // Scrapes are served inline: a snapshot render is microseconds,
-        // and the read timeout bounds how long a stalled client can
-        // hold the acceptor.
-        serve_scrape(stream, shared);
-    }
-}
-
-/// Answers one HTTP request on `stream`. `GET /metrics` gets the
-/// exposition body; anything else gets 404. This path deliberately
-/// records no telemetry: a scrape must report the process exactly as
-/// it was, not as the scrape made it.
-fn serve_scrape(mut stream: TcpStream, shared: &Arc<Shared>) {
-    let _ = stream.set_read_timeout(Some(SCRAPE_READ_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(SCRAPE_READ_TIMEOUT));
-    let mut buf = Vec::new();
-    let mut tmp = [0u8; 1024];
-    while !buf.windows(4).any(|w| w == b"\r\n\r\n") && buf.len() < SCRAPE_REQUEST_MAX {
-        match stream.read(&mut tmp) {
-            Ok(0) => break,
-            Ok(n) => buf.extend_from_slice(&tmp[..n]),
-            Err(_) => return,
-        }
-    }
-    let request = String::from_utf8_lossy(&buf);
-    let mut parts = request.lines().next().unwrap_or("").split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
-    let is_metrics = path == "/metrics" || path.starts_with("/metrics?");
-    let (status, body) = if method == "GET" && is_metrics {
-        ("200 OK", scrape_body(shared))
-    } else {
-        ("404 Not Found", "not found\n".to_string())
-    };
-    use std::io::Write;
-    let _ = write!(
-        stream,
-        "HTTP/1.1 {status}\r\n\
-         Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
-         Content-Length: {}\r\n\
-         Connection: close\r\n\r\n{body}",
-        body.len()
-    );
-}
-
-/// The exposition body: the global snapshot first, then one labeled
-/// series set per live session (same numbers as a METRICS frame row).
-fn scrape_body(shared: &Arc<Shared>) -> String {
-    use emprof_obs::prom;
-    let reply = shared.metrics_reply();
-    let mut out = prom::encode_snapshot(&reply.snapshot);
-    out.push_str("# TYPE emprof_session_connected gauge\n");
-    out.push_str("# TYPE emprof_session_queue_depth gauge\n");
-    out.push_str("# TYPE emprof_session_samples_pushed counter\n");
-    out.push_str("# TYPE emprof_session_samples_per_sec gauge\n");
-    out.push_str("# TYPE emprof_session_events_emitted counter\n");
-    out.push_str("# TYPE emprof_session_events_acked counter\n");
-    out.push_str("# TYPE emprof_session_delivery_lag gauge\n");
-    out.push_str("# TYPE emprof_session_journaled_events counter\n");
-    out.push_str("# TYPE emprof_session_sheds counter\n");
-    out.push_str("# TYPE emprof_session_idle_ms gauge\n");
-    for row in &reply.sessions {
-        let labels = format!(
-            "{{session=\"{}\",trace=\"{:#018x}\",device=\"{}\"}}",
-            row.session_id,
-            row.trace_id,
-            prom::escape_label_value(&row.device)
-        );
-        out.push_str(&format!(
-            "emprof_session_connected{labels} {}\n",
-            u64::from(row.connected)
-        ));
-        out.push_str(&format!(
-            "emprof_session_queue_depth{labels} {}\n",
-            row.queue_depth
-        ));
-        out.push_str(&format!(
-            "emprof_session_samples_pushed{labels} {}\n",
-            row.samples_pushed
-        ));
-        out.push_str(&format!(
-            "emprof_session_samples_per_sec{labels} {}\n",
-            prom::format_value(row.samples_per_sec)
-        ));
-        out.push_str(&format!(
-            "emprof_session_events_emitted{labels} {}\n",
-            row.events_emitted
-        ));
-        out.push_str(&format!(
-            "emprof_session_events_acked{labels} {}\n",
-            row.events_acked
-        ));
-        out.push_str(&format!(
-            "emprof_session_delivery_lag{labels} {}\n",
-            row.delivery_lag()
-        ));
-        out.push_str(&format!(
-            "emprof_session_journaled_events{labels} {}\n",
-            row.journaled_events
-        ));
-        out.push_str(&format!("emprof_session_sheds{labels} {}\n", row.sheds));
-        out.push_str(&format!("emprof_session_idle_ms{labels} {}\n", row.idle_ms));
-    }
-    let health = shared.health();
-    out.push_str(&format!(
-        "# TYPE emprof_server_healthy gauge\nemprof_server_healthy {}\n",
-        u64::from(health.healthy)
-    ));
-    out.push_str(&format!(
-        "# TYPE emprof_server_uptime_ms counter\nemprof_server_uptime_ms {}\n",
-        health.uptime_ms
-    ));
-    out.push_str(&format!(
-        "# TYPE emprof_server_draining gauge\nemprof_server_draining {}\n",
-        u64::from(shared.draining.load(Ordering::SeqCst))
-    ));
-    out
-}
-
-// ---------------------------------------------------------------------
-// Connection handling.
-
-/// A framed connection with an accumulation buffer, so short read
-/// timeouts (used to observe shutdown) never lose frame sync.
-struct Conn {
-    stream: TcpStream,
-    buf: Vec<u8>,
-    /// When a graceful shutdown's drain of this socket gives up, set the
-    /// first time a read sees the shutdown flag.
-    drain_deadline: Option<Instant>,
-}
-
-impl Conn {
-    fn new(stream: TcpStream) -> io::Result<Conn> {
-        stream.set_read_timeout(Some(POLL_INTERVAL))?;
-        let _ = stream.set_nodelay(true);
-        Ok(Conn {
-            stream,
-            buf: Vec::new(),
-            drain_deadline: None,
-        })
+    fn stop(&self) -> &Stop {
+        &self.stop
     }
 
-    /// Reads one frame. `Ok(None)` means the peer closed cleanly between
-    /// frames, or shutdown was requested while waiting.
-    ///
-    /// A graceful shutdown first drains the socket: reads continue until
-    /// end of stream or until the peer has nothing more queued (a read
-    /// times out), and every complete frame is still returned, so bytes
-    /// a client sent before the shutdown are processed, not dropped. A
-    /// peer that never pauses is cut off after [`SHUTDOWN_DRAIN_LIMIT`].
-    /// After [`Server::kill`] the reader stops at once, like a crash.
-    fn read_frame(&mut self, shared: &Shared) -> Result<Option<Frame>, ProtoError> {
-        self.read_frame_hb(shared, None::<(Duration, fn() -> Frame)>, Vec::new)
+    fn serve(self: Arc<Self>, stream: TcpStream) {
+        self.counters.connections.fetch_add(1, Ordering::Relaxed);
+        handle_connection(stream, &self);
     }
 
-    /// [`Conn::read_frame`] with an optional heartbeat: while the peer
-    /// is quiet past `interval`, `make` builds a frame to write (the
-    /// liveness signal) and the idle clock restarts. A heartbeat write
-    /// failure is a transport loss, surfaced as an I/O error.
-    ///
-    /// SAMPLES frames are decoded zero-copy from the accumulation buffer
-    /// and their samples written into a vector obtained from
-    /// `samples_buf` — the session loop hands out pooled buffers here,
-    /// making steady-state ingest allocation-free per frame.
-    fn read_frame_hb<F: Fn() -> Frame>(
-        &mut self,
-        shared: &Shared,
-        heartbeat: Option<(Duration, F)>,
-        mut samples_buf: impl FnMut() -> Vec<f64>,
-    ) -> Result<Option<Frame>, ProtoError> {
-        let mut last_io = Instant::now();
-        loop {
-            if self.buf.len() >= proto::HEADER_LEN {
-                match proto::decode_frame_view(&self.buf) {
-                    Ok((view, consumed)) => {
-                        let frame = match view {
-                            proto::FrameView::Samples(v) => {
-                                let mut samples = samples_buf();
-                                samples.clear();
-                                v.copy_into(&mut samples);
-                                Frame::Samples {
-                                    seq: v.seq,
-                                    samples,
-                                }
-                            }
-                            proto::FrameView::Owned(frame) => frame,
-                        };
-                        self.buf.drain(..consumed);
-                        return Ok(Some(frame));
-                    }
-                    Err(ProtoError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof => {}
-                    Err(e) => return Err(e),
-                }
-            }
-            if shared.shutdown.load(Ordering::SeqCst) {
-                let deadline = *self
-                    .drain_deadline
-                    .get_or_insert_with(|| Instant::now() + SHUTDOWN_DRAIN_LIMIT);
-                if shared.killed.load(Ordering::SeqCst) || Instant::now() >= deadline {
-                    return Ok(None);
-                }
-            }
-            let mut tmp = [0u8; 64 * 1024];
-            match self.stream.read(&mut tmp) {
-                Ok(0) => {
-                    return if self.buf.is_empty() {
-                        Ok(None)
-                    } else {
-                        Err(ProtoError::Io(io::ErrorKind::UnexpectedEof.into()))
-                    }
-                }
-                Ok(n) => {
-                    self.buf.extend_from_slice(&tmp[..n]);
-                    last_io = Instant::now();
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock
-                            | io::ErrorKind::TimedOut
-                            | io::ErrorKind::Interrupted
-                    ) =>
-                {
-                    // Shutting down and a whole read timeout passed with
-                    // nothing from the peer: the drain is complete.
-                    if e.kind() != io::ErrorKind::Interrupted
-                        && shared.shutdown.load(Ordering::SeqCst)
-                    {
-                        return Ok(None);
-                    }
-                    if let Some((interval, make)) = heartbeat.as_ref() {
-                        if last_io.elapsed() >= *interval {
-                            self.write(&make())?;
-                            obs::counter_add!("serve.heartbeats", 1);
-                            last_io = Instant::now();
-                        }
-                    }
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
-    }
-
-    fn write(&mut self, frame: &Frame) -> io::Result<()> {
-        proto::write_frame(&mut self.stream, frame)
-    }
-
-    /// Best-effort error frame; the connection is abandoned after it.
-    fn bail(&mut self, code: ErrorCode, message: &str) {
-        let _ = self.write(&Frame::Error {
-            code,
-            message: message.into(),
+    /// The global snapshot first, then one labeled series set per live
+    /// session (same numbers as a METRICS frame row), then the health
+    /// gauges.
+    fn scrape_body(&self) -> String {
+        use emprof_obs::prom;
+        let reply = self.metrics_reply();
+        let mut out = prom::encode_snapshot(&reply.snapshot);
+        let labels: Vec<String> = reply
+            .sessions
+            .iter()
+            .map(|row| {
+                format!(
+                    "{{session=\"{}\",trace=\"{:#018x}\",device=\"{}\"}}",
+                    row.session_id,
+                    row.trace_id,
+                    prom::escape_label_value(&row.device)
+                )
+            })
+            .collect();
+        let mut family = |name: &str, kind: &str, value: fn(&SessionRow) -> String| {
+            let samples = labels
+                .iter()
+                .zip(&reply.sessions)
+                .map(|(l, r)| (l, value(r)));
+            prom::write_family(&mut out, name, kind, samples);
+        };
+        family("emprof_session_connected", "gauge", |r| {
+            u64::from(r.connected).to_string()
         });
+        family("emprof_session_queue_depth", "gauge", |r| {
+            r.queue_depth.to_string()
+        });
+        family("emprof_session_samples_pushed", "counter", |r| {
+            r.samples_pushed.to_string()
+        });
+        family("emprof_session_samples_per_sec", "gauge", |r| {
+            prom::format_value(r.samples_per_sec)
+        });
+        family("emprof_session_events_emitted", "counter", |r| {
+            r.events_emitted.to_string()
+        });
+        family("emprof_session_events_acked", "counter", |r| {
+            r.events_acked.to_string()
+        });
+        family("emprof_session_delivery_lag", "gauge", |r| {
+            r.delivery_lag().to_string()
+        });
+        family("emprof_session_journaled_events", "counter", |r| {
+            r.journaled_events.to_string()
+        });
+        family("emprof_session_sheds", "counter", |r| r.sheds.to_string());
+        family("emprof_session_idle_ms", "gauge", |r| r.idle_ms.to_string());
+        let health = self.health();
+        let draining = self.draining.load(Ordering::SeqCst);
+        for (name, kind, value) in [
+            ("emprof_server_healthy", "gauge", u64::from(health.healthy)),
+            ("emprof_server_uptime_ms", "counter", health.uptime_ms),
+            ("emprof_server_draining", "gauge", u64::from(draining)),
+        ] {
+            prom::write_family(&mut out, name, kind, [("", value)]);
+        }
+        out
     }
 }
 
@@ -1089,22 +810,16 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     let Ok(mut conn) = Conn::new(stream) else {
         return;
     };
-    let hello = match conn.read_frame(shared) {
+    let hello = match conn.read_frame(&shared.stop, None) {
         Ok(Some(Frame::Hello(h))) => h,
         // Observability pollers skip the HELLO handshake entirely: a
         // metrics request is its own introduction. This path records no
         // telemetry (not even the serve.session span), so polling never
         // perturbs what it reports.
-        Ok(Some(
-            first @ (Frame::MetricsRequest
-            | Frame::HealthRequest
-            | Frame::FlightRequest { .. }
-            | Frame::NodeHealthRequest
-            | Frame::ClusterStateRequest
-            | Frame::ClusterJoin { .. }
-            | Frame::Query(_)),
-        )) => {
-            metrics_connection(&mut conn, shared, first);
+        Ok(Some(first)) if net::is_poll(&first) => {
+            net::serve_polls(&mut conn, &shared.stop, first, |frame| {
+                answer_poll(shared, frame)
+            });
             return;
         }
         Ok(Some(_)) => {
@@ -1125,74 +840,55 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     }
 }
 
-/// Serves an observability poller: answers METRICS/HEALTH/FLIGHT
-/// requests until the peer closes or sends FIN. `first` is the frame
-/// that identified the connection as a poller.
-fn metrics_connection(conn: &mut Conn, shared: &Arc<Shared>, first: Frame) {
-    let mut next = Some(first);
-    loop {
-        let frame = match next.take() {
-            Some(f) => f,
-            None => match conn.read_frame(shared) {
-                Ok(Some(f)) => f,
-                Ok(None) => return,
-                Err(e) => {
-                    conn.bail(e.error_code(), &e.to_string());
-                    return;
-                }
-            },
-        };
-        let reply = match frame {
-            Frame::MetricsRequest => Frame::Metrics(shared.metrics_reply()),
-            Frame::HealthRequest => Frame::Health(shared.health()),
-            Frame::FlightRequest { session_id } => Frame::FlightReply {
-                dumps: shared.flight_dumps(session_id),
-            },
-            Frame::NodeHealthRequest => Frame::NodeHealthReply(shared.node_health()),
-            // Journal range queries run against this node's own journal
-            // root, through the shared decoded-segment cache.
-            Frame::Query(spec) => {
-                let Some(root) = shared.config.journal_dir.as_ref() else {
-                    conn.bail(ErrorCode::Protocol, "this server keeps no journal to query");
-                    return;
-                };
-                match query_journals(root, &query_spec_from_wire(&spec), Some(&shared.query_cache))
-                {
-                    Ok(result) => Frame::QueryResult(query_result_to_wire(&result)),
-                    Err(e) => {
-                        conn.bail(ErrorCode::Internal, &format!("query failed: {e}"));
-                        return;
-                    }
-                }
+/// Answers one observability poll or cluster verb; `None` for any
+/// other frame.
+fn answer_poll(shared: &Shared, frame: Frame) -> Option<net::Answer> {
+    let reply = match frame {
+        Frame::MetricsRequest => Frame::Metrics(shared.metrics_reply()),
+        Frame::HealthRequest => Frame::Health(shared.health()),
+        Frame::FlightRequest { session_id } => Frame::FlightReply {
+            dumps: shared.flight_dumps(session_id),
+        },
+        Frame::NodeHealthRequest => Frame::NodeHealthReply(shared.node_health()),
+        // Journal range queries run against this node's own journal
+        // root, through the shared decoded-segment cache.
+        Frame::Query(spec) => {
+            let Some(root) = shared.config.journal_dir.as_ref() else {
+                return Some(Err((
+                    ErrorCode::Protocol,
+                    "this server keeps no journal to query".into(),
+                )));
+            };
+            match query_journals(
+                root,
+                &query_spec_from_wire(&spec),
+                Some(&shared.query_cache),
+            ) {
+                Ok(result) => Frame::QueryResult(query_result_to_wire(&result)),
+                Err(e) => return Some(Err((ErrorCode::Internal, format!("query failed: {e}")))),
             }
-            // A standalone node's cluster state is just itself; a router
-            // answers the same request with its full backend table.
-            Frame::ClusterStateRequest => Frame::ClusterStateReply {
-                nodes: vec![shared.node_health()],
-            },
-            // The cluster admin verb: drain (or leave) empties the node,
-            // join marks it back up. The reply is the node's post-action
-            // health row so the caller sees the transition took.
-            Frame::ClusterJoin { action, .. } => {
-                match action {
-                    ClusterAction::Drain | ClusterAction::Leave => {
-                        shared.draining.store(true, Ordering::SeqCst);
-                        obs::counter_add!("serve.drains", 1);
-                    }
-                    ClusterAction::Join => shared.draining.store(false, Ordering::SeqCst),
-                }
-                Frame::NodeHealthReply(shared.node_health())
-            }
-            Frame::Fin => return,
-            _ => {
-                conn.bail(ErrorCode::Protocol, "metrics connections may only poll");
-                return;
-            }
-        };
-        if conn.write(&reply).is_err() {
-            return;
         }
-    }
+        // A standalone node's cluster state is just itself; a router
+        // answers the same request with its full backend table.
+        Frame::ClusterStateRequest => Frame::ClusterStateReply {
+            nodes: vec![shared.node_health()],
+        },
+        // The cluster admin verb: drain (or leave) empties the node,
+        // join marks it back up. The reply is the node's post-action
+        // health row so the caller sees the transition took.
+        Frame::ClusterJoin { action, .. } => {
+            match action {
+                ClusterAction::Drain | ClusterAction::Leave => {
+                    shared.draining.store(true, Ordering::SeqCst);
+                    obs::counter_add!("serve.drains", 1);
+                }
+                ClusterAction::Join => shared.draining.store(false, Ordering::SeqCst),
+            }
+            Frame::NodeHealthReply(shared.node_health())
+        }
+        _ => return None,
+    };
+    Some(Ok(reply))
 }
 
 fn watch_connection(conn: &mut Conn, shared: &Arc<Shared>) {
@@ -1214,7 +910,7 @@ fn watch_connection(conn: &mut Conn, shared: &Arc<Shared>) {
             .config
             .heartbeat_interval
             .map(|iv| (iv, || Frame::Heartbeat { acked_seq: 0 }));
-        match conn.read_frame_hb(shared, hb, Vec::new) {
+        match conn.read_frame_with(&shared.stop, None, hb, Vec::new) {
             Ok(Some(Frame::Watch { cursor })) => {
                 let (next, missed, events) = shared
                     .tail
@@ -1232,7 +928,7 @@ fn watch_connection(conn: &mut Conn, shared: &Arc<Shared>) {
                 }
             }
             Ok(Some(Frame::Fin)) | Ok(None) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
+                if shared.stop.is_raised() {
                     conn.bail(ErrorCode::Shutdown, "server shutting down");
                 }
                 return;
@@ -1426,7 +1122,7 @@ fn session_loop(
         });
         // SAMPLES frames decode into buffers recycled from this session's
         // pool, so a steady sample stream allocates nothing per frame.
-        match conn.read_frame_hb(shared, hb, || session.take_buffer()) {
+        match conn.read_frame_with(&shared.stop, None, hb, || session.take_buffer()) {
             Ok(Some(Frame::Samples { seq, samples })) => {
                 if !session.is_current(generation) {
                     // A resumed connection took over; bow out silently.
@@ -1533,7 +1229,7 @@ fn session_loop(
                 return SessionExit::Fault("unexpected frame in session".into());
             }
             Ok(None) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
+                if shared.stop.is_raised() {
                     conn.bail(ErrorCode::Shutdown, "server shutting down; session finalized");
                     return SessionExit::Clean;
                 }

@@ -101,8 +101,9 @@ cargo test -q --release --test obs_wire
 cargo test -q --release --test prop_prom
 
 # Fleet-dashboard loopback smoke: a short-lived served process with the
-# scrape listener on, one `emprof top --once` poll against it, and a
-# raw /metrics scrape that must answer 200 with emprof_ families.
+# scrape listener on, one `emprof top --once` poll against it, a raw
+# /metrics scrape that must answer 200 with emprof_ families, and the
+# same scrape of a router in front of it.
 cargo build -q --release -p emprof-cli --bin emprof
 TOP_OUT="$(mktemp)"
 ./target/release/emprof serve --addr 127.0.0.1:7731 --metrics-addr 127.0.0.1:7732 --duration 30 &
@@ -125,8 +126,29 @@ exec 3>&- 3<&-
 echo "$SCRAPE" | grep -q "HTTP/1.1 200" || { echo "verify: /metrics scrape not 200" >&2; exit 1; }
 echo "$SCRAPE" | grep -q "# TYPE emprof_" || { echo "verify: scrape missing emprof_ families" >&2; exit 1; }
 echo "$SCRAPE" | grep -q "emprof_server_healthy 1" || { echo "verify: scrape missing health gauge" >&2; exit 1; }
-kill "$SERVE_PID" 2>/dev/null || true
-wait "$SERVE_PID" 2>/dev/null || true
+
+# Router scrape smoke: a router in front of the served process answers
+# its own /metrics with the backend's health row typed and up.
+./target/release/emprof router --backends b0=127.0.0.1:7731 --addr 127.0.0.1:7733 \
+  --metrics-addr 127.0.0.1:7734 --duration 30 &
+ROUTER_PID=$!
+trap 'kill "$SERVE_PID" "$ROUTER_PID" 2>/dev/null || true' EXIT
+router_ok=0
+for _ in $(seq 1 50); do
+  ROUTER_SCRAPE="$( (exec 3<>/dev/tcp/127.0.0.1/7734 \
+    && printf 'GET /metrics HTTP/1.1\r\nHost: emprof\r\nConnection: close\r\n\r\n' >&3 \
+    && cat <&3) 2>/dev/null || true)"
+  if grep -q "HTTP/1.1 200" <<<"$ROUTER_SCRAPE" \
+    && grep -q "# TYPE emprof_router_backend_up gauge" <<<"$ROUTER_SCRAPE" \
+    && grep -Eq '^emprof_router_backend_up\{backend="b0"[^}]*\} 1$' <<<"$ROUTER_SCRAPE"; then
+    router_ok=1
+    break
+  fi
+  sleep 0.2
+done
+[ "$router_ok" = 1 ] || { echo "verify: router /metrics never showed backend b0 up" >&2; exit 1; }
+kill "$SERVE_PID" "$ROUTER_PID" 2>/dev/null || true
+wait "$SERVE_PID" "$ROUTER_PID" 2>/dev/null || true
 trap - EXIT
 rm -f "$TOP_OUT"
 

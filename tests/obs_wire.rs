@@ -13,6 +13,7 @@ use std::time::{Duration, Instant};
 
 use emprof::core::EmprofConfig;
 use emprof::obs;
+use emprof::router::{BackendSpec, Router, RouterConfig};
 use emprof::serve::{MetricsClient, ProfileClient, ServeConfig, Server};
 
 const FS: f64 = 40e6;
@@ -380,4 +381,111 @@ fn clean_retirement_removes_the_stale_flight_dump() {
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Asserts the exposition grouping rule: every family's `# TYPE` line
+/// appears once, and all of the family's samples follow it with no
+/// other family's line in between. A histogram's `_bucket`, `_sum` and
+/// `_count` samples belong to the histogram's family.
+fn assert_families_grouped(body: &str) {
+    let mut typed = std::collections::HashSet::new();
+    let mut current: Option<(&str, &str)> = None;
+    for line in body.lines().filter(|l| !l.is_empty()) {
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let (name, kind) = rest.split_once(' ').expect("TYPE line names a kind");
+            assert!(typed.insert(name), "family {name} typed twice:\n{body}");
+            current = Some((name, kind));
+            continue;
+        }
+        let metric = line.split(['{', ' ']).next().unwrap_or("");
+        let (family, kind) = current.unwrap_or_else(|| panic!("{line:?} precedes every TYPE line"));
+        let belongs = metric == family
+            || (kind == "histogram"
+                && ["_bucket", "_sum", "_count"]
+                    .iter()
+                    .any(|suffix| metric.strip_suffix(suffix) == Some(family)));
+        assert!(
+            belongs,
+            "{line:?} is not in its family's group (current family {family}):\n{body}"
+        );
+    }
+}
+
+#[test]
+fn scrape_families_are_typed_once_and_contiguous() {
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let scrape = |addr: SocketAddr| {
+        let response = http_get(addr, "/metrics");
+        assert!(response.starts_with("HTTP/1.1 200"), "{response:?}");
+        response
+            .split("\r\n\r\n")
+            .nth(1)
+            .expect("scrape body")
+            .to_string()
+    };
+    let metrics_addr = Some("127.0.0.1:0".to_string());
+
+    // A server with two live sessions: every per-session family has
+    // two samples, one per label set.
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServeConfig {
+            metrics_addr: metrics_addr.clone(),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let signal = test_signal();
+    let mut clients = Vec::new();
+    for device in ["grouped-a", "grouped-b"] {
+        let mut client =
+            ProfileClient::connect(server.local_addr(), device, config(), FS, CLK).unwrap();
+        client.send(&signal).unwrap();
+        client.flush().unwrap();
+        clients.push(client);
+    }
+    let body = scrape(server.metrics_local_addr().expect("metrics listener bound"));
+    assert!(
+        body.contains("device=\"grouped-a\"") && body.contains("device=\"grouped-b\""),
+        "both sessions must be scraped:\n{body}"
+    );
+    assert_families_grouped(&body);
+
+    // A router with two backends: every per-backend family has two
+    // samples, one per backend.
+    let other = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let backends = [("b0", &server), ("b1", &other)]
+        .iter()
+        .map(|(name, s)| BackendSpec {
+            name: (*name).to_string(),
+            addr: s.local_addr().to_string(),
+            journal_dir: None,
+        })
+        .collect();
+    let router = Router::bind(
+        "127.0.0.1:0",
+        RouterConfig {
+            backends,
+            metrics_addr,
+            ..RouterConfig::default()
+        },
+    )
+    .unwrap();
+    let body = scrape(
+        router
+            .metrics_local_addr()
+            .expect("router metrics listener"),
+    );
+    assert!(
+        body.contains("backend=\"b0\"") && body.contains("backend=\"b1\""),
+        "both backends must be scraped:\n{body}"
+    );
+    assert_families_grouped(&body);
+
+    router.shutdown();
+    for client in clients {
+        client.finish().unwrap();
+    }
+    other.shutdown();
+    server.shutdown();
 }

@@ -5,12 +5,13 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use emprof::core::{Emprof, EmprofConfig, StallEvent};
 use emprof::router::{BackendSpec, Router, RouterConfig};
 use emprof::serve::{
-    ClientError, ClusterAction, ErrorCode, MetricsClient, ProfileClient, ServeConfig, Server,
+    ClientConfig, ClientError, ClusterAction, ErrorCode, MetricsClient, ProfileClient, ServeConfig,
+    Server,
 };
 
 const FS: f64 = 40e6;
@@ -352,5 +353,77 @@ fn cluster_join_grows_and_shrinks_the_ring_at_runtime() {
     }
 
     router.shutdown();
+    cleanup(backends, dirs);
+}
+
+#[test]
+fn owner_death_while_detached_migrates_without_stalling_the_router() {
+    // The owner dies while its only session sits detached: the client
+    // severed and is not back yet. The prober's mark-down then migrates
+    // the session by itself. The router must keep answering polls while
+    // it does, and the client's later resume must still equal batch.
+    let (mut backends, dirs, router) = fleet(2, "detached", true);
+    let signal = signal_for(7);
+    let mut client =
+        ProfileClient::connect(router.local_addr(), "detached-dev", config(), FS, CLK).unwrap();
+    let half = signal.len() / 2;
+    client.send(&signal[..half]).unwrap();
+    let (mut events, _) = client.flush().unwrap();
+    let owner = backends
+        .iter()
+        .position(|b| b.sessions_active() == 1)
+        .expect("owner");
+    client.drop_connection();
+
+    let quick = ClientConfig {
+        read_timeout: Duration::from_secs(5),
+        max_reconnects: 0,
+        ..ClientConfig::default()
+    };
+    let mut metrics = MetricsClient::connect_with(router.local_addr(), quick).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while metrics
+        .fetch_metrics()
+        .unwrap()
+        .sessions
+        .iter()
+        .any(|r| r.connected)
+    {
+        assert!(Instant::now() < deadline, "the router never saw the sever");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    backends.remove(owner).kill();
+
+    // Two failed probes mark the owner down, and the prober migrates the
+    // detached session onto the survivor.
+    loop {
+        let nodes = match metrics.fetch_cluster_state() {
+            Ok(nodes) => nodes,
+            Err(e) => {
+                // A router stuck on its own locks cannot be shut down;
+                // leak it so the failure is reported instead of hanging.
+                std::mem::forget(router);
+                panic!("the router stopped answering after the mark-down: {e}");
+            }
+        };
+        if nodes.iter().any(|n| n.migrations_in >= 1) {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the prober never migrated the session"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    client.send(&signal[half..]).unwrap();
+    let (tail, stats) = client.finish().unwrap();
+    assert!(stats.final_report);
+    events.extend(tail);
+    assert_eq!(events, batch_events(&signal));
+
+    let rstats = router.shutdown();
+    assert_eq!(rstats.migrations, 1);
+    assert_eq!(rstats.migrations_lossy, 0);
     cleanup(backends, dirs);
 }
