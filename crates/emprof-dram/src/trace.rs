@@ -36,7 +36,7 @@ impl CasEvent {
 }
 
 /// An append-only log of memory activity in time order.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CasTrace {
     events: Vec<CasEvent>,
 }

@@ -133,17 +133,17 @@ impl Receiver {
             "bandwidth {} exceeds source clock {clock}",
             self.config.bandwidth_hz
         );
-        let envelope = power.to_f64();
-        self.capture_envelope(&envelope, clock, clock, seed)
+        self.capture_envelope(power.samples(), clock, clock, seed)
     }
 
     /// Captures an arbitrary activity envelope sampled at `envelope_rate_hz`
     /// emitted by a device clocked at `source_clock_hz` (used for the
     /// memory-side probe, whose envelope is synthesized at the output
-    /// rate directly).
-    pub(crate) fn capture_envelope(
+    /// rate directly). The envelope is read in place, widened to `f64`
+    /// sample by sample.
+    pub(crate) fn capture_envelope<T: Copy + Into<f64> + Sync>(
         &self,
-        envelope: &[f64],
+        envelope: &[T],
         envelope_rate_hz: f64,
         source_clock_hz: f64,
         seed: u64,
@@ -155,7 +155,7 @@ impl Receiver {
         let baseband = {
             let _s = obs::span!("emsim.resample");
             if (envelope_rate_hz - b).abs() / b < 1e-9 {
-                envelope.to_vec()
+                envelope.iter().map(|&v| v.into()).collect()
             } else {
                 resample::resample_par(envelope, envelope_rate_hz, b, self.parallelism)
             }

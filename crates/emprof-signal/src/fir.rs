@@ -206,7 +206,9 @@ fn filter_direct_par(signal: &[f64], taps: &[f64], par: Parallelism) -> Vec<f64>
 /// The sum runs over the taps in index order, skipping the taps that
 /// fall off either end of the zero-padded signal, so the result is
 /// bit-identical to `filter_direct(signal, taps)[i]`. Costs one pass
-/// over the taps and allocates nothing.
+/// over the taps and allocates nothing. The signal may be any type that
+/// widens to `f64` exactly (the simulator's `f32` power trace), read in
+/// place: the result is that of the widened signal, bit for bit.
 ///
 /// # Panics
 ///
@@ -221,7 +223,7 @@ fn filter_direct_par(signal: &[f64], taps: &[f64], par: Parallelism) -> Vec<f64>
 /// let taps = fir::lowpass(21, 0.1);
 /// assert_eq!(fir::filter_direct_at(&x, &taps, 40), fir::filter_direct(&x, &taps)[40]);
 /// ```
-pub fn filter_direct_at(signal: &[f64], taps: &[f64], i: usize) -> f64 {
+pub fn filter_direct_at<T: Copy + Into<f64>>(signal: &[T], taps: &[f64], i: usize) -> f64 {
     assert!(!taps.is_empty(), "FIR filter must have at least one tap");
     assert!(
         i < signal.len(),
@@ -236,7 +238,8 @@ pub fn filter_direct_at(signal: &[f64], taps: &[f64], i: usize) -> f64 {
     let k_hi = taps.len().min(center + 1);
     let mut acc = 0.0;
     for k in k_lo..k_hi {
-        acc += taps[k] * signal[center - k];
+        let x: f64 = signal[center - k].into();
+        acc += taps[k] * x;
     }
     acc
 }
@@ -248,7 +251,8 @@ pub fn filter_direct_at(signal: &[f64], taps: &[f64], i: usize) -> f64 {
 /// and run as two independent accumulators, each in
 /// [`filter_direct_at`]'s order, so both values are bit-identical to
 /// it while the two add chains overlap in the pipeline. Near an edge it
-/// is two [`filter_direct_at`] calls.
+/// is two [`filter_direct_at`] calls. Like [`filter_direct_at`], it
+/// reads any signal that widens to `f64` exactly.
 ///
 /// # Panics
 ///
@@ -264,7 +268,7 @@ pub fn filter_direct_at(signal: &[f64], taps: &[f64], i: usize) -> f64 {
 /// let y = fir::filter_direct(&x, &taps);
 /// assert_eq!(fir::filter_direct_pair(&x, &taps, 40), (y[40], y[41]));
 /// ```
-pub fn filter_direct_pair(signal: &[f64], taps: &[f64], i: usize) -> (f64, f64) {
+pub fn filter_direct_pair<T: Copy + Into<f64>>(signal: &[T], taps: &[f64], i: usize) -> (f64, f64) {
     assert!(!taps.is_empty(), "FIR filter must have at least one tap");
     assert!(
         i + 1 < signal.len(),
@@ -289,6 +293,7 @@ pub fn filter_direct_pair(signal: &[f64], taps: &[f64], i: usize) -> (f64, f64) 
         .zip(window[..k].iter().rev())
         .zip(window[1..].iter().rev())
     {
+        let (x0, x1): (f64, f64) = (x0.into(), x1.into());
         acc0 += t * x0;
         acc1 += t * x1;
     }

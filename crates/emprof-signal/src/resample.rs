@@ -95,13 +95,15 @@ pub fn resample(signal: &[f64], in_rate: f64, out_rate: f64) -> Vec<f64> {
 /// interpolation, clamped to the last filtered value at the right edge.
 ///
 /// Output is bit-identical to [`resample`] for any thread count: every
-/// output sample is an independent function of the source signal.
+/// output sample is an independent function of the source signal. The
+/// signal may be any type that widens to `f64` exactly (the simulator's
+/// `f32` power trace), read in place with the widened signal's result.
 ///
 /// # Panics
 ///
 /// Panics if either rate is not strictly positive.
-pub fn resample_par(
-    signal: &[f64],
+pub fn resample_par<T: Copy + Into<f64> + Sync>(
+    signal: &[T],
     in_rate: f64,
     out_rate: f64,
     par: Parallelism,
@@ -122,8 +124,8 @@ pub fn resample_par(
                     sample_linear(
                         signal.len(),
                         n as f64 * ratio,
-                        |i| signal[i],
-                        |i| (signal[i], signal[i + 1]),
+                        |i| signal[i].into(),
+                        |i| (signal[i].into(), signal[i + 1].into()),
                     )
                 })
                 .collect()

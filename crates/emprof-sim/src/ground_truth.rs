@@ -70,7 +70,7 @@ impl StallInterval {
 }
 
 /// The complete ground-truth record of one simulation.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GroundTruth {
     misses: Vec<MissRecord>,
     stalls: Vec<StallInterval>,

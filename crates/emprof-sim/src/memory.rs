@@ -89,6 +89,10 @@ pub struct MemorySystem {
     dram: MemoryController,
     prefetcher: Option<StridePrefetcher>,
     outstanding: Vec<Outstanding>,
+    /// Earliest `ready_cycle` in `outstanding` (`u64::MAX` when empty),
+    /// so that retiring is a compare on every cycle and a scan only on
+    /// the cycles where some miss actually completes.
+    next_ready: u64,
     mshrs: usize,
     l1_hit_latency: u64,
     llc_hit_latency: u64,
@@ -122,6 +126,7 @@ impl MemorySystem {
             dram: MemoryController::new(device.dram.clone()),
             prefetcher: device.prefetcher.map(StridePrefetcher::new),
             outstanding: Vec::new(),
+            next_ready: u64::MAX,
             mshrs: device.mshrs,
             l1_hit_latency: device.l1_hit_latency,
             llc_hit_latency: device.llc_hit_latency,
@@ -140,9 +145,19 @@ impl MemorySystem {
     }
 
     /// Drops completed misses, freeing their MSHRs. Call once per cycle
-    /// before issuing.
+    /// before issuing. Only scans the in-flight misses once the earliest
+    /// of them is due.
     pub fn retire_completed(&mut self, now: u64) {
+        if now < self.next_ready {
+            return;
+        }
         self.outstanding.retain(|o| o.ready_cycle > now);
+        self.next_ready = self
+            .outstanding
+            .iter()
+            .map(|o| o.ready_cycle)
+            .min()
+            .unwrap_or(u64::MAX);
     }
 
     /// Summarizes in-flight misses for stall attribution.
@@ -307,6 +322,7 @@ impl MemorySystem {
             refresh,
             is_instr,
         });
+        self.next_ready = self.next_ready.min(ready_cycle);
         AccessInfo {
             ready_cycle,
             l1_hit: false,
@@ -350,10 +366,12 @@ impl MemorySystem {
         self.stats
     }
 
-    /// Earliest completion among in-flight misses, if any (used by the
-    /// pipeline to fast-forward through fully-stalled stretches).
+    /// Earliest completion among in-flight misses, if any. This is the
+    /// cached minimum that gates [`MemorySystem::retire_completed`], so
+    /// reading it costs nothing; the pipeline uses it to jump over
+    /// fully-stalled stretches to the cycle the next miss completes.
     pub fn next_completion(&self) -> Option<u64> {
-        self.outstanding.iter().map(|o| o.ready_cycle).min()
+        (!self.outstanding.is_empty()).then_some(self.next_ready)
     }
 
     /// The CAS/refresh activity trace recorded by the DRAM controller.
@@ -553,6 +571,19 @@ mod tests {
         assert_eq!(m.next_completion(), None);
         let a = m.access_data(0, 0x50_0000, false, 0).unwrap();
         let b = m.access_data(0, 0x60_0000, false, 5).unwrap();
-        assert_eq!(m.next_completion(), Some(a.ready_cycle.min(b.ready_cycle)));
+        let (first, last) = (
+            a.ready_cycle.min(b.ready_cycle),
+            a.ready_cycle.max(b.ready_cycle),
+        );
+        assert_eq!(m.next_completion(), Some(first));
+        // Retiring before the earliest completion keeps both; at it, the
+        // cached minimum moves on to the other miss, then to none.
+        m.retire_completed(first - 1);
+        assert_eq!(m.next_completion(), Some(first));
+        m.retire_completed(first);
+        assert_eq!(m.next_completion(), (last > first).then_some(last));
+        m.retire_completed(last);
+        assert_eq!(m.next_completion(), None);
+        assert_eq!(m.outstanding_summary(last), OutstandingSummary::default());
     }
 }

@@ -90,7 +90,7 @@ fn flush_sim_metrics(stats: &SimStats, mem: &crate::memory::MemStats) {
 }
 
 /// Everything one simulation produces.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct SimResult {
     /// Per-cycle power trace (the side-channel signal source).
     pub power: PowerTrace,
@@ -106,6 +106,14 @@ pub struct SimResult {
 /// Default simulation-cycle guard; hitting it almost always means a
 /// livelocked workload rather than a legitimately long run.
 pub const DEFAULT_MAX_CYCLES: u64 = 2_000_000_000;
+
+/// Panics unless cycle `now` is inside the guard.
+fn check_cycle_guard(now: u64, max_cycles: u64) {
+    assert!(
+        now < max_cycles,
+        "simulation exceeded {max_cycles} cycles — livelocked workload?"
+    );
+}
 
 /// Cycle-accurate simulator for one [`DeviceModel`].
 ///
@@ -159,6 +167,12 @@ impl Simulator {
     /// [`Simulator::with_max_cycles`]).
     pub fn run<S: InstructionSource>(&self, source: S) -> SimResult {
         Pipeline::new(&self.device, self.seed).run(source, self.max_cycles)
+    }
+
+    /// [`Simulator::run`] by the cycle-stepping specification loop.
+    #[cfg(test)]
+    fn run_stepping<S: InstructionSource>(&self, source: S) -> SimResult {
+        Pipeline::new(&self.device, self.seed).run_stepping(source, self.max_cycles)
     }
 }
 
@@ -237,7 +251,13 @@ struct Pipeline<'d> {
     /// An instruction peeked from the source but not yet admitted because
     /// its I$ line is still being fetched.
     pending_fetch: Option<DynInst>,
+    /// The instruction source has been drained.
+    source_done: bool,
+    /// Ready cycles of the buffered stores.
     store_buffer: Vec<u64>,
+    /// Earliest entry of `store_buffer` (`u64::MAX` when empty), so the
+    /// buffer is only scanned on the cycles where a store drains.
+    store_buffer_next: u64,
     bpred: Option<BimodalPredictor>,
     power: PowerTraceBuilder,
     gt: GroundTruth,
@@ -261,7 +281,9 @@ impl<'d> Pipeline<'d> {
             fetch_block_kind: MissKind::None,
             current_fetch_line: None,
             pending_fetch: None,
+            source_done: false,
             store_buffer: Vec::with_capacity(device.store_buffer),
+            store_buffer_next: u64::MAX,
             bpred: device.branch_predictor.map(BimodalPredictor::new),
             power: PowerTraceBuilder::new(device.power),
             gt: GroundTruth::new(),
@@ -271,38 +293,129 @@ impl<'d> Pipeline<'d> {
         }
     }
 
+    /// Simulates cycles until the source is drained and every
+    /// outstanding operation has completed, jumping over frozen
+    /// stretches: a frozen cycle repeats until [`Pipeline::next_change`],
+    /// so those cycles are recorded in bulk, bit-identically to stepping
+    /// them (see `run_stepping`).
     fn run<S: InstructionSource>(mut self, mut source: S, max_cycles: u64) -> SimResult {
         let _run_span = obs::span!("sim.run");
-        let mut source_done = false;
         let mut now: u64 = 0;
         loop {
-            assert!(
-                now < max_cycles,
-                "simulation exceeded {max_cycles} cycles — livelocked workload?"
-            );
-            self.mem.retire_completed(now);
-            self.retire(now);
-            self.store_buffer.retain(|&ready| ready > now);
-
-            let mut activity = CycleActivity::default();
-            let issued = self.issue(now, &mut activity);
-            if !source_done {
-                source_done = self.fetch(&mut source, now, &mut activity);
-            }
-            self.track_stall(now, issued);
-            self.power.record(&activity);
+            check_cycle_guard(now, max_cycles);
+            let frozen = self.step(&mut source, now);
             now += 1;
+            if self.finished() {
+                break;
+            }
+            if frozen {
+                // Clamped so the guard trips at the cycle stepping would.
+                let until = self.next_change(now).min(max_cycles);
+                self.power.record_repeat((until - now) as usize);
+                self.stats.stall_cycles += until - now;
+                now = until;
+            }
+        }
+        self.finish(now)
+    }
 
-            if source_done
-                && self.fetch_queue.is_empty()
-                && self.pending_fetch.is_none()
-                && self.store_buffer.is_empty()
-                && self.inflight.is_empty()
-                && self.mem.next_completion().is_none()
-            {
+    /// The executable specification of [`Pipeline::run`]: the same
+    /// cycles, each one stepped.
+    #[cfg(test)]
+    fn run_stepping<S: InstructionSource>(mut self, mut source: S, max_cycles: u64) -> SimResult {
+        let mut now: u64 = 0;
+        loop {
+            check_cycle_guard(now, max_cycles);
+            self.step(&mut source, now);
+            now += 1;
+            if self.finished() {
                 break;
             }
         }
+        self.finish(now)
+    }
+
+    /// Simulates cycle `now`. Returns whether the cycle was frozen:
+    /// nothing issued, no marker was popped and fetch did not move, so
+    /// no state changed and every later cycle repeats this one (an idle
+    /// power sample, one more stalled cycle, the same stall attribution)
+    /// until [`Pipeline::next_change`].
+    fn step<S: InstructionSource>(&mut self, source: &mut S, now: u64) -> bool {
+        self.mem.retire_completed(now);
+        self.retire(now);
+        self.drain_store_buffer(now);
+
+        let mut activity = CycleActivity::default();
+        let queued = self.fetch_queue.len();
+        let issued = self.issue(now, &mut activity);
+        // Issue pops every instruction and marker it handles; an idle
+        // fetch is one `fetch` returns from before touching the source,
+        // the I$ or the queue.
+        let issue_idle = self.fetch_queue.len() == queued;
+        let fetch_idle = self.source_done
+            || now < self.fetch_blocked_until
+            || self.fetch_queue.len() >= self.device.fetch_queue;
+        if !self.source_done {
+            self.source_done = self.fetch(source, now, &mut activity);
+        }
+        self.track_stall(now, issued);
+        self.power.record(&activity);
+        issue_idle && fetch_idle
+    }
+
+    /// The source is drained and nothing is queued, buffered or in flight.
+    fn finished(&self) -> bool {
+        self.source_done
+            && self.fetch_queue.is_empty()
+            && self.pending_fetch.is_none()
+            && self.store_buffer.is_empty()
+            && self.inflight.is_empty()
+            && self.mem.next_completion().is_none()
+    }
+
+    /// The earliest cycle from `now` on at which a pipeline frozen in
+    /// cycle `now - 1` can act differently: the window head completes, a
+    /// miss completes, a buffered store drains, a fetch block ends, or a
+    /// source operand of the fetch-queue head becomes ready. Candidates
+    /// already in the past gate nothing and are ignored. `u64::MAX` when
+    /// nothing is pending (a livelock, which the cycle guard reports).
+    fn next_change(&self, now: u64) -> u64 {
+        let head_srcs = self
+            .fetch_queue
+            .front()
+            .map_or([None, None], |inst| inst.op.srcs());
+        [
+            self.inflight.front().map(|f| f.complete_cycle),
+            self.mem.next_completion(),
+            Some(self.store_buffer_next),
+            (!self.source_done).then_some(self.fetch_blocked_until),
+        ]
+        .into_iter()
+        .flatten()
+        .chain(
+            head_srcs
+                .into_iter()
+                .flatten()
+                .map(|r| self.reg_ready[r.0 as usize]),
+        )
+        .filter(|&cycle| cycle >= now)
+        .min()
+        .unwrap_or(u64::MAX)
+    }
+
+    /// Drops the buffered stores whose lines have arrived, scanning the
+    /// buffer only once its earliest entry is due.
+    fn drain_store_buffer(&mut self, now: u64) {
+        if now < self.store_buffer_next {
+            return;
+        }
+        self.store_buffer.retain(|&ready| ready > now);
+        self.store_buffer_next = self.store_buffer.iter().copied().min().unwrap_or(u64::MAX);
+    }
+
+    /// Closes the trailing stall run and assembles the result of a run
+    /// that ended after `now` cycles.
+    fn finish(mut self, now: u64) -> SimResult {
         // Close a trailing stall run, if any.
         if let Some((start, llc, refresh, l1)) = self.open_stall.take() {
             self.push_stall(start, now, llc, refresh, l1);
@@ -492,7 +605,9 @@ impl<'d> Pipeline<'d> {
                 // The store retires into the buffer (it completes
                 // immediately from the window's point of view); the buffer
                 // entry drains when the line arrives.
-                self.store_buffer.push(info.ready_cycle.max(now + 1));
+                let ready = info.ready_cycle.max(now + 1);
+                self.store_buffer.push(ready);
+                self.store_buffer_next = self.store_buffer_next.min(ready);
                 self.push_inflight(now + 1, MissKind::None);
                 activity.mem_issued += 1;
                 Ok(true)
@@ -675,6 +790,7 @@ impl<'d> Pipeline<'d> {
 mod tests {
     use super::*;
     use crate::isa::{Inst, Program, Reg};
+    use crate::source::IterSource;
     use crate::Interpreter;
 
     /// A blank loop (no memory accesses) of `n` iterations.
@@ -850,5 +966,391 @@ mod tests {
     fn cycle_guard_trips() {
         let sim = Simulator::new(DeviceModel::sesc_like()).with_max_cycles(50);
         sim.run(Interpreter::new(&blank_loop(100_000)));
+    }
+
+    /// The panic message of `f`, or `None` if it returns.
+    fn panic_message(f: impl FnOnce() -> SimResult) -> Option<String> {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).err()?;
+        Some(
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_else(|| "non-string panic payload".to_string()),
+        )
+    }
+
+    /// A cold load followed by a use of its value, then a cold store:
+    /// the load collides with the refresh burst at cycle 0 and stalls for
+    /// microseconds, and the run ends waiting for the store's line.
+    fn refresh_stall_then_store() -> Vec<DynInst> {
+        let ops = [
+            DynOp::Load {
+                dst: Reg(1),
+                addr_src: None,
+                addr: 0x100_0000,
+            },
+            DynOp::Alu {
+                dst: Some(Reg(2)),
+                srcs: [Some(Reg(1)), None],
+            },
+            DynOp::Store {
+                srcs: [Some(Reg(2)), None],
+                addr: 0x200_0000,
+            },
+        ];
+        ops.iter()
+            .enumerate()
+            .map(|(i, &op)| DynInst {
+                pc: 0x40_0000 + 4 * i as u64,
+                op,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn cycle_guard_trips_inside_a_skipped_stall_like_stepping() {
+        let stream = refresh_stall_then_store();
+        let r = sim().run(IterSource::new(stream.clone().into_iter()));
+        let stall = *r
+            .ground_truth
+            .stalls()
+            .iter()
+            .max_by_key(|s| s.duration())
+            .expect("the run stalls");
+        assert!(
+            stall.duration() > 1_000,
+            "refresh stall too short: {stall:?}"
+        );
+        for max_cycles in [
+            stall.start_cycle + 1,
+            (stall.start_cycle + stall.end_cycle) / 2,
+        ] {
+            let sim = sim().with_max_cycles(max_cycles);
+            let source = || IterSource::new(stream.clone().into_iter());
+            let jumped = panic_message(|| sim.run(source()));
+            let stepped = panic_message(|| sim.run_stepping(source()));
+            let expected = format!("simulation exceeded {max_cycles} cycles");
+            assert!(
+                jumped.as_deref().is_some_and(|m| m.starts_with(&expected)),
+                "run: {jumped:?}"
+            );
+            assert_eq!(jumped, stepped);
+        }
+    }
+
+    #[test]
+    fn power_covers_a_run_that_ends_stalled() {
+        let stream = refresh_stall_then_store();
+        for r in [
+            sim().run(IterSource::new(stream.clone().into_iter())),
+            sim().run_stepping(IterSource::new(stream.clone().into_iter())),
+        ] {
+            let last = r.ground_truth.stalls().last().expect("a trailing stall");
+            assert_eq!(
+                last.end_cycle, r.stats.cycles,
+                "the run ends inside a stall"
+            );
+            assert!(last.duration() > 100, "the store drains for a miss latency");
+            assert_eq!(r.power.len() as u64, r.stats.cycles);
+        }
+    }
+
+    mod skip_equals_step {
+        //! `Simulator::run` jumps over frozen cycles; the property is that
+        //! its whole result equals the cycle-stepping loop's, bit for bit.
+
+        use super::*;
+        use crate::bpred::BpredConfig;
+        use emprof_dram::RefreshConfig;
+        use proptest::prelude::*;
+
+        const PRESETS: [fn() -> DeviceModel; 5] = [
+            DeviceModel::sesc_like,
+            DeviceModel::mlp_capable,
+            DeviceModel::olimex,
+            DeviceModel::alcatel,
+            DeviceModel::samsung,
+        ];
+
+        /// A preset with refresh on or off and, optionally, a branch
+        /// predictor (which every preset leaves off), so that
+        /// mispredictions occur.
+        fn device(preset: usize, refresh: bool, bpred: bool) -> DeviceModel {
+            let mut d = PRESETS[preset]();
+            if !refresh {
+                d.dram.refresh = RefreshConfig::disabled();
+            }
+            if bpred {
+                d.branch_predictor = Some(BpredConfig::default());
+            }
+            d
+        }
+
+        /// Runs both loops and compares everything they return.
+        fn assert_skip_equals_step<S: InstructionSource>(
+            sim: &Simulator,
+            source: impl Fn() -> S,
+        ) -> Result<(), TestCaseError> {
+            let jumped = sim.run(source());
+            let stepped = sim.run_stepping(source());
+            prop_assert_eq!(jumped.stats, stepped.stats);
+            let bits = |r: &SimResult| -> Vec<u32> {
+                r.power.samples().iter().map(|v| v.to_bits()).collect()
+            };
+            prop_assert!(bits(&jumped) == bits(&stepped), "power traces differ");
+            prop_assert!(
+                jumped.ground_truth == stepped.ground_truth,
+                "ground truth differs"
+            );
+            prop_assert!(jumped.cas_trace == stepped.cas_trace, "CAS traces differ");
+            prop_assert!(jumped == stepped);
+            Ok(())
+        }
+
+        /// One chunk of a generated instruction stream.
+        #[derive(Debug, Clone)]
+        enum Shape {
+            /// Loads whose address register is the previous load's result.
+            PointerChase { len: usize, stride: u64 },
+            /// Independent loads walking never-touched lines.
+            ColdStride { len: usize, stride: u64 },
+            /// Stores to one hot line or to cold lines; long bursts fill
+            /// the store buffer.
+            StoreBurst { len: usize, cold: bool },
+            /// Multiplies, each depending on the last.
+            MulChain { len: usize },
+            /// A load of a hot line and a use of its value.
+            LoadUse,
+            /// A loop-back branch, taken or not per iteration.
+            Branches { taken: Vec<bool> },
+            /// A simulator marker.
+            Marker(u32),
+            /// A load of a cold code line, then a jump to it, so the fetch
+            /// merges into the data miss in flight.
+            JumpToLoadedCode,
+            /// Independent ALU operations and no-ops.
+            Alu { len: usize },
+        }
+
+        /// Draws a shape from raw generated numbers (the vendored
+        /// proptest has no `prop_oneof`): `kind` picks the variant, `len`
+        /// its length, `stride` its line stride and `bits` its flags.
+        fn shape((kind, len, stride, bits): (u8, usize, u64, u32)) -> Shape {
+            let stride = stride * 64;
+            match kind {
+                0 => Shape::PointerChase { len, stride },
+                1 => Shape::ColdStride { len, stride },
+                2 => Shape::StoreBurst {
+                    len,
+                    cold: bits & 1 == 1,
+                },
+                3 => Shape::MulChain { len },
+                4 => Shape::LoadUse,
+                5 => Shape::Branches {
+                    taken: (0..len).map(|k| bits >> k & 1 == 1).collect(),
+                },
+                6 => Shape::Marker(bits % 4),
+                7 => Shape::JumpToLoadedCode,
+                _ => Shape::Alu { len },
+            }
+        }
+
+        /// Expands shapes into one stream, fetched from sequential PCs
+        /// except where a branch is taken.
+        struct Stream {
+            insts: Vec<DynInst>,
+            pc: u64,
+            cold_data: u64,
+            cold_code: u64,
+        }
+
+        /// A line every load or store hits after its first miss.
+        const HOT: u64 = 0x8000;
+
+        impl Stream {
+            fn build(shapes: &[Shape]) -> Vec<DynInst> {
+                let mut s = Stream {
+                    insts: Vec::new(),
+                    pc: 0x40_0000,
+                    cold_data: 0x1000_0000,
+                    cold_code: 0x80_0000,
+                };
+                for shape in shapes {
+                    s.expand(shape);
+                }
+                s.insts
+            }
+
+            fn push(&mut self, op: DynOp) {
+                self.insts.push(DynInst { pc: self.pc, op });
+                self.pc += 4;
+            }
+
+            fn load(&mut self, dst: u8, addr_src: Option<u8>, addr: u64) {
+                let (dst, addr_src) = (Reg(dst), addr_src.map(Reg));
+                self.push(DynOp::Load {
+                    dst,
+                    addr_src,
+                    addr,
+                });
+            }
+
+            fn alu(&mut self, dst: u8, src: u8) {
+                let (dst, srcs) = (Some(Reg(dst)), [Some(Reg(src)), None]);
+                self.push(DynOp::Alu { dst, srcs });
+            }
+
+            fn branch(&mut self, src: Option<u8>, taken: bool) {
+                let srcs = [src.map(Reg), None];
+                self.push(DynOp::Branch { srcs, taken });
+            }
+
+            fn cold_line(&mut self, stride: u64) -> u64 {
+                self.cold_data += stride;
+                self.cold_data
+            }
+
+            fn expand(&mut self, shape: &Shape) {
+                match *shape {
+                    Shape::PointerChase { len, stride } => {
+                        for _ in 0..len {
+                            let addr = self.cold_line(stride);
+                            self.load(1, Some(1), addr);
+                        }
+                    }
+                    Shape::ColdStride { len, stride } => {
+                        for k in 0..len {
+                            let addr = self.cold_line(stride);
+                            self.load(2 + (k % 4) as u8, None, addr);
+                        }
+                    }
+                    Shape::StoreBurst { len, cold } => {
+                        for k in 0..len as u64 {
+                            let addr = if cold {
+                                self.cold_line(4096)
+                            } else {
+                                HOT + 8 * k
+                            };
+                            let srcs = [Some(Reg(6)), Some(Reg(2))];
+                            self.push(DynOp::Store { srcs, addr });
+                        }
+                    }
+                    Shape::MulChain { len } => {
+                        for _ in 0..len {
+                            let srcs = [Some(Reg(7)), Some(Reg(8))];
+                            self.push(DynOp::Mul { dst: Reg(7), srcs });
+                        }
+                    }
+                    Shape::LoadUse => {
+                        self.load(9, None, HOT);
+                        self.alu(10, 9);
+                    }
+                    Shape::Branches { ref taken } => {
+                        let top = self.pc;
+                        for &t in taken {
+                            self.alu(11, 11);
+                            self.branch(Some(11), t);
+                            if t {
+                                self.pc = top;
+                            }
+                        }
+                        self.pc = top + 8;
+                    }
+                    Shape::Marker(id) => self.push(DynOp::Marker(id)),
+                    Shape::JumpToLoadedCode => {
+                        self.cold_code += 4096;
+                        let target = self.cold_code;
+                        self.load(12, None, target);
+                        self.branch(None, true);
+                        self.pc = target;
+                    }
+                    Shape::Alu { len } => {
+                        for k in 0..len {
+                            if k % 5 == 4 {
+                                self.push(DynOp::Nop);
+                            } else {
+                                self.alu(13 + (k % 3) as u8, 16);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        /// The microbenchmark's shape: a blank loop, a marked section of
+        /// misses `stride_pages` pages apart separated by a delay loop
+        /// (with a multiply in the address computation), and a second
+        /// blank loop.
+        fn microbench(blank: i64, misses: i64, delay: i64, stride_pages: i64) -> Program {
+            let (base, i, inner, addr, val, k) = (Reg(1), Reg(2), Reg(3), Reg(4), Reg(5), Reg(6));
+            let mut b = Program::builder();
+            b.push(Inst::Li(base, 0x100_0000));
+            b.push(Inst::Li(k, stride_pages << 12));
+            let blank_loop = |b: &mut crate::isa::ProgramBuilder| {
+                b.push(Inst::Li(i, blank));
+                let top = b.label();
+                b.push(Inst::Addi(i, i, -1));
+                b.push(Inst::Bne(i, Reg::ZERO, top));
+            };
+            blank_loop(&mut b);
+            b.push(Inst::Marker(1));
+            b.push(Inst::Li(i, misses));
+            let miss_top = b.label();
+            b.push(Inst::Mul(addr, i, k));
+            b.push(Inst::Add(addr, addr, base));
+            b.push(Inst::Ld(val, addr, 0));
+            b.push(Inst::St(val, addr, 8));
+            b.push(Inst::Li(inner, delay));
+            let delay_top = b.label();
+            b.push(Inst::Addi(inner, inner, -1));
+            b.push(Inst::Bne(inner, Reg::ZERO, delay_top));
+            b.push(Inst::Addi(i, i, -1));
+            b.push(Inst::Bne(i, Reg::ZERO, miss_top));
+            b.push(Inst::Marker(2));
+            blank_loop(&mut b);
+            b.push(Inst::Halt);
+            b.build().unwrap()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn generated_streams(
+                preset in 0usize..PRESETS.len(),
+                refresh in 0u8..2,
+                bpred in 0u8..2,
+                seed in 0u64..4,
+                raw in prop::collection::vec((0u8..9, 1usize..16, 1u64..130, any::<u32>()), 1..40),
+            ) {
+                let shapes: Vec<Shape> = raw.into_iter().map(shape).collect();
+                let sim = Simulator::new(device(preset, refresh == 1, bpred == 1))
+                    .with_seed(seed)
+                    .with_max_cycles(20_000_000);
+                let stream = Stream::build(&shapes);
+                assert_skip_equals_step(&sim, || IterSource::new(stream.clone().into_iter()))?;
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn microbenchmark_programs(
+                preset in 0usize..PRESETS.len(),
+                refresh in 0u8..2,
+                seed in 0u64..4,
+                blank in 1i64..200,
+                misses in 1i64..40,
+                delay in 1i64..30,
+                stride_pages in 1i64..9,
+            ) {
+                let sim = Simulator::new(device(preset, refresh == 1, false))
+                    .with_seed(seed)
+                    .with_max_cycles(20_000_000);
+                let program = microbench(blank, misses, delay, stride_pages);
+                assert_skip_equals_step(&sim, || Interpreter::new(&program))?;
+            }
+        }
     }
 }

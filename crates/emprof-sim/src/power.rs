@@ -83,8 +83,8 @@ impl PowerTraceBuilder {
         }
     }
 
-    /// Converts one cycle's activity into a power sample and appends it.
-    pub fn record(&mut self, activity: &CycleActivity) {
+    /// The power sample of one cycle with the given activity.
+    fn sample(&self, activity: &CycleActivity) -> f32 {
         let m = &self.model;
         let p = m.base
             + m.fetch * activity.fetched as f64
@@ -92,7 +92,21 @@ impl PowerTraceBuilder {
             + m.mul * activity.mul_issued as f64
             + m.mem * activity.mem_issued as f64
             + m.llc * activity.llc_accesses as f64;
-        self.samples.push(p as f32);
+        p as f32
+    }
+
+    /// Converts one cycle's activity into a power sample and appends it.
+    pub fn record(&mut self, activity: &CycleActivity) {
+        self.samples.push(self.sample(activity));
+    }
+
+    /// Appends `cycles` idle samples at once: bit-identical to `cycles`
+    /// calls of [`PowerTraceBuilder::record`] with
+    /// `CycleActivity::default()`, which is how the pipeline records a
+    /// skipped stretch of fully-stalled cycles.
+    pub fn record_repeat(&mut self, cycles: usize) {
+        let idle = self.sample(&CycleActivity::default());
+        self.samples.resize(self.samples.len() + cycles, idle);
     }
 
     /// Finalizes the trace.
@@ -171,11 +185,6 @@ impl PowerTrace {
             .collect();
         (out, self.clock_hz / cycles_per_sample as f64)
     }
-
-    /// The samples widened to `f64` (the receiver chain works in `f64`).
-    pub fn to_f64(&self) -> Vec<f64> {
-        self.samples.iter().map(|&v| v as f64).collect()
-    }
 }
 
 #[cfg(test)]
@@ -207,6 +216,43 @@ mod tests {
             busy > 3.0 * stall,
             "busy ({busy}) should dwarf stall ({stall})"
         );
+    }
+
+    #[test]
+    fn record_repeat_equals_repeated_idle_records() {
+        let weighted = PowerModel {
+            base: 0.37,
+            fetch: 0.11,
+            alu: 0.9,
+            mul: 1.3,
+            mem: 0.05,
+            llc: 2.2,
+        };
+        for model in [PowerModel::default(), weighted] {
+            for n in [0, 1, 7, 300] {
+                let mut stepped = PowerTraceBuilder::new(model);
+                let mut repeated = PowerTraceBuilder::new(model);
+                let busy = CycleActivity {
+                    fetched: 2,
+                    alu_issued: 1,
+                    ..Default::default()
+                };
+                stepped.record(&busy);
+                repeated.record(&busy);
+                for _ in 0..n {
+                    stepped.record(&CycleActivity::default());
+                }
+                repeated.record_repeat(n);
+                let bits = |b: PowerTraceBuilder| -> Vec<u32> {
+                    b.finish(1e9)
+                        .samples()
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect()
+                };
+                assert_eq!(bits(stepped), bits(repeated), "model {model:?}, n {n}");
+            }
+        }
     }
 
     #[test]

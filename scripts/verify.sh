@@ -13,6 +13,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 # (and public docs linking private items) fail the gate.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
+# Simulator skip-equals-step: the loop that jumps over frozen cycles
+# returns the same SimResult as the cycle-stepping loop, bit for bit,
+# on every device preset, generated instruction streams and
+# microbenchmark programs; run optimised too, not only in the debug
+# workspace pass.
+cargo test -q --release -p emprof-sim
+
 # Pipeline throughput smoke: sequential vs parallel at 1/2/4 threads
 # (capped at the host's parallelism) plus the direct-vs-FFT FIR
 # crossover; asserts thread-count invariance. The run is written to
