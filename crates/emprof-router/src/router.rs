@@ -48,12 +48,11 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use emprof_obs as obs;
-use emprof_serve::client::{backoff_with_jitter, ClientConfig};
-use emprof_serve::net::{self, Conn, Edge, Stop, POLL_INTERVAL};
+use emprof_serve::client::{backoff_with_jitter, ClientConfig, ClientError};
+use emprof_serve::net::{self, Ack, Conn, Edge, Stop, POLL_INTERVAL};
 use emprof_serve::proto::{
     self, ClusterAction, ErrorCode, Frame, HealthWire, Hello, MetricsReply, NodeHealthWire,
-    ProtoError, QueryResultWire, QuerySpecWire, ServerStatsWire, SessionRow, SessionStatsWire,
-    MAX_SAMPLES_PER_FRAME, VERSION,
+    QueryResultWire, QuerySpecWire, ServerStatsWire, SessionRow, MAX_SAMPLES_PER_FRAME, VERSION,
 };
 use emprof_store::JournalConfig;
 
@@ -492,10 +491,9 @@ impl RouterShared {
 /// Why a backend operation failed.
 #[derive(Debug)]
 enum BErr {
-    Io(io::Error),
-    Proto(ProtoError),
-    /// The backend answered with an ERROR frame.
-    Remote(ErrorCode, String),
+    /// The backend leg failed as a client's connection would; an ERROR
+    /// frame from the backend is [`ClientError::Server`].
+    Backend(ClientError),
     /// No live backend can take the session.
     NoBackends,
     /// The router-side replay buffer cannot cover the unjournaled gap;
@@ -503,92 +501,41 @@ enum BErr {
     ReplayGap,
 }
 
-impl From<io::Error> for BErr {
-    fn from(e: io::Error) -> BErr {
-        BErr::Io(e)
+impl<E: Into<ClientError>> From<E> for BErr {
+    fn from(e: E) -> BErr {
+        BErr::Backend(e.into())
     }
 }
 
-impl From<ProtoError> for BErr {
-    fn from(e: ProtoError) -> BErr {
-        BErr::Proto(e)
+impl BErr {
+    /// Whether the backend answered with an ERROR frame: a verdict that
+    /// a migration and retry would not change.
+    fn is_remote(&self) -> bool {
+        matches!(self, BErr::Backend(ClientError::Server { .. }))
     }
 }
 
 impl std::fmt::Display for BErr {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            BErr::Io(e) => write!(f, "backend i/o: {e}"),
-            BErr::Proto(e) => write!(f, "backend protocol: {e}"),
-            BErr::Remote(code, msg) => write!(f, "backend error {code:?}: {msg}"),
+            BErr::Backend(e) => write!(f, "backend {e}"),
             BErr::NoBackends => write!(f, "no live backend available"),
             BErr::ReplayGap => write!(f, "replay buffer torn; client resume required"),
         }
     }
 }
 
-/// What a backend's HELLO_ACK carried:
-/// `(session_id, resume_token, acked_seq, trace_id)`.
-type BackendAck = (u64, u64, u64, u64);
-
 /// Dials `addr` and performs the HELLO handshake.
-fn dial_backend(addr: &str, hello: Hello, stop: &Stop) -> Result<(Conn, BackendAck), BErr> {
+fn dial_backend(addr: &str, hello: Hello, stop: &Stop) -> Result<(Conn, Ack), BErr> {
     let mut conn = Conn::dial(addr, DIAL_TIMEOUT)?;
-    conn.write(&Frame::Hello(hello))?;
-    let deadline = Some(Instant::now() + REPLY_TIMEOUT);
-    loop {
-        match conn.read_frame(stop, deadline)? {
-            Some(Frame::HelloAck {
-                version,
-                session_id,
-                resume_token,
-                acked_seq,
-                trace_id,
-                ..
-            }) => {
-                if version != VERSION {
-                    return Err(BErr::Remote(
-                        ErrorCode::UnsupportedVersion,
-                        format!("backend speaks v{version}"),
-                    ));
-                }
-                return Ok((conn, (session_id, resume_token, acked_seq, trace_id)));
-            }
-            Some(Frame::Heartbeat { .. }) => {}
-            Some(Frame::Error { code, message }) => return Err(BErr::Remote(code, message)),
-            Some(_) => {
-                return Err(BErr::Proto(ProtoError::Malformed(
-                    "unexpected frame during backend handshake",
-                )))
-            }
-            None => return Err(BErr::Io(io::ErrorKind::UnexpectedEof.into())),
-        }
-    }
+    let ack = conn.handshake(hello, stop, REPLY_TIMEOUT)?;
+    Ok((conn, ack))
 }
 
-/// Reads a FLUSH/FIN reply off a backend connection: zero or more
-/// EVENTS frames then a STATS frame. Heartbeats are absorbed. Each
-/// EVENTS batch is handed to `on_events` (backend-space numbering).
-fn relay_reply(
-    bconn: &mut Conn,
-    stop: &Stop,
-    mut on_events: impl FnMut(u64, Vec<emprof_core::StallEvent>) -> Result<(), BErr>,
-) -> Result<SessionStatsWire, BErr> {
-    let deadline = Some(Instant::now() + REPLY_TIMEOUT);
-    loop {
-        match bconn.read_frame(stop, deadline)? {
-            Some(Frame::Events { first_seq, events }) => on_events(first_seq, events)?,
-            Some(Frame::Stats(stats)) => return Ok(stats),
-            Some(Frame::Heartbeat { .. }) => {}
-            Some(Frame::Error { code, message }) => return Err(BErr::Remote(code, message)),
-            Some(_) => {
-                return Err(BErr::Proto(ProtoError::Malformed(
-                    "unexpected frame in backend reply",
-                )))
-            }
-            None => return Err(BErr::Io(io::ErrorKind::UnexpectedEof.into())),
-        }
-    }
+/// One request on a fresh backend connection: dial, ask, read the
+/// reply, drop the connection.
+fn ask_backend(addr: &str, request: &Frame, stop: &Stop, timeout: Duration) -> Result<Frame, BErr> {
+    Ok(Conn::dial(addr, DIAL_TIMEOUT)?.ask(request, stop, timeout)?)
 }
 
 /// Migrates `sess` off its (dead) owner onto the ring's next choice.
@@ -622,8 +569,7 @@ fn migrate_session(shared: &Arc<RouterShared>, sess: &mut RouterSession) -> Resu
             return Err(BErr::ReplayGap);
         }
 
-        let (mut bconn, (bsid2, btoken2, _, _)) =
-            dial_backend(&new_addr, sess.hello(false), &shared.stop)?;
+        let (mut bconn, ack) = dial_backend(&new_addr, sess.hello(false), &shared.stop)?;
         // Replay the accepted sample stream with its original backend-
         // space sequence numbers: the deterministic detector rebuilds
         // the exact pre-crash state and event numbering.
@@ -643,7 +589,7 @@ fn migrate_session(shared: &Arc<RouterShared>, sess: &mut RouterSession) -> Resu
         } else {
             &Frame::Flush
         })?;
-        let stats = relay_reply(&mut bconn, &shared.stop, |_, _| Ok(()))?;
+        let stats = bconn.read_events_and_stats(&shared.stop, REPLY_TIMEOUT, |_| {}, |_, _| {})?;
         if rec.acked_events > 0 {
             bconn.write(&Frame::EventsAck {
                 seq: rec.acked_events,
@@ -660,8 +606,8 @@ fn migrate_session(shared: &Arc<RouterShared>, sess: &mut RouterSession) -> Resu
             }
         }
         sess.backend = new_name.clone();
-        sess.bsid = bsid2;
-        sess.btoken = btoken2;
+        sess.bsid = ack.session_id;
+        sess.btoken = ack.resume_token;
         sess.backend_acked = stats.acked_seq.max(rec.acked_samples_seq);
         shared.note_migration(&old, &new_name, false);
         // The old node is dead; were it to restart on the same journal
@@ -674,16 +620,14 @@ fn migrate_session(shared: &Arc<RouterShared>, sess: &mut RouterSession) -> Resu
         // No journal to hand off: bridge a fresh backend session with
         // sequence offsets. The detector state inside the lost window
         // is gone — honestly lossy, counted as such.
-        let (bconn, (bsid2, btoken2, _, _)) =
-            dial_backend(&new_addr, sess.hello(false), &shared.stop)?;
+        let (mut bconn, ack) = dial_backend(&new_addr, sess.hello(false), &shared.stop)?;
         let backend_acked_c = sess.backend_acked + sess.seq_offset;
         sess.seq_offset = backend_acked_c;
         sess.event_offset = sess.last_offered_end_c.max(sess.events_acked_c);
         sess.backend = new_name.clone();
-        sess.bsid = bsid2;
-        sess.btoken = btoken2;
+        sess.bsid = ack.session_id;
+        sess.btoken = ack.resume_token;
         sess.backend_acked = 0;
-        let mut bconn = bconn;
         for (cseq, samples) in &sess.unacked {
             if *cseq > sess.seq_offset {
                 bconn.write(&Frame::Samples {
@@ -826,14 +770,12 @@ fn drain_backend_inner(shared: &Arc<RouterShared>, name: &str) -> bool {
     obs::counter_add!("router.drains", 1);
     // Forward the drain so the backend also rejects fresh sessions that
     // bypass the router. Best-effort: a dead backend is already drained.
-    if let Ok(mut conn) = Conn::dial(&addr, DIAL_TIMEOUT) {
-        let _ = conn.write(&Frame::ClusterJoin {
-            name: name.to_string(),
-            addr,
-            action: ClusterAction::Drain,
-        });
-        let _ = conn.read_frame(&shared.stop, Some(Instant::now() + DIAL_TIMEOUT));
-    }
+    let drain = Frame::ClusterJoin {
+        name: name.to_string(),
+        addr: addr.clone(),
+        action: ClusterAction::Drain,
+    };
+    let _ = ask_backend(&addr, &drain, &shared.stop, DIAL_TIMEOUT);
     true
 }
 
@@ -863,8 +805,8 @@ fn prober_loop(shared: &Arc<RouterShared>) {
             let Some(addr) = shared.backend_addr(&name) else {
                 continue;
             };
-            match probe_backend(&addr, &shared.stop) {
-                Ok(reply) => {
+            match ask_backend(&addr, &Frame::NodeHealthRequest, &shared.stop, REPLY_TIMEOUT) {
+                Ok(Frame::NodeHealthReply(reply)) => {
                     let mut backends = shared.backends.lock().unwrap_or_else(|e| e.into_inner());
                     if let Some(b) = backends.get_mut(&name) {
                         if !b.up {
@@ -881,7 +823,7 @@ fn prober_loop(shared: &Arc<RouterShared>) {
                     }
                     next_probe.insert(name, now + shared.config.probe_interval);
                 }
-                Err(_) => {
+                _ => {
                     shared.counters.probe_failures.fetch_add(1, Ordering::Relaxed);
                     obs::counter_add!("router.probe_failures", 1);
                     let (failures, marked_down) = {
@@ -913,20 +855,6 @@ fn prober_loop(shared: &Arc<RouterShared>) {
         }
         obs::gauge_set!("router.backends_up", shared.backends_up() as f64);
         std::thread::sleep(Duration::from_millis(25));
-    }
-}
-
-/// One NODE_HEALTH round trip.
-fn probe_backend(addr: &str, stop: &Stop) -> Result<NodeHealthWire, BErr> {
-    let mut conn = Conn::dial(addr, DIAL_TIMEOUT)?;
-    conn.write(&Frame::NodeHealthRequest)?;
-    match conn.read_frame(stop, Some(Instant::now() + REPLY_TIMEOUT))? {
-        Some(Frame::NodeHealthReply(n)) => Ok(n),
-        Some(Frame::Error { code, message }) => Err(BErr::Remote(code, message)),
-        Some(_) => Err(BErr::Proto(ProtoError::Malformed(
-            "unexpected probe reply",
-        ))),
-        None => Err(BErr::Io(io::ErrorKind::UnexpectedEof.into())),
     }
 }
 
@@ -1053,34 +981,20 @@ fn fan_out_query(shared: &Arc<RouterShared>, spec: &QuerySpecWire) -> Option<Que
             .map(|b| b.spec.addr.clone())
             .collect()
     };
+    let query = Frame::Query(spec.clone());
     let mut merged: Option<QueryResultWire> = None;
     for addr in &targets {
-        match query_backend(addr, spec, &shared.stop) {
-            Ok(result) => match merged.as_mut() {
+        match ask_backend(addr, &query, &shared.stop, REPLY_TIMEOUT) {
+            Ok(Frame::QueryResult(result)) => match merged.as_mut() {
                 Some(m) => m.merge(&result),
                 None => merged = Some(result),
             },
-            Err(_) => {
+            _ => {
                 obs::counter_add!("router.query_backend_down", 1);
             }
         }
     }
     merged
-}
-
-/// One QUERY round trip against a backend, on a fresh connection (the
-/// probe-loop pattern: dial, ask, read one reply, drop).
-fn query_backend(addr: &str, spec: &QuerySpecWire, stop: &Stop) -> Result<QueryResultWire, BErr> {
-    let mut conn = Conn::dial(addr, DIAL_TIMEOUT)?;
-    conn.write(&Frame::Query(spec.clone()))?;
-    match conn.read_frame(stop, Some(Instant::now() + REPLY_TIMEOUT))? {
-        Some(Frame::QueryResult(r)) => Ok(r),
-        Some(Frame::Error { code, message }) => Err(BErr::Remote(code, message)),
-        Some(_) => Err(BErr::Proto(ProtoError::Malformed(
-            "unexpected query reply",
-        ))),
-        None => Err(BErr::Io(io::ErrorKind::UnexpectedEof.into())),
-    }
 }
 
 /// Applies a topology verb and returns the affected node's row.
@@ -1221,8 +1135,8 @@ fn attach_fresh(
             ..hello.clone()
         };
         match dial_backend(&addr, bh, &shared.stop) {
-            Ok((bconn, (bsid, btoken, _, _))) => break (bconn, name, bsid, btoken),
-            Err(BErr::Remote(code, message)) => {
+            Ok((bconn, ack)) => break (bconn, name, ack.session_id, ack.resume_token),
+            Err(BErr::Backend(ClientError::Server { code, message })) => {
                 // The backend answered and refused (bad config, session
                 // limit, draining): relay its verdict verbatim.
                 conn.bail(code, &message);
@@ -1327,11 +1241,11 @@ fn attach_resume(
         s.hello(true),
         &shared.stop,
     ) {
-        Ok((bconn, (_, _, acked_seq, _))) => {
-            s.backend_acked = acked_seq;
+        Ok((bconn, ack)) => {
+            s.backend_acked = ack.acked_seq;
             Ok(bconn)
         }
-        Err(BErr::Remote(ErrorCode::NoSession, _)) => {
+        Err(BErr::Backend(ClientError::Server { code: ErrorCode::NoSession, .. })) => {
             // The backend reaped or retired it; nothing to resume.
             drop(s);
             conn.bail(ErrorCode::NoSession, "session expired on its backend");
@@ -1386,21 +1300,14 @@ fn with_backend_retry(
     mut op: impl FnMut(&mut Conn, &RouterSession) -> Result<(), BErr>,
 ) -> Result<(), BErr> {
     let mut last = match op(bconn, sess) {
-        Ok(()) => return Ok(()),
-        Err(BErr::Remote(code, message)) => return Err(BErr::Remote(code, message)),
-        Err(e) => e,
+        Err(e) if !e.is_remote() => e,
+        done => return done,
     };
     for _ in 0..2 {
-        match migrate_session(shared, sess) {
-            Ok(new_conn) => {
-                *bconn = new_conn;
-                match op(bconn, sess) {
-                    Ok(()) => return Ok(()),
-                    Err(BErr::Remote(code, message)) => return Err(BErr::Remote(code, message)),
-                    Err(e) => last = e,
-                }
-            }
-            Err(e) => return Err(e),
+        *bconn = migrate_session(shared, sess)?;
+        match op(bconn, sess) {
+            Err(e) if !e.is_remote() => last = e,
+            done => return done,
         }
     }
     Err(last)
@@ -1500,13 +1407,17 @@ fn proxy_loop(
                     let event_offset = s.event_offset;
                     let seq_offset = s.seq_offset;
                     let mut frames: Vec<Frame> = Vec::new();
-                    let stats = relay_reply(b, &shared.stop, |first_seq, events| {
-                        frames.push(Frame::Events {
-                            first_seq: first_seq + event_offset,
-                            events,
-                        });
-                        Ok(())
-                    })?;
+                    let stats = b.read_events_and_stats(
+                        &shared.stop,
+                        REPLY_TIMEOUT,
+                        |_| {},
+                        |first_seq, events| {
+                            frames.push(Frame::Events {
+                                first_seq: first_seq + event_offset,
+                                events,
+                            });
+                        },
+                    )?;
                     let mut stats_c = stats;
                     stats_c.acked_seq = stats.acked_seq + seq_offset;
                     frames.push(Frame::Stats(stats_c));

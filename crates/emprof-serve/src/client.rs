@@ -1,13 +1,27 @@
 //! Blocking client library: [`ProfileClient`] streams a capture to an
 //! `emprof-serve` instance and collects the events it detects;
-//! [`WatchClient`] tails the server-wide event stream. Used by the
-//! `emprof push` / `emprof watch` CLI commands, the examples, and the
-//! equivalence tests.
+//! [`WatchClient`] tails the server-wide event stream; [`MetricsClient`]
+//! polls telemetry, health, flight dumps and journal queries. Used by
+//! the `emprof push` / `emprof watch` / `emprof top` CLI commands, the
+//! examples, and the equivalence tests.
+//!
+//! ## One client edge
+//!
+//! The three clients hold their connection the same way: a [`Conn`]
+//! from [`crate::net`], the resolved addresses, the knobs, the backoff
+//! jitter state and the reconnect count. One retry loop serves all
+//! three. A transport failure is cured by redialing with backoff and
+//! running the client's re-attach step on the fresh connection before
+//! the failed operation is retried: a profile client resumes its
+//! session and replays, a watch client repeats its watch HELLO, a
+//! metrics client needs nothing. Every reply is read by
+//! [`Conn::read_reply`], which absorbs heartbeats and turns ERROR frames
+//! into [`ClientError::Server`].
 //!
 //! ## Resilience
 //!
-//! Both clients survive transport loss. A [`ProfileClient`] keeps every
-//! SAMPLES frame the server has not yet acknowledged; when the
+//! All three clients survive transport loss. A [`ProfileClient`] keeps
+//! every SAMPLES frame the server has not yet acknowledged; when the
 //! connection dies it reconnects with exponential backoff (plus
 //! deterministic jitter), presents the session's resume token, and
 //! replays exactly the frames past the server's acked sequence — the
@@ -36,23 +50,28 @@
 
 use std::collections::VecDeque;
 use std::io;
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::time::Duration;
 
 use emprof_core::{EmprofConfig, StallEvent};
 use emprof_obs as obs;
 
+use crate::net::{Ack, Conn, NO_STOP};
 use crate::proto::{
-    self, ClusterAction, ErrorCode, FlightDumpWire, Frame, HealthWire, Hello, MetricsReply,
-    NodeHealthWire, ProtoError, QueryResultWire, QuerySpecWire, SessionStatsWire, Tail, VERSION,
+    ClusterAction, ErrorCode, FlightDumpWire, Frame, HealthWire, Hello, MetricsReply,
+    NodeHealthWire, ProtoError, QueryResultWire, QuerySpecWire, SessionStatsWire, Tail,
+    SAMPLES_FITTING_PAYLOAD,
 };
+use crate::session::splitmix64;
 
-/// Transport-resilience knobs for [`ProfileClient`] and [`WatchClient`].
+/// Transport-resilience knobs for [`ProfileClient`], [`WatchClient`]
+/// and [`MetricsClient`].
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
-    /// Socket read timeout. With server heartbeats enabled this can be
-    /// a little over the heartbeat interval; without them it bounds how
-    /// long a reply is awaited before the connection is declared dead.
+    /// How long each reply frame is awaited before the connection is
+    /// declared dead; also the connect timeout. A heartbeat restarts the
+    /// wait, so with server heartbeats enabled this can be a little over
+    /// the heartbeat interval.
     pub read_timeout: Duration,
     /// First reconnect backoff delay; doubles per consecutive attempt.
     pub backoff_base: Duration,
@@ -152,45 +171,209 @@ impl ClientError {
     }
 }
 
-/// Resolves and connects with the configured read timeout.
-fn connect_stream(addrs: &[SocketAddr], read_timeout: Duration) -> io::Result<TcpStream> {
-    let stream = TcpStream::connect(addrs)?;
-    let _ = stream.set_nodelay(true);
-    stream.set_read_timeout(Some(read_timeout))?;
-    Ok(stream)
+/// The capped, jittered reconnect delay for 0-based `attempt`: the
+/// exponential [`ClientConfig`] schedule (`backoff_base` doubling up to
+/// `backoff_max`) with deterministic xorshift64 jitter in `[0.5, 1.0)`
+/// of the capped delay, which spreads reconnect storms without `rand`.
+/// `rng` is the caller's jitter state, advanced on every call. Public so
+/// other tiers — the router's health prober — run the exact schedule
+/// the clients do.
+pub fn backoff_with_jitter(cfg: &ClientConfig, attempt: u32, rng: &mut u64) -> Duration {
+    let capped = (cfg.backoff_base.as_secs_f64() * 2f64.powi(attempt.min(20) as i32))
+        .min(cfg.backoff_max.as_secs_f64());
+    *rng ^= *rng << 13;
+    *rng ^= *rng >> 7;
+    *rng ^= *rng << 17;
+    let unit = (*rng >> 11) as f64 / (1u64 << 53) as f64;
+    Duration::from_secs_f64(capped * (0.5 + 0.5 * unit))
 }
 
-/// Reads one frame, promoting server ERROR frames to [`ClientError`]
-/// and absorbing heartbeats (reporting their acked sequence to `acked`).
-fn read_reply<F: FnMut(u64)>(
-    stream: &mut TcpStream,
-    mut acked: F,
-) -> Result<Frame, ClientError> {
-    loop {
-        match proto::read_frame(stream)? {
-            Frame::Heartbeat { acked_seq } => acked(acked_seq),
-            Frame::Error { code, message } => return Err(ClientError::Server { code, message }),
-            frame => return Ok(frame),
+/// What a client restores on a freshly dialed connection before the
+/// operation that lost the old one is retried.
+trait Reattach {
+    /// Re-attaches over `conn`, awaiting each reply for `timeout`.
+    fn reattach(&mut self, conn: &mut Conn, timeout: Duration) -> Result<(), ClientError>;
+}
+
+/// A metrics client restores nothing: polls need no HELLO.
+impl Reattach for () {
+    fn reattach(&mut self, _: &mut Conn, _: Duration) -> Result<(), ClientError> {
+        Ok(())
+    }
+}
+
+/// A watch client repeats its watch HELLO.
+struct WatchHello;
+
+impl WatchHello {
+    fn hello() -> Hello {
+        Hello {
+            sample_rate_hz: 1.0,
+            clock_hz: 1.0,
+            config: EmprofConfig::for_rates(1.0, 1.0),
+            device: "watch".into(),
+            watch: true,
+            proxied: false,
+            resume_session_id: 0,
+            resume_token: 0,
         }
     }
 }
 
-/// Reads an `EVENTS* STATS` reply sequence, deduplicating against the
-/// `seen` watermark: an event whose sequence number is not past the
-/// watermark was already delivered (the server re-offers its unacked
-/// suffix on every reply) and is dropped. Returns the fresh events, the
-/// stats, and the highest event sequence the reply offered (what the
-/// caller should acknowledge).
-fn read_events_and_stats<F: FnMut(u64)>(
-    stream: &mut TcpStream,
-    seen: u64,
-    mut acked: F,
-) -> Result<(Vec<StallEvent>, SessionStatsWire, u64), ClientError> {
-    let mut fresh = Vec::new();
-    let mut offered = seen;
-    loop {
-        match read_reply(stream, &mut acked)? {
-            Frame::Events { first_seq, events } => {
+impl Reattach for WatchHello {
+    fn reattach(&mut self, conn: &mut Conn, timeout: Duration) -> Result<(), ClientError> {
+        conn.handshake(Self::hello(), &NO_STOP, timeout).map(drop)
+    }
+}
+
+/// The connection a client holds and what redialing it takes: the live
+/// [`Conn`], the resolved addresses, the knobs, the backoff jitter state
+/// and the reconnect count.
+#[derive(Debug)]
+struct Link {
+    conn: Conn,
+    addrs: Vec<SocketAddr>,
+    cfg: ClientConfig,
+    /// Backoff jitter state, seeded from the first connection's local
+    /// port so clients sharing a server redial on different schedules.
+    rng: u64,
+    reconnects: u64,
+}
+
+impl Link {
+    fn dial(addr: impl ToSocketAddrs, cfg: ClientConfig) -> Result<Link, ClientError> {
+        let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
+        let conn = Conn::dial(&addrs[..], cfg.read_timeout)?;
+        let port = conn.local_addr().map_or(0, |a| a.port());
+        Ok(Link {
+            rng: splitmix64(u64::from(port)) | 1,
+            conn,
+            addrs,
+            cfg,
+            reconnects: 0,
+        })
+    }
+
+    /// Runs `op` on the live connection. A transport failure is cured by
+    /// [`Link::reconnect`] and `op` retried, up to `max_reconnects`
+    /// times; with a budget of 0 the first failure is returned as is.
+    fn run<S: Reattach, T>(
+        &mut self,
+        state: &mut S,
+        mut op: impl FnMut(&mut Conn, &mut S) -> Result<T, ClientError>,
+    ) -> Result<T, ClientError> {
+        let mut retries = 0u32;
+        loop {
+            match op(&mut self.conn, state) {
+                Err(e) if e.is_transport() && retries < self.cfg.max_reconnects => {
+                    retries += 1;
+                    self.reconnect(state, e)?;
+                }
+                done => return done,
+            }
+        }
+    }
+
+    /// Redials with backoff and re-attaches `state` on each fresh
+    /// connection before it replaces the lost one. Fatal server
+    /// rejections (e.g. `NO_SESSION` after the reaper finalized the
+    /// session) propagate at once; spending the whole budget yields
+    /// [`ClientError::ReconnectFailed`] with the last underlying cause,
+    /// seeded with `cause`, so even a zero-attempt budget reports
+    /// something precise.
+    fn reconnect<S: Reattach>(
+        &mut self,
+        state: &mut S,
+        cause: ClientError,
+    ) -> Result<(), ClientError> {
+        let mut last = cause;
+        for attempt in 0..self.cfg.max_reconnects {
+            std::thread::sleep(backoff_with_jitter(&self.cfg, attempt, &mut self.rng));
+            let timeout = self.cfg.read_timeout;
+            let fresh = Conn::dial(&self.addrs[..], timeout)
+                .map_err(ClientError::from)
+                .and_then(|mut conn| state.reattach(&mut conn, timeout).map(|()| conn));
+            match fresh {
+                Ok(conn) => {
+                    self.conn = conn;
+                    self.reconnects += 1;
+                    obs::counter_add!("client.reconnects", 1);
+                    return Ok(());
+                }
+                Err(e) if e.is_transport() => last = e,
+                Err(e) => return Err(e),
+            }
+        }
+        Err(ClientError::ReconnectFailed {
+            attempts: self.cfg.max_reconnects,
+            last: Box::new(last),
+        })
+    }
+}
+
+/// A profile client's session: what the server assigned, and what it
+/// has not yet acknowledged or delivered.
+#[derive(Debug)]
+struct Upload {
+    hello: Hello,
+    session_id: u64,
+    resume_token: u64,
+    trace_id: u64,
+    /// The announced bound, capped at what fits one frame's payload.
+    max_samples_per_frame: usize,
+    /// Sequence for the next SAMPLES frame (sequences start at 1).
+    next_seq: u64,
+    /// Highest sequence the server has acknowledged.
+    acked_seq: u64,
+    /// Frames past `acked_seq`, retained for replay after a resume.
+    unacked: VecDeque<(u64, Vec<f64>)>,
+    /// Highest event sequence number consumed (events are numbered from
+    /// 1 by the server). Replies re-offer the server's unacked suffix;
+    /// everything at or below this watermark is a duplicate and is
+    /// dropped, which is the client half of exactly-once delivery.
+    events_seen: u64,
+    /// Fresh events consumed but not yet handed to the caller (from
+    /// implicit watermark-advancing flushes, or from a reply whose
+    /// follow-up acknowledgement write failed mid-exchange). Delivered
+    /// with the next explicit flush/finish.
+    pending_events: Vec<StallEvent>,
+}
+
+impl Upload {
+    /// Takes on what a HELLO_ACK assigned.
+    fn adopt(&mut self, ack: Ack) {
+        self.session_id = ack.session_id;
+        self.resume_token = ack.resume_token;
+        self.trace_id = ack.trace_id;
+        self.max_samples_per_frame =
+            ack.max_samples_per_frame.clamp(1, SAMPLES_FITTING_PAYLOAD) as usize;
+        self.note_acked(ack.acked_seq);
+    }
+
+    fn note_acked(&mut self, acked: u64) {
+        self.acked_seq = self.acked_seq.max(acked);
+        while self.unacked.front().is_some_and(|(seq, _)| *seq <= self.acked_seq) {
+            self.unacked.pop_front();
+        }
+    }
+
+    /// Reads an `EVENTS* STATS` reply, deduplicating against the
+    /// `events_seen` watermark: an event whose sequence number is not
+    /// past it was already delivered and is dropped. The fresh events
+    /// are stashed and the watermark moved only once the whole reply
+    /// has arrived. Returns the stats and the highest event sequence
+    /// the reply offered (what to acknowledge).
+    fn read_reply(
+        &mut self,
+        conn: &mut Conn,
+        timeout: Duration,
+    ) -> Result<(SessionStatsWire, u64), ClientError> {
+        let (mut fresh, mut offered, mut hb_acked) = (Vec::new(), self.events_seen, 0u64);
+        let reply = conn.read_events_and_stats(
+            &NO_STOP,
+            timeout,
+            |a| hb_acked = hb_acked.max(a),
+            |first_seq, events| {
                 for (i, event) in events.into_iter().enumerate() {
                     let seq = first_seq + i as u64;
                     if seq > offered {
@@ -198,71 +381,35 @@ fn read_events_and_stats<F: FnMut(u64)>(
                         offered = seq;
                     }
                 }
-            }
-            Frame::Stats(stats) => return Ok((fresh, stats, offered)),
-            _ => return Err(ClientError::Unexpected("wanted EVENTS or STATS")),
-        }
+            },
+        );
+        self.note_acked(hb_acked);
+        let stats = reply?;
+        self.pending_events.extend(fresh);
+        self.events_seen = self.events_seen.max(offered);
+        Ok((stats, offered))
     }
 }
 
-/// The full HELLO_ACK contents.
-struct Ack {
-    session_id: u64,
-    max_samples_per_frame: u32,
-    resume_token: u64,
-    acked_seq: u64,
-    trace_id: u64,
-}
-
-fn handshake(stream: &mut TcpStream, hello: Hello) -> Result<Ack, ClientError> {
-    proto::write_frame(stream, &Frame::Hello(hello))?;
-    match read_reply(stream, |_| {})? {
-        Frame::HelloAck {
-            version,
-            session_id,
-            max_samples_per_frame,
-            resume_token,
-            acked_seq,
-            trace_id,
-        } => {
-            if version != VERSION {
-                return Err(ClientError::Unexpected("server negotiated unknown version"));
-            }
-            Ok(Ack {
-                session_id,
-                max_samples_per_frame: max_samples_per_frame.max(1),
-                resume_token,
-                acked_seq,
-                trace_id,
-            })
+/// A profile client resumes its session and replays every unacked
+/// frame, in order and with its original sequence number; the server
+/// drops any frame it already ingested.
+impl Reattach for Upload {
+    fn reattach(&mut self, conn: &mut Conn, timeout: Duration) -> Result<(), ClientError> {
+        let hello = Hello {
+            resume_session_id: self.session_id,
+            resume_token: self.resume_token,
+            ..self.hello.clone()
+        };
+        self.adopt(conn.handshake(hello, &NO_STOP, timeout)?);
+        for (seq, samples) in &self.unacked {
+            conn.write(&Frame::Samples {
+                seq: *seq,
+                samples: samples.clone(),
+            })?;
         }
-        _ => Err(ClientError::Unexpected("wanted HELLO_ACK")),
+        Ok(())
     }
-}
-
-/// Deterministic xorshift64 backoff jitter in `[0.5, 1.0)` of the
-/// capped delay — spreads reconnect storms without `rand`.
-fn jittered(rng: &mut u64, delay: Duration) -> Duration {
-    *rng ^= *rng << 13;
-    *rng ^= *rng >> 7;
-    *rng ^= *rng << 17;
-    let unit = (*rng >> 11) as f64 / (1u64 << 53) as f64;
-    Duration::from_secs_f64(delay.as_secs_f64() * (0.5 + 0.5 * unit))
-}
-
-fn backoff_delay(cfg: &ClientConfig, attempt: u32) -> Duration {
-    let base = cfg.backoff_base.as_secs_f64() * 2f64.powi(attempt.min(20) as i32);
-    Duration::from_secs_f64(base.min(cfg.backoff_max.as_secs_f64()))
-}
-
-/// The capped, jittered reconnect delay for 0-based `attempt`: the
-/// exponential [`ClientConfig`] schedule (`backoff_base` doubling up to
-/// `backoff_max`) with deterministic xorshift64 jitter in `[0.5, 1.0)`
-/// of the capped delay. `rng` is the caller's jitter state, advanced on
-/// every call. Public so other tiers — the router's health prober — run
-/// the exact schedule the clients do.
-pub fn backoff_with_jitter(cfg: &ClientConfig, attempt: u32, rng: &mut u64) -> Duration {
-    jittered(rng, backoff_delay(cfg, attempt))
 }
 
 /// A blocking profiling session against an `emprof-serve` instance.
@@ -287,33 +434,8 @@ pub fn backoff_with_jitter(cfg: &ClientConfig, attempt: u32, rng: &mut u64) -> D
 /// ```
 #[derive(Debug)]
 pub struct ProfileClient {
-    stream: TcpStream,
-    addrs: Vec<SocketAddr>,
-    hello: Hello,
-    cfg: ClientConfig,
-    session_id: u64,
-    resume_token: u64,
-    trace_id: u64,
-    max_samples_per_frame: usize,
-    /// Sequence for the next SAMPLES frame (sequences start at 1).
-    next_seq: u64,
-    /// Highest sequence the server has acknowledged.
-    acked_seq: u64,
-    /// Frames past `acked_seq`, retained for replay after a resume.
-    unacked: VecDeque<(u64, Vec<f64>)>,
-    /// Highest event sequence number consumed (events are numbered from
-    /// 1 by the server). Replies re-offer the server's unacked suffix;
-    /// everything at or below this watermark is a duplicate and is
-    /// dropped, which is the client half of exactly-once delivery.
-    events_seen: u64,
-    /// Fresh events consumed but not yet handed to the caller (from
-    /// implicit watermark-advancing flushes, or from a reply whose
-    /// follow-up acknowledgement write failed mid-exchange). Delivered
-    /// with the next explicit flush/finish.
-    pending_events: Vec<StallEvent>,
-    /// Jitter state for backoff.
-    rng: u64,
-    reconnects: u64,
+    link: Link,
+    upload: Upload,
 }
 
 impl ProfileClient {
@@ -353,7 +475,7 @@ impl ProfileClient {
         clock_hz: f64,
         cfg: ClientConfig,
     ) -> Result<ProfileClient, ClientError> {
-        let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
+        let mut link = Link::dial(addr, cfg)?;
         let hello = Hello {
             sample_rate_hz,
             clock_hz,
@@ -364,136 +486,47 @@ impl ProfileClient {
             resume_session_id: 0,
             resume_token: 0,
         };
-        let mut stream = connect_stream(&addrs, cfg.read_timeout)?;
-        let ack = handshake(&mut stream, hello.clone())?;
-        Ok(ProfileClient {
-            stream,
-            addrs,
+        // With no session to resume and nothing unacked, re-attaching is
+        // the opening handshake.
+        let mut upload = Upload {
             hello,
-            session_id: ack.session_id,
-            resume_token: ack.resume_token,
-            trace_id: ack.trace_id,
-            max_samples_per_frame: ack.max_samples_per_frame as usize,
+            session_id: 0,
+            resume_token: 0,
+            trace_id: 0,
+            max_samples_per_frame: 1,
             next_seq: 1,
             acked_seq: 0,
             unacked: VecDeque::new(),
             events_seen: 0,
             pending_events: Vec::new(),
-            rng: ack.session_id ^ ack.resume_token | 1,
-            reconnects: 0,
-            cfg,
-        })
+        };
+        upload.reattach(&mut link.conn, link.cfg.read_timeout)?;
+        Ok(ProfileClient { link, upload })
     }
 
     /// The server-assigned session id.
     pub fn session_id(&self) -> u64 {
-        self.session_id
+        self.upload.session_id
     }
 
     /// The server-assigned trace id: stamps this session's flight dumps
     /// and METRICS rows, and is stable across resumes and server
     /// restarts (it is derived from the resume token).
     pub fn trace_id(&self) -> u64 {
-        self.trace_id
+        self.upload.trace_id
     }
 
     /// How many times this client has successfully resumed its session
     /// after a transport loss.
     pub fn reconnects(&self) -> u64 {
-        self.reconnects
+        self.link.reconnects
     }
 
     /// Severs the TCP connection without telling the server — a test
     /// hook simulating a transport loss. The next operation reconnects
     /// and resumes (when [`ClientConfig::max_reconnects`] permits).
     pub fn drop_connection(&mut self) {
-        let _ = self.stream.shutdown(std::net::Shutdown::Both);
-    }
-
-    fn note_acked(&mut self, acked: u64) {
-        if acked > self.acked_seq {
-            self.acked_seq = acked;
-        }
-        while self
-            .unacked
-            .front()
-            .is_some_and(|(seq, _)| *seq <= self.acked_seq)
-        {
-            self.unacked.pop_front();
-        }
-    }
-
-    /// Reconnects with backoff and resumes the session, replaying every
-    /// unacked frame. Fatal server rejections (e.g. `NO_SESSION` after
-    /// the reaper finalized the session) propagate immediately; spending
-    /// the whole budget yields [`ClientError::ReconnectFailed`] carrying
-    /// the last underlying cause — seeded with `cause`, the error that
-    /// forced the reconnect, so even a zero-attempt budget reports
-    /// something precise.
-    fn reconnect_and_resume(&mut self, cause: ClientError) -> Result<(), ClientError> {
-        let mut last = cause;
-        for attempt in 0..self.cfg.max_reconnects {
-            std::thread::sleep(jittered(&mut self.rng, backoff_delay(&self.cfg, attempt)));
-            match self.try_resume() {
-                Ok(()) => {
-                    self.reconnects += 1;
-                    obs::counter_add!("client.reconnects", 1);
-                    return Ok(());
-                }
-                Err(e) if e.is_transport() => last = e,
-                Err(e) => return Err(e),
-            }
-        }
-        Err(ClientError::ReconnectFailed {
-            attempts: self.cfg.max_reconnects,
-            last: Box::new(last),
-        })
-    }
-
-    fn try_resume(&mut self) -> Result<(), ClientError> {
-        let mut stream = connect_stream(&self.addrs, self.cfg.read_timeout)?;
-        let mut hello = self.hello.clone();
-        hello.resume_session_id = self.session_id;
-        hello.resume_token = self.resume_token;
-        let ack = handshake(&mut stream, hello)?;
-        self.stream = stream;
-        self.session_id = ack.session_id;
-        self.resume_token = ack.resume_token;
-        self.trace_id = ack.trace_id;
-        self.max_samples_per_frame = (ack.max_samples_per_frame as usize).max(1);
-        self.note_acked(ack.acked_seq);
-        // Replay everything the server has not acknowledged, in order,
-        // with the original sequence numbers. The server drops any
-        // frame it already ingested.
-        for (seq, samples) in self.unacked.iter() {
-            proto::write_frame(
-                &mut self.stream,
-                &Frame::Samples {
-                    seq: *seq,
-                    samples: samples.clone(),
-                },
-            )?;
-        }
-        Ok(())
-    }
-
-    /// Runs `op` on the live stream, curing transport failures by
-    /// reconnect-and-resume and retrying, up to the configured budget.
-    fn with_resilience<T>(
-        &mut self,
-        mut op: impl FnMut(&mut Self) -> Result<T, ClientError>,
-    ) -> Result<T, ClientError> {
-        let mut attempts = 0u32;
-        loop {
-            match op(self) {
-                Ok(v) => return Ok(v),
-                Err(e) if e.is_transport() && attempts < self.cfg.max_reconnects => {
-                    attempts += 1;
-                    self.reconnect_and_resume(e)?;
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        self.link.conn.sever();
     }
 
     /// Streams magnitude samples, splitting into frames the server
@@ -506,24 +539,17 @@ impl ProfileClient {
     ///
     /// Propagates transport failures once the reconnect budget is spent.
     pub fn send(&mut self, samples: &[f64]) -> Result<(), ClientError> {
-        for chunk in samples.chunks(self.max_samples_per_frame.max(1)) {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            self.unacked.push_back((seq, chunk.to_vec()));
+        for chunk in samples.chunks(self.upload.max_samples_per_frame) {
+            let seq = self.upload.next_seq;
+            self.upload.next_seq += 1;
+            self.upload.unacked.push_back((seq, chunk.to_vec()));
             // On transport loss, the resume replays the whole unacked
             // queue (which includes this frame); the retried write is
             // then a duplicate the server drops by sequence number.
-            self.with_resilience(|c| {
-                proto::write_frame(
-                    &mut c.stream,
-                    &Frame::Samples {
-                        seq,
-                        samples: chunk.to_vec(),
-                    },
-                )
-                .map_err(ClientError::from)
+            self.link.run(&mut self.upload, |conn, _| {
+                Ok(conn.write(&Frame::Samples { seq, samples: chunk.to_vec() })?)
             })?;
-            if self.unacked.len() > self.cfg.max_unacked_frames {
+            if self.upload.unacked.len() > self.link.cfg.max_unacked_frames {
                 // The implicit flush stashes its fresh events in
                 // `pending_events` for the next explicit flush/finish.
                 self.exchange_control(false)?;
@@ -543,7 +569,7 @@ impl ProfileClient {
     /// budget is spent.
     pub fn flush(&mut self) -> Result<(Vec<StallEvent>, SessionStatsWire), ClientError> {
         let stats = self.exchange_control(false)?;
-        Ok((std::mem::take(&mut self.pending_events), stats))
+        Ok((std::mem::take(&mut self.upload.pending_events), stats))
     }
 
     /// Ends the capture: the server finalizes the detector and returns
@@ -556,7 +582,7 @@ impl ProfileClient {
     /// budget is spent.
     pub fn finish(mut self) -> Result<(Vec<StallEvent>, SessionStatsWire), ClientError> {
         let stats = self.exchange_control(true)?;
-        Ok((std::mem::take(&mut self.pending_events), stats))
+        Ok((std::mem::take(&mut self.upload.pending_events), stats))
     }
 
     /// One FLUSH or FIN round trip with resilience. Fresh events land in
@@ -569,23 +595,17 @@ impl ProfileClient {
     /// was already stashed, and the stash survives the retry.
     fn exchange_control(&mut self, fin: bool) -> Result<SessionStatsWire, ClientError> {
         let control = if fin { Frame::Fin } else { Frame::Flush };
-        let stats = self.with_resilience(|c| {
-            proto::write_frame(&mut c.stream, &control)?;
-            let mut hb_acked = 0u64;
-            let r = read_events_and_stats(&mut c.stream, c.events_seen, |a| {
-                hb_acked = hb_acked.max(a)
-            });
-            c.note_acked(hb_acked);
-            let (fresh, stats, offered) = r?;
-            c.pending_events.extend(fresh);
-            c.events_seen = c.events_seen.max(offered);
+        let timeout = self.link.cfg.read_timeout;
+        let stats = self.link.run(&mut self.upload, |conn, upload| {
+            conn.write(&control)?;
+            let (stats, offered) = upload.read_reply(conn, timeout)?;
             // Tell the server delivery landed so it can advance its
             // cursor (and, when journaled, compact). If this write is
             // lost the server merely re-offers on the next exchange.
-            proto::write_frame(&mut c.stream, &Frame::EventsAck { seq: offered })?;
+            conn.write(&Frame::EventsAck { seq: offered })?;
             Ok(stats)
         })?;
-        self.note_acked(stats.acked_seq);
+        self.upload.note_acked(stats.acked_seq);
         Ok(stats)
     }
 
@@ -601,14 +621,18 @@ impl ProfileClient {
     /// Propagates transport failures from the doomed exchange itself
     /// (no resilience: this *is* the fault injector).
     pub fn flush_lost_reply(&mut self) -> Result<(), ClientError> {
-        proto::write_frame(&mut self.stream, &Frame::Flush)?;
+        let timeout = self.link.cfg.read_timeout;
+        self.link.conn.write(&Frame::Flush)?;
         // Read the whole reply so the server has demonstrably completed
         // the delivery attempt, then throw it away un-acked.
         let mut hb_acked = 0u64;
-        let _ = read_events_and_stats(&mut self.stream, self.events_seen, |a| {
-            hb_acked = hb_acked.max(a)
-        })?;
-        self.note_acked(hb_acked);
+        self.link.conn.read_events_and_stats(
+            &NO_STOP,
+            timeout,
+            |a| hb_acked = hb_acked.max(a),
+            |_, _| {},
+        )?;
+        self.upload.note_acked(hb_acked);
         self.drop_connection();
         Ok(())
     }
@@ -622,7 +646,7 @@ impl ProfileClient {
     ///
     /// Fails only on address resolution.
     pub fn redirect<A: ToSocketAddrs>(&mut self, addr: A) -> Result<(), ClientError> {
-        self.addrs = addr.to_socket_addrs()?.collect();
+        self.link.addrs = addr.to_socket_addrs()?.collect();
         self.drop_connection();
         Ok(())
     }
@@ -632,12 +656,8 @@ impl ProfileClient {
 /// tail and aggregate stats.
 #[derive(Debug)]
 pub struct WatchClient {
-    stream: TcpStream,
+    link: Link,
     cursor: u64,
-    addrs: Vec<SocketAddr>,
-    cfg: ClientConfig,
-    rng: u64,
-    reconnects: u64,
     tail_resets: u64,
 }
 
@@ -661,36 +681,18 @@ impl WatchClient {
         addr: A,
         cfg: ClientConfig,
     ) -> Result<WatchClient, ClientError> {
-        let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
-        let mut stream = connect_stream(&addrs, cfg.read_timeout)?;
-        handshake(&mut stream, Self::watch_hello())?;
+        let mut link = Link::dial(addr, cfg)?;
+        WatchHello.reattach(&mut link.conn, link.cfg.read_timeout)?;
         Ok(WatchClient {
-            stream,
+            link,
             cursor: 0,
-            addrs,
-            rng: 0x9E37_79B9_7F4A_7C15,
-            reconnects: 0,
             tail_resets: 0,
-            cfg,
         })
-    }
-
-    fn watch_hello() -> Hello {
-        Hello {
-            sample_rate_hz: 1.0,
-            clock_hz: 1.0,
-            config: EmprofConfig::for_rates(1.0, 1.0),
-            device: "watch".into(),
-            watch: true,
-            proxied: false,
-            resume_session_id: 0,
-            resume_token: 0,
-        }
     }
 
     /// How many times this watch reconnected after a transport loss.
     pub fn reconnects(&self) -> u64 {
-        self.reconnects
+        self.link.reconnects
     }
 
     /// How many times the server answered with a cursor *behind* this
@@ -707,7 +709,7 @@ impl WatchClient {
     /// hook simulating a transport loss. The next poll reconnects with
     /// the same cursor.
     pub fn drop_connection(&mut self) {
-        let _ = self.stream.shutdown(std::net::Shutdown::Both);
+        self.link.conn.sever();
     }
 
     /// One poll: events finalized since the last poll plus server-wide
@@ -720,67 +722,22 @@ impl WatchClient {
     /// Propagates transport and protocol failures once the reconnect
     /// budget is spent.
     pub fn poll(&mut self) -> Result<Tail, ClientError> {
-        let mut attempts = 0u32;
-        loop {
-            match self.poll_once() {
-                Ok(tail) => {
-                    if tail.cursor < self.cursor {
-                        // A restarted server's tail starts over; adopt
-                        // its cursor but never *silently* — the caller
-                        // can see the discontinuity via tail_resets().
-                        self.tail_resets += 1;
-                        obs::counter_add!("client.tail_resets", 1);
-                    }
-                    self.cursor = tail.cursor;
-                    return Ok(tail);
-                }
-                Err(e) if e.is_transport() && attempts < self.cfg.max_reconnects => {
-                    attempts += 1;
-                    self.reconnect(e)?;
-                }
-                Err(e) => return Err(e),
+        let (cursor, timeout) = (self.cursor, self.link.cfg.read_timeout);
+        let tail = self.link.run(&mut WatchHello, |conn, _| {
+            match conn.ask(&Frame::Watch { cursor }, &NO_STOP, timeout)? {
+                Frame::Tail(tail) => Ok(tail),
+                _ => Err(ClientError::Unexpected("wanted TAIL")),
             }
+        })?;
+        if tail.cursor < self.cursor {
+            // A restarted server's tail starts over; adopt its cursor
+            // but never *silently* — the caller can see the
+            // discontinuity via tail_resets().
+            self.tail_resets += 1;
+            obs::counter_add!("client.tail_resets", 1);
         }
-    }
-
-    fn poll_once(&mut self) -> Result<Tail, ClientError> {
-        proto::write_frame(
-            &mut self.stream,
-            &Frame::Watch {
-                cursor: self.cursor,
-            },
-        )?;
-        match read_reply(&mut self.stream, |_| {})? {
-            Frame::Tail(tail) => Ok(tail),
-            _ => Err(ClientError::Unexpected("wanted TAIL")),
-        }
-    }
-
-    /// Reconnects with backoff, keeping the tail cursor. Spending the
-    /// budget yields [`ClientError::ReconnectFailed`] seeded with
-    /// `cause` (the error that forced the reconnect).
-    fn reconnect(&mut self, cause: ClientError) -> Result<(), ClientError> {
-        let mut last = cause;
-        for attempt in 0..self.cfg.max_reconnects {
-            std::thread::sleep(jittered(&mut self.rng, backoff_delay(&self.cfg, attempt)));
-            match connect_stream(&self.addrs, self.cfg.read_timeout)
-                .map_err(ClientError::from)
-                .and_then(|mut s| handshake(&mut s, Self::watch_hello()).map(|_| s))
-            {
-                Ok(stream) => {
-                    self.stream = stream;
-                    self.reconnects += 1;
-                    obs::counter_add!("client.reconnects", 1);
-                    return Ok(());
-                }
-                Err(e) if e.is_transport() => last = e,
-                Err(e) => return Err(e),
-            }
-        }
-        Err(ClientError::ReconnectFailed {
-            attempts: self.cfg.max_reconnects,
-            last: Box::new(last),
-        })
+        self.cursor = tail.cursor;
+        Ok(tail)
     }
 }
 
@@ -794,11 +751,7 @@ impl WatchClient {
 /// the numbers it reports.
 #[derive(Debug)]
 pub struct MetricsClient {
-    stream: TcpStream,
-    addrs: Vec<SocketAddr>,
-    cfg: ClientConfig,
-    rng: u64,
-    reconnects: u64,
+    link: Link,
 }
 
 impl MetricsClient {
@@ -822,28 +775,21 @@ impl MetricsClient {
         addr: A,
         cfg: ClientConfig,
     ) -> Result<MetricsClient, ClientError> {
-        let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
-        let stream = connect_stream(&addrs, cfg.read_timeout)?;
         Ok(MetricsClient {
-            stream,
-            addrs,
-            rng: 0xD1B5_4A32_D192_ED03,
-            reconnects: 0,
-            cfg,
+            link: Link::dial(addr, cfg)?,
         })
     }
 
     /// How many times this poller reconnected after a transport loss.
     pub fn reconnects(&self) -> u64 {
-        self.reconnects
+        self.link.reconnects
     }
 
     /// Severs the TCP connection without telling the server — a test
     /// hook simulating a transport loss. The next fetch reconnects.
     pub fn drop_connection(&mut self) {
-        let _ = self.stream.shutdown(std::net::Shutdown::Both);
+        self.link.conn.sever();
     }
-
     /// One METRICS poll: the server's full telemetry snapshot, its
     /// wire-stats, and one row per registered session.
     ///
@@ -954,41 +900,31 @@ impl MetricsClient {
     /// One request/reply round trip, curing transport failures by
     /// reconnecting (polling is stateless, so a retry is always safe).
     fn request(&mut self, req: &Frame) -> Result<Frame, ClientError> {
-        let mut attempts = 0u32;
-        loop {
-            match self.request_once(req) {
-                Ok(frame) => return Ok(frame),
-                Err(e) if e.is_transport() && attempts < self.cfg.max_reconnects => {
-                    attempts += 1;
-                    self.reconnect(e)?;
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        let timeout = self.link.cfg.read_timeout;
+        self.link.run(&mut (), |conn, ()| conn.ask(req, &NO_STOP, timeout))
     }
+}
 
-    fn request_once(&mut self, req: &Frame) -> Result<Frame, ClientError> {
-        proto::write_frame(&mut self.stream, req)?;
-        read_reply(&mut self.stream, |_| {})
-    }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ServeConfig, Server};
 
-    fn reconnect(&mut self, cause: ClientError) -> Result<(), ClientError> {
-        let mut last = cause;
-        for attempt in 0..self.cfg.max_reconnects {
-            std::thread::sleep(jittered(&mut self.rng, backoff_delay(&self.cfg, attempt)));
-            match connect_stream(&self.addrs, self.cfg.read_timeout) {
-                Ok(stream) => {
-                    self.stream = stream;
-                    self.reconnects += 1;
-                    obs::counter_add!("client.reconnects", 1);
-                    return Ok(());
-                }
-                Err(e) => last = ClientError::Io(e),
-            }
-        }
-        Err(ClientError::ReconnectFailed {
-            attempts: self.cfg.max_reconnects,
-            last: Box::new(last),
-        })
+    #[test]
+    fn clients_of_one_kind_hold_different_jitter_states() {
+        let server = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+        let addr = server.local_addr();
+        let config = EmprofConfig::for_rates(40e6, 1.0e9);
+        let profile = || ProfileClient::connect(addr, "t", config, 40e6, 1.0e9).unwrap();
+        let (p1, p2) = (profile(), profile());
+        assert_ne!(p1.link.rng, p2.link.rng);
+        let watch = || WatchClient::connect(addr).unwrap();
+        let (w1, w2) = (watch(), watch());
+        assert_ne!(w1.link.rng, w2.link.rng);
+        let metrics = || MetricsClient::connect(addr).unwrap();
+        let (m1, m2) = (metrics(), metrics());
+        assert_ne!(m1.link.rng, m2.link.rng);
+        drop((p1, p2, w1, w2, m1, m2));
+        server.shutdown();
     }
 }

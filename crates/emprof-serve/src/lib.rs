@@ -16,10 +16,11 @@
 //!   *blocks the socket reader*: backpressure is explicit and memory is
 //!   bounded, never silently buffered. Shed mode (opt-in) drops oldest
 //!   batches and counts them instead.
-//! * [`net`] — the network edge the server and `emprof-router` share:
-//!   the framed connection reader, the accept loop, the listener
-//!   bind/stop lifecycle, the `GET /metrics` responder and the
-//!   observability poll loop.
+//! * [`net`] — the network edge the server, `emprof-router` and the
+//!   clients share: the framed connection reader, the dial, HELLO
+//!   handshake and reply reader of the dialing side, the accept loop,
+//!   the listener bind/stop lifecycle, the `GET /metrics` responder and
+//!   the observability poll loop.
 //! * [`server`] — the TCP daemon: worker pool sized by
 //!   [`Parallelism`](emprof_par::Parallelism), watch tail, graceful
 //!   drain-then-finish shutdown.
@@ -146,6 +147,22 @@ mod tests {
         assert_eq!(final_stats.events_total, batch.events().len() as u64);
         assert_eq!(final_stats.samples_in, signal.len() as u64);
         assert_eq!(final_stats.sheds, 0);
+    }
+
+    #[test]
+    fn one_send_of_the_announced_bound_fits_the_payload_bound() {
+        let server = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+        let len = proto::MAX_SAMPLES_PER_FRAME as usize;
+        let signal = dipped_signal(&[(100_000, 12), (len - 5_000, 30)], len);
+        let mut client =
+            ProfileClient::connect(server.local_addr(), "t", config(), FS, CLK).unwrap();
+        client.send(&signal).unwrap();
+        let (events, stats) = client.finish().unwrap();
+        let batch = Emprof::new(config()).profile_magnitude(&signal, FS, CLK);
+        assert_eq!(batch.events().len(), 2);
+        assert_eq!(events, batch.events());
+        assert_eq!(stats.samples_pushed, len as u64);
+        server.shutdown();
     }
 
     #[test]

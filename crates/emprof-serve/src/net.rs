@@ -1,7 +1,7 @@
-//! The network edge shared by the ingest server and the router: the
-//! framed [`Conn`], the accept loop, the bind/stop lifecycle of the
-//! frame and `/metrics` listeners, the minimal `GET /metrics` HTTP
-//! responder, and the observability poll loop.
+//! The network edge shared by the ingest server, the router and the
+//! clients: the framed [`Conn`], the accept loop, the bind/stop
+//! lifecycle of the frame and `/metrics` listeners, the minimal
+//! `GET /metrics` HTTP responder, and the observability poll loop.
 //!
 //! A process mounts itself by implementing [`Service`]. [`Edge::bind`]
 //! binds its listeners and starts their threads; [`Edge::shutdown`]
@@ -9,6 +9,13 @@
 //! [`Stop`] per process means "finish what the peer already sent, then
 //! stop" and "stop at once, as a crash would" read the same on every
 //! socket of either process.
+//!
+//! The dialing side is [`Conn`] too: [`Conn::dial`] connects,
+//! [`Conn::handshake`] opens a session, and [`Conn::read_reply`] reads
+//! a reply, absorbing HEARTBEATs and turning ERROR frames into
+//! [`ClientError::Server`]. The three clients and the router's backend
+//! leg read every reply through it, so [`Conn::read_frame_with`] is the
+//! one place frames are read off a socket.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -17,9 +24,11 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use emprof_core::StallEvent;
 use emprof_obs as obs;
 
-use crate::proto::{self, ErrorCode, Frame, ProtoError};
+use crate::client::ClientError;
+use crate::proto::{self, ErrorCode, Frame, Hello, ProtoError, SessionStatsWire, VERSION};
 
 /// Read timeout on every framed socket: the latency bound on observing
 /// a stop from a blocked read.
@@ -47,6 +56,13 @@ pub struct Stop {
     killed: AtomicBool,
 }
 
+/// The stop flags a client passes: never raised, so its reads end only
+/// with a reply, a deadline or a transport loss.
+pub(crate) static NO_STOP: Stop = Stop {
+    stopping: AtomicBool::new(false),
+    killed: AtomicBool::new(false),
+};
+
 impl Stop {
     /// Raises the stop flag, and with `kill` the kill flag too. Returns
     /// whether the stop flag was already raised.
@@ -63,8 +79,24 @@ impl Stop {
     }
 }
 
+/// What a HELLO_ACK carries.
+#[derive(Debug, Clone, Copy)]
+pub struct Ack {
+    /// The session the server opened or resumed.
+    pub session_id: u64,
+    /// The most samples the server accepts in one SAMPLES frame.
+    pub max_samples_per_frame: u32,
+    /// The token a later HELLO presents to resume the session.
+    pub resume_token: u64,
+    /// The highest SAMPLES sequence the server has ingested.
+    pub acked_seq: u64,
+    /// The session's trace id.
+    pub trace_id: u64,
+}
+
 /// A framed connection with an accumulation buffer, so short read
 /// timeouts (used to observe a stop) never lose frame sync.
+#[derive(Debug)]
 pub struct Conn {
     stream: TcpStream,
     buf: Vec<u8>,
@@ -89,18 +121,38 @@ impl Conn {
         })
     }
 
-    /// Connects to the first address `addr` resolves to.
+    /// Connects to the first address `addr` resolves to that accepts,
+    /// trying each in order.
     ///
     /// # Errors
     ///
-    /// Propagates resolution and connect failures, including a connect
-    /// that does not finish within `timeout`.
-    pub fn dial(addr: &str, timeout: Duration) -> io::Result<Conn> {
-        let sock = addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "unresolvable address"))?;
-        Conn::new(TcpStream::connect_timeout(&sock, timeout)?)
+    /// Propagates a resolution failure, or the last address's connect
+    /// failure, including a connect that does not finish within
+    /// `timeout`.
+    pub fn dial(addr: impl ToSocketAddrs, timeout: Duration) -> io::Result<Conn> {
+        let mut last = io::Error::new(io::ErrorKind::InvalidInput, "unresolvable address");
+        for sock in addr.to_socket_addrs()? {
+            match TcpStream::connect_timeout(&sock, timeout) {
+                Ok(stream) => return Conn::new(stream),
+                Err(e) => last = e,
+            }
+        }
+        Err(last)
+    }
+
+    /// The local address of the socket.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the socket's failure to report it.
+    pub fn local_addr(&self) -> io::Result<SocketAddr> {
+        self.stream.local_addr()
+    }
+
+    /// Severs the socket both ways without a frame; the peer sees the
+    /// connection close, and later reads and writes here fail.
+    pub fn sever(&self) {
+        let _ = self.stream.shutdown(std::net::Shutdown::Both);
     }
 
     /// Reads one frame. `Ok(None)` means the peer closed cleanly between
@@ -235,6 +287,108 @@ impl Conn {
             code,
             message: message.into(),
         });
+    }
+
+    /// Reads one reply frame. A HEARTBEAT is absorbed: its `acked_seq`
+    /// goes to `on_heartbeat`. An ERROR frame is the peer's
+    /// [`ClientError::Server`]. Each frame, a heartbeat included, must
+    /// arrive within `timeout` of the read starting for it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Conn::read_frame`], plus the peer's ERROR frame; a close or
+    /// a `stop` is an [`io::ErrorKind::UnexpectedEof`] error.
+    pub fn read_reply(
+        &mut self,
+        stop: &Stop,
+        timeout: Duration,
+        mut on_heartbeat: impl FnMut(u64),
+    ) -> Result<Frame, ClientError> {
+        loop {
+            match self.read_frame(stop, Some(Instant::now() + timeout))? {
+                Some(Frame::Heartbeat { acked_seq }) => on_heartbeat(acked_seq),
+                Some(Frame::Error { code, message }) => {
+                    return Err(ClientError::Server { code, message })
+                }
+                Some(frame) => return Ok(frame),
+                None => return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into()),
+            }
+        }
+    }
+
+    /// Writes `request` and reads its reply with [`Conn::read_reply`],
+    /// ignoring heartbeats.
+    ///
+    /// # Errors
+    ///
+    /// The write's failure, or as [`Conn::read_reply`].
+    pub fn ask(
+        &mut self,
+        request: &Frame,
+        stop: &Stop,
+        timeout: Duration,
+    ) -> Result<Frame, ClientError> {
+        self.write(request)?;
+        self.read_reply(stop, timeout, |_| {})
+    }
+
+    /// Sends `hello` and reads the HELLO_ACK, which must speak
+    /// [`VERSION`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Conn::ask`]; any other reply, or another version, is
+    /// [`ClientError::Unexpected`].
+    pub fn handshake(
+        &mut self,
+        hello: Hello,
+        stop: &Stop,
+        timeout: Duration,
+    ) -> Result<Ack, ClientError> {
+        match self.ask(&Frame::Hello(hello), stop, timeout)? {
+            Frame::HelloAck {
+                version: VERSION,
+                session_id,
+                max_samples_per_frame,
+                resume_token,
+                acked_seq,
+                trace_id,
+            } => Ok(Ack {
+                session_id,
+                max_samples_per_frame,
+                resume_token,
+                acked_seq,
+                trace_id,
+            }),
+            Frame::HelloAck { .. } => {
+                Err(ClientError::Unexpected("server negotiated unknown version"))
+            }
+            _ => Err(ClientError::Unexpected("wanted HELLO_ACK")),
+        }
+    }
+
+    /// Reads a FLUSH or FIN reply: EVENTS frames, each handed to
+    /// `on_events` with the sequence number of its first event, then
+    /// the STATS frame that ends it. Heartbeats go to `on_heartbeat`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Conn::read_reply`]; any other frame is
+    /// [`ClientError::Unexpected`].
+    pub fn read_events_and_stats(
+        &mut self,
+        stop: &Stop,
+        timeout: Duration,
+        mut on_heartbeat: impl FnMut(u64),
+        mut on_events: impl FnMut(u64, Vec<StallEvent>),
+    ) -> Result<SessionStatsWire, ClientError> {
+        loop {
+            match self.read_reply(stop, timeout, &mut on_heartbeat)? {
+                Frame::Events { first_seq, events } => on_events(first_seq, events),
+                Frame::Stats(stats) => return Ok(stats),
+                _ => return Err(ClientError::Unexpected("wanted EVENTS or STATS")),
+            }
+        }
     }
 }
 
@@ -602,7 +756,7 @@ mod tests {
 
     #[test]
     fn a_quiet_peer_gets_a_heartbeat() {
-        let (mut conn, mut peer) = pair();
+        let (mut conn, peer) = pair();
         let stop = Arc::new(Stop::default());
         let reader_stop = Arc::clone(&stop);
         let reader = std::thread::spawn(move || {
@@ -611,13 +765,26 @@ mod tests {
             }));
             conn.read_frame_with(&reader_stop, None, heartbeat, Vec::new)
         });
-        peer.set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
+        let mut peer = Conn::new(peer).unwrap();
+        let deadline = Some(Instant::now() + Duration::from_secs(10));
         assert_eq!(
-            proto::read_frame(&mut peer).unwrap(),
-            Frame::Heartbeat { acked_seq: 7 }
+            peer.read_frame(&Stop::default(), deadline).unwrap(),
+            Some(Frame::Heartbeat { acked_seq: 7 })
         );
         stop.raise(true);
         assert!(reader.join().unwrap().unwrap().is_none());
+    }
+
+    #[test]
+    fn dial_falls_back_past_a_refusing_address() {
+        let refused = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let live = listener.local_addr().unwrap();
+        let conn = Conn::dial(&[refused, live][..], Duration::from_secs(5)).unwrap();
+        let (_, peer) = listener.accept().unwrap();
+        assert_eq!(conn.local_addr().unwrap(), peer);
     }
 }

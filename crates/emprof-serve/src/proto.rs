@@ -26,7 +26,7 @@
 //! codec's one encoding, so a HELLO and a journal `Meta` record agree
 //! byte for byte.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 #[cfg(test)]
 use emprof_core::{CalibConfig, Confidence, StallKind};
@@ -66,9 +66,16 @@ pub const HEADER_LEN: usize = 16;
 /// rejected before any payload is read.
 pub const MAX_PAYLOAD: u32 = 1 << 22;
 
-/// Upper bound on samples per SAMPLES frame (fits `MAX_PAYLOAD` exactly:
-/// a 4-byte count plus `2^19` 8-byte magnitudes).
+/// Upper bound on the sample count a SAMPLES frame may declare, and the
+/// bound HELLO_ACK announces. It predates the 8-byte sequence number,
+/// so a frame at this bound has a payload of `2^22 + 12` bytes, over
+/// [`MAX_PAYLOAD`]: senders chunk by [`SAMPLES_FITTING_PAYLOAD`] too.
 pub const MAX_SAMPLES_PER_FRAME: u32 = 1 << 19;
+
+/// The most samples a SAMPLES frame can carry within [`MAX_PAYLOAD`]:
+/// the payload is an 8-byte sequence number, a 4-byte count and 8 bytes
+/// per sample.
+pub const SAMPLES_FITTING_PAYLOAD: u32 = (MAX_PAYLOAD - 12) / 8;
 
 /// Upper bound on events per EVENTS/TAIL frame.
 const MAX_EVENTS_PER_FRAME: u32 = 100_000;
@@ -1482,22 +1489,6 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
     w.flush()
 }
 
-/// Reads one frame, validating every bound and checksum before decoding.
-///
-/// # Errors
-///
-/// Returns a [`ProtoError`] on transport failure, corruption, protocol
-/// bound violations, or malformed payloads.
-pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, ProtoError> {
-    let mut header = [0u8; HEADER_LEN];
-    r.read_exact(&mut header)?;
-    decode_header_then_payload(&header, |len| {
-        let mut payload = vec![0u8; len];
-        r.read_exact(&mut payload)?;
-        Ok(payload)
-    })
-}
-
 /// Validates a frame header, returning the frame type, flags, payload
 /// length, and expected payload checksum. Checks run in wire order:
 /// magic, version, header checksum, length bound, frame type.
@@ -1519,23 +1510,6 @@ fn validate_header(header: &[u8; HEADER_LEN]) -> Result<(FrameType, u8, usize, u
     let ty = FrameType::from_u8(header[4]).ok_or(ProtoError::UnknownType(header[4]))?;
     let sum = u32::from_le_bytes(header[12..16].try_into().unwrap());
     Ok((ty, header[5], len as usize, sum))
-}
-
-/// Header validation for the streaming reader: `fetch` is called with
-/// the validated, bounded payload length.
-fn decode_header_then_payload<F>(
-    header: &[u8; HEADER_LEN],
-    fetch: F,
-) -> Result<Frame, ProtoError>
-where
-    F: FnOnce(usize) -> Result<Vec<u8>, ProtoError>,
-{
-    let (ty, flags, len, sum) = validate_header(header)?;
-    let payload = fetch(len)?;
-    if fnv1a32(&payload) != sum {
-        return Err(ProtoError::PayloadChecksum);
-    }
-    Ok(decode_payload(ty, flags, &payload)?)
 }
 
 /// Validates and splits one frame out of a byte slice **without
@@ -1560,14 +1534,17 @@ fn split_frame(bytes: &[u8]) -> Result<(FrameType, u8, &[u8], usize), ProtoError
 }
 
 /// Decodes one frame from a byte slice, returning the frame and how many
-/// bytes it consumed. Used by tests and anyone framing over a non-`Read`
-/// transport. The payload is decoded in place (no intermediate copy);
-/// the returned [`Frame`] owns whatever it decoded to.
+/// bytes it consumed. Sockets are read through
+/// [`Conn::read_frame_with`](crate::net::Conn::read_frame_with), which
+/// decodes with [`decode_frame_view`]. The payload is decoded in place
+/// (no intermediate copy); the returned [`Frame`] owns whatever it
+/// decoded to.
 ///
 /// # Errors
 ///
 /// [`ProtoError::Io`] with `UnexpectedEof` when the slice holds less
-/// than one whole frame; other [`ProtoError`]s as in [`read_frame`].
+/// than one whole frame. A bad header or payload checksum, a payload
+/// over its bound, or a malformed payload is its own [`ProtoError`].
 pub fn decode_frame(bytes: &[u8]) -> Result<(Frame, usize), ProtoError> {
     let (ty, flags, payload, consumed) = split_frame(bytes)?;
     Ok((decode_payload(ty, flags, payload)?, consumed))
@@ -1604,9 +1581,6 @@ mod tests {
         let (decoded, consumed) = decode_frame(&bytes).expect("decodes");
         assert_eq!(consumed, bytes.len());
         assert_eq!(decoded, frame);
-        // And through the Read path too.
-        let mut r = &bytes[..];
-        assert_eq!(read_frame(&mut r).expect("reads"), frame);
     }
 
     #[test]

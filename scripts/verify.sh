@@ -154,6 +154,21 @@ for _ in $(seq 1 50); do
   sleep 0.2
 done
 [ "$router_ok" = 1 ] || { echo "verify: router /metrics never showed backend b0 up" >&2; exit 1; }
+
+# Routed push equals local profile: a short simulated capture pushed
+# through the router, addressed by host name so the client resolves it,
+# detects the same events as profiling the capture locally.
+SIGNAL_CSV="$(mktemp)"
+LOCAL_EVENTS="$(mktemp)"
+ROUTED_EVENTS="$(mktemp)"
+./target/release/emprof simulate microbench:64:1 --signal-out "$SIGNAL_CSV" >/dev/null
+./target/release/emprof profile "$SIGNAL_CSV" --rate 40e6 --clock 1.008e9 \
+  --events-out "$LOCAL_EVENTS" >/dev/null
+./target/release/emprof push "$SIGNAL_CSV" --rate 40e6 --clock 1.008e9 \
+  --addr localhost:7733 --events-out "$ROUTED_EVENTS" >/dev/null
+cmp "$LOCAL_EVENTS" "$ROUTED_EVENTS" \
+  || { echo "verify: routed push events differ from the local profile" >&2; exit 1; }
+rm -f "$SIGNAL_CSV" "$LOCAL_EVENTS" "$ROUTED_EVENTS"
 kill "$SERVE_PID" "$ROUTER_PID" 2>/dev/null || true
 wait "$SERVE_PID" "$ROUTER_PID" 2>/dev/null || true
 trap - EXIT

@@ -21,7 +21,8 @@ use std::time::Duration;
 
 use emprof::core::{Emprof, EmprofConfig};
 use emprof::serve::{
-    ClientConfig, ClientError, ErrorCode, ProfileClient, ServeConfig, Server, WatchClient,
+    ClientConfig, ClientError, ErrorCode, MetricsClient, ProfileClient, ServeConfig, Server,
+    WatchClient,
 };
 use proptest::prelude::*;
 
@@ -458,6 +459,29 @@ fn watch_exhausted_reconnects_report_attempts_and_cause() {
     watch.drop_connection();
     server.shutdown();
     let err = watch.poll().expect_err("poll against a dead server");
+    match err {
+        ClientError::ReconnectFailed { attempts, last } => {
+            assert_eq!(attempts, client_config().max_reconnects);
+            assert!(
+                matches!(*last, ClientError::Io(_)),
+                "last cause should be the transport error, got {last:?}"
+            );
+        }
+        other => panic!("expected ReconnectFailed, got {other:?}"),
+    }
+}
+
+/// The same terminal-error contract holds for metrics connections.
+#[test]
+fn metrics_exhausted_reconnects_report_attempts_and_cause() {
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut metrics = MetricsClient::connect_with(server.local_addr(), client_config()).unwrap();
+    metrics.fetch_health().unwrap();
+    metrics.drop_connection();
+    server.shutdown();
+    let err = metrics
+        .fetch_health()
+        .expect_err("poll against a dead server");
     match err {
         ClientError::ReconnectFailed { attempts, last } => {
             assert_eq!(attempts, client_config().max_reconnects);
