@@ -17,9 +17,9 @@
 
 use std::collections::BTreeMap;
 
-/// FNV-1a 64-bit — the same hash family the wire protocol uses for
-/// checksums, here spreading vnode points and session keys over the
-/// ring circle.
+/// FNV-1a 64-bit, a placement hash, not a checksum: it spreads vnode
+/// points and session keys over the ring circle, where only its spread
+/// matters. The wire and the journal check integrity with CRC-32.
 #[must_use]
 pub fn fnv1a_64(data: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;

@@ -52,7 +52,7 @@ use emprof_serve::client::{backoff_with_jitter, ClientConfig, ClientError};
 use emprof_serve::net::{self, Ack, Conn, Edge, Stop, POLL_INTERVAL};
 use emprof_serve::proto::{
     self, ClusterAction, ErrorCode, Frame, HealthWire, Hello, MetricsReply, NodeHealthWire,
-    QueryResultWire, QuerySpecWire, ServerStatsWire, SessionRow, MAX_SAMPLES_PER_FRAME, VERSION,
+    QueryResultWire, QuerySpecWire, ServerStatsWire, SessionRow, SAMPLES_FITTING_PAYLOAD, VERSION,
 };
 use emprof_store::JournalConfig;
 
@@ -1187,7 +1187,7 @@ fn attach_fresh(
         .write(&Frame::HelloAck {
             version: VERSION,
             session_id: rsid,
-            max_samples_per_frame: MAX_SAMPLES_PER_FRAME,
+            max_samples_per_frame: SAMPLES_FITTING_PAYLOAD,
             resume_token: rtoken,
             acked_seq: 0,
             trace_id,
@@ -1272,7 +1272,7 @@ fn attach_resume(
     let ack = Frame::HelloAck {
         version: VERSION,
         session_id: s.rsid,
-        max_samples_per_frame: MAX_SAMPLES_PER_FRAME,
+        max_samples_per_frame: SAMPLES_FITTING_PAYLOAD,
         resume_token: s.rtoken,
         acked_seq: acked_c,
         trace_id: s.trace_id,

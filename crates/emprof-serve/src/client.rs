@@ -58,9 +58,8 @@ use emprof_obs as obs;
 
 use crate::net::{Ack, Conn, NO_STOP};
 use crate::proto::{
-    ClusterAction, ErrorCode, FlightDumpWire, Frame, HealthWire, Hello, MetricsReply,
+    self, ClusterAction, ErrorCode, FlightDumpWire, Frame, HealthWire, Hello, MetricsReply,
     NodeHealthWire, ProtoError, QueryResultWire, QuerySpecWire, SessionStatsWire, Tail,
-    SAMPLES_FITTING_PAYLOAD,
 };
 use crate::session::splitmix64;
 
@@ -319,14 +318,17 @@ struct Upload {
     session_id: u64,
     resume_token: u64,
     trace_id: u64,
-    /// The announced bound, capped at what fits one frame's payload.
+    /// The bound the server announced; [`Conn::handshake`] refuses one
+    /// a frame's payload cannot hold.
     max_samples_per_frame: usize,
     /// Sequence for the next SAMPLES frame (sequences start at 1).
     next_seq: u64,
     /// Highest sequence the server has acknowledged.
     acked_seq: u64,
-    /// Frames past `acked_seq`, retained for replay after a resume.
-    unacked: VecDeque<(u64, Vec<f64>)>,
+    /// Frames past `acked_seq` with their sequence numbers, retained
+    /// for replay after a resume: the bytes encoded and sealed once by
+    /// [`ProfileClient::send`], written again as they are.
+    unacked: VecDeque<(u64, Vec<u8>)>,
     /// Highest event sequence number consumed (events are numbered from
     /// 1 by the server). Replies re-offer the server's unacked suffix;
     /// everything at or below this watermark is a duplicate and is
@@ -345,8 +347,7 @@ impl Upload {
         self.session_id = ack.session_id;
         self.resume_token = ack.resume_token;
         self.trace_id = ack.trace_id;
-        self.max_samples_per_frame =
-            ack.max_samples_per_frame.clamp(1, SAMPLES_FITTING_PAYLOAD) as usize;
+        self.max_samples_per_frame = ack.max_samples_per_frame as usize;
         self.note_acked(ack.acked_seq);
     }
 
@@ -402,11 +403,8 @@ impl Reattach for Upload {
             ..self.hello.clone()
         };
         self.adopt(conn.handshake(hello, &NO_STOP, timeout)?);
-        for (seq, samples) in &self.unacked {
-            conn.write(&Frame::Samples {
-                seq: *seq,
-                samples: samples.clone(),
-            })?;
+        for (_, frame) in &self.unacked {
+            conn.write_encoded(frame)?;
         }
         Ok(())
     }
@@ -542,12 +540,20 @@ impl ProfileClient {
         for chunk in samples.chunks(self.upload.max_samples_per_frame) {
             let seq = self.upload.next_seq;
             self.upload.next_seq += 1;
-            self.upload.unacked.push_back((seq, chunk.to_vec()));
+            self.upload
+                .unacked
+                .push_back((seq, proto::encode_samples(seq, chunk)));
             // On transport loss, the resume replays the whole unacked
             // queue (which includes this frame); the retried write is
-            // then a duplicate the server drops by sequence number.
-            self.link.run(&mut self.upload, |conn, _| {
-                Ok(conn.write(&Frame::Samples { seq, samples: chunk.to_vec() })?)
+            // then a duplicate the server drops by sequence number. A
+            // resume that reports the frame ingested has dropped it
+            // from the queue, and nothing is left to write.
+            self.link.run(&mut self.upload, |conn, upload| {
+                match upload.unacked.back() {
+                    Some((last, frame)) if *last == seq => conn.write_encoded(frame)?,
+                    _ => {}
+                }
+                Ok(())
             })?;
             if self.upload.unacked.len() > self.link.cfg.max_unacked_frames {
                 // The implicit flush stashes its fresh events in

@@ -152,7 +152,7 @@ mod tests {
     #[test]
     fn one_send_of_the_announced_bound_fits_the_payload_bound() {
         let server = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
-        let len = proto::MAX_SAMPLES_PER_FRAME as usize;
+        let len = proto::SAMPLES_FITTING_PAYLOAD as usize;
         let signal = dipped_signal(&[(100_000, 12), (len - 5_000, 30)], len);
         let mut client =
             ProfileClient::connect(server.local_addr(), "t", config(), FS, CLK).unwrap();

@@ -28,7 +28,10 @@ use emprof_core::StallEvent;
 use emprof_obs as obs;
 
 use crate::client::ClientError;
-use crate::proto::{self, ErrorCode, Frame, Hello, ProtoError, SessionStatsWire, VERSION};
+use crate::proto::{
+    self, ErrorCode, Frame, FrameView, Hello, ProtoError, SamplesView, SessionStatsWire,
+    SAMPLES_FITTING_PAYLOAD, VERSION,
+};
 
 /// Read timeout on every framed socket: the latency bound on observing
 /// a stop from a blocked read.
@@ -92,6 +95,16 @@ pub struct Ack {
     pub acked_seq: u64,
     /// The session's trace id.
     pub trace_id: u64,
+}
+
+/// A frame read by [`Conn::read_frame_with`]: what its SAMPLES hook
+/// made of a SAMPLES frame, or any other frame, decoded owned.
+#[derive(Debug)]
+pub enum Incoming<S> {
+    /// The SAMPLES hook's result.
+    Samples(S),
+    /// Any frame but SAMPLES.
+    Frame(Frame),
 }
 
 /// A framed connection with an accumulation buffer, so short read
@@ -174,49 +187,49 @@ impl Conn {
         stop: &Stop,
         deadline: Option<Instant>,
     ) -> Result<Option<Frame>, ProtoError> {
-        self.read_frame_with(stop, deadline, None::<(Duration, fn() -> Frame)>, Vec::new)
+        let to_owned = |v: SamplesView<'_>| Frame::Samples {
+            seq: v.seq,
+            samples: v.iter().collect(),
+        };
+        let read =
+            self.read_frame_with(stop, deadline, None::<(Duration, fn() -> Frame)>, to_owned);
+        Ok(read?.map(|(Incoming::Samples(frame) | Incoming::Frame(frame))| frame))
     }
 
-    /// [`Conn::read_frame`] with an optional heartbeat: while the peer
-    /// is quiet past `interval`, `make` builds a frame to write (the
-    /// liveness signal) and the idle clock restarts. A heartbeat write
-    /// failure is a transport loss, surfaced as an I/O error.
+    /// [`Conn::read_frame`] with an optional heartbeat and a SAMPLES
+    /// hook. While the peer is quiet past `interval`, `make` builds a
+    /// frame to write (the liveness signal) and the idle clock restarts.
+    /// A heartbeat write failure is a transport loss, surfaced as an I/O
+    /// error.
     ///
-    /// SAMPLES frames are decoded zero-copy from the accumulation buffer
-    /// and their samples written into a vector obtained from
-    /// `samples_buf`: the server's session loop hands out pooled
-    /// buffers here, making steady-state ingest allocation-free per
-    /// frame.
+    /// A SAMPLES frame is decoded zero-copy from the accumulation buffer
+    /// and handed to `on_samples` as a [`SamplesView`] before the buffer
+    /// lets go of its bytes: the server's session hook admits the frame,
+    /// journals its payload bytes as they arrived, and copies the
+    /// samples into a pooled buffer, so steady-state ingest is
+    /// allocation-free per frame.
     ///
     /// # Errors
     ///
     /// As [`Conn::read_frame`].
-    pub fn read_frame_with<F: Fn() -> Frame>(
+    pub fn read_frame_with<S, F: Fn() -> Frame>(
         &mut self,
         stop: &Stop,
         deadline: Option<Instant>,
         heartbeat: Option<(Duration, F)>,
-        mut samples_buf: impl FnMut() -> Vec<f64>,
-    ) -> Result<Option<Frame>, ProtoError> {
+        mut on_samples: impl FnMut(SamplesView<'_>) -> S,
+    ) -> Result<Option<Incoming<S>>, ProtoError> {
         let mut last_io = Instant::now();
         loop {
             if self.buf.len() >= proto::HEADER_LEN {
                 match proto::decode_frame_view(&self.buf) {
                     Ok((view, consumed)) => {
-                        let frame = match view {
-                            proto::FrameView::Samples(v) => {
-                                let mut samples = samples_buf();
-                                samples.clear();
-                                v.copy_into(&mut samples);
-                                Frame::Samples {
-                                    seq: v.seq,
-                                    samples,
-                                }
-                            }
-                            proto::FrameView::Owned(frame) => frame,
+                        let read = match view {
+                            FrameView::Samples(v) => Incoming::Samples(on_samples(v)),
+                            FrameView::Owned(frame) => Incoming::Frame(frame),
                         };
                         self.buf.drain(..consumed);
-                        return Ok(Some(frame));
+                        return Ok(Some(read));
                     }
                     Err(ProtoError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof => {}
                     Err(e) => return Err(e),
@@ -278,7 +291,17 @@ impl Conn {
     ///
     /// Propagates the socket write failure.
     pub fn write(&mut self, frame: &Frame) -> io::Result<()> {
-        proto::write_frame(&mut self.stream, frame)
+        self.write_encoded(&proto::encode_frame(frame))
+    }
+
+    /// Writes one frame already encoded and sealed, as
+    /// [`proto::encode_samples`] returns it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the socket write failure.
+    pub fn write_encoded(&mut self, frame: &[u8]) -> io::Result<()> {
+        self.stream.write_all(frame)
     }
 
     /// Best-effort error frame; the connection is abandoned after it.
@@ -333,12 +356,13 @@ impl Conn {
     }
 
     /// Sends `hello` and reads the HELLO_ACK, which must speak
-    /// [`VERSION`].
+    /// [`VERSION`] and announce a SAMPLES bound from 1 to
+    /// [`SAMPLES_FITTING_PAYLOAD`].
     ///
     /// # Errors
     ///
-    /// As [`Conn::ask`]; any other reply, or another version, is
-    /// [`ClientError::Unexpected`].
+    /// As [`Conn::ask`]; any other reply, another version, or a bound
+    /// outside that range is [`ClientError::Unexpected`].
     pub fn handshake(
         &mut self,
         hello: Hello,
@@ -346,6 +370,15 @@ impl Conn {
         timeout: Duration,
     ) -> Result<Ack, ClientError> {
         match self.ask(&Frame::Hello(hello), stop, timeout)? {
+            Frame::HelloAck {
+                version: VERSION,
+                max_samples_per_frame,
+                ..
+            } if !(1..=SAMPLES_FITTING_PAYLOAD).contains(&max_samples_per_frame) => {
+                Err(ClientError::Unexpected(
+                    "server announced a SAMPLES bound outside 1..=SAMPLES_FITTING_PAYLOAD",
+                ))
+            }
             Frame::HelloAck {
                 version: VERSION,
                 session_id,
@@ -438,7 +471,7 @@ impl Edge {
         let metrics = metrics_addr.map(TcpListener::bind).transpose()?;
         let metrics_addr = metrics.as_ref().map(TcpListener::local_addr).transpose()?;
         let service = Arc::new(make(local_addr)?);
-        let readers = Arc::new(Mutex::new(Vec::new()));
+        let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::default();
 
         let (accept_service, accept_readers) = (Arc::clone(&service), Arc::clone(&readers));
         let mut acceptors = vec![std::thread::Builder::new()
@@ -450,10 +483,14 @@ impl Edge {
                         .name(format!("{}-conn", S::NAME))
                         .spawn(move || conn_service.serve(stream));
                     if let Ok(handle) = spawned {
-                        accept_readers
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .push(handle);
+                        let mut readers =
+                            accept_readers.lock().unwrap_or_else(|e| e.into_inner());
+                        // An exited thread keeps its stack until its
+                        // handle is joined or dropped: let go of the
+                        // readers whose connection has ended, so memory
+                        // does not grow with every connection served.
+                        readers.retain(|h| !h.is_finished());
+                        readers.push(handle);
                     }
                 });
             })?];
@@ -627,6 +664,7 @@ pub fn serve_polls(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
 
     /// A connected loopback pair: the framed side and its raw peer.
     fn pair() -> (Conn, TcpStream) {
@@ -733,7 +771,7 @@ mod tests {
             Frame::Flush,
         ];
         for frame in &frames {
-            proto::write_frame(&mut peer, frame).unwrap();
+            peer.write_all(&proto::encode_frame(frame)).unwrap();
         }
         let stop = Stop::default();
         assert!(!stop.raise(false));
@@ -746,7 +784,7 @@ mod tests {
     #[test]
     fn kill_returns_none_at_once() {
         let (mut conn, mut peer) = pair();
-        proto::write_frame(&mut peer, &Frame::Flush).unwrap();
+        peer.write_all(&proto::encode_frame(&Frame::Flush)).unwrap();
         let stop = Stop::default();
         assert!(!stop.raise(true));
         let started = Instant::now();
@@ -763,7 +801,7 @@ mod tests {
             let heartbeat = Some((Duration::from_millis(10), || Frame::Heartbeat {
                 acked_seq: 7,
             }));
-            conn.read_frame_with(&reader_stop, None, heartbeat, Vec::new)
+            conn.read_frame_with(&reader_stop, None, heartbeat, |_| ())
         });
         let mut peer = Conn::new(peer).unwrap();
         let deadline = Some(Instant::now() + Duration::from_secs(10));
@@ -773,6 +811,51 @@ mod tests {
         );
         stop.raise(true);
         assert!(reader.join().unwrap().unwrap().is_none());
+    }
+
+    /// Reads each connection until its peer closes, then counts it.
+    #[derive(Default)]
+    struct Drain {
+        stop: Stop,
+        served: AtomicUsize,
+    }
+
+    impl Service for Drain {
+        const NAME: &'static str = "drain";
+
+        fn stop(&self) -> &Stop {
+            &self.stop
+        }
+
+        fn serve(self: Arc<Self>, stream: TcpStream) {
+            let mut conn = Conn::new(stream).unwrap();
+            while let Ok(Some(_)) = conn.read_frame(&self.stop, None) {}
+            self.served.fetch_add(1, Ordering::SeqCst);
+        }
+
+        fn scrape_body(&self) -> String {
+            String::new()
+        }
+    }
+
+    #[test]
+    fn readers_of_ended_connections_are_let_go() {
+        let (mut edge, service) =
+            Edge::bind("127.0.0.1:0", None, |_| Ok(Drain::default())).unwrap();
+        for n in 1..=20 {
+            drop(TcpStream::connect(edge.local_addr()).unwrap());
+            let started = Instant::now();
+            while service.served.load(Ordering::SeqCst) < n {
+                assert!(started.elapsed() < Duration::from_secs(10), "connection {n} hung");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            // Every accept lets go of the readers that had exited: held
+            // are the newest, and at most one that had counted itself
+            // but not yet returned when the newest was accepted.
+            assert!(edge.readers.lock().unwrap().len() <= 2);
+        }
+        service.stop.raise(true);
+        edge.shutdown();
     }
 
     #[test]

@@ -7,13 +7,21 @@
 //! ```text
 //! offset  size  field
 //! 0       2     magic            0x454D ("EM")
-//! 2       2     protocol version (currently 5)
+//! 2       2     protocol version (currently 6)
 //! 4       1     frame type       (FrameType)
 //! 5       1     flags            (per-type bits)
-//! 6       2     header checksum  FNV-1a-16 of the other 14 header bytes
+//! 6       2     header checksum  CRC-32 of the other 14 header bytes,
+//!                                folded to 16 bits (high half XOR low)
 //! 8       4     payload length   bounded by MAX_PAYLOAD
-//! 12      4     payload checksum FNV-1a-32 of the payload bytes
+//! 12      4     payload checksum CRC-32 of the payload bytes
 //! ```
+//!
+//! Both checksums are the journal's CRC-32 ([`emprof_store::crc`]), so
+//! a SAMPLES payload is hashed once on each side: the sender seals it
+//! with [`encode_samples`] (or [`encode_frame`]), the receiver verifies
+//! it while splitting the frame, and the verified CRC travels on in the
+//! [`SamplesView`], from which the journal derives its record CRC for the
+//! same bytes without reading them again.
 //!
 //! Decoding is fuzz-resistant by construction: the header is validated
 //! (magic, version, header checksum, length bound) before a single
@@ -26,13 +34,14 @@
 //! codec's one encoding, so a HELLO and a journal `Meta` record agree
 //! byte for byte.
 
-use std::io::{self, Write};
+use std::io;
 
 #[cfg(test)]
 use emprof_core::{CalibConfig, Confidence, StallKind};
 use emprof_core::{EmprofConfig, StallEvent};
 use emprof_obs::{HistogramSnapshot, MeterSnapshot, Snapshot, SpanSnapshot};
 use emprof_store::codec::{self, DecodeError, Reader};
+use emprof_store::crc::{crc32, Crc32};
 
 /// First two header bytes: `b"EM"` read as a little-endian u16.
 pub const MAGIC: u16 = u16::from_le_bytes(*b"EM");
@@ -57,7 +66,11 @@ pub const MAGIC: u16 = u16::from_le_bytes(*b"EM");
 /// version 5 *additively*, like the cluster frames before them: a peer
 /// that never sends a QUERY never sees a QUERY_RESULT, so the version
 /// number is unchanged.
-pub const VERSION: u16 = 5;
+/// Version 6 replaces the FNV-1a header and payload checksums with the
+/// journal's CRC-32, and HELLO_ACK announces a SAMPLES bound whose frame
+/// fits [`MAX_PAYLOAD`] ([`SAMPLES_FITTING_PAYLOAD`]); payload layouts
+/// are unchanged.
+pub const VERSION: u16 = 6;
 
 /// Fixed frame-header length in bytes.
 pub const HEADER_LEN: usize = 16;
@@ -66,16 +79,15 @@ pub const HEADER_LEN: usize = 16;
 /// rejected before any payload is read.
 pub const MAX_PAYLOAD: u32 = 1 << 22;
 
-/// Upper bound on the sample count a SAMPLES frame may declare, and the
-/// bound HELLO_ACK announces. It predates the 8-byte sequence number,
-/// so a frame at this bound has a payload of `2^22 + 12` bytes, over
-/// [`MAX_PAYLOAD`]: senders chunk by [`SAMPLES_FITTING_PAYLOAD`] too.
-pub const MAX_SAMPLES_PER_FRAME: u32 = 1 << 19;
-
 /// The most samples a SAMPLES frame can carry within [`MAX_PAYLOAD`]:
 /// the payload is an 8-byte sequence number, a 4-byte count and 8 bytes
-/// per sample.
+/// per sample. HELLO_ACK announces this bound and the SAMPLES decoder
+/// enforces it.
 pub const SAMPLES_FITTING_PAYLOAD: u32 = (MAX_PAYLOAD - 12) / 8;
+
+/// [`SAMPLES_FITTING_PAYLOAD`] under its name from before version 6,
+/// when it was `2^19`, a bound whose frame overran [`MAX_PAYLOAD`].
+pub const MAX_SAMPLES_PER_FRAME: u32 = SAMPLES_FITTING_PAYLOAD;
 
 /// Upper bound on events per EVENTS/TAIL frame.
 const MAX_EVENTS_PER_FRAME: u32 = 100_000;
@@ -778,64 +790,100 @@ impl ProtoError {
 }
 
 // ---------------------------------------------------------------------
-// Checksums: FNV-1a, dependency-free and plenty for corruption detection
-// (integrity, not authentication).
+// Checksums: the journal's CRC-32 (integrity, not authentication).
 
-fn fnv1a32(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
-}
-
-fn fnv1a16(bytes: &[u8]) -> u16 {
-    let h = fnv1a32(bytes);
+/// The header checksum: CRC-32 of the 14 header bytes other than the
+/// checksum field itself, folded to 16 bits.
+fn header_checksum(header: &[u8]) -> u16 {
+    let mut crc = Crc32::new();
+    crc.update(&header[..6]);
+    crc.update(&header[8..HEADER_LEN]);
+    let h = crc.finish();
     ((h >> 16) ^ (h & 0xffff)) as u16
 }
 
-/// The 14 header bytes the header checksum covers (everything but the
-/// checksum field itself).
-fn header_checksum(buf: &[u8; HEADER_LEN]) -> u16 {
-    let mut covered = [0u8; HEADER_LEN - 2];
-    covered[..6].copy_from_slice(&buf[..6]);
-    covered[6..].copy_from_slice(&buf[8..]);
-    fnv1a16(&covered)
+/// Fills in the header of `frame`, a zeroed header followed by the
+/// payload: magic, version, type, flags, payload length, the payload's
+/// CRC-32, and last the header checksum. The frame is sealed in place,
+/// so its payload is written once and hashed once.
+fn seal(frame: &mut [u8], ty: u8, flags: u8) {
+    let (header, payload) = frame.split_at_mut(HEADER_LEN);
+    debug_assert!(payload.len() <= MAX_PAYLOAD as usize, "frame too large");
+    header[0..2].copy_from_slice(&MAGIC.to_le_bytes());
+    header[2..4].copy_from_slice(&VERSION.to_le_bytes());
+    header[4] = ty;
+    header[5] = flags;
+    header[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[12..16].copy_from_slice(&crc32(payload).to_le_bytes());
+    let hsum = header_checksum(header);
+    header[6..8].copy_from_slice(&hsum.to_le_bytes());
+}
+
+/// A frame of type byte `ty` with `flags` around `payload`, with a valid
+/// header: the one sealing function every encoder uses. `ty` is the raw
+/// byte, so tests can seal a frame of an unknown type, or damaged
+/// payload bytes, and reach the decoder past the checksums.
+pub fn seal_frame(ty: u8, flags: u8, payload: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
+    frame.extend_from_slice(&[0; HEADER_LEN]);
+    frame.extend_from_slice(payload);
+    seal(&mut frame, ty, flags);
+    frame
 }
 
 // ---------------------------------------------------------------------
 // Payload encoding/decoding: frame payloads are field sequences over
 // `emprof_store::codec`; only wire-only shapes are written here.
 
-/// A SAMPLES frame decoded zero-copy: the sequence number plus the raw
-/// little-endian f64 payload bytes, borrowed straight from the receive
-/// buffer. Samples are decoded lazily as they are read, so a frame that
-/// is validated but never consumed costs no per-sample work at all.
+/// A SAMPLES frame decoded zero-copy: the sequence number plus the
+/// payload bytes, borrowed straight from the receive buffer, and the
+/// payload CRC-32 the frame carried and the decoder verified. Samples
+/// are decoded lazily as they are read, so a frame that is validated
+/// but never consumed costs no per-sample work at all.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SamplesView<'a> {
     /// Sequence number of this batch (first sample's global index).
     pub seq: u64,
-    /// Exactly `len() * 8` bytes of little-endian f64s.
-    raw: &'a [u8],
+    /// The whole payload: sequence number, count, then `len() * 8`
+    /// bytes of little-endian f64s.
+    payload: &'a [u8],
+    /// CRC-32 of `payload`, verified against the frame header.
+    crc: u32,
 }
+
+/// Payload bytes ahead of a SAMPLES frame's samples: sequence and count.
+const SAMPLES_PREFIX: usize = 12;
 
 impl<'a> SamplesView<'a> {
     /// Number of samples in the frame.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.raw.len() / 8
+        (self.payload.len() - SAMPLES_PREFIX) / 8
     }
 
     /// Whether the frame carries no samples.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.raw.is_empty()
+        self.len() == 0
+    }
+
+    /// The payload bytes as they arrived — the encoding a journal
+    /// `Samples` record stores.
+    #[must_use]
+    pub fn payload(&self) -> &'a [u8] {
+        self.payload
+    }
+
+    /// The payload's CRC-32, as the frame carried it and the decoder
+    /// verified it.
+    #[must_use]
+    pub fn crc(&self) -> u32 {
+        self.crc
     }
 
     /// Iterates the samples, decoding each f64 from the borrowed bytes.
     pub fn iter(&self) -> impl Iterator<Item = f64> + 'a {
-        codec::f64s(self.raw)
+        codec::f64s(&self.payload[SAMPLES_PREFIX..])
     }
 
     /// Appends every sample to `out`. Reserves once up front; when `out`
@@ -857,14 +905,15 @@ pub enum FrameView<'a> {
     Owned(Frame),
 }
 
-/// Parses and bounds-checks a SAMPLES payload into a [`SamplesView`].
-/// Shares validation with the owned decode path: sequence number, sample
-/// count against [`MAX_SAMPLES_PER_FRAME`], exact payload length.
-fn samples_view(payload: &[u8]) -> Result<SamplesView<'_>, DecodeError> {
+/// Parses and bounds-checks a SAMPLES payload, whose CRC-32 `crc`
+/// verified, into a [`SamplesView`]. Shares validation with the owned
+/// decode path: sequence number, sample count against
+/// [`SAMPLES_FITTING_PAYLOAD`], exact payload length.
+fn samples_view(payload: &[u8], crc: u32) -> Result<SamplesView<'_>, DecodeError> {
     let mut c = Reader::new(payload);
-    let (seq, raw) = c.samples(MAX_SAMPLES_PER_FRAME)?;
+    let (seq, _) = c.samples(SAMPLES_FITTING_PAYLOAD)?;
     c.done()?;
-    Ok(SamplesView { seq, raw })
+    Ok(SamplesView { seq, payload, crc })
 }
 
 fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
@@ -1024,14 +1073,14 @@ fn decode_server_stats(c: &mut Reader<'_>) -> Result<ServerStatsWire, DecodeErro
     })
 }
 
-fn encode_payload(frame: &Frame) -> (FrameType, u8, Vec<u8>) {
-    let mut p = Vec::new();
+/// Appends `frame`'s payload to `p`; returns its type and flags.
+fn encode_payload(frame: &Frame, p: &mut Vec<u8>) -> (FrameType, u8) {
     match frame {
         Frame::Hello(h) => {
             p.extend_from_slice(&h.sample_rate_hz.to_le_bytes());
             p.extend_from_slice(&h.clock_hz.to_le_bytes());
-            codec::put_config(&mut p, &h.config);
-            codec::put_str(&mut p, &h.device);
+            codec::put_config(p, &h.config);
+            codec::put_str(p, &h.device);
             p.extend_from_slice(&h.resume_session_id.to_le_bytes());
             p.extend_from_slice(&h.resume_token.to_le_bytes());
             let mut flags = 0;
@@ -1041,7 +1090,7 @@ fn encode_payload(frame: &Frame) -> (FrameType, u8, Vec<u8>) {
             if h.proxied {
                 flags |= FLAG_PROXIED;
             }
-            (FrameType::Hello, flags, p)
+            (FrameType::Hello, flags)
         }
         Frame::HelloAck {
             version,
@@ -1057,18 +1106,18 @@ fn encode_payload(frame: &Frame) -> (FrameType, u8, Vec<u8>) {
             p.extend_from_slice(&resume_token.to_le_bytes());
             p.extend_from_slice(&acked_seq.to_le_bytes());
             p.extend_from_slice(&trace_id.to_le_bytes());
-            (FrameType::HelloAck, 0, p)
+            (FrameType::HelloAck, 0)
         }
         Frame::Samples { seq, samples } => {
-            codec::put_samples(&mut p, *seq, samples);
-            (FrameType::Samples, 0, p)
+            codec::put_samples(p, *seq, samples);
+            (FrameType::Samples, 0)
         }
-        Frame::Flush => (FrameType::Flush, 0, p),
-        Frame::Fin => (FrameType::Fin, 0, p),
+        Frame::Flush => (FrameType::Flush, 0),
+        Frame::Fin => (FrameType::Fin, 0),
         Frame::Events { first_seq, events } => {
             p.extend_from_slice(&first_seq.to_le_bytes());
-            codec::put_events(&mut p, events);
-            (FrameType::Events, 0, p)
+            codec::put_events(p, events);
+            (FrameType::Events, 0)
         }
         Frame::Stats(s) => {
             p.extend_from_slice(&s.samples_pushed.to_le_bytes());
@@ -1082,46 +1131,45 @@ fn encode_payload(frame: &Frame) -> (FrameType, u8, Vec<u8>) {
             (
                 FrameType::Stats,
                 if s.final_report { FLAG_FINAL } else { 0 },
-                p,
             )
         }
         Frame::Error { code, message } => {
             p.extend_from_slice(&(*code as u16).to_le_bytes());
-            codec::put_str(&mut p, message);
-            (FrameType::Error, 0, p)
+            codec::put_str(p, message);
+            (FrameType::Error, 0)
         }
         Frame::Watch { cursor } => {
             p.extend_from_slice(&cursor.to_le_bytes());
-            (FrameType::Watch, 0, p)
+            (FrameType::Watch, 0)
         }
         Frame::Tail(t) => {
             p.extend_from_slice(&t.cursor.to_le_bytes());
             p.extend_from_slice(&t.missed.to_le_bytes());
-            encode_server_stats(&mut p, &t.server);
+            encode_server_stats(p, &t.server);
             p.extend_from_slice(&(t.events.len() as u32).to_le_bytes());
             for te in &t.events {
                 p.extend_from_slice(&te.session_id.to_le_bytes());
-                codec::put_event(&mut p, &te.event);
+                codec::put_event(p, &te.event);
             }
-            (FrameType::Tail, 0, p)
+            (FrameType::Tail, 0)
         }
         Frame::Heartbeat { acked_seq } => {
             p.extend_from_slice(&acked_seq.to_le_bytes());
-            (FrameType::Heartbeat, 0, p)
+            (FrameType::Heartbeat, 0)
         }
         Frame::EventsAck { seq } => {
             p.extend_from_slice(&seq.to_le_bytes());
-            (FrameType::EventsAck, 0, p)
+            (FrameType::EventsAck, 0)
         }
-        Frame::MetricsRequest => (FrameType::MetricsRequest, 0, p),
+        Frame::MetricsRequest => (FrameType::MetricsRequest, 0),
         Frame::Metrics(m) => {
-            encode_snapshot_wire(&mut p, &m.snapshot);
-            encode_server_stats(&mut p, &m.server);
+            encode_snapshot_wire(p, &m.snapshot);
+            encode_server_stats(p, &m.server);
             p.extend_from_slice(&(m.sessions.len() as u32).to_le_bytes());
             for row in &m.sessions {
                 p.extend_from_slice(&row.session_id.to_le_bytes());
                 p.extend_from_slice(&row.trace_id.to_le_bytes());
-                codec::put_str(&mut p, &row.device);
+                codec::put_str(p, &row.device);
                 p.push(row.connected as u8);
                 p.extend_from_slice(&row.queue_depth.to_le_bytes());
                 p.extend_from_slice(&row.queue_capacity.to_le_bytes());
@@ -1135,48 +1183,48 @@ fn encode_payload(frame: &Frame) -> (FrameType, u8, Vec<u8>) {
                 p.extend_from_slice(&row.events_degraded.to_le_bytes());
                 p.extend_from_slice(&row.idle_ms.to_le_bytes());
             }
-            (FrameType::Metrics, 0, p)
+            (FrameType::Metrics, 0)
         }
-        Frame::HealthRequest => (FrameType::HealthRequest, 0, p),
+        Frame::HealthRequest => (FrameType::HealthRequest, 0),
         Frame::Health(h) => {
             p.push(h.healthy as u8);
             p.extend_from_slice(&h.uptime_ms.to_le_bytes());
             p.extend_from_slice(&h.sessions_active.to_le_bytes());
             p.extend_from_slice(&h.max_sessions.to_le_bytes());
             p.push(h.journal_enabled as u8);
-            (FrameType::Health, 0, p)
+            (FrameType::Health, 0)
         }
         Frame::FlightRequest { session_id } => {
             p.extend_from_slice(&session_id.to_le_bytes());
-            (FrameType::FlightRequest, 0, p)
+            (FrameType::FlightRequest, 0)
         }
         Frame::FlightReply { dumps } => {
             p.extend_from_slice(&(dumps.len() as u32).to_le_bytes());
             for d in dumps {
                 p.extend_from_slice(&d.session_id.to_le_bytes());
                 p.extend_from_slice(&d.trace_id.to_le_bytes());
-                codec::put_long_str(&mut p, &d.json, MAX_FLIGHT_JSON);
+                codec::put_long_str(p, &d.json, MAX_FLIGHT_JSON);
             }
-            (FrameType::FlightReply, 0, p)
+            (FrameType::FlightReply, 0)
         }
         Frame::ClusterJoin { name, addr, action } => {
-            codec::put_str(&mut p, name);
-            codec::put_str(&mut p, addr);
+            codec::put_str(p, name);
+            codec::put_str(p, addr);
             p.push(*action as u8);
-            (FrameType::ClusterJoin, 0, p)
+            (FrameType::ClusterJoin, 0)
         }
-        Frame::ClusterStateRequest => (FrameType::ClusterState, FLAG_REQUEST, p),
+        Frame::ClusterStateRequest => (FrameType::ClusterState, FLAG_REQUEST),
         Frame::ClusterStateReply { nodes } => {
             p.extend_from_slice(&(nodes.len() as u32).to_le_bytes());
             for n in nodes {
-                encode_node_health(&mut p, n);
+                encode_node_health(p, n);
             }
-            (FrameType::ClusterState, 0, p)
+            (FrameType::ClusterState, 0)
         }
-        Frame::NodeHealthRequest => (FrameType::NodeHealth, FLAG_REQUEST, p),
+        Frame::NodeHealthRequest => (FrameType::NodeHealth, FLAG_REQUEST),
         Frame::NodeHealthReply(n) => {
-            encode_node_health(&mut p, n);
-            (FrameType::NodeHealth, 0, p)
+            encode_node_health(p, n);
+            (FrameType::NodeHealth, 0)
         }
         Frame::Query(q) => {
             p.extend_from_slice(&q.t0.to_le_bytes());
@@ -1186,13 +1234,13 @@ fn encode_payload(frame: &Frame) -> (FrameType, u8, Vec<u8>) {
             for id in &q.sessions {
                 p.extend_from_slice(&id.to_le_bytes());
             }
-            (FrameType::Query, 0, p)
+            (FrameType::Query, 0)
         }
         Frame::QueryResult(r) => {
             p.extend_from_slice(&r.events.to_le_bytes());
             p.extend_from_slice(&r.degraded.to_le_bytes());
             p.extend_from_slice(&r.refresh_collisions.to_le_bytes());
-            encode_histogram_wire(&mut p, &r.latency);
+            encode_histogram_wire(p, &r.latency);
             p.extend_from_slice(&(r.timeline.len() as u32).to_le_bytes());
             for n in &r.timeline {
                 p.extend_from_slice(&n.to_le_bytes());
@@ -1200,7 +1248,7 @@ fn encode_payload(frame: &Frame) -> (FrameType, u8, Vec<u8>) {
             p.extend_from_slice(&(r.sessions.len() as u32).to_le_bytes());
             for row in &r.sessions {
                 p.extend_from_slice(&row.session_id.to_le_bytes());
-                codec::put_str(&mut p, &row.device);
+                codec::put_str(p, &row.device);
                 p.extend_from_slice(&row.events.to_le_bytes());
                 p.extend_from_slice(&row.degraded.to_le_bytes());
                 p.extend_from_slice(&row.refresh_collisions.to_le_bytes());
@@ -1210,7 +1258,7 @@ fn encode_payload(frame: &Frame) -> (FrameType, u8, Vec<u8>) {
             p.extend_from_slice(&r.cache_hits.to_le_bytes());
             p.extend_from_slice(&r.cache_misses.to_le_bytes());
             p.extend_from_slice(&r.nodes.to_le_bytes());
-            (FrameType::QueryResult, 0, p)
+            (FrameType::QueryResult, 0)
         }
     }
 }
@@ -1273,15 +1321,12 @@ fn decode_payload(ty: FrameType, flags: u8, payload: &[u8]) -> Result<Frame, Dec
             trace_id: c.u64()?,
         },
         FrameType::Samples => {
-            // Validated through the same view parser the zero-copy server
-            // ingest path uses, then materialized for owned callers.
-            let view = samples_view(payload)?;
-            let mut samples = Vec::with_capacity(view.len());
-            view.copy_into(&mut samples);
-            return Ok(Frame::Samples {
-                seq: view.seq,
-                samples,
-            });
+            // The same bound and layout the zero-copy view checks.
+            let (seq, raw) = c.samples(SAMPLES_FITTING_PAYLOAD)?;
+            Frame::Samples {
+                seq,
+                samples: codec::f64s(raw).collect(),
+            }
         }
         FrameType::Flush => Frame::Flush,
         FrameType::Fin => Frame::Fin,
@@ -1460,39 +1505,30 @@ fn decode_payload(ty: FrameType, flags: u8, payload: &[u8]) -> Result<Frame, Dec
 // ---------------------------------------------------------------------
 // Framed I/O.
 
-/// Serializes a frame to bytes (header + payload).
+/// Serializes a frame to bytes (header + payload), encoding the payload
+/// straight into the buffer that is then sealed in place.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let (ty, flags, payload) = encode_payload(frame);
-    debug_assert!(payload.len() <= MAX_PAYLOAD as usize, "frame too large");
-    let mut buf = [0u8; HEADER_LEN];
-    buf[0..2].copy_from_slice(&MAGIC.to_le_bytes());
-    buf[2..4].copy_from_slice(&VERSION.to_le_bytes());
-    buf[4] = ty as u8;
-    buf[5] = flags;
-    buf[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf[12..16].copy_from_slice(&fnv1a32(&payload).to_le_bytes());
-    let hsum = header_checksum(&buf);
-    buf[6..8].copy_from_slice(&hsum.to_le_bytes());
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(&buf);
-    out.extend_from_slice(&payload);
+    let mut out = vec![0; HEADER_LEN];
+    let (ty, flags) = encode_payload(frame, &mut out);
+    seal(&mut out, ty as u8, flags);
     out
 }
 
-/// Writes one frame.
-///
-/// # Errors
-///
-/// Propagates transport errors from the writer.
-pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> io::Result<()> {
-    w.write_all(&encode_frame(frame))?;
-    w.flush()
+/// Serializes a SAMPLES frame straight from borrowed samples into one
+/// exactly sized buffer: the bytes [`encode_frame`] writes for the owned
+/// frame, without first copying the batch into one.
+pub fn encode_samples(seq: u64, samples: &[f64]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER_LEN + SAMPLES_PREFIX + samples.len() * 8);
+    out.resize(HEADER_LEN, 0);
+    codec::put_samples(&mut out, seq, samples);
+    seal(&mut out, FrameType::Samples as u8, 0);
+    out
 }
 
 /// Validates a frame header, returning the frame type, flags, payload
 /// length, and expected payload checksum. Checks run in wire order:
 /// magic, version, header checksum, length bound, frame type.
-fn validate_header(header: &[u8; HEADER_LEN]) -> Result<(FrameType, u8, usize, u32), ProtoError> {
+fn validate_header(header: &[u8]) -> Result<(FrameType, u8, usize, u32), ProtoError> {
     if u16::from_le_bytes(header[0..2].try_into().unwrap()) != MAGIC {
         return Err(ProtoError::BadMagic);
     }
@@ -1513,24 +1549,24 @@ fn validate_header(header: &[u8; HEADER_LEN]) -> Result<(FrameType, u8, usize, u
 }
 
 /// Validates and splits one frame out of a byte slice **without
-/// copying**: header checks, then the payload checksum verified over the
-/// borrowed payload bytes. Returns the frame type, flags, the payload
-/// slice, and the total bytes consumed.
-fn split_frame(bytes: &[u8]) -> Result<(FrameType, u8, &[u8], usize), ProtoError> {
+/// copying**: header checks, then the payload CRC-32 verified over the
+/// borrowed payload bytes — the one pass over them on the receiving
+/// side. Returns the frame type, flags, the payload slice, its verified
+/// CRC, and the total bytes consumed.
+fn split_frame(bytes: &[u8]) -> Result<(FrameType, u8, &[u8], u32, usize), ProtoError> {
     if bytes.len() < HEADER_LEN {
         return Err(ProtoError::Io(io::ErrorKind::UnexpectedEof.into()));
     }
-    let header: &[u8; HEADER_LEN] = bytes[..HEADER_LEN].try_into().unwrap();
-    let (ty, flags, len, sum) = validate_header(header)?;
+    let (ty, flags, len, sum) = validate_header(&bytes[..HEADER_LEN])?;
     let end = HEADER_LEN
         .checked_add(len)
         .filter(|&e| e <= bytes.len())
         .ok_or(ProtoError::Io(io::ErrorKind::UnexpectedEof.into()))?;
     let payload = &bytes[HEADER_LEN..end];
-    if fnv1a32(payload) != sum {
+    if crc32(payload) != sum {
         return Err(ProtoError::PayloadChecksum);
     }
-    Ok((ty, flags, payload, end))
+    Ok((ty, flags, payload, sum, end))
 }
 
 /// Decodes one frame from a byte slice, returning the frame and how many
@@ -1546,7 +1582,7 @@ fn split_frame(bytes: &[u8]) -> Result<(FrameType, u8, &[u8], usize), ProtoError
 /// than one whole frame. A bad header or payload checksum, a payload
 /// over its bound, or a malformed payload is its own [`ProtoError`].
 pub fn decode_frame(bytes: &[u8]) -> Result<(Frame, usize), ProtoError> {
-    let (ty, flags, payload, consumed) = split_frame(bytes)?;
+    let (ty, flags, payload, _, consumed) = split_frame(bytes)?;
     Ok((decode_payload(ty, flags, payload)?, consumed))
 }
 
@@ -1560,9 +1596,9 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Frame, usize), ProtoError> {
 ///
 /// Exactly as [`decode_frame`].
 pub fn decode_frame_view(bytes: &[u8]) -> Result<(FrameView<'_>, usize), ProtoError> {
-    let (ty, flags, payload, consumed) = split_frame(bytes)?;
+    let (ty, flags, payload, crc, consumed) = split_frame(bytes)?;
     let view = match ty {
-        FrameType::Samples => FrameView::Samples(samples_view(payload)?),
+        FrameType::Samples => FrameView::Samples(samples_view(payload, crc)?),
         _ => FrameView::Owned(decode_payload(ty, flags, payload)?),
     };
     Ok((view, consumed))
@@ -1631,7 +1667,7 @@ mod tests {
         roundtrip(Frame::HelloAck {
             version: VERSION,
             session_id: 42,
-            max_samples_per_frame: MAX_SAMPLES_PER_FRAME,
+            max_samples_per_frame: SAMPLES_FITTING_PAYLOAD,
             resume_token: 99,
             acked_seq: 1234,
             trace_id: 0x9e37_79b9_7f4a_7c15,
@@ -1907,16 +1943,7 @@ mod tests {
         // Hand-build a Metrics payload announcing too many counters.
         let mut payload = Vec::new();
         payload.extend_from_slice(&(MAX_METRICS_ENTRIES + 1).to_le_bytes());
-        let mut buf = [0u8; HEADER_LEN];
-        buf[0..2].copy_from_slice(&MAGIC.to_le_bytes());
-        buf[2..4].copy_from_slice(&VERSION.to_le_bytes());
-        buf[4] = FrameType::Metrics as u8;
-        buf[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf[12..16].copy_from_slice(&fnv1a32(&payload).to_le_bytes());
-        let hsum = header_checksum(&buf);
-        buf[6..8].copy_from_slice(&hsum.to_le_bytes());
-        let mut bytes = buf.to_vec();
-        bytes.extend_from_slice(&payload);
+        let bytes = seal_frame(FrameType::Metrics as u8, 0, &payload);
         assert!(matches!(
             decode_frame(&bytes),
             Err(ProtoError::Malformed(_))
@@ -1929,16 +1956,7 @@ mod tests {
         // count, before any row is read.
         let mut payload = Vec::new();
         payload.extend_from_slice(&(MAX_CLUSTER_NODES + 1).to_le_bytes());
-        let mut buf = [0u8; HEADER_LEN];
-        buf[0..2].copy_from_slice(&MAGIC.to_le_bytes());
-        buf[2..4].copy_from_slice(&VERSION.to_le_bytes());
-        buf[4] = FrameType::ClusterState as u8;
-        buf[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf[12..16].copy_from_slice(&fnv1a32(&payload).to_le_bytes());
-        let hsum = header_checksum(&buf);
-        buf[6..8].copy_from_slice(&hsum.to_le_bytes());
-        let mut bytes = buf.to_vec();
-        bytes.extend_from_slice(&payload);
+        let bytes = seal_frame(FrameType::ClusterState as u8, 0, &payload);
         assert!(matches!(decode_frame(&bytes), Err(ProtoError::Malformed(_))));
 
         // An unknown cluster action byte is malformed, not a panic.
@@ -1949,10 +1967,7 @@ mod tests {
         });
         let last = join.len() - 1;
         join[last] = 99;
-        let sum = fnv1a32(&join[HEADER_LEN..]);
-        join[12..16].copy_from_slice(&sum.to_le_bytes());
-        let hsum = header_checksum(&join[..HEADER_LEN].try_into().unwrap());
-        join[6..8].copy_from_slice(&hsum.to_le_bytes());
+        let join = seal_frame(join[4], join[5], &join[HEADER_LEN..]);
         assert!(matches!(decode_frame(&join), Err(ProtoError::Malformed(_))));
     }
 
@@ -2001,16 +2016,7 @@ mod tests {
         payload.extend_from_slice(&u64::MAX.to_le_bytes());
         payload.extend_from_slice(&0u64.to_le_bytes());
         payload.extend_from_slice(&(MAX_QUERY_SESSIONS + 1).to_le_bytes());
-        let mut buf = [0u8; HEADER_LEN];
-        buf[0..2].copy_from_slice(&MAGIC.to_le_bytes());
-        buf[2..4].copy_from_slice(&VERSION.to_le_bytes());
-        buf[4] = FrameType::Query as u8;
-        buf[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf[12..16].copy_from_slice(&fnv1a32(&payload).to_le_bytes());
-        let hsum = header_checksum(&buf);
-        buf[6..8].copy_from_slice(&hsum.to_le_bytes());
-        let mut bytes = buf.to_vec();
-        bytes.extend_from_slice(&payload);
+        let bytes = seal_frame(FrameType::Query as u8, 0, &payload);
         assert!(matches!(decode_frame(&bytes), Err(ProtoError::Malformed(_))));
     }
 
@@ -2128,10 +2134,49 @@ mod tests {
     }
 
     #[test]
+    fn borrowed_samples_encode_to_the_owned_frame_bytes() {
+        let samples = vec![1.5, -0.0, f64::from_bits(0x7ff8_0000_0000_0001), 1e-310];
+        let bytes = encode_samples(9, &samples);
+        assert_eq!(
+            bytes,
+            encode_frame(&Frame::Samples {
+                seq: 9,
+                samples: samples.clone()
+            })
+        );
+        assert_eq!(bytes.capacity(), bytes.len(), "sized exactly, grown once");
+        let Ok((FrameView::Samples(v), used)) = decode_frame_view(&bytes) else {
+            panic!("not a SAMPLES view");
+        };
+        assert_eq!(used, bytes.len());
+        assert_eq!(v.payload(), &bytes[HEADER_LEN..]);
+        assert_eq!(v.crc(), crc32(v.payload()));
+        assert_eq!(v.crc().to_le_bytes(), bytes[12..16]);
+        let back: Vec<u64> = v.iter().map(f64::to_bits).collect();
+        assert_eq!(back, samples.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn samples_past_the_fitting_bound_are_refused() {
+        // The count is checked before any sample byte is read, on both
+        // the owned and the zero-copy path.
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&1u64.to_le_bytes());
+        payload.extend_from_slice(&(SAMPLES_FITTING_PAYLOAD + 1).to_le_bytes());
+        let bytes = seal_frame(FrameType::Samples as u8, 0, &payload);
+        assert!(matches!(decode_frame(&bytes), Err(ProtoError::Malformed(_))));
+        assert!(matches!(decode_frame_view(&bytes), Err(ProtoError::Malformed(_))));
+        // The bound is the most samples whose payload fits MAX_PAYLOAD.
+        let at_bound = SAMPLES_PREFIX + SAMPLES_FITTING_PAYLOAD as usize * 8;
+        assert!(at_bound <= MAX_PAYLOAD as usize);
+        assert!(at_bound + 8 > MAX_PAYLOAD as usize);
+    }
+
+    #[test]
     fn oversized_length_is_rejected_before_reading_payload() {
         let mut bytes = encode_frame(&Frame::Flush);
         bytes[8..12].copy_from_slice(&(MAX_PAYLOAD + 1).to_le_bytes());
-        let hsum = header_checksum(&bytes[..HEADER_LEN].try_into().unwrap());
+        let hsum = header_checksum(&bytes);
         bytes[6..8].copy_from_slice(&hsum.to_le_bytes());
         assert!(matches!(decode_frame(&bytes), Err(ProtoError::Oversized(_))));
     }
@@ -2140,7 +2185,7 @@ mod tests {
     fn unknown_frame_type_is_rejected() {
         let mut bytes = encode_frame(&Frame::Flush);
         bytes[4] = 200;
-        let hsum = header_checksum(&bytes[..HEADER_LEN].try_into().unwrap());
+        let hsum = header_checksum(&bytes);
         bytes[6..8].copy_from_slice(&hsum.to_le_bytes());
         assert!(matches!(
             decode_frame(&bytes),
@@ -2189,16 +2234,7 @@ mod tests {
         payload.extend_from_slice(&1u64.to_le_bytes()); // seq
         payload.extend_from_slice(&10u32.to_le_bytes()); // promises 10
         payload.extend_from_slice(&1.0f64.to_le_bytes()); // delivers 1
-        let mut buf = [0u8; HEADER_LEN];
-        buf[0..2].copy_from_slice(&MAGIC.to_le_bytes());
-        buf[2..4].copy_from_slice(&VERSION.to_le_bytes());
-        buf[4] = FrameType::Samples as u8;
-        buf[8..12].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf[12..16].copy_from_slice(&fnv1a32(&payload).to_le_bytes());
-        let hsum = header_checksum(&buf);
-        buf[6..8].copy_from_slice(&hsum.to_le_bytes());
-        let mut bytes = buf.to_vec();
-        bytes.extend_from_slice(&payload);
+        let bytes = seal_frame(FrameType::Samples as u8, 0, &payload);
         assert!(matches!(
             decode_frame(&bytes),
             Err(ProtoError::Malformed(_))

@@ -51,11 +51,12 @@ use emprof_store::{
 
 use emprof_core::StallEvent;
 
-use crate::net::{self, Conn, Edge, Stop, POLL_INTERVAL};
+use crate::net::{self, Conn, Edge, Incoming, Stop, POLL_INTERVAL};
 use crate::proto::{
     ClusterAction, ErrorCode, FlightDumpWire, Frame, HealthWire, Hello, MetricsReply,
-    NodeHealthWire, QueryResultWire, QueryRowWire, QuerySpecWire, ServerStatsWire, SessionRow,
-    Tail, TailEvent, MAX_FLIGHT_DUMPS, MAX_SAMPLES_PER_FRAME, MAX_SESSION_ROWS, VERSION,
+    NodeHealthWire, QueryResultWire, QueryRowWire, QuerySpecWire, SamplesView, ServerStatsWire,
+    SessionRow, Tail, TailEvent, MAX_FLIGHT_DUMPS, MAX_SESSION_ROWS, SAMPLES_FITTING_PAYLOAD,
+    VERSION,
 };
 use crate::session::{SeqAdmit, Session, SessionRegistry, Work};
 
@@ -896,7 +897,7 @@ fn watch_connection(conn: &mut Conn, shared: &Arc<Shared>) {
         .write(&Frame::HelloAck {
             version: VERSION,
             session_id: 0,
-            max_samples_per_frame: MAX_SAMPLES_PER_FRAME,
+            max_samples_per_frame: SAMPLES_FITTING_PAYLOAD,
             resume_token: 0,
             acked_seq: 0,
             trace_id: 0,
@@ -910,8 +911,8 @@ fn watch_connection(conn: &mut Conn, shared: &Arc<Shared>) {
             .config
             .heartbeat_interval
             .map(|iv| (iv, || Frame::Heartbeat { acked_seq: 0 }));
-        match conn.read_frame_with(&shared.stop, None, hb, Vec::new) {
-            Ok(Some(Frame::Watch { cursor })) => {
+        match conn.read_frame_with(&shared.stop, None, hb, |_| ()) {
+            Ok(Some(Incoming::Frame(Frame::Watch { cursor }))) => {
                 let (next, missed, events) = shared
                     .tail
                     .lock()
@@ -927,7 +928,7 @@ fn watch_connection(conn: &mut Conn, shared: &Arc<Shared>) {
                     return;
                 }
             }
-            Ok(Some(Frame::Fin)) | Ok(None) => {
+            Ok(Some(Incoming::Frame(Frame::Fin))) | Ok(None) => {
                 if shared.stop.is_raised() {
                     conn.bail(ErrorCode::Shutdown, "server shutting down");
                 }
@@ -1040,7 +1041,7 @@ fn session_connection(conn: &mut Conn, shared: &Arc<Shared>, hello: Hello) {
         .write(&Frame::HelloAck {
             version: VERSION,
             session_id: session.id,
-            max_samples_per_frame: MAX_SAMPLES_PER_FRAME,
+            max_samples_per_frame: SAMPLES_FITTING_PAYLOAD,
             resume_token: session.resume_token,
             acked_seq: session.acked_seq(),
             trace_id: session.trace_id,
@@ -1088,6 +1089,19 @@ enum SessionExit {
     Fault(String),
 }
 
+/// What the session's SAMPLES hook made of one frame, decided while the
+/// frame's bytes are still in the receive buffer.
+enum Admitted {
+    /// A resumed connection took the session over; nothing was done.
+    Superseded,
+    /// Admitted and journaled; the samples, in a pooled buffer.
+    Fresh(Vec<f64>),
+    /// A replayed frame the detector already saw.
+    Duplicate,
+    /// The frame skipped a sequence number.
+    Gap,
+}
+
 /// Persists a session's flight ring: to [`ServeConfig::flight_dir`]
 /// when set, else next to the journals. With neither configured there
 /// is no durable directory to land it in, so this is a no-op (the ring
@@ -1120,32 +1134,41 @@ fn session_loop(
                 acked_seq: session.acked_seq(),
             })
         });
-        // SAMPLES frames decode into buffers recycled from this session's
+        // The hook runs while the frame is still in the receive buffer:
+        // the journal appends the payload bytes as they arrived, and the
+        // samples are copied into a buffer recycled from this session's
         // pool, so a steady sample stream allocates nothing per frame.
-        match conn.read_frame_with(&shared.stop, None, hb, || session.take_buffer()) {
-            Ok(Some(Frame::Samples { seq, samples })) => {
-                if !session.is_current(generation) {
-                    // A resumed connection took over; bow out silently.
-                    return SessionExit::Superseded;
-                }
-                match session.admit_seq(seq) {
-                    SeqAdmit::Accept => {
-                        // Journal BEFORE ingest: the acked watermark is
-                        // only reported to the client on later frames
-                        // from this same thread, so durability always
-                        // precedes the client pruning its replay buffer.
-                        session.journal_samples(seq, &samples);
-                        ingest_batch(shared, session, samples);
-                    }
-                    // A replayed frame the detector already saw.
-                    SeqAdmit::Duplicate => session.touch(shared.registry.epoch()),
-                    SeqAdmit::Gap => {
-                        conn.bail(ErrorCode::Protocol, "SAMPLES sequence gap");
-                        return SessionExit::Lost("SAMPLES sequence gap".into());
-                    }
-                }
+        let admit = |v: SamplesView<'_>| {
+            if !session.is_current(generation) {
+                return Admitted::Superseded;
             }
-            Ok(Some(frame @ (Frame::Flush | Frame::Fin))) => {
+            match session.admit_seq(v.seq) {
+                SeqAdmit::Accept => {
+                    // Journal BEFORE ingest: the acked watermark is only
+                    // reported to the client on later frames from this
+                    // same thread, so durability always precedes the
+                    // client pruning its replay buffer.
+                    session.journal_samples(&v);
+                    let mut samples = session.take_buffer();
+                    v.copy_into(&mut samples);
+                    Admitted::Fresh(samples)
+                }
+                SeqAdmit::Duplicate => Admitted::Duplicate,
+                SeqAdmit::Gap => Admitted::Gap,
+            }
+        };
+        match conn.read_frame_with(&shared.stop, None, hb, admit) {
+            Ok(Some(Incoming::Samples(admitted))) => match admitted {
+                // A resumed connection took over; bow out silently.
+                Admitted::Superseded => return SessionExit::Superseded,
+                Admitted::Fresh(samples) => ingest_batch(shared, session, samples),
+                Admitted::Duplicate => session.touch(shared.registry.epoch()),
+                Admitted::Gap => {
+                    conn.bail(ErrorCode::Protocol, "SAMPLES sequence gap");
+                    return SessionExit::Lost("SAMPLES sequence gap".into());
+                }
+            },
+            Ok(Some(Incoming::Frame(frame @ (Frame::Flush | Frame::Fin)))) => {
                 if !session.is_current(generation) {
                     return SessionExit::Superseded;
                 }
@@ -1205,7 +1228,7 @@ fn session_loop(
                     }
                 }
             }
-            Ok(Some(Frame::EventsAck { seq })) => {
+            Ok(Some(Incoming::Frame(Frame::EventsAck { seq }))) => {
                 if !session.is_current(generation) {
                     return SessionExit::Superseded;
                 }

@@ -20,7 +20,7 @@ use emprof_obs::metrics::Meter;
 use emprof_obs::FlightRecorder;
 use emprof_store::{RecoveredSession, SessionJournal};
 
-use crate::proto::{SessionRow, SessionStatsWire};
+use crate::proto::{SamplesView, SessionRow, SessionStatsWire};
 use crate::queue::BoundedQueue;
 
 /// Flight-recorder ring bound per session: enough tail to reconstruct
@@ -379,12 +379,14 @@ impl Session {
     /// *before* enqueueing the batch: the acked watermark is only
     /// reported to the client on later (stats/heartbeat) frames handled
     /// by the same reader thread, so durability always precedes the
-    /// client pruning its replay buffer. Best-effort on a journaled
-    /// session; a no-op otherwise.
-    pub fn journal_samples(&self, seq: u64, samples: &[f64]) {
+    /// client pruning its replay buffer. The record is the frame's
+    /// payload bytes as they arrived, under a CRC derived from the one
+    /// the decoder verified. Best-effort on a journaled session; a no-op
+    /// otherwise.
+    pub fn journal_samples(&self, frame: &SamplesView<'_>) {
         if let Some(j) = &self.journal {
             let mut j = j.lock().unwrap_or_else(|e| e.into_inner());
-            if let Err(e) = j.append_samples(seq, samples) {
+            if let Err(e) = j.append_samples_raw(frame.payload(), frame.crc()) {
                 self.journal_error("samples", &e);
             }
         }

@@ -1,10 +1,17 @@
 //! CRC-32 (IEEE 802.3 polynomial, reflected), dependency-free.
 //!
-//! Every journal record carries a CRC over its kind byte and payload;
-//! every segment header carries one over the other header bytes. The
-//! FNV checksums used on the wire are too weak for at-rest corruption
-//! detection across power loss — CRC-32 detects all burst errors up to
-//! 32 bits and has a well-understood miss rate beyond that.
+//! One checksum guards every byte the system moves or keeps. On disk,
+//! every journal record carries a CRC over its kind byte and payload,
+//! and every segment header one over the other header bytes. On the
+//! wire, every frame carries the CRC of its payload, and the header
+//! checksum is this CRC folded to 16 bits. CRC-32 detects all burst
+//! errors up to 32 bits and has a well-understood miss rate beyond that.
+//!
+//! [`combine`] joins two digests: from `crc32(a)`, `crc32(b)` and
+//! `b.len()` it gives `crc32(a ‖ b)` in O(log `b.len()`) without reading
+//! a byte. That is how a journal record's CRC, over its kind byte and
+//! then its payload, is derived from the CRC a SAMPLES frame already
+//! carried and had verified, so a sample byte is hashed once per side.
 
 /// The reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;
@@ -67,6 +74,56 @@ fn update(mut crc: u32, bytes: &[u8]) -> u32 {
 /// CRC-32 of `bytes` (IEEE, as used by zip/png/ethernet).
 pub fn crc32(bytes: &[u8]) -> u32 {
     !update(!0, bytes)
+}
+
+/// Multiplies two polynomials modulo the CRC polynomial, both in the
+/// reflected bit order the digest uses (bit 31 is `x^0`).
+const fn mul_mod_poly(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut bit = 0;
+    while bit < 32 {
+        if a & (1 << (31 - bit)) != 0 {
+            product ^= b;
+        }
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+        bit += 1;
+    }
+    product
+}
+
+/// `X2N[k]` is `x^(2^k)` modulo the CRC polynomial. The polynomial is
+/// irreducible, so `x^(2^32) = x` and the powers cycle with period 32.
+const fn build_x2n() -> [u32; 32] {
+    let mut table = [0u32; 32];
+    table[0] = 1 << 30; // x^1
+    let mut k = 1;
+    while k < 32 {
+        table[k] = mul_mod_poly(table[k - 1], table[k - 1]);
+        k += 1;
+    }
+    table
+}
+
+static X2N: [u32; 32] = build_x2n();
+
+/// The CRC-32 of `a ‖ b` from `crc_a = crc32(a)`, `crc_b = crc32(b)` and
+/// `len_b = b.len()`, in O(log `len_b`): appending `len_b` bytes shifts
+/// `a`'s contribution by `x^(8 len_b)`, and the pre- and post-inversions
+/// cancel, so `crc32(a ‖ b) = crc_a · x^(8 len_b) ⊕ crc_b` modulo the
+/// polynomial.
+pub fn combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
+    // x^(8 len_b) = the product of x^(2^(k+3)) over the set bits k of len_b.
+    let mut shift = 1u32 << 31; // x^0
+    let mut n = len_b as u64;
+    let mut k = 3;
+    while n != 0 {
+        if n & 1 != 0 {
+            shift = mul_mod_poly(X2N[k & 31], shift);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    mul_mod_poly(shift, crc_a) ^ crc_b
 }
 
 /// Incremental CRC-32: feed chunks through [`Crc32::update`], read the
@@ -172,6 +229,42 @@ mod tests {
             inc.update(&slice[..cut]);
             inc.update(&slice[cut..]);
             assert_eq!(inc.finish(), want, "offset {off} length {len} cut {cut}");
+        }
+    }
+
+    #[test]
+    fn powers_of_x_cycle_with_period_32() {
+        assert_eq!(mul_mod_poly(X2N[31], X2N[31]), X2N[0]);
+    }
+
+    #[test]
+    fn combine_matches_the_digest_of_the_concatenation() {
+        // Random splits of random lengths, both empty halves, and whole
+        // buffers up to the wire's 4 MiB payload bound.
+        const MAX_PAYLOAD: usize = 1 << 22;
+        let data = noise(MAX_PAYLOAD, 3);
+        let picks = noise(2 * 300, 5);
+        let mut cases: Vec<(usize, usize)> = picks
+            .chunks_exact(2)
+            .map(|p| {
+                let len = (p[0] as usize * 977 + p[1] as usize * 31) % 70_000;
+                (len, (p[1] as usize * 257) % (len + 1))
+            })
+            .collect();
+        cases.extend([
+            (0, 0),
+            (9, 0),
+            (9, 9),
+            (MAX_PAYLOAD, 1),
+            (MAX_PAYLOAD, MAX_PAYLOAD - 12),
+        ]);
+        for (len, cut) in cases {
+            let (a, b) = data[..len].split_at(cut);
+            assert_eq!(
+                combine(crc32(a), crc32(b), b.len()),
+                crc32(&data[..len]),
+                "length {len} cut {cut}"
+            );
         }
     }
 

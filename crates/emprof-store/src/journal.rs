@@ -31,11 +31,11 @@ use std::path::{Path, PathBuf};
 
 use emprof_obs as obs;
 
-use crate::codec;
-use crate::record::{Record, RecordKind, SegmentFooter};
+use crate::codec::{self, Reader};
+use crate::record::{Record, RecordKind, SegmentFooter, MAX_SAMPLES_PER_RECORD};
 use crate::segment::{
     encode_segment_header, parse_segment_file_name, scan_segment, segment_file_name,
-    write_record_frame, SEGMENT_HEADER_LEN,
+    write_record_frame, write_record_frame_raw, SEGMENT_HEADER_LEN,
 };
 
 /// Journal tuning knobs.
@@ -362,7 +362,8 @@ impl Journal {
     /// Propagates write failures; the record is not counted on failure
     /// (the torn bytes, if any, are repaired by the next open).
     pub fn append(&mut self, rec: &Record) -> io::Result<u64> {
-        let index = self.write_frame(rec.kind(), |p| rec.encode_into(p))?;
+        let index =
+            self.write_frame(|f| write_record_frame(f, rec.kind(), |p| rec.encode_into(p)))?;
         self.active.note_record(rec, self.frame.len() as u64);
         Ok(index)
     }
@@ -375,21 +376,47 @@ impl Journal {
     ///
     /// As [`Journal::append`].
     pub fn append_samples(&mut self, seq: u64, samples: &[f64]) -> io::Result<u64> {
-        let index =
-            self.write_frame(RecordKind::Samples, |p| codec::put_samples(p, seq, samples))?;
+        let index = self.write_frame(|f| {
+            write_record_frame(f, RecordKind::Samples, |p| codec::put_samples(p, seq, samples));
+        })?;
         self.active.note_samples(samples.len(), self.frame.len() as u64);
         Ok(index)
     }
 
-    /// Encodes one frame into the reused buffer and writes it; the
-    /// caller notes the record into the active segment's accounting.
-    fn write_frame(
-        &mut self,
-        kind: RecordKind,
-        payload: impl FnOnce(&mut Vec<u8>),
-    ) -> io::Result<u64> {
+    /// Appends a [`Record::Samples`] record from its encoded payload —
+    /// a SAMPLES wire payload is exactly that encoding — and the
+    /// payload's CRC-32, as the wire carried and verified them: the
+    /// payload bytes are copied as they are and not hashed again. The
+    /// record on disk is byte-identical to [`Journal::append_samples`] of
+    /// the decoded batch.
+    ///
+    /// `payload_crc` must be `crc32(payload)`; a wrong one writes a
+    /// record that the next open discards as a torn tail.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidInput`] when `payload` is not one encoded
+    /// batch of at most [`MAX_SAMPLES_PER_RECORD`] samples; otherwise as
+    /// [`Journal::append`].
+    pub fn append_samples_raw(&mut self, payload: &[u8], payload_crc: u32) -> io::Result<u64> {
+        let mut r = Reader::new(payload);
+        let count = r
+            .samples(MAX_SAMPLES_PER_RECORD)
+            .and_then(|(_, raw)| r.done().map(|()| raw.len() / 8))
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
+        let index = self.write_frame(|f| {
+            write_record_frame_raw(f, RecordKind::Samples, payload, payload_crc);
+        })?;
+        self.active.note_samples(count, self.frame.len() as u64);
+        Ok(index)
+    }
+
+    /// Builds one frame into the reused buffer with `frame` and writes
+    /// it; the caller notes the record into the active segment's
+    /// accounting.
+    fn write_frame(&mut self, frame: impl FnOnce(&mut Vec<u8>)) -> io::Result<u64> {
         self.frame.clear();
-        write_record_frame(&mut self.frame, kind, payload);
+        frame(&mut self.frame);
         self.writer.write_all(&self.frame)?;
         if self.cfg.sync_on_append {
             self.writer.sync_data()?;

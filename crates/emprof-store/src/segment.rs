@@ -29,7 +29,7 @@ use std::io;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 
-use crate::crc::{crc32, Crc32};
+use crate::crc::{combine, crc32, Crc32};
 use crate::record::{Record, RecordKind, SegmentFooter, FOOTER_PAYLOAD_LEN};
 
 /// First eight bytes of every segment file.
@@ -113,6 +113,26 @@ pub(crate) fn write_record_frame(
     out[at..at + 4].copy_from_slice(&len.to_le_bytes());
     out[at + 4] = kind as u8;
     out[at + 5..at + RECORD_HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Appends one record frame around `payload`, whose CRC-32 the caller
+/// already holds: the frame CRC, over the kind byte and then the
+/// payload, is derived from it with [`combine`] instead of rehashing the
+/// payload. The frame bytes equal [`write_record_frame`]'s for the same
+/// kind and payload.
+pub(crate) fn write_record_frame_raw(
+    out: &mut Vec<u8>,
+    kind: RecordKind,
+    payload: &[u8],
+    payload_crc: u32,
+) {
+    debug_assert!(payload.len() <= MAX_RECORD as usize, "record too large");
+    debug_assert_eq!(crc32(payload), payload_crc, "payload CRC mismatch");
+    let crc = combine(crc32(&[kind as u8]), payload_crc, payload.len());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.push(kind as u8);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out.extend_from_slice(payload);
 }
 
 /// Serializes one record frame (header + payload) ready to append.

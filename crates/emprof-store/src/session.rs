@@ -219,6 +219,19 @@ impl SessionJournal {
         Ok(())
     }
 
+    /// [`SessionJournal::append_samples`] from the batch's encoded
+    /// payload and its CRC-32, as a SAMPLES frame carried and verified
+    /// them; see [`Journal::append_samples_raw`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Journal::append_samples_raw`].
+    pub fn append_samples_raw(&mut self, payload: &[u8], payload_crc: u32) -> io::Result<()> {
+        self.roll_if_due()?;
+        self.journal.append_samples_raw(payload, payload_crc)?;
+        Ok(())
+    }
+
     /// Journals freshly finalized events. Call *before* offering them
     /// to the client: once offered, a reply loss must be recoverable
     /// from disk.
@@ -426,6 +439,89 @@ mod tests {
         let (_, rec) = SessionJournal::open(&dir, cfg).unwrap().expect("has meta");
         assert_eq!(rec.meta, meta());
         assert_eq!(rec.acked_events, seq - 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The segment files of `dir`, by name, with their bytes.
+    fn segment_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<(String, Vec<u8>)> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let path = e.unwrap().path();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                (name, fs::read(&path).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn raw_samples_append_writes_the_bytes_of_the_decoded_append() {
+        // Bit patterns a lossy re-encode would not keep: NaNs with
+        // payloads, both zeros, subnormals, infinities. Small segments
+        // make both journals roll and write footers and checkpoints.
+        let odd = [
+            f64::from_bits(0x7ff8_0000_0000_beef),
+            f64::from_bits(0xfff0_0000_0000_0001),
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE / 8.0,
+            -f64::from_bits(1),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let batch = |seq: u64| -> Vec<f64> {
+            let n = (seq as usize * 7) % 40;
+            let mut s: Vec<f64> = (0..n)
+                .map(|i| 5.0 - (seq as usize + i) as f64 / 16.0)
+                .collect();
+            s.extend_from_slice(&odd[..seq as usize % (odd.len() + 1)]);
+            s
+        };
+        let cfg = JournalConfig {
+            segment_bytes: 700,
+            ..Default::default()
+        };
+        let (decoded, raw) = (tmp_dir("decoded"), tmp_dir("raw"));
+        let mut a = SessionJournal::create(&decoded, meta(), cfg.clone()).unwrap();
+        let mut b = SessionJournal::create(&raw, meta(), cfg).unwrap();
+        for seq in 1..=24u64 {
+            let samples = batch(seq);
+            a.append_samples(seq, &samples).unwrap();
+            let mut payload = Vec::new();
+            crate::codec::put_samples(&mut payload, seq, &samples);
+            b.append_samples_raw(&payload, crate::crc32(&payload))
+                .unwrap();
+            if seq % 5 == 0 {
+                a.append_events(seq, &[ev(seq as usize)]).unwrap();
+                b.append_events(seq, &[ev(seq as usize)]).unwrap();
+            }
+        }
+        drop((a, b));
+        let files = segment_files(&decoded);
+        assert!(files.len() > 2, "the journals must roll");
+        assert_eq!(files, segment_files(&raw));
+        fs::remove_dir_all(&decoded).unwrap();
+        fs::remove_dir_all(&raw).unwrap();
+    }
+
+    #[test]
+    fn raw_samples_append_refuses_a_payload_that_is_not_one_batch() {
+        let dir = tmp_dir("raw-bad");
+        let mut sj = SessionJournal::create(&dir, meta(), JournalConfig::default()).unwrap();
+        let mut payload = Vec::new();
+        crate::codec::put_samples(&mut payload, 1, &[1.0, 2.0]);
+        for bad in [&payload[..payload.len() - 1], &[0u8; 5][..]] {
+            let err = sj.append_samples_raw(bad, crate::crc32(bad)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        }
+        let mut long = payload.clone();
+        long.push(0);
+        let err = sj
+            .append_samples_raw(&long, crate::crc32(&long))
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         fs::remove_dir_all(&dir).unwrap();
     }
 

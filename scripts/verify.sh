@@ -35,6 +35,12 @@ cargo run -q --release -p emprof-bench --bin perf_pipeline -- --smoke --out targ
 # patterns, and concurrent sessions against a real loopback server.
 cargo test -q --release --test serve_equivalence
 
+# Wire codec and golden bytes, and the allocation-free SAMPLES paths
+# (decode alone; decode, raw journal append and pooled copy together),
+# run optimised too: the CRC-32 kernel and the allocation counts are
+# only meaningful as shipped.
+cargo test -q --release --test prop_codec --test wire_golden --test alloc_ingest --test alloc_journal
+
 # Serve soak smoke: 4 concurrent sessions for a bounded duration; fails
 # on any lost event, queue-bound violation, or counter drift.
 cargo run -q --release -p emprof-bench --bin serve_soak -- --smoke --seconds 8

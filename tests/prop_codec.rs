@@ -18,11 +18,12 @@
 use emprof::core::{CalibConfig, Confidence, EmprofConfig, StallEvent, StallKind};
 use emprof::obs::{HistogramSnapshot, MeterSnapshot, Snapshot, SpanSnapshot};
 use emprof::serve::proto::{
-    decode_frame, decode_frame_view, encode_frame, ClusterAction, ErrorCode, FlightDumpWire, Frame,
-    FrameView, HealthWire, Hello, MetricsReply, NodeHealthWire, ProtoError, QueryResultWire,
-    QueryRowWire, QuerySpecWire, ServerStatsWire, SessionRow, SessionStatsWire, Tail, TailEvent,
-    HEADER_LEN, MAX_CLUSTER_NODES, MAX_FLIGHT_DUMPS, MAX_FLIGHT_JSON, MAX_HISTOGRAM_BUCKETS,
-    MAX_METRICS_ENTRIES, MAX_PAYLOAD, MAX_QUERY_BUCKETS, MAX_QUERY_SESSIONS, MAX_SESSION_ROWS,
+    decode_frame, decode_frame_view, encode_frame, seal_frame, ClusterAction, ErrorCode,
+    FlightDumpWire, Frame, FrameView, HealthWire, Hello, MetricsReply, NodeHealthWire, ProtoError,
+    QueryResultWire, QueryRowWire, QuerySpecWire, ServerStatsWire, SessionRow, SessionStatsWire,
+    Tail, TailEvent, HEADER_LEN, MAX_CLUSTER_NODES, MAX_FLIGHT_DUMPS, MAX_FLIGHT_JSON,
+    MAX_HISTOGRAM_BUCKETS, MAX_METRICS_ENTRIES, MAX_PAYLOAD, MAX_QUERY_BUCKETS, MAX_QUERY_SESSIONS,
+    MAX_SESSION_ROWS,
 };
 use emprof::store::record::{MAX_EVENTS_PER_RECORD, MAX_SAMPLES_PER_RECORD};
 use emprof::store::{Record, SegmentFooter, SessionMeta};
@@ -493,27 +494,10 @@ fn check_record(rec: &Record) -> Result<(), TestCaseError> {
 // Frame resealing: the header checksums are recomputed, so damage to
 // the payload reaches the payload decoder.
 
-fn fnv1a32(bytes: &[u8]) -> u32 {
-    bytes.iter().fold(0x811c_9dc5u32, |h, &b| {
-        (h ^ b as u32).wrapping_mul(0x0100_0193)
-    })
-}
-
 /// A frame of type `ty` with `flags` around `payload`, with valid
 /// lengths and checksums.
 fn seal(ty: u8, flags: u8, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-    out.extend_from_slice(b"EM");
-    out.extend_from_slice(&5u16.to_le_bytes());
-    out.extend_from_slice(&[ty, flags, 0, 0]);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&fnv1a32(payload).to_le_bytes());
-    let mut covered = out[..6].to_vec();
-    covered.extend_from_slice(&out[8..HEADER_LEN]);
-    let h = fnv1a32(&covered);
-    out[6..8].copy_from_slice(&(((h >> 16) ^ (h & 0xffff)) as u16).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+    seal_frame(ty, flags, payload)
 }
 
 fn decode_both(bytes: &[u8]) {
