@@ -1361,10 +1361,10 @@ fn proxy_loop(
                     .counters
                     .samples_in
                     .fetch_add(samples.len() as u64, Ordering::Relaxed);
-                shared
-                    .counters
-                    .bytes_in
-                    .fetch_add((samples.len() * 8 + 4) as u64, Ordering::Relaxed);
+                shared.counters.bytes_in.fetch_add(
+                    proto::samples_frame_len(samples.len()) as u64,
+                    Ordering::Relaxed,
+                );
                 obs::counter_add!("router.frames_forwarded", 1);
                 s.samples_pushed += samples.len() as u64;
                 // Buffer before forwarding: a mid-write backend death is

@@ -319,7 +319,7 @@ pub struct ServerStatsWire {
     pub sessions_active: u64,
     /// Total frames ingested since the server started.
     pub frames_in: u64,
-    /// Total payload bytes ingested.
+    /// Total SAMPLES frame bytes ingested, headers included.
     pub bytes_in: u64,
     /// Total magnitude samples ingested.
     pub samples_in: u64,
@@ -853,6 +853,14 @@ pub struct SamplesView<'a> {
 
 /// Payload bytes ahead of a SAMPLES frame's samples: sequence and count.
 const SAMPLES_PREFIX: usize = 12;
+
+/// Bytes a SAMPLES frame of `n` samples occupies on the wire: the
+/// header, the sequence number and count, then eight bytes per sample.
+/// The `bytes_in` ingest counters count SAMPLES frames by this length.
+#[must_use]
+pub const fn samples_frame_len(n: usize) -> usize {
+    HEADER_LEN + SAMPLES_PREFIX + n * 8
+}
 
 impl<'a> SamplesView<'a> {
     /// Number of samples in the frame.
@@ -1518,7 +1526,7 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
 /// exactly sized buffer: the bytes [`encode_frame`] writes for the owned
 /// frame, without first copying the batch into one.
 pub fn encode_samples(seq: u64, samples: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + SAMPLES_PREFIX + samples.len() * 8);
+    let mut out = Vec::with_capacity(samples_frame_len(samples.len()));
     out.resize(HEADER_LEN, 0);
     codec::put_samples(&mut out, seq, samples);
     seal(&mut out, FrameType::Samples as u8, 0);

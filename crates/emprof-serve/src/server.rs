@@ -53,10 +53,10 @@ use emprof_core::StallEvent;
 
 use crate::net::{self, Conn, Edge, Incoming, Stop, POLL_INTERVAL};
 use crate::proto::{
-    ClusterAction, ErrorCode, FlightDumpWire, Frame, HealthWire, Hello, MetricsReply,
-    NodeHealthWire, QueryResultWire, QueryRowWire, QuerySpecWire, SamplesView, ServerStatsWire,
-    SessionRow, Tail, TailEvent, MAX_FLIGHT_DUMPS, MAX_SESSION_ROWS, SAMPLES_FITTING_PAYLOAD,
-    VERSION,
+    samples_frame_len, ClusterAction, ErrorCode, FlightDumpWire, Frame, HealthWire, Hello,
+    MetricsReply, NodeHealthWire, QueryResultWire, QueryRowWire, QuerySpecWire, SamplesView,
+    ServerStatsWire, SessionRow, Tail, TailEvent, MAX_FLIGHT_DUMPS, MAX_SESSION_ROWS,
+    SAMPLES_FITTING_PAYLOAD, VERSION,
 };
 use crate::session::{SeqAdmit, Session, SessionRegistry, Work};
 
@@ -168,7 +168,7 @@ pub struct ServerStatsSnapshot {
     pub sessions_active: u64,
     /// SAMPLES frames ingested.
     pub frames_in: u64,
-    /// Frame payload bytes ingested.
+    /// SAMPLES frame bytes ingested, headers included.
     pub bytes_in: u64,
     /// Magnitude samples ingested.
     pub samples_in: u64,
@@ -1282,7 +1282,7 @@ fn ingest_batch(shared: &Arc<Shared>, session: &Arc<Session>, mut samples: Vec<f
     session.touch(shared.registry.epoch());
     shared.maybe_inject_faults(session.id, &mut samples);
     let n = samples.len();
-    let bytes = (n * 8 + 4) as u64;
+    let bytes = samples_frame_len(n) as u64;
     let receipt = if shared.config.shed {
         session.queue.push_shedding(Work::Samples(samples), Work::sheddable)
     } else {

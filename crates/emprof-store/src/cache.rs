@@ -5,9 +5,9 @@
 //! a miss costs — while this module only remembers decoded segments
 //! and answers "still valid?". Entries are keyed by `(directory,
 //! base_index)` and hold the fully decoded, immutable view of one
-//! *sealed* segment (only segments whose statistics footer validated
-//! at the tail are ever inserted; the active segment keeps changing
-//! and is never cached).
+//! *sealed* segment (only segments whose walk checked out clean up to
+//! a statistics footer at the tail are ever inserted; the active
+//! segment keeps changing and is never cached).
 //!
 //! Validity is re-checked on every hit against the file's current
 //! length and mtime, so a session directory that was deleted and

@@ -9,8 +9,8 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::record::{Record, RecordKind, SegmentFooter};
-use crate::segment::{parse_segment_file_name, scan_segment};
+use crate::record::{Record, RecordKind, Scanned, SegmentFooter};
+use crate::segment::{parse_segment_file_name, scan_segment_with};
 
 /// Health of a segment's statistics footer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,15 +87,14 @@ impl JournalInspect {
     }
 }
 
-fn kind_slot(rec: &Record) -> usize {
-    match rec.kind() {
-        RecordKind::Meta => 0,
-        RecordKind::Samples => 1,
-        RecordKind::Events => 2,
-        RecordKind::Cursor => 3,
-        RecordKind::Finished => 4,
-        RecordKind::Footer => 5,
-    }
+/// `rec`'s slot in [`SegmentHealth::records_by_kind`]: on-disk
+/// discriminants run 1 to 6 in that order.
+fn kind_slot(rec: &Scanned) -> usize {
+    let kind = match rec {
+        Scanned::Samples(_) => RecordKind::Samples,
+        Scanned::Record(rec) => rec.kind(),
+    };
+    kind as usize - 1
 }
 
 /// Walks every `seg-*.emj` regular file in `dir` without modifying
@@ -122,7 +121,8 @@ pub fn inspect_dir(dir: &Path) -> io::Result<JournalInspect> {
     let mut segments = Vec::with_capacity(named.len());
     for (base, file_name, path) in named {
         let bytes_on_disk = fs::metadata(&path)?.len();
-        let health = match scan_segment(&path)? {
+        // Samples are counted from their checked headers, not decoded.
+        let health = match scan_segment_with(&path, Scanned::read)? {
             None => SegmentHealth {
                 file_name,
                 base_index: base,
@@ -145,25 +145,27 @@ pub fn inspect_dir(dir: &Path) -> io::Result<JournalInspect> {
                 let mut expected = SegmentFooter::empty();
                 for (_, rec) in &scan.records {
                     by_kind[kind_slot(rec)] += 1;
-                    expected.note(rec);
                     match rec {
-                        Record::Samples { samples, .. } => {
-                            samples_total += samples.len() as u64;
+                        Scanned::Samples(count) => {
+                            expected.note_samples(*count);
+                            samples_total += *count as u64;
                         }
-                        Record::Events { first_seq, events } => {
-                            events_total += events.len() as u64;
-                            if !events.is_empty() {
-                                max_event_seq =
-                                    max_event_seq.max(first_seq + events.len() as u64 - 1);
+                        Scanned::Record(rec) => {
+                            expected.note(rec);
+                            if let Record::Events { first_seq, events } = rec {
+                                events_total += events.len() as u64;
+                                if !events.is_empty() {
+                                    max_event_seq =
+                                        max_event_seq.max(first_seq + events.len() as u64 - 1);
+                                }
                             }
                         }
-                        _ => {}
                     }
                 }
                 // `note` skips footer records, so `expected` is exactly
                 // what the segment's final footer must claim.
                 let footer = match scan.records.last() {
-                    Some((_, Record::Footer(f))) => {
+                    Some((_, Scanned::Record(Record::Footer(f)))) => {
                         if *f == expected {
                             FooterStatus::Ok
                         } else {

@@ -31,8 +31,8 @@ use std::path::{Path, PathBuf};
 
 use emprof_obs as obs;
 
-use crate::codec::{self, Reader};
-use crate::record::{Record, RecordKind, SegmentFooter, MAX_SAMPLES_PER_RECORD};
+use crate::codec;
+use crate::record::{Record, RecordKind, SegmentFooter};
 use crate::segment::{
     encode_segment_header, parse_segment_file_name, scan_segment, segment_file_name,
     write_record_frame, write_record_frame_raw, SEGMENT_HEADER_LEN,
@@ -339,7 +339,7 @@ impl Journal {
     pub fn roll(&mut self) -> io::Result<()> {
         if self.cfg.write_footers && self.active.records > 0 {
             // Seal the segment with its statistics footer so range
-            // queries can prune it with one O(1) tail read. The footer
+            // queries can skip folding it. The footer
             // is an ordinary CRC-framed record: legacy readers scan
             // straight over it, and SegmentFooter::note ignores footer
             // records, so its statistics describe only the data frames.
@@ -396,13 +396,11 @@ impl Journal {
     /// # Errors
     ///
     /// [`io::ErrorKind::InvalidInput`] when `payload` is not one encoded
-    /// batch of at most [`MAX_SAMPLES_PER_RECORD`] samples; otherwise as
-    /// [`Journal::append`].
+    /// batch of at most [`crate::record::MAX_SAMPLES_PER_RECORD`] samples;
+    /// otherwise as [`Journal::append`].
     pub fn append_samples_raw(&mut self, payload: &[u8], payload_crc: u32) -> io::Result<u64> {
-        let mut r = Reader::new(payload);
-        let count = r
-            .samples(MAX_SAMPLES_PER_RECORD)
-            .and_then(|(_, raw)| r.done().map(|()| raw.len() / 8))
+        let count = Record::samples_payload(payload)
+            .map(|(_, raw)| raw.len() / 8)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
         let index = self.write_frame(|f| {
             write_record_frame_raw(f, RecordKind::Samples, payload, payload_crc);

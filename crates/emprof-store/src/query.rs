@@ -13,31 +13,33 @@
 //! bit-identical to recomputing it from a full replay of the same
 //! journals. Three design choices enforce it by construction:
 //!
-//! 1. The fold is the *same* fold replay uses — events land in a
-//!    last-wins map keyed by sequence, exactly like
-//!    [`crate::session::SessionJournal::open`] — the statistics are
+//! 1. The fold is the *same* fold replay uses — one stable sort by
+//!    sequence and last-wins dedup, the helper that
+//!    [`crate::session::SessionJournal::open`] calls — the statistics are
 //!    computed by [`QueryAccumulator`], a pure function both the
 //!    engine and any replay-side verifier share, and the engine stops
 //!    at the first segment anomaly (duplicate base, bad header,
 //!    overlapping coverage, torn tail) exactly where recovery would
 //!    discard the rest of the journal.
-//! 2. Footer pruning only skips a segment when its event interval
-//!    `[min_event_start, max_event_end]` cannot intersect `[t0, t1]`,
-//!    so a pruned segment can never hold an in-range event. (This
-//!    leans on the append path journaling each event sequence exactly
-//!    once, which the delivery layer guarantees.)
+//! 2. Footer pruning only skips folding a sealed segment whose event
+//!    interval `[min_event_start, max_event_end]` cannot intersect
+//!    `[t0, t1]`, and only after its records checked out, so a pruned
+//!    segment neither holds an in-range event nor hides damage that
+//!    ends the prefix. (This leans on the append path journaling each
+//!    event sequence exactly once, which the delivery layer guarantees.)
 //! 3. The cache stores fully decoded sealed segments validated by file
 //!    stat on every hit, so the hit path folds the same records the
 //!    cold path would read.
 //!
-//! Reads are strictly read-only ([`scan_segment`], never
-//! [`crate::journal::Journal::open`], which repairs in place), so
+//! Reads are strictly read-only (the frame walk of [`scan_segment`],
+//! never [`crate::journal::Journal::open`], which repairs in place), so
 //! querying a live server's journals is safe. Ack-driven compaction
 //! can still delete a segment between the directory listing and the
 //! read; the engine re-lists and replans (compaction is prefix-only
 //! and monotone, so a bounded number of replans always converges).
+//!
+//! [`scan_segment`]: crate::segment::scan_segment
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -48,8 +50,9 @@ use emprof_obs::metrics::LogHistogram;
 use emprof_obs::HistogramSnapshot;
 
 use crate::cache::{DecodedSegment, SegmentCache};
-use crate::record::{Record, SessionMeta};
-use crate::segment::{parse_segment_file_name, read_segment_footer, scan_segment};
+use crate::record::{sequenced, Record, Scanned, SessionMeta};
+use crate::segment::{parse_segment_file_name, scan_segment_with};
+use crate::session::fold_by_seq;
 
 /// Upper bound on event-rate timeline buckets per query.
 pub const MAX_TIMELINE_BUCKETS: u64 = 4096;
@@ -130,8 +133,8 @@ pub struct QuerySessionRow {
 pub struct QueryAccounting {
     /// Segments whose records were folded (from disk or cache).
     pub segments_scanned: u64,
-    /// Segments skipped outright because their footer proved they hold
-    /// no in-range events.
+    /// Segments whose footer proved they hold no in-range events, so
+    /// their records were checked but not folded.
     pub segments_pruned: u64,
     /// Decoded-segment cache hits.
     pub cache_hits: u64,
@@ -203,7 +206,7 @@ impl QueryAccumulator {
 
     /// Folds one session's deduplicated `(sequence, event)` stream.
     /// The caller must already have applied last-wins sequence dedup
-    /// (a `BTreeMap` fold, as replay does); this applies the `[t0,
+    /// (the sort-dedup fold replay also uses); this applies the `[t0,
     /// t1]` range filter and the statistics.
     pub fn add_session<'a, I>(&mut self, session_id: u64, device: &str, events: I)
     where
@@ -385,7 +388,7 @@ fn query_session_once(
         return Ok(None);
     }
     let mut meta: Option<SessionMeta> = None;
-    let mut events: BTreeMap<u64, StallEvent> = BTreeMap::new();
+    let mut folded: Vec<(u64, StallEvent)> = Vec::new();
     let mut acct = QueryAccounting::default();
     // Replay's valid-prefix state machine, mirrored record for record:
     // recovery (`Journal::open`) discards everything after the first
@@ -410,18 +413,14 @@ fn query_session_once(
                     // Overlapping coverage: outside the valid prefix.
                     break;
                 }
-                if let Some(m) = &seg.meta {
-                    meta = Some(m.clone());
-                }
+                meta = seg.meta.clone().or(meta);
                 // The first retained segment always folds: checkpoint
                 // discipline puts the session's Meta at its head, and
                 // pruning decisions only ever skip event payloads.
                 if i > 0 && !seg.footer.overlaps(spec.t0, spec.t1) {
                     acct.segments_pruned += 1;
                 } else {
-                    for (seq, ev) in &seg.events {
-                        events.insert(*seq, *ev);
-                    }
+                    folded.extend_from_slice(&seg.events);
                     acct.segments_scanned += 1;
                 }
                 // The scan recovery would run counts the footer record
@@ -431,22 +430,11 @@ fn query_session_once(
             }
             acct.cache_misses += 1;
         }
-        if i > 0 {
-            // A tail footer proves the segment is sealed (written and
-            // synced in full before the roll), so it cannot be torn
-            // and its event interval is trustworthy without a scan.
-            if let Some(footer) = read_segment_footer(path)? {
-                if *base < next_index {
-                    break;
-                }
-                if !footer.overlaps(spec.t0, spec.t1) {
-                    acct.segments_pruned += 1;
-                    next_index = *base + footer.record_count + 1;
-                    continue;
-                }
-            }
-        }
-        let Some(scan) = scan_segment(path)? else {
+        // Every segment is walked and checked as recovery walks it, a
+        // pruned one too: a tail footer survives damage further in, and
+        // recovery ends the prefix there. Samples are checked, never
+        // decoded: no query reads them.
+        let Some(scan) = scan_segment_with(path, Scanned::read)? else {
             // Invalid header: recovery drops this file and everything
             // after it.
             break;
@@ -457,50 +445,44 @@ fn query_session_once(
             // corruption, end of the valid prefix.
             break;
         }
+        // Sealed: a clean walk that ends in the footer.
+        let footer = match scan.records.last() {
+            Some((_, Scanned::Record(Record::Footer(f)))) if !scan.torn => Some(*f),
+            _ => None,
+        };
+        next_index = scan.base_index + scan.records.len() as u64;
+        if i > 0 && footer.is_some_and(|f| !f.overlaps(spec.t0, spec.t1)) {
+            acct.segments_pruned += 1;
+            continue;
+        }
         acct.segments_scanned += 1;
         let mut seg_meta: Option<SessionMeta> = None;
         let mut seg_events: Vec<(u64, StallEvent)> = Vec::new();
         for (_, rec) in &scan.records {
             match rec {
-                Record::Meta(m) => seg_meta = Some(m.clone()),
-                Record::Events {
-                    first_seq,
-                    events: evs,
-                } => {
-                    for (k, ev) in evs.iter().enumerate() {
-                        seg_events.push((first_seq + k as u64, *ev));
-                    }
+                Scanned::Record(Record::Meta(m)) => seg_meta = Some(m.clone()),
+                Scanned::Record(Record::Events { first_seq, events }) => {
+                    seg_events.extend(sequenced(*first_seq, events));
                 }
                 _ => {}
             }
         }
-        if let Some(m) = &seg_meta {
-            meta = Some(m.clone());
-        }
-        for (seq, ev) in &seg_events {
-            events.insert(*seq, *ev);
-        }
-        next_index = scan.base_index + scan.records.len() as u64;
-        // Only a sealed segment — clean scan ending in its footer, the
-        // same condition `read_segment_footer` validates — is immutable
-        // and safe to cache.
-        if let Some(c) = cache {
-            if !scan.torn {
-                if let Some((_, Record::Footer(footer))) = scan.records.last() {
-                    c.insert(
-                        dir,
-                        *base,
-                        Arc::new(DecodedSegment {
-                            base_index: *base,
-                            meta: seg_meta,
-                            events: seg_events,
-                            footer: *footer,
-                            file_len,
-                            modified,
-                        }),
-                    );
-                }
-            }
+        meta = seg_meta.clone().or(meta);
+        folded.extend_from_slice(&seg_events);
+        // Only a sealed segment is immutable and safe to cache.
+        if let (Some(c), Some(footer)) = (cache, footer) {
+            c.insert(
+                dir,
+                *base,
+                Arc::new(DecodedSegment {
+                    base_index: *base,
+                    meta: seg_meta,
+                    events: seg_events,
+                    footer,
+                    file_len,
+                    modified,
+                }),
+            );
         }
         if scan.torn {
             // Recovery truncates a torn segment to its valid prefix
@@ -513,7 +495,7 @@ fn query_session_once(
         // journal, so queries do too.
         return Ok(None);
     };
-    Ok(Some((meta, events.into_iter().collect(), acct)))
+    Ok(Some((meta, fold_by_seq(folded), acct)))
 }
 
 #[cfg(test)]

@@ -28,9 +28,10 @@ pub const FOOTER_PAYLOAD_LEN: usize = 88;
 /// segment when it is sealed at roll time.
 ///
 /// The footer is an ordinary CRC-framed record, so legacy readers that
-/// predate it still scan the segment cleanly; new readers use
-/// [`crate::segment::read_segment_footer`] to fetch it in O(1) and
-/// prune segments whose event range cannot intersect a query window.
+/// predate it still scan the segment cleanly. It can be fetched in O(1)
+/// with [`crate::segment::read_segment_footer`]; the query engine takes
+/// it from its own walk of the segment and skips folding a segment
+/// whose event range cannot intersect the query window.
 /// Sentinel values make "no events" unambiguous: `min_*` fields are
 /// `u64::MAX` / `+inf` and `max_*` fields are `0` / `-inf` when the
 /// corresponding population is empty.
@@ -93,8 +94,7 @@ impl SegmentFooter {
             Record::Footer(_) => return,
             Record::Samples { samples, .. } => return self.note_samples(samples.len()),
             Record::Events { first_seq, events } => {
-                for (i, e) in events.iter().enumerate() {
-                    let seq = first_seq + i as u64;
+                for (seq, e) in sequenced(*first_seq, events) {
                     self.event_count += 1;
                     if e.confidence == Confidence::Degraded {
                         self.degraded_count += 1;
@@ -130,6 +130,15 @@ impl SegmentFooter {
     pub fn overlaps(&self, t0: u64, t1: u64) -> bool {
         self.event_count > 0 && self.min_event_start <= t1 && self.max_event_end >= t0
     }
+}
+
+/// The `(sequence, event)` pairs of an [`Record::Events`] record whose
+/// first event is `first_seq`.
+pub(crate) fn sequenced(
+    first_seq: u64,
+    events: &[StallEvent],
+) -> impl Iterator<Item = (u64, StallEvent)> + '_ {
+    events.iter().enumerate().map(move |(i, e)| (first_seq + i as u64, *e))
 }
 
 /// Identity of a journaled session, written as the first record of a
@@ -199,6 +208,32 @@ pub enum Record {
     /// see [`SegmentFooter`]. Purely advisory for recovery (the fold
     /// skips it) but load-bearing for range-query pruning.
     Footer(SegmentFooter),
+}
+
+/// A record as read by the query engine and inspection, which have no
+/// use for sample values: a [`Record::Samples`] payload passes
+/// [`Record::samples_payload`] and keeps only its sample count, and
+/// every other kind decodes in full. A payload [`Record::decode`] would
+/// refuse is refused here too, so the valid prefix ends where recovery
+/// ends it.
+#[derive(Debug)]
+pub(crate) enum Scanned {
+    /// A checked `Samples` record's sample count.
+    Samples(usize),
+    /// Any other record, decoded.
+    Record(Record),
+}
+
+impl Scanned {
+    /// Reads one CRC-verified payload; the frame reader of
+    /// [`crate::segment::scan_segment_with`].
+    pub(crate) fn read(kind: u8, payload: &[u8]) -> Result<Scanned, DecodeError> {
+        if kind == RecordKind::Samples as u8 {
+            let (_, raw) = Record::samples_payload(payload)?;
+            return Ok(Scanned::Samples(raw.len() / 8));
+        }
+        Record::decode(kind, payload).map(Scanned::Record)
+    }
 }
 
 /// Record discriminants as stored on disk.
@@ -301,6 +336,23 @@ impl Record {
         }
     }
 
+    /// Checks a [`Record::Samples`] payload without decoding a sample:
+    /// sequence number, count within [`MAX_SAMPLES_PER_RECORD`], and a
+    /// length of exactly that many samples. Returns the sequence number
+    /// and the raw sample bytes. [`Record::decode`] runs this same check,
+    /// so a payload that passes it always decodes.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError`] on truncation, a count over the bound, or
+    /// trailing bytes.
+    pub(crate) fn samples_payload(payload: &[u8]) -> Result<(u64, &[u8]), DecodeError> {
+        let mut r = Reader::new(payload);
+        let (seq, raw) = r.samples(MAX_SAMPLES_PER_RECORD)?;
+        r.done()?;
+        Ok((seq, raw))
+    }
+
     /// Decodes a payload whose CRC already verified.
     ///
     /// # Errors
@@ -320,11 +372,11 @@ impl Record {
                 device: r.string()?,
             }),
             RecordKind::Samples => {
-                let (seq, raw) = r.samples(MAX_SAMPLES_PER_RECORD)?;
-                Record::Samples {
+                let (seq, raw) = Record::samples_payload(payload)?;
+                return Ok(Record::Samples {
                     seq,
                     samples: codec::f64s(raw).collect(),
-                }
+                });
             }
             RecordKind::Events => Record::Events {
                 first_seq: r.u64()?,

@@ -30,7 +30,7 @@ use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 
 use crate::crc::{combine, crc32, Crc32};
-use crate::record::{Record, RecordKind, SegmentFooter, FOOTER_PAYLOAD_LEN};
+use crate::record::{DecodeError, Record, RecordKind, SegmentFooter, FOOTER_PAYLOAD_LEN};
 
 /// First eight bytes of every segment file.
 pub const SEGMENT_MAGIC: [u8; 8] = *b"EMPROFJ1";
@@ -142,13 +142,13 @@ pub fn encode_record_frame(rec: &Record) -> Vec<u8> {
     out
 }
 
-/// The outcome of scanning one segment file.
+/// The outcome of scanning one segment file, its records read as `R`.
 #[derive(Debug)]
-pub struct SegmentScan {
+pub struct SegmentScan<R = Record> {
     /// The header's base index.
     pub base_index: u64,
     /// Every CRC-valid record, paired with its journal index.
-    pub records: Vec<(u64, Record)>,
+    pub records: Vec<(u64, R)>,
     /// Byte offset of the end of the last valid record — the length the
     /// file must be truncated to if `torn` is set.
     pub valid_len: u64,
@@ -165,57 +165,57 @@ pub struct SegmentScan {
 /// Propagates I/O failures reading the file; corruption is *not* an
 /// error, it shortens the valid prefix instead.
 pub fn scan_segment(path: &Path) -> io::Result<Option<SegmentScan>> {
+    scan_segment_with(path, Record::decode)
+}
+
+/// The one frame walk every reader shares: [`scan_segment`] with each
+/// CRC-verified payload handed to `read` as `(kind, payload)` instead
+/// of [`Record::decode`]. A frame that is truncated, longer than
+/// [`MAX_RECORD`] or fails its CRC ends the valid prefix, and so does a
+/// frame `read` refuses: a CRC-valid payload that does not decode is a
+/// format mismatch, which recovery treats as corruption.
+///
+/// # Errors
+///
+/// As [`scan_segment`].
+pub(crate) fn scan_segment_with<R>(
+    path: &Path,
+    mut read: impl FnMut(u8, &[u8]) -> Result<R, DecodeError>,
+) -> io::Result<Option<SegmentScan<R>>> {
     let bytes = fs::read(path)?;
     let Some(base_index) = decode_segment_header(&bytes) else {
         return Ok(None);
     };
     let mut records = Vec::new();
     let mut pos = SEGMENT_HEADER_LEN;
-    let mut index = base_index;
-    let mut torn = false;
-    loop {
-        if pos == bytes.len() {
+    while pos < bytes.len() {
+        let Some(header) = bytes.get(pos..pos + RECORD_HEADER_LEN) else {
             break;
-        }
-        if pos + RECORD_HEADER_LEN > bytes.len() {
-            torn = true;
-            break;
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
-        let kind = bytes[pos + 4];
-        let crc = u32::from_le_bytes(bytes[pos + 5..pos + 9].try_into().unwrap());
+        };
+        let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
+        let kind = header[4];
+        let crc = u32::from_le_bytes(header[5..9].try_into().unwrap());
         if len > MAX_RECORD {
-            torn = true;
             break;
         }
-        let Some(end) = (pos + RECORD_HEADER_LEN).checked_add(len as usize) else {
-            torn = true;
+        let start = pos + RECORD_HEADER_LEN;
+        let Some(payload) = bytes.get(start..start + len as usize) else {
             break;
         };
-        if end > bytes.len() {
-            torn = true;
-            break;
-        }
-        let payload = &bytes[pos + RECORD_HEADER_LEN..end];
         if frame_crc(kind, payload) != crc {
-            torn = true;
             break;
         }
-        let Ok(rec) = Record::decode(kind, payload) else {
-            // CRC-valid but undecodable: a format mismatch, treated the
-            // same as corruption for recovery (prefix ends here).
-            torn = true;
+        let Ok(rec) = read(kind, payload) else {
             break;
         };
-        records.push((index, rec));
-        index += 1;
-        pos = end;
+        records.push((base_index + records.len() as u64, rec));
+        pos = start + payload.len();
     }
     Ok(Some(SegmentScan {
         base_index,
         records,
         valid_len: pos as u64,
-        torn,
+        torn: pos < bytes.len(),
     }))
 }
 

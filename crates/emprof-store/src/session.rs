@@ -10,7 +10,6 @@
 //! state a restarted server needs to resume the session exactly where
 //! durable delivery left off.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -19,6 +18,22 @@ use emprof_core::StallEvent;
 
 use crate::journal::{Journal, JournalConfig, JournalStats, RecoveryReport};
 use crate::record::{Record, SessionMeta, MAX_EVENTS_PER_RECORD, MAX_SAMPLES_PER_RECORD};
+
+/// The one sequence fold, shared by recovery and the query engine:
+/// `(sequence, item)` pairs in journal order, stably sorted by sequence
+/// (journals append in order, so mostly one run), the last-journaled
+/// copy of each sequence kept — a map keyed by sequence, built in one
+/// pass. `dedup_by` keeps a run's first slot; each later copy swaps in.
+pub(crate) fn fold_by_seq<T>(mut items: Vec<(u64, T)>) -> Vec<(u64, T)> {
+    items.sort_by_key(|(seq, _)| *seq);
+    items.dedup_by(|later, kept| {
+        later.0 == kept.0 && {
+            std::mem::swap(later, kept);
+            true
+        }
+    });
+    items
+}
 
 /// A session's journal: append hooks for the serve path plus cursor
 /// and compaction bookkeeping.
@@ -93,24 +108,18 @@ impl SessionJournal {
     ) -> io::Result<Option<(SessionJournal, RecoveredSession)>> {
         let recovered = Journal::open_with(dir, cfg)?;
         let mut meta: Option<SessionMeta> = None;
-        let mut samples: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
-        let mut events: BTreeMap<u64, StallEvent> = BTreeMap::new();
+        let mut samples = Vec::new();
+        let mut events = Vec::new();
         let mut acked_events = 0u64;
         let mut finished: Option<(u64, u64, u64)> = None;
         for (_, rec) in recovered.records {
             match rec {
                 Record::Meta(m) => meta = Some(m),
-                Record::Samples { seq, samples: s } => {
-                    samples.insert(seq, s);
-                }
+                Record::Samples { seq, samples: s } => samples.push((seq, s)),
                 Record::Events {
                     first_seq,
                     events: evs,
-                } => {
-                    for (i, ev) in evs.into_iter().enumerate() {
-                        events.insert(first_seq + i as u64, ev);
-                    }
-                }
+                } => events.extend(crate::record::sequenced(first_seq, &evs)),
                 Record::Cursor { acked_events: a } => acked_events = acked_events.max(a),
                 Record::Finished {
                     samples_pushed,
@@ -125,14 +134,13 @@ impl SessionJournal {
         let Some(meta) = meta else {
             return Ok(None);
         };
-        let journaled_events = events.keys().next_back().copied().unwrap_or(0);
+        let (samples, events) = (fold_by_seq(samples), fold_by_seq(events));
+        let journaled_events = events.last().map_or(0, |e| e.0);
         // Events at or below the cursor may already be compacted away;
         // whatever remains of the acked prefix is equally delivered.
         let acked_samples_seq = samples
-            .keys()
-            .next_back()
-            .copied()
-            .unwrap_or(0)
+            .last()
+            .map_or(0, |s| s.0)
             .max(finished.map_or(0, |(_, _, last)| last));
         let session = SessionJournal {
             journal: recovered.journal,
@@ -148,8 +156,8 @@ impl SessionJournal {
             session,
             RecoveredSession {
                 meta,
-                samples: samples.into_iter().collect(),
-                events: events.into_iter().collect(),
+                samples,
+                events,
                 journaled_events,
                 acked_events,
                 acked_samples_seq,

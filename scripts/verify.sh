@@ -41,6 +41,12 @@ cargo test -q --release --test serve_equivalence
 # only meaningful as shipped.
 cargo test -q --release --test prop_codec --test wire_golden --test alloc_ingest --test alloc_journal
 
+# The store's unit tests, optimised: the three-lane CRC-32 kernel
+# against a bytewise reference at every length to 4 KiB, at odd offsets
+# around the lane threshold and over a multi-MiB buffer fed at random
+# splits, plus the segment walk, the sort-dedup fold and the codecs.
+cargo test -q --release -p emprof-store
+
 # Serve soak smoke: 4 concurrent sessions for a bounded duration; fails
 # on any lost event, queue-bound violation, or counter drift.
 cargo run -q --release -p emprof-bench --bin serve_soak -- --smoke --seconds 8
@@ -82,8 +88,11 @@ cargo run -q --release -p emprof-bench --bin store_soak -- --smoke --seconds 8
 # damage, legacy footer-less segments, windows, filters and timelines —
 # every query result is bit-identical to a full replay, cached or cold,
 # including a regression race of queries against live ack-driven
-# compaction.
-cargo test -q --release --test prop_query
+# compaction. prop_query_samples adds journals holding Samples records,
+# which queries check without decoding, damaged by truncation, a byte
+# flip in a sealed segment's Samples payload, or a Samples count that
+# disagrees with its length under a valid CRC.
+cargo test -q --release --test prop_query --test prop_query_samples
 
 # Query soak smoke: concurrent QUERY clients against a live journaled
 # server ingesting chaos-faulted sessions; fails if any query errors

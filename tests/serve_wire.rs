@@ -9,6 +9,9 @@
 //!   exactly that many samples is served, journaled bit for bit, and
 //!   detects what batch detects. A HELLO_ACK announcing 0, or more than
 //!   fits, is refused by the client.
+//! - **Ingest bytes.** `bytes_in` counts whole SAMPLES frames: the
+//!   server's STATS in a TAIL reply and a router's METRICS report the
+//!   sum of the encoded frame lengths the sessions sent.
 
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
@@ -16,11 +19,13 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use emprof::core::{Emprof, EmprofConfig};
+use emprof::router::{BackendSpec, Router, RouterConfig};
 use emprof::serve::net::{Conn, Stop};
 use emprof::serve::proto::{
-    decode_frame, ErrorCode, Frame, ProtoError, SAMPLES_FITTING_PAYLOAD, VERSION,
+    decode_frame, encode_samples, samples_frame_len, ErrorCode, Frame, ProtoError,
+    SAMPLES_FITTING_PAYLOAD, VERSION,
 };
-use emprof::serve::{ClientError, ProfileClient, ServeConfig, Server};
+use emprof::serve::{ClientError, MetricsClient, ProfileClient, ServeConfig, Server, WatchClient};
 use emprof::store::{read_session, JournalConfig};
 
 const FS: f64 = 40e6;
@@ -171,4 +176,72 @@ fn a_hello_ack_bound_that_no_frame_can_carry_is_refused() {
         );
         server.join().unwrap();
     }
+}
+
+/// Streams `signal` in sends of `sizes` samples, each under the frame
+/// bound so one send is one frame, and returns the encoded length of
+/// every SAMPLES frame that carried them.
+fn stream_frames(addr: std::net::SocketAddr, signal: &[f64], sizes: &[usize]) -> u64 {
+    let mut client = ProfileClient::connect(addr, "bytes", config(), FS, CLK).unwrap();
+    let (mut at, mut sent) = (0, 0u64);
+    for (seq, &n) in (1u64..).zip(sizes) {
+        let chunk = &signal[at..at + n];
+        let frame = encode_samples(seq, chunk).len();
+        assert_eq!(frame, samples_frame_len(n));
+        client.send(chunk).unwrap();
+        sent += frame as u64;
+        at += n;
+    }
+    client.finish().unwrap();
+    sent
+}
+
+#[test]
+fn bytes_in_counts_whole_samples_frames() {
+    let signal: Vec<f64> = (0..40_000)
+        .map(|i| {
+            if i % 900 < 14 {
+                0.8
+            } else {
+                5.0 + (i % 7) as f64 / 50.0
+            }
+        })
+        .collect();
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let direct = stream_frames(server.local_addr(), &signal, &[1, 17, 4_096, 8_192, 5_003]);
+    let stats = || {
+        WatchClient::connect(server.local_addr())
+            .unwrap()
+            .poll()
+            .unwrap()
+            .server
+    };
+    assert_eq!(stats().frames_in, 5);
+    assert_eq!(stats().bytes_in, direct);
+    assert_eq!(server.stats().bytes_in, direct);
+
+    // Through a router: the router counts the frames it received, and
+    // the backend the same frames again as the router forwarded them.
+    let router = Router::bind(
+        "127.0.0.1:0",
+        RouterConfig {
+            backends: vec![BackendSpec {
+                name: "b0".into(),
+                addr: server.local_addr().to_string(),
+                journal_dir: None,
+            }],
+            ..RouterConfig::default()
+        },
+    )
+    .unwrap();
+    let routed = stream_frames(router.local_addr(), &signal, &[3, 8_000, 999]);
+    let metrics = MetricsClient::connect(router.local_addr())
+        .unwrap()
+        .fetch_metrics()
+        .unwrap();
+    assert_eq!(metrics.server.frames_in, 3);
+    assert_eq!(metrics.server.bytes_in, routed);
+    assert_eq!(stats().bytes_in, direct + routed);
+    router.shutdown();
+    server.shutdown();
 }
