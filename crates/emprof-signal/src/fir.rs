@@ -4,7 +4,7 @@
 //! bandwidth (20–160 MHz around the clock frequency). The reproduction's
 //! receiver models that band-limiting with linear-phase FIR lowpass filters
 //! designed here, and applies them by point evaluation
-//! ([`filter_direct_at`], [`filter_direct_pair`]) at just the positions
+//! ([`filter_direct_at`], [`filter_direct_group`]) at just the positions
 //! its resampler reads.
 
 use std::collections::HashMap;
@@ -149,7 +149,7 @@ pub fn uses_overlap_save(signal_len: usize, taps: usize) -> bool {
 /// Use this when most outputs are needed. The receiver's band-limiting
 /// (`resample`, `decimate`) reads only the outputs its rate reduction
 /// keeps and evaluates those with [`filter_direct_at`] and
-/// [`filter_direct_pair`] instead, so nothing in the capture chain takes
+/// [`filter_direct_group`] instead, so nothing in the capture chain takes
 /// the overlap-save path.
 ///
 /// # Example
@@ -244,19 +244,23 @@ pub fn filter_direct_at<T: Copy + Into<f64>>(signal: &[T], taps: &[f64], i: usiz
     acc
 }
 
-/// Outputs `i` and `i + 1` of [`filter_direct`] from one pass over the
-/// taps.
+/// Outputs `starts[j] + w` of [`filter_direct`], for each of the `G`
+/// ascending `starts` and each `w < W`, from one pass over the taps.
 ///
-/// Away from the signal's edges the two sums read overlapping windows
-/// and run as two independent accumulators, each in
-/// [`filter_direct_at`]'s order, so both values are bit-identical to
-/// it while the two add chains overlap in the pipeline. Near an edge it
-/// is two [`filter_direct_at`] calls. Like [`filter_direct_at`], it
-/// reads any signal that widens to `f64` exactly.
+/// Away from the signal's edges the group's outputs all use every tap:
+/// the span of the signal they read is widened to `f64` once, into
+/// `span` (scratch, reused across calls), and the `G·W` sums run as
+/// independent accumulators, each in [`filter_direct_at`]'s order. Every
+/// value is therefore bit-identical to it, while the add chains overlap
+/// in the pipeline instead of each waiting on its own latency. Near an
+/// edge every output is a [`filter_direct_at`] call. Like
+/// [`filter_direct_at`], it reads any signal that widens to `f64`
+/// exactly.
 ///
 /// # Panics
 ///
-/// Panics if `taps` is empty or `i + 1` is not an index into `signal`.
+/// Panics if `taps` is empty, `G` or `W` is zero, `starts` is not
+/// ascending, or the last output is not an index into `signal`.
 ///
 /// # Example
 ///
@@ -266,38 +270,53 @@ pub fn filter_direct_at<T: Copy + Into<f64>>(signal: &[T], taps: &[f64], i: usiz
 /// let x: Vec<f64> = (0..100).map(|i| (i as f64 * 0.3).sin()).collect();
 /// let taps = fir::lowpass(21, 0.1);
 /// let y = fir::filter_direct(&x, &taps);
-/// assert_eq!(fir::filter_direct_pair(&x, &taps, 40), (y[40], y[41]));
+/// let got = fir::filter_direct_group(&x, &taps, &[40, 47], &mut Vec::new());
+/// assert_eq!(got, [[y[40], y[41]], [y[47], y[48]]]);
 /// ```
-pub fn filter_direct_pair<T: Copy + Into<f64>>(signal: &[T], taps: &[f64], i: usize) -> (f64, f64) {
+pub fn filter_direct_group<T: Copy + Into<f64>, const G: usize, const W: usize>(
+    signal: &[T],
+    taps: &[f64],
+    starts: &[usize; G],
+    span: &mut Vec<f64>,
+) -> [[f64; W]; G] {
     assert!(!taps.is_empty(), "FIR filter must have at least one tap");
     assert!(
-        i + 1 < signal.len(),
-        "output pair {i} outside a {}-sample signal",
+        G > 0 && W > 0 && starts.is_sorted(),
+        "group starts must be nonempty and ascending"
+    );
+    let (first, last) = (starts[0], starts[G - 1] + W - 1);
+    assert!(
+        last < signal.len(),
+        "output {last} outside a {}-sample signal",
         signal.len()
     );
     let k = taps.len();
-    let center = i + (k - 1) / 2;
-    if center + 1 < k || center + 1 >= signal.len() {
-        // Some tap falls off an edge for one output or both.
-        return (
-            filter_direct_at(signal, taps, i),
-            filter_direct_at(signal, taps, i + 1),
-        );
+    let half = (k - 1) / 2;
+    if first + half + 1 < k || last + half >= signal.len() {
+        // Some tap falls off an edge for at least one output.
+        return starts.map(|s| std::array::from_fn(|w| filter_direct_at(signal, taps, s + w)));
     }
-    // Both sums use every tap: output i reads signal[center - k'] and
-    // output i + 1 reads signal[center + 1 - k'] for tap k'.
-    let window = &signal[center + 1 - k..=center + 1];
-    let (mut acc0, mut acc1) = (0.0, 0.0);
-    for ((&t, &x0), &x1) in taps
-        .iter()
-        .zip(window[..k].iter().rev())
-        .zip(window[1..].iter().rev())
-    {
-        let (x0, x1): (f64, f64) = (x0.into(), x1.into());
-        acc0 += t * x0;
-        acc1 += t * x1;
+    // Output i reads signal[i + half - k'] for tap k', so the group reads
+    // signal[lo..=last + half]. For tap k' the group's reads all fall in
+    // the window of the span that starts k - 1 - k' in, at offsets
+    // s - first + w.
+    let lo = first + half + 1 - k;
+    span.clear();
+    span.extend(signal[lo..=last + half].iter().map(|&x| x.into()));
+    let window = last - first + 1;
+    let offsets = starts.map(|s| s - first);
+    // True for ascending starts; stated so the loop below indexes each
+    // window without a bounds check per tap.
+    assert!(offsets.iter().all(|&d| d < window && window - d >= W));
+    let mut acc = [[0.0; W]; G];
+    for (&t, x) in taps.iter().zip(span.windows(window).rev()) {
+        for (a, &d) in acc.iter_mut().zip(&offsets) {
+            for (w, a) in a.iter_mut().enumerate() {
+                *a += t * x[d + w];
+            }
+        }
     }
-    (acc0, acc1)
+    acc
 }
 
 /// Overlap-save FFT convolution of the zero-padded linear convolution,
@@ -516,7 +535,8 @@ mod tests {
     #[test]
     fn point_evaluation_matches_direct_at_every_index() {
         // Signals shorter than, equal to and longer than the kernel, so
-        // every edge case of the pair (left edge, right edge, both) is hit.
+        // every edge case of a group (left edge, right edge, both) is hit.
+        let mut span = Vec::new();
         for k in [1usize, 2, 31, 64, 417] {
             let taps = lowpass(k, 0.07);
             for n in [1, 2, k / 2 + 1, k, k + 1, 3 * k + 7] {
@@ -528,9 +548,19 @@ mod tests {
                         direct[i],
                         "k={k} n={n} i={i}"
                     );
+                    let one: [[f64; 1]; 1] = filter_direct_group(&x, &taps, &[i], &mut span);
+                    assert_eq!(one, [[direct[i]]], "k={k} n={n} i={i}");
                     if i + 1 < n {
-                        let pair = filter_direct_pair(&x, &taps, i);
-                        assert_eq!(pair, (direct[i], direct[i + 1]), "k={k} n={n} i={i}");
+                        let pair: [[f64; 2]; 1] = filter_direct_group(&x, &taps, &[i], &mut span);
+                        assert_eq!(pair, [[direct[i], direct[i + 1]]], "k={k} n={n} i={i}");
+                    }
+                    // Uneven gaps, a repeated start and a group that
+                    // straddles an edge wherever one is near.
+                    if n >= 2 {
+                        let starts = [i, i + 1, i + 1, i + 4, i + 9].map(|s| s.min(n - 2));
+                        let got: [[f64; 2]; 5] = filter_direct_group(&x, &taps, &starts, &mut span);
+                        let want = starts.map(|s| [direct[s], direct[s + 1]]);
+                        assert_eq!(got, want, "k={k} n={n} starts={starts:?}");
                     }
                 }
             }
@@ -539,8 +569,14 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "outside")]
-    fn pair_past_the_last_output_panics() {
-        filter_direct_pair(&[1.0, 2.0], &[1.0], 1);
+    fn group_past_the_last_output_panics() {
+        let _: [[f64; 2]; 1] = filter_direct_group(&[1.0, 2.0], &[1.0], &[1], &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "ascending")]
+    fn group_starts_out_of_order_panic() {
+        let _: [[f64; 1]; 2] = filter_direct_group(&[1.0, 2.0], &[1.0], &[1, 0], &mut Vec::new());
     }
 
     #[test]

@@ -8,11 +8,14 @@
 //!
 //! The filtered signal is never built. Each output reads only one or two
 //! filtered values (~2 in 25 at the Olimex ratio), so those values are
-//! computed where they are read, by [`fir::filter_direct_at`] and
-//! [`fir::filter_direct_pair`]. Every output is therefore bit-identical
+//! computed where they are read: [`fir::filter_direct_group`] evaluates
+//! the values of [`GROUP`] consecutive outputs in one pass over the taps,
+//! and outputs at the signal's edges, or left over at the end of a range,
+//! use [`fir::filter_direct_at`]. Every output is therefore bit-identical
 //! to [`fir::filter_direct`] followed by picking or interpolating, and
 //! neither function allocates anything proportional to the input.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use emprof_par::{pool, Parallelism};
@@ -50,23 +53,37 @@ pub fn decimate(signal: &[f64], factor: usize) -> Vec<f64> {
 /// [`decimate`] with the anti-aliasing filter fanned out over a worker
 /// pool; output is bit-identical to [`decimate`] for any thread count.
 ///
-/// Output `m` is [`fir::filter_direct_at`] at input `m * factor`, so it
+/// Output `m` is output `m * factor` of the anti-aliasing filter, so it
 /// equals `fir::filter_direct(..)` stepped by `factor`, bit for bit,
-/// without filtering the samples in between.
+/// without filtering the samples in between. [`GROUP`] outputs at a time
+/// come from one [`fir::filter_direct_group`] pass. Like
+/// [`resample_par`], it reads any signal that widens to `f64` exactly.
 ///
 /// # Panics
 ///
 /// Panics if `factor == 0`.
-pub fn decimate_par(signal: &[f64], factor: usize, par: Parallelism) -> Vec<f64> {
+pub fn decimate_par<T: Copy + Into<f64> + Sync>(
+    signal: &[T],
+    factor: usize,
+    par: Parallelism,
+) -> Vec<f64> {
     assert!(factor > 0, "decimation factor must be nonzero");
     if factor == 1 {
-        return signal.to_vec();
+        return signal.iter().map(|&x| x.into()).collect();
     }
     let taps = anti_alias_filter(factor as f64);
     pool::map_ranges(par, signal.len().div_ceil(factor), |range| {
-        range
-            .map(|m| fir::filter_direct_at(signal, &taps, m * factor))
-            .collect()
+        let mut span = Vec::new();
+        in_groups(
+            range,
+            |m| {
+                let starts = std::array::from_fn(|j| (m + j) * factor);
+                let v: [[f64; 1]; GROUP] =
+                    fir::filter_direct_group(signal, &taps, &starts, &mut span);
+                Some(v.map(|[y]| y))
+            },
+            |m| fir::filter_direct_at(signal, &taps, m * factor),
+        )
     })
 }
 
@@ -90,9 +107,10 @@ pub fn resample(signal: &[f64], in_rate: f64, out_rate: f64) -> Vec<f64> {
 ///
 /// When the rate falls, output `n` interpolates the band-limited signal
 /// between the two filtered values at `floor(n * ratio)` and the next
-/// index, both computed on the spot by [`fir::filter_direct_pair`]. The
-/// result is bit-identical to [`fir::filter_direct`] followed by linear
-/// interpolation, clamped to the last filtered value at the right edge.
+/// index, computed on the spot: [`GROUP`] outputs' pairs at a time by
+/// [`fir::filter_direct_group`]. The result is bit-identical to
+/// [`fir::filter_direct`] followed by linear interpolation, clamped to
+/// the last filtered value at the right edge.
 ///
 /// Output is bit-identical to [`resample`] for any thread count: every
 /// output sample is an independent function of the source signal. The
@@ -120,49 +138,70 @@ pub fn resample_par<T: Copy + Into<f64> + Sync>(
     if ratio <= 1.0 {
         return pool::map_ranges(par, out_len, |range| {
             range
-                .map(|n| {
-                    sample_linear(
-                        signal.len(),
-                        n as f64 * ratio,
-                        |i| signal[i].into(),
-                        |i| (signal[i].into(), signal[i + 1].into()),
-                    )
-                })
+                .map(|n| sample_linear(signal.len(), n as f64 * ratio, |i| signal[i].into()))
                 .collect()
         });
     }
     // Downsampling: band-limit to the output Nyquist, evaluated only at
     // the positions the interpolation reads.
     let taps = anti_alias_filter(ratio);
+    let at = |i| fir::filter_direct_at(signal, &taps, i);
     pool::map_ranges(par, out_len, |range| {
-        range
-            .map(|n| {
-                sample_linear(
-                    signal.len(),
-                    n as f64 * ratio,
-                    |i| fir::filter_direct_at(signal, &taps, i),
-                    |i| fir::filter_direct_pair(signal, &taps, i),
-                )
-            })
-            .collect()
+        let mut span = Vec::new();
+        in_groups(
+            range,
+            |n| {
+                let pos: [f64; GROUP] = std::array::from_fn(|j| (n + j) as f64 * ratio);
+                let i = pos.map(|p| p.floor() as usize);
+                // An output whose pair would pass the right edge clamps;
+                // those go one at a time.
+                if i[GROUP - 1] + 1 >= signal.len() {
+                    return None;
+                }
+                let v: [[f64; 2]; GROUP] = fir::filter_direct_group(signal, &taps, &i, &mut span);
+                Some(std::array::from_fn(|j| {
+                    lerp(v[j][0], v[j][1], pos[j] - i[j] as f64)
+                }))
+            },
+            |n| sample_linear(signal.len(), n as f64 * ratio, at),
+        )
     })
 }
 
-/// Linearly interpolates a `len`-sample signal at a fractional index,
-/// clamping to the final sample at the right edge. The signal is read
-/// through `at` (one value) and `pair` (values `i` and `i + 1`).
-fn sample_linear(
-    len: usize,
-    pos: f64,
-    at: impl Fn(usize) -> f64,
-    pair: impl Fn(usize) -> (f64, f64),
-) -> f64 {
+/// Outputs [`fir::filter_direct_group`] evaluates in one pass.
+pub const GROUP: usize = 8;
+
+/// Maps `range` to outputs [`GROUP`] at a time through `group` (the
+/// group starting at its argument) until a group is cut off by the end
+/// of the range or `group` declines it, then one at a time through `one`.
+fn in_groups(
+    range: Range<usize>,
+    mut group: impl FnMut(usize) -> Option<[f64; GROUP]>,
+    one: impl Fn(usize) -> f64,
+) -> Vec<f64> {
+    let mut out = Vec::with_capacity(range.len());
+    let mut n = range.start;
+    while n + GROUP <= range.end {
+        let Some(values) = group(n) else { break };
+        out.extend(values);
+        n += GROUP;
+    }
+    out.extend((n..range.end).map(one));
+    out
+}
+
+/// Linearly interpolates a `len`-sample signal, read through `at`, at a
+/// fractional index, clamping to the final sample at the right edge.
+fn sample_linear(len: usize, pos: f64, at: impl Fn(usize) -> f64) -> f64 {
     let i = pos.floor() as usize;
     if i + 1 >= len {
         return at(len - 1);
     }
-    let frac = pos - i as f64;
-    let (a, b) = pair(i);
+    lerp(at(i), at(i + 1), pos - i as f64)
+}
+
+/// The interpolated value a fraction `frac` of the way from `a` to `b`.
+fn lerp(a: f64, b: f64, frac: f64) -> f64 {
     a * (1.0 - frac) + b * frac
 }
 

@@ -100,6 +100,11 @@ struct LineState {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
+    /// `log2(line_bytes)`, `sets - 1` and `log2(sets)`: both are powers of
+    /// two, so indexing shifts and masks instead of dividing.
+    line_shift: u32,
+    set_mask: u64,
+    set_shift: u32,
     sets: Vec<Vec<LineState>>,
     clock: u64,
     rng_state: u64,
@@ -120,10 +125,13 @@ impl Cache {
         config
             .validate()
             .unwrap_or_else(|e| panic!("invalid cache configuration: {e}"));
-        let sets = vec![vec![LineState::default(); config.ways]; config.sets() as usize];
+        let n_sets = config.sets();
         Cache {
             config,
-            sets,
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_mask: n_sets - 1,
+            set_shift: n_sets.trailing_zeros(),
+            sets: vec![vec![LineState::default(); config.ways]; n_sets as usize],
             clock: 0,
             rng_state: seed | 1,
             hits: 0,
@@ -132,10 +140,8 @@ impl Cache {
     }
 
     fn index_tag(&self, addr: u64) -> (usize, u64) {
-        let line = addr / self.config.line_bytes;
-        let set = (line % self.config.sets()) as usize;
-        let tag = line / self.config.sets();
-        (set, tag)
+        let line = addr >> self.line_shift;
+        ((line & self.set_mask) as usize, line >> self.set_shift)
     }
 
     /// Looks up `addr`, allocating the line on a miss (write-allocate).
@@ -246,7 +252,7 @@ impl Cache {
 
     /// Line-aligned base address of the line containing `addr`.
     pub fn line_of(&self, addr: u64) -> u64 {
-        addr / self.config.line_bytes * self.config.line_bytes
+        addr & !(self.config.line_bytes - 1)
     }
 }
 

@@ -211,9 +211,9 @@ impl MemorySystem {
             });
         }
         // MSHR admission check before touching any cache state, so a
-        // rejected access leaves no trace and can retry cleanly.
-        let will_miss_l1 = !self.l1d.probe(addr);
-        if will_miss_l1 && self.data_mshrs_in_use() >= self.mshrs {
+        // rejected access leaves no trace and can retry cleanly. Only
+        // with every MSHR busy does the L1 need probing first.
+        if self.data_mshrs_in_use() >= self.mshrs && !self.l1d.probe(addr) {
             return Err(MshrFull);
         }
         self.stats.data_accesses += 1;

@@ -639,7 +639,7 @@ impl<'d> Pipeline<'d> {
         }
         if info.llc_miss && !info.merged {
             self.gt.push_miss(MissRecord {
-                line_addr: addr / self.device.llc.line_bytes * self.device.llc.line_bytes,
+                line_addr: addr & !(self.device.llc.line_bytes - 1),
                 pc,
                 is_instr: false,
                 detect_cycle: now,
@@ -667,7 +667,7 @@ impl<'d> Pipeline<'d> {
         if now < self.fetch_blocked_until {
             return false;
         }
-        let line_bytes = self.device.l1i.line_bytes;
+        let line_mask = !(self.device.l1i.line_bytes - 1);
         for _ in 0..self.device.width {
             if self.fetch_queue.len() >= self.device.fetch_queue {
                 break;
@@ -676,7 +676,7 @@ impl<'d> Pipeline<'d> {
                 Some(i) => i,
                 None => return true,
             };
-            let line = inst.pc / line_bytes * line_bytes;
+            let line = inst.pc & line_mask;
             if self.current_fetch_line != Some(line) {
                 let info = self.mem.access_instr(inst.pc, now);
                 if info.llc_accessed {

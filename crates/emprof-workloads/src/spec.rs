@@ -460,7 +460,16 @@ pub struct TraceGen {
     spec: WorkloadSpec,
     rng: StdRng,
     phase_idx: usize,
+    /// A copy of the current phase, taken at its marker.
+    phase: Phase,
+    /// [`TraceGen::pick_class`]'s cumulative roll cut-points for the
+    /// current phase: stream burst, cold, warm.
+    cuts: [f64; 3],
     inst_in_phase: u64,
+    /// `inst_in_phase % loop_body` and `inst_in_phase % mem_every`,
+    /// advanced with every instruction instead of divided out.
+    loop_pos: u64,
+    mem_pos: u64,
     marker_pending: bool,
     hot_counter: u64,
     stream_addr: u64,
@@ -487,14 +496,36 @@ pub struct TraceGen {
 /// generator, so always ready).
 const BASE_REG: Reg = Reg(31);
 
+/// The cumulative roll cut-points of [`TraceGen::pick_class`] for a phase.
+fn roll_cuts(p: &Phase) -> [f64; 3] {
+    let per_access = p.mem_every as f64 / 1000.0;
+    let cold_total = p.cold_per_kinst * per_access;
+    // Streaming cold traffic arrives in scan-loop bursts (a stable
+    // load site walking sequential lines — what a stride prefetcher
+    // can learn); random cold excursions arrive individually.
+    let stream_trigger = cold_total * p.cold_stream_fraction / STREAM_BURST_LINES as f64;
+    let cold_rand = cold_total * (1.0 - p.cold_stream_fraction);
+    let warm_p = p.warm_per_kinst * per_access;
+    [
+        stream_trigger,
+        stream_trigger + cold_rand,
+        stream_trigger + cold_rand + warm_p,
+    ]
+}
+
 impl TraceGen {
     fn new(spec: WorkloadSpec) -> Self {
         let seed = spec.seed;
+        let phase = spec.phases[0];
         TraceGen {
             spec,
             rng: StdRng::seed_from_u64(seed),
             phase_idx: 0,
+            phase,
+            cuts: roll_cuts(&phase),
             inst_in_phase: 0,
+            loop_pos: 0,
+            mem_pos: 0,
             marker_pending: true,
             hot_counter: 0,
             stream_addr: COLD_BASE,
@@ -517,8 +548,18 @@ impl TraceGen {
         self.total_emitted
     }
 
-    fn phase(&self) -> &Phase {
-        &self.spec.phases[self.phase_idx]
+    /// Counts one emitted instruction, advancing the in-phase positions.
+    fn advance(&mut self) {
+        self.inst_in_phase += 1;
+        self.total_emitted += 1;
+        self.loop_pos += 1;
+        if self.loop_pos == self.phase.loop_body {
+            self.loop_pos = 0;
+        }
+        self.mem_pos += 1;
+        if self.mem_pos == self.phase.mem_every {
+            self.mem_pos = 0;
+        }
     }
 
     fn next_alu_dst(&mut self) -> Reg {
@@ -532,24 +573,14 @@ impl TraceGen {
     }
 
     fn pick_class(&mut self) -> AddrClass {
-        let p = *self.phase();
-        let per_access = p.mem_every as f64 / 1000.0;
-        let cold_total = p.cold_per_kinst * per_access;
-        // Streaming cold traffic arrives in scan-loop bursts (a stable
-        // load site walking sequential lines — what a stride prefetcher
-        // can learn); random cold excursions arrive individually.
-        let stream_trigger =
-            cold_total * p.cold_stream_fraction / STREAM_BURST_LINES as f64;
-        let cold_rand = cold_total * (1.0 - p.cold_stream_fraction);
-        let warm_p = p.warm_per_kinst * per_access;
         let roll: f64 = self.rng.gen();
-        if roll < stream_trigger {
+        if roll < self.cuts[0] {
             self.stream_burst_left = STREAM_BURST_LINES;
             self.stream_cooldown = 0;
             AddrClass::Hot
-        } else if roll < stream_trigger + cold_rand {
+        } else if roll < self.cuts[1] {
             AddrClass::Cold
-        } else if roll < stream_trigger + cold_rand + warm_p {
+        } else if roll < self.cuts[2] {
             AddrClass::Warm
         } else {
             AddrClass::Hot
@@ -557,7 +588,6 @@ impl TraceGen {
     }
 
     fn address_for(&mut self, class: AddrClass) -> u64 {
-        let p = *self.phase();
         match class {
             AddrClass::Hot => {
                 self.hot_counter = self.hot_counter.wrapping_add(1);
@@ -573,7 +603,7 @@ impl TraceGen {
                 // consecutive addresses jump irregularly (defeating the
                 // stride prefetcher, unlike a plain sweep).
                 let warm_base = 0x3000_0000 + self.phase_idx as u64 * 0x400_0000;
-                let lines = p.warm_bytes / 64;
+                let lines = self.phase.warm_bytes / 64;
                 let k = lines.trailing_zeros();
                 let idx = self.warm_idx & (lines - 1);
                 self.warm_idx = self.warm_idx.wrapping_add(1);
@@ -590,13 +620,11 @@ impl TraceGen {
     fn gen_mem_op(&mut self) -> DynOp {
         let class = self.pick_class();
         let addr = self.address_for(class);
-        let p = *self.phase();
         // Stores target the hot set only: a store miss drains through the
         // write buffer without stalling the core (no EM-visible event),
         // so miss-generating traffic is modeled as loads — the access
         // class the paper's stall accounting actually observes.
-        let is_store =
-            class == AddrClass::Hot && self.rng.gen::<f64>() < p.store_fraction;
+        let is_store = class == AddrClass::Hot && self.rng.gen::<f64>() < self.phase.store_fraction;
         if is_store {
             let data = Reg(1 + (self.alu_rot % 12));
             self.last_mem_was_cold = false;
@@ -608,21 +636,19 @@ impl TraceGen {
             let dst = self.next_load_dst();
             // Pointer chasing: a cold load immediately following another
             // cold load depends on its value.
-            let addr_src = if p.pointer_chase
-                && class == AddrClass::Cold
-                && self.last_mem_was_cold
-            {
-                self.last_cold_load
-            } else {
-                Some(BASE_REG)
-            };
+            let addr_src =
+                if self.phase.pointer_chase && class == AddrClass::Cold && self.last_mem_was_cold {
+                    self.last_cold_load
+                } else {
+                    Some(BASE_REG)
+                };
             if class == AddrClass::Cold {
                 self.last_cold_load = Some(dst);
                 self.last_mem_was_cold = true;
             } else {
                 self.last_mem_was_cold = false;
             }
-            self.pending_use = Some((self.inst_in_phase + p.load_use_distance, dst));
+            self.pending_use = Some((self.inst_in_phase + self.phase.load_use_distance, dst));
             DynOp::Load {
                 dst,
                 addr_src,
@@ -657,15 +683,20 @@ impl InstructionSource for TraceGen {
             }
             if self.marker_pending {
                 self.marker_pending = false;
-                let p = self.phase();
                 return Some(DynInst {
-                    pc: p.code_base,
+                    pc: self.phase.code_base,
                     op: DynOp::Marker(MARKER_REGION_BASE + self.phase_idx as u32),
                 });
             }
-            if self.inst_in_phase >= self.phase().instructions {
+            if self.inst_in_phase >= self.phase.instructions {
                 self.phase_idx += 1;
+                if let Some(&next) = self.spec.phases.get(self.phase_idx) {
+                    self.phase = next;
+                    self.cuts = roll_cuts(&next);
+                }
                 self.inst_in_phase = 0;
+                self.loop_pos = 0;
+                self.mem_pos = 0;
                 self.marker_pending = true;
                 self.pending_use = None;
                 self.loop_offset = 0;
@@ -673,13 +704,13 @@ impl InstructionSource for TraceGen {
                 self.warm_idx = 0;
                 continue;
             }
-            let p = *self.phase();
             let i = self.inst_in_phase;
+            let last_in_loop = self.loop_pos == self.phase.loop_body - 1;
             // In-burst streaming: emit the next line access of the scan
             // loop once its per-element compute has elapsed. The load
             // site PC is stable so the stride prefetcher can train on it.
             if self.stream_burst_left > 0 {
-                if self.stream_cooldown == 0 && i % p.loop_body != p.loop_body - 1 {
+                if self.stream_cooldown == 0 && !last_in_loop {
                     self.stream_burst_left -= 1;
                     self.stream_cooldown = STREAM_SPACING_INSTS;
                     self.stream_addr += 64;
@@ -687,11 +718,10 @@ impl InstructionSource for TraceGen {
                         self.stream_addr = COLD_BASE;
                     }
                     let dst = self.next_load_dst();
-                    self.pending_use = Some((i + p.load_use_distance, dst));
-                    self.inst_in_phase += 1;
-                    self.total_emitted += 1;
+                    self.pending_use = Some((i + self.phase.load_use_distance, dst));
+                    self.advance();
                     return Some(DynInst {
-                        pc: p.code_base + 8,
+                        pc: self.phase.code_base + 8,
                         op: DynOp::Load {
                             dst,
                             addr_src: Some(BASE_REG),
@@ -705,7 +735,8 @@ impl InstructionSource for TraceGen {
             // for a while (dwell), then moves to another loop — the way
             // real code covers a large text segment, rather than sweeping
             // it linearly (which would thrash the I$ unrealistically).
-            if i.is_multiple_of(p.loop_body) {
+            if self.loop_pos == 0 {
+                let p = &self.phase;
                 if self.dwell_left == 0 {
                     let n_loops = p.code_footprint / (4 * p.loop_body);
                     if n_loops > 1 {
@@ -717,20 +748,26 @@ impl InstructionSource for TraceGen {
                     self.dwell_left -= 1;
                 }
             }
-            let within = (i % p.loop_body) * 4 % p.code_footprint;
-            let pc = p.code_base + (self.loop_offset + within) % p.code_footprint;
-            let op = if i % p.loop_body == p.loop_body - 1 {
+            // The loop offset is a whole loop inside the footprint, so only
+            // a loop longer than the footprint (offset 0) ever wraps.
+            let (within, footprint) = (self.loop_pos * 4, self.phase.code_footprint);
+            let offset = if within < footprint {
+                self.loop_offset + within
+            } else {
+                within % footprint
+            };
+            let pc = self.phase.code_base + offset;
+            let op = if last_in_loop {
                 DynOp::Branch {
                     srcs: [Some(Reg(1 + (self.alu_rot % 12))), None],
                     taken: true,
                 }
-            } else if i.is_multiple_of(p.mem_every) {
+            } else if self.mem_pos == 0 {
                 self.gen_mem_op()
             } else {
                 self.gen_alu()
             };
-            self.inst_in_phase += 1;
-            self.total_emitted += 1;
+            self.advance();
             return Some(DynInst { pc, op });
         }
     }
@@ -876,6 +913,23 @@ mod tests {
         for i in &insts {
             assert!(i.pc >= p.code_base);
             assert!(i.pc < p.code_base + p.code_footprint);
+        }
+    }
+
+    #[test]
+    fn loop_longer_than_its_footprint_wraps_inside_it() {
+        let mut p = Phase::base("wrap", 2_000);
+        p.code_footprint = 64;
+        p.loop_body = 40;
+        let spec = WorkloadSpec {
+            name: "wrap",
+            phases: vec![p],
+            seed: 3,
+        };
+        // The phase marker comes first; no cold traffic, so no bursts.
+        for (i, inst) in drain(spec).iter().skip(1).enumerate() {
+            let i = i as u64;
+            assert_eq!(inst.pc, p.code_base + (i % 40) * 4 % 64, "instruction {i}");
         }
     }
 

@@ -20,6 +20,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 # workspace pass.
 cargo test -q --release -p emprof-sim
 
+# Bit-identity of the generator, simulator and receiver, optimised: the
+# golden fingerprints (every SPEC-like preset's instruction stream,
+# SimResult and capture bits, recorded before the division-free
+# simulator paths and the multi-output anti-alias kernel), and the
+# group kernel against single-output evaluation at every edge.
+cargo test -q --release -p emprof-workloads -p emprof-signal -p emprof-emsim
+
 # Pipeline throughput smoke: sequential vs parallel at 1/2/4 threads
 # (capped at the host's parallelism) plus the direct-vs-FFT FIR
 # crossover; asserts thread-count invariance. The run is written to

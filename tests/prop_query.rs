@@ -342,3 +342,99 @@ fn query_survives_concurrent_compaction() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// query-equals-replay on detector-like streams. The properties above
+/// draw event starts uniformly, so nearly every sealed segment's footer
+/// spans any window and pruning rarely runs. Here starts rise by up to
+/// 3 000 samples per event, as a detector's do, and windows cover at
+/// most an eighth of the journaled stretch, so footers prune the
+/// segments on either side; the test fails unless pruning happens in a
+/// quarter of its cases or more.
+#[test]
+fn query_equals_replay_on_rising_starts() {
+    const CASES: u32 = 32;
+    let streams = prop::collection::vec(
+        prop::collection::vec((any::<u16>(), any::<u16>(), any::<u8>()), 20..80),
+        1..3,
+    );
+    let damage = (any::<bool>(), any::<u16>(), any::<u32>());
+    let window = (any::<u32>(), any::<u32>(), 0u8..4, any::<bool>());
+    let mut pruned_cases = 0;
+    for case in 0..CASES {
+        let mut rng = TestRng::for_case(
+            concat!(module_path!(), "::query_equals_replay_on_rising_starts"),
+            case,
+        );
+        let (streams, legacy_sel) = (&streams, 0u8..4).generate(&mut rng);
+        let (do_damage, which, cut) = damage.generate(&mut rng);
+        let (t0, span, filter_sel, bucket_on) = window.generate(&mut rng);
+
+        let root = fresh_dir();
+        std::fs::create_dir_all(&root).unwrap();
+        // One journal in four is footer-less, as legacy segments are.
+        let cfg = journal_config(legacy_sel != 0);
+        let mut end = 1;
+        for (i, steps) in streams.iter().enumerate() {
+            let mut start = 0u32;
+            let stream: Vec<(u32, u16, u8)> = steps
+                .iter()
+                .map(|&(gap, dur, sel)| {
+                    start += u32::from(gap % 3_000);
+                    (start, dur, sel)
+                })
+                .collect();
+            end = end.max(u64::from(start) + 1);
+            let id = i as u64 + 1;
+            write_events(&root.join(format!("session-{id}")), id, &stream, &cfg);
+        }
+        if do_damage {
+            let files = all_segment_files(&root);
+            let victim = &files[which as usize % files.len()];
+            let bytes = std::fs::read(victim).unwrap();
+            let cut = cut as usize % (bytes.len() + 1);
+            std::fs::write(victim, &bytes[..cut]).unwrap();
+        }
+
+        let t0 = u64::from(t0) % end;
+        let t1 = if span.is_multiple_of(7) {
+            t0.saturating_sub(1)
+        } else {
+            t0 + u64::from(span) % (end / 8 + 1)
+        };
+        let sessions = match filter_sel {
+            0 => Vec::new(),
+            1 => vec![1],
+            2 => vec![2],
+            _ => vec![1, 2],
+        };
+        let bucket_samples = if bucket_on && t1 >= t0 {
+            (t1 - t0) / 1024 + 1
+        } else {
+            0
+        };
+        let spec = QuerySpec {
+            t0,
+            t1,
+            sessions,
+            bucket_samples,
+        };
+
+        let cold = query_journals(&root, &spec, None).unwrap();
+        let cache = SegmentCache::default();
+        let warm = query_journals(&root, &spec, Some(&cache)).unwrap();
+        let rewarm = query_journals(&root, &spec, Some(&cache)).unwrap();
+        let want = replay_reference(&root, &cfg, &spec);
+
+        if cold.accounting.segments_pruned > 0 {
+            pruned_cases += 1;
+        }
+        assert_eq!(stats_of(cold), stats_of(want.clone()), "case {case}: cold");
+        assert_eq!(stats_of(warm), stats_of(want.clone()), "case {case}: warm");
+        assert_eq!(stats_of(rewarm), stats_of(want), "case {case}: rewarm");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+    assert!(
+        pruned_cases >= CASES / 4,
+        "footers pruned in only {pruned_cases} of {CASES} cases"
+    );
+}

@@ -143,6 +143,29 @@ fn assert_close(got: &[f64], want: &[f64], scale: f64) -> Result<(), TestCaseErr
     Ok(())
 }
 
+/// Signal lengths for a rate reduction by `ratio` with a `taps`-long
+/// kernel, besides the drawn signal's own: shorter than the kernel (every
+/// output falls back to single-output evaluation), just past it (only a
+/// few whole groups are interior) and one whose output count is not a
+/// multiple of the group size (a tail of single outputs). `extra` varies
+/// them from case to case.
+fn edge_lengths(taps: usize, ratio: f64, extra: usize) -> [usize; 3] {
+    let group_span = (resample::GROUP as f64 * ratio).ceil() as usize;
+    let outputs = 3 * resample::GROUP + 1 + extra % (resample::GROUP - 1);
+    [
+        1 + extra % taps.max(2),
+        taps + 1 + extra % group_span,
+        (outputs as f64 * ratio).ceil() as usize + 1,
+    ]
+}
+
+/// `signal` repeated or cut to `len` samples, as `f64` and narrowed to
+/// the `f32` the receiver feeds; the `f64` copy is the `f32` one widened.
+fn at_length(signal: &[f64], len: usize) -> (Vec<f64>, Vec<f32>) {
+    let narrow: Vec<f32> = signal.iter().cycle().take(len).map(|&v| v as f32).collect();
+    (narrow.iter().map(|&v| f64::from(v)).collect(), narrow)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -150,9 +173,13 @@ proptest! {
     /// to `filter_direct` plus linear interpolation for every thread
     /// count, and within FFT rounding of the overlap-save composite.
     /// Lengths run from well under the 417-tap Olimex kernel to past the
-    /// overlap-save threshold.
+    /// overlap-save threshold. The same holds for `f32` input, read in
+    /// place, at the drawn length and at the group kernel's edge lengths.
     #[test]
-    fn resample_is_filter_then_interpolate(signal in bounded_signal(2_500)) {
+    fn resample_is_filter_then_interpolate(
+        signal in bounded_signal(2_500),
+        extra in 0usize..1_000,
+    ) {
         let scale = signal.iter().fold(1.0f64, |m, &v| m.max(v.abs()));
         for ratio in RATIOS {
             let taps = resample::anti_alias_filter(ratio);
@@ -164,16 +191,34 @@ proptest! {
             }
             let fft = interpolate(&fir::filter(&signal, &taps), ratio, out_len);
             assert_close(&want, &fft, scale)?;
+
+            let lengths = edge_lengths(taps.len(), ratio, extra);
+            for len in lengths.into_iter().chain([signal.len()]) {
+                let (wide, narrow) = at_length(&signal, len);
+                let out_len = (len as f64 / ratio).floor() as usize;
+                let want = interpolate(&fir::filter_direct(&wide, &taps), ratio, out_len);
+                for threads in THREADS {
+                    let par = Parallelism::new(threads);
+                    let got = resample::resample_par(&narrow, ratio, 1.0, par);
+                    prop_assert_eq!(&got, &want, "f32 ratio {} len {} threads {}", ratio, len, threads);
+                    if len != signal.len() {
+                        let got = resample::resample_par(&wide, ratio, 1.0, par);
+                        prop_assert_eq!(&got, &want, "ratio {} len {} threads {}", ratio, len, threads);
+                    }
+                }
+            }
         }
     }
 
     /// Integer decimation is exactly `filter_direct` stepped by the
     /// factor, for every thread count, and within FFT rounding of the
-    /// overlap-save composite.
+    /// overlap-save composite; for `f32` input too, at the drawn length
+    /// and at the group kernel's edge lengths.
     #[test]
     fn decimate_is_filter_then_step(
         signal in bounded_signal(2_500),
         factor in 2usize..30,
+        extra in 0usize..1_000,
     ) {
         let scale = signal.iter().fold(1.0f64, |m, &v| m.max(v.abs()));
         let taps = resample::anti_alias_filter(factor as f64);
@@ -185,5 +230,21 @@ proptest! {
         }
         let fft: Vec<f64> = fir::filter(&signal, &taps).into_iter().step_by(factor).collect();
         assert_close(&want, &fft, scale)?;
+
+        let lengths = edge_lengths(taps.len(), factor as f64, extra);
+        for len in lengths.into_iter().chain([signal.len()]) {
+            let (wide, narrow) = at_length(&signal, len);
+            let want: Vec<f64> =
+                fir::filter_direct(&wide, &taps).into_iter().step_by(factor).collect();
+            for threads in THREADS {
+                let par = Parallelism::new(threads);
+                let got = resample::decimate_par(&narrow, factor, par);
+                prop_assert_eq!(&got, &want, "f32 factor {} len {} threads {}", factor, len, threads);
+                if len != signal.len() {
+                    let got = resample::decimate_par(&wide, factor, par);
+                    prop_assert_eq!(&got, &want, "factor {} len {} threads {}", factor, len, threads);
+                }
+            }
+        }
     }
 }
