@@ -103,12 +103,11 @@ impl Emprof {
     }
 
     /// Turns refined dips into duration-filtered, classified stall
-    /// events of high confidence — the last batch detection stage.
-    pub(crate) fn events_from_dips(
-        &self,
-        dips: Vec<(usize, usize)>,
-        cps: f64,
-    ) -> Vec<StallEvent> {
+    /// events of high confidence. Reference implementation; production
+    /// filters and classifies inside
+    /// [`Stitcher::into_events`](crate::engine::Stitcher::into_events).
+    #[cfg(test)]
+    fn events_from_dips(&self, dips: Vec<(usize, usize)>, cps: f64) -> Vec<StallEvent> {
         let min_samples = min_event_samples(&self.config, cps);
         dips.into_iter()
             .filter(|&(s, e)| (e - s) as f64 >= min_samples)
@@ -158,8 +157,8 @@ impl Emprof {
     /// Widens each run outward to the `edge_level` crossings, without
     /// letting adjacent events overlap, then re-merges any that now
     /// abut. Reference implementation over a materialized normalized
-    /// signal; production refines from run lists via
-    /// [`refine_from_runs`].
+    /// signal; production refines from run lists in
+    /// [`Stitcher::into_events`](crate::engine::Stitcher::into_events).
     #[cfg(test)]
     fn refine_edges(&self, norm: &[f64], merged: Vec<(usize, usize)>) -> Vec<(usize, usize)> {
         let edge = self.config.edge_level;
@@ -217,23 +216,13 @@ pub(crate) fn classify(
 
 /// Widens each merged below-threshold run outward to the `edge_level`
 /// crossings using the below-edge **run list** instead of the normalized
-/// signal, then re-merges any runs that now abut — bit-identical to the
-/// reference `refine_edges`, with the normalized signal never
-/// materialized.
-///
-/// Why this is exact: a merged run's start `s` is a below-threshold
-/// sample, and configuration validation guarantees
-/// `threshold <= edge_level`, so `s` lies inside some below-edge run
-/// `(bs, be)`. The reference walks `s` left while the previous sample is
-/// below edge and `s` stays above the previous refined run's end — that
-/// walk stops at exactly `max(bs, left_bound)`. Symmetrically the run's
-/// last sample `e - 1` lies in a below-edge run `(bs', be')` and the
-/// right walk (clipped by the next merged run's start) stops at
-/// `min(be', right_bound)`. Interior samples of a merged run — including
-/// above-edge samples inside a gap the merge step bridged — are never
-/// consulted by the reference, so they cannot matter here either. The
-/// final abut-merge is the reference's, verbatim.
-pub(crate) fn refine_from_runs(
+/// signal, then re-merges any runs that now abut. Reference
+/// implementation, pinned against `refine_edges`; production refines,
+/// merges, filters and classifies in one walk,
+/// [`Stitcher::into_events`](crate::engine::Stitcher::into_events), whose
+/// docs give the proof that the run lists suffice.
+#[cfg(test)]
+fn refine_from_runs(
     merged: Vec<(usize, usize)>,
     below_edge: &[(usize, usize)],
     total: usize,
@@ -334,6 +323,8 @@ pub(crate) fn record_event_metrics(events: &[StallEvent], count_events: bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::Stitcher;
+    use emprof_signal::fused::LevelRuns;
 
     const FS: f64 = 40e6;
     const CLK: f64 = 1.0e9;
@@ -554,9 +545,10 @@ mod tests {
 
     #[test]
     fn fused_path_matches_reference_pipeline() {
-        // The production profile (fused kernel + run-list refine) must be
-        // event-for-event identical to the executable specification: a
-        // materialized normalization followed by threshold/merge/refine.
+        // The production profile (fused kernel + one-pass back half) must
+        // be event-for-event identical to the executable specification: a
+        // materialized normalization followed by threshold/merge/refine,
+        // then the duration filter and classification.
         let mut mag: Vec<f64> = (0..50_000)
             .map(|i| 5.0 * (1.0 + 0.1 * (i as f64 * 7e-5).sin()))
             .collect();
@@ -587,7 +579,9 @@ mod tests {
     fn refine_from_runs_matches_reference_refine() {
         // Pseudo-random normalized signals across threshold/edge combos,
         // including threshold == edge and a barely-separated pair where
-        // merged runs bridge above-edge gaps.
+        // merged runs bridge above-edge gaps. The run-list refine and the
+        // production back half (stitch, then one walk) both match the
+        // reference over the materialized signal.
         for (threshold, edge) in [(0.35, 0.5), (0.4, 0.4), (0.3, 0.35), (0.2, 0.9)] {
             let mut cfg = EmprofConfig::for_rates(FS, CLK);
             cfg.threshold = threshold;
@@ -615,10 +609,21 @@ mod tests {
                     }
                     runs
                 };
-                let merged = e.merge_runs(e.threshold_runs(&norm));
+                let raw = e.threshold_runs(&norm);
+                let merged = e.merge_runs(raw.clone());
                 let reference = e.refine_edges(&norm, merged.clone());
                 let fast = refine_from_runs(merged, &below_edge, norm.len());
                 assert_eq!(fast, reference, "threshold {threshold} edge {edge} seed {seed}");
+                let mut stitcher = Stitcher::new(cfg.merge_gap_samples);
+                stitcher.push(&mut LevelRuns {
+                    below_threshold: raw,
+                    below_edge,
+                });
+                assert_eq!(
+                    stitcher.into_events(&cfg, norm.len(), CPS),
+                    e.events_from_dips(reference, CPS),
+                    "threshold {threshold} edge {edge} seed {seed}"
+                );
             }
         }
     }

@@ -45,8 +45,10 @@ use emprof_signal::fused::{self, LevelRuns};
 
 use crate::calib::{BlockParams, Calibrator, DegradedBlocks};
 use crate::config::EmprofConfig;
-use crate::detect::{check_then_sanitize, record_event_metrics, refine_from_runs, Emprof};
-use crate::profile::Profile;
+use crate::detect::{
+    check_then_sanitize, classify, min_event_samples, record_event_metrics, Emprof,
+};
+use crate::profile::{Confidence, Profile, StallEvent};
 
 /// One range of a schedule and the parameters in force over it.
 type Block = (Range<usize>, BlockParams);
@@ -81,7 +83,7 @@ impl Emprof {
             .enabled
             .then(|| (Calibrator::new(&cfg), Vec::new()));
         let mut blocks = Vec::new();
-        let (mut stitcher, rejected, gaps) = check_then_sanitize(magnitude, |signal| {
+        let (stitcher, rejected, gaps) = check_then_sanitize(magnitude, |signal| {
             blocks = schedule(&cfg, calibration.as_mut(), signal, par)?;
             run_blocks(&cfg, signal, &blocks, par)
         });
@@ -94,12 +96,10 @@ impl Emprof {
         }
 
         let n = magnitude.len() - rejected;
-        let dips = {
+        let mut events = {
             let _s = obs::span!("detect.refine");
-            let merged = stitcher.dips.into_iter().map(|(s, e, _)| (s, e)).collect();
-            refine_from_runs(merged, stitcher.edges.make_contiguous(), n)
+            stitcher.into_events(&cfg, n, clock_hz / sample_rate_hz)
         };
-        let mut events = self.events_from_dips(dips, clock_hz / sample_rate_hz);
         let mut marks = DegradedBlocks::new(cfg.calib.block(cfg.norm_window_samples));
         for params in calibration.iter().flat_map(|(_, schedule)| schedule) {
             marks.push(params.degraded);
@@ -170,6 +170,9 @@ fn run_blocks(
     };
     let _s = obs::span!("detect.merge");
     let mut stitcher = Stitcher::new(cfg.merge_gap_samples);
+    let count = |runs: fn(&LevelRuns) -> usize| parts.iter().flatten().map(runs).sum();
+    stitcher.dips.reserve(count(|r| r.below_threshold.len()));
+    stitcher.edges.reserve(count(|r| r.below_edge.len()));
     for part in parts {
         stitcher.push(&mut part?);
     }
@@ -231,6 +234,68 @@ impl Stitcher {
                 _ => self.edges.push_back((s, e)),
             }
         }
+    }
+
+    /// The batch back half in one walk over the stitched runs of a
+    /// `total`-sample signal: widens each merged run to its `edge_level`
+    /// crossings, abut-merges it into the pending run, and duration-
+    /// filters and classifies each finished run at `cps` cycles per
+    /// sample into high-confidence events.
+    ///
+    /// Why this equals refining a materialized normalized signal: a
+    /// merged run's start `s` is below threshold, and configuration
+    /// validation guarantees `threshold <= edge_level`, so `s` lies
+    /// inside some below-edge run `(bs, be)`. Walking `s` left while the
+    /// previous sample is below edge and `s` stays past the previous
+    /// refined run's end stops at exactly `max(bs, left_bound)`.
+    /// Symmetrically the run's last sample `e - 1` lies in a below-edge
+    /// run `(bs', be')`, and the right walk, clipped by the next merged
+    /// run's start, stops at `min(be', right_bound)`. Interior samples of
+    /// a merged run, above-edge samples in a bridged gap included, are
+    /// never consulted. The duration filter runs on the abut-merged run,
+    /// so a run too short alone can still extend or seed an event.
+    pub(crate) fn into_events(
+        mut self,
+        config: &EmprofConfig,
+        total: usize,
+        cps: f64,
+    ) -> Vec<StallEvent> {
+        let min_samples = min_event_samples(config, cps);
+        let edges = self.edges.make_contiguous();
+        let mut events = Vec::with_capacity(self.dips.len());
+        let mut emit = |(s, e): (usize, usize)| {
+            if (e - s) as f64 >= min_samples {
+                events.push(classify(config, s, e, cps, Confidence::High));
+            }
+        };
+        // Merged runs are sorted, so the containing below-edge runs only
+        // ever advance.
+        let (mut cursor, mut left_bound) = (0, 0);
+        let mut pending: Option<(usize, usize)> = None;
+        let mut dips = self.dips.iter().peekable();
+        while let Some(&(s, e, _)) = dips.next() {
+            while edges[cursor].1 <= s {
+                cursor += 1;
+            }
+            debug_assert!(edges[cursor].0 <= s, "run start not below edge");
+            let start = edges[cursor].0.max(left_bound);
+            while edges[cursor].1 < e {
+                cursor += 1;
+            }
+            debug_assert!(edges[cursor].0 < e, "run end not below edge");
+            let right_bound = dips.peek().map_or(total, |next| next.0);
+            let end = edges[cursor].1.min(right_bound);
+            left_bound = end;
+            if let Some(last) = pending.as_mut().filter(|last| start <= last.1) {
+                last.1 = last.1.max(end);
+            } else if let Some(done) = pending.replace((start, end)) {
+                emit(done);
+            }
+        }
+        if let Some(done) = pending {
+            emit(done);
+        }
+        events
     }
 }
 

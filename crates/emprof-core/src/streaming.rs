@@ -410,7 +410,7 @@ impl StreamingEmprof {
 
     /// Refines and emits pending dips that can no longer change. Edge
     /// refinement consults the stitched below-edge *run list* (as the
-    /// batch path does via `refine_from_runs`), never a normalized
+    /// batch path does in `Stitcher::into_events`), never a normalized
     /// sample history.
     fn process_pending(&mut self, flush: bool) {
         let gap = self.config.merge_gap_samples;

@@ -20,6 +20,13 @@
 //! [`stats::normalize_moving_minmax`](crate::stats::normalize_moving_minmax).
 //! `tests/prop_fused.rs` property-checks this equivalence.
 //!
+//! The hot loop's extreme updates and combines are all written as the
+//! select `if a < b { a } else { b }` (or `>`), which compiles to one
+//! `minsd`/`maxsd` each instead of a compare-and-blend chain. The select
+//! is exact here because of the precondition below: no NaN ever reaches
+//! it, and on every other input it keeps the later of two equal values,
+//! the latest-index tie rule above ([`FusedPass`] spells out each form).
+//!
 //! The pass also carries the detector's finite-sample admission check:
 //! every sample it reads is verified finite the first time it is read,
 //! in index order, so callers no longer need a separate whole-signal
@@ -182,9 +189,25 @@ pub fn detect_runs_range_gated(
 /// [`FusedPass::finish`], behave as if padded with ±∞, which is exact
 /// for finite samples. Min and max are exact, so the only freedom is
 /// which of two equal values (`-0.0` and `0.0`) is returned; the pass
-/// returns the latest one in the window, as a monotonic wedge does: the
-/// backward sweep replaces only on a strict `<`/`>`, the prefix replaces
-/// on `<=`/`>=`, and the combine prefers the prefix on a tie.
+/// returns the latest one in the window, as a monotonic wedge does:
+///
+/// - the backward sweep replaces only on a strict `<`/`>`
+///   (`if v < m { m = v }`), so an earlier sample never displaces an
+///   equal later one;
+/// - the prefix keeps the new sample on a tie
+///   (`pre_min = if pre_min < v { pre_min } else { v }`);
+/// - the combine keeps the prefix on a tie
+///   (`lo = if s_min < pre_min { s_min } else { pre_min }`);
+///
+/// and the max side mirrors each with `>`. Every one of these is the
+/// `a < b ? a : b` select, which lowers to a single `minsd`/`maxsd`:
+/// the select differs from an IEEE min or max only when an operand is
+/// NaN, and no NaN can reach it. Every sample is checked finite before
+/// it enters an extreme, and the only other operands are the ±∞
+/// sentinels. The `<=`-guarded update it replaced computes the same
+/// function on non-NaN input, but had to be lowered to a
+/// compare-and-blend chain. Only the minimum's ties can show in the
+/// normalized output: the sign of a zero maximum cancels in `hi - lo`.
 ///
 /// # Samples the caller keeps
 ///
@@ -410,14 +433,12 @@ impl FusedPass {
                 if !v.is_finite() {
                     return Err(j);
                 }
-                if v <= pre_min {
-                    pre_min = v;
-                }
-                if v >= pre_max {
-                    pre_max = v;
-                }
-                let lo = if pre_min <= s_min { pre_min } else { s_min };
-                let hi = if pre_max >= s_max { pre_max } else { s_max };
+                // Select forms that lower to single min/max instructions;
+                // exact because no NaN reaches them (see the type docs).
+                pre_min = if pre_min < v { pre_min } else { v };
+                pre_max = if pre_max > v { pre_max } else { v };
+                let lo = if s_min < pre_min { s_min } else { pre_min };
+                let hi = if s_max > pre_max { s_max } else { pre_max };
                 // `hi - lo > 0.0` is exactly `hi > lo` for finite samples, so
                 // the ungated (`min_range == 0.0`) pass matches
                 // `normalize_moving_minmax` bit for bit.
@@ -538,6 +559,77 @@ mod tests {
             };
             assert_eq!(runs.below_threshold, expect(0.35), "range {start}..{end}");
             assert_eq!(runs.below_edge, expect(0.5), "range {start}..{end}");
+        }
+    }
+
+    /// `len` samples dense in `-0.0`/`0.0` ties: each is `0.0`, `-0.0`,
+    /// `scale` or `2 * scale`, drawn from a fixed hash of its index.
+    fn zero_ties(len: usize, scale: f64) -> Vec<f64> {
+        (0..len as u64)
+            .map(|i| match i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 62 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => scale,
+                _ => 2.0 * scale,
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn zero_ties_keep_the_latest_index() {
+        // On positive samples a zero is the window minimum, and a `-0.0`
+        // sample normalizes to `-0.0 - lo`: `-0.0` when the latest zero
+        // in its window is `0.0`, `0.0` when it is `-0.0`. So the prefix
+        // update and the combine of the minimum each decide output bits.
+        let signal = zero_ties(1_000, 1.0);
+        for window in [2, 3, 5, 8, 17, 64] {
+            let reference = normalize_moving_minmax(&signal, window);
+            let mut norm = Vec::new();
+            detect_runs_range(&signal, window, 0.35, 0.5, 0, signal.len(), Some(&mut norm))
+                .expect("clean signal");
+            assert_eq!(bits(&norm), bits(&reference), "window {window}");
+            let signed = |zero: f64| {
+                reference
+                    .iter()
+                    .filter(|v| v.to_bits() == zero.to_bits())
+                    .count()
+            };
+            assert!(
+                signed(-0.0) > 0 && signed(0.0) > 0,
+                "window {window}: no tie decided"
+            );
+        }
+        // The sign of a zero maximum cancels in `hi - lo`, and a zero
+        // minimum beside it makes the window flat, so no output shows
+        // the maximum's tie. Pin the prefix update through the pass's
+        // state: after each feed it holds the latest maximum of the
+        // samples `[b + half, next + half)` of the block starting at `b`.
+        let signal = zero_ties(1_000, -1.0);
+        for window in [3, 5, 17, 64] {
+            let half = window / 2;
+            let mut pass = FusedPass::new(window, 0.35, 0.5, 0.0, 0..usize::MAX);
+            let mut runs = LevelRuns::default();
+            for end in (1..signal.len()).step_by(7) {
+                pass.feed(&signal[..end], 0, &mut runs)
+                    .expect("clean signal");
+                if pass.next_output() == 0 {
+                    continue;
+                }
+                let block = pass.block_end - (2 * half + 1);
+                let prefix = &signal[block + half..pass.next_output() + half];
+                let latest = prefix
+                    .iter()
+                    .fold(f64::NEG_INFINITY, |m, &v| if v >= m { v } else { m });
+                assert_eq!(
+                    pass.pre_max.to_bits(),
+                    latest.to_bits(),
+                    "window {window} at {end}"
+                );
+            }
         }
     }
 

@@ -145,27 +145,43 @@ pub fn resample_par<T: Copy + Into<f64> + Sync>(
     // Downsampling: band-limit to the output Nyquist, evaluated only at
     // the positions the interpolation reads.
     let taps = anti_alias_filter(ratio);
-    let at = |i| fir::filter_direct_at(signal, &taps, i);
     pool::map_ranges(par, out_len, |range| {
-        let mut span = Vec::new();
-        in_groups(
-            range,
-            |n| {
-                let pos: [f64; GROUP] = std::array::from_fn(|j| (n + j) as f64 * ratio);
-                let i = pos.map(|p| p.floor() as usize);
-                // An output whose pair would pass the right edge clamps;
-                // those go one at a time.
-                if i[GROUP - 1] + 1 >= signal.len() {
-                    return None;
-                }
-                let v: [[f64; 2]; GROUP] = fir::filter_direct_group(signal, &taps, &i, &mut span);
-                Some(std::array::from_fn(|j| {
-                    lerp(v[j][0], v[j][1], pos[j] - i[j] as f64)
-                }))
-            },
-            |n| sample_linear(signal.len(), n as f64 * ratio, at),
-        )
+        downsample(signal, &taps, ratio, range)
     })
+}
+
+/// Outputs `range` of a falling-rate [`resample_par`] at `ratio`, read
+/// through the anti-aliasing filter `taps`.
+fn downsample<T: Copy + Into<f64>>(
+    signal: &[T],
+    taps: &[f64],
+    ratio: f64,
+    range: Range<usize>,
+) -> Vec<f64> {
+    let mut span = Vec::new();
+    in_groups(
+        range,
+        |n| {
+            let pos: [f64; GROUP] = std::array::from_fn(|j| (n + j) as f64 * ratio);
+            let i = pos.map(|p| p.floor() as usize);
+            // An output whose pair would pass the right edge clamps;
+            // those go one at a time. Only rounding gets an output there,
+            // at a ratio within about `len · 2⁻⁵²` of 1 on a signal of
+            // about 2²⁶ samples or more.
+            if i[GROUP - 1] + 1 >= signal.len() {
+                return None;
+            }
+            let v: [[f64; 2]; GROUP] = fir::filter_direct_group(signal, taps, &i, &mut span);
+            Some(std::array::from_fn(|j| {
+                lerp(v[j][0], v[j][1], pos[j] - i[j] as f64)
+            }))
+        },
+        |n| {
+            sample_linear(signal.len(), n as f64 * ratio, |i| {
+                fir::filter_direct_at(signal, taps, i)
+            })
+        },
+    )
 }
 
 /// Outputs [`fir::filter_direct_group`] evaluates in one pass.
@@ -341,6 +357,39 @@ mod tests {
     #[should_panic(expected = "must be positive")]
     fn zero_rate_panics() {
         resample(&[1.0], 0.0, 1.0);
+    }
+
+    #[test]
+    fn output_past_the_right_edge_clamps() {
+        // Output `out_len - 1` reads at most `len - ratio` exactly, but at
+        // this ratio and length rounding puts its pair's second index at
+        // `len`: the group holding it declines, and the output clamps to
+        // the last filtered value. The zeroed signal is mapped lazily, so
+        // only its tail, which the last outputs read, takes memory.
+        let len = 134_217_530;
+        let ratio = 1.000_000_007_450_591_7;
+        let mut signal = vec![0u8; len];
+        for (k, v) in signal[len - 64..].iter_mut().enumerate() {
+            *v = (k * 37 % 251) as u8;
+        }
+        let out_len = (len as f64 / ratio).floor() as usize;
+        let last = ((out_len - 1) as f64 * ratio).floor() as usize;
+        assert_eq!(
+            last + 1,
+            len,
+            "the last output's pair no longer passes the edge"
+        );
+        let taps = anti_alias_filter(ratio);
+        let range = out_len - 2 * GROUP..out_len;
+        // `filter_direct` then `sample_linear`, with the filtered values
+        // the interpolation reads computed alone.
+        let at = |i| fir::filter_direct_at(&signal, &taps, i);
+        let reference: Vec<f64> = range
+            .clone()
+            .map(|n| sample_linear(len, n as f64 * ratio, at))
+            .collect();
+        assert_eq!(reference[2 * GROUP - 1], at(len - 1));
+        assert_eq!(downsample(&signal, &taps, ratio, range), reference);
     }
 
     #[test]

@@ -27,6 +27,13 @@ cargo test -q --release -p emprof-sim
 # group kernel against single-output evaluation at every edge.
 cargo test -q --release -p emprof-workloads -p emprof-signal -p emprof-emsim
 
+# Bit-identity of the fused normalize-and-detect kernel, optimised: its
+# extreme updates are written to lower to single min/max instructions,
+# so the kernel against the multi-pass reference, streaming against
+# batch and parallel against sequential detection run on the shipped
+# codegen too, not only in the debug workspace pass.
+cargo test -q --release --test prop_fused --test prop_streaming --test par_equivalence --test prop_parallel
+
 # Pipeline throughput smoke: sequential vs parallel at 1/2/4 threads
 # (capped at the host's parallelism) plus the direct-vs-FFT FIR
 # crossover; asserts thread-count invariance. The run is written to
