@@ -63,4 +63,4 @@ pub use histogram::Histogram;
 pub use profile::{Confidence, Profile, StallEvent, StallKind};
 pub use streaming::{StreamingEmprof, StreamingStats};
 
-pub use emprof_par::Parallelism;
+pub use emprof_par::{pool::parallel_map, Parallelism};

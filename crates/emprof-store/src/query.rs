@@ -11,7 +11,7 @@
 //!
 //! The headline invariant: every statistic a query returns is
 //! bit-identical to recomputing it from a full replay of the same
-//! journals. Three design choices enforce it by construction:
+//! journals. Four design choices enforce it by construction:
 //!
 //! 1. The fold is the *same* fold replay uses — one stable sort by
 //!    sequence and last-wins dedup, the helper that
@@ -27,9 +27,14 @@
 //!    segment neither holds an in-range event nor hides damage that
 //!    ends the prefix. (This leans on the append path journaling each
 //!    event sequence exactly once, which the delivery layer guarantees.)
-//! 3. The cache stores fully decoded sealed segments validated by file
-//!    stat on every hit, so the hit path folds the same records the
-//!    cold path would read.
+//! 3. The cache stores fully decoded sealed segments, pruned ones
+//!    included, validated by file stat on every hit, so the hit path
+//!    folds the same records the cold path would read.
+//! 4. Cache-missed segments are walked in parallel, on `EMPROF_THREADS`
+//!    workers per session, but the fold visits their results in
+//!    segment order, and a stat or walk error is raised only when the
+//!    fold reaches its segment. The parallel engine therefore answers,
+//!    and accounts, exactly as a one-segment-at-a-time loop would.
 //!
 //! Reads are strictly read-only (the frame walk of [`scan_segment`],
 //! never [`crate::journal::Journal::open`], which repairs in place), so
@@ -44,13 +49,14 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::SystemTime;
 
-use emprof_core::StallEvent;
+use emprof_core::{parallel_map, Parallelism, StallEvent};
 use emprof_obs::metrics::LogHistogram;
 use emprof_obs::HistogramSnapshot;
 
 use crate::cache::{DecodedSegment, SegmentCache};
-use crate::record::{sequenced, Record, Scanned, SessionMeta};
+use crate::record::{sequenced, Record, Scanned, SegmentFooter, SessionMeta};
 use crate::segment::{parse_segment_file_name, scan_segment_with};
 use crate::session::fold_by_seq;
 
@@ -272,7 +278,9 @@ impl QueryAccumulator {
 /// or a flat `emprof record` directory of segments. Sessions without a
 /// surviving identity checkpoint contribute nothing (exactly as replay
 /// treats them). Pass a [`SegmentCache`] to reuse decoded sealed
-/// segments across queries.
+/// segments across queries. Each session's cache-missed segments are
+/// walked on `EMPROF_THREADS` workers (else one per hardware thread);
+/// the answer does not depend on the count.
 ///
 /// # Errors
 ///
@@ -284,6 +292,18 @@ pub fn query_journals(
     spec: &QuerySpec,
     cache: Option<&SegmentCache>,
 ) -> io::Result<QueryResult> {
+    query_journals_with(root, spec, cache, Parallelism::resolve(None))
+}
+
+/// [`query_journals`] with `par` workers scanning each session's
+/// cache-missed segments. The result, accounting included, is the same
+/// for every worker count.
+pub(crate) fn query_journals_with(
+    root: &Path,
+    spec: &QuerySpec,
+    cache: Option<&SegmentCache>,
+    par: Parallelism,
+) -> io::Result<QueryResult> {
     let mut acc = QueryAccumulator::new(spec)?;
     for (id_hint, dir) in discover_sessions(root)? {
         // A directory-named session the filter excludes is skipped
@@ -293,7 +313,7 @@ pub fn query_journals(
                 continue;
             }
         }
-        query_session(&dir, id_hint, spec, cache, &mut acc)?;
+        query_session(&dir, id_hint, spec, cache, par, &mut acc)?;
     }
     Ok(acc.finish())
 }
@@ -333,10 +353,11 @@ fn query_session(
     id_hint: Option<u64>,
     spec: &QuerySpec,
     cache: Option<&SegmentCache>,
+    par: Parallelism,
     acc: &mut QueryAccumulator,
 ) -> io::Result<()> {
     for _ in 0..MAX_REPLANS {
-        match query_session_once(dir, spec, cache) {
+        match query_session_once(dir, spec, cache, par) {
             Ok(None) => return Ok(()),
             Ok(Some((meta, events, acct))) => {
                 acc.accounting.segments_scanned += acct.segments_scanned;
@@ -363,13 +384,77 @@ fn query_session(
 
 type SessionRead = (SessionMeta, Vec<(u64, StallEvent)>, QueryAccounting);
 
+/// One listed segment as planned: its stat and, when the cache holds a
+/// valid entry for it, that entry.
+struct Planned<'a> {
+    base: u64,
+    path: &'a Path,
+    stat: io::Result<(u64, Option<SystemTime>)>,
+    hit: Option<Arc<DecodedSegment>>,
+}
+
+/// A cache-missed segment after its checked walk, reduced to what the
+/// fold reads.
+struct Walked {
+    base_index: u64,
+    /// Records in the valid prefix, a footer included.
+    records: u64,
+    torn: bool,
+    /// The tail footer of a sealed segment: a clean walk ending in it.
+    footer: Option<SegmentFooter>,
+    /// The segment's last identity checkpoint.
+    meta: Option<SessionMeta>,
+    events: Vec<(u64, StallEvent)>,
+}
+
+/// Walks one segment and checks it as recovery walks it; `None` is an
+/// invalid header. Samples are checked, never decoded: no query reads
+/// them.
+fn walk(path: &Path) -> io::Result<Option<Walked>> {
+    let Some(scan) = scan_segment_with(path, Scanned::read)? else {
+        return Ok(None);
+    };
+    let footer = match scan.records.last() {
+        Some((_, Scanned::Record(Record::Footer(f)))) if !scan.torn => Some(*f),
+        _ => None,
+    };
+    let records = scan.records.len() as u64;
+    let mut meta = None;
+    let mut events = Vec::new();
+    for (_, rec) in scan.records {
+        match rec {
+            Scanned::Record(Record::Meta(m)) => meta = Some(m),
+            Scanned::Record(Record::Events {
+                first_seq,
+                events: batch,
+            }) => events.extend(sequenced(first_seq, &batch)),
+            _ => {}
+        }
+    }
+    Ok(Some(Walked {
+        base_index: scan.base_index,
+        records,
+        torn: scan.torn,
+        footer,
+        meta,
+        events,
+    }))
+}
+
 /// One read attempt over a session directory snapshot. `NotFound` from
 /// any segment read means the snapshot went stale (compaction); the
 /// caller replans.
+///
+/// Three phases: plan (stat every listed segment and look it up in the
+/// cache, in list order), fan out (walk the cache misses on `par`
+/// workers), fold (the valid-prefix state machine, in segment order).
+/// A stat or walk error is held until the fold reaches its segment, so
+/// a segment past the first anomaly never fails or replans the query.
 fn query_session_once(
     dir: &Path,
     spec: &QuerySpec,
     cache: Option<&SegmentCache>,
+    par: Parallelism,
 ) -> io::Result<Option<SessionRead>> {
     let mut segs: Vec<(u64, PathBuf)> = Vec::new();
     for entry in fs::read_dir(dir)? {
@@ -387,6 +472,34 @@ fn query_session_once(
     if segs.is_empty() {
         return Ok(None);
     }
+    // A duplicate base ends the plan: recovery keeps the first copy and
+    // drops the rest of the journal.
+    if let Some(dup) = segs.windows(2).position(|w| w[0].0 == w[1].0) {
+        segs.truncate(dup + 1);
+    }
+    let plan: Vec<Planned> = segs
+        .iter()
+        .map(|(base, path)| {
+            let stat = fs::metadata(path).map(|md| (md.len(), md.modified().ok()));
+            let hit = match (cache, &stat) {
+                (Some(c), Ok((len, modified))) => c.get(dir, *base, *len, *modified),
+                _ => None,
+            };
+            Planned {
+                base: *base,
+                path,
+                stat,
+                hit,
+            }
+        })
+        .collect();
+    let misses: Vec<&Path> = plan
+        .iter()
+        .filter(|p| p.stat.is_ok() && p.hit.is_none())
+        .map(|p| p.path)
+        .collect();
+    let mut walks = parallel_map(par, &misses, |path| walk(path)).into_iter();
+
     let mut meta: Option<SessionMeta> = None;
     let mut folded: Vec<(u64, StallEvent)> = Vec::new();
     let mut acct = QueryAccounting::default();
@@ -396,95 +509,73 @@ fn query_session_once(
     // overlapping index coverage, or a torn tail — so a bit-identical
     // query must stop folding at exactly the same segment.
     let mut next_index = 0u64;
-    let mut last_base: Option<u64> = None;
-    for (i, (base, path)) in segs.iter().enumerate() {
-        if last_base == Some(*base) {
-            // Duplicate base: recovery keeps the first copy and drops
-            // the rest of the journal.
-            break;
-        }
-        last_base = Some(*base);
-        let md = fs::metadata(path)?;
-        let (file_len, modified) = (md.len(), md.modified().ok());
-        if let Some(c) = cache {
-            if let Some(seg) = c.get(dir, *base, file_len, modified) {
-                acct.cache_hits += 1;
-                if *base < next_index {
-                    // Overlapping coverage: outside the valid prefix.
-                    break;
-                }
-                meta = seg.meta.clone().or(meta);
-                // The first retained segment always folds: checkpoint
-                // discipline puts the session's Meta at its head, and
-                // pruning decisions only ever skip event payloads.
-                if i > 0 && !seg.footer.overlaps(spec.t0, spec.t1) {
-                    acct.segments_pruned += 1;
-                } else {
-                    folded.extend_from_slice(&seg.events);
-                    acct.segments_scanned += 1;
-                }
-                // The scan recovery would run counts the footer record
-                // itself; the footer's own record_count does not.
-                next_index = *base + seg.footer.record_count + 1;
-                continue;
+    for (i, p) in plan.into_iter().enumerate() {
+        let (base, (file_len, modified)) = (p.base, p.stat?);
+        if let Some(seg) = p.hit {
+            acct.cache_hits += 1;
+            if base < next_index {
+                // Overlapping coverage: outside the valid prefix.
+                break;
             }
+            meta = seg.meta.clone().or(meta);
+            // The first retained segment always folds: checkpoint
+            // discipline puts the session's Meta at its head, and
+            // pruning decisions only ever skip event payloads.
+            if i > 0 && !seg.footer.overlaps(spec.t0, spec.t1) {
+                acct.segments_pruned += 1;
+            } else {
+                folded.extend_from_slice(&seg.events);
+                acct.segments_scanned += 1;
+            }
+            // The scan recovery would run counts the footer record
+            // itself; the footer's own record_count does not.
+            next_index = base + seg.footer.record_count + 1;
+            continue;
+        }
+        if cache.is_some() {
             acct.cache_misses += 1;
         }
         // Every segment is walked and checked as recovery walks it, a
         // pruned one too: a tail footer survives damage further in, and
-        // recovery ends the prefix there. Samples are checked, never
-        // decoded: no query reads them.
-        let Some(scan) = scan_segment_with(path, Scanned::read)? else {
+        // recovery ends the prefix there.
+        let Some(w) = walks.next().expect("one walk per cache miss")? else {
             // Invalid header: recovery drops this file and everything
             // after it.
             break;
         };
-        if scan.base_index != *base || scan.base_index < next_index {
+        if w.base_index != base || w.base_index < next_index {
             // A header disagreeing with the file name, or claiming an
             // index range an earlier segment already covers: named
             // corruption, end of the valid prefix.
             break;
         }
-        // Sealed: a clean walk that ends in the footer.
-        let footer = match scan.records.last() {
-            Some((_, Scanned::Record(Record::Footer(f)))) if !scan.torn => Some(*f),
-            _ => None,
-        };
-        next_index = scan.base_index + scan.records.len() as u64;
-        if i > 0 && footer.is_some_and(|f| !f.overlaps(spec.t0, spec.t1)) {
+        next_index = w.base_index + w.records;
+        // A pruned segment's checkpoint still counts, as on a hit and in
+        // replay: pruning only ever skips event payloads.
+        meta = w.meta.clone().or(meta);
+        if i > 0 && w.footer.is_some_and(|f| !f.overlaps(spec.t0, spec.t1)) {
             acct.segments_pruned += 1;
-            continue;
+        } else {
+            folded.extend_from_slice(&w.events);
+            acct.segments_scanned += 1;
         }
-        acct.segments_scanned += 1;
-        let mut seg_meta: Option<SessionMeta> = None;
-        let mut seg_events: Vec<(u64, StallEvent)> = Vec::new();
-        for (_, rec) in &scan.records {
-            match rec {
-                Scanned::Record(Record::Meta(m)) => seg_meta = Some(m.clone()),
-                Scanned::Record(Record::Events { first_seq, events }) => {
-                    seg_events.extend(sequenced(*first_seq, events));
-                }
-                _ => {}
-            }
-        }
-        meta = seg_meta.clone().or(meta);
-        folded.extend_from_slice(&seg_events);
-        // Only a sealed segment is immutable and safe to cache.
-        if let (Some(c), Some(footer)) = (cache, footer) {
+        // Only a sealed segment is immutable and safe to cache; a
+        // pruned one too, so warm queries need not walk it again.
+        if let (Some(c), Some(footer)) = (cache, w.footer) {
             c.insert(
                 dir,
-                *base,
+                base,
                 Arc::new(DecodedSegment {
-                    base_index: *base,
-                    meta: seg_meta,
-                    events: seg_events,
+                    base_index: base,
+                    meta: w.meta,
+                    events: w.events,
                     footer,
                     file_len,
                     modified,
                 }),
             );
         }
-        if scan.torn {
+        if w.torn {
             // Recovery truncates a torn segment to its valid prefix
             // (which we just folded) and drops every later segment.
             break;
@@ -708,5 +799,184 @@ mod tests {
             bucket_samples: 1,
         };
         assert!(spec.timeline_len().is_err());
+    }
+
+    #[test]
+    fn warm_window_query_misses_only_unsealed_tails() {
+        let root = tmp_dir("prunecache");
+        write_session(&root.join("session-1"), 1, 60);
+        write_session(&root.join("session-2"), 2, 60);
+        let spec = QuerySpec {
+            t0: 55_000,
+            t1: 60_000,
+            sessions: Vec::new(),
+            bucket_samples: 0,
+        };
+        let cache = SegmentCache::default();
+        let first = query_journals(&root, &spec, Some(&cache)).unwrap();
+        assert!(first.accounting.segments_pruned > 0, "{:?}", first.accounting);
+        let second = query_journals(&root, &spec, Some(&cache)).unwrap();
+        // Pruned sealed segments were cached by the first query and stay
+        // pruned on a hit; only each session's open tail is walked again.
+        assert_eq!(second.accounting.cache_misses, 2, "{:?}", second.accounting);
+        assert_eq!(second.accounting.segments_pruned, first.accounting.segments_pruned);
+        assert_eq!(second.accounting.segments_scanned, first.accounting.segments_scanned);
+        assert_eq!(second.events, first.events);
+        assert_eq!(second.latency, first.latency);
+        assert_eq!(second.sessions, first.sessions);
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn pruned_segment_checkpoint_counts_cold_and_warm() {
+        // A later checkpoint sits in a segment the window prunes, and the
+        // open tail holds none: replay's last Meta is the pruned one's.
+        let root = tmp_dir("prunedmeta");
+        let dir = root.join("session-4");
+        let mut j = crate::journal::Journal::open_with(&dir, small_cfg())
+            .unwrap()
+            .journal;
+        let events = |seq: u64, start: usize| Record::Events {
+            first_seq: seq,
+            events: vec![ev(start, 100.0, StallKind::Normal, Confidence::High)],
+        };
+        let mut renamed = meta(4);
+        renamed.device = "dev-4-renamed".into();
+        j.append(&Record::Meta(meta(4))).unwrap();
+        j.append(&events(1, 1_000)).unwrap();
+        j.roll().unwrap();
+        j.append(&Record::Meta(renamed)).unwrap();
+        j.append(&events(2, 50_000)).unwrap();
+        j.roll().unwrap();
+        j.append(&events(3, 90_000)).unwrap();
+        j.sync().unwrap();
+        drop(j);
+        let spec = QuerySpec {
+            t0: 0,
+            t1: 2_000,
+            sessions: Vec::new(),
+            bucket_samples: 0,
+        };
+        let cache = SegmentCache::default();
+        for _ in 0..2 {
+            let r = query_journals(&root, &spec, Some(&cache)).unwrap();
+            assert_eq!(r.accounting.segments_pruned, 1, "{:?}", r.accounting);
+            assert_eq!(r.sessions[0].device, "dev-4-renamed");
+            assert_eq!(r.events, 1);
+        }
+        let rec = crate::session::read_session(&dir, small_cfg())
+            .unwrap()
+            .unwrap();
+        assert_eq!(rec.meta.device, "dev-4-renamed");
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// The segment files of one session directory, in base order.
+    fn segment_paths(dir: &Path) -> Vec<PathBuf> {
+        let mut paths: Vec<PathBuf> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|e| e == "emj"))
+            .collect();
+        paths.sort();
+        paths
+    }
+
+    /// Queries `root` on one worker and on four, each side with a fresh
+    /// cache: uncached, cold and warm, then warm again after every third
+    /// segment of each session is restamped, which mixes hits and misses
+    /// within a session. Every result must agree, accounting included.
+    fn assert_parallel_equals_sequential(root: &Path) -> Vec<QueryResult> {
+        static STAMP: AtomicU64 = AtomicU64::new(1_000_000);
+        let specs = [
+            QuerySpec::all(),
+            QuerySpec {
+                t0: 22_000,
+                t1: 31_000,
+                sessions: Vec::new(),
+                bucket_samples: 500,
+            },
+            QuerySpec {
+                sessions: vec![2],
+                ..QuerySpec::all()
+            },
+        ];
+        let runs = |threads: usize| -> Vec<QueryResult> {
+            let par = Parallelism::new(threads);
+            let cache = SegmentCache::default();
+            let mut out = Vec::new();
+            for spec in &specs {
+                out.push(query_journals_with(root, spec, None, par).unwrap());
+                out.push(query_journals_with(root, spec, Some(&cache), par).unwrap());
+                out.push(query_journals_with(root, spec, Some(&cache), par).unwrap());
+            }
+            for session in ["session-1", "session-2"] {
+                for p in segment_paths(&root.join(session)).iter().step_by(3) {
+                    let secs = STAMP.fetch_add(1, Ordering::Relaxed);
+                    let f = fs::OpenOptions::new().write(true).open(p).unwrap();
+                    f.set_modified(std::time::UNIX_EPOCH + std::time::Duration::from_secs(secs))
+                        .unwrap();
+                }
+            }
+            for spec in &specs {
+                out.push(query_journals_with(root, spec, Some(&cache), par).unwrap());
+            }
+            out
+        };
+        let seq = runs(1);
+        assert_eq!(runs(4), seq);
+        seq
+    }
+
+    #[test]
+    fn parallel_scan_equals_sequential_on_damaged_journals() {
+        type Damage = fn(&[PathBuf]);
+        let cases: [(&str, Damage); 5] = [
+            ("crc", |segs| {
+                // A payload byte of a middle segment's second record.
+                let mut bytes = fs::read(&segs[3]).unwrap();
+                let at = bytes.len() / 2;
+                bytes[at] ^= 0xff;
+                fs::write(&segs[3], bytes).unwrap();
+            }),
+            ("dupbase", |segs| {
+                // An identical twin whose name parses to the same base.
+                let name = segs[4].file_name().unwrap().to_str().unwrap();
+                let base = parse_segment_file_name(name).unwrap();
+                fs::copy(&segs[4], segs[4].with_file_name(format!("seg-{base}.emj"))).unwrap();
+            }),
+            ("mismatch", |segs| {
+                // A valid header naming another base than the file name.
+                let mut bytes = fs::read(&segs[3]).unwrap();
+                let name = segs[3].file_name().unwrap().to_str().unwrap();
+                let base = parse_segment_file_name(name).unwrap();
+                bytes[..crate::segment::SEGMENT_HEADER_LEN]
+                    .copy_from_slice(&crate::segment::encode_segment_header(base + 1));
+                fs::write(&segs[3], bytes).unwrap();
+            }),
+            ("torn", |segs| {
+                // A middle segment and the open tail both lose their ends.
+                for p in [&segs[5], segs.last().unwrap()] {
+                    let len = fs::metadata(p).unwrap().len();
+                    let f = fs::OpenOptions::new().write(true).open(p).unwrap();
+                    f.set_len(len - 3).unwrap();
+                }
+            }),
+            ("clean", |_| {}),
+        ];
+        for (tag, damage) in cases {
+            let root = tmp_dir(tag);
+            write_session(&root.join("session-1"), 1, 60);
+            write_session(&root.join("session-2"), 2, 60);
+            let segs = segment_paths(&root.join("session-2"));
+            assert!(segs.len() > 8, "{tag}: {} segments", segs.len());
+            damage(&segs);
+            let results = assert_parallel_equals_sequential(&root);
+            let damaged = results[0].sessions.iter().find(|r| r.session_id == 2).unwrap();
+            assert_eq!(damaged.events < 60, tag != "clean", "{tag}: {damaged:?}");
+            let mixed = results[9].accounting;
+            assert!(mixed.cache_hits > 0 && mixed.cache_misses > 2, "{tag}: {mixed:?}");
+            fs::remove_dir_all(&root).unwrap();
+        }
     }
 }

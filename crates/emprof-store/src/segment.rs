@@ -21,8 +21,8 @@
 //! The first frame that is truncated, oversized, or CRC-corrupt ends
 //! the valid prefix: everything before it is intact (CRC-verified),
 //! everything from it on is treated as a torn write. Scanning never
-//! panics and allocates at most one bounded payload at a time beyond
-//! the file read itself.
+//! panics and reads the file one record at a time, so a walk holds at
+//! most one bounded record payload.
 
 use std::fs;
 use std::io;
@@ -158,7 +158,8 @@ pub struct SegmentScan<R = Record> {
 
 /// Scans a segment file, validating the header and every record frame.
 /// Returns `None` when the header itself is invalid (the whole file is
-/// unusable — a torn header write or foreign file).
+/// unusable — a torn header write or foreign file). The walk covers the
+/// file's length as of the open and holds one record payload at a time.
 ///
 /// # Errors
 ///
@@ -173,35 +174,86 @@ pub fn scan_segment(path: &Path) -> io::Result<Option<SegmentScan>> {
 /// of [`Record::decode`]. A frame that is truncated, longer than
 /// [`MAX_RECORD`] or fails its CRC ends the valid prefix, and so does a
 /// frame `read` refuses: a CRC-valid payload that does not decode is a
-/// format mismatch, which recovery treats as corruption.
+/// format mismatch, which recovery treats as corruption. So does a file
+/// that shrinks mid-walk: the bytes it lost read as a torn tail.
 ///
 /// # Errors
 ///
 /// As [`scan_segment`].
 pub(crate) fn scan_segment_with<R>(
     path: &Path,
+    read: impl FnMut(u8, &[u8]) -> Result<R, DecodeError>,
+) -> io::Result<Option<SegmentScan<R>>> {
+    let mut file = fs::File::open(path)?;
+    let file_len = file.metadata()?.len();
+    scan_frames(&mut file, file_len, read)
+}
+
+/// Reads until `buf` is full or the source ends, returning the bytes
+/// read: a file that shrank after its length was taken reads short, and
+/// the walk treats the bytes it lost as a torn tail, as it would the
+/// tail of a short whole-file read.
+fn read_full(src: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
+    let mut got = 0;
+    while got < buf.len() {
+        match src.read(&mut buf[got..]) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(got)
+}
+
+/// The walk of [`scan_segment_with`] over the first `file_len` bytes of
+/// `src`, one record at a time: after the segment and first record
+/// headers, each read takes one payload plus the next record's header
+/// into one reused buffer. A length is checked against [`MAX_RECORD`]
+/// and the bytes left before anything is read for it, so the walk holds
+/// at most one record payload and never reads past `file_len`.
+fn scan_frames<R>(
+    src: &mut impl Read,
+    file_len: u64,
     mut read: impl FnMut(u8, &[u8]) -> Result<R, DecodeError>,
 ) -> io::Result<Option<SegmentScan<R>>> {
-    let bytes = fs::read(path)?;
-    let Some(base_index) = decode_segment_header(&bytes) else {
+    let mut seg_header = [0u8; SEGMENT_HEADER_LEN];
+    if file_len < SEGMENT_HEADER_LEN as u64
+        || read_full(src, &mut seg_header)? < SEGMENT_HEADER_LEN
+    {
+        return Ok(None);
+    }
+    let Some(base_index) = decode_segment_header(&seg_header) else {
         return Ok(None);
     };
     let mut records = Vec::new();
-    let mut pos = SEGMENT_HEADER_LEN;
-    while pos < bytes.len() {
-        let Some(header) = bytes.get(pos..pos + RECORD_HEADER_LEN) else {
-            break;
-        };
+    let mut pos = SEGMENT_HEADER_LEN as u64;
+    let mut header = [0u8; RECORD_HEADER_LEN];
+    let mut buf = Vec::new();
+    let mut more = file_len - pos >= RECORD_HEADER_LEN as u64
+        && read_full(src, &mut header)? == RECORD_HEADER_LEN;
+    while more {
         let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
         let kind = header[4];
         let crc = u32::from_le_bytes(header[5..9].try_into().unwrap());
-        if len > MAX_RECORD {
+        let left = file_len - pos - RECORD_HEADER_LEN as u64;
+        if len > MAX_RECORD || u64::from(len) > left {
             break;
         }
-        let start = pos + RECORD_HEADER_LEN;
-        let Some(payload) = bytes.get(start..start + len as usize) else {
-            break;
+        let len = len as usize;
+        let next = if left - len as u64 >= RECORD_HEADER_LEN as u64 {
+            RECORD_HEADER_LEN
+        } else {
+            0
         };
+        if buf.len() < len + next {
+            buf.resize(len + next, 0);
+        }
+        let got = read_full(src, &mut buf[..len + next])?;
+        if got < len {
+            break;
+        }
+        let payload = &buf[..len];
         if frame_crc(kind, payload) != crc {
             break;
         }
@@ -209,13 +261,17 @@ pub(crate) fn scan_segment_with<R>(
             break;
         };
         records.push((base_index + records.len() as u64, rec));
-        pos = start + payload.len();
+        pos += (RECORD_HEADER_LEN + len) as u64;
+        more = next == RECORD_HEADER_LEN && got == len + next;
+        if more {
+            header.copy_from_slice(&buf[len..len + next]);
+        }
     }
     Ok(Some(SegmentScan {
         base_index,
         records,
-        valid_len: pos as u64,
-        torn: pos < bytes.len(),
+        valid_len: pos,
+        torn: pos < file_len,
     }))
 }
 
@@ -262,7 +318,150 @@ pub fn read_segment_footer(path: &Path) -> io::Result<Option<SegmentFooter>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emprof_core::{Confidence, StallEvent, StallKind};
+    use proptest::prelude::*;
     use std::io::Write;
+
+    /// The whole-buffer walk the streamed one replaced, kept as its
+    /// model: every record check in the same order over the bytes of a
+    /// single whole-file read.
+    fn scan_bytes_reference(bytes: &[u8]) -> Option<SegmentScan> {
+        let base_index = decode_segment_header(bytes)?;
+        let mut records = Vec::new();
+        let mut pos = SEGMENT_HEADER_LEN;
+        while pos < bytes.len() {
+            let Some(header) = bytes.get(pos..pos + RECORD_HEADER_LEN) else {
+                break;
+            };
+            let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
+            let kind = header[4];
+            let crc = u32::from_le_bytes(header[5..9].try_into().unwrap());
+            if len > MAX_RECORD {
+                break;
+            }
+            let start = pos + RECORD_HEADER_LEN;
+            let Some(payload) = bytes.get(start..start + len as usize) else {
+                break;
+            };
+            if frame_crc(kind, payload) != crc {
+                break;
+            }
+            let Ok(rec) = Record::decode(kind, payload) else {
+                break;
+            };
+            records.push((base_index + records.len() as u64, rec));
+            pos = start + payload.len();
+        }
+        Some(SegmentScan {
+            base_index,
+            records,
+            valid_len: pos as u64,
+            torn: pos < bytes.len(),
+        })
+    }
+
+    /// The streamed walk over `src`, told the file is `declared` bytes.
+    fn scan_stream(src: &[u8], declared: usize) -> Option<SegmentScan> {
+        scan_frames(&mut &src[..], declared as u64, Record::decode).unwrap()
+    }
+
+    type ScanView = Option<(u64, Vec<(u64, Record)>, u64, bool)>;
+
+    fn view(scan: Option<SegmentScan>) -> ScanView {
+        scan.map(|s| (s.base_index, s.records, s.valid_len, s.torn))
+    }
+
+    /// A record of one of three kinds, from plain drawn numbers.
+    fn record((kind, x, n): (u8, u64, usize)) -> Record {
+        match kind {
+            0 => Record::Cursor { acked_events: x },
+            1 => Record::Samples {
+                seq: x,
+                samples: (0..n).map(|i| (x >> (i % 32)) as u32 as f64).collect(),
+            },
+            _ => Record::Events {
+                first_seq: x >> 20,
+                events: (0..n % 4)
+                    .map(|i| StallEvent {
+                        start_sample: n * 1000 + i,
+                        end_sample: n * 1000 + i + 7,
+                        duration_cycles: (x % 100_000) as f64,
+                        kind: StallKind::Normal,
+                        confidence: Confidence::High,
+                    })
+                    .collect(),
+            },
+        }
+    }
+
+    proptest! {
+        /// The streamed walk equals the whole-buffer walk over the file
+        /// as it was when its length was taken, whatever the damage
+        /// (truncation, byte flips, an oversized length field, a bad
+        /// header) and even when the file has grown since.
+        #[test]
+        fn streamed_walk_equals_whole_buffer_walk(
+            base in any::<u64>(),
+            records in prop::collection::vec((0u8..3, any::<u64>(), 0usize..40), 0..12),
+            oversize in (0u8..3, any::<usize>(), 0u32..=MAX_RECORD),
+            flips in prop::collection::vec((any::<usize>(), 1u8..=255), 0..3),
+            bad_header in (0u8..8, 0usize..SEGMENT_HEADER_LEN),
+            cut in (any::<bool>(), any::<usize>(), any::<bool>()),
+        ) {
+            let mut bytes = encode_segment_header(base).to_vec();
+            let mut frames = Vec::new();
+            for r in records {
+                frames.push(bytes.len());
+                bytes.extend_from_slice(&encode_record_frame(&record(r)));
+            }
+            let (mode, at, len) = oversize;
+            if mode > 0 && !frames.is_empty() {
+                // Mode 1: within MAX_RECORD but past the file's end;
+                // mode 2: past MAX_RECORD.
+                let len = if mode == 1 { len } else { MAX_RECORD + 1 + len };
+                let f = frames[at % frames.len()];
+                bytes[f..f + 4].copy_from_slice(&len.to_le_bytes());
+            }
+            for (at, mask) in flips {
+                let i = at % bytes.len();
+                bytes[i] ^= mask;
+            }
+            if bad_header.0 == 0 {
+                bytes[bad_header.1] ^= 0x5a;
+            }
+            let (truncate, at, grown) = cut;
+            let declared = if truncate { at % (bytes.len() + 1) } else { bytes.len() };
+            let want = view(scan_bytes_reference(&bytes[..declared]));
+            let src = if grown { &bytes[..] } else { &bytes[..declared] };
+            prop_assert_eq!(view(scan_stream(src, declared)), want);
+        }
+    }
+
+    #[test]
+    fn shrunk_file_ends_in_a_torn_tail() {
+        let mut bytes = encode_segment_header(7).to_vec();
+        let mut ends = Vec::new();
+        for r in cursors(3) {
+            bytes.extend_from_slice(&encode_record_frame(&r));
+            ends.push(bytes.len());
+        }
+        let declared = bytes.len();
+        // Lost mid-record, at a record boundary, inside the first record
+        // header: the prefix ends where the bytes run out, marked torn
+        // because the declared length was never reached.
+        for (have, valid, kept) in [
+            (ends[2] - 3, ends[1], 2),
+            (ends[1], ends[1], 2),
+            (SEGMENT_HEADER_LEN + 4, SEGMENT_HEADER_LEN, 0),
+        ] {
+            let scan = scan_stream(&bytes[..have], declared).expect("header intact");
+            assert!(scan.torn, "shrunk to {have}");
+            assert_eq!(scan.valid_len, valid as u64, "shrunk to {have}");
+            assert_eq!(scan.records.len(), kept, "shrunk to {have}");
+        }
+        // Lost inside the segment header: unusable, as a short read is.
+        assert!(scan_stream(&bytes[..SEGMENT_HEADER_LEN - 1], declared).is_none());
+    }
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(

@@ -105,8 +105,11 @@ cargo run -q --release -p emprof-bench --bin store_soak -- --smoke --seconds 8
 # compaction. prop_query_samples adds journals holding Samples records,
 # which queries check without decoding, damaged by truncation, a byte
 # flip in a sealed segment's Samples payload, or a Samples count that
-# disagrees with its length under a valid CRC.
+# disagrees with its length under a valid CRC. Queries walk a session's
+# cache-missed segments on EMPROF_THREADS workers; the second run pins
+# one worker so many-core hosts also check the sequential path.
 cargo test -q --release --test prop_query --test prop_query_samples
+EMPROF_THREADS=1 cargo test -q --release --test prop_query --test prop_query_samples
 
 # Query soak smoke: concurrent QUERY clients against a live journaled
 # server ingesting chaos-faulted sessions; fails if any query errors
