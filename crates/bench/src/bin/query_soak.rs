@@ -23,55 +23,20 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
-use emprof_core::EmprofConfig;
+use emprof_bench::soak::{self, build_signal, client_config, config, CLK, FS};
 use emprof_fault::FaultPlan;
 use emprof_serve::{
-    query_result_to_wire, query_spec_from_wire, ClientConfig, MetricsClient, ProfileClient,
+    query_result_to_wire, query_spec_from_wire, MetricsClient, ProfileClient,
     QueryResultWire, QuerySpecWire, ServeConfig, Server,
 };
 use emprof_store::query_journals;
 
-const FS: f64 = 40e6;
-const CLK: f64 = 1.0e9;
 /// Per-session ingest volume in signal segments (~385 samples each).
 /// Sized so every session journals past the 4 MiB segment target and
 /// rolls at least one *sealed* segment — the only kind the decoded
 /// cache stores — otherwise the hit-rate assertion tests nothing.
 const SMOKE_SIGNAL_SEGMENTS: usize = 1_800;
 const FULL_SIGNAL_SEGMENTS: usize = 3_000;
-
-fn config() -> EmprofConfig {
-    EmprofConfig::for_rates(FS, CLK)
-}
-
-fn client_config() -> ClientConfig {
-    ClientConfig {
-        read_timeout: Duration::from_secs(10),
-        backoff_base: Duration::from_millis(5),
-        backoff_max: Duration::from_millis(100),
-        max_reconnects: 8,
-        ..ClientConfig::default()
-    }
-}
-
-/// Deterministic busy/dip signal, distinct per session.
-fn build_signal(session: usize, segments: usize) -> Vec<f64> {
-    let mut s = Vec::new();
-    for j in 0..segments {
-        let x = (session * 7919 + j * 104729) as u64;
-        let gap = 3 + (x % 601) as usize;
-        let dip = ((x / 601) % 160) as usize;
-        let dip_level = 0.3 + ((x / 96160) % 256) as f64 / 255.0 * 1.2;
-        for k in 0..gap {
-            s.push(5.0 + (((j * 131 + k) * 2654435761) % 997) as f64 / 3000.0);
-        }
-        for k in 0..dip {
-            s.push(dip_level + (((j * 137 + k) * 2654435761) % 997) as f64 / 5000.0);
-        }
-    }
-    s.extend(std::iter::repeat_n(5.0, 400));
-    s
-}
 
 /// Strips the per-run accounting so two results compare on statistics
 /// alone: cache hits and scan counts legitimately differ between a
@@ -97,7 +62,7 @@ fn stream_session(
     session: usize,
     segments: usize,
 ) -> (ProfileClient, u64) {
-    let signal = build_signal(session, segments);
+    let signal = build_signal(session, 0, segments);
     let mut client = ProfileClient::connect_with(
         addr,
         &format!("query-soak-{session}"),
@@ -124,8 +89,7 @@ fn stream_session(
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
+    let smoke = soak::smoke();
     let sessions = if smoke { 3 } else { 4 };
     let signal_segments = if smoke {
         SMOKE_SIGNAL_SEGMENTS

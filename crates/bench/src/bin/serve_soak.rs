@@ -15,59 +15,16 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use emprof_core::{Emprof, EmprofConfig, StallEvent};
+use emprof_bench::soak::{self, batch_events, build_signal, config, CLK, FS};
 use emprof_serve::{ProfileClient, ServeConfig, Server};
 
-const FS: f64 = 40e6;
-const CLK: f64 = 1.0e9;
 const QUEUE_FRAMES: usize = 16;
 
-fn config() -> EmprofConfig {
-    EmprofConfig::for_rates(FS, CLK)
-}
-
-/// Deterministic busy/dip signal, distinct per (session, round).
-fn build_signal(session: usize, round: usize, segments: usize) -> Vec<f64> {
-    let mut s = Vec::new();
-    for j in 0..segments {
-        let x = (session * 7919 + round * 15485863 + j * 104729) as u64;
-        let gap = 3 + (x % 601) as usize;
-        let dip = ((x / 601) % 160) as usize;
-        let dip_level = 0.3 + ((x / 96160) % 256) as f64 / 255.0 * 1.2;
-        for k in 0..gap {
-            s.push(5.0 + (((j * 131 + k) * 2654435761) % 997) as f64 / 3000.0);
-        }
-        for k in 0..dip {
-            s.push(dip_level + (((j * 137 + k) * 2654435761) % 997) as f64 / 5000.0);
-        }
-    }
-    s.extend(std::iter::repeat_n(5.0, 400));
-    s
-}
-
-fn batch_events(signal: &[f64]) -> Vec<StallEvent> {
-    Emprof::new(config())
-        .profile_magnitude(signal, FS, CLK)
-        .events()
-        .to_vec()
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let budget = args
-        .iter()
-        .position(|a| a == "--seconds")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse::<u64>().ok())
-        .map(Duration::from_secs)
-        .unwrap_or(if smoke {
-            Duration::from_secs(10)
-        } else {
-            Duration::from_secs(60)
-        });
+    let smoke = soak::smoke();
+    let budget = soak::budget(10, 60);
     let sessions = if smoke { 4 } else { 8 };
     let segments = if smoke { 12 } else { 40 };
 

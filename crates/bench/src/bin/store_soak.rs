@@ -19,52 +19,9 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use emprof_core::{Emprof, EmprofConfig, StallEvent};
-use emprof_serve::{ClientConfig, ProfileClient, ServeConfig, Server};
+use emprof_bench::soak::{self, batch_events, build_signal, client_config, config, CLK, FS};
+use emprof_serve::{ProfileClient, ServeConfig, Server};
 use emprof_store::inspect_dir;
-
-const FS: f64 = 40e6;
-const CLK: f64 = 1.0e9;
-
-fn config() -> EmprofConfig {
-    EmprofConfig::for_rates(FS, CLK)
-}
-
-fn client_config() -> ClientConfig {
-    ClientConfig {
-        read_timeout: Duration::from_secs(10),
-        backoff_base: Duration::from_millis(5),
-        backoff_max: Duration::from_millis(100),
-        max_reconnects: 8,
-        ..ClientConfig::default()
-    }
-}
-
-/// Deterministic busy/dip signal, distinct per round.
-fn build_signal(round: usize, segments: usize) -> Vec<f64> {
-    let mut s = Vec::new();
-    for j in 0..segments {
-        let x = (round * 15485863 + j * 104729) as u64;
-        let gap = 3 + (x % 601) as usize;
-        let dip = ((x / 601) % 160) as usize;
-        let dip_level = 0.3 + ((x / 96160) % 256) as f64 / 255.0 * 1.2;
-        for k in 0..gap {
-            s.push(5.0 + (((j * 131 + k) * 2654435761) % 997) as f64 / 3000.0);
-        }
-        for k in 0..dip {
-            s.push(dip_level + (((j * 137 + k) * 2654435761) % 997) as f64 / 5000.0);
-        }
-    }
-    s.extend(std::iter::repeat_n(5.0, 400));
-    s
-}
-
-fn batch_events(signal: &[f64]) -> Vec<StallEvent> {
-    Emprof::new(config())
-        .profile_magnitude(signal, FS, CLK)
-        .events()
-        .to_vec()
-}
 
 fn journaled_config(dir: &Path) -> ServeConfig {
     ServeConfig {
@@ -102,7 +59,7 @@ fn count_bad_headers(dir: &Path) -> usize {
 /// landing inside a lost-reply kill window), resume after every
 /// restart, and check the final stream against batch.
 fn run_round(dir: &Path, round: usize, segments: usize, crashes: usize, tally: &mut Tally) {
-    let signal = build_signal(round, segments);
+    let signal = build_signal(0, round, segments);
     let expected = batch_events(&signal);
 
     let mut server = Server::bind("127.0.0.1:0", journaled_config(dir)).expect("bind");
@@ -169,19 +126,8 @@ fn run_round(dir: &Path, round: usize, segments: usize, crashes: usize, tally: &
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let budget = args
-        .iter()
-        .position(|a| a == "--seconds")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse::<u64>().ok())
-        .map(Duration::from_secs)
-        .unwrap_or(if smoke {
-            Duration::from_secs(10)
-        } else {
-            Duration::from_secs(45)
-        });
+    let smoke = soak::smoke();
+    let budget = soak::budget(10, 45);
     let segments = if smoke { 10 } else { 24 };
     let crashes = if smoke { 2 } else { 4 };
 

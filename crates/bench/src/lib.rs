@@ -17,6 +17,7 @@
 
 pub mod plot;
 pub mod runner;
+pub mod soak;
 pub mod table;
 
 pub use runner::{em_run, power_run, EmRun};

@@ -39,8 +39,10 @@ use std::io;
 #[cfg(test)]
 use emprof_core::{CalibConfig, Confidence, StallKind};
 use emprof_core::{EmprofConfig, StallEvent};
-use emprof_obs::{HistogramSnapshot, MeterSnapshot, Snapshot, SpanSnapshot};
-use emprof_store::codec::{self, DecodeError, Reader};
+use emprof_obs::{HistogramSnapshot, Snapshot};
+#[cfg(test)]
+use emprof_obs::{MeterSnapshot, SpanSnapshot};
+use emprof_store::codec::{self, DecodeError, Reader, Wire};
 use emprof_store::crc::{crc32, Crc32};
 
 /// First two header bytes: `b"EM"` read as a little-endian u16.
@@ -92,12 +94,9 @@ pub const MAX_SAMPLES_PER_FRAME: u32 = SAMPLES_FITTING_PAYLOAD;
 /// Upper bound on events per EVENTS/TAIL frame.
 const MAX_EVENTS_PER_FRAME: u32 = 100_000;
 
-/// Upper bound on entries per metric kind in a METRICS snapshot.
-pub const MAX_METRICS_ENTRIES: u32 = 4096;
-
-/// Upper bound on buckets per histogram in a METRICS snapshot (a
-/// base-2 log histogram over `u64` has at most 65 distinct buckets).
-pub const MAX_HISTOGRAM_BUCKETS: u32 = 128;
+/// Upper bounds on a METRICS snapshot's entries per metric kind and on
+/// buckets per histogram (METRICS and QUERY_RESULT alike).
+pub use emprof_store::codec::{MAX_HISTOGRAM_BUCKETS, MAX_METRICS_ENTRIES};
 
 /// Upper bound on per-session rows in a METRICS reply.
 pub const MAX_SESSION_ROWS: u32 = 4096;
@@ -134,131 +133,106 @@ pub const FLAG_FINAL: u8 = 0b0000_0001;
 /// reply (both directions share one frame type per exchange).
 pub const FLAG_REQUEST: u8 = 0b0000_0001;
 
-/// Frame discriminants (header byte 4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum FrameType {
-    /// Client → server: open a session (or a watch subscription).
-    Hello = 1,
-    /// Server → client: session accepted; carries the negotiated limits.
-    HelloAck = 2,
-    /// Client → server: a batch of f64 magnitude samples.
-    Samples = 3,
-    /// Client → server: deliver all events finalized so far.
-    Flush = 4,
-    /// Client → server: end of capture; finalize and report.
-    Fin = 5,
-    /// Server → client: finalized stall events.
-    Events = 6,
-    /// Server → client: per-session progress counters.
-    Stats = 7,
-    /// Either direction: a fatal protocol or server error.
-    Error = 8,
-    /// Watch client → server: poll the event tail from a cursor.
-    Watch = 9,
-    /// Server → watch client: tail events plus server-wide stats.
-    Tail = 10,
-    /// Server → client: liveness signal while the connection is
-    /// otherwise quiet, carrying the session's acked sequence.
-    Heartbeat = 11,
-    /// Client → server: events up to this sequence were durably
-    /// received; the server may advance its delivery cursor.
-    EventsAck = 12,
-    /// Client → server: poll the server's full telemetry snapshot.
-    MetricsRequest = 13,
-    /// Server → client: the telemetry snapshot plus per-session rows.
-    Metrics = 14,
-    /// Client → server: poll a compact liveness summary.
-    HealthRequest = 15,
-    /// Server → client: the liveness summary.
-    Health = 16,
-    /// Client → server: request flight-recorder dumps.
-    FlightRequest = 17,
-    /// Server → client: flight-recorder dumps, one JSON document each.
-    FlightReply = 18,
-    /// Admin → router (or router → backend): a cluster topology change —
-    /// join, leave, or drain a node.
-    ClusterJoin = 19,
-    /// Either direction: poll ([`FLAG_REQUEST`]) or report the cluster
-    /// membership/health table.
-    ClusterState = 20,
-    /// Either direction: poll ([`FLAG_REQUEST`]) or report one node's
-    /// health row. The router's probe loop lives on this frame.
-    NodeHealth = 21,
-    /// Client → server (or router): evaluate a journal range query.
-    Query = 22,
-    /// Server → client: the query's statistics.
-    QueryResult = 23,
-}
-
-impl FrameType {
-    fn from_u8(v: u8) -> Option<FrameType> {
-        Some(match v {
-            1 => FrameType::Hello,
-            2 => FrameType::HelloAck,
-            3 => FrameType::Samples,
-            4 => FrameType::Flush,
-            5 => FrameType::Fin,
-            6 => FrameType::Events,
-            7 => FrameType::Stats,
-            8 => FrameType::Error,
-            9 => FrameType::Watch,
-            10 => FrameType::Tail,
-            11 => FrameType::Heartbeat,
-            12 => FrameType::EventsAck,
-            13 => FrameType::MetricsRequest,
-            14 => FrameType::Metrics,
-            15 => FrameType::HealthRequest,
-            16 => FrameType::Health,
-            17 => FrameType::FlightRequest,
-            18 => FrameType::FlightReply,
-            19 => FrameType::ClusterJoin,
-            20 => FrameType::ClusterState,
-            21 => FrameType::NodeHealth,
-            22 => FrameType::Query,
-            23 => FrameType::QueryResult,
-            _ => return None,
-        })
+emprof_store::discriminants! {
+    /// Frame discriminants (header byte 4).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum FrameType: u8 {
+        /// Client → server: open a session (or a watch subscription).
+        Hello = 1,
+        /// Server → client: session accepted; carries the negotiated limits.
+        HelloAck = 2,
+        /// Client → server: a batch of f64 magnitude samples.
+        Samples = 3,
+        /// Client → server: deliver all events finalized so far.
+        Flush = 4,
+        /// Client → server: end of capture; finalize and report.
+        Fin = 5,
+        /// Server → client: finalized stall events.
+        Events = 6,
+        /// Server → client: per-session progress counters.
+        Stats = 7,
+        /// Either direction: a fatal protocol or server error.
+        Error = 8,
+        /// Watch client → server: poll the event tail from a cursor.
+        Watch = 9,
+        /// Server → watch client: tail events plus server-wide stats.
+        Tail = 10,
+        /// Server → client: liveness signal while the connection is
+        /// otherwise quiet, carrying the session's acked sequence.
+        Heartbeat = 11,
+        /// Client → server: events up to this sequence were durably
+        /// received; the server may advance its delivery cursor.
+        EventsAck = 12,
+        /// Client → server: poll the server's full telemetry snapshot.
+        MetricsRequest = 13,
+        /// Server → client: the telemetry snapshot plus per-session rows.
+        Metrics = 14,
+        /// Client → server: poll a compact liveness summary.
+        HealthRequest = 15,
+        /// Server → client: the liveness summary.
+        Health = 16,
+        /// Client → server: request flight-recorder dumps.
+        FlightRequest = 17,
+        /// Server → client: flight-recorder dumps, one JSON document each.
+        FlightReply = 18,
+        /// Admin → router (or router → backend): a cluster topology change —
+        /// join, leave, or drain a node.
+        ClusterJoin = 19,
+        /// Either direction: poll ([`FLAG_REQUEST`]) or report the cluster
+        /// membership/health table.
+        ClusterState = 20,
+        /// Either direction: poll ([`FLAG_REQUEST`]) or report one node's
+        /// health row. The router's probe loop lives on this frame.
+        NodeHealth = 21,
+        /// Client → server (or router): evaluate a journal range query.
+        Query = 22,
+        /// Server → client: the query's statistics.
+        QueryResult = 23,
     }
+    fn from_u8;
 }
 
-/// Error codes carried by [`Frame::Error`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u16)]
-pub enum ErrorCode {
-    /// The peer speaks a protocol version this side does not.
-    UnsupportedVersion = 1,
-    /// A frame failed to decode (truncated, bad discriminant, ...).
-    Malformed = 2,
-    /// A header or payload checksum did not verify.
-    Checksum = 3,
-    /// A frame exceeded a protocol bound.
-    TooLarge = 4,
-    /// A frame arrived that is invalid in the current connection state.
-    Protocol = 5,
-    /// The server is shutting down.
-    Shutdown = 6,
-    /// The server's session limit is reached.
-    SessionLimit = 7,
-    /// The session was reaped (idle timeout) or never existed.
-    NoSession = 8,
-    /// Anything else; see the message.
-    Internal = 9,
+emprof_store::discriminants! {
+    /// Error codes carried by [`Frame::Error`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum ErrorCode: u16 {
+        /// The peer speaks a protocol version this side does not.
+        UnsupportedVersion = 1,
+        /// A frame failed to decode (truncated, bad discriminant, ...).
+        Malformed = 2,
+        /// A header or payload checksum did not verify.
+        Checksum = 3,
+        /// A frame exceeded a protocol bound.
+        TooLarge = 4,
+        /// A frame arrived that is invalid in the current connection state.
+        Protocol = 5,
+        /// The server is shutting down.
+        Shutdown = 6,
+        /// The server's session limit is reached.
+        SessionLimit = 7,
+        /// The session was reaped (idle timeout) or never existed.
+        NoSession = 8,
+        /// Anything else; see the message.
+        Internal = 9,
+    }
+    fn known;
 }
 
 impl ErrorCode {
+    /// The code `v` names; a code this build does not know is `Internal`.
     fn from_u16(v: u16) -> ErrorCode {
-        match v {
-            1 => ErrorCode::UnsupportedVersion,
-            2 => ErrorCode::Malformed,
-            3 => ErrorCode::Checksum,
-            4 => ErrorCode::TooLarge,
-            5 => ErrorCode::Protocol,
-            6 => ErrorCode::Shutdown,
-            7 => ErrorCode::SessionLimit,
-            8 => ErrorCode::NoSession,
-            _ => ErrorCode::Internal,
-        }
+        ErrorCode::known(v).unwrap_or(ErrorCode::Internal)
+    }
+}
+
+/// A `u16`; an unknown code reads as [`ErrorCode::Internal`].
+impl Wire for ErrorCode {
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u16).put(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        Ok(ErrorCode::from_u16(r.u16()?))
     }
 }
 
@@ -402,27 +376,29 @@ pub struct HealthWire {
     pub journal_enabled: bool,
 }
 
-/// What a CLUSTER_JOIN frame asks the receiving node to do.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum ClusterAction {
-    /// Add (or re-add) the named node to the ring.
-    Join = 0,
-    /// Remove the named node from the ring.
-    Leave = 1,
-    /// Stop placing new sessions on the node and migrate its existing
-    /// sessions away; the node keeps serving until the drain completes.
-    Drain = 2,
+emprof_store::discriminants! {
+    /// What a CLUSTER_JOIN frame asks the receiving node to do.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum ClusterAction: u8 {
+        /// Add (or re-add) the named node to the ring.
+        Join = 0,
+        /// Remove the named node from the ring.
+        Leave = 1,
+        /// Stop placing new sessions on the node and migrate its existing
+        /// sessions away; the node keeps serving until the drain completes.
+        Drain = 2,
+    }
+    fn from_u8;
 }
 
-impl ClusterAction {
-    fn from_u8(v: u8) -> Option<ClusterAction> {
-        Some(match v {
-            0 => ClusterAction::Join,
-            1 => ClusterAction::Leave,
-            2 => ClusterAction::Drain,
-            _ => return None,
-        })
+/// One byte; any other value fails ("unknown cluster action").
+impl Wire for ClusterAction {
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u8).put(out);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        ClusterAction::from_u8(r.u8()?).ok_or(DecodeError("unknown cluster action"))
     }
 }
 
@@ -598,6 +574,97 @@ pub struct Tail {
     pub server: ServerStatsWire,
     /// Events finalized after the polled cursor.
     pub events: Vec<TailEvent>,
+}
+
+// Payload layouts: each struct's fields in wire order (see
+// `emprof_store::codec::wire_struct!`). `[flag]` fields travel in the
+// frame header, not the payload.
+emprof_store::wire_struct! {
+    Hello {
+        sample_rate_hz,
+        clock_hz,
+        config,
+        device,
+        resume_session_id,
+        resume_token,
+        watch: [flag],
+        proxied: [flag],
+    }
+    SessionStatsWire {
+        samples_pushed,
+        events_emitted,
+        buffered_samples,
+        queue_depth,
+        sheds,
+        acked_seq,
+        samples_rejected,
+        events_degraded,
+        final_report: [flag],
+    }
+    ServerStatsWire { sessions_active, frames_in, bytes_in, samples_in, events_total, sheds }
+    SessionRow {
+        session_id,
+        trace_id,
+        device,
+        connected,
+        queue_depth,
+        queue_capacity,
+        samples_pushed,
+        samples_per_sec,
+        events_emitted,
+        events_acked,
+        journaled_events,
+        sheds,
+        samples_rejected,
+        events_degraded,
+        idle_ms,
+    }
+    MetricsReply {
+        snapshot,
+        server,
+        sessions: [MAX_SESSION_ROWS, "session row count exceeds bound"],
+    }
+    HealthWire { healthy, uptime_ms, sessions_active, max_sessions, journal_enabled }
+    NodeHealthWire {
+        name,
+        addr,
+        up,
+        draining,
+        sessions_active,
+        max_sessions,
+        migrations_in,
+        migrations_out,
+        consecutive_failures,
+        uptime_ms,
+    }
+    FlightDumpWire { session_id, trace_id, json: [long MAX_FLIGHT_JSON] }
+    QuerySpecWire {
+        t0,
+        t1,
+        bucket_samples,
+        sessions: [MAX_QUERY_SESSIONS, "query session count exceeds bound"],
+    }
+    QueryRowWire { session_id, device, events, degraded, refresh_collisions }
+    QueryResultWire {
+        events,
+        degraded,
+        refresh_collisions,
+        latency,
+        timeline: [MAX_QUERY_BUCKETS, "timeline bucket count exceeds bound"],
+        sessions: [MAX_SESSION_ROWS, "query row count exceeds bound"],
+        segments_scanned,
+        segments_pruned,
+        cache_hits,
+        cache_misses,
+        nodes,
+    }
+    TailEvent { session_id, event }
+    Tail {
+        cursor,
+        missed,
+        server,
+        events: [MAX_EVENTS_PER_FRAME, "event count exceeds bound"],
+    }
 }
 
 /// A decoded protocol frame.
@@ -832,8 +899,9 @@ pub fn seal_frame(ty: u8, flags: u8, payload: &[u8]) -> Vec<u8> {
 }
 
 // ---------------------------------------------------------------------
-// Payload encoding/decoding: frame payloads are field sequences over
-// `emprof_store::codec`; only wire-only shapes are written here.
+// Payload encoding/decoding: the frame table below, over the payload
+// declarations above and `emprof_store::codec`, plus the zero-copy
+// SAMPLES view.
 
 /// A SAMPLES frame decoded zero-copy: the sequence number plus the
 /// payload bytes, borrowed straight from the receive buffer, and the
@@ -924,589 +992,71 @@ fn samples_view(payload: &[u8], crc: u32) -> Result<SamplesView<'_>, DecodeError
     Ok(SamplesView { seq, payload, crc })
 }
 
-fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        Some(v) => {
-            out.push(1);
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        None => out.push(0),
+// The frame table: each variant's frame type, payload and, for the two
+// polls that share a type with their reply, the header flag that tells
+// them apart.
+emprof_store::wire_enum! {
+    Frame: FrameType {
+        Hello(Hello) => Hello;
+        HelloAck { version, session_id, max_samples_per_frame, resume_token, acked_seq, trace_id }
+            => HelloAck;
+        Samples { seq, samples: [samples SAMPLES_FITTING_PAYLOAD] } => Samples;
+        Flush => Flush;
+        Fin => Fin;
+        Events { first_seq, events: [MAX_EVENTS_PER_FRAME, "event count exceeds bound"] }
+            => Events;
+        Stats(SessionStatsWire) => Stats;
+        Error { code, message } => Error;
+        Watch { cursor } => Watch;
+        Tail(Tail) => Tail;
+        Heartbeat { acked_seq } => Heartbeat;
+        EventsAck { seq } => EventsAck;
+        MetricsRequest => MetricsRequest;
+        Metrics(MetricsReply) => Metrics;
+        HealthRequest => HealthRequest;
+        Health(HealthWire) => Health;
+        FlightRequest { session_id } => FlightRequest;
+        FlightReply { dumps: [MAX_FLIGHT_DUMPS, "flight dump count exceeds bound"] } => FlightReply;
+        ClusterJoin { name, addr, action } => ClusterJoin;
+        ClusterStateRequest => ClusterState | FLAG_REQUEST;
+        ClusterStateReply { nodes: [MAX_CLUSTER_NODES, "cluster node count exceeds bound"] }
+            => ClusterState;
+        NodeHealthRequest => NodeHealth | FLAG_REQUEST;
+        NodeHealthReply(NodeHealthWire) => NodeHealth;
+        Query(QuerySpecWire) => Query;
+        QueryResult(QueryResultWire) => QueryResult;
     }
 }
 
-fn take_opt_u64(c: &mut Reader<'_>) -> Result<Option<u64>, DecodeError> {
-    match c.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(c.u64()?)),
-        _ => Err(DecodeError("bad option tag")),
-    }
+/// `bit` if `on`, else no flag.
+fn flag_if(on: bool, bit: u8) -> u8 {
+    bit * u8::from(on)
 }
 
-/// The one histogram wire shape, shared by METRICS snapshots and
-/// QUERY_RESULT latency distributions.
-fn encode_histogram_wire(out: &mut Vec<u8>, h: &HistogramSnapshot) {
-    out.extend_from_slice(&h.count.to_le_bytes());
-    out.extend_from_slice(&h.sum.to_le_bytes());
-    put_opt_u64(out, h.min);
-    put_opt_u64(out, h.max);
-    out.extend_from_slice(&(h.buckets.len() as u32).to_le_bytes());
-    for &(lo, hi, n) in &h.buckets {
-        out.extend_from_slice(&lo.to_le_bytes());
-        out.extend_from_slice(&hi.to_le_bytes());
-        out.extend_from_slice(&n.to_le_bytes());
-    }
-}
-
-fn decode_histogram_wire(c: &mut Reader<'_>) -> Result<HistogramSnapshot, DecodeError> {
-    let count = c.u64()?;
-    let sum = c.u64()?;
-    let min = take_opt_u64(c)?;
-    let max = take_opt_u64(c)?;
-    let nb = c.count(MAX_HISTOGRAM_BUCKETS, "bucket count exceeds bound")?;
-    let mut buckets = Vec::with_capacity(nb as usize);
-    for _ in 0..nb {
-        buckets.push((c.u64()?, c.u64()?, c.u64()?));
-    }
-    Ok(HistogramSnapshot {
-        count,
-        sum,
-        min,
-        max,
-        buckets,
-    })
-}
-
-fn encode_snapshot_wire(out: &mut Vec<u8>, s: &Snapshot) {
-    out.extend_from_slice(&(s.counters.len() as u32).to_le_bytes());
-    for (name, v) in &s.counters {
-        codec::put_str(out, name);
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out.extend_from_slice(&(s.gauges.len() as u32).to_le_bytes());
-    for (name, v) in &s.gauges {
-        codec::put_str(out, name);
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out.extend_from_slice(&(s.meters.len() as u32).to_le_bytes());
-    for (name, m) in &s.meters {
-        codec::put_str(out, name);
-        out.extend_from_slice(&m.count.to_le_bytes());
-        out.extend_from_slice(&m.rate_per_sec.to_le_bytes());
-    }
-    out.extend_from_slice(&(s.histograms.len() as u32).to_le_bytes());
-    for (name, h) in &s.histograms {
-        codec::put_str(out, name);
-        encode_histogram_wire(out, h);
-    }
-    out.extend_from_slice(&(s.spans.len() as u32).to_le_bytes());
-    for (name, sp) in &s.spans {
-        codec::put_str(out, name);
-        out.extend_from_slice(&sp.count.to_le_bytes());
-        out.extend_from_slice(&sp.total_ns.to_le_bytes());
-        out.extend_from_slice(&sp.min_ns.to_le_bytes());
-        out.extend_from_slice(&sp.max_ns.to_le_bytes());
-    }
-}
-
-fn decode_snapshot_wire(c: &mut Reader<'_>) -> Result<Snapshot, DecodeError> {
-    const TOO_MANY: &str = "metric entry count exceeds bound";
-    let n = c.count(MAX_METRICS_ENTRIES, TOO_MANY)?;
-    let mut counters = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        counters.push((c.string()?, c.u64()?));
-    }
-    let n = c.count(MAX_METRICS_ENTRIES, TOO_MANY)?;
-    let mut gauges = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        gauges.push((c.string()?, c.f64()?));
-    }
-    let n = c.count(MAX_METRICS_ENTRIES, TOO_MANY)?;
-    let mut meters = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        let name = c.string()?;
-        meters.push((
-            name,
-            MeterSnapshot {
-                count: c.u64()?,
-                rate_per_sec: c.f64()?,
-            },
-        ));
-    }
-    let n = c.count(MAX_METRICS_ENTRIES, TOO_MANY)?;
-    let mut histograms = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        let name = c.string()?;
-        histograms.push((name, decode_histogram_wire(c)?));
-    }
-    let n = c.count(MAX_METRICS_ENTRIES, TOO_MANY)?;
-    let mut spans = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        let name = c.string()?;
-        spans.push((
-            name,
-            SpanSnapshot {
-                count: c.u64()?,
-                total_ns: c.u64()?,
-                min_ns: c.u64()?,
-                max_ns: c.u64()?,
-            },
-        ));
-    }
-    Ok(Snapshot {
-        counters,
-        gauges,
-        meters,
-        histograms,
-        spans,
-    })
-}
-
-fn encode_server_stats(out: &mut Vec<u8>, s: &ServerStatsWire) {
-    out.extend_from_slice(&s.sessions_active.to_le_bytes());
-    out.extend_from_slice(&s.frames_in.to_le_bytes());
-    out.extend_from_slice(&s.bytes_in.to_le_bytes());
-    out.extend_from_slice(&s.samples_in.to_le_bytes());
-    out.extend_from_slice(&s.events_total.to_le_bytes());
-    out.extend_from_slice(&s.sheds.to_le_bytes());
-}
-
-fn decode_server_stats(c: &mut Reader<'_>) -> Result<ServerStatsWire, DecodeError> {
-    Ok(ServerStatsWire {
-        sessions_active: c.u64()?,
-        frames_in: c.u64()?,
-        bytes_in: c.u64()?,
-        samples_in: c.u64()?,
-        events_total: c.u64()?,
-        sheds: c.u64()?,
-    })
-}
-
-/// Appends `frame`'s payload to `p`; returns its type and flags.
+/// Appends `frame`'s payload to `p`; returns its type and flags: the
+/// table's, plus the HELLO and STATS flags their payloads carry.
 fn encode_payload(frame: &Frame, p: &mut Vec<u8>) -> (FrameType, u8) {
-    match frame {
-        Frame::Hello(h) => {
-            p.extend_from_slice(&h.sample_rate_hz.to_le_bytes());
-            p.extend_from_slice(&h.clock_hz.to_le_bytes());
-            codec::put_config(p, &h.config);
-            codec::put_str(p, &h.device);
-            p.extend_from_slice(&h.resume_session_id.to_le_bytes());
-            p.extend_from_slice(&h.resume_token.to_le_bytes());
-            let mut flags = 0;
-            if h.watch {
-                flags |= FLAG_WATCH;
-            }
-            if h.proxied {
-                flags |= FLAG_PROXIED;
-            }
-            (FrameType::Hello, flags)
-        }
-        Frame::HelloAck {
-            version,
-            session_id,
-            max_samples_per_frame,
-            resume_token,
-            acked_seq,
-            trace_id,
-        } => {
-            p.extend_from_slice(&version.to_le_bytes());
-            p.extend_from_slice(&session_id.to_le_bytes());
-            p.extend_from_slice(&max_samples_per_frame.to_le_bytes());
-            p.extend_from_slice(&resume_token.to_le_bytes());
-            p.extend_from_slice(&acked_seq.to_le_bytes());
-            p.extend_from_slice(&trace_id.to_le_bytes());
-            (FrameType::HelloAck, 0)
-        }
-        Frame::Samples { seq, samples } => {
-            codec::put_samples(p, *seq, samples);
-            (FrameType::Samples, 0)
-        }
-        Frame::Flush => (FrameType::Flush, 0),
-        Frame::Fin => (FrameType::Fin, 0),
-        Frame::Events { first_seq, events } => {
-            p.extend_from_slice(&first_seq.to_le_bytes());
-            codec::put_events(p, events);
-            (FrameType::Events, 0)
-        }
-        Frame::Stats(s) => {
-            p.extend_from_slice(&s.samples_pushed.to_le_bytes());
-            p.extend_from_slice(&s.events_emitted.to_le_bytes());
-            p.extend_from_slice(&s.buffered_samples.to_le_bytes());
-            p.extend_from_slice(&s.queue_depth.to_le_bytes());
-            p.extend_from_slice(&s.sheds.to_le_bytes());
-            p.extend_from_slice(&s.acked_seq.to_le_bytes());
-            p.extend_from_slice(&s.samples_rejected.to_le_bytes());
-            p.extend_from_slice(&s.events_degraded.to_le_bytes());
-            (
-                FrameType::Stats,
-                if s.final_report { FLAG_FINAL } else { 0 },
-            )
-        }
-        Frame::Error { code, message } => {
-            p.extend_from_slice(&(*code as u16).to_le_bytes());
-            codec::put_str(p, message);
-            (FrameType::Error, 0)
-        }
-        Frame::Watch { cursor } => {
-            p.extend_from_slice(&cursor.to_le_bytes());
-            (FrameType::Watch, 0)
-        }
-        Frame::Tail(t) => {
-            p.extend_from_slice(&t.cursor.to_le_bytes());
-            p.extend_from_slice(&t.missed.to_le_bytes());
-            encode_server_stats(p, &t.server);
-            p.extend_from_slice(&(t.events.len() as u32).to_le_bytes());
-            for te in &t.events {
-                p.extend_from_slice(&te.session_id.to_le_bytes());
-                codec::put_event(p, &te.event);
-            }
-            (FrameType::Tail, 0)
-        }
-        Frame::Heartbeat { acked_seq } => {
-            p.extend_from_slice(&acked_seq.to_le_bytes());
-            (FrameType::Heartbeat, 0)
-        }
-        Frame::EventsAck { seq } => {
-            p.extend_from_slice(&seq.to_le_bytes());
-            (FrameType::EventsAck, 0)
-        }
-        Frame::MetricsRequest => (FrameType::MetricsRequest, 0),
-        Frame::Metrics(m) => {
-            encode_snapshot_wire(p, &m.snapshot);
-            encode_server_stats(p, &m.server);
-            p.extend_from_slice(&(m.sessions.len() as u32).to_le_bytes());
-            for row in &m.sessions {
-                p.extend_from_slice(&row.session_id.to_le_bytes());
-                p.extend_from_slice(&row.trace_id.to_le_bytes());
-                codec::put_str(p, &row.device);
-                p.push(row.connected as u8);
-                p.extend_from_slice(&row.queue_depth.to_le_bytes());
-                p.extend_from_slice(&row.queue_capacity.to_le_bytes());
-                p.extend_from_slice(&row.samples_pushed.to_le_bytes());
-                p.extend_from_slice(&row.samples_per_sec.to_le_bytes());
-                p.extend_from_slice(&row.events_emitted.to_le_bytes());
-                p.extend_from_slice(&row.events_acked.to_le_bytes());
-                p.extend_from_slice(&row.journaled_events.to_le_bytes());
-                p.extend_from_slice(&row.sheds.to_le_bytes());
-                p.extend_from_slice(&row.samples_rejected.to_le_bytes());
-                p.extend_from_slice(&row.events_degraded.to_le_bytes());
-                p.extend_from_slice(&row.idle_ms.to_le_bytes());
-            }
-            (FrameType::Metrics, 0)
-        }
-        Frame::HealthRequest => (FrameType::HealthRequest, 0),
-        Frame::Health(h) => {
-            p.push(h.healthy as u8);
-            p.extend_from_slice(&h.uptime_ms.to_le_bytes());
-            p.extend_from_slice(&h.sessions_active.to_le_bytes());
-            p.extend_from_slice(&h.max_sessions.to_le_bytes());
-            p.push(h.journal_enabled as u8);
-            (FrameType::Health, 0)
-        }
-        Frame::FlightRequest { session_id } => {
-            p.extend_from_slice(&session_id.to_le_bytes());
-            (FrameType::FlightRequest, 0)
-        }
-        Frame::FlightReply { dumps } => {
-            p.extend_from_slice(&(dumps.len() as u32).to_le_bytes());
-            for d in dumps {
-                p.extend_from_slice(&d.session_id.to_le_bytes());
-                p.extend_from_slice(&d.trace_id.to_le_bytes());
-                codec::put_long_str(p, &d.json, MAX_FLIGHT_JSON);
-            }
-            (FrameType::FlightReply, 0)
-        }
-        Frame::ClusterJoin { name, addr, action } => {
-            codec::put_str(p, name);
-            codec::put_str(p, addr);
-            p.push(*action as u8);
-            (FrameType::ClusterJoin, 0)
-        }
-        Frame::ClusterStateRequest => (FrameType::ClusterState, FLAG_REQUEST),
-        Frame::ClusterStateReply { nodes } => {
-            p.extend_from_slice(&(nodes.len() as u32).to_le_bytes());
-            for n in nodes {
-                encode_node_health(p, n);
-            }
-            (FrameType::ClusterState, 0)
-        }
-        Frame::NodeHealthRequest => (FrameType::NodeHealth, FLAG_REQUEST),
-        Frame::NodeHealthReply(n) => {
-            encode_node_health(p, n);
-            (FrameType::NodeHealth, 0)
-        }
-        Frame::Query(q) => {
-            p.extend_from_slice(&q.t0.to_le_bytes());
-            p.extend_from_slice(&q.t1.to_le_bytes());
-            p.extend_from_slice(&q.bucket_samples.to_le_bytes());
-            p.extend_from_slice(&(q.sessions.len() as u32).to_le_bytes());
-            for id in &q.sessions {
-                p.extend_from_slice(&id.to_le_bytes());
-            }
-            (FrameType::Query, 0)
-        }
-        Frame::QueryResult(r) => {
-            p.extend_from_slice(&r.events.to_le_bytes());
-            p.extend_from_slice(&r.degraded.to_le_bytes());
-            p.extend_from_slice(&r.refresh_collisions.to_le_bytes());
-            encode_histogram_wire(p, &r.latency);
-            p.extend_from_slice(&(r.timeline.len() as u32).to_le_bytes());
-            for n in &r.timeline {
-                p.extend_from_slice(&n.to_le_bytes());
-            }
-            p.extend_from_slice(&(r.sessions.len() as u32).to_le_bytes());
-            for row in &r.sessions {
-                p.extend_from_slice(&row.session_id.to_le_bytes());
-                codec::put_str(p, &row.device);
-                p.extend_from_slice(&row.events.to_le_bytes());
-                p.extend_from_slice(&row.degraded.to_le_bytes());
-                p.extend_from_slice(&row.refresh_collisions.to_le_bytes());
-            }
-            p.extend_from_slice(&r.segments_scanned.to_le_bytes());
-            p.extend_from_slice(&r.segments_pruned.to_le_bytes());
-            p.extend_from_slice(&r.cache_hits.to_le_bytes());
-            p.extend_from_slice(&r.cache_misses.to_le_bytes());
-            p.extend_from_slice(&r.nodes.to_le_bytes());
-            (FrameType::QueryResult, 0)
-        }
-    }
-}
-
-fn encode_node_health(out: &mut Vec<u8>, n: &NodeHealthWire) {
-    codec::put_str(out, &n.name);
-    codec::put_str(out, &n.addr);
-    out.push(n.up as u8);
-    out.push(n.draining as u8);
-    out.extend_from_slice(&n.sessions_active.to_le_bytes());
-    out.extend_from_slice(&n.max_sessions.to_le_bytes());
-    out.extend_from_slice(&n.migrations_in.to_le_bytes());
-    out.extend_from_slice(&n.migrations_out.to_le_bytes());
-    out.extend_from_slice(&n.consecutive_failures.to_le_bytes());
-    out.extend_from_slice(&n.uptime_ms.to_le_bytes());
-}
-
-fn decode_node_health(c: &mut Reader<'_>) -> Result<NodeHealthWire, DecodeError> {
-    Ok(NodeHealthWire {
-        name: c.string()?,
-        addr: c.string()?,
-        up: c.u8()? != 0,
-        draining: c.u8()? != 0,
-        sessions_active: c.u64()?,
-        max_sessions: c.u64()?,
-        migrations_in: c.u64()?,
-        migrations_out: c.u64()?,
-        consecutive_failures: c.u64()?,
-        uptime_ms: c.u64()?,
-    })
+    let flags = frame.put_payload(p);
+    let carried = match frame {
+        Frame::Hello(h) => flag_if(h.watch, FLAG_WATCH) | flag_if(h.proxied, FLAG_PROXIED),
+        Frame::Stats(s) => flag_if(s.final_report, FLAG_FINAL),
+        _ => 0,
+    };
+    (frame.kind(), flags | carried)
 }
 
 fn decode_payload(ty: FrameType, flags: u8, payload: &[u8]) -> Result<Frame, DecodeError> {
-    let mut c = Reader::new(payload);
-    let frame = match ty {
-        FrameType::Hello => {
-            let sample_rate_hz = c.f64()?;
-            let clock_hz = c.f64()?;
-            let config = c.config()?;
-            let device = c.string()?;
-            let resume_session_id = c.u64()?;
-            let resume_token = c.u64()?;
-            Frame::Hello(Hello {
-                sample_rate_hz,
-                clock_hz,
-                config,
-                device,
-                watch: flags & FLAG_WATCH != 0,
-                proxied: flags & FLAG_PROXIED != 0,
-                resume_session_id,
-                resume_token,
-            })
+    let mut r = Reader::new(payload);
+    let mut frame = Frame::get_payload(ty, flags & FLAG_REQUEST, &mut r)?;
+    r.done()?;
+    match &mut frame {
+        Frame::Hello(h) => {
+            h.watch = flags & FLAG_WATCH != 0;
+            h.proxied = flags & FLAG_PROXIED != 0;
         }
-        FrameType::HelloAck => Frame::HelloAck {
-            version: c.u16()?,
-            session_id: c.u64()?,
-            max_samples_per_frame: c.u32()?,
-            resume_token: c.u64()?,
-            acked_seq: c.u64()?,
-            trace_id: c.u64()?,
-        },
-        FrameType::Samples => {
-            // The same bound and layout the zero-copy view checks.
-            let (seq, raw) = c.samples(SAMPLES_FITTING_PAYLOAD)?;
-            Frame::Samples {
-                seq,
-                samples: codec::f64s(raw).collect(),
-            }
-        }
-        FrameType::Flush => Frame::Flush,
-        FrameType::Fin => Frame::Fin,
-        FrameType::Events => {
-            let first_seq = c.u64()?;
-            let events = c.events(MAX_EVENTS_PER_FRAME)?;
-            Frame::Events { first_seq, events }
-        }
-        FrameType::Stats => Frame::Stats(SessionStatsWire {
-            samples_pushed: c.u64()?,
-            events_emitted: c.u64()?,
-            buffered_samples: c.u64()?,
-            queue_depth: c.u64()?,
-            sheds: c.u64()?,
-            acked_seq: c.u64()?,
-            samples_rejected: c.u64()?,
-            events_degraded: c.u64()?,
-            final_report: flags & FLAG_FINAL != 0,
-        }),
-        FrameType::Error => Frame::Error {
-            code: ErrorCode::from_u16(c.u16()?),
-            message: c.string()?,
-        },
-        FrameType::Watch => Frame::Watch { cursor: c.u64()? },
-        FrameType::Tail => {
-            let cursor = c.u64()?;
-            let missed = c.u64()?;
-            let server = decode_server_stats(&mut c)?;
-            let count = c.count(MAX_EVENTS_PER_FRAME, "event count exceeds bound")?;
-            let mut events = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                events.push(TailEvent {
-                    session_id: c.u64()?,
-                    event: c.event()?,
-                });
-            }
-            Frame::Tail(Tail {
-                cursor,
-                missed,
-                server,
-                events,
-            })
-        }
-        FrameType::Heartbeat => Frame::Heartbeat {
-            acked_seq: c.u64()?,
-        },
-        FrameType::EventsAck => Frame::EventsAck { seq: c.u64()? },
-        FrameType::MetricsRequest => Frame::MetricsRequest,
-        FrameType::Metrics => {
-            let snapshot = decode_snapshot_wire(&mut c)?;
-            let server = decode_server_stats(&mut c)?;
-            let count = c.count(MAX_SESSION_ROWS, "session row count exceeds bound")?;
-            let mut sessions = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                sessions.push(SessionRow {
-                    session_id: c.u64()?,
-                    trace_id: c.u64()?,
-                    device: c.string()?,
-                    connected: c.u8()? != 0,
-                    queue_depth: c.u64()?,
-                    queue_capacity: c.u64()?,
-                    samples_pushed: c.u64()?,
-                    samples_per_sec: c.f64()?,
-                    events_emitted: c.u64()?,
-                    events_acked: c.u64()?,
-                    journaled_events: c.u64()?,
-                    sheds: c.u64()?,
-                    samples_rejected: c.u64()?,
-                    events_degraded: c.u64()?,
-                    idle_ms: c.u64()?,
-                });
-            }
-            Frame::Metrics(MetricsReply {
-                snapshot,
-                server,
-                sessions,
-            })
-        }
-        FrameType::HealthRequest => Frame::HealthRequest,
-        FrameType::Health => Frame::Health(HealthWire {
-            healthy: c.u8()? != 0,
-            uptime_ms: c.u64()?,
-            sessions_active: c.u64()?,
-            max_sessions: c.u64()?,
-            journal_enabled: c.u8()? != 0,
-        }),
-        FrameType::FlightRequest => Frame::FlightRequest {
-            session_id: c.u64()?,
-        },
-        FrameType::FlightReply => {
-            let count = c.count(MAX_FLIGHT_DUMPS, "flight dump count exceeds bound")?;
-            let mut dumps = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                dumps.push(FlightDumpWire {
-                    session_id: c.u64()?,
-                    trace_id: c.u64()?,
-                    json: c.long_string(MAX_FLIGHT_JSON)?,
-                });
-            }
-            Frame::FlightReply { dumps }
-        }
-        FrameType::ClusterJoin => {
-            let name = c.string()?;
-            let addr = c.string()?;
-            let action =
-                ClusterAction::from_u8(c.u8()?).ok_or(DecodeError("unknown cluster action"))?;
-            Frame::ClusterJoin { name, addr, action }
-        }
-        FrameType::ClusterState if flags & FLAG_REQUEST != 0 => Frame::ClusterStateRequest,
-        FrameType::ClusterState => {
-            let count = c.count(MAX_CLUSTER_NODES, "cluster node count exceeds bound")?;
-            let mut nodes = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                nodes.push(decode_node_health(&mut c)?);
-            }
-            Frame::ClusterStateReply { nodes }
-        }
-        FrameType::NodeHealth if flags & FLAG_REQUEST != 0 => Frame::NodeHealthRequest,
-        FrameType::NodeHealth => Frame::NodeHealthReply(decode_node_health(&mut c)?),
-        FrameType::Query => {
-            let t0 = c.u64()?;
-            let t1 = c.u64()?;
-            let bucket_samples = c.u64()?;
-            let n = c.count(MAX_QUERY_SESSIONS, "query session count exceeds bound")?;
-            let mut sessions = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                sessions.push(c.u64()?);
-            }
-            Frame::Query(QuerySpecWire {
-                t0,
-                t1,
-                bucket_samples,
-                sessions,
-            })
-        }
-        FrameType::QueryResult => {
-            let events = c.u64()?;
-            let degraded = c.u64()?;
-            let refresh_collisions = c.u64()?;
-            let latency = decode_histogram_wire(&mut c)?;
-            let n = c.count(MAX_QUERY_BUCKETS, "timeline bucket count exceeds bound")?;
-            let mut timeline = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                timeline.push(c.u64()?);
-            }
-            let n = c.count(MAX_SESSION_ROWS, "query row count exceeds bound")?;
-            let mut sessions = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                sessions.push(QueryRowWire {
-                    session_id: c.u64()?,
-                    device: c.string()?,
-                    events: c.u64()?,
-                    degraded: c.u64()?,
-                    refresh_collisions: c.u64()?,
-                });
-            }
-            Frame::QueryResult(QueryResultWire {
-                events,
-                degraded,
-                refresh_collisions,
-                latency,
-                timeline,
-                sessions,
-                segments_scanned: c.u64()?,
-                segments_pruned: c.u64()?,
-                cache_hits: c.u64()?,
-                cache_misses: c.u64()?,
-                nodes: c.u64()?,
-            })
-        }
-    };
-    c.done()?;
+        Frame::Stats(s) => s.final_report = flags & FLAG_FINAL != 0,
+        _ => {}
+    }
     Ok(frame)
 }
 

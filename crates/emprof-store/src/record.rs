@@ -11,7 +11,7 @@
 use emprof_core::{Confidence, EmprofConfig, StallEvent, StallKind};
 
 pub use crate::codec::DecodeError;
-use crate::codec::{self, Reader};
+use crate::codec::Reader;
 
 /// Upper bound on samples per [`Record::Samples`] record.
 pub const MAX_SAMPLES_PER_RECORD: u32 = 1 << 20;
@@ -236,52 +236,56 @@ impl Scanned {
     }
 }
 
-/// Record discriminants as stored on disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum RecordKind {
-    /// [`Record::Meta`].
-    Meta = 1,
-    /// [`Record::Samples`].
-    Samples = 2,
-    /// [`Record::Events`].
-    Events = 3,
-    /// [`Record::Cursor`].
-    Cursor = 4,
-    /// [`Record::Finished`].
-    Finished = 5,
-    /// [`Record::Footer`].
-    Footer = 6,
+crate::discriminants! {
+    /// Record discriminants as stored on disk.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum RecordKind: u8 {
+        /// [`Record::Meta`].
+        Meta = 1,
+        /// [`Record::Samples`].
+        Samples = 2,
+        /// [`Record::Events`].
+        Events = 3,
+        /// [`Record::Cursor`].
+        Cursor = 4,
+        /// [`Record::Finished`].
+        Finished = 5,
+        /// [`Record::Footer`].
+        Footer = 6,
+    }
+    pub fn from_u8;
 }
 
-impl RecordKind {
-    /// Decodes a stored discriminant.
-    pub fn from_u8(v: u8) -> Option<RecordKind> {
-        Some(match v {
-            1 => RecordKind::Meta,
-            2 => RecordKind::Samples,
-            3 => RecordKind::Events,
-            4 => RecordKind::Cursor,
-            5 => RecordKind::Finished,
-            6 => RecordKind::Footer,
-            _ => return None,
-        })
+crate::wire_struct! {
+    SessionMeta { session_id, resume_token, sample_rate_hz, clock_hz, config, device }
+    SegmentFooter {
+        record_count,
+        event_count,
+        degraded_count,
+        refresh_count,
+        samples_count,
+        min_event_start,
+        max_event_end,
+        min_event_seq,
+        max_event_seq,
+        min_duration_cycles,
+        max_duration_cycles,
+    }
+}
+
+crate::wire_enum! {
+    Record: RecordKind {
+        Meta(SessionMeta) => Meta;
+        Samples { seq, samples: [samples MAX_SAMPLES_PER_RECORD] } => Samples;
+        Events { first_seq, events: [MAX_EVENTS_PER_RECORD, "event count exceeds bound"] }
+            => Events;
+        Cursor { acked_events } => Cursor;
+        Finished { samples_pushed, samples_rejected, last_samples_seq } => Finished;
+        Footer(SegmentFooter) => Footer;
     }
 }
 
 impl Record {
-    /// This record's on-disk discriminant.
-    pub fn kind(&self) -> RecordKind {
-        match self {
-            Record::Meta(_) => RecordKind::Meta,
-            Record::Samples { .. } => RecordKind::Samples,
-            Record::Events { .. } => RecordKind::Events,
-            Record::Cursor { .. } => RecordKind::Cursor,
-            Record::Finished { .. } => RecordKind::Finished,
-            Record::Footer(_) => RecordKind::Footer,
-        }
-    }
-
     /// Encodes the payload (framing and CRC are the segment layer's).
     pub fn encode(&self) -> Vec<u8> {
         let mut p = Vec::new();
@@ -292,55 +296,22 @@ impl Record {
     /// Appends the encoded payload to `p` — [`Record::encode`] into a
     /// caller-owned buffer.
     pub fn encode_into(&self, p: &mut Vec<u8>) {
-        match self {
-            Record::Meta(m) => {
-                p.extend_from_slice(&m.session_id.to_le_bytes());
-                p.extend_from_slice(&m.resume_token.to_le_bytes());
-                p.extend_from_slice(&m.sample_rate_hz.to_le_bytes());
-                p.extend_from_slice(&m.clock_hz.to_le_bytes());
-                codec::put_config(p, &m.config);
-                codec::put_str(p, &m.device);
-            }
-            Record::Samples { seq, samples } => codec::put_samples(p, *seq, samples),
-            Record::Events { first_seq, events } => {
-                p.extend_from_slice(&first_seq.to_le_bytes());
-                codec::put_events(p, events);
-            }
-            Record::Cursor { acked_events } => {
-                p.extend_from_slice(&acked_events.to_le_bytes());
-            }
-            Record::Finished {
-                samples_pushed,
-                samples_rejected,
-                last_samples_seq,
-            } => {
-                p.extend_from_slice(&samples_pushed.to_le_bytes());
-                p.extend_from_slice(&samples_rejected.to_le_bytes());
-                p.extend_from_slice(&last_samples_seq.to_le_bytes());
-            }
-            Record::Footer(f) => {
-                let at = p.len();
-                p.extend_from_slice(&f.record_count.to_le_bytes());
-                p.extend_from_slice(&f.event_count.to_le_bytes());
-                p.extend_from_slice(&f.degraded_count.to_le_bytes());
-                p.extend_from_slice(&f.refresh_count.to_le_bytes());
-                p.extend_from_slice(&f.samples_count.to_le_bytes());
-                p.extend_from_slice(&f.min_event_start.to_le_bytes());
-                p.extend_from_slice(&f.max_event_end.to_le_bytes());
-                p.extend_from_slice(&f.min_event_seq.to_le_bytes());
-                p.extend_from_slice(&f.max_event_seq.to_le_bytes());
-                p.extend_from_slice(&f.min_duration_cycles.to_le_bytes());
-                p.extend_from_slice(&f.max_duration_cycles.to_le_bytes());
-                debug_assert_eq!(p.len() - at, FOOTER_PAYLOAD_LEN);
-            }
-        }
+        let at = p.len();
+        self.put_payload(p);
+        debug_assert!(
+            !matches!(self, Record::Footer(_)) || p.len() - at == FOOTER_PAYLOAD_LEN,
+            "a footer payload is FOOTER_PAYLOAD_LEN bytes"
+        );
     }
 
     /// Checks a [`Record::Samples`] payload without decoding a sample:
     /// sequence number, count within [`MAX_SAMPLES_PER_RECORD`], and a
     /// length of exactly that many samples. Returns the sequence number
-    /// and the raw sample bytes. [`Record::decode`] runs this same check,
-    /// so a payload that passes it always decodes.
+    /// and the raw sample bytes. [`Record::decode`] reads the same fields
+    /// through the table's `Samples` row (the `u64` sequence number, then
+    /// [`Reader::sample_bytes`], then [`Reader::done`]), so the two accept
+    /// and reject the same payloads; `samples_payload_agrees_with_decode`
+    /// pins that.
     ///
     /// # Errors
     ///
@@ -362,48 +333,7 @@ impl Record {
     pub fn decode(kind: u8, payload: &[u8]) -> Result<Record, DecodeError> {
         let kind = RecordKind::from_u8(kind).ok_or(DecodeError("unknown record kind"))?;
         let mut r = Reader::new(payload);
-        let rec = match kind {
-            RecordKind::Meta => Record::Meta(SessionMeta {
-                session_id: r.u64()?,
-                resume_token: r.u64()?,
-                sample_rate_hz: r.f64()?,
-                clock_hz: r.f64()?,
-                config: r.config()?,
-                device: r.string()?,
-            }),
-            RecordKind::Samples => {
-                let (seq, raw) = Record::samples_payload(payload)?;
-                return Ok(Record::Samples {
-                    seq,
-                    samples: codec::f64s(raw).collect(),
-                });
-            }
-            RecordKind::Events => Record::Events {
-                first_seq: r.u64()?,
-                events: r.events(MAX_EVENTS_PER_RECORD)?,
-            },
-            RecordKind::Cursor => Record::Cursor {
-                acked_events: r.u64()?,
-            },
-            RecordKind::Finished => Record::Finished {
-                samples_pushed: r.u64()?,
-                samples_rejected: r.u64()?,
-                last_samples_seq: r.u64()?,
-            },
-            RecordKind::Footer => Record::Footer(SegmentFooter {
-                record_count: r.u64()?,
-                event_count: r.u64()?,
-                degraded_count: r.u64()?,
-                refresh_count: r.u64()?,
-                samples_count: r.u64()?,
-                min_event_start: r.u64()?,
-                max_event_end: r.u64()?,
-                min_event_seq: r.u64()?,
-                max_event_seq: r.u64()?,
-                min_duration_cycles: r.f64()?,
-                max_duration_cycles: r.f64()?,
-            }),
-        };
+        let rec = Record::get_payload(kind, 0, &mut r)?;
         r.done()?;
         Ok(rec)
     }
@@ -499,6 +429,67 @@ mod tests {
             Record::Footer(SegmentFooter::empty()).encode().len(),
             FOOTER_PAYLOAD_LEN
         );
+    }
+
+    #[test]
+    fn footer_fields_are_at_their_offsets() {
+        // Eleven distinct values, so swapping any two fields in the
+        // declaration moves bytes here, even where a fixture's values
+        // happen to be equal.
+        let f = SegmentFooter {
+            record_count: 1,
+            event_count: 2,
+            degraded_count: 3,
+            refresh_count: 4,
+            samples_count: 5,
+            min_event_start: 6,
+            max_event_end: 7,
+            min_event_seq: 8,
+            max_event_seq: 9,
+            min_duration_cycles: 10.5,
+            max_duration_cycles: 11.5,
+        };
+        let mut want = Vec::new();
+        for v in 1..=9u64 {
+            want.extend_from_slice(&v.to_le_bytes());
+        }
+        want.extend_from_slice(&10.5f64.to_le_bytes());
+        want.extend_from_slice(&11.5f64.to_le_bytes());
+        assert_eq!(Record::Footer(f).encode(), want);
+    }
+
+    #[test]
+    fn samples_payload_agrees_with_decode() {
+        let valid = Record::Samples {
+            seq: 9,
+            samples: vec![0.5, -1.0, 2.25],
+        }
+        .encode();
+        let mut payloads: Vec<Vec<u8>> = (0..=valid.len()).map(|n| valid[..n].to_vec()).collect();
+        let mut trailing = valid.clone();
+        trailing.push(0);
+        payloads.push(trailing);
+        let mut short = valid.clone();
+        short[8..12].copy_from_slice(&4u32.to_le_bytes());
+        payloads.push(short);
+        let mut long = valid.clone();
+        long[8..12].copy_from_slice(&2u32.to_le_bytes());
+        payloads.push(long);
+        let mut over = 1u64.to_le_bytes().to_vec();
+        over.extend_from_slice(&(MAX_SAMPLES_PER_RECORD + 1).to_le_bytes());
+        payloads.push(over);
+        for p in &payloads {
+            let checked = Record::samples_payload(p);
+            let decoded = Record::decode(RecordKind::Samples as u8, p);
+            match (checked, decoded) {
+                (Ok((seq, raw)), Ok(Record::Samples { seq: s, samples })) => {
+                    assert_eq!(seq, s);
+                    assert_eq!(crate::codec::f64s(raw).collect::<Vec<_>>(), samples);
+                }
+                (Err(a), Err(b)) => assert_eq!(a, b, "payload {p:?}"),
+                (a, b) => panic!("payload {p:?}: check {a:?}, decode {b:?}"),
+            }
+        }
     }
 
     #[test]

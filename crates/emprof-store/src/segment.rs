@@ -95,6 +95,24 @@ fn frame_crc(kind: u8, payload: &[u8]) -> u32 {
     crc.finish()
 }
 
+/// A record frame's header: payload length, kind byte, then the CRC-32
+/// of [`frame_crc`].
+fn record_header(len: usize, kind: RecordKind, crc: u32) -> [u8; RECORD_HEADER_LEN] {
+    debug_assert!(len <= MAX_RECORD as usize, "record too large");
+    let mut h = [0u8; RECORD_HEADER_LEN];
+    h[0..4].copy_from_slice(&(len as u32).to_le_bytes());
+    h[4] = kind as u8;
+    h[5..9].copy_from_slice(&crc.to_le_bytes());
+    h
+}
+
+/// The `(len, kind, crc)` of the record header `h` starts with, as
+/// [`record_header`] writes it; nothing is validated.
+fn parse_record_header(h: &[u8]) -> (u32, u8, u32) {
+    let le32 = |b: &[u8]| u32::from_le_bytes(b.try_into().expect("4 bytes"));
+    (le32(&h[0..4]), h[4], le32(&h[5..9]))
+}
+
 /// Appends one record frame to `out`: `payload` writes the payload
 /// bytes straight into `out` after a reserved frame header, which is
 /// then filled in. The frame buffer is the only copy of the payload.
@@ -107,12 +125,8 @@ pub(crate) fn write_record_frame(
     out.extend_from_slice(&[0; RECORD_HEADER_LEN]);
     payload(out);
     let body = &out[at + RECORD_HEADER_LEN..];
-    debug_assert!(body.len() <= MAX_RECORD as usize, "record too large");
-    let len = body.len() as u32;
-    let crc = frame_crc(kind as u8, body);
-    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
-    out[at + 4] = kind as u8;
-    out[at + 5..at + RECORD_HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+    let header = record_header(body.len(), kind, frame_crc(kind as u8, body));
+    out[at..at + RECORD_HEADER_LEN].copy_from_slice(&header);
 }
 
 /// Appends one record frame around `payload`, whose CRC-32 the caller
@@ -126,12 +140,9 @@ pub(crate) fn write_record_frame_raw(
     payload: &[u8],
     payload_crc: u32,
 ) {
-    debug_assert!(payload.len() <= MAX_RECORD as usize, "record too large");
     debug_assert_eq!(crc32(payload), payload_crc, "payload CRC mismatch");
     let crc = combine(crc32(&[kind as u8]), payload_crc, payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.push(kind as u8);
-    out.extend_from_slice(&crc.to_le_bytes());
+    out.extend_from_slice(&record_header(payload.len(), kind, crc));
     out.extend_from_slice(payload);
 }
 
@@ -233,9 +244,7 @@ fn scan_frames<R>(
     let mut more = file_len - pos >= RECORD_HEADER_LEN as u64
         && read_full(src, &mut header)? == RECORD_HEADER_LEN;
     while more {
-        let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
-        let kind = header[4];
-        let crc = u32::from_le_bytes(header[5..9].try_into().unwrap());
+        let (len, kind, crc) = parse_record_header(&header);
         let left = file_len - pos - RECORD_HEADER_LEN as u64;
         if len > MAX_RECORD || u64::from(len) > left {
             break;
@@ -299,9 +308,7 @@ pub fn read_segment_footer(path: &Path) -> io::Result<Option<SegmentFooter>> {
     f.seek(SeekFrom::End(-(tail_len as i64)))?;
     let mut tail = [0u8; RECORD_HEADER_LEN + FOOTER_PAYLOAD_LEN];
     f.read_exact(&mut tail)?;
-    let len = u32::from_le_bytes(tail[0..4].try_into().unwrap());
-    let kind = tail[4];
-    let crc = u32::from_le_bytes(tail[5..9].try_into().unwrap());
+    let (len, kind, crc) = parse_record_header(&tail);
     if len as usize != FOOTER_PAYLOAD_LEN || kind != RecordKind::Footer as u8 {
         return Ok(None);
     }

@@ -49,11 +49,12 @@ cargo run -q --release -p emprof-bench --bin perf_pipeline -- --smoke --out targ
 # patterns, and concurrent sessions against a real loopback server.
 cargo test -q --release --test serve_equivalence
 
-# Wire codec and golden bytes, and the allocation-free SAMPLES paths
-# (decode alone; decode, raw journal append and pooled copy together),
-# run optimised too: the CRC-32 kernel and the allocation counts are
-# only meaningful as shipped.
-cargo test -q --release --test prop_codec --test wire_golden --test alloc_ingest --test alloc_journal
+# Wire codec, golden wire and journal bytes, the served wire surface,
+# and the allocation-free SAMPLES paths (decode alone; decode, raw
+# journal append and pooled copy together), run optimised too: the
+# payload codecs are generated from their declarations, and the CRC-32
+# kernel and the allocation counts are only meaningful as shipped.
+cargo test -q --release --test prop_codec --test wire_golden --test journal_golden --test serve_wire --test alloc_ingest --test alloc_journal
 
 # The store's unit tests, optimised: the three-lane CRC-32 kernel
 # against a bytewise reference at every length to 4 KiB, at odd offsets
