@@ -76,15 +76,6 @@ impl CacheConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct LineState {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// Monotonic timestamp of last touch, for LRU.
-    last_used: u64,
-}
-
 /// A set-associative cache with tag state only (the simulator is
 /// functional-first, so no data is stored).
 ///
@@ -105,7 +96,15 @@ pub struct Cache {
     line_shift: u32,
     set_mask: u64,
     set_shift: u32,
-    sets: Vec<Vec<LineState>>,
+    ways: usize,
+    /// Per-way line state, set after set (`ways` entries each). A set
+    /// fills its ways in order and only a flush empties them, so its
+    /// valid ways are always the first `filled[set]`.
+    tags: Vec<u64>,
+    dirty: Vec<bool>,
+    /// Monotonic timestamp of last touch, for LRU.
+    last_used: Vec<u64>,
+    filled: Vec<usize>,
     clock: u64,
     rng_state: u64,
     hits: u64,
@@ -126,12 +125,17 @@ impl Cache {
             .validate()
             .unwrap_or_else(|e| panic!("invalid cache configuration: {e}"));
         let n_sets = config.sets();
+        let lines = n_sets as usize * config.ways;
         Cache {
             config,
             line_shift: config.line_bytes.trailing_zeros(),
             set_mask: n_sets - 1,
             set_shift: n_sets.trailing_zeros(),
-            sets: vec![vec![LineState::default(); config.ways]; n_sets as usize],
+            ways: config.ways,
+            tags: vec![0; lines],
+            dirty: vec![false; lines],
+            last_used: vec![0; lines],
+            filled: vec![0; n_sets as usize],
             clock: 0,
             rng_state: seed | 1,
             hits: 0,
@@ -144,6 +148,22 @@ impl Cache {
         ((line & self.set_mask) as usize, line >> self.set_shift)
     }
 
+    /// The way of set `set_idx` holding `tag`, as an index into the
+    /// per-way state.
+    fn find(&self, set_idx: usize, tag: u64) -> Option<usize> {
+        let base = set_idx * self.ways;
+        let valid = &self.tags[base..base + self.filled[set_idx]];
+        valid.iter().position(|&t| t == tag).map(|way| base + way)
+    }
+
+    /// Installs `tag` in a victim way of set `set_idx`.
+    fn install(&mut self, set_idx: usize, tag: u64, dirty: bool) {
+        let line = set_idx * self.ways + self.choose_victim(set_idx);
+        self.tags[line] = tag;
+        self.dirty[line] = dirty;
+        self.last_used[line] = self.clock;
+    }
+
     /// Looks up `addr`, allocating the line on a miss (write-allocate).
     /// Returns `true` on hit.
     ///
@@ -154,30 +174,21 @@ impl Cache {
     pub fn access(&mut self, addr: u64, is_write: bool) -> bool {
         self.clock += 1;
         let (set_idx, tag) = self.index_tag(addr);
-        let clock = self.clock;
-        let set = &mut self.sets[set_idx];
-        if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.last_used = clock;
-            line.dirty |= is_write;
+        if let Some(line) = self.find(set_idx, tag) {
+            self.last_used[line] = self.clock;
+            self.dirty[line] |= is_write;
             self.hits += 1;
             return true;
         }
         self.misses += 1;
-        let victim = self.choose_victim(set_idx);
-        let set = &mut self.sets[set_idx];
-        set[victim] = LineState {
-            tag,
-            valid: true,
-            dirty: is_write,
-            last_used: clock,
-        };
+        self.install(set_idx, tag, is_write);
         false
     }
 
     /// Probes without modifying any state (no allocation, no LRU update).
     pub fn probe(&self, addr: u64) -> bool {
         let (set_idx, tag) = self.index_tag(addr);
-        self.sets[set_idx].iter().any(|l| l.valid && l.tag == tag)
+        self.find(set_idx, tag).is_some()
     }
 
     /// Inserts a line unconditionally (used for prefetch fills). Returns
@@ -185,33 +196,32 @@ impl Cache {
     pub fn insert(&mut self, addr: u64) -> bool {
         self.clock += 1;
         let (set_idx, tag) = self.index_tag(addr);
-        if self.sets[set_idx].iter().any(|l| l.valid && l.tag == tag) {
+        if self.find(set_idx, tag).is_some() {
             return false;
         }
-        let victim = self.choose_victim(set_idx);
-        let clock = self.clock;
-        self.sets[set_idx][victim] = LineState {
-            tag,
-            valid: true,
-            dirty: false,
-            last_used: clock,
-        };
+        self.install(set_idx, tag, false);
         true
     }
 
+    /// The way to fill in set `set_idx`: its first invalid way, which
+    /// then counts as filled, or the replacement policy's victim.
     fn choose_victim(&mut self, set_idx: usize) -> usize {
-        let ways = self.sets[set_idx].len();
-        if let Some(invalid) = self.sets[set_idx].iter().position(|l| !l.valid) {
-            return invalid;
+        let filled = self.filled[set_idx];
+        if filled < self.ways {
+            self.filled[set_idx] += 1;
+            return filled;
         }
         match self.config.replacement {
-            Replacement::Random => (self.next_rand() % ways as u64) as usize,
-            Replacement::Lru => self.sets[set_idx]
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.last_used)
-                .map(|(i, _)| i)
-                .expect("sets are never empty"),
+            Replacement::Random => (self.next_rand() % self.ways as u64) as usize,
+            Replacement::Lru => {
+                let base = set_idx * self.ways;
+                self.last_used[base..base + self.ways]
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|&(_, &last_used)| last_used)
+                    .map(|(way, _)| way)
+                    .expect("sets are never empty")
+            }
         }
     }
 
@@ -227,12 +237,8 @@ impl Cache {
 
     /// Invalidates every line (used between workload phases in tests).
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for line in set {
-                line.valid = false;
-                line.dirty = false;
-            }
-        }
+        self.filled.fill(0);
+        self.dirty.fill(false);
     }
 
     /// Hits recorded so far.

@@ -230,7 +230,8 @@ impl DeviceModel {
             return Err("memory overhead must be non-negative".into());
         }
         if let Some(bp) = &self.branch_predictor {
-            bp.validate().map_err(|e| format!("branch predictor: {e}"))?;
+            bp.validate()
+                .map_err(|e| format!("branch predictor: {e}"))?;
         }
         self.l1i.validate().map_err(|e| format!("l1i: {e}"))?;
         self.l1d.validate().map_err(|e| format!("l1d: {e}"))?;

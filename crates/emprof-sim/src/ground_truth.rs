@@ -156,10 +156,7 @@ impl GroundTruth {
     }
 
     /// LLC-miss stall intervals that start inside a cycle window.
-    pub fn llc_stalls_in_window(
-        &self,
-        window: (u64, u64),
-    ) -> impl Iterator<Item = &StallInterval> {
+    pub fn llc_stalls_in_window(&self, window: (u64, u64)) -> impl Iterator<Item = &StallInterval> {
         self.llc_stalls()
             .filter(move |s| s.start_cycle >= window.0 && s.start_cycle < window.1)
     }

@@ -472,10 +472,7 @@ mod tests {
         b.push(Inst::Halt);
         let p = b.build().unwrap();
         let mut interp = Interpreter::new(&p);
-        assert!(matches!(
-            interp.next_inst().unwrap().op,
-            DynOp::Marker(42)
-        ));
+        assert!(matches!(interp.next_inst().unwrap().op, DynOp::Marker(42)));
     }
 
     #[test]

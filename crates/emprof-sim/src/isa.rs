@@ -107,9 +107,20 @@ impl Inst {
     pub fn dst(&self) -> Option<Reg> {
         use Inst::*;
         match *self {
-            Add(d, ..) | Sub(d, ..) | Mul(d, ..) | And(d, ..) | Or(d, ..) | Xor(d, ..)
-            | Sll(d, ..) | Srl(d, ..) | Addi(d, ..) | Andi(d, ..) | Slli(d, ..)
-            | Srli(d, ..) | Li(d, ..) | Ld(d, ..) => Some(d),
+            Add(d, ..)
+            | Sub(d, ..)
+            | Mul(d, ..)
+            | And(d, ..)
+            | Or(d, ..)
+            | Xor(d, ..)
+            | Sll(d, ..)
+            | Srl(d, ..)
+            | Addi(d, ..)
+            | Andi(d, ..)
+            | Slli(d, ..)
+            | Srli(d, ..)
+            | Li(d, ..)
+            | Ld(d, ..) => Some(d),
             _ => None,
         }
     }
@@ -118,8 +129,14 @@ impl Inst {
     pub fn srcs(&self) -> Vec<Reg> {
         use Inst::*;
         match *self {
-            Add(_, a, b) | Sub(_, a, b) | Mul(_, a, b) | And(_, a, b) | Or(_, a, b)
-            | Xor(_, a, b) | Sll(_, a, b) | Srl(_, a, b) => vec![a, b],
+            Add(_, a, b)
+            | Sub(_, a, b)
+            | Mul(_, a, b)
+            | And(_, a, b)
+            | Or(_, a, b)
+            | Xor(_, a, b)
+            | Sll(_, a, b)
+            | Srl(_, a, b) => vec![a, b],
             Addi(_, a, _) | Andi(_, a, _) | Slli(_, a, _) | Srli(_, a, _) | Ld(_, a, _) => {
                 vec![a]
             }

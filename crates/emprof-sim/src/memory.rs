@@ -296,8 +296,7 @@ impl MemorySystem {
             self.stats.llc_misses += 1;
             // The demand request reaches DRAM after the LLC lookup and the
             // SoC interconnect; the response crosses the interconnect back.
-            let req_ns = self.cycles_to_ns(now + self.llc_hit_latency)
-                + self.mem_overhead_ns / 2.0;
+            let req_ns = self.cycles_to_ns(now + self.llc_hit_latency) + self.mem_overhead_ns / 2.0;
             let result = self.dram.access(line, req_ns, is_write);
             if result.refresh_collision {
                 self.stats.refresh_collisions += 1;
@@ -350,9 +349,7 @@ impl MemorySystem {
         let predicted = pf.observe(pc, line);
         for addr in predicted {
             let pf_line = self.llc.line_of(addr);
-            if !self.llc.probe(pf_line)
-                && !self.outstanding.iter().any(|o| o.line == pf_line)
-            {
+            if !self.llc.probe(pf_line) && !self.outstanding.iter().any(|o| o.line == pf_line) {
                 self.llc.insert(pf_line);
                 self.stats.prefetches += 1;
                 let req_ns = self.cycles_to_ns(now) + self.mem_overhead_ns / 2.0;

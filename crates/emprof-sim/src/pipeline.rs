@@ -11,15 +11,13 @@
 //! into ground-truth [`StallInterval`]s — the two traces the paper's
 //! enhanced SESC emits for EMPROF validation.
 
-use std::collections::VecDeque;
-
 use emprof_dram::CasTrace;
 use emprof_obs as obs;
 
 use crate::bpred::BimodalPredictor;
 use crate::device::DeviceModel;
 use crate::ground_truth::{GroundTruth, MissRecord, StallCause, StallInterval};
-use crate::memory::{MemorySystem, MshrFull};
+use crate::memory::{MemorySystem, OutstandingSummary};
 use crate::power::{CycleActivity, PowerTrace, PowerTraceBuilder};
 use crate::source::{DynInst, DynOp, InstructionSource};
 
@@ -79,11 +77,20 @@ fn flush_sim_metrics(stats: &SimStats, mem: &crate::memory::MemStats) {
     obs::counter_add!("sim.cycles", stats.cycles);
     obs::counter_add!("sim.instructions", stats.instructions);
     obs::counter_add!("sim.stall_cycles", stats.stall_cycles);
-    obs::counter_add!("sim.cache.l1d.hit", mem.data_accesses.saturating_sub(mem.l1d_misses));
+    obs::counter_add!(
+        "sim.cache.l1d.hit",
+        mem.data_accesses.saturating_sub(mem.l1d_misses)
+    );
     obs::counter_add!("sim.cache.l1d.miss", mem.l1d_misses);
-    obs::counter_add!("sim.cache.l1i.hit", mem.instr_accesses.saturating_sub(mem.l1i_misses));
+    obs::counter_add!(
+        "sim.cache.l1i.hit",
+        mem.instr_accesses.saturating_sub(mem.l1i_misses)
+    );
     obs::counter_add!("sim.cache.l1i.miss", mem.l1i_misses);
-    obs::counter_add!("sim.cache.llc.hit", mem.llc_accesses.saturating_sub(mem.llc_misses));
+    obs::counter_add!(
+        "sim.cache.llc.hit",
+        mem.llc_accesses.saturating_sub(mem.llc_misses)
+    );
     obs::counter_add!("sim.cache.llc.miss", mem.llc_misses);
     obs::counter_add!("sim.dram.refresh_collision", mem.refresh_collisions);
     obs::counter_add!("sim.llc.prefetch", mem.prefetches);
@@ -165,14 +172,14 @@ impl Simulator {
     ///
     /// Panics if the simulation exceeds the cycle guard (see
     /// [`Simulator::with_max_cycles`]).
-    pub fn run<S: InstructionSource>(&self, source: S) -> SimResult {
-        Pipeline::new(&self.device, self.seed).run(source, self.max_cycles)
+    pub fn run<S: InstructionSource>(&self, mut source: S) -> SimResult {
+        Pipeline::new(&self.device, self.seed).run(&mut source, self.max_cycles)
     }
 
     /// [`Simulator::run`] by the cycle-stepping specification loop.
     #[cfg(test)]
-    fn run_stepping<S: InstructionSource>(&self, source: S) -> SimResult {
-        Pipeline::new(&self.device, self.seed).run_stepping(source, self.max_cycles)
+    fn run_stepping<S: InstructionSource>(&self, mut source: S) -> SimResult {
+        Pipeline::new(&self.device, self.seed).run_stepping(&mut source, self.max_cycles)
     }
 }
 
@@ -192,6 +199,18 @@ enum MissKind {
 }
 
 impl MissKind {
+    /// The cause of a stall on the misses in flight (the ones holding
+    /// the MSHRs or the store buffer's lines).
+    fn from_summary(s: OutstandingSummary) -> MissKind {
+        if s.llc_miss {
+            MissKind::Llc { refresh: s.refresh }
+        } else if s.l1_miss {
+            MissKind::L1
+        } else {
+            MissKind::None
+        }
+    }
+
     fn from_access(info: &crate::memory::AccessInfo) -> MissKind {
         if info.llc_miss {
             MissKind::Llc {
@@ -227,31 +246,90 @@ enum IssueBlock {
 }
 
 /// One in-flight (issued, not yet completed) instruction.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct InFlight {
     complete_cycle: u64,
     kind: MissKind,
 }
 
+/// The in-order completion window: a ring of `limit` entries, stored in
+/// a power-of-two number of slots (none when the device has no window).
+struct Window {
+    slots: Box<[InFlight]>,
+    mask: usize,
+    head: usize,
+    len: usize,
+    /// The device's `inflight_window`; `usize::MAX` when it has none.
+    limit: usize,
+}
+
+impl Window {
+    fn new(limit: Option<usize>) -> Self {
+        let slots = limit.map_or(0, usize::next_power_of_two);
+        Window {
+            slots: vec![InFlight::default(); slots].into_boxed_slice(),
+            mask: slots.wrapping_sub(1),
+            head: 0,
+            len: 0,
+            limit: limit.unwrap_or(usize::MAX),
+        }
+    }
+
+    fn front(&self) -> Option<InFlight> {
+        (self.len > 0).then(|| self.slots[self.head])
+    }
+
+    fn is_full(&self) -> bool {
+        self.len >= self.limit
+    }
+
+    fn pop_front(&mut self) {
+        self.head = (self.head + 1) & self.mask;
+        self.len -= 1;
+    }
+
+    /// Appends an entry; a device without a window keeps none. The issue
+    /// loop never pushes into a full window.
+    fn push_back(&mut self, entry: InFlight) {
+        if !self.slots.is_empty() {
+            self.slots[(self.head + self.len) & self.mask] = entry;
+            self.len += 1;
+        }
+    }
+}
+
+/// Instructions pulled from the source at once, when fetch finds none
+/// pulled ahead.
+const FETCH_BLOCK: usize = 256;
+
 struct Pipeline<'d> {
     device: &'d DeviceModel,
     mem: MemorySystem,
-    fetch_queue: VecDeque<DynInst>,
+    /// Instructions pulled from the source a block at a time: the fetch
+    /// queue is `block[head..tail]`, and `block[tail..]` waits for fetch
+    /// (its first entry is the one an I$ miss holds back).
+    block: Vec<DynInst>,
+    head: usize,
+    tail: usize,
+    /// The source appended fewer instructions than asked for: it has
+    /// ended and is not pulled again.
+    source_ended: bool,
+    /// Device fields read on every cycle.
+    width: u32,
+    fetch_queue: usize,
+    l1i_line_mask: u64,
     reg_ready: [u64; crate::isa::NUM_REGS],
     /// What produced each register's pending value (attributes dependency
     /// stalls to the right miss kind).
     reg_source: [MissKind; crate::isa::NUM_REGS],
     /// In-order completion window (only maintained when the device has
     /// one).
-    inflight: VecDeque<InFlight>,
+    inflight: Window,
     fetch_blocked_until: u64,
     /// Why fetch is blocked (for attributing queue-empty stalls).
     fetch_block_kind: MissKind,
     current_fetch_line: Option<u64>,
-    /// An instruction peeked from the source but not yet admitted because
-    /// its I$ line is still being fetched.
-    pending_fetch: Option<DynInst>,
-    /// The instruction source has been drained.
+    /// Fetch wanted an instruction and the source had none left.
     source_done: bool,
     /// Ready cycles of the buffered stores.
     store_buffer: Vec<u64>,
@@ -273,14 +351,19 @@ impl<'d> Pipeline<'d> {
         Pipeline {
             device,
             mem: MemorySystem::new(device, seed),
-            fetch_queue: VecDeque::with_capacity(device.fetch_queue),
+            block: Vec::with_capacity(device.fetch_queue + FETCH_BLOCK),
+            head: 0,
+            tail: 0,
+            source_ended: false,
+            width: device.width as u32,
+            fetch_queue: device.fetch_queue,
+            l1i_line_mask: !(device.l1i.line_bytes - 1),
             reg_ready: [0; crate::isa::NUM_REGS],
             reg_source: [MissKind::None; crate::isa::NUM_REGS],
-            inflight: VecDeque::new(),
+            inflight: Window::new(device.inflight_window),
             fetch_blocked_until: 0,
             fetch_block_kind: MissKind::None,
             current_fetch_line: None,
-            pending_fetch: None,
             source_done: false,
             store_buffer: Vec::with_capacity(device.store_buffer),
             store_buffer_next: u64::MAX,
@@ -298,12 +381,12 @@ impl<'d> Pipeline<'d> {
     /// stretches: a frozen cycle repeats until [`Pipeline::next_change`],
     /// so those cycles are recorded in bulk, bit-identically to stepping
     /// them (see `run_stepping`).
-    fn run<S: InstructionSource>(mut self, mut source: S, max_cycles: u64) -> SimResult {
+    fn run(mut self, source: &mut dyn InstructionSource, max_cycles: u64) -> SimResult {
         let _run_span = obs::span!("sim.run");
         let mut now: u64 = 0;
         loop {
             check_cycle_guard(now, max_cycles);
-            let frozen = self.step(&mut source, now);
+            let frozen = self.step(source, now);
             now += 1;
             if self.finished() {
                 break;
@@ -322,11 +405,11 @@ impl<'d> Pipeline<'d> {
     /// The executable specification of [`Pipeline::run`]: the same
     /// cycles, each one stepped.
     #[cfg(test)]
-    fn run_stepping<S: InstructionSource>(mut self, mut source: S, max_cycles: u64) -> SimResult {
+    fn run_stepping(mut self, source: &mut dyn InstructionSource, max_cycles: u64) -> SimResult {
         let mut now: u64 = 0;
         loop {
             check_cycle_guard(now, max_cycles);
-            self.step(&mut source, now);
+            self.step(source, now);
             now += 1;
             if self.finished() {
                 break;
@@ -340,21 +423,21 @@ impl<'d> Pipeline<'d> {
     /// no state changed and every later cycle repeats this one (an idle
     /// power sample, one more stalled cycle, the same stall attribution)
     /// until [`Pipeline::next_change`].
-    fn step<S: InstructionSource>(&mut self, source: &mut S, now: u64) -> bool {
+    fn step(&mut self, source: &mut dyn InstructionSource, now: u64) -> bool {
         self.mem.retire_completed(now);
         self.retire(now);
         self.drain_store_buffer(now);
 
         let mut activity = CycleActivity::default();
-        let queued = self.fetch_queue.len();
+        let head = self.head;
         let issued = self.issue(now, &mut activity);
         // Issue pops every instruction and marker it handles; an idle
         // fetch is one `fetch` returns from before touching the source,
         // the I$ or the queue.
-        let issue_idle = self.fetch_queue.len() == queued;
+        let issue_idle = self.head == head;
         let fetch_idle = self.source_done
             || now < self.fetch_blocked_until
-            || self.fetch_queue.len() >= self.device.fetch_queue;
+            || self.tail - self.head >= self.fetch_queue;
         if !self.source_done {
             self.source_done = self.fetch(source, now, &mut activity);
         }
@@ -366,10 +449,9 @@ impl<'d> Pipeline<'d> {
     /// The source is drained and nothing is queued, buffered or in flight.
     fn finished(&self) -> bool {
         self.source_done
-            && self.fetch_queue.is_empty()
-            && self.pending_fetch.is_none()
+            && self.head == self.tail
             && self.store_buffer.is_empty()
-            && self.inflight.is_empty()
+            && self.inflight.len == 0
             && self.mem.next_completion().is_none()
     }
 
@@ -380,10 +462,11 @@ impl<'d> Pipeline<'d> {
     /// already in the past gate nothing and are ignored. `u64::MAX` when
     /// nothing is pending (a livelock, which the cycle guard reports).
     fn next_change(&self, now: u64) -> u64 {
-        let head_srcs = self
-            .fetch_queue
-            .front()
-            .map_or([None, None], |inst| inst.op.srcs());
+        let head_srcs = if self.head < self.tail {
+            self.block[self.head].op.srcs()
+        } else {
+            [None, None]
+        };
         [
             self.inflight.front().map(|f| f.complete_cycle),
             self.mem.next_completion(),
@@ -439,12 +522,12 @@ impl<'d> Pipeline<'d> {
 
     /// Retires completed instructions from the in-order window.
     fn retire(&mut self, now: u64) {
-        while let Some(head) = self.inflight.front() {
-            if head.complete_cycle <= now {
-                self.inflight.pop_front();
-            } else {
-                break;
-            }
+        while self
+            .inflight
+            .front()
+            .is_some_and(|head| head.complete_cycle <= now)
+        {
+            self.inflight.pop_front();
         }
     }
 
@@ -453,37 +536,35 @@ impl<'d> Pipeline<'d> {
         self.cycle_block = MissKind::None;
         let mut issued = 0u32;
         let mut mem_ops = 0u32;
-        while issued < self.device.width as u32 {
-            let Some(inst) = self.fetch_queue.front().copied() else {
+        while issued < self.width {
+            if self.head == self.tail {
                 // Queue empty: if we are draining behind incomplete work,
                 // the stall belongs to the window head; otherwise to
                 // whatever blocked fetch (e.g. an I$ miss).
                 let blocked_on = self
                     .inflight
                     .front()
-                    .map(|f| f.kind)
-                    .unwrap_or(self.fetch_block_kind);
+                    .map_or(self.fetch_block_kind, |f| f.kind);
                 self.cycle_block = self.cycle_block.worst(blocked_on);
                 break;
-            };
+            }
+            let inst = self.block[self.head];
             // Markers are free and invisible to timing.
             if let DynOp::Marker(id) = inst.op {
                 self.gt.push_marker(id, now);
-                self.fetch_queue.pop_front();
+                self.head += 1;
                 continue;
             }
             // In-order completion: no issue past a full window; the stall
             // belongs to whatever the window head is waiting on.
-            if let Some(window) = self.device.inflight_window {
-                if self.inflight.len() >= window {
-                    let head = self.inflight.front().expect("window full implies nonempty");
-                    self.cycle_block = self.cycle_block.worst(head.kind);
-                    break;
-                }
+            if self.inflight.is_full() {
+                let head = self.inflight.front().expect("window full implies nonempty");
+                self.cycle_block = self.cycle_block.worst(head.kind);
+                break;
             }
             match self.try_issue(&inst, now, mem_ops, activity) {
                 Ok(used_mem_port) => {
-                    self.fetch_queue.pop_front();
+                    self.head += 1;
                     self.stats.instructions += 1;
                     issued += 1;
                     if used_mem_port {
@@ -505,15 +586,9 @@ impl<'d> Pipeline<'d> {
         mem_ops: u32,
         activity: &mut CycleActivity,
     ) -> Result<bool, IssueBlock> {
-        for src in inst.op.srcs().into_iter().flatten() {
-            if self.reg_ready[src.0 as usize] > now {
-                // Attribute the dependency stall to whatever produced the
-                // pending value (a missing load, or plain compute).
-                let kind = self.reg_source[src.0 as usize];
-                self.cycle_block = self.cycle_block.worst(kind);
-                return Err(IssueBlock::Dependency);
-            }
-        }
+        let [a, b] = inst.op.srcs();
+        self.wait_for(a, now)?;
+        self.wait_for(b, now)?;
         match inst.op {
             DynOp::Alu { dst, .. } => {
                 if let Some(d) = dst {
@@ -545,24 +620,10 @@ impl<'d> Pipeline<'d> {
                 if mem_ops >= 1 {
                     return Err(IssueBlock::Structural);
                 }
-                let info = match self.mem.access_data(inst.pc, addr, false, now) {
-                    Ok(info) => info,
-                    Err(MshrFull) => {
-                        // The structural stall is caused by the misses
-                        // holding the MSHRs.
-                        let s = self.mem.outstanding_summary(now);
-                        let kind = if s.llc_miss {
-                            MissKind::Llc { refresh: s.refresh }
-                        } else if s.l1_miss {
-                            MissKind::L1
-                        } else {
-                            MissKind::None
-                        };
-                        self.cycle_block = self.cycle_block.worst(kind);
-                        return Err(IssueBlock::Structural);
-                    }
+                let Ok(info) = self.mem.access_data(inst.pc, addr, false, now) else {
+                    return Err(self.blocked_on_outstanding(now));
                 };
-                self.record_mem_access(inst.pc, addr, false, now, &info, activity);
+                self.record_mem_access(inst.pc, addr, now, &info, activity);
                 let kind = MissKind::from_access(&info);
                 let ready = info.ready_cycle.max(now + 1);
                 self.set_ready(dst, ready, kind);
@@ -575,33 +636,12 @@ impl<'d> Pipeline<'d> {
                     return Err(IssueBlock::Structural);
                 }
                 if self.store_buffer.len() >= self.device.store_buffer {
-                    let s = self.mem.outstanding_summary(now);
-                    let kind = if s.llc_miss {
-                        MissKind::Llc { refresh: s.refresh }
-                    } else if s.l1_miss {
-                        MissKind::L1
-                    } else {
-                        MissKind::None
-                    };
-                    self.cycle_block = self.cycle_block.worst(kind);
-                    return Err(IssueBlock::Structural);
+                    return Err(self.blocked_on_outstanding(now));
                 }
-                let info = match self.mem.access_data(inst.pc, addr, true, now) {
-                    Ok(info) => info,
-                    Err(MshrFull) => {
-                        let s = self.mem.outstanding_summary(now);
-                        let kind = if s.llc_miss {
-                            MissKind::Llc { refresh: s.refresh }
-                        } else if s.l1_miss {
-                            MissKind::L1
-                        } else {
-                            MissKind::None
-                        };
-                        self.cycle_block = self.cycle_block.worst(kind);
-                        return Err(IssueBlock::Structural);
-                    }
+                let Ok(info) = self.mem.access_data(inst.pc, addr, true, now) else {
+                    return Err(self.blocked_on_outstanding(now));
                 };
-                self.record_mem_access(inst.pc, addr, true, now, &info, activity);
+                self.record_mem_access(inst.pc, addr, now, &info, activity);
                 // The store retires into the buffer (it completes
                 // immediately from the window's point of view); the buffer
                 // entry drains when the line arrives.
@@ -616,20 +656,40 @@ impl<'d> Pipeline<'d> {
         }
     }
 
-    fn push_inflight(&mut self, complete_cycle: u64, kind: MissKind) {
-        if self.device.inflight_window.is_some() {
-            self.inflight.push_back(InFlight {
-                complete_cycle,
-                kind,
-            });
+    /// Blocks issue on a source register whose value is not ready at
+    /// `now`.
+    fn wait_for(&mut self, src: Option<crate::isa::Reg>, now: u64) -> Result<(), IssueBlock> {
+        if let Some(src) = src {
+            if self.reg_ready[src.0 as usize] > now {
+                // Attribute the dependency stall to whatever produced the
+                // pending value (a missing load, or plain compute).
+                let kind = self.reg_source[src.0 as usize];
+                self.cycle_block = self.cycle_block.worst(kind);
+                return Err(IssueBlock::Dependency);
+            }
         }
+        Ok(())
+    }
+
+    /// A structural stall (MSHRs or store buffer full), caused by the
+    /// misses in flight.
+    fn blocked_on_outstanding(&mut self, now: u64) -> IssueBlock {
+        let kind = MissKind::from_summary(self.mem.outstanding_summary(now));
+        self.cycle_block = self.cycle_block.worst(kind);
+        IssueBlock::Structural
+    }
+
+    fn push_inflight(&mut self, complete_cycle: u64, kind: MissKind) {
+        self.inflight.push_back(InFlight {
+            complete_cycle,
+            kind,
+        });
     }
 
     fn record_mem_access(
         &mut self,
         pc: u64,
         addr: u64,
-        _is_write: bool,
         now: u64,
         info: &crate::memory::AccessInfo,
         activity: &mut CycleActivity,
@@ -658,25 +718,24 @@ impl<'d> Pipeline<'d> {
 
     /// Fetches up to `width` instructions; returns `true` when the source
     /// is exhausted.
-    fn fetch<S: InstructionSource>(
+    fn fetch(
         &mut self,
-        source: &mut S,
+        source: &mut dyn InstructionSource,
         now: u64,
         activity: &mut CycleActivity,
     ) -> bool {
         if now < self.fetch_blocked_until {
             return false;
         }
-        let line_mask = !(self.device.l1i.line_bytes - 1);
-        for _ in 0..self.device.width {
-            if self.fetch_queue.len() >= self.device.fetch_queue {
+        for _ in 0..self.width {
+            if self.tail - self.head >= self.fetch_queue {
                 break;
             }
-            let inst = match self.pending_fetch.take().or_else(|| source.next_inst()) {
-                Some(i) => i,
-                None => return true,
-            };
-            let line = inst.pc & line_mask;
+            if self.tail == self.block.len() && !self.refill(source) {
+                return true;
+            }
+            let inst = self.block[self.tail];
+            let line = inst.pc & self.l1i_line_mask;
             if self.current_fetch_line != Some(line) {
                 let info = self.mem.access_instr(inst.pc, now);
                 if info.llc_accessed {
@@ -693,22 +752,17 @@ impl<'d> Pipeline<'d> {
                     });
                 }
                 if info.ready_cycle > now {
-                    // I$ miss (or slow path): fetch resumes when the line
-                    // arrives; remember the instruction we peeked.
+                    // I$ miss (or slow path): fetch resumes with this
+                    // instruction when the line arrives.
                     self.fetch_blocked_until = info.ready_cycle;
                     self.fetch_block_kind = MissKind::from_access(&info);
-                    self.pending_fetch = Some(inst);
                     break;
                 }
                 self.current_fetch_line = Some(line);
             }
-            let branch_taken = match inst.op {
-                DynOp::Branch { taken, .. } => Some(taken),
-                _ => None,
-            };
             activity.fetched += 1;
-            self.fetch_queue.push_back(inst);
-            if let Some(taken) = branch_taken {
+            self.tail += 1;
+            if let DynOp::Branch { taken, .. } = inst.op {
                 let bubble = match self.bpred.as_mut() {
                     Some(bp) => {
                         // Predicted path: a correct taken prediction still
@@ -717,11 +771,14 @@ impl<'d> Pipeline<'d> {
                         let correct = bp.update(inst.pc, taken);
                         if !correct {
                             self.stats.branch_mispredicts += 1;
-                            Some(1 + self.device.branch_penalty
-                                + self.device
-                                    .branch_predictor
-                                    .expect("predictor configured")
-                                    .mispredict_penalty)
+                            Some(
+                                1 + self.device.branch_penalty
+                                    + self
+                                        .device
+                                        .branch_predictor
+                                        .expect("predictor configured")
+                                        .mispredict_penalty,
+                            )
                         } else if taken {
                             Some(1)
                         } else {
@@ -741,6 +798,23 @@ impl<'d> Pipeline<'d> {
             }
         }
         false
+    }
+
+    /// Pulls the next block from the source once everything pulled has
+    /// been fetched, moving the fetch queue to the front of the buffer
+    /// first. Returns `false` when the source has no instruction left; an
+    /// ended source is not pulled again.
+    fn refill(&mut self, source: &mut dyn InstructionSource) -> bool {
+        if self.source_ended {
+            return false;
+        }
+        self.block.drain(..self.head);
+        self.tail -= self.head;
+        self.head = 0;
+        source.fill(&mut self.block, FETCH_BLOCK);
+        let pulled = self.block.len() - self.tail;
+        self.source_ended = pulled < FETCH_BLOCK;
+        pulled > 0
     }
 
     fn track_stall(&mut self, now: u64, issued: u32) {
@@ -890,8 +964,8 @@ mod tests {
         let r = no_refresh_sim().run(Interpreter::new(&array_walk(512, 1)));
         let stalls: Vec<_> = r.ground_truth.llc_stalls().collect();
         assert!(!stalls.is_empty());
-        let avg: f64 = stalls.iter().map(|s| s.duration() as f64).sum::<f64>()
-            / stalls.len() as f64;
+        let avg: f64 =
+            stalls.iter().map(|s| s.duration() as f64).sum::<f64>() / stalls.len() as f64;
         // LLC miss latency is ~300 cycles; sequential dependent-ish walk
         // stalls for a large fraction of it.
         assert!(avg > 50.0, "average LLC stall {avg} cycles is too short");
@@ -935,7 +1009,10 @@ mod tests {
         b.push(Inst::Marker(2));
         b.push(Inst::Halt);
         let r = sim().run(Interpreter::new(&b.build().unwrap()));
-        let w = r.ground_truth.marker_window(1, 2).expect("both markers hit");
+        let w = r
+            .ground_truth
+            .marker_window(1, 2)
+            .expect("both markers hit");
         assert!(w.1 > w.0);
         assert!(w.1 - w.0 >= 100, "window spans the loop");
     }
@@ -945,10 +1022,7 @@ mod tests {
         let r = no_refresh_sim().run(Interpreter::new(&array_walk(256, 2)));
         assert!(r.stats.stall_cycles <= r.stats.cycles);
         assert!(r.stats.llc_stall_cycles <= r.stats.stall_cycles);
-        assert_eq!(
-            r.stats.llc_stall_cycles,
-            r.ground_truth.llc_stall_cycles()
-        );
+        assert_eq!(r.stats.llc_stall_cycles, r.ground_truth.llc_stall_cycles());
         assert!(r.stats.instructions > 0);
     }
 
@@ -956,7 +1030,11 @@ mod tests {
     fn deterministic_given_seed() {
         let run = || {
             let r = no_refresh_sim().run(Interpreter::new(&array_walk(128, 2)));
-            (r.stats.cycles, r.stats.llc_misses, r.power.samples().to_vec())
+            (
+                r.stats.cycles,
+                r.stats.llc_misses,
+                r.power.samples().to_vec(),
+            )
         };
         assert_eq!(run(), run());
     }
@@ -1036,6 +1114,87 @@ mod tests {
             );
             assert_eq!(jumped, stepped);
         }
+    }
+
+    #[test]
+    fn an_ended_source_is_never_pulled_again() {
+        use std::cell::Cell;
+        use std::rc::Rc;
+        for len in [
+            0,
+            3,
+            FETCH_BLOCK - 1,
+            FETCH_BLOCK,
+            FETCH_BLOCK + 1,
+            2 * FETCH_BLOCK,
+        ] {
+            let stream: Vec<DynInst> = (0..len as u64)
+                .map(|i| DynInst {
+                    pc: 0x40_0000 + 4 * i,
+                    op: DynOp::Alu {
+                        dst: Some(Reg(1 + (i % 8) as u8)),
+                        srcs: [Some(Reg(1 + ((i + 3) % 8) as u8)), None],
+                    },
+                })
+                .collect();
+            for stepping in [false, true] {
+                // Yields the stream, one `None`, then instructions again,
+                // counting every pull after the `None`.
+                let past_end = Rc::new(Cell::new(0));
+                let mut pulls = 0;
+                let (insts, counter) = (stream.clone(), Rc::clone(&past_end));
+                let source = IterSource::new(std::iter::from_fn(move || {
+                    pulls += 1;
+                    match pulls.cmp(&(insts.len() + 1)) {
+                        std::cmp::Ordering::Less => Some(insts[pulls - 1]),
+                        std::cmp::Ordering::Equal => None,
+                        std::cmp::Ordering::Greater => {
+                            counter.set(counter.get() + 1);
+                            Some(DynInst {
+                                pc: 0,
+                                op: DynOp::Nop,
+                            })
+                        }
+                    }
+                }));
+                let r = if stepping {
+                    sim().run_stepping(source)
+                } else {
+                    sim().run(source)
+                };
+                assert_eq!(past_end.get(), 0, "pulled past the end, {len} instructions");
+                assert_eq!(r.stats.instructions, len as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn the_source_ends_when_fetch_next_finds_it_empty() {
+        // A stream ending in a branch: taken, its redirect bubble delays
+        // the fetch that finds the stream over, and so the end of the
+        // run, past the cycle the pipeline drains in.
+        let device = DeviceModel::sesc_like();
+        let cycles = |taken: bool| {
+            let stream = (0..40u64).map(|i| DynInst {
+                pc: 0x40_0000 + 4 * i,
+                op: if i == 39 {
+                    DynOp::Branch {
+                        srcs: [None, None],
+                        taken,
+                    }
+                } else {
+                    DynOp::Nop
+                },
+            });
+            let sim = Simulator::new(device.clone());
+            let (jumped, stepped) = (
+                sim.run(IterSource::new(stream.clone())),
+                sim.run_stepping(IterSource::new(stream)),
+            );
+            assert_eq!(jumped, stepped);
+            jumped.stats.cycles
+        };
+        assert!(cycles(true) > cycles(false));
     }
 
     #[test]

@@ -67,37 +67,80 @@ impl CycleActivity {
     }
 }
 
+/// The power sample of one cycle with the given activity.
+fn sample(m: &PowerModel, activity: &CycleActivity) -> f32 {
+    let p = m.base
+        + m.fetch * activity.fetched as f64
+        + m.alu * activity.alu_issued as f64
+        + m.mul * activity.mul_issued as f64
+        + m.mem * activity.mem_issued as f64
+        + m.llc * activity.llc_accesses as f64;
+    p as f32
+}
+
+/// Entries of the power table. An index holds, from the low bits, 3 bits
+/// of fetched, 3 of ALU, 2 of multiply, 1 of memory and 2 of LLC counts:
+/// every count of a 4-wide core with one memory port, but for rare
+/// multiply and LLC bursts.
+const TABLE_LEN: usize = 1 << 11;
+
+/// The power-table index of `activity`, or `None` when a count is too
+/// large for its field.
+#[inline]
+fn table_index(a: &CycleActivity) -> Option<usize> {
+    if (a.fetched | a.alu_issued) >> 3 | a.mul_issued >> 2 | a.mem_issued >> 1 | a.llc_accesses >> 2
+        != 0
+    {
+        return None;
+    }
+    let index =
+        a.fetched | a.alu_issued << 3 | a.mul_issued << 6 | a.mem_issued << 8 | a.llc_accesses << 9;
+    Some(index as usize)
+}
+
 /// Accumulates per-cycle power samples.
 #[derive(Debug, Clone)]
 pub struct PowerTraceBuilder {
     model: PowerModel,
+    /// The sample of every activity inside the table's bounds, at its
+    /// [`table_index`].
+    table: Box<[f32]>,
     samples: Vec<f32>,
 }
 
 impl PowerTraceBuilder {
     /// Creates a builder with the given weights.
     pub fn new(model: PowerModel) -> Self {
+        let table = (0..TABLE_LEN as u32)
+            .map(|index| {
+                let field = |shift: u32, bits: u32| index >> shift & ((1 << bits) - 1);
+                let activity = CycleActivity {
+                    fetched: field(0, 3),
+                    alu_issued: field(3, 3),
+                    mul_issued: field(6, 2),
+                    mem_issued: field(8, 1),
+                    llc_accesses: field(9, 2),
+                };
+                sample(&model, &activity)
+            })
+            .collect();
         PowerTraceBuilder {
             model,
+            table,
             samples: Vec::new(),
         }
     }
 
-    /// The power sample of one cycle with the given activity.
-    fn sample(&self, activity: &CycleActivity) -> f32 {
-        let m = &self.model;
-        let p = m.base
-            + m.fetch * activity.fetched as f64
-            + m.alu * activity.alu_issued as f64
-            + m.mul * activity.mul_issued as f64
-            + m.mem * activity.mem_issued as f64
-            + m.llc * activity.llc_accesses as f64;
-        p as f32
-    }
-
-    /// Converts one cycle's activity into a power sample and appends it.
+    /// Converts one cycle's activity into a power sample and appends it:
+    /// a table lookup, or the model's weighted sum for counts outside
+    /// the table.
+    #[inline]
     pub fn record(&mut self, activity: &CycleActivity) {
-        self.samples.push(self.sample(activity));
+        let p = match table_index(activity) {
+            Some(index) => self.table[index],
+            None => sample(&self.model, activity),
+        };
+        self.samples.push(p);
     }
 
     /// Appends `cycles` idle samples at once: bit-identical to `cycles`
@@ -105,7 +148,7 @@ impl PowerTraceBuilder {
     /// `CycleActivity::default()`, which is how the pipeline records a
     /// skipped stretch of fully-stalled cycles.
     pub fn record_repeat(&mut self, cycles: usize) {
-        let idle = self.sample(&CycleActivity::default());
+        let idle = sample(&self.model, &CycleActivity::default());
         self.samples.resize(self.samples.len() + cycles, idle);
     }
 
@@ -218,17 +261,71 @@ mod tests {
         );
     }
 
+    /// Weights whose sums round differently from the default ones.
+    const WEIGHTED: PowerModel = PowerModel {
+        base: 0.37,
+        fetch: 0.11,
+        alu: 0.9,
+        mul: 1.3,
+        mem: 0.05,
+        llc: 2.2,
+    };
+
+    #[test]
+    fn record_equals_sample_inside_and_just_outside_the_table() {
+        // Every count up to one past its field's range, so each field
+        // leaves the table alone, and a few far outside it.
+        let mut activities = Vec::new();
+        for fetched in 0..9 {
+            for alu_issued in 0..9 {
+                for mul_issued in 0..5 {
+                    for mem_issued in 0..3 {
+                        for llc_accesses in 0..5 {
+                            activities.push(CycleActivity {
+                                fetched,
+                                alu_issued,
+                                mul_issued,
+                                mem_issued,
+                                llc_accesses,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        let inside = activities
+            .iter()
+            .filter(|a| table_index(a).is_some())
+            .count();
+        assert_eq!(
+            inside, TABLE_LEN,
+            "the table holds every tuple in its bounds"
+        );
+        activities.push(CycleActivity {
+            fetched: 64,
+            alu_issued: 1,
+            ..Default::default()
+        });
+        activities.push(CycleActivity {
+            llc_accesses: 1 << 20,
+            ..Default::default()
+        });
+        for model in [PowerModel::default(), WEIGHTED] {
+            let mut b = PowerTraceBuilder::new(model);
+            for a in &activities {
+                b.record(a);
+            }
+            let trace = b.finish(1e9);
+            for (a, got) in activities.iter().zip(trace.samples()) {
+                let want = sample(&model, a);
+                assert_eq!(got.to_bits(), want.to_bits(), "model {model:?}, {a:?}");
+            }
+        }
+    }
+
     #[test]
     fn record_repeat_equals_repeated_idle_records() {
-        let weighted = PowerModel {
-            base: 0.37,
-            fetch: 0.11,
-            alu: 0.9,
-            mul: 1.3,
-            mem: 0.05,
-            llc: 2.2,
-        };
-        for model in [PowerModel::default(), weighted] {
+        for model in [PowerModel::default(), WEIGHTED] {
             for n in [0, 1, 7, 300] {
                 let mut stepped = PowerTraceBuilder::new(model);
                 let mut repeated = PowerTraceBuilder::new(model);

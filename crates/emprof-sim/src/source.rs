@@ -100,10 +100,33 @@ pub struct DynInst {
 ///
 /// Implementations: [`crate::Interpreter`] (real mini-ISA execution) and
 /// the trace generators in the workloads crate.
+///
+/// A stream must not depend on when it is pulled: the pipeline reads it
+/// ahead of fetch, a block at a time through [`InstructionSource::fill`],
+/// so the `n`-th instruction has to be the same whatever cycle it is
+/// asked for in. Once a source has returned `None`, the pipeline never
+/// pulls it again.
 pub trait InstructionSource {
     /// Produces the next dynamic instruction, or `None` when the program
     /// has halted.
     fn next_inst(&mut self) -> Option<DynInst>;
+
+    /// Appends the next `max` instructions of the stream to `out`, or
+    /// fewer when it ends: appending fewer than `max` means the stream
+    /// has ended. Never pulls past the end.
+    ///
+    /// Equal to calling [`InstructionSource::next_inst`] until it returns
+    /// `None` or `max` instructions are appended, which is what the
+    /// provided method does; a source overrides it only to produce the
+    /// same instructions faster.
+    fn fill(&mut self, out: &mut Vec<DynInst>, max: usize) {
+        for _ in 0..max {
+            match self.next_inst() {
+                Some(inst) => out.push(inst),
+                None => return,
+            }
+        }
+    }
 }
 
 /// Adapts any iterator of [`DynInst`] into an [`InstructionSource`];

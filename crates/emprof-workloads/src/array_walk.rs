@@ -120,11 +120,7 @@ mod tests {
     fn run(level: MissLevel) -> emprof_sim::SimResult {
         let mut device = DeviceModel::sesc_like();
         device.dram.refresh = emprof_dram::RefreshConfig::disabled();
-        let cfg = ArrayWalkConfig::for_level(
-            level,
-            device.l1d.size_bytes,
-            device.llc.size_bytes,
-        );
+        let cfg = ArrayWalkConfig::for_level(level, device.l1d.size_bytes, device.llc.size_bytes);
         let program = cfg.build().unwrap();
         Simulator::new(device)
             .with_max_cycles(400_000_000)
@@ -142,12 +138,7 @@ mod tests {
     #[test]
     fn llc_hit_walk_misses_l1_but_not_llc() {
         let r = run(MissLevel::LlcHit);
-        let lines = ArrayWalkConfig::for_level(
-            MissLevel::LlcHit,
-            32 << 10,
-            256 << 10,
-        )
-        .lines();
+        let lines = ArrayWalkConfig::for_level(MissLevel::LlcHit, 32 << 10, 256 << 10).lines();
         // L1 misses on every pass (array 4x L1), LLC misses only cold.
         assert!(r.stats.l1d_misses > 2 * lines, "l1d {}", r.stats.l1d_misses);
         assert!(
@@ -168,12 +159,7 @@ mod tests {
     #[test]
     fn llc_miss_walk_misses_every_pass() {
         let r = run(MissLevel::LlcMiss);
-        let lines = ArrayWalkConfig::for_level(
-            MissLevel::LlcMiss,
-            32 << 10,
-            256 << 10,
-        )
-        .lines();
+        let lines = ArrayWalkConfig::for_level(MissLevel::LlcMiss, 32 << 10, 256 << 10).lines();
         // 3 passes over 4x the LLC: essentially every access misses.
         assert!(
             r.stats.llc_misses > 2 * lines,

@@ -92,7 +92,13 @@ mod tests {
         let b = boot_sequence(1, 1.0);
         assert_eq!(
             b.phase_names(),
-            vec!["rom_copy", "decompress", "device_init", "fs_scan", "services"]
+            vec![
+                "rom_copy",
+                "decompress",
+                "device_init",
+                "fs_scan",
+                "services"
+            ]
         );
     }
 
@@ -144,8 +150,7 @@ mod tests {
         let a = boot_sequence(1, 0.02);
         let b = boot_sequence(2, 0.02);
         let run = |spec: WorkloadSpec| {
-            let sim =
-                Simulator::new(DeviceModel::olimex()).with_max_cycles(50_000_000);
+            let sim = Simulator::new(DeviceModel::olimex()).with_max_cycles(50_000_000);
             let r = sim.run(spec.source());
             (r.stats.cycles, r.stats.llc_misses)
         };

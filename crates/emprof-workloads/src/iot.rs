@@ -252,10 +252,7 @@ mod tests {
         let r = run(table_crypto(4096, 16 << 10, 40).unwrap());
         let misses = kernel_misses(&r);
         // 16 KiB = 256 lines: only the cold pass misses.
-        assert!(
-            misses <= 256,
-            "small-table crypto missed {misses} times"
-        );
+        assert!(misses <= 256, "small-table crypto missed {misses} times");
     }
 
     #[test]

@@ -176,48 +176,47 @@ impl MicrobenchConfig {
         let line_mask = (PAGE_BYTES / LINE_BYTES - 1) as i64;
         let outer = Reg(10);
 
-        let emit_group_loop = |b: &mut emprof_sim::isa::ProgramBuilder,
-                                   groups: u64,
-                                   per_group: u64| {
-            if groups == 0 || per_group == 0 {
-                return;
-            }
-            b.push(Inst::Li(outer, groups as i64));
-            let outer_top = b.label();
-            b.push(Inst::Li(i, per_group as i64));
-            let group_top = b.label();
-            // LCG step: state = state * MUL + 1 — the stand-in for the
-            // paper's rand() calls.
-            b.push(Inst::Mul(lcg, lcg, lcg_mul));
-            b.push(Inst::Addi(lcg, lcg, 1));
-            // page = (state >> 33) & (pages - 1), in bytes: << 12.
-            b.push(Inst::Srli(tmp, lcg, 33));
-            b.push(Inst::Andi(tmp, tmp, page_mask));
-            b.push(Inst::Slli(addr, tmp, 12));
-            // line = (state >> 17) & (lines/page - 1), in bytes: << 6.
-            b.push(Inst::Srli(tmp, lcg, 17));
-            b.push(Inst::Andi(tmp, tmp, line_mask));
-            b.push(Inst::Slli(tmp, tmp, 6));
-            b.push(Inst::Add(addr, addr, tmp));
-            b.push(Inst::Add(addr, addr, base));
-            b.push(Inst::Ld(val, addr, 0));
-            // Address-computation delay: models the real cost of the two
-            // rand() library calls between accesses, which is what keeps
-            // consecutive dips separated in the captured signal (Fig. 7b).
-            b.push(Inst::Li(inner, self.address_compute_iters));
-            let delay_top = b.label();
-            b.push(Inst::Addi(inner, inner, -1));
-            b.push(Inst::Bne(inner, Reg::ZERO, delay_top));
-            b.push(Inst::Addi(i, i, -1));
-            b.push(Inst::Bne(i, Reg::ZERO, group_top));
-            // Micro function call: a short compute loop separating groups.
-            b.push(Inst::Li(inner, self.micro_function_iters));
-            let micro_top = b.label();
-            b.push(Inst::Addi(inner, inner, -1));
-            b.push(Inst::Bne(inner, Reg::ZERO, micro_top));
-            b.push(Inst::Addi(outer, outer, -1));
-            b.push(Inst::Bne(outer, Reg::ZERO, outer_top));
-        };
+        let emit_group_loop =
+            |b: &mut emprof_sim::isa::ProgramBuilder, groups: u64, per_group: u64| {
+                if groups == 0 || per_group == 0 {
+                    return;
+                }
+                b.push(Inst::Li(outer, groups as i64));
+                let outer_top = b.label();
+                b.push(Inst::Li(i, per_group as i64));
+                let group_top = b.label();
+                // LCG step: state = state * MUL + 1 — the stand-in for the
+                // paper's rand() calls.
+                b.push(Inst::Mul(lcg, lcg, lcg_mul));
+                b.push(Inst::Addi(lcg, lcg, 1));
+                // page = (state >> 33) & (pages - 1), in bytes: << 12.
+                b.push(Inst::Srli(tmp, lcg, 33));
+                b.push(Inst::Andi(tmp, tmp, page_mask));
+                b.push(Inst::Slli(addr, tmp, 12));
+                // line = (state >> 17) & (lines/page - 1), in bytes: << 6.
+                b.push(Inst::Srli(tmp, lcg, 17));
+                b.push(Inst::Andi(tmp, tmp, line_mask));
+                b.push(Inst::Slli(tmp, tmp, 6));
+                b.push(Inst::Add(addr, addr, tmp));
+                b.push(Inst::Add(addr, addr, base));
+                b.push(Inst::Ld(val, addr, 0));
+                // Address-computation delay: models the real cost of the two
+                // rand() library calls between accesses, which is what keeps
+                // consecutive dips separated in the captured signal (Fig. 7b).
+                b.push(Inst::Li(inner, self.address_compute_iters));
+                let delay_top = b.label();
+                b.push(Inst::Addi(inner, inner, -1));
+                b.push(Inst::Bne(inner, Reg::ZERO, delay_top));
+                b.push(Inst::Addi(i, i, -1));
+                b.push(Inst::Bne(i, Reg::ZERO, group_top));
+                // Micro function call: a short compute loop separating groups.
+                b.push(Inst::Li(inner, self.micro_function_iters));
+                let micro_top = b.label();
+                b.push(Inst::Addi(inner, inner, -1));
+                b.push(Inst::Bne(inner, Reg::ZERO, micro_top));
+                b.push(Inst::Addi(outer, outer, -1));
+                b.push(Inst::Bne(outer, Reg::ZERO, outer_top));
+            };
         emit_group_loop(&mut b, full_groups, self.consecutive_misses);
         emit_group_loop(&mut b, u64::from(remainder > 0), remainder);
 

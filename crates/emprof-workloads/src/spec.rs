@@ -148,7 +148,10 @@ impl Phase {
             return Err(format!("phase {}: fractions out of range", self.name));
         }
         if self.load_use_distance == 0 {
-            return Err(format!("phase {}: load_use_distance must be >= 1", self.name));
+            return Err(format!(
+                "phase {}: load_use_distance must be >= 1",
+                self.name
+            ));
         }
         Ok(())
     }
@@ -483,6 +486,9 @@ pub struct TraceGen {
     loop_offset: u64,
     /// Loop iterations remaining before moving to another loop.
     dwell_left: u64,
+    /// The last ALU destination's index into the twelve ALU registers,
+    /// always below 12 (so it advances and offsets by compare-and-wrap,
+    /// not by a remainder on the generator's serial path).
     alu_rot: u8,
     load_rot: u8,
     /// (instruction index due, register) for the next load-use.
@@ -495,6 +501,16 @@ pub struct TraceGen {
 /// Register carrying a stable base address (never written by the
 /// generator, so always ready).
 const BASE_REG: Reg = Reg(31);
+
+/// `(rot + by) % 12` for an ALU register index `rot < 12` and `by < 12`.
+fn alu_reg_after(rot: u8, by: u8) -> u8 {
+    let next = rot + by;
+    if next >= 12 {
+        next - 12
+    } else {
+        next
+    }
+}
 
 /// The cumulative roll cut-points of [`TraceGen::pick_class`] for a phase.
 fn roll_cuts(p: &Phase) -> [f64; 3] {
@@ -563,7 +579,7 @@ impl TraceGen {
     }
 
     fn next_alu_dst(&mut self) -> Reg {
-        self.alu_rot = (self.alu_rot + 1) % 12;
+        self.alu_rot = alu_reg_after(self.alu_rot, 1);
         Reg(1 + self.alu_rot)
     }
 
@@ -607,7 +623,11 @@ impl TraceGen {
                 let k = lines.trailing_zeros();
                 let idx = self.warm_idx & (lines - 1);
                 self.warm_idx = self.warm_idx.wrapping_add(1);
-                let line = if k == 0 { 0 } else { idx.reverse_bits() >> (64 - k) };
+                let line = if k == 0 {
+                    0
+                } else {
+                    idx.reverse_bits() >> (64 - k)
+                };
                 warm_base + line * 64
             }
             AddrClass::Cold => {
@@ -617,6 +637,7 @@ impl TraceGen {
         }
     }
 
+    #[inline(always)]
     fn gen_mem_op(&mut self) -> DynOp {
         let class = self.pick_class();
         let addr = self.address_for(class);
@@ -626,7 +647,7 @@ impl TraceGen {
         // class the paper's stall accounting actually observes.
         let is_store = class == AddrClass::Hot && self.rng.gen::<f64>() < self.phase.store_fraction;
         if is_store {
-            let data = Reg(1 + (self.alu_rot % 12));
+            let data = Reg(1 + self.alu_rot);
             self.last_mem_was_cold = false;
             DynOp::Store {
                 srcs: [Some(data), Some(BASE_REG)],
@@ -667,26 +688,33 @@ impl TraceGen {
             }
             _ => None,
         };
-        let other = Reg(1 + ((self.alu_rot + 5) % 12));
+        let other = Reg(1 + alu_reg_after(self.alu_rot, 5));
         DynOp::Alu {
             dst: Some(dst),
             srcs: [use_src.or(Some(other)), None],
         }
     }
-}
 
-impl InstructionSource for TraceGen {
-    fn next_inst(&mut self) -> Option<DynInst> {
+    /// Hands the next instruction of the stream to `push`, or returns
+    /// `false` after the last phase: the one emitter behind both
+    /// [`InstructionSource`] methods, so a block holds exactly the
+    /// instructions, and makes exactly the RNG draws, of as many
+    /// [`InstructionSource::next_inst`] calls. Each kind of instruction
+    /// is pushed where it is made, so a block is written in place rather
+    /// than through one instruction assembled for every kind.
+    #[inline(always)]
+    fn emit(&mut self, push: &mut impl FnMut(DynInst)) -> bool {
         loop {
             if self.phase_idx >= self.spec.phases.len() {
-                return None;
+                return false;
             }
             if self.marker_pending {
                 self.marker_pending = false;
-                return Some(DynInst {
+                push(DynInst {
                     pc: self.phase.code_base,
                     op: DynOp::Marker(MARKER_REGION_BASE + self.phase_idx as u32),
                 });
+                return true;
             }
             if self.inst_in_phase >= self.phase.instructions {
                 self.phase_idx += 1;
@@ -720,7 +748,7 @@ impl InstructionSource for TraceGen {
                     let dst = self.next_load_dst();
                     self.pending_use = Some((i + self.phase.load_use_distance, dst));
                     self.advance();
-                    return Some(DynInst {
+                    push(DynInst {
                         pc: self.phase.code_base + 8,
                         op: DynOp::Load {
                             dst,
@@ -728,6 +756,7 @@ impl InstructionSource for TraceGen {
                             addr: self.stream_addr,
                         },
                     });
+                    return true;
                 }
                 self.stream_cooldown = self.stream_cooldown.saturating_sub(1);
             }
@@ -740,8 +769,7 @@ impl InstructionSource for TraceGen {
                 if self.dwell_left == 0 {
                     let n_loops = p.code_footprint / (4 * p.loop_body);
                     if n_loops > 1 {
-                        self.loop_offset =
-                            (self.rng.gen::<u64>() % n_loops) * 4 * p.loop_body;
+                        self.loop_offset = (self.rng.gen::<u64>() % n_loops) * 4 * p.loop_body;
                     }
                     self.dwell_left = 16 + self.rng.gen::<u64>() % 49; // 16..=64
                 } else {
@@ -757,18 +785,40 @@ impl InstructionSource for TraceGen {
                 within % footprint
             };
             let pc = self.phase.code_base + offset;
-            let op = if last_in_loop {
-                DynOp::Branch {
-                    srcs: [Some(Reg(1 + (self.alu_rot % 12))), None],
+            if last_in_loop {
+                let op = DynOp::Branch {
+                    srcs: [Some(Reg(1 + self.alu_rot)), None],
                     taken: true,
-                }
+                };
+                self.advance();
+                push(DynInst { pc, op });
             } else if self.mem_pos == 0 {
-                self.gen_mem_op()
+                let op = self.gen_mem_op();
+                self.advance();
+                push(DynInst { pc, op });
             } else {
-                self.gen_alu()
-            };
-            self.advance();
-            return Some(DynInst { pc, op });
+                let op = self.gen_alu();
+                self.advance();
+                push(DynInst { pc, op });
+            }
+            return true;
+        }
+    }
+}
+
+impl InstructionSource for TraceGen {
+    fn next_inst(&mut self) -> Option<DynInst> {
+        let mut next = None;
+        self.emit(&mut |inst| next = Some(inst));
+        next
+    }
+
+    fn fill(&mut self, out: &mut Vec<DynInst>, max: usize) {
+        out.reserve(max);
+        for _ in 0..max {
+            if !self.emit(&mut |inst| out.push(inst)) {
+                return;
+            }
         }
     }
 }
@@ -784,6 +834,57 @@ mod tests {
             v.push(i);
         }
         v
+    }
+
+    #[test]
+    fn fill_yields_the_next_inst_stream_at_every_block_size() {
+        let mut specs: Vec<WorkloadSpec> = WorkloadSpec::all_spec2000()
+            .into_iter()
+            .map(|spec| spec.scaled(0.0003))
+            .collect();
+        specs.push(crate::boot::boot_sequence(3, 0.001));
+        for spec in specs {
+            let want = drain(spec.clone());
+            for block in [1, 2, 7, 256, 4096] {
+                let mut src = spec.source();
+                let mut reference = spec.source();
+                let mut got = Vec::new();
+                let mut straddled = false;
+                loop {
+                    let start = got.len();
+                    src.fill(&mut got, block);
+                    let filled = &got[start..];
+                    assert!(filled.len() <= block);
+                    straddled |= filled
+                        .iter()
+                        .skip(1)
+                        .any(|i| matches!(i.op, DynOp::Marker(_)));
+                    // The same RNG draws and positions as that many
+                    // `next_inst` calls, and one more that found the end
+                    // when the block came back short.
+                    let ended = filled.len() < block;
+                    for _ in filled {
+                        reference.next_inst();
+                    }
+                    if ended {
+                        assert_eq!(reference.next_inst(), None);
+                    }
+                    assert_eq!(format!("{src:?}"), format!("{reference:?}"));
+                    if ended {
+                        break;
+                    }
+                }
+                assert!(got == want, "{} at block {block}", spec.name);
+                assert_eq!(src.next_inst(), None);
+                if spec.phases.len() > 1 && block >= 7 {
+                    assert!(
+                        straddled,
+                        "{} at block {block}: no block crosses a phase",
+                        spec.name
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -868,9 +969,7 @@ mod tests {
         let cold_accesses: Vec<u64> = insts
             .iter()
             .filter_map(|i| match i.op {
-                DynOp::Load { addr, .. } | DynOp::Store { addr, .. }
-                    if addr >= COLD_BASE =>
-                {
+                DynOp::Load { addr, .. } | DynOp::Store { addr, .. } if addr >= COLD_BASE => {
                     Some(addr)
                 }
                 _ => None,

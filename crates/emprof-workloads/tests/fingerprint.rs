@@ -7,12 +7,23 @@
 //! power trace at each of the paper's bandwidths. Two presets also run on
 //! every device model, so each cache geometry is covered.
 //!
+//! The runs the generator does not drive are pinned too: the
+//! interpreted microbenchmark points, IoT kernels and array walks, and
+//! the multi-phase boot sequence, each on the Olimex and SESC-like
+//! models, hashed as their instruction stream and [`SimResult`].
+//!
 //! The hashes pin the exact output of these layers: a speed-up of the
-//! generator, the caches or the resampler must leave every one of them
-//! unchanged. A mismatch prints the whole table as it was computed.
+//! generator, the pipeline, the caches or the resampler must leave every
+//! one of them unchanged. A mismatch prints the whole table as it was
+//! computed.
 
 use emprof_emsim::{Receiver, ReceiverConfig, PAPER_BANDWIDTHS_HZ};
-use emprof_sim::{DeviceModel, InstructionSource, SimResult, Simulator};
+use emprof_sim::isa::Program;
+use emprof_sim::{DeviceModel, InstructionSource, Interpreter, SimResult, Simulator};
+use emprof_workloads::array_walk::{ArrayWalkConfig, MissLevel};
+use emprof_workloads::boot::boot_sequence;
+use emprof_workloads::iot;
+use emprof_workloads::microbench::MicrobenchConfig;
 use emprof_workloads::spec::WorkloadSpec;
 use emprof_workloads::MARKER_REGION_BASE;
 
@@ -45,9 +56,8 @@ impl Fnv {
     }
 }
 
-fn stream_hash(spec: &WorkloadSpec) -> u64 {
+fn stream_hash(mut src: impl InstructionSource) -> u64 {
     let mut h = Fnv::new();
-    let mut src = spec.source();
     while let Some(inst) = src.next_inst() {
         h.debug(&inst);
     }
@@ -55,6 +65,12 @@ fn stream_hash(spec: &WorkloadSpec) -> u64 {
 }
 
 fn sim_hash(spec: &WorkloadSpec, sim: &SimResult) -> u64 {
+    let markers = (0..spec.phases.len() as u32).map(|i| MARKER_REGION_BASE + i);
+    sim_hash_with_markers(sim, markers)
+}
+
+/// Hashes a [`SimResult`], with the cycles of the `markers` given.
+fn sim_hash_with_markers(sim: &SimResult, markers: impl Iterator<Item = u32>) -> u64 {
     let mut h = Fnv::new();
     for s in sim.power.samples() {
         h.bytes(&s.to_bits().to_le_bytes());
@@ -66,7 +82,7 @@ fn sim_hash(spec: &WorkloadSpec, sim: &SimResult) -> u64 {
     for stall in sim.ground_truth.stalls() {
         h.debug(stall);
     }
-    for id in (0..spec.phases.len() as u32).map(|i| MARKER_REGION_BASE + i) {
+    for id in markers {
         h.u64(u64::from(id));
         for &cycle in sim.ground_truth.marker_cycles(id) {
             h.u64(cycle);
@@ -107,7 +123,7 @@ fn fingerprint(device: &DeviceModel, spec: &WorkloadSpec) -> Row {
     (
         device.name,
         spec.name,
-        stream_hash(spec),
+        stream_hash(spec.source()),
         sim_hash(spec, &sim),
         capture_hash(&sim, &bandwidths),
     )
@@ -283,4 +299,215 @@ fn every_device_matches_its_golden_fingerprint() {
         }
     }
     check(&got, PAIR_ON_EVERY_DEVICE);
+}
+
+/// `(device, run, stream, sim)` for one run the generator does not drive,
+/// or one that crosses several phases.
+type RunRow = (&'static str, &'static str, u64, u64);
+
+/// Every marker id a program or a boot phase carries.
+const MARKER_IDS: std::ops::Range<u32> = 0..MARKER_REGION_BASE + 8;
+
+/// The interpreted programs: the paper's microbenchmark points, the IoT
+/// kernels and the array walk at each miss level, sized for `device`'s
+/// caches (two passes with short per-element work, to keep the run small).
+fn programs(device: &DeviceModel) -> Vec<(&'static str, Program)> {
+    let points = [
+        "micro-256-1",
+        "micro-256-5",
+        "micro-1024-10",
+        "micro-4096-50",
+    ];
+    let mut runs: Vec<(&'static str, Program)> = points
+        .into_iter()
+        .zip(MicrobenchConfig::paper_points())
+        .map(|(name, cfg)| (name, cfg.build().unwrap()))
+        .collect();
+    runs.push(("sensor_filter", iot::sensor_filter(16, 64, 600).unwrap()));
+    runs.push(("block_transfer", iot::block_transfer(8).unwrap()));
+    runs.push(("table_crypto", iot::table_crypto(400, 8 << 20, 40).unwrap()));
+    for (name, level) in [
+        ("walk-l1", MissLevel::L1Resident),
+        ("walk-llc-hit", MissLevel::LlcHit),
+        ("walk-llc-miss", MissLevel::LlcMiss),
+    ] {
+        let mut cfg =
+            ArrayWalkConfig::for_level(level, device.l1d.size_bytes, device.llc.size_bytes);
+        cfg.passes = 2;
+        cfg.work_iters = 4;
+        runs.push((name, cfg.build().unwrap()));
+    }
+    runs
+}
+
+fn run_fingerprints(device: &DeviceModel) -> Vec<RunRow> {
+    let sim = Simulator::new(device.clone());
+    let mut rows: Vec<RunRow> = programs(device)
+        .iter()
+        .map(|(name, program)| {
+            let result = sim.run(Interpreter::new(program));
+            (
+                device.name,
+                *name,
+                stream_hash(Interpreter::new(program)),
+                sim_hash_with_markers(&result, MARKER_IDS),
+            )
+        })
+        .collect();
+    let boot = boot_sequence(7, 0.01);
+    let result = sim.run(boot.source());
+    rows.push((
+        device.name,
+        "boot",
+        stream_hash(boot.source()),
+        sim_hash_with_markers(&result, MARKER_IDS),
+    ));
+    rows
+}
+
+fn check_runs(got: &[RunRow], want: &[RunRow]) {
+    if got != want {
+        let table: String = got
+            .iter()
+            .map(|(d, w, a, b)| format!("    ({d:?}, {w:?}, {a:#018x}, {b:#018x}),\n"))
+            .collect();
+        panic!("fingerprints changed; computed:\n{table}");
+    }
+}
+
+/// Recorded before the pipeline's fetch queue became a block buffer.
+const RUNS_ON_OLIMEX: &[RunRow] = &[
+    (
+        "olimex",
+        "micro-256-1",
+        0xf0aac501cc750cd3,
+        0xa9d4649d15f35e03,
+    ),
+    (
+        "olimex",
+        "micro-256-5",
+        0xf8402e282ba18a88,
+        0x6e60101cf3417511,
+    ),
+    (
+        "olimex",
+        "micro-1024-10",
+        0xaf3ae0019e7de60a,
+        0x727b3c5daf51b9a3,
+    ),
+    (
+        "olimex",
+        "micro-4096-50",
+        0x6d934ed9456cfc86,
+        0x007a2675e124ac69,
+    ),
+    (
+        "olimex",
+        "sensor_filter",
+        0x12169f97c9840c72,
+        0x4446bbfd8040b609,
+    ),
+    (
+        "olimex",
+        "block_transfer",
+        0x562f3d5ede1ede82,
+        0x7dfacb32dc94fa7c,
+    ),
+    (
+        "olimex",
+        "table_crypto",
+        0xcadc2740d308819d,
+        0xc1cfbd47490aa863,
+    ),
+    ("olimex", "walk-l1", 0x653f5c6293fe3e87, 0xe9e5ff1ecfe819eb),
+    (
+        "olimex",
+        "walk-llc-hit",
+        0x3a963f60530a728f,
+        0x402de8b3247793a1,
+    ),
+    (
+        "olimex",
+        "walk-llc-miss",
+        0x16e4ee487844b1b3,
+        0x42275d541972dad0,
+    ),
+    ("olimex", "boot", 0xd56eea0813458f5d, 0x580381fb69057690),
+];
+
+const RUNS_ON_SESC_LIKE: &[RunRow] = &[
+    (
+        "sesc-sim",
+        "micro-256-1",
+        0xf0aac501cc750cd3,
+        0xef26bfe63c723b42,
+    ),
+    (
+        "sesc-sim",
+        "micro-256-5",
+        0xf8402e282ba18a88,
+        0x0d4d22fb539dc3e0,
+    ),
+    (
+        "sesc-sim",
+        "micro-1024-10",
+        0xaf3ae0019e7de60a,
+        0x941bec008dfe833f,
+    ),
+    (
+        "sesc-sim",
+        "micro-4096-50",
+        0x6d934ed9456cfc86,
+        0xde7f08f6042df3b8,
+    ),
+    (
+        "sesc-sim",
+        "sensor_filter",
+        0x12169f97c9840c72,
+        0xcf47247c5e4374b2,
+    ),
+    (
+        "sesc-sim",
+        "block_transfer",
+        0x562f3d5ede1ede82,
+        0x8e605236ba179432,
+    ),
+    (
+        "sesc-sim",
+        "table_crypto",
+        0xcadc2740d308819d,
+        0x7d51f97b02257495,
+    ),
+    (
+        "sesc-sim",
+        "walk-l1",
+        0x653f5c6293fe3e87,
+        0xbeb1afc8a7e395cf,
+    ),
+    (
+        "sesc-sim",
+        "walk-llc-hit",
+        0x3a963f60530a728f,
+        0xa868dec94a189d08,
+    ),
+    (
+        "sesc-sim",
+        "walk-llc-miss",
+        0x16e4ee487844b1b3,
+        0x61b6927fe5270d23,
+    ),
+    ("sesc-sim", "boot", 0xd56eea0813458f5d, 0xcb1092e00b5ea6b2),
+];
+
+#[test]
+fn interpreted_and_boot_runs_match_their_golden_fingerprints_on_olimex() {
+    check_runs(&run_fingerprints(&DeviceModel::olimex()), RUNS_ON_OLIMEX);
+}
+
+#[test]
+fn interpreted_and_boot_runs_match_their_golden_fingerprints_on_sesc_like() {
+    check_runs(
+        &run_fingerprints(&DeviceModel::sesc_like()),
+        RUNS_ON_SESC_LIKE,
+    );
 }

@@ -9,6 +9,10 @@ cargo build --release
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Formatting, for the crates that are rustfmt-clean: the simulator and
+# the workload generators.
+cargo fmt --check -p emprof-sim -p emprof-workloads
+
 # Rustdoc with warnings denied: broken or ambiguous intra-doc links
 # (and public docs linking private items) fail the gate.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
