@@ -26,7 +26,7 @@
 //! the deterministic detector regenerates the identical event stream
 //! and the client's seen-watermark dedups any re-offered suffix.
 //! Enforced by `tests/router_equivalence.rs`, `tests/router_chaos.rs`,
-//! and the `router_soak` bench.
+//! and the `soak router` bench.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -28,7 +28,7 @@
 //! The deterministic detector regenerates byte-identical events with
 //! identical numbering, so the unacked suffix is re-offered exactly
 //! where the old backend left off — zero loss, zero duplication
-//! (`tests/router_equivalence.rs`, `router_soak`). Without a journal
+//! (`tests/router_equivalence.rs`, `soak router`). Without a journal
 //! the fallback is a fresh backend session bridged by the offsets
 //! above: best-effort, honestly counted as `router.migrations_lossy`
 //! (detector state inside the lost window cannot be reconstructed).

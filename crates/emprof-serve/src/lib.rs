@@ -41,7 +41,7 @@
 //! [`Emprof::profile_magnitude`](emprof_core::Emprof::profile_magnitude)
 //! on the same signal — for any frame size, any FLUSH pattern, and any
 //! number of concurrent sessions (enforced by `tests/serve_equivalence.rs`
-//! at the workspace root and the `serve_soak` bench). The service adds
+//! at the workspace root and the `soak serve` bench). The service adds
 //! transport and concurrency, never different answers.
 //!
 //! Event delivery is **exactly-once**. Every EVENTS frame is stamped
@@ -57,7 +57,7 @@
 //! session (replaying its samples through a fresh detector when it was
 //! cut down mid-stream) and clients resume against the restarted
 //! process as if nothing happened. Enforced by
-//! `tests/serve_resilience.rs` and the `store_soak` bench.
+//! `tests/serve_resilience.rs` and the `soak store` bench.
 //!
 //! ## Example
 //!

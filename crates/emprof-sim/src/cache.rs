@@ -101,7 +101,6 @@ pub struct Cache {
     /// fills its ways in order and only a flush empties them, so its
     /// valid ways are always the first `filled[set]`.
     tags: Vec<u64>,
-    dirty: Vec<bool>,
     /// Monotonic timestamp of last touch, for LRU.
     last_used: Vec<u64>,
     filled: Vec<usize>,
@@ -133,7 +132,6 @@ impl Cache {
             set_shift: n_sets.trailing_zeros(),
             ways: config.ways,
             tags: vec![0; lines],
-            dirty: vec![false; lines],
             last_used: vec![0; lines],
             filled: vec![0; n_sets as usize],
             clock: 0,
@@ -157,10 +155,9 @@ impl Cache {
     }
 
     /// Installs `tag` in a victim way of set `set_idx`.
-    fn install(&mut self, set_idx: usize, tag: u64, dirty: bool) {
+    fn install(&mut self, set_idx: usize, tag: u64) {
         let line = set_idx * self.ways + self.choose_victim(set_idx);
         self.tags[line] = tag;
-        self.dirty[line] = dirty;
         self.last_used[line] = self.clock;
     }
 
@@ -168,20 +165,20 @@ impl Cache {
     /// Returns `true` on hit.
     ///
     /// On a miss the victim way is chosen by the configured replacement
-    /// policy; the evicted line's dirtiness is tracked internally but
-    /// write-back traffic is folded into the miss latency by the memory
-    /// system rather than modeled per-eviction.
-    pub fn access(&mut self, addr: u64, is_write: bool) -> bool {
+    /// policy. A write allocates and hits like a read: write-back traffic
+    /// is folded into the miss latency by the memory system rather than
+    /// modeled per line, so the cache keeps no dirty state and
+    /// `_is_write` changes nothing.
+    pub fn access(&mut self, addr: u64, _is_write: bool) -> bool {
         self.clock += 1;
         let (set_idx, tag) = self.index_tag(addr);
         if let Some(line) = self.find(set_idx, tag) {
             self.last_used[line] = self.clock;
-            self.dirty[line] |= is_write;
             self.hits += 1;
             return true;
         }
         self.misses += 1;
-        self.install(set_idx, tag, is_write);
+        self.install(set_idx, tag);
         false
     }
 
@@ -199,7 +196,7 @@ impl Cache {
         if self.find(set_idx, tag).is_some() {
             return false;
         }
-        self.install(set_idx, tag, false);
+        self.install(set_idx, tag);
         true
     }
 
@@ -238,7 +235,6 @@ impl Cache {
     /// Invalidates every line (used between workload phases in tests).
     pub fn flush(&mut self) {
         self.filled.fill(0);
-        self.dirty.fill(false);
     }
 
     /// Hits recorded so far.

@@ -10,8 +10,10 @@ cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Formatting, for the crates that are rustfmt-clean: the simulator and
-# the workload generators.
+# the workload generators; and for the soak driver's sources, while the
+# rest of emprof-bench is not yet.
 cargo fmt --check -p emprof-sim -p emprof-workloads
+rustfmt --check --edition 2021 crates/bench/src/soak.rs crates/bench/src/bin/soak/*.rs crates/bench/tests/soak_cli.rs
 
 # Rustdoc with warnings denied: broken or ambiguous intra-doc links
 # (and public docs linking private items) fail the gate.
@@ -66,9 +68,11 @@ cargo test -q --release --test prop_codec --test wire_golden --test journal_gold
 # splits, plus the segment walk, the sort-dedup fold and the codecs.
 cargo test -q --release -p emprof-store
 
-# Serve soak smoke: 4 concurrent sessions for a bounded duration; fails
-# on any lost event, queue-bound violation, or counter drift.
-cargo run -q --release -p emprof-bench --bin serve_soak -- --smoke --seconds 8
+# Serve soak: 4 concurrent sessions for a fixed number of rounds; fails
+# on any lost event, queue-bound violation, or counter drift. Every
+# soak scenario streams the same inputs on every run, and each failure
+# line ends with the `soak <scenario> --rounds R` command that replays it.
+cargo run -q --release -p emprof-bench --bin soak -- serve
 
 # Fault-layer properties: NaN/±inf never alter events on surviving
 # samples; the injector is deterministic and batch-boundary invariant.
@@ -92,16 +96,17 @@ cargo test -q --release --test serve_resilience
 # never silently corrupted samples.
 cargo test -q --release --test prop_store
 
-# Chaos soak smoke: concurrent sessions streaming faulted signals while
-# their connections are repeatedly severed; fails if any session fails
-# to resume or any served profile diverges from batch on the faulted
-# signal.
-cargo run -q --release -p emprof-bench --bin chaos_soak -- --smoke --seconds 8
+# Chaos soak: concurrent sessions streaming faulted signals while
+# their connections are repeatedly severed and replies lost; fails if
+# any session fails to resume or any served profile diverges from batch
+# on the faulted signal, or on the metrics-sanity or probe-walk phase.
+cargo run -q --release -p emprof-bench --bin soak -- chaos
 
-# Store soak smoke: a journaled server repeatedly killed inside the
+# Store soak: a journaled server repeatedly killed inside the
 # lost-reply window and rebound over the same journal directory; fails
-# on any event loss/duplication or leftover journal residue.
-cargo run -q --release -p emprof-bench --bin store_soak -- --smoke --seconds 8
+# on any event loss/duplication, leftover journal residue, or a
+# crash-surviving segment with an unparseable header.
+cargo run -q --release -p emprof-bench --bin soak -- store
 
 # Query-equals-replay properties: arbitrary event streams, truncation
 # damage, legacy footer-less segments, windows, filters and timelines —
@@ -116,11 +121,11 @@ cargo run -q --release -p emprof-bench --bin store_soak -- --smoke --seconds 8
 cargo test -q --release --test prop_query --test prop_query_samples
 EMPROF_THREADS=1 cargo test -q --release --test prop_query --test prop_query_samples
 
-# Query soak smoke: concurrent QUERY clients against a live journaled
+# Query soak: concurrent QUERY clients against a live journaled
 # server ingesting chaos-faulted sessions; fails if any query errors
 # under churn, any quiesced result diverges from local replay, or the
 # decoded-segment cache hit-rate falls below its floor.
-cargo run -q --release -p emprof-bench --bin query_soak -- --smoke
+cargo run -q --release -p emprof-bench --bin soak -- query
 
 # Routed-equals-direct: sessions streamed through the sharded router —
 # across resumes, backend kills (journal-handoff migration), and
@@ -131,11 +136,11 @@ cargo test -q --release --test router_equivalence
 cargo test -q --release --test router_chaos
 cargo test -q --release --test prop_ring
 
-# Router soak smoke: concurrent faulted sessions through a 3-backend
-# fleet with forced severs, plus a deterministic kill-and-rebalance
-# phase (backend killed mid-stream, replacement joined at runtime);
-# fails on any event mismatch vs batch or any lossy migration.
-cargo run -q --release -p emprof-bench --bin router_soak -- --smoke
+# Router soak: concurrent faulted sessions through a 3-backend fleet
+# with forced severs, plus a deterministic kill-and-rebalance phase
+# (backend killed mid-stream, replacement joined at runtime); fails on
+# any event mismatch vs batch or any lossy migration.
+cargo run -q --release -p emprof-bench --bin soak -- router
 
 # Remote-equals-local observability: a METRICS frame decoded by the
 # client and a /metrics HTTP scrape must both reproduce the server's
