@@ -1,12 +1,12 @@
 //! Criterion bench: DSP substrate primitives.
 //!
-//! The moving min/max (EMPROF's normalization), FIR filtering (the
-//! receiver's band-limiting), and the FFT (the attribution spectrogram)
-//! dominate the signal-processing cost; each is tracked here.
+//! The moving min/max (EMPROF's normalization) and the FFT (the
+//! attribution spectrogram) dominate the signal-processing cost; each is
+//! tracked here.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use emprof_signal::stft::{Stft, StftConfig};
-use emprof_signal::{fir, stats};
+use emprof_signal::stats;
 
 fn bench_signal(c: &mut Criterion) {
     let n = 1_000_000usize;
@@ -18,11 +18,6 @@ fn bench_signal(c: &mut Criterion) {
 
     group.bench_function("moving_minmax_normalize_w2000", |b| {
         b.iter(|| stats::normalize_moving_minmax(&signal, 2000));
-    });
-
-    let taps = fir::lowpass(401, 0.02);
-    group.bench_function("fir_401_taps", |b| {
-        b.iter(|| fir::filter(&signal[..100_000], &taps));
     });
 
     let stft = Stft::new(StftConfig {

@@ -1,17 +1,13 @@
-//! Pipeline throughput benchmark: sequential vs parallel analysis, and
-//! the direct-vs-FFT FIR crossover.
+//! Pipeline throughput benchmark: sequential vs parallel analysis.
 //!
-//! Three legs, each doubling as a correctness check (every parallel or
-//! FFT result is compared against its sequential/direct reference):
+//! Two legs, each doubling as a correctness check (every parallel result
+//! is compared against its sequential reference):
 //!
 //! 1. **detector** — `profile_magnitude_par` over a synthetic magnitude
 //!    signal at 1, 2 and 4 threads; reports samples/sec and the speedup
 //!    over the sequential run.
 //! 2. **pipeline** — the full sim→EM→detect chain (power trace → receiver
 //!    capture → magnitude → detector) at 1, 2 and 4 threads.
-//! 3. **fir** — [`fir::filter_direct`] vs the auto-dispatching
-//!    [`fir::filter`] across kernel lengths, locating the overlap-save
-//!    crossover.
 //!
 //! Both thread sweeps stop at the host's parallelism: a run with more
 //! threads than cores time-shares them, and its "speedup" says nothing
@@ -33,7 +29,6 @@ use emprof_bench::table::Table;
 use emprof_core::{Emprof, EmprofConfig, Profile};
 use emprof_emsim::{Receiver, ReceiverConfig};
 use emprof_par::Parallelism;
-use emprof_signal::fir;
 use emprof_sim::PowerTrace;
 
 const FS: f64 = 40e6;
@@ -92,7 +87,6 @@ fn main() {
 
     bench_detector(smoke, host, &mut json);
     bench_pipeline(smoke, host, &mut json);
-    bench_fir(smoke, &mut json);
 
     json.push_str("  \"unit\": \"samples_per_sec\"\n}\n");
     std::fs::write(&out_path, &json).expect("write bench json");
@@ -287,47 +281,4 @@ fn bench_pipeline(smoke: bool, host: usize, json: &mut String) {
         runs.push((threads, secs));
     }
     report_sweep("end-to-end sim→EM→detect leg", "pipeline", cycles, &runs, json);
-}
-
-fn bench_fir(smoke: bool, json: &mut String) {
-    let len = if smoke { 100_000 } else { 2_000_000 };
-    let reps = if smoke { 1 } else { 2 };
-    let signal: Vec<f64> = (0..len)
-        .map(|i| (i as f64 * 0.01).sin() + ((i * 31) % 97) as f64 / 97.0)
-        .collect();
-
-    let mut t = Table::new(vec!["taps", "direct Msps", "auto Msps", "path", "speedup"]);
-    let _ = writeln!(json, "  \"fir\": [");
-    let taps_sweep = [33usize, 65, 129, 257, 513];
-    for (idx, &n_taps) in taps_sweep.iter().enumerate() {
-        let taps = fir::lowpass(n_taps, 0.1);
-        let (direct_secs, direct_out) = time_best(reps, || fir::filter_direct(&signal, &taps));
-        let (auto_secs, auto_out) = time_best(reps, || fir::filter(&signal, &taps));
-        let fft_used = fir::uses_overlap_save(signal.len(), n_taps);
-        // Correctness: the auto path must match direct to FFT round-off.
-        let max_err = direct_out
-            .iter()
-            .zip(&auto_out)
-            .fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
-        assert!(max_err < 1e-9, "taps {n_taps}: auto path diverged ({max_err:e})");
-
-        let speedup = direct_secs / auto_secs;
-        t.row(vec![
-            n_taps.to_string(),
-            format!("{:.1}", len as f64 / direct_secs / 1e6),
-            format!("{:.1}", len as f64 / auto_secs / 1e6),
-            if fft_used { "overlap-save".into() } else { "direct".into() },
-            format!("{speedup:.2}x"),
-        ]);
-        let _ = writeln!(
-            json,
-            "    {{\"taps\": {n_taps}, \"signal_len\": {len}, \
-             \"direct_secs\": {direct_secs:.6}, \"auto_secs\": {auto_secs:.6}, \
-             \"overlap_save\": {fft_used}, \"speedup\": {speedup:.3}}}{}",
-            if idx + 1 < taps_sweep.len() { "," } else { "" }
-        );
-    }
-    json.push_str("  ],\n");
-    println!("FIR direct vs auto (crossover at {} taps)", fir::FFT_MIN_TAPS);
-    println!("{}", t.render());
 }

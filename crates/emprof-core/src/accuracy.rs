@@ -97,16 +97,15 @@ impl AccuracyReport {
     ) -> Self {
         let (actual_misses, actual_stall_cycles) = match window {
             Some(w) => (
-                gt.misses_in_window(w).filter(|m| !m.refresh_collision).count(),
+                gt.misses_in_window(w)
+                    .filter(|m| !m.refresh_collision)
+                    .count(),
                 gt.llc_stalls_in_window(w)
                     .map(|s| s.duration())
                     .sum::<u64>(),
             ),
             None => (
-                gt.misses()
-                    .iter()
-                    .filter(|m| !m.refresh_collision)
-                    .count(),
+                gt.misses().iter().filter(|m| !m.refresh_collision).count(),
                 gt.llc_stall_cycles(),
             ),
         };

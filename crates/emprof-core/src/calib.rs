@@ -21,14 +21,16 @@
 //!   `k` depend only on blocks `0..k`, and change only at fixed absolute
 //!   block boundaries. That is what keeps the batch, parallel, and
 //!   streaming adaptive paths bit-identical — all three compute the same
-//!   schedule and run the same fused range kernel per block, then share
-//!   the stitcher and the refine/filter/confidence back half.
+//!   schedule and run the same fused kernel over each block with its
+//!   parameters, then share the stitcher and the refine/filter/confidence
+//!   back half.
 //!
 //! With [`CalibConfig::enabled`]` == false` (the default) none of this
 //! code runs and every detector path is bit-identical to the static
 //! detector.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use emprof_obs as obs;
 
@@ -234,6 +236,44 @@ pub struct Calibrator {
     /// degraded→ / →recovered transition counts (mirrors the
     /// `detect.confidence.*` counters, for direct inspection).
     pub transitions: (u64, u64),
+    /// The stream's block still arriving, and the samples in the blocks
+    /// before it ([`observe_stream`](Calibrator::observe_stream)).
+    open: BlockStats,
+    streamed: usize,
+}
+
+/// One range of a detection schedule and the parameters in force over
+/// it.
+pub(crate) type Block = (Range<usize>, BlockParams);
+
+/// Statistics of one calibration block, folded in sample by sample, in
+/// order.
+#[derive(Debug, Clone, Copy, Default)]
+struct BlockStats {
+    len: usize,
+    hi: f64,
+    lo: f64,
+    /// Sum of absolute successive differences, and the last sample.
+    acc: f64,
+    prev: f64,
+}
+
+impl BlockStats {
+    fn push(&mut self, v: f64) {
+        if self.len == 0 {
+            (self.hi, self.lo) = (v, v);
+        } else {
+            if v > self.hi {
+                self.hi = v;
+            }
+            if v < self.lo {
+                self.lo = v;
+            }
+            self.acc += (v - self.prev).abs();
+        }
+        self.prev = v;
+        self.len += 1;
+    }
 }
 
 impl Calibrator {
@@ -250,6 +290,8 @@ impl Calibrator {
             drift_ew: 0.0,
             degraded: false,
             transitions: (0, 0),
+            open: BlockStats::default(),
+            streamed: 0,
         }
     }
 
@@ -317,29 +359,26 @@ impl Calibrator {
     /// on the pass that reads the block and fails before any state
     /// changes.
     fn try_observe_block(&mut self, block: &[f64]) -> Result<(), usize> {
-        if block.is_empty() {
-            return Ok(());
-        }
-        let mut hi = f64::NEG_INFINITY;
-        let mut lo = f64::INFINITY;
-        let mut acc = 0.0;
+        let mut stats = BlockStats::default();
         for (i, &v) in block.iter().enumerate() {
             if !v.is_finite() {
                 return Err(i);
             }
-            if v > hi {
-                hi = v;
-            }
-            if v < lo {
-                lo = v;
-            }
-            if i > 0 {
-                acc += (v - block[i - 1]).abs();
-            }
+            stats.push(v);
         }
-        let range = hi - lo;
-        let masd = if block.len() > 1 {
-            acc / (block.len() - 1) as f64
+        self.fold(stats);
+        Ok(())
+    }
+
+    /// Folds a completed block's statistics into the estimates and steps
+    /// the confidence state machine; an empty block changes nothing.
+    fn fold(&mut self, block: BlockStats) {
+        if block.len == 0 {
+            return;
+        }
+        let range = block.hi - block.lo;
+        let masd = if block.len > 1 {
+            block.acc / (block.len - 1) as f64
         } else {
             0.0
         };
@@ -350,15 +389,15 @@ impl Calibrator {
         let a = self.cfg.ewma_weight;
         if !self.inited {
             self.noise_ew = masd;
-            self.hi_prev = hi;
+            self.hi_prev = block.hi;
             self.drift_ew = 0.0;
             self.inited = true;
         } else {
             self.noise_ew += a * (masd - self.noise_ew);
             let denom = self.hi_prev.abs().max(1e-12);
-            let drift = (hi - self.hi_prev).abs() / denom;
+            let drift = (block.hi - self.hi_prev).abs() / denom;
             self.drift_ew += a * (drift - self.drift_ew);
-            self.hi_prev = hi;
+            self.hi_prev = block.hi;
         }
         let q = self.noise_fraction();
         if !self.degraded && q >= self.cfg.degraded_enter {
@@ -378,7 +417,35 @@ impl Calibrator {
             obs::gauge_set!("calib.window", p.window as f64);
             obs::gauge_set!("calib.min_range", p.min_range);
         }
-        Ok(())
+    }
+
+    /// Observes the next (finite) samples of a stream cut into
+    /// calibration blocks from its start, as they arrive: each block is
+    /// folded in with its last sample, and the next block's range and
+    /// parameters are appended to `schedule` — the same blocks and
+    /// parameters [`extend_schedule`](Calibrator::extend_schedule)
+    /// plans. Does nothing with calibration off.
+    pub(crate) fn observe_stream(&mut self, samples: &[f64], schedule: &mut VecDeque<Block>) {
+        if !self.cfg.enabled {
+            return;
+        }
+        let block = self.cfg.block(self.base.window);
+        for &v in samples {
+            self.open.push(v);
+            if self.open.len == block {
+                let done = std::mem::take(&mut self.open);
+                self.fold(done);
+                self.streamed += block;
+                schedule.push_back((self.streamed..self.streamed + block, self.params()));
+            }
+        }
+    }
+
+    /// Folds the stream's last, partial block: the end of the stream
+    /// completes it.
+    pub(crate) fn finish_stream(&mut self) {
+        let last = std::mem::take(&mut self.open);
+        self.fold(last);
     }
 
     /// Extends the causal schedule over `signal`, resuming at block
@@ -539,7 +606,11 @@ mod tests {
             cal.observe_block(&noisy);
         }
         let p = cal.params();
-        assert!(p.threshold > 0.4, "threshold did not adapt: {}", p.threshold);
+        assert!(
+            p.threshold > 0.4,
+            "threshold did not adapt: {}",
+            p.threshold
+        );
         assert!(p.edge_level >= p.threshold);
         assert!(p.min_range > 0.0, "contrast gate not engaged");
         assert!(cal.is_degraded());

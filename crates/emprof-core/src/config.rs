@@ -107,7 +107,9 @@ impl EmprofConfig {
         if self.min_duration_samples == 0 {
             return Err("minimum duration in samples must be nonzero".into());
         }
-        if self.refresh_min_cycles.partial_cmp(&self.min_duration_cycles)
+        if self
+            .refresh_min_cycles
+            .partial_cmp(&self.min_duration_cycles)
             != Some(std::cmp::Ordering::Greater)
         {
             return Err(format!(
@@ -130,7 +132,7 @@ mod tests {
         let c = EmprofConfig::for_rates(40e6, 1.008e9);
         c.validate().unwrap();
         assert_eq!(c.norm_window_samples, 2000); // 50 us at 40 MS/s
-        // 100-cycle minimum ~ 4 samples at 25.2 cycles/sample.
+                                                 // 100-cycle minimum ~ 4 samples at 25.2 cycles/sample.
         assert!((c.min_duration_cycles - 120.0).abs() < 1e-9);
         assert_eq!(c.min_duration_samples, 5);
     }

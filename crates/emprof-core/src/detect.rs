@@ -497,7 +497,10 @@ mod tests {
         let pd = emprof().profile_magnitude(&dirty, FS, CLK);
         assert_eq!(pc.events().len(), pd.events().len());
         for (c, d) in pc.events().iter().zip(pd.events()) {
-            assert_eq!((c.start_sample, c.end_sample), (d.start_sample, d.end_sample));
+            assert_eq!(
+                (c.start_sample, c.end_sample),
+                (d.start_sample, d.end_sample)
+            );
             assert_eq!(c.duration_cycles, d.duration_cycles);
             assert_eq!(c.kind, d.kind);
             assert_eq!(c.confidence, Confidence::High);
@@ -613,7 +616,10 @@ mod tests {
                 let merged = e.merge_runs(raw.clone());
                 let reference = e.refine_edges(&norm, merged.clone());
                 let fast = refine_from_runs(merged, &below_edge, norm.len());
-                assert_eq!(fast, reference, "threshold {threshold} edge {edge} seed {seed}");
+                assert_eq!(
+                    fast, reference,
+                    "threshold {threshold} edge {edge} seed {seed}"
+                );
                 let mut stitcher = Stitcher::new(cfg.merge_gap_samples);
                 stitcher.push(&mut LevelRuns {
                     below_threshold: raw,

@@ -7,10 +7,11 @@
 //! chunks (one range when sequential); an adaptive one is the causal
 //! calibration schedule, one range per calibration block. The gated
 //! fused kernel runs once per range, fanned out over the worker pool,
-//! and a [`Stitcher`] joins the per-range runs in order. The back half —
-//! refinement, the duration filter, classification, confidence and
-//! telemetry — is shared with the streaming detector, which stitches
-//! its kernel cuts with the same [`Stitcher`].
+//! and a [`Stitcher`] joins the per-range runs in order. The streaming
+//! detector runs the same schedule as one kernel pass restarted at each
+//! range's end, and stitches its cuts with the same [`Stitcher`]; the
+//! back half — refinement ([`Stitcher::refine`]), the duration filter,
+//! classification, confidence and telemetry — is shared with it.
 //!
 //! Why the fan-out equals one pass:
 //!
@@ -36,22 +37,18 @@
 //! count either.
 
 use std::collections::VecDeque;
-use std::ops::Range;
 
 use emprof_obs as obs;
 use emprof_par::chunk::ChunkPlan;
 use emprof_par::{pool, Parallelism};
 use emprof_signal::fused::{self, LevelRuns};
 
-use crate::calib::{BlockParams, Calibrator, DegradedBlocks};
+use crate::calib::{Block, BlockParams, Calibrator, DegradedBlocks};
 use crate::config::EmprofConfig;
 use crate::detect::{
     check_then_sanitize, classify, min_event_samples, record_event_metrics, Emprof,
 };
 use crate::profile::{Confidence, Profile, StallEvent};
-
-/// One range of a schedule and the parameters in force over it.
-type Block = (Range<usize>, BlockParams);
 
 impl Emprof {
     /// Parallel [`profile_magnitude`](Emprof::profile_magnitude): same
@@ -236,11 +233,39 @@ impl Stitcher {
         }
     }
 
+    /// Refines the merged run `[s, e)` to its `edge_level` crossings, as
+    /// `(start, end, edge_end)`: `start` is the start of the below-edge
+    /// run holding `s`, clipped left at `left_bound`; `edge_end` is the
+    /// end of the below-edge run holding `e - 1`, and `end` is it clipped
+    /// right at `right_bound`. `cursor` indexes `edges` at or before the
+    /// run holding `s` and is left at the one holding `e - 1`, so a walk
+    /// over sorted runs only ever advances it.
+    pub(crate) fn refine(
+        &self,
+        cursor: &mut usize,
+        (s, e): (usize, usize),
+        left_bound: usize,
+        right_bound: usize,
+    ) -> (usize, usize, usize) {
+        let edges = &self.edges;
+        while edges[*cursor].1 <= s {
+            *cursor += 1;
+        }
+        debug_assert!(edges[*cursor].0 <= s, "run start not below edge");
+        let start = edges[*cursor].0.max(left_bound);
+        while edges[*cursor].1 < e {
+            *cursor += 1;
+        }
+        debug_assert!(edges[*cursor].0 < e, "run end not below edge");
+        let edge_end = edges[*cursor].1;
+        (start, edge_end.min(right_bound), edge_end)
+    }
+
     /// The batch back half in one walk over the stitched runs of a
-    /// `total`-sample signal: widens each merged run to its `edge_level`
-    /// crossings, abut-merges it into the pending run, and duration-
-    /// filters and classifies each finished run at `cps` cycles per
-    /// sample into high-confidence events.
+    /// `total`-sample signal: [refines](Stitcher::refine) each merged
+    /// run, abut-merges it into the pending run, and duration-filters and
+    /// classifies each finished run at `cps` cycles per sample into
+    /// high-confidence events.
     ///
     /// Why this equals refining a materialized normalized signal: a
     /// merged run's start `s` is below threshold, and configuration
@@ -255,13 +280,12 @@ impl Stitcher {
     /// never consulted. The duration filter runs on the abut-merged run,
     /// so a run too short alone can still extend or seed an event.
     pub(crate) fn into_events(
-        mut self,
+        self,
         config: &EmprofConfig,
         total: usize,
         cps: f64,
     ) -> Vec<StallEvent> {
         let min_samples = min_event_samples(config, cps);
-        let edges = self.edges.make_contiguous();
         let mut events = Vec::with_capacity(self.dips.len());
         let mut emit = |(s, e): (usize, usize)| {
             if (e - s) as f64 >= min_samples {
@@ -274,17 +298,8 @@ impl Stitcher {
         let mut pending: Option<(usize, usize)> = None;
         let mut dips = self.dips.iter().peekable();
         while let Some(&(s, e, _)) = dips.next() {
-            while edges[cursor].1 <= s {
-                cursor += 1;
-            }
-            debug_assert!(edges[cursor].0 <= s, "run start not below edge");
-            let start = edges[cursor].0.max(left_bound);
-            while edges[cursor].1 < e {
-                cursor += 1;
-            }
-            debug_assert!(edges[cursor].0 < e, "run end not below edge");
             let right_bound = dips.peek().map_or(total, |next| next.0);
-            let end = edges[cursor].1.min(right_bound);
+            let (start, end, _) = self.refine(&mut cursor, (s, e), left_bound, right_bound);
             left_bound = end;
             if let Some(last) = pending.as_mut().filter(|last| start <= last.1) {
                 last.1 = last.1.max(end);
@@ -322,6 +337,24 @@ mod tests {
             }
         }
         s
+    }
+
+    #[test]
+    fn refine_widens_to_the_edge_runs_within_the_bounds() {
+        let mut stitcher = Stitcher::new(2);
+        stitcher.push(&mut LevelRuns {
+            below_threshold: vec![(12, 15), (20, 25)],
+            below_edge: vec![(3, 6), (10, 30)],
+        });
+        // Both runs lie in the below-edge run (10, 30): the first is
+        // clipped right at the second's start, the second left at the
+        // first's refined end.
+        let mut cursor = 0;
+        assert_eq!(stitcher.refine(&mut cursor, (12, 15), 0, 20), (10, 20, 30));
+        assert_eq!(cursor, 1);
+        assert_eq!(stitcher.refine(&mut cursor, (20, 25), 20, 40), (20, 30, 30));
+        // Bounds outside the below-edge run leave it whole.
+        assert_eq!(stitcher.refine(&mut 0, (12, 15), 4, 31), (10, 30, 30));
     }
 
     #[test]

@@ -196,10 +196,7 @@ impl FusedDetector {
         obs::counter_add!("fusion.confirmed", report.confirmed as u64);
         obs::counter_add!("fusion.rejected", report.rejected as u64);
         let total = profile.total_samples();
-        (
-            Profile::new(kept, total, sample_rate_hz, clock_hz),
-            report,
-        )
+        (Profile::new(kept, total, sample_rate_hz, clock_hz), report)
     }
 }
 
@@ -260,8 +257,7 @@ mod tests {
         let c = cpu(40_000, &[(10_000, 12), (25_000, 12)]);
         let m = mem(40_000, &[(10_000, 14)]);
         let d = detector();
-        let (fusedp, report) =
-            d.profile_dual(&c, &m, FS, CLK, Parallelism::sequential());
+        let (fusedp, report) = d.profile_dual(&c, &m, FS, CLK, Parallelism::sequential());
         assert_eq!(report.confirmed, 1);
         assert_eq!(report.rejected, 1);
         assert_eq!(fusedp.events().len(), 1);
@@ -276,8 +272,7 @@ mod tests {
         // 25% default bar, still confirmed.
         let c = cpu(40_000, &[(10_000, 12)]);
         let m = mem(40_000, &[(10_000, 4)]);
-        let (fusedp, report) =
-            detector().profile_dual(&c, &m, FS, CLK, Parallelism::sequential());
+        let (fusedp, report) = detector().profile_dual(&c, &m, FS, CLK, Parallelism::sequential());
         assert_eq!(report.rejected, 0);
         assert_eq!(fusedp.events().len(), 1);
     }
@@ -286,8 +281,7 @@ mod tests {
     fn event_past_memory_capture_is_confirmed() {
         let c = cpu(40_000, &[(39_980, 20)]);
         let m = mem(30_000, &[]);
-        let (fusedp, report) =
-            detector().profile_dual(&c, &m, FS, CLK, Parallelism::sequential());
+        let (fusedp, report) = detector().profile_dual(&c, &m, FS, CLK, Parallelism::sequential());
         assert_eq!(report.rejected, 0);
         assert_eq!(fusedp.events().len(), 1);
     }
@@ -299,8 +293,7 @@ mod tests {
         for i in (0..m.len()).step_by(777) {
             m[i] = f64::NAN;
         }
-        let (_, report) =
-            detector().profile_dual(&c, &m, FS, CLK, Parallelism::sequential());
+        let (_, report) = detector().profile_dual(&c, &m, FS, CLK, Parallelism::sequential());
         assert_eq!(report.rejected, 0);
     }
 

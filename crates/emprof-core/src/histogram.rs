@@ -27,7 +27,10 @@ impl Histogram {
     ///
     /// Panics if `bin_width <= 0` or `max <= 0`.
     pub fn from_values<I: IntoIterator<Item = f64>>(values: I, bin_width: f64, max: f64) -> Self {
-        assert!(bin_width > 0.0, "bin width must be positive, got {bin_width}");
+        assert!(
+            bin_width > 0.0,
+            "bin width must be positive, got {bin_width}"
+        );
         assert!(max > 0.0, "histogram range must be positive, got {max}");
         let num_bins = (max / bin_width).ceil() as usize;
         let mut bins = vec![0u64; num_bins];

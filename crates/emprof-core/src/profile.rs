@@ -195,8 +195,7 @@ impl Profile {
 
     /// Restricts the profile to a window expressed in core cycles.
     pub fn slice_cycles(&self, start_cycle: u64, end_cycle: u64) -> Profile {
-        let to_sample =
-            |c: u64| (c as f64 * self.sample_rate_hz / self.clock_hz).round() as usize;
+        let to_sample = |c: u64| (c as f64 * self.sample_rate_hz / self.clock_hz).round() as usize;
         self.slice_samples(to_sample(start_cycle), to_sample(end_cycle))
     }
 
@@ -337,6 +336,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "past the capture")]
     fn event_past_end_panics() {
-        Profile::new(vec![ev(100, 2000, 300.0, StallKind::Normal)], 1000, 40e6, 1e9);
+        Profile::new(
+            vec![ev(100, 2000, 300.0, StallKind::Normal)],
+            1000,
+            40e6,
+            1e9,
+        );
     }
 }

@@ -41,11 +41,7 @@ pub struct ProfileSummary {
 impl ProfileSummary {
     /// Summarizes a profile.
     pub fn of(profile: &Profile) -> ProfileSummary {
-        let mut latencies: Vec<f64> = profile
-            .events()
-            .iter()
-            .map(|e| e.duration_cycles)
-            .collect();
+        let mut latencies: Vec<f64> = profile.events().iter().map(|e| e.duration_cycles).collect();
         latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
         let pct = |q: f64| -> f64 {
             if latencies.is_empty() {
@@ -214,8 +210,7 @@ impl std::error::Error for CsvError {}
 /// Writes a profile's events as CSV
 /// (`start_sample,end_sample,duration_cycles,kind,confidence`).
 pub fn events_to_csv(profile: &Profile) -> String {
-    let mut out =
-        String::from("start_sample,end_sample,duration_cycles,kind,confidence\n");
+    let mut out = String::from("start_sample,end_sample,duration_cycles,kind,confidence\n");
     for e in profile.events() {
         out.push_str(&format!(
             "{},{},{:.3},{},{}\n",
@@ -382,9 +377,7 @@ mod tests {
     }
 
     fn sample_profile() -> Profile {
-        let mut events: Vec<StallEvent> = (0..99)
-            .map(|i| ev(100 + i * 100, 12, 300.0))
-            .collect();
+        let mut events: Vec<StallEvent> = (0..99).map(|i| ev(100 + i * 100, 12, 300.0)).collect();
         events.push(StallEvent {
             start_sample: 100 + 99 * 100,
             end_sample: 100 + 99 * 100 + 100,

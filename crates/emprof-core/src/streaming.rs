@@ -16,21 +16,23 @@
 //! the results match the batch profile event for event — see the
 //! equivalence tests.)
 //!
-//! Static detection is one [`FusedPass`] resumed across every pushed
-//! slice, so each sample is read once by the same kernel loop the batch
-//! detector runs; adaptive detection runs the gated kernel once per
-//! calibration block. Both hand their runs to the batch engine's
-//! [`Stitcher`], refine from the below-edge run list, abut-merge, filter
-//! and emit through the batch classification and confidence rules
-//! (DESIGN.md §13).
+//! Detection is one [`FusedPass`] resumed across every pushed slice and
+//! cut at the frontier after each one, so each sample is read once by
+//! the same kernel loop the batch detector runs. The pass runs the batch
+//! engine's schedule: one open range with the base parameters (static),
+//! or one range per calibration block with the calibrator's parameters
+//! (adaptive), started afresh on the next range at each block boundary.
+//! Its runs go through the batch engine's [`Stitcher`], are refined by
+//! the same helper, abut-merged, filtered and emitted through the batch
+//! classification and confidence rules (DESIGN.md §13).
 
 use std::collections::VecDeque;
 use std::time::Instant;
 
 use emprof_obs as obs;
-use emprof_signal::fused::{self, FusedPass, LevelRuns};
+use emprof_signal::fused::{FusedPass, LevelRuns};
 
-use crate::calib::{BlockParams, Calibrator, DegradedBlocks};
+use crate::calib::{Block, Calibrator, DegradedBlocks};
 use crate::config::EmprofConfig;
 use crate::detect::{classify, min_event_samples, record_event_metrics};
 use crate::engine::Stitcher;
@@ -80,19 +82,23 @@ pub struct StreamingEmprof {
     config: EmprofConfig,
     sample_rate_hz: f64,
     clock_hz: f64,
-    /// How detection runs: one resumed fused pass (static) or per-block
-    /// gated kernel calls (adaptive).
-    engine: Engine,
-    /// Buffered survivor samples from `buf_base` on — what the kernel
-    /// has yet to read, plus (static) the samples it has read but whose
-    /// centered window is not complete yet.
+    /// The fused pass over the current range of the schedule, resumed
+    /// across slices.
+    pass: FusedPass,
+    /// Online calibration: observes each calibration block as its last
+    /// sample arrives and schedules the block after it. Inert when
+    /// calibration is off.
+    cal: Calibrator,
+    /// The ranges after the pass's, each with its parameters, in order;
+    /// always empty when calibration is off.
+    schedule: VecDeque<Block>,
+    /// Buffered survivor samples from `buf_base` on: what the pass has
+    /// yet to read, plus the samples it has read but whose centered
+    /// window is not complete yet.
     buf: Vec<f64>,
     buf_base: usize,
     /// Total samples pushed (accepted).
     pushed: usize,
-    /// Detection frontier: positions in `[0, position)` have been
-    /// normalized and scanned by the kernel.
-    position: usize,
     /// Kernel output, reused across calls.
     runs: LevelRuns,
     /// Stitched runs: the merged below-threshold runs awaiting finality
@@ -127,95 +133,9 @@ pub struct StreamingEmprof {
     /// touching one carry degraded confidence; trimmed once no future or
     /// still-mutable event can reach back to them.
     gaps: VecDeque<usize>,
-    /// Per processed calibration block (adaptive mode): was the
-    /// confidence state machine degraded? One bool per ~window samples.
+    /// Per range the pass has started: was the confidence state machine
+    /// degraded? One bool per calibration block (adaptive).
     marks: DegradedBlocks,
-}
-
-/// The detection engine behind a [`StreamingEmprof`].
-#[derive(Debug, Clone)]
-enum Engine {
-    /// Fixed window and threshold: one [`FusedPass`] resumed across
-    /// every pushed slice, cut at the frontier after each one.
-    Static(FusedPass),
-    /// Online calibration (`config.calib.enabled`).
-    Adaptive(AdaptiveState),
-}
-
-/// Streaming state of the adaptive (calibrated) detector. The stream is
-/// cut into the same absolute calibration blocks as the batch schedule;
-/// each block, once its right normalization context is buffered, runs
-/// through `fused::detect_runs_range_gated` with the causally-computed
-/// [`BlockParams`], and the resulting runs go through the same
-/// [`Stitcher`] as the batch engine's block seams. Everything downstream
-/// (refinement, merge/duration/classify, drain sealing) is shared with
-/// the static engine.
-#[derive(Debug, Clone)]
-struct AdaptiveState {
-    /// Calibration block length in samples.
-    block: usize,
-    /// Half the *base* normalization window — the uniform lookahead.
-    /// Adaptation only ever shrinks the window, so buffering `half`
-    /// samples past a block suffices for any adapted window.
-    half: usize,
-    cal: Calibrator,
-    /// Parameters for block `next_block` (causal: computed from the
-    /// blocks before it).
-    cur: BlockParams,
-    next_block: usize,
-}
-
-impl AdaptiveState {
-    /// Runs block `next_block` through the gated fused kernel with its
-    /// causal [`BlockParams`] — identical inputs to the batch engine's
-    /// kernel call for that block, by construction — appending its
-    /// runs to `runs` in global coordinates. Observes the block for the
-    /// calibrator, trims `buf` to what the next block's window can
-    /// reach, and returns the new detection frontier.
-    fn run_block(
-        &mut self,
-        buf: &mut Vec<f64>,
-        buf_base: &mut usize,
-        pushed: usize,
-        runs: &mut LevelRuns,
-        marks: &mut DegradedBlocks,
-    ) -> usize {
-        let start = self.next_block * self.block;
-        // Truncated only at the true end of the capture (finish), which
-        // is exactly when the batch kernel's window clips there too.
-        let end = (start + self.block).min(pushed);
-        let p = self.cur;
-        let base = *buf_base;
-        let block_runs = fused::detect_runs_range_gated(
-            buf,
-            p.window,
-            p.threshold,
-            p.edge_level,
-            p.min_range,
-            start - base,
-            end - base,
-            None,
-        )
-        .expect("rejection happens at ingest; the buffer is finite");
-        let global = |&(s, e): &(usize, usize)| (s + base, e + base);
-        let (th, ed) = (&block_runs.below_threshold, &block_runs.below_edge);
-        runs.below_threshold.extend(th.iter().map(global));
-        runs.below_edge.extend(ed.iter().map(global));
-        self.cal.observe_block(&buf[start - base..end - base]);
-        marks.push(p.degraded);
-        self.next_block += 1;
-        self.cur = self.cal.params();
-        // During `finish` the final right-truncated block can place the
-        // nominal trim point past the capture end, so clamp to what was
-        // pushed.
-        let keep_from = (self.next_block * self.block)
-            .saturating_sub(self.half)
-            .min(pushed)
-            .max(base);
-        buf.drain(..keep_from - base);
-        *buf_base = keep_from;
-        end
-    }
 }
 
 impl StreamingEmprof {
@@ -233,38 +153,29 @@ impl StreamingEmprof {
             sample_rate_hz > 0.0 && clock_hz > 0.0,
             "rates must be positive"
         );
-        let calib_block = config.calib.block(config.norm_window_samples).max(1);
-        let engine = if config.calib.enabled {
-            let cal = Calibrator::new(&config);
-            let cur = cal.params();
-            Engine::Adaptive(AdaptiveState {
-                block: calib_block,
-                half: config.norm_window_samples / 2,
-                cal,
-                cur,
-                next_block: 0,
-            })
+        let cal = Calibrator::new(&config);
+        let p = cal.params();
+        let calib_block = config.calib.block(config.norm_window_samples);
+        // The static schedule is one open range with the base parameters;
+        // the adaptive one starts with the first calibration block.
+        let first = if config.calib.enabled {
+            calib_block
         } else {
-            // The static configuration is the constant schedule of the
-            // base parameters.
-            let p = BlockParams::base(&config);
-            Engine::Static(FusedPass::new(
-                p.window,
-                p.threshold,
-                p.edge_level,
-                p.min_range,
-                0..usize::MAX,
-            ))
+            usize::MAX
         };
+        let mut marks = DegradedBlocks::new(calib_block);
+        marks.push(p.degraded);
+        let pass = FusedPass::new(p.window, p.threshold, p.edge_level, p.min_range, 0..first);
         StreamingEmprof {
             config,
             sample_rate_hz,
             clock_hz,
-            engine,
+            pass,
+            cal,
+            schedule: VecDeque::new(),
             buf: Vec::new(),
             buf_base: 0,
             pushed: 0,
-            position: 0,
             runs: LevelRuns::default(),
             stitcher: Stitcher::new(config.merge_gap_samples),
             events: Vec::new(),
@@ -275,7 +186,7 @@ impl StreamingEmprof {
             started_at: None,
             unflushed: 0,
             gaps: VecDeque::new(),
-            marks: DegradedBlocks::new(calib_block),
+            marks,
         }
     }
 
@@ -331,8 +242,7 @@ impl StreamingEmprof {
 
     /// Pushes a batch of samples from a slice — the server ingest
     /// hot-path entry point. Any split of a signal into slices gives the
-    /// same events; with a fixed threshold it also gives the same drained
-    /// events at every slice boundary.
+    /// same events, and the same drained events at every slice boundary.
     pub fn extend_from_slice(&mut self, samples: &[f64]) {
         let before = self.buf.len();
         if samples.iter().all(|v| v.is_finite()) {
@@ -364,38 +274,55 @@ impl StreamingEmprof {
             self.started_at = Some(Instant::now());
         }
         self.pushed += accepted;
-        match &mut self.engine {
-            Engine::Static(pass) => {
-                pass.feed(&self.buf, self.buf_base, &mut self.runs)
-                    .expect("rejection happens at ingest; the buffer is finite");
-                pass.cut(&mut self.runs);
-                self.position = pass.next_output();
-                // Drop what the pass will never read again, amortized:
-                // only once the dead prefix outweighs the live samples.
-                let dead = pass.first_needed() - self.buf_base;
-                if 2 * dead >= self.buf.len() {
-                    self.buf.drain(..dead);
-                    self.buf_base += dead;
-                }
-            }
-            Engine::Adaptive(ad) => {
-                while (ad.next_block + 1) * ad.block + ad.half <= self.pushed {
-                    self.position = ad.run_block(
-                        &mut self.buf,
-                        &mut self.buf_base,
-                        self.pushed,
-                        &mut self.runs,
-                        &mut self.marks,
-                    );
-                }
-            }
+        let fresh = &self.buf[self.buf.len() - accepted..];
+        self.cal.observe_stream(fresh, &mut self.schedule);
+        self.detect(false);
+        // Drop what no pass will read again, amortized: only once the
+        // dead prefix outweighs the live samples. The next range's pass
+        // reads back up to half a base window before its start
+        // (adaptation only shrinks the window).
+        let half = self.config.norm_window_samples / 2;
+        let keep = self
+            .pass
+            .first_needed()
+            .min(self.pass.range_end().saturating_sub(half));
+        let dead = keep - self.buf_base;
+        if 2 * dead >= self.buf.len() {
+            self.buf.drain(..dead);
+            self.buf_base += dead;
         }
-        self.stitcher.push(&mut self.runs);
         self.process_pending(false);
         self.unflushed += accepted;
         if self.unflushed >= OBS_FLUSH_INTERVAL {
             self.flush_obs();
         }
+    }
+
+    /// Runs the pass over the buffered samples, to the end of the
+    /// capture when `at_end`, through every range of the schedule they
+    /// reach: it cuts the pass at the frontier and, at the end of a range,
+    /// restarts it on the next one with that range's parameters. Stitches
+    /// the runs.
+    fn detect(&mut self, at_end: bool) {
+        loop {
+            let fed = if at_end {
+                self.pass.finish(&self.buf, self.buf_base, &mut self.runs)
+            } else {
+                self.pass.feed(&self.buf, self.buf_base, &mut self.runs)
+            };
+            fed.expect("rejection happens at ingest; the buffer is finite");
+            self.pass.cut(&mut self.runs);
+            if self.pass.next_output() < self.pass.range_end() {
+                break;
+            }
+            let (range, p) = self
+                .schedule
+                .pop_front()
+                .expect("a block is scheduled once the block before it has arrived");
+            self.marks.push(p.degraded);
+            self.pass = FusedPass::new(p.window, p.threshold, p.edge_level, p.min_range, range);
+        }
+        self.stitcher.push(&mut self.runs);
     }
 
     /// Drops below-edge runs ending at or before `bound` — no pending or
@@ -408,78 +335,61 @@ impl StreamingEmprof {
         }
     }
 
-    /// Refines and emits pending dips that can no longer change. Edge
-    /// refinement consults the stitched below-edge *run list* (as the
-    /// batch path does in `Stitcher::into_events`), never a normalized
-    /// sample history.
+    /// Refines and emits pending dips that can no longer change, from the
+    /// stitched below-edge run list (as the batch path does in
+    /// `Stitcher::into_events`), never a normalized sample history.
     fn process_pending(&mut self, flush: bool) {
         let gap = self.config.merge_gap_samples;
+        let position = self.pass.next_output();
         while let Some(&(start, end, _)) = self.stitcher.dips.front() {
             // Final once the frontier is far enough past the run's end
             // that no future run can merge into it (a run ending exactly
             // at the frontier may still grow past it).
-            if !flush && self.position < end + gap + 1 {
+            if !flush && position < end + gap + 1 {
                 break;
             }
-            // Keeps the searches below O(1) amortized however many dips
-            // one slice finalizes.
+            // Keeps refinement O(1) amortized however many dips one
+            // slice finalizes.
             self.trim_edge_runs(start);
-            let left_bound = self.last_run.map(|(_, e, _)| e).unwrap_or(0);
-            let cs = *self
-                .stitcher
-                .edges
-                .iter()
-                .find(|r| r.1 > start)
-                .expect("run start lies in a below-edge run");
-            debug_assert!(cs.0 <= start, "run start not below edge");
-            let refined_s = cs.0.max(left_bound);
-            let right_bound = self.stitcher.dips.get(1).map_or(self.position, |n| n.0);
-            let ce = *self
-                .stitcher
-                .edges
-                .iter()
-                .find(|r| r.1 > end - 1)
-                .expect("run end lies in a below-edge run");
-            debug_assert!(ce.0 < end, "run end not below edge");
-            let refined_e = ce.1.min(right_bound);
-            if !flush && !self.front_is_final(end, ce.1, refined_e) {
+            let left_bound = self.last_run.map_or(0, |(_, e, _)| e);
+            let right_bound = self.stitcher.dips.get(1).map_or(position, |n| n.0);
+            let (refined_s, refined_e, edge_end) =
+                self.stitcher
+                    .refine(&mut 0, (start, end), left_bound, right_bound);
+            if !flush && !self.front_is_final(end, edge_end) {
                 break;
             }
             self.stitcher.dips.pop_front();
             // Sealed iff the run ended on an at-or-above-edge sample —
             // i.e. at its container's settled end, not clipped by a
             // neighbour or the frontier.
-            self.tail_sealed = refined_e == ce.1 && ce.1 < self.position;
+            self.tail_sealed = refined_e == edge_end && edge_end < position;
             self.emit(refined_s, refined_e);
         }
-        let bound = self.stitcher.dips.front().map_or(self.position, |r| r.0);
+        let bound = self.stitcher.dips.front().map_or(position, |r| r.0);
         self.trim_edge_runs(bound);
     }
 
     /// Whether the front pending run, ending at `end` inside the
-    /// below-edge run ending at `edge_end` and refined to end at
-    /// `refined_e`, may be emitted now. Adaptive: once its right edge
-    /// stops growing. Static: exactly when a detector fed one sample at
-    /// a time would — at the first frontier `p >= end + merge_gap + 2`
-    /// whose last sample `p - 1` is at or above threshold and at which
-    /// the right edge has stopped growing — so drains do not depend on
-    /// how the stream is sliced.
-    fn front_is_final(&self, end: usize, edge_end: usize, refined_e: usize) -> bool {
+    /// below-edge run ending at `edge_end`, may be emitted now: exactly
+    /// when a detector fed one sample at a time would — at the first
+    /// frontier `p >= end + merge_gap + 2` whose last sample `p - 1` is
+    /// at or above threshold and at which the right edge has stopped
+    /// growing — so drains do not depend on how the stream is sliced.
+    /// Block cuts are slice cuts the stitcher rejoins, so this holds
+    /// across calibration blocks too.
+    fn front_is_final(&self, end: usize, edge_end: usize) -> bool {
+        let position = self.pass.next_output();
         let next = self.stitcher.dips.get(1);
-        match self.engine {
-            Engine::Adaptive(_) => refined_e < self.position || next.is_some(),
-            Engine::Static(_) => {
-                // Either the next run's first kernel run has closed, which
-                // bounds the right edge at a sample above threshold...
-                if next.is_some_and(|q| q.2 < self.position) {
-                    return true;
-                }
-                // ...or the edge has settled and a sample above threshold
-                // follows it before the next run starts.
-                let p = (end + self.config.merge_gap_samples + 2).max(edge_end + 1);
-                p <= self.position && next.is_none_or(|q| q.0 >= p)
-            }
+        // Either the next run's first kernel run has closed, which bounds
+        // the right edge at a sample above threshold...
+        if next.is_some_and(|q| q.2 < position) {
+            return true;
         }
+        // ...or the edge has settled and a sample above threshold follows
+        // it before the next run starts.
+        let p = (end + self.config.merge_gap_samples + 2).max(edge_end + 1);
+        p <= position && next.is_none_or(|q| q.0 >= p)
     }
 
     /// The event spanning `[start, end)`, classified and marked by the
@@ -537,11 +447,7 @@ impl StreamingEmprof {
         // Gap points that no future or still-mutable event can reach
         // back to (every later refined start is >= this run's start) are
         // dead; drop them so the deque stays bounded.
-        while self
-            .gaps
-            .front()
-            .is_some_and(|&p| p + 1 < start)
-        {
+        while self.gaps.front().is_some_and(|&p| p + 1 < start) {
             self.gaps.pop_front();
         }
     }
@@ -602,10 +508,10 @@ impl StreamingEmprof {
     }
 
     /// Current buffered-memory footprint in samples: the raw-sample
-    /// buffer, bounded by the normalization window (static: the up to
-    /// one window of samples behind the frontier the fused pass still
-    /// reads, plus a not-yet-dropped prefix no longer than them;
-    /// adaptive: a calibration block plus half a window).
+    /// buffer, bounded by the normalization window — the up to one
+    /// window of samples behind the frontier the fused pass (or the next
+    /// range's) still reads, plus a not-yet-dropped prefix no longer than
+    /// them.
     pub fn buffered_samples(&self) -> usize {
         self.buf.len()
     }
@@ -644,38 +550,17 @@ impl StreamingEmprof {
     /// flushes pending events, and returns the complete [`Profile`].
     pub fn finish(mut self) -> Profile {
         let _s = obs::span!("stream.finish");
-        // The tail positions have truncated (right-clipped) windows,
-        // exactly as in the batch detector.
-        match &mut self.engine {
-            Engine::Static(pass) => {
-                pass.finish(&self.buf, self.buf_base, &mut self.runs)
-                    .expect("rejection happens at ingest; the buffer is finite");
-                self.position = self.pushed;
-            }
-            Engine::Adaptive(ad) => {
-                while self.position < self.pushed {
-                    self.position = ad.run_block(
-                        &mut self.buf,
-                        &mut self.buf_base,
-                        self.pushed,
-                        &mut self.runs,
-                        &mut self.marks,
-                    );
-                }
-            }
-        }
-        self.stitcher.push(&mut self.runs);
+        // The tail positions have truncated (right-clipped) windows, and
+        // the last calibration block is observed partial, exactly as in
+        // the batch detector.
+        self.detect(true);
+        self.cal.finish_stream();
         self.process_pending(true);
         self.flush_obs();
         // Widths and confidence are only final now (merges may have grown
         // or re-marked events); the event counters were kept as emitted.
         record_event_metrics(&self.events, false);
-        Profile::new(
-            self.events,
-            self.pushed,
-            self.sample_rate_hz,
-            self.clock_hz,
-        )
+        Profile::new(self.events, self.pushed, self.sample_rate_hz, self.clock_hz)
     }
 }
 
@@ -926,7 +811,10 @@ mod tests {
         // 9_132 = 761 * 12, where an injected sample was dropped).
         let b = Emprof::new(config()).profile_magnitude(&dirty, FS, CLK);
         assert_eq!(profile.events(), b.events());
-        assert!(profile.degraded_count() >= 1, "gap-touching event not degraded");
+        assert!(
+            profile.degraded_count() >= 1,
+            "gap-touching event not degraded"
+        );
         // Apart from confidence, events match the clean signal's.
         let bc = batch(&clean);
         assert_eq!(profile.events().len(), bc.events().len());
@@ -989,6 +877,30 @@ mod tests {
         drained.extend_from_slice(&profile.events()[drained.len()..]);
         assert_eq!(drained, b.events());
         assert_eq!(profile.events(), b.events());
+    }
+
+    #[test]
+    fn adaptive_streaming_matches_batch_with_dips_at_block_boundaries() {
+        // Dips starting one sample before, at and one sample after a
+        // calibration block boundary, and dips ending at one: a pass cut
+        // or restarted a sample away from the boundary moves an edge.
+        let block = adaptive_config().calib.block(config().norm_window_samples);
+        let mut dips: Vec<(usize, usize)> = (1..10).map(|k| (k * block + k % 3 - 1, 12)).collect();
+        dips.extend((10..14).map(|k| (k * block - 12, 12)));
+        let signal = dipped_signal(&dips, 15 * block);
+        let b = Emprof::new(adaptive_config()).profile_magnitude(&signal, FS, CLK);
+        assert_eq!(b.events().len(), dips.len());
+        for chunk in [1, 997, signal.len()] {
+            let mut s = StreamingEmprof::new(adaptive_config(), FS, CLK);
+            let mut drained = Vec::new();
+            for slice in signal.chunks(chunk) {
+                s.extend_from_slice(slice);
+                drained.extend(s.drain_events());
+            }
+            let profile = s.finish();
+            drained.extend_from_slice(&profile.events()[drained.len()..]);
+            assert_eq!(drained, b.events(), "slices of {chunk}");
+        }
     }
 
     #[test]

@@ -11,9 +11,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use emprof_obs as obs;
-use emprof_par::{pool, Parallelism};
 
-use crate::fft;
 use crate::window::WindowKind;
 use crate::Complex;
 
@@ -110,47 +108,18 @@ pub fn lowpass_cached(taps: usize, cutoff: f64, window: WindowKind) -> Arc<Vec<f
     Arc::clone(map.entry(key).or_insert(designed))
 }
 
-/// Kernel length at or above which [`filter`] switches from direct
-/// convolution to overlap-save FFT convolution.
-///
-/// Direct convolution costs `k` multiply-adds per sample; overlap-save
-/// costs two FFTs of `N ≈ 4k` points per `N - k + 1` samples, roughly
-/// `16·log2(4k)` flops per sample. The curves cross near `k ≈ 48` on
-/// commodity cores (measured by the `perf_pipeline` bench scenario, FIR
-/// leg), so short kernels keep the cache-friendly direct path.
-///
-/// The crossover only matters when every output is wanted. The receiver
-/// chain reads about 2 filtered values in every 25, so `resample`
-/// evaluates the direct sum at those positions instead and never calls
-/// [`filter`].
-pub const FFT_MIN_TAPS: usize = 48;
-
-/// Whether [`filter`] will take the overlap-save FFT path for this
-/// signal/kernel combination.
-///
-/// Exposed so benches and tests can pin down the crossover; the choice
-/// depends only on the two lengths, never on the thread count, keeping
-/// outputs bit-identical across `--threads` settings.
-pub fn uses_overlap_save(signal_len: usize, taps: usize) -> bool {
-    taps >= FFT_MIN_TAPS && signal_len >= 4 * taps
-}
-
 /// Applies an FIR filter to a real signal, returning a signal of the same
-/// length.
+/// length: the direct (time-domain) convolution, [`filter_direct`].
 ///
 /// The filter is applied with zero-padded history; the output is advanced
 /// by the filter's group delay `(taps - 1) / 2` so features in the output
 /// line up with features in the input (zero-phase behaviour for symmetric
-/// filters). Long kernels are applied by overlap-save FFT convolution,
-/// short ones by direct convolution ([`uses_overlap_save`] is the
-/// crossover); both produce the same zero-padded linear convolution, the
-/// FFT path within a few ulps.
+/// filters).
 ///
 /// Use this when most outputs are needed. The receiver's band-limiting
 /// (`resample`, `decimate`) reads only the outputs its rate reduction
 /// keeps and evaluates those with [`filter_direct_at`] and
-/// [`filter_direct_group`] instead, so nothing in the capture chain takes
-/// the overlap-save path.
+/// [`filter_direct_group`] instead.
 ///
 /// # Example
 ///
@@ -164,41 +133,21 @@ pub fn uses_overlap_save(signal_len: usize, taps: usize) -> bool {
 /// assert!((y[128] - 1.0).abs() < 1e-9);
 /// ```
 pub fn filter(signal: &[f64], taps: &[f64]) -> Vec<f64> {
-    filter_par(signal, taps, Parallelism::sequential())
+    filter_direct(signal, taps)
 }
 
-/// [`filter`] with the work fanned out over a worker pool.
+/// Direct (time-domain) convolution: every output is
+/// [`filter_direct_at`] at its index, so a caller that needs only some
+/// outputs can evaluate just those.
 ///
-/// Output is bit-for-bit identical to [`filter`] for any thread count:
-/// the direct path computes each output sample with the same summation
-/// order, and the FFT path uses fixed block boundaries that depend only
-/// on the kernel length.
-pub fn filter_par(signal: &[f64], taps: &[f64], par: Parallelism) -> Vec<f64> {
-    assert!(!taps.is_empty(), "FIR filter must have at least one tap");
-    if signal.is_empty() {
-        return Vec::new();
-    }
-    if uses_overlap_save(signal.len(), taps.len()) {
-        filter_overlap_save(signal, taps, par)
-    } else {
-        filter_direct_par(signal, taps, par)
-    }
-}
-
-/// Direct (time-domain) convolution, always, regardless of kernel length.
+/// # Panics
 ///
-/// This is the reference implementation the FFT path is validated
-/// against. Every output is [`filter_direct_at`] at its index, so a
-/// caller that needs only some outputs can evaluate just those.
+/// Panics if `taps` is empty.
 pub fn filter_direct(signal: &[f64], taps: &[f64]) -> Vec<f64> {
     assert!(!taps.is_empty(), "FIR filter must have at least one tap");
-    filter_direct_par(signal, taps, Parallelism::sequential())
-}
-
-fn filter_direct_par(signal: &[f64], taps: &[f64], par: Parallelism) -> Vec<f64> {
-    pool::map_ranges(par, signal.len(), |range| {
-        range.map(|i| filter_direct_at(signal, taps, i)).collect()
-    })
+    (0..signal.len())
+        .map(|i| filter_direct_at(signal, taps, i))
+        .collect()
 }
 
 /// Output `i` of [`filter_direct`], computed alone.
@@ -319,78 +268,6 @@ pub fn filter_direct_group<T: Copy + Into<f64>, const G: usize, const W: usize>(
     acc
 }
 
-/// Overlap-save FFT convolution of the zero-padded linear convolution,
-/// sliced to the same delay-compensated window as the direct path.
-///
-/// Blocks are independent, so they distribute over the pool; block
-/// boundaries are a pure function of the kernel length, which is what
-/// makes the output identical for every thread count.
-fn filter_overlap_save(signal: &[f64], taps: &[f64], par: Parallelism) -> Vec<f64> {
-    let n = signal.len();
-    let k = taps.len();
-    let delay = (k - 1) / 2;
-    // Block size: ~4x the kernel keeps the wasted overlap under a third
-    // while the FFTs stay cache-resident.
-    let nfft = (4 * k).next_power_of_two().max(1024);
-    let valid = nfft - (k - 1);
-
-    let mut taps_spectrum: Vec<Complex> = taps.iter().map(|&t| Complex::from_re(t)).collect();
-    taps_spectrum.resize(nfft, Complex::ZERO);
-    fft::forward(&mut taps_spectrum);
-    let taps_spectrum = &taps_spectrum;
-
-    let blocks: Vec<usize> = (0..n.div_ceil(valid)).collect();
-    let pieces = pool::parallel_map(par, &blocks, |&b| {
-        // This block produces convolution outputs y[t0 .. t0 + valid)
-        // (t = i + delay), which need inputs x[t0 - (k-1) .. t0 + valid).
-        let t0 = (delay + b * valid) as i64;
-        let seg_origin = t0 - (k as i64 - 1);
-        let mut seg = vec![Complex::ZERO; nfft];
-        let lo = seg_origin.max(0) as usize;
-        let hi = ((seg_origin + nfft as i64).min(n as i64)).max(0) as usize;
-        for idx in lo..hi {
-            seg[(idx as i64 - seg_origin) as usize] = Complex::from_re(signal[idx]);
-        }
-        fft::forward(&mut seg);
-        for (s, h) in seg.iter_mut().zip(taps_spectrum) {
-            *s *= *h;
-        }
-        fft::inverse(&mut seg);
-        let take = valid.min(n - b * valid);
-        seg[(k - 1)..(k - 1 + take)].iter().map(|c| c.re).collect::<Vec<f64>>()
-    });
-    let mut out = Vec::with_capacity(n);
-    for piece in pieces {
-        out.extend(piece);
-    }
-    out
-}
-
-/// Applies an FIR filter to a complex signal; see [`filter`] for the
-/// alignment conventions.
-pub fn filter_complex(signal: &[Complex], taps: &[f64]) -> Vec<Complex> {
-    assert!(!taps.is_empty(), "FIR filter must have at least one tap");
-    if signal.is_empty() {
-        return Vec::new();
-    }
-    let delay = (taps.len() - 1) / 2;
-    let n = signal.len();
-    let mut out = vec![Complex::ZERO; n];
-    for (i, o) in out.iter_mut().enumerate() {
-        let center = i + delay;
-        let mut acc = Complex::ZERO;
-        for (k, &t) in taps.iter().enumerate() {
-            if let Some(j) = center.checked_sub(k) {
-                if j < n {
-                    acc += signal[j] * t;
-                }
-            }
-        }
-        *o = acc;
-    }
-    out
-}
-
 /// Measures the magnitude response of a filter at a normalized frequency
 /// (fraction of the sample rate, in `[0, 0.5]`).
 ///
@@ -453,7 +330,9 @@ mod tests {
     #[test]
     fn filter_smooths_high_frequency() {
         // Alternating +1/-1 is at Nyquist; a 0.1 lowpass should crush it.
-        let x: Vec<f64> = (0..500).map(|i| if i % 2 == 0 { 1.0 } else { -1.0 }).collect();
+        let x: Vec<f64> = (0..500)
+            .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
+            .collect();
         let taps = lowpass(63, 0.1);
         let y = filter(&x, &taps);
         let peak = y[100..400].iter().fold(0.0f64, |m, &v| m.max(v.abs()));
@@ -461,23 +340,9 @@ mod tests {
     }
 
     #[test]
-    fn complex_filter_matches_real_filter_on_real_input() {
-        let x: Vec<f64> = (0..200).map(|i| (i as f64 * 0.05).sin()).collect();
-        let xc: Vec<Complex> = x.iter().map(|&v| Complex::from_re(v)).collect();
-        let taps = lowpass(31, 0.15);
-        let yr = filter(&x, &taps);
-        let yc = filter_complex(&xc, &taps);
-        for (a, b) in yr.iter().zip(&yc) {
-            assert!((a - b.re).abs() < 1e-12);
-            assert!(b.im.abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn empty_signal_gives_empty_output() {
         let taps = lowpass(31, 0.2);
         assert!(filter(&[], &taps).is_empty());
-        assert!(filter_complex(&[], &taps).is_empty());
     }
 
     #[test]
@@ -507,29 +372,6 @@ mod tests {
                 (t * 0.11).sin() + 0.4 * (t * 0.037).cos() + ((i * 2654435761) % 97) as f64 / 97.0
             })
             .collect()
-    }
-
-    #[test]
-    fn overlap_save_matches_direct() {
-        // Long kernels route through the FFT; compare against the direct
-        // reference at several signal lengths, including lengths that are
-        // not multiples of the FFT block and shorter than one block.
-        for k in [49, 63, 128, 257, 513] {
-            let taps = lowpass(k, 0.08);
-            for n in [4 * k, 4 * k + 1, 5000, 12_345] {
-                let x = wiggle(n);
-                assert!(uses_overlap_save(n, k), "n={n} k={k}");
-                let direct = filter_direct(&x, &taps);
-                let fft = filter(&x, &taps);
-                let scale = x.iter().fold(1.0f64, |m, &v| m.max(v.abs()));
-                for (i, (a, b)) in fft.iter().zip(&direct).enumerate() {
-                    assert!(
-                        (a - b).abs() < 1e-9 * scale,
-                        "n={n} k={k} i={i}: fft {a} vs direct {b}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -577,28 +419,6 @@ mod tests {
     #[should_panic(expected = "ascending")]
     fn group_starts_out_of_order_panic() {
         let _: [[f64; 1]; 2] = filter_direct_group(&[1.0, 2.0], &[1.0], &[1, 0], &mut Vec::new());
-    }
-
-    #[test]
-    fn short_kernels_stay_on_the_direct_path() {
-        assert!(!uses_overlap_save(1_000_000, 31));
-        assert!(!uses_overlap_save(100, 513)); // signal shorter than 4k
-        assert!(uses_overlap_save(4 * 513, 513));
-    }
-
-    #[test]
-    fn parallel_filter_is_bit_exact() {
-        // Both the direct path (short kernel) and the FFT path (long
-        // kernel) must produce identical bits for every thread count.
-        for k in [31usize, 257] {
-            let taps = lowpass(k, 0.1);
-            let x = wiggle(9_876);
-            let seq = filter(&x, &taps);
-            for threads in [2, 3, 8] {
-                let par = filter_par(&x, &taps, Parallelism::new(threads));
-                assert_eq!(seq, par, "k={k} threads={threads}");
-            }
-        }
     }
 
     #[test]

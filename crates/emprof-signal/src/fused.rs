@@ -116,7 +116,9 @@ pub fn detect_runs_range(
     end: usize,
     norm_out: Option<&mut Vec<f64>>,
 ) -> Result<LevelRuns, usize> {
-    detect_runs_range_gated(signal, window, threshold, edge_level, 0.0, start, end, norm_out)
+    detect_runs_range_gated(
+        signal, window, threshold, edge_level, 0.0, start, end, norm_out,
+    )
 }
 
 /// [`detect_runs_range`] with a **contrast gate**: windows whose dynamic
@@ -284,6 +286,11 @@ impl FusedPass {
         self.next
     }
 
+    /// The end of the pass's output range (exclusive).
+    pub fn range_end(&self) -> usize {
+        self.end
+    }
+
     /// The first global sample index later calls still read; callers
     /// may drop everything before it. The next block's sweep reads back
     /// to `block_end - half`, so this trails the frontier by at most
@@ -307,12 +314,7 @@ impl FusedPass {
     /// # Panics
     ///
     /// Panics if `signal` does not cover [`FusedPass::first_needed`].
-    pub fn feed(
-        &mut self,
-        signal: &[f64],
-        base: usize,
-        runs: &mut LevelRuns,
-    ) -> Result<(), usize> {
+    pub fn feed(&mut self, signal: &[f64], base: usize, runs: &mut LevelRuns) -> Result<(), usize> {
         let complete = (base + signal.len()).saturating_sub(self.half);
         self.advance(signal, base, complete.min(self.end), runs, None)
     }
@@ -421,8 +423,10 @@ impl FusedPass {
             let stop = out_end.min(self.block_end);
             let k0 = first + 2 * half + 1 - self.block_end;
             let (mut pre_min, mut pre_max) = (self.pre_min, self.pre_max);
-            for (off, (&v_i, &(s_min, s_max))) in
-                signal[first - base..stop - base].iter().zip(&self.suffix[k0..]).enumerate()
+            for (off, (&v_i, &(s_min, s_max))) in signal[first - base..stop - base]
+                .iter()
+                .zip(&self.suffix[k0..])
+                .enumerate()
             {
                 let i = first + off;
                 // Read the sample entering the prefix. Past the end of the
@@ -538,16 +542,8 @@ mod tests {
         let full_norm = normalize_moving_minmax(&signal, window);
         for (start, end) in [(0, 1500), (0, 1), (1499, 1500), (250, 901), (700, 700)] {
             let mut norm = Vec::new();
-            let runs = detect_runs_range(
-                &signal,
-                window,
-                0.35,
-                0.5,
-                start,
-                end,
-                Some(&mut norm),
-            )
-            .expect("clean signal");
+            let runs = detect_runs_range(&signal, window, 0.35, 0.5, start, end, Some(&mut norm))
+                .expect("clean signal");
             assert_eq!(norm, full_norm[start..end], "range {start}..{end}");
             // Runs over the range are the reference runs of the slice,
             // shifted into global coordinates.

@@ -77,13 +77,8 @@ impl Gaussian {
 /// `|x|^2`); the per-component noise standard deviation is then set so the
 /// total complex-noise power is `signal_power / 10^(snr_db / 10)`. A signal
 /// of all zeros is returned unchanged (its SNR is undefined).
-pub fn add_awgn_complex<R: Rng + ?Sized>(
-    signal: &mut [Complex],
-    snr_db: f64,
-    rng: &mut R,
-) {
-    let power: f64 =
-        signal.iter().map(|c| c.norm_sqr()).sum::<f64>() / signal.len().max(1) as f64;
+pub fn add_awgn_complex<R: Rng + ?Sized>(signal: &mut [Complex], snr_db: f64, rng: &mut R) {
+    let power: f64 = signal.iter().map(|c| c.norm_sqr()).sum::<f64>() / signal.len().max(1) as f64;
     if power == 0.0 {
         return;
     }
@@ -156,7 +151,10 @@ mod tests {
             .sum::<f64>()
             / clean.len() as f64;
         // Signal power is 1.0, so at 20 dB noise power should be 0.01.
-        assert!((noise_power - 0.01).abs() < 0.001, "noise power {noise_power}");
+        assert!(
+            (noise_power - 0.01).abs() < 0.001,
+            "noise power {noise_power}"
+        );
     }
 
     #[test]
@@ -180,7 +178,10 @@ mod tests {
             .sum::<f64>()
             / clean.len() as f64;
         // Signal power 4.0, SNR 10 dB -> noise power 0.4.
-        assert!((noise_power - 0.4).abs() < 0.02, "noise power {noise_power}");
+        assert!(
+            (noise_power - 0.4).abs() < 0.02,
+            "noise power {noise_power}"
+        );
     }
 
     #[test]

@@ -298,7 +298,10 @@ mod tests {
             .map(|i| {
                 let lo = i.saturating_sub(half);
                 let hi = (i + half).min(signal.len() - 1);
-                signal[lo..=hi].iter().cloned().fold(f64::INFINITY, f64::min)
+                signal[lo..=hi]
+                    .iter()
+                    .cloned()
+                    .fold(f64::INFINITY, f64::min)
             })
             .collect()
     }

@@ -173,9 +173,7 @@ mod tests {
 
     fn tone(freq_bin: f64, frame_len: usize, len: usize) -> Vec<f64> {
         (0..len)
-            .map(|i| {
-                (std::f64::consts::TAU * freq_bin * i as f64 / frame_len as f64).sin()
-            })
+            .map(|i| (std::f64::consts::TAU * freq_bin * i as f64 / frame_len as f64).sin())
             .collect()
     }
 

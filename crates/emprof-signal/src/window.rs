@@ -43,9 +43,7 @@ impl WindowKind {
             WindowKind::Rectangular => 1.0,
             WindowKind::Hann => 0.5 - 0.5 * (tau * x).cos(),
             WindowKind::Hamming => 0.54 - 0.46 * (tau * x).cos(),
-            WindowKind::Blackman => {
-                0.42 - 0.5 * (tau * x).cos() + 0.08 * (2.0 * tau * x).cos()
-            }
+            WindowKind::Blackman => 0.42 - 0.5 * (tau * x).cos() + 0.08 * (2.0 * tau * x).cos(),
         }
     }
 
@@ -108,10 +106,7 @@ mod tests {
 
     #[test]
     fn rectangular_is_all_ones() {
-        assert!(WindowKind::Rectangular
-            .vector(12)
-            .iter()
-            .all(|&v| v == 1.0));
+        assert!(WindowKind::Rectangular.vector(12).iter().all(|&v| v == 1.0));
     }
 
     #[test]

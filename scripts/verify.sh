@@ -9,10 +9,10 @@ cargo build --release
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Formatting, for the crates that are rustfmt-clean: the simulator and
-# the workload generators; and for the soak driver's sources, while the
-# rest of emprof-bench is not yet.
-cargo fmt --check -p emprof-sim -p emprof-workloads
+# Formatting, for the crates that are rustfmt-clean: the simulator, the
+# workload generators, the detector and the DSP substrate; and for the
+# soak driver's sources, while the rest of emprof-bench is not yet.
+cargo fmt --check -p emprof-sim -p emprof-workloads -p emprof-core -p emprof-signal
 rustfmt --check --edition 2021 crates/bench/src/soak.rs crates/bench/src/bin/soak/*.rs crates/bench/tests/soak_cli.rs
 
 # Rustdoc with warnings denied: broken or ambiguous intra-doc links
@@ -41,8 +41,8 @@ cargo test -q --release -p emprof-workloads -p emprof-signal -p emprof-emsim
 cargo test -q --release --test prop_fused --test prop_streaming --test par_equivalence --test prop_parallel
 
 # Pipeline throughput smoke: sequential vs parallel at 1/2/4 threads
-# (capped at the host's parallelism) plus the direct-vs-FFT FIR
-# crossover; asserts thread-count invariance. The run is written to
+# (capped at the host's parallelism) for the detector and the
+# sim→EM→detect chain; asserts thread-count invariance. The run is written to
 # target/BENCH_pipeline.json and gated against the committed
 # BENCH_pipeline.json, which a verification pass never rewrites: the
 # bench exits nonzero if 1-thread detector or 1-thread pipeline
@@ -68,8 +68,10 @@ cargo test -q --release --test prop_codec --test wire_golden --test journal_gold
 # splits, plus the segment walk, the sort-dedup fold and the codecs.
 cargo test -q --release -p emprof-store
 
-# Serve soak: 4 concurrent sessions for a fixed number of rounds; fails
-# on any lost event, queue-bound violation, or counter drift. Every
+# Serve soak: 4 concurrent sessions for a fixed number of rounds, their
+# workers slowed so the sessions fill their queues; fails on any lost
+# event, counter drift, or a peak queue depth other than the bound, or
+# if no push ever waited on a full queue. Every
 # soak scenario streams the same inputs on every run, and each failure
 # line ends with the `soak <scenario> --rounds R` command that replays it.
 cargo run -q --release -p emprof-bench --bin soak -- serve

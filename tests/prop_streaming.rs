@@ -345,6 +345,35 @@ proptest! {
             prop_assert_eq!(got, want[at], "drained after {} samples", at);
         }
     }
+
+    /// Adaptive detection restarts the pass at every calibration block
+    /// and cuts it like any slice boundary, so its drains do not depend
+    /// on the slicing either: the same check, with calibration on.
+    #[test]
+    fn adaptive_drains_do_not_depend_on_slicing(
+        segments in prop::collection::vec((any::<u16>(), any::<u16>(), any::<u8>()), 1..40),
+        picks in prop::collection::vec((any::<u16>(), any::<u8>(), any::<u8>()), 1..120),
+    ) {
+        let signal = short_gap_signal(&segments);
+        let slices = boundary_burst_slices(&signal, &picks);
+        let mut config = EmprofConfig::for_rates(FS, CLK);
+        config.calib = CalibConfig::adaptive();
+        let mut one = StreamingEmprof::new(config, FS, CLK);
+        let mut want = vec![0];
+        for &v in slices.iter().flatten() {
+            one.push(v);
+            let n = want[want.len() - 1] + one.drain_events().len();
+            want.push(n);
+        }
+        let mut sliced = StreamingEmprof::new(config, FS, CLK);
+        let (mut at, mut got) = (0, 0);
+        for slice in &slices {
+            sliced.extend_from_slice(slice);
+            at += slice.len();
+            got += sliced.drain_events().len();
+            prop_assert_eq!(got, want[at], "drained after {} samples", at);
+        }
+    }
 }
 
 /// `len` busy samples with clean dips at `(start, width)`.
