@@ -1,6 +1,7 @@
 //! Command execution.
 
 use std::fmt::Write as _;
+use std::time::Duration;
 
 use emprof_core::report::{self, ProfileSummary};
 use emprof_core::{
@@ -18,12 +19,11 @@ use emprof_workloads::{boot, iot};
 
 use emprof_router::{BackendSpec, Router, RouterConfig};
 use emprof_serve::{
-    query_result_to_wire, ClientConfig, MetricsClient, MetricsReply, ProfileClient,
-    QueryResultWire, QuerySpecWire, ServeConfig, Server, WatchClient,
+    query_result_to_wire, query_spec_from_wire, ClientConfig, MetricsClient, MetricsReply,
+    ProfileClient, QueryResultWire, QuerySpecWire, ServeConfig, Server, WatchClient,
 };
 use emprof_store::{
-    inspect_dir, query_journals, FooterStatus, JournalConfig, QuerySpec, SessionJournal,
-    SessionMeta,
+    inspect_dir, query_journals, FooterStatus, JournalConfig, SessionJournal, SessionMeta,
 };
 
 use crate::opts::{
@@ -90,7 +90,8 @@ where
     let io_err = |path: &str, e: std::io::Error| CliError::Runtime(format!("{path}: {e}"));
     if let Some(path) = &obs_opts.metrics_out {
         let mut sink = obs::JsonLinesSink::new(Vec::new());
-        sink.write_snapshot(&snapshot).map_err(|e| io_err(path, e))?;
+        sink.write_snapshot(&snapshot)
+            .map_err(|e| io_err(path, e))?;
         std::fs::write(path, sink.into_inner()).map_err(|e| io_err(path, e))?;
         let _ = writeln!(out, "metrics written to {path}");
     }
@@ -109,8 +110,8 @@ where
         let mut sink = obs::PrettyTableSink::new(Vec::new());
         sink.write_snapshot(&snapshot)
             .map_err(|e| io_err("<stdout>", e))?;
-        let table = String::from_utf8(sink.into_inner())
-            .map_err(|e| CliError::Runtime(e.to_string()))?;
+        let table =
+            String::from_utf8(sink.into_inner()).map_err(|e| CliError::Runtime(e.to_string()))?;
         let _ = writeln!(out, "\ntelemetry:\n{table}");
     }
     Ok(out)
@@ -126,23 +127,30 @@ fn detector_config(rate: f64, clock_hz: f64, adaptive: bool) -> EmprofConfig {
     config
 }
 
+/// The transport settings of a client command's `--timeout`/`--retries`.
+fn client_config(timeout_secs: u64, retries: u32) -> ClientConfig {
+    ClientConfig {
+        read_timeout: Duration::from_secs(timeout_secs),
+        max_reconnects: retries,
+        ..ClientConfig::default()
+    }
+}
+
 /// With telemetry on, re-runs the magnitude through the streaming
 /// detector: this records the `stream.*` throughput gauges and doubles as
 /// a live equivalence check against the batch profile. The streaming
 /// detector must run the same configuration (notably the calibration
-/// knob) as the batch run it is compared to.
+/// knob), sample rate and clock as the batch run it is compared to.
 fn streaming_cross_check(
     out: &mut String,
     magnitude: &[f64],
     config: EmprofConfig,
-    rate: f64,
-    clock_hz: f64,
     batch: &Profile,
 ) {
     if !obs::is_enabled() {
         return;
     }
-    let mut s = StreamingEmprof::new(config, rate, clock_hz);
+    let mut s = StreamingEmprof::new(config, batch.sample_rate_hz(), batch.clock_hz());
     s.extend_from_slice(magnitude);
     let stats = s.stats();
     let streamed = s.finish();
@@ -157,6 +165,19 @@ fn streaming_cross_check(
         streamed.events().len(),
         stats.samples_per_sec.unwrap_or(0.0) / 1e6
     );
+}
+
+/// Appends the profile summary and, when the calibration loop flagged
+/// any event degraded, how many.
+fn summarize(out: &mut String, profile: &Profile) {
+    let _ = writeln!(out, "{}", ProfileSummary::of(profile));
+    if profile.degraded_count() > 0 {
+        let _ = writeln!(
+            out,
+            "confidence: {} events flagged degraded (probe drift / signal gaps)",
+            profile.degraded_count()
+        );
+    }
 }
 
 /// With telemetry on, appends the stall-latency quantile estimates from
@@ -226,7 +247,9 @@ fn run_workload(
     if let Some(spec) = workload.strip_prefix("microbench:") {
         let parts: Vec<&str> = spec.split(':').collect();
         let [tm, cm] = parts.as_slice() else {
-            return Err(err(format!("bad microbench spec {workload} (want microbench:TM:CM)")));
+            return Err(err(format!(
+                "bad microbench spec {workload} (want microbench:TM:CM)"
+            )));
         };
         let tm: u64 = tm.parse().map_err(|_| err(format!("bad TM {tm}")))?;
         let cm: u64 = cm.parse().map_err(|_| err(format!("bad CM {cm}")))?;
@@ -243,8 +266,8 @@ fn run_workload(
             Ok(interp_run(program))
         }
         "block-transfer" => {
-            let program = iot::block_transfer((320.0 * scale) as i64 + 4)
-                .map_err(|e| err(e.to_string()))?;
+            let program =
+                iot::block_transfer((320.0 * scale) as i64 + 4).map_err(|e| err(e.to_string()))?;
             Ok(interp_run(program))
         }
         "table-crypto" => {
@@ -271,8 +294,10 @@ fn parse_fault_plan(spec: Option<&str>) -> Result<Option<FaultPlan>, CliError> {
     Ok(if plan.is_none() { None } else { Some(plan) })
 }
 
-/// Appends a one-line tally of what a fault injector actually did.
-fn fault_summary(out: &mut String, report: &FaultReport) {
+/// Appends a one-line tally of what a fault injector actually did, if
+/// one ran.
+fn fault_summary(out: &mut String, report: Option<&FaultReport>) {
+    let Some(report) = report else { return };
     let _ = writeln!(
         out,
         "faults injected: {} dropout bursts, {} corrupted samples, {} gain steps, {} shifts",
@@ -290,29 +315,29 @@ fn fault_summary(out: &mut String, report: &FaultReport) {
     }
 }
 
+/// Captures a simulated run at the `--bandwidth` and `--seed` of `opts`,
+/// faults the capture's magnitude if given an injector, and profiles it:
+/// the profile, the magnitude, its sample rate and what the injector did.
 fn profile_of(
     result: &emprof_sim::SimResult,
     device: &DeviceModel,
-    bandwidth: f64,
-    seed: u64,
+    opts: &SimulateOpts,
     par: Parallelism,
-    adaptive: bool,
-) -> (Profile, Vec<f64>, f64) {
-    let rx = Receiver::new(ReceiverConfig::paper_setup(bandwidth)).with_parallelism(par);
-    let capture = rx.capture(&result.power, seed);
-    let emprof = Emprof::new(detector_config(
-        capture.sample_rate_hz(),
-        device.clock_hz,
-        adaptive,
-    ));
-    let magnitude = capture.magnitude_par(par);
-    let profile = emprof.profile_magnitude_par(
-        &magnitude,
-        capture.sample_rate_hz(),
-        device.clock_hz,
-        par,
-    );
-    (profile, magnitude, capture.sample_rate_hz())
+    injector: Option<&mut FaultInjector>,
+) -> (Profile, Vec<f64>, f64, Option<FaultReport>) {
+    let rx = Receiver::new(ReceiverConfig::paper_setup(opts.bandwidth_hz)).with_parallelism(par);
+    let capture = rx.capture(&result.power, opts.seed);
+    let rate = capture.sample_rate_hz();
+    let (magnitude, report) = match injector {
+        Some(injector) => {
+            let (magnitude, report) = capture.magnitude_faulted(injector, par);
+            (magnitude, Some(report))
+        }
+        None => (capture.magnitude_par(par), None),
+    };
+    let emprof = Emprof::new(detector_config(rate, device.clock_hz, opts.adaptive));
+    let profile = emprof.profile_magnitude_par(&magnitude, rate, device.clock_hz, par);
+    (profile, magnitude, rate, report)
 }
 
 fn simulate(opts: &SimulateOpts) -> Result<String, CliError> {
@@ -320,25 +345,9 @@ fn simulate(opts: &SimulateOpts) -> Result<String, CliError> {
     let device = device_by_name(&opts.device)?;
     let result = run_workload(&opts.workload, &device, opts.scale, opts.seed)?;
     let par = Parallelism::resolve(opts.threads);
-    let (profile, magnitude, rate, fault_report) = match fault_plan {
-        None => {
-            let (p, m, r) =
-                profile_of(&result, &device, opts.bandwidth_hz, opts.seed, par, opts.adaptive);
-            (p, m, r, None)
-        }
-        Some(plan) => {
-            let rx = Receiver::new(ReceiverConfig::paper_setup(opts.bandwidth_hz))
-                .with_parallelism(par);
-            let capture = rx.capture(&result.power, opts.seed);
-            let rate = capture.sample_rate_hz();
-            let mut injector = FaultInjector::new(plan, opts.fault_seed);
-            let (magnitude, report) = capture.magnitude_faulted(&mut injector, par);
-            let emprof = Emprof::new(detector_config(rate, device.clock_hz, opts.adaptive));
-            let profile =
-                emprof.profile_magnitude_par(&magnitude, rate, device.clock_hz, par);
-            (profile, magnitude, rate, Some(report))
-        }
-    };
+    let mut injector = fault_plan.map(|plan| FaultInjector::new(plan, opts.fault_seed));
+    let (profile, magnitude, rate, fault_report) =
+        profile_of(&result, &device, opts, par, injector.as_mut());
     let config = detector_config(rate, device.clock_hz, opts.adaptive);
 
     // Dual-probe cross-validation: synthesize the memory-side capture of
@@ -376,9 +385,7 @@ fn simulate(opts: &SimulateOpts) -> Result<String, CliError> {
         magnitude.len(),
         rate / 1e6
     );
-    if let Some(report) = &fault_report {
-        fault_summary(&mut out, report);
-    }
+    fault_summary(&mut out, fault_report.as_ref());
     if let Some(report) = &fusion_report {
         let _ = writeln!(
             out,
@@ -386,98 +393,95 @@ fn simulate(opts: &SimulateOpts) -> Result<String, CliError> {
             report.confirmed, report.rejected
         );
     }
-    let _ = writeln!(out, "{}", ProfileSummary::of(&profile));
-    if profile.degraded_count() > 0 {
-        let _ = writeln!(
-            out,
-            "confidence: {} events flagged degraded (probe drift / signal gaps)",
-            profile.degraded_count()
-        );
-    }
+    summarize(&mut out, &profile);
     let _ = writeln!(
         out,
         "ground truth: {} LLC misses, {} stall cycles",
         result.ground_truth.llc_miss_count(),
         result.ground_truth.llc_stall_cycles()
     );
-    streaming_cross_check(&mut out, &magnitude, config, rate, device.clock_hz, &prefusion);
+    streaming_cross_check(&mut out, &magnitude, config, &prefusion);
     stall_latency_quantiles(&mut out);
     if let Some(path) = &opts.signal_out {
         write_file(path, &report::signal_to_csv(&magnitude))?;
         let _ = writeln!(out, "signal written to {path}");
     }
-    if let Some(path) = &opts.events_out {
-        write_file(path, &report::events_to_csv(&profile))?;
-        let _ = writeln!(out, "events written to {path}");
-    }
+    write_events(&mut out, opts.events_out.as_deref(), &profile)?;
     Ok(out)
 }
 
 fn profile_csv(opts: &ProfileOpts) -> Result<String, CliError> {
     let csv = std::fs::read_to_string(&opts.signal_path)
         .map_err(|e| CliError::Runtime(format!("{}: {e}", opts.signal_path)))?;
-    let signal =
-        report::signal_from_csv(&csv).map_err(|e| CliError::Runtime(e.to_string()))?;
-    let config = detector_config(opts.sample_rate_hz, opts.clock_hz, opts.adaptive);
-    let emprof = Emprof::new(config);
-    let profile = emprof.profile_magnitude_par(
-        &signal,
-        opts.sample_rate_hz,
-        opts.clock_hz,
-        Parallelism::resolve(opts.threads),
-    );
+    let signal = report::signal_from_csv(&csv).map_err(|e| CliError::Runtime(e.to_string()))?;
+    let (rate, clock_hz) = (opts.sample_rate_hz, opts.clock_hz);
+    let config = detector_config(rate, clock_hz, opts.adaptive);
+    let par = Parallelism::resolve(opts.threads);
+    let profile = Emprof::new(config).profile_magnitude_par(&signal, rate, clock_hz, par);
     let mut out = String::new();
     let _ = writeln!(
         out,
         "{}: {} samples ({:.3} ms of execution)",
         opts.signal_path,
         signal.len(),
-        signal.len() as f64 / opts.sample_rate_hz * 1e3
+        signal.len() as f64 / rate * 1e3
     );
-    let _ = writeln!(out, "{}", ProfileSummary::of(&profile));
-    if profile.degraded_count() > 0 {
-        let _ = writeln!(
-            out,
-            "confidence: {} events flagged degraded (probe drift / signal gaps)",
-            profile.degraded_count()
-        );
-    }
-    streaming_cross_check(&mut out, &signal, config, opts.sample_rate_hz, opts.clock_hz, &profile);
+    summarize(&mut out, &profile);
+    streaming_cross_check(&mut out, &signal, config, &profile);
     stall_latency_quantiles(&mut out);
-    if let Some(path) = &opts.events_out {
-        write_file(path, &report::events_to_csv(&profile))?;
-        let _ = writeln!(out, "events written to {path}");
-    }
+    write_events(&mut out, opts.events_out.as_deref(), &profile)?;
     Ok(out)
+}
+
+/// Keeps telemetry on while a `--metrics-addr` scrape endpoint is up: an
+/// endpoint over a disabled registry would serve an empty snapshot.
+/// Turns it back off on drop, unless it was on already (`with_telemetry`).
+struct ScrapeTelemetry(bool);
+
+impl ScrapeTelemetry {
+    fn on(scraped: bool) -> Self {
+        let owned = scraped && !obs::is_enabled();
+        if owned {
+            obs::reset();
+            obs::enable();
+        }
+        ScrapeTelemetry(owned)
+    }
+}
+
+impl Drop for ScrapeTelemetry {
+    fn drop(&mut self) {
+        if self.0 {
+            obs::disable();
+        }
+    }
+}
+
+/// Flushes the listening banner (callers script against it), then
+/// serves for `--duration` seconds, or forever without one.
+fn run_for(duration_secs: Option<u64>) {
+    use std::io::Write as _;
+    let _ = std::io::stdout().flush();
+    match duration_secs {
+        Some(secs) => std::thread::sleep(Duration::from_secs(secs)),
+        None => loop {
+            std::thread::sleep(Duration::from_secs(1));
+        },
+    }
 }
 
 /// Runs the profiling service, optionally for a bounded duration.
 fn serve(opts: &ServeOpts) -> Result<String, CliError> {
     let fault_plan = parse_fault_plan(opts.fault_plan.as_deref())?;
     let chaos = fault_plan.is_some();
-    // A scrape endpoint over a disabled registry would serve an empty
-    // snapshot; --metrics-addr implies telemetry for the server's
-    // lifetime (unless `with_telemetry` already turned it on).
-    struct ObsOff(bool);
-    impl Drop for ObsOff {
-        fn drop(&mut self) {
-            if self.0 {
-                obs::disable();
-            }
-        }
-    }
-    let scrape_obs = ObsOff(opts.metrics_addr.is_some() && !obs::is_enabled());
-    if scrape_obs.0 {
-        obs::reset();
-        obs::enable();
-    }
+    let _scrape = ScrapeTelemetry::on(opts.metrics_addr.is_some());
     let config = ServeConfig {
         threads: Parallelism::resolve(opts.threads),
         queue_frames: opts.queue_frames,
         shed: opts.shed,
-        idle_timeout: std::time::Duration::from_secs(opts.idle_timeout_secs),
+        idle_timeout: Duration::from_secs(opts.idle_timeout_secs),
         max_sessions: opts.max_sessions,
-        heartbeat_interval: opts.heartbeat_secs.map(std::time::Duration::from_secs),
+        heartbeat_interval: opts.heartbeat_secs.map(Duration::from_secs),
         fault_plan,
         fault_seed: opts.fault_seed,
         journal_dir: opts.journal_dir.as_ref().map(std::path::PathBuf::from),
@@ -505,14 +509,7 @@ fn serve(opts: &ServeOpts) -> Result<String, CliError> {
             None => String::new(),
         },
     );
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
-    match opts.duration_secs {
-        Some(secs) => std::thread::sleep(std::time::Duration::from_secs(secs)),
-        None => loop {
-            std::thread::sleep(std::time::Duration::from_secs(1));
-        },
-    }
+    run_for(opts.duration_secs);
     let stats = server.shutdown();
     let mut out = String::new();
     let _ = writeln!(
@@ -539,22 +536,7 @@ fn serve(opts: &ServeOpts) -> Result<String, CliError> {
 /// Runs the sharded front tier: a consistent-hash router over a
 /// backend fleet, with health probing and journal-handoff migration.
 fn router(opts: &RouterOpts) -> Result<String, CliError> {
-    // Same rule as `serve`: a scrape endpoint over a disabled registry
-    // would serve an empty snapshot, so --metrics-addr implies
-    // telemetry for the router's lifetime.
-    struct ObsOff(bool);
-    impl Drop for ObsOff {
-        fn drop(&mut self) {
-            if self.0 {
-                obs::disable();
-            }
-        }
-    }
-    let scrape_obs = ObsOff(opts.metrics_addr.is_some() && !obs::is_enabled());
-    if scrape_obs.0 {
-        obs::reset();
-        obs::enable();
-    }
+    let _scrape = ScrapeTelemetry::on(opts.metrics_addr.is_some());
     let backends: Vec<BackendSpec> = opts
         .backends
         .iter()
@@ -569,9 +551,9 @@ fn router(opts: &RouterOpts) -> Result<String, CliError> {
     let config = RouterConfig {
         backends,
         replicas: opts.replicas,
-        probe_interval: std::time::Duration::from_millis(opts.probe_ms),
+        probe_interval: Duration::from_millis(opts.probe_ms),
         down_after: opts.down_after,
-        idle_timeout: std::time::Duration::from_secs(opts.idle_timeout_secs),
+        idle_timeout: Duration::from_secs(opts.idle_timeout_secs),
         metrics_addr: opts.metrics_addr.clone(),
         ..RouterConfig::default()
     };
@@ -590,20 +572,16 @@ fn router(opts: &RouterOpts) -> Result<String, CliError> {
             None => String::new(),
         },
     );
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
-    match opts.duration_secs {
-        Some(secs) => std::thread::sleep(std::time::Duration::from_secs(secs)),
-        None => loop {
-            std::thread::sleep(std::time::Duration::from_secs(1));
-        },
-    }
+    run_for(opts.duration_secs);
     let stats = router.shutdown();
     let mut out = String::new();
     let _ = writeln!(
         out,
         "routed {} sessions ({} still active), {} frames, {} samples, {} events",
-        stats.sessions_opened, stats.sessions_active, stats.frames_in, stats.samples_in,
+        stats.sessions_opened,
+        stats.sessions_active,
+        stats.frames_in,
+        stats.samples_in,
         stats.events_out
     );
     let _ = writeln!(
@@ -624,24 +602,19 @@ fn push(opts: &PushOpts) -> Result<String, CliError> {
     let fault_plan = parse_fault_plan(opts.fault_plan.as_deref())?;
     let csv = std::fs::read_to_string(&opts.signal_path)
         .map_err(|e| CliError::Runtime(format!("{}: {e}", opts.signal_path)))?;
-    let (mut signal, csv_rejected) = report::signal_from_csv_sanitized(&csv)
-        .map_err(|e| CliError::Runtime(e.to_string()))?;
-    let fault_report = fault_plan
-        .map(|plan| FaultInjector::new(plan, opts.fault_seed).inject(&mut signal));
+    let (mut signal, csv_rejected) =
+        report::signal_from_csv_sanitized(&csv).map_err(|e| CliError::Runtime(e.to_string()))?;
+    let fault_report =
+        fault_plan.map(|plan| FaultInjector::new(plan, opts.fault_seed).inject(&mut signal));
     let config = detector_config(opts.sample_rate_hz, opts.clock_hz, opts.adaptive);
     let err = |e: emprof_serve::ClientError| CliError::Runtime(format!("{}: {e}", opts.addr));
-    let client_config = ClientConfig {
-        read_timeout: std::time::Duration::from_secs(opts.timeout_secs),
-        max_reconnects: opts.retries,
-        ..ClientConfig::default()
-    };
     let mut client = ProfileClient::connect_with(
         opts.addr.as_str(),
         &opts.device,
         config,
         opts.sample_rate_hz,
         opts.clock_hz,
-        client_config,
+        client_config(opts.timeout_secs, opts.retries),
     )
     .map_err(err)?;
     for chunk in signal.chunks(opts.frame) {
@@ -660,18 +633,15 @@ fn push(opts: &PushOpts) -> Result<String, CliError> {
     let _ = writeln!(
         out,
         "{}: {} samples served by {} ({} queued at flush, {} shed)",
-        opts.signal_path,
-        stats.samples_pushed,
-        opts.addr,
-        stats.queue_depth,
-        stats.sheds
+        opts.signal_path, stats.samples_pushed, opts.addr, stats.queue_depth, stats.sheds
     );
     if csv_rejected > 0 {
-        let _ = writeln!(out, "{csv_rejected} non-finite CSV samples dropped before send");
+        let _ = writeln!(
+            out,
+            "{csv_rejected} non-finite CSV samples dropped before send"
+        );
     }
-    if let Some(report) = &fault_report {
-        fault_summary(&mut out, report);
-    }
+    fault_summary(&mut out, fault_report.as_ref());
     if stats.samples_rejected > 0 {
         let _ = writeln!(
             out,
@@ -680,33 +650,21 @@ fn push(opts: &PushOpts) -> Result<String, CliError> {
         );
     }
     if reconnects > 0 {
-        let _ = writeln!(out, "session resumed {reconnects} time(s) after transport loss");
-    }
-    let _ = writeln!(out, "{}", ProfileSummary::of(&profile));
-    if profile.degraded_count() > 0 {
         let _ = writeln!(
             out,
-            "confidence: {} events flagged degraded (probe drift / signal gaps)",
-            profile.degraded_count()
+            "session resumed {reconnects} time(s) after transport loss"
         );
     }
-    if let Some(path) = &opts.events_out {
-        write_file(path, &report::events_to_csv(&profile))?;
-        let _ = writeln!(out, "events written to {path}");
-    }
+    summarize(&mut out, &profile);
+    write_events(&mut out, opts.events_out.as_deref(), &profile)?;
     Ok(out)
 }
 
 /// Tails a running service's finalized-event stream.
 fn watch(opts: &WatchOpts) -> Result<String, CliError> {
     let err = |e: emprof_serve::ClientError| CliError::Runtime(format!("{}: {e}", opts.addr));
-    let client_config = ClientConfig {
-        read_timeout: std::time::Duration::from_secs(opts.timeout_secs),
-        max_reconnects: opts.retries,
-        ..ClientConfig::default()
-    };
-    let mut client =
-        WatchClient::connect_with(opts.addr.as_str(), client_config).map_err(err)?;
+    let client_config = client_config(opts.timeout_secs, opts.retries);
+    let mut client = WatchClient::connect_with(opts.addr.as_str(), client_config).map_err(err)?;
     let mut out = String::new();
     let mut polled = 0u64;
     loop {
@@ -734,12 +692,10 @@ fn watch(opts: &WatchOpts) -> Result<String, CliError> {
             tail.server.sheds
         );
         polled += 1;
-        if let Some(max) = opts.polls {
-            if polled >= max {
-                break;
-            }
+        if opts.polls.is_some_and(|max| polled >= max) {
+            break;
         }
-        std::thread::sleep(std::time::Duration::from_millis(opts.interval_ms));
+        std::thread::sleep(Duration::from_millis(opts.interval_ms));
     }
     Ok(out)
 }
@@ -787,12 +743,61 @@ fn session_rates(
     (ds as f64 / dt, format!(" (+{de})"))
 }
 
-/// Renders one `emprof top` dashboard frame.
-///
-/// `prev` carries the previous poll (seconds elapsed since it, and its
-/// reply): per-session sample/event rates are then client-side deltas
-/// computed from the wire counters, not server-reported figures. The
-/// first frame falls back to the server's own windowed rate.
+/// The column heads of the `top` session table.
+const SESSION_HEADER: &str = "SESSION TRACE              DEVICE     CONN  QUEUE      SAMPLES    \
+                              SAMP/S   EVENTS    ACKED  DEGR   LAG  SHED     IDLE";
+
+/// A node's health as the `top` headers show it.
+fn health_line(health: &emprof_serve::HealthWire) -> String {
+    format!(
+        "up {:.1}s | {} | sessions {}/{} | journal {}",
+        health.uptime_ms as f64 / 1e3,
+        if health.healthy {
+            "healthy"
+        } else {
+            "UNHEALTHY"
+        },
+        health.sessions_active,
+        health.max_sessions,
+        if health.journal_enabled { "on" } else { "off" },
+    )
+}
+
+/// Writes one row of the `top` session table. `prev` is the session's
+/// row in the previous poll and the seconds since it: the sample and
+/// event rates are then client-side deltas of the wire counters, not
+/// server-reported figures. Without it the row shows the server's own
+/// windowed rate.
+fn session_row(
+    out: &mut String,
+    row: &emprof_serve::SessionRow,
+    prev: Option<(f64, &emprof_serve::SessionRow)>,
+) {
+    let (samp_rate, ev_suffix) = match prev {
+        Some((dt, p)) if dt > 0.0 => session_rates(dt, p, row),
+        _ => (row.samples_per_sec, String::new()),
+    };
+    let _ = writeln!(
+        out,
+        "{:<7} {:<18} {:<10} {:<4} {:>6} {:>12} {:>9} {:>8} {:>8} {:>5} {:>5} {:>5} {:>7}ms",
+        row.session_id,
+        format!("0x{:016x}", row.trace_id),
+        clip(&row.device, 10),
+        if row.connected { "yes" } else { "no" },
+        format!("{}/{}", row.queue_depth, row.queue_capacity),
+        row.samples_pushed,
+        human_rate(samp_rate),
+        format!("{}{ev_suffix}", row.events_emitted),
+        row.events_acked,
+        row.events_degraded,
+        row.delivery_lag(),
+        row.sheds,
+        row.idle_ms,
+    );
+}
+
+/// Renders one `emprof top` dashboard frame; `prev` carries the previous
+/// poll (seconds elapsed since it, and its reply) for [`session_row`].
 fn render_top_frame(
     out: &mut String,
     addr: &str,
@@ -800,24 +805,11 @@ fn render_top_frame(
     health: &emprof_serve::HealthWire,
     prev: Option<(f64, &MetricsReply)>,
 ) {
-    let _ = writeln!(
-        out,
-        "emprof top — {addr} | up {:.1}s | {} | sessions {}/{} | journal {}",
-        health.uptime_ms as f64 / 1e3,
-        if health.healthy { "healthy" } else { "UNHEALTHY" },
-        health.sessions_active,
-        health.max_sessions,
-        if health.journal_enabled { "on" } else { "off" },
-    );
+    let _ = writeln!(out, "emprof top — {addr} | {}", health_line(health));
     if reply.sessions.is_empty() {
         let _ = writeln!(out, "(no registered sessions)");
     } else {
-        let _ = writeln!(
-            out,
-            "{:<7} {:<18} {:<10} {:<4} {:>6} {:>12} {:>9} {:>8} {:>8} {:>5} {:>5} {:>5} {:>8}",
-            "SESSION", "TRACE", "DEVICE", "CONN", "QUEUE", "SAMPLES", "SAMP/S", "EVENTS",
-            "ACKED", "DEGR", "LAG", "SHED", "IDLE"
-        );
+        let _ = writeln!(out, "{SESSION_HEADER}");
         for row in &reply.sessions {
             let prev_row = prev.and_then(|(dt, p)| {
                 p.sessions
@@ -825,28 +817,7 @@ fn render_top_frame(
                     .find(|r| r.session_id == row.session_id)
                     .map(|r| (dt, r))
             });
-            let (samp_rate, ev_suffix) = match prev_row {
-                Some((dt, p)) if dt > 0.0 => session_rates(dt, p, row),
-                _ => (row.samples_per_sec, String::new()),
-            };
-            let device = clip(&row.device, 10);
-            let _ = writeln!(
-                out,
-                "{:<7} {:<18} {:<10} {:<4} {:>6} {:>12} {:>9} {:>8} {:>8} {:>5} {:>5} {:>5} {:>7}ms",
-                row.session_id,
-                format!("0x{:016x}", row.trace_id),
-                device,
-                if row.connected { "yes" } else { "no" },
-                format!("{}/{}", row.queue_depth, row.queue_capacity),
-                row.samples_pushed,
-                human_rate(samp_rate),
-                format!("{}{ev_suffix}", row.events_emitted),
-                row.events_acked,
-                row.events_degraded,
-                row.delivery_lag(),
-                row.sheds,
-                row.idle_ms,
-            );
+            session_row(out, row, prev_row);
         }
     }
     let s = &reply.server;
@@ -872,27 +843,14 @@ fn render_fleet_frame(
         nodes.len() + down.len()
     );
     for (addr, _, health) in nodes {
-        let _ = writeln!(
-            out,
-            "node {addr} | up {:.1}s | {} | sessions {}/{} | journal {}",
-            health.uptime_ms as f64 / 1e3,
-            if health.healthy { "healthy" } else { "UNHEALTHY" },
-            health.sessions_active,
-            health.max_sessions,
-            if health.journal_enabled { "on" } else { "off" },
-        );
+        let _ = writeln!(out, "node {addr} | {}", health_line(health));
     }
     for addr in down {
         let _ = writeln!(out, "node {addr} | DOWN (connection refused or timed out)");
     }
     let any_sessions = nodes.iter().any(|(_, reply, _)| !reply.sessions.is_empty());
     if any_sessions {
-        let _ = writeln!(
-            out,
-            "{:<18} {:<7} {:<18} {:<10} {:<4} {:>6} {:>12} {:>9} {:>8} {:>8} {:>5} {:>5} {:>5} {:>8}",
-            "NODE", "SESSION", "TRACE", "DEVICE", "CONN", "QUEUE", "SAMPLES", "SAMP/S",
-            "EVENTS", "ACKED", "DEGR", "LAG", "SHED", "IDLE"
-        );
+        let _ = writeln!(out, "{:<18} {SESSION_HEADER}", "NODE");
         for (addr, reply, _) in nodes {
             for row in &reply.sessions {
                 let prev_row = prev.and_then(|(dt, replies)| {
@@ -904,36 +862,15 @@ fn render_fleet_frame(
                         })
                         .map(|r| (dt, r))
                 });
-                let (samp_rate, ev_suffix) = match prev_row {
-                    Some((dt, p)) if dt > 0.0 => session_rates(dt, p, row),
-                    _ => (row.samples_per_sec, String::new()),
-                };
-                let device = clip(&row.device, 10);
-                let node = clip(addr, 18);
-                let _ = writeln!(
-                    out,
-                    "{:<18} {:<7} {:<18} {:<10} {:<4} {:>6} {:>12} {:>9} {:>8} {:>8} {:>5} {:>5} {:>5} {:>7}ms",
-                    node,
-                    row.session_id,
-                    format!("0x{:016x}", row.trace_id),
-                    device,
-                    if row.connected { "yes" } else { "no" },
-                    format!("{}/{}", row.queue_depth, row.queue_capacity),
-                    row.samples_pushed,
-                    human_rate(samp_rate),
-                    format!("{}{ev_suffix}", row.events_emitted),
-                    row.events_acked,
-                    row.events_degraded,
-                    row.delivery_lag(),
-                    row.sheds,
-                    row.idle_ms,
-                );
+                let _ = write!(out, "{:<18} ", clip(addr, 18));
+                session_row(out, row, prev_row);
             }
         }
     } else {
         let _ = writeln!(out, "(no registered sessions)");
     }
-    let (mut samples, mut frames, mut bytes, mut events, mut sheds) = (0u64, 0u64, 0u64, 0u64, 0u64);
+    let (mut samples, mut frames, mut bytes, mut events, mut sheds) =
+        (0u64, 0u64, 0u64, 0u64, 0u64);
     for (_, reply, _) in nodes {
         let s = &reply.server;
         samples += s.samples_in;
@@ -961,11 +898,7 @@ fn render_fleet_frame(
 /// rejoins on its own. Single-node `top` keeps the historical behavior
 /// of failing loudly.
 fn top(opts: &TopOpts) -> Result<String, CliError> {
-    let client_config = ClientConfig {
-        read_timeout: std::time::Duration::from_secs(opts.timeout_secs),
-        max_reconnects: opts.retries,
-        ..ClientConfig::default()
-    };
+    let client_config = client_config(opts.timeout_secs, opts.retries);
     let fleet = opts.addrs.len() > 1;
     let mut clients: Vec<(String, Option<MetricsClient>)> = Vec::with_capacity(opts.addrs.len());
     for addr in &opts.addrs {
@@ -1019,17 +952,14 @@ fn top(opts: &TopOpts) -> Result<String, CliError> {
                 .map(|(at, r)| (now.duration_since(*at).as_secs_f64(), &r[0].1));
             render_top_frame(&mut out, addr, reply, health, prev_view);
         }
-        prev = Some((
-            now,
-            nodes.into_iter().map(|(a, r, _)| (a, r)).collect(),
-        ));
+        prev = Some((now, nodes.into_iter().map(|(a, r, _)| (a, r)).collect()));
         polled += 1;
         let done = opts.once || opts.polls.is_some_and(|max| polled >= max);
         if done {
             break;
         }
         let _ = writeln!(out);
-        std::thread::sleep(std::time::Duration::from_millis(opts.interval_ms));
+        std::thread::sleep(Duration::from_millis(opts.interval_ms));
     }
     Ok(out)
 }
@@ -1037,13 +967,8 @@ fn top(opts: &TopOpts) -> Result<String, CliError> {
 /// Fetches flight-recorder dumps from a running service.
 fn dump_flight(opts: &DumpFlightOpts) -> Result<String, CliError> {
     let err = |e: emprof_serve::ClientError| CliError::Runtime(format!("{}: {e}", opts.addr));
-    let client_config = ClientConfig {
-        read_timeout: std::time::Duration::from_secs(opts.timeout_secs),
-        max_reconnects: opts.retries,
-        ..ClientConfig::default()
-    };
-    let mut client =
-        MetricsClient::connect_with(opts.addr.as_str(), client_config).map_err(err)?;
+    let client_config = client_config(opts.timeout_secs, opts.retries);
+    let mut client = MetricsClient::connect_with(opts.addr.as_str(), client_config).map_err(err)?;
     let dumps = client.fetch_flight(opts.session).map_err(err)?;
     let mut out = String::new();
     if dumps.is_empty() {
@@ -1084,8 +1009,8 @@ fn dump_flight(opts: &DumpFlightOpts) -> Result<String, CliError> {
 fn record(opts: &RecordOpts) -> Result<String, CliError> {
     let csv = std::fs::read_to_string(&opts.signal_path)
         .map_err(|e| CliError::Runtime(format!("{}: {e}", opts.signal_path)))?;
-    let (signal, rejected) = report::signal_from_csv_sanitized(&csv)
-        .map_err(|e| CliError::Runtime(e.to_string()))?;
+    let (signal, rejected) =
+        report::signal_from_csv_sanitized(&csv).map_err(|e| CliError::Runtime(e.to_string()))?;
     let dir = std::path::Path::new(&opts.journal_dir);
     let meta = SessionMeta {
         session_id: 0,
@@ -1107,29 +1032,23 @@ fn record(opts: &RecordOpts) -> Result<String, CliError> {
         out,
         "recorded {} samples in {} batches to {} ({} segments, {} bytes)",
         signal.len(),
-        signal.chunks(opts.frame.max(1)).len(),
+        signal.chunks(opts.frame).len(),
         opts.journal_dir,
         stats.segments,
         stats.bytes
     );
     if rejected > 0 {
-        let _ = writeln!(out, "{rejected} non-finite CSV samples dropped before recording");
+        let _ = writeln!(
+            out,
+            "{rejected} non-finite CSV samples dropped before recording"
+        );
     }
     Ok(out)
 }
 
 /// Re-drives the detectors from a journaled capture.
 fn replay(opts: &ReplayOpts) -> Result<String, CliError> {
-    let dir = std::path::Path::new(&opts.journal_dir);
-    // Journal recovery conjures missing directories into empty journals
-    // (open never fails); a replay of a path that does not exist should
-    // be an error, not a silent empty profile.
-    if !dir.is_dir() {
-        return Err(CliError::Runtime(format!(
-            "{}: no such journal directory",
-            opts.journal_dir
-        )));
-    }
+    let dir = journal_dir(&opts.journal_dir)?;
     let jerr = |e: std::io::Error| CliError::Runtime(format!("{}: {e}", opts.journal_dir));
     let Some((_journal, rec)) =
         SessionJournal::open(dir, JournalConfig::default()).map_err(jerr)?
@@ -1166,10 +1085,7 @@ fn replay(opts: &ReplayOpts) -> Result<String, CliError> {
             profile.events().len(),
             rec.meta.device
         );
-        if let Some(path) = &opts.events_out {
-            write_file(path, &report::events_to_csv(&profile))?;
-            let _ = writeln!(out, "events written to {path}");
-        }
+        write_events(&mut out, opts.events_out.as_deref(), &profile)?;
         return Ok(out);
     }
     let _ = writeln!(
@@ -1214,18 +1130,15 @@ fn replay(opts: &ReplayOpts) -> Result<String, CliError> {
             ));
         }
     }
-    if let Some(path) = &opts.events_out {
-        write_file(path, &report::events_to_csv(&batch))?;
-        let _ = writeln!(out, "events written to {path}");
-    }
+    write_events(&mut out, opts.events_out.as_deref(), &batch)?;
     Ok(out)
 }
 
 /// Dumps per-segment health of a journal directory (read-only).
 fn journal_inspect(opts: &InspectOpts) -> Result<String, CliError> {
     let dir = std::path::Path::new(&opts.journal_dir);
-    let inspect = inspect_dir(dir)
-        .map_err(|e| CliError::Runtime(format!("{}: {e}", opts.journal_dir)))?;
+    let inspect =
+        inspect_dir(dir).map_err(|e| CliError::Runtime(format!("{}: {e}", opts.journal_dir)))?;
     let mut out = String::new();
     let _ = writeln!(out, "journal {}", inspect.dir.display());
     if inspect.segments.is_empty() {
@@ -1293,39 +1206,23 @@ fn journal_inspect(opts: &InspectOpts) -> Result<String, CliError> {
 /// distribution travels as raw histogram buckets and quantiles are
 /// derived client-side from the same code.
 fn query(opts: &QueryOpts) -> Result<String, CliError> {
+    let spec = QuerySpecWire {
+        t0: opts.t0,
+        t1: opts.t1,
+        bucket_samples: opts.bucket_samples,
+        sessions: opts.sessions.clone(),
+    };
     let result = match (&opts.journal_dir, &opts.addr) {
         (Some(dir), None) => {
-            let spec = QuerySpec {
-                t0: opts.t0,
-                t1: opts.t1,
-                sessions: opts.sessions.clone(),
-                bucket_samples: opts.bucket_samples,
-            };
-            let root = std::path::Path::new(dir);
-            if !root.is_dir() {
-                return Err(CliError::Runtime(format!(
-                    "{dir}: no such journal directory"
-                )));
-            }
-            let local = query_journals(root, &spec, None)
+            let local = query_journals(journal_dir(dir)?, &query_spec_from_wire(&spec), None)
                 .map_err(|e| CliError::Runtime(format!("{dir}: {e}")))?;
             query_result_to_wire(&local)
         }
         (None, Some(addr)) => {
             let err = |e: emprof_serve::ClientError| CliError::Runtime(format!("{addr}: {e}"));
-            let client_config = ClientConfig {
-                read_timeout: std::time::Duration::from_secs(opts.timeout_secs),
-                max_reconnects: opts.retries,
-                ..ClientConfig::default()
-            };
+            let client_config = client_config(opts.timeout_secs, opts.retries);
             let mut client =
                 MetricsClient::connect_with(addr.as_str(), client_config).map_err(err)?;
-            let spec = QuerySpecWire {
-                t0: opts.t0,
-                t1: opts.t1,
-                bucket_samples: opts.bucket_samples,
-                sessions: opts.sessions.clone(),
-            };
             client.query(&spec).map_err(err)?
         }
         // parse_query enforces exactly one of --journal / --addr.
@@ -1498,8 +1395,11 @@ fn demo() -> Result<String, CliError> {
     let result = Simulator::new(device.clone())
         .with_max_cycles(4_000_000_000)
         .run(Interpreter::new(&program));
-    let (profile, _, _) =
-        profile_of(&result, &device, 40e6, 7, Parallelism::resolve(None), false);
+    let opts = SimulateOpts {
+        seed: 7,
+        ..SimulateOpts::default()
+    };
+    let (profile, ..) = profile_of(&result, &device, &opts, Parallelism::resolve(None), None);
     let window = result
         .ground_truth
         .marker_window(
@@ -1519,8 +1419,7 @@ fn demo() -> Result<String, CliError> {
         out,
         "EMPROF detected {} stalls in the measured section ({:.2}% accuracy)",
         reported,
-        emprof_core::accuracy::count_accuracy(reported as f64, config.total_misses as f64)
-            * 100.0
+        emprof_core::accuracy::count_accuracy(reported as f64, config.total_misses as f64) * 100.0
     );
     let _ = writeln!(
         out,
@@ -1534,6 +1433,30 @@ fn demo() -> Result<String, CliError> {
 
 fn write_file(path: &str, contents: &str) -> Result<(), CliError> {
     std::fs::write(path, contents).map_err(|e| CliError::Runtime(format!("{path}: {e}")))
+}
+
+/// `dir` as the path of an existing journal directory. Journal recovery
+/// conjures a missing directory into an empty journal (open never
+/// fails), so reading a path that does not exist must be an error, not
+/// a silent empty result.
+fn journal_dir(dir: &str) -> Result<&std::path::Path, CliError> {
+    let path = std::path::Path::new(dir);
+    if path.is_dir() {
+        Ok(path)
+    } else {
+        Err(CliError::Runtime(format!(
+            "{dir}: no such journal directory"
+        )))
+    }
+}
+
+/// Writes the profile's events as CSV to an `--events-out` path, if given.
+fn write_events(out: &mut String, path: Option<&str>, profile: &Profile) -> Result<(), CliError> {
+    if let Some(path) = path {
+        write_file(path, &report::events_to_csv(profile))?;
+        let _ = writeln!(out, "events written to {path}");
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1625,8 +1548,7 @@ mod tests {
         };
         assert_eq!(miss_line(&out), miss_line(&out2));
         // The events CSV parses back.
-        let events =
-            report::events_from_csv(&std::fs::read_to_string(&ev).unwrap()).unwrap();
+        let events = report::events_from_csv(&std::fs::read_to_string(&ev).unwrap()).unwrap();
         assert!(!events.is_empty());
     }
 
@@ -1752,7 +1674,10 @@ mod tests {
         )))
         .unwrap();
         assert!(watched.contains("sessions"), "{watched}");
-        assert!(watched.contains("session "), "tail events missing: {watched}");
+        assert!(
+            watched.contains("session "),
+            "tail events missing: {watched}"
+        );
         server.shutdown();
     }
 
@@ -1831,8 +1756,7 @@ mod tests {
         let addr = server.local_addr();
         // A live mid-stream session so the dashboard has a row to render.
         let config = EmprofConfig::for_rates(40e6, 1e9);
-        let mut client =
-            ProfileClient::connect(addr, "top-test", config, 40e6, 1e9).unwrap();
+        let mut client = ProfileClient::connect(addr, "top-test", config, 40e6, 1e9).unwrap();
         client.send(&vec![5.0; 20_000]).unwrap();
 
         let topped = run(&argv(&format!("top --addr {addr} --once"))).unwrap();
@@ -1930,13 +1854,13 @@ mod tests {
                 )))
             }
         });
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while std::net::TcpStream::connect(&raddr).is_err() {
             assert!(
                 std::time::Instant::now() < deadline,
                 "router never started listening on {raddr}"
             );
-            std::thread::sleep(std::time::Duration::from_millis(20));
+            std::thread::sleep(Duration::from_millis(20));
         }
         let config = EmprofConfig::for_rates(40e6, 1e9);
         let mut client =
@@ -2071,7 +1995,10 @@ mod tests {
             dir.display()
         )))
         .unwrap();
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'), "{json}");
+        assert!(
+            json.starts_with('{') && json.trim_end().ends_with('}'),
+            "{json}"
+        );
         assert!(
             json.contains(&format!("\"events\":{}", events.len())),
             "{json}"
@@ -2137,7 +2064,9 @@ mod tests {
         assert!(out.contains("misses:"), "{out}");
         // A malformed plan is a usage error, not a runtime crash.
         assert!(matches!(
-            run(&argv("simulate microbench:64:4 --fault-plan dropout=banana")),
+            run(&argv(
+                "simulate microbench:64:4 --fault-plan dropout=banana"
+            )),
             Err(CliError::Usage(_))
         ));
     }

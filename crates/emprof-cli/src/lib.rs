@@ -2,17 +2,7 @@
 //!
 //! The binary is a thin wrapper over [`run`]; all command parsing and
 //! execution lives here so it can be tested without spawning processes.
-//!
-//! ```text
-//! emprof devices
-//! emprof simulate <workload> [--device NAME] [--bandwidth HZ] [--scale F]
-//!                 [--seed N] [--signal-out FILE] [--events-out FILE]
-//! emprof profile <signal.csv> --rate HZ --clock HZ [--events-out FILE]
-//! emprof serve [--addr HOST:PORT] [--threads N] [--queue-frames N] [--shed]
-//! emprof push <signal.csv> --rate HZ --clock HZ [--addr HOST:PORT]
-//! emprof watch [--addr HOST:PORT] [--interval-ms MS] [--polls N]
-//! emprof demo
-//! ```
+//! `emprof help` prints every command and its flags.
 //!
 //! Workloads: `microbench:TM:CM`, the SPEC-like names (`ammp`, `bzip2`,
 //! `crafty`, `equake`, `gzip`, `mcf`, `parser`, `twolf`, `vortex`,
@@ -26,6 +16,4 @@ mod commands;
 mod opts;
 
 pub use commands::run;
-pub use opts::{
-    CliError, Command, ProfileOpts, PushOpts, ServeOpts, SimulateOpts, WatchOpts,
-};
+pub use opts::{CliError, Command, ProfileOpts, PushOpts, ServeOpts, SimulateOpts, WatchOpts};

@@ -1,6 +1,7 @@
 //! Command-line parsing (hand-rolled; the crate stays dependency-light).
 
 use std::fmt;
+use std::str::FromStr;
 
 /// A parsed invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,21 +55,6 @@ impl ObsOpts {
     /// Whether any telemetry output was requested.
     pub fn active(&self) -> bool {
         self.metrics_out.is_some() || self.trace_out.is_some() || self.verbose_stats
-    }
-
-    /// Consumes `arg` if it is a telemetry flag; returns whether it was.
-    fn take_flag<'a, I: Iterator<Item = &'a String>>(
-        &mut self,
-        arg: &str,
-        it: &mut std::iter::Peekable<I>,
-    ) -> Result<bool, CliError> {
-        match arg {
-            "--metrics" => self.metrics_out = Some(take_value(it, "--metrics")?),
-            "--trace" => self.trace_out = Some(take_value(it, "--trace")?),
-            "--verbose-stats" => self.verbose_stats = true,
-            _ => return Ok(false),
-        }
-        Ok(true)
     }
 }
 
@@ -128,7 +114,7 @@ impl Default for SimulateOpts {
 }
 
 /// Options of `emprof profile`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ProfileOpts {
     /// Path of the magnitude CSV to analyze.
     pub signal_path: String,
@@ -271,8 +257,21 @@ pub struct RecordOpts {
     pub frame: usize,
 }
 
+impl Default for RecordOpts {
+    fn default() -> Self {
+        RecordOpts {
+            signal_path: String::new(),
+            journal_dir: String::new(),
+            sample_rate_hz: 0.0,
+            clock_hz: 0.0,
+            device: "record".to_string(),
+            frame: 8_192,
+        }
+    }
+}
+
 /// Options of `emprof replay`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ReplayOpts {
     /// Journal directory to replay.
     pub journal_dir: String,
@@ -281,7 +280,7 @@ pub struct ReplayOpts {
 }
 
 /// Options of `emprof journal-inspect`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct InspectOpts {
     /// Journal directory to inspect (read-only).
     pub journal_dir: String,
@@ -358,6 +357,25 @@ pub struct PushOpts {
     pub adaptive: bool,
 }
 
+impl Default for PushOpts {
+    fn default() -> Self {
+        PushOpts {
+            signal_path: String::new(),
+            addr: "127.0.0.1:7700".to_string(),
+            sample_rate_hz: 0.0,
+            clock_hz: 0.0,
+            frame: 8_192,
+            device: "push".to_string(),
+            events_out: None,
+            timeout_secs: 60,
+            retries: 5,
+            fault_plan: None,
+            fault_seed: 1,
+            adaptive: false,
+        }
+    }
+}
+
 /// Options of `emprof watch`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WatchOpts {
@@ -371,6 +389,18 @@ pub struct WatchOpts {
     pub timeout_secs: u64,
     /// Reconnect attempts per failed poll (0 disables).
     pub retries: u32,
+}
+
+impl Default for WatchOpts {
+    fn default() -> Self {
+        WatchOpts {
+            addr: "127.0.0.1:7700".to_string(),
+            interval_ms: 500,
+            polls: None,
+            timeout_secs: 60,
+            retries: 5,
+        }
+    }
 }
 
 /// Options of `emprof top`.
@@ -455,566 +485,403 @@ impl std::error::Error for CliError {}
 /// # Errors
 ///
 /// Returns [`CliError::Usage`] on unknown commands, unknown flags,
-/// missing values, or unparsable numbers.
+/// missing values, values a flag does not accept, and missing or extra
+/// arguments.
 pub fn parse(args: &[String]) -> Result<Command, CliError> {
-    let mut it = args.iter();
-    let Some(cmd) = it.next() else {
+    let Some((cmd, args)) = args.split_first() else {
         return Ok(Command::Help);
     };
-    match cmd.as_str() {
-        "devices" => expect_end(it).map(|()| Command::Devices),
-        "demo" => expect_end(it).map(|()| Command::Demo),
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "serve" => parse_serve(it).map(Command::Serve),
-        "router" => parse_router(it).map(Command::Router),
-        "push" => parse_push(it).map(Command::Push),
-        "watch" => parse_watch(it).map(Command::Watch),
-        "top" => parse_top(it).map(Command::Top),
-        "dump-flight" => parse_dump_flight(it).map(Command::DumpFlight),
-        "record" => parse_record(it).map(Command::Record),
-        "replay" => parse_replay(it).map(Command::Replay),
-        "journal-inspect" => parse_inspect(it).map(Command::JournalInspect),
-        "query" => parse_query(it).map(Command::Query),
-        "simulate" => parse_simulate(it, "simulate").map(Command::Simulate),
-        "stats" => parse_simulate(it, "stats").map(|mut opts| {
+    Ok(match cmd.as_str() {
+        "help" | "--help" | "-h" => Command::Help,
+        "devices" => read::<()>(cmd, args).map(|()| Command::Devices)?,
+        "demo" => read::<()>(cmd, args).map(|()| Command::Demo)?,
+        "simulate" => Command::Simulate(read(cmd, args)?),
+        "stats" => {
+            let mut opts: SimulateOpts = read(cmd, args)?;
             // The whole point of `stats` is the telemetry table.
             opts.obs.verbose_stats = true;
             Command::Stats(opts)
-        }),
-        "profile" => {
-            let mut positional = Vec::new();
-            let mut rate = None;
-            let mut clock = None;
-            let mut threads = None;
-            let mut events_out = None;
-            let mut adaptive = false;
-            let mut obs = ObsOpts::default();
-            let mut it = it.peekable();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--rate" => rate = Some(take_parsed(&mut it, "--rate")?),
-                    "--clock" => clock = Some(take_parsed(&mut it, "--clock")?),
-                    "--threads" => threads = Some(take_threads(&mut it)?),
-                    "--adaptive" => adaptive = true,
-                    "--events-out" => {
-                        events_out = Some(take_value(&mut it, "--events-out")?)
-                    }
-                    flag if flag.starts_with("--") => {
-                        if !obs.take_flag(flag, &mut it)? {
-                            return Err(CliError::Usage(format!("unknown flag {flag}")));
-                        }
-                    }
-                    _ => positional.push(arg.clone()),
-                }
+        }
+        "profile" => Command::Profile(read(cmd, args)?),
+        "serve" => Command::Serve(read(cmd, args)?),
+        "router" => Command::Router(read(cmd, args)?),
+        "push" => Command::Push(read(cmd, args)?),
+        "watch" => Command::Watch(read(cmd, args)?),
+        "top" => Command::Top(read(cmd, args)?),
+        "dump-flight" => Command::DumpFlight(read(cmd, args)?),
+        "record" => Command::Record(read(cmd, args)?),
+        "replay" => Command::Replay(read(cmd, args)?),
+        "journal-inspect" => Command::JournalInspect(read(cmd, args)?),
+        "query" => {
+            let opts: QueryOpts = read(cmd, args)?;
+            if opts.journal_dir.is_some() == opts.addr.is_some() {
+                return Err(CliError::Usage(
+                    "query takes exactly one of --journal DIR or --addr HOST:PORT".into(),
+                ));
             }
-            let signal_path = match positional.as_slice() {
-                [p] => p.clone(),
-                _ => {
-                    return Err(CliError::Usage(
-                        "profile requires exactly one signal CSV path".into(),
-                    ))
-                }
+            Command::Query(opts)
+        }
+        other => return Err(CliError::Usage(format!("unknown command {other}"))),
+    })
+}
+
+/// Reads `args` into a command's options, starting from their defaults.
+fn read<O: Args>(cmd: &str, args: &[String]) -> Result<O, CliError> {
+    let mut opts = O::default();
+    opts.spec().read(cmd, args)?;
+    Ok(opts)
+}
+
+/// An options struct the argument reader fills in.
+trait Args: Default {
+    /// The command's argument table over this struct's fields.
+    fn spec(&mut self) -> Spec<'_>;
+}
+
+/// A command's argument table: its one positional argument (if it takes
+/// one), its flags, and the flags it cannot do without.
+#[derive(Default)]
+struct Spec<'a> {
+    positional: Option<(&'static str, &'a mut String)>,
+    flags: Vec<(&'static str, Field<'a>)>,
+    required: &'static [&'static str],
+}
+
+/// How a flag reads its argument, and the option field it sets.
+enum Field<'a> {
+    /// `--flag VALUE`: the value as given, or parsed as a number.
+    Value(&'a mut dyn Slot),
+    /// `--flag N`: a whole number that must be at least 1.
+    AtLeast1(&'a mut dyn Slot),
+    /// `--flag`: takes no value and sets its field.
+    Switch(&'a mut bool),
+    /// `--flag VALUE`, repeatable: the values, in order, replace the
+    /// default list.
+    Repeat(&'a mut dyn List),
+}
+
+impl Spec<'_> {
+    /// The one argument loop every command goes through.
+    fn read(mut self, cmd: &str, args: &[String]) -> Result<(), CliError> {
+        let usage = |msg: String| CliError::Usage(format!("{cmd}: {msg}"));
+        let mut seen = vec![false; self.flags.len()];
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if !arg.starts_with("--") {
+                let (_, slot) = self
+                    .positional
+                    .take()
+                    .ok_or_else(|| usage(format!("unexpected argument {arg}")))?;
+                slot.clone_from(arg);
+                continue;
+            }
+            let Some(i) = self.flags.iter().position(|(name, _)| name == arg) else {
+                return Err(usage(format!("unknown flag {arg}")));
             };
-            Ok(Command::Profile(ProfileOpts {
-                signal_path,
-                sample_rate_hz: rate
-                    .ok_or_else(|| CliError::Usage("profile requires --rate".into()))?,
-                clock_hz: clock
-                    .ok_or_else(|| CliError::Usage("profile requires --clock".into()))?,
-                threads,
-                events_out,
-                adaptive,
-                obs,
-            }))
+            let first = !std::mem::replace(&mut seen[i], true);
+            let (name, field) = &mut self.flags[i];
+            let mut value = || {
+                args.next()
+                    .ok_or_else(|| usage(format!("{name} requires a value")))
+            };
+            let bad = |raw: &str, why: String| usage(format!("{name} {raw}: {why}"));
+            let at_least_1 = matches!(field, Field::AtLeast1(_));
+            match field {
+                Field::Switch(on) => **on = true,
+                Field::Value(slot) | Field::AtLeast1(slot) => {
+                    let raw = value()?;
+                    slot.set(raw).map_err(|why| bad(raw, why))?;
+                    if at_least_1 && slot.is_zero() {
+                        return Err(bad(raw, "must be at least 1".into()));
+                    }
+                }
+                Field::Repeat(list) => {
+                    let raw = value()?;
+                    if first {
+                        list.clear();
+                    }
+                    list.append(raw).map_err(|why| bad(raw, why))?;
+                }
+            }
         }
-        other => Err(CliError::Usage(format!("unknown command {other}"))),
+        let missing = |name: &str| CliError::Usage(format!("{cmd} requires {name}"));
+        if let Some((name, _)) = self.positional {
+            return Err(missing(name));
+        }
+        for (i, (name, field)) in self.flags.iter().enumerate() {
+            let empty = matches!(field, Field::Repeat(list) if list.is_empty());
+            if self.required.contains(name) && (!seen[i] || empty) {
+                return Err(missing(name));
+            }
+        }
+        Ok(())
     }
 }
 
-/// Parses the shared `simulate`/`stats` argument form.
-fn parse_simulate<'a, I: Iterator<Item = &'a String>>(
-    it: I,
-    cmd: &str,
-) -> Result<SimulateOpts, CliError> {
-    let mut opts = SimulateOpts::default();
-    let mut positional = Vec::new();
-    let mut it = it.peekable();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--device" => opts.device = take_value(&mut it, "--device")?,
-            "--bandwidth" => opts.bandwidth_hz = take_parsed(&mut it, "--bandwidth")?,
-            "--scale" => opts.scale = take_parsed(&mut it, "--scale")?,
-            "--seed" => opts.seed = take_parsed(&mut it, "--seed")?,
-            "--threads" => opts.threads = Some(take_threads(&mut it)?),
-            "--signal-out" => opts.signal_out = Some(take_value(&mut it, "--signal-out")?),
-            "--events-out" => opts.events_out = Some(take_value(&mut it, "--events-out")?),
-            "--fault-plan" => opts.fault_plan = Some(take_value(&mut it, "--fault-plan")?),
-            "--fault-seed" => opts.fault_seed = take_parsed(&mut it, "--fault-seed")?,
-            "--adaptive" => opts.adaptive = true,
-            "--dual-probe" => opts.dual_probe = true,
-            flag if flag.starts_with("--") => {
-                if !opts.obs.take_flag(flag, &mut it)? {
-                    return Err(CliError::Usage(format!("unknown flag {flag}")));
-                }
+/// An option field a flag's value is parsed into.
+trait Slot {
+    /// Stores `raw`, or says why it is not a valid value.
+    fn set(&mut self, raw: &str) -> Result<(), String>;
+    /// Whether the stored value is zero (for [`Field::AtLeast1`]).
+    fn is_zero(&self) -> bool;
+}
+
+/// `raw` parsed as a `T`, or why it is not one.
+fn parsed<T: FromStr>(raw: &str) -> Result<T, String>
+where
+    T::Err: fmt::Display,
+{
+    raw.parse().map_err(|e: T::Err| e.to_string())
+}
+
+macro_rules! scalar_slots {
+    ($($t:ty),*) => {$(
+        impl Slot for $t {
+            fn set(&mut self, raw: &str) -> Result<(), String> {
+                *self = parsed(raw)?;
+                Ok(())
             }
-            _ => positional.push(arg.clone()),
+            fn is_zero(&self) -> bool {
+                *self == <$t>::default()
+            }
         }
+    )*};
+}
+scalar_slots!(String, f64, u64, usize, u32);
+
+impl<T: Slot + FromStr> Slot for Option<T>
+where
+    T::Err: fmt::Display,
+{
+    fn set(&mut self, raw: &str) -> Result<(), String> {
+        *self = Some(parsed(raw)?);
+        Ok(())
     }
-    match positional.as_slice() {
-        [workload] => {
-            opts.workload = workload.clone();
-            Ok(opts)
-        }
-        [] => Err(CliError::Usage(format!("{cmd} requires a workload"))),
-        _ => Err(CliError::Usage(format!("{cmd} takes one workload"))),
+    fn is_zero(&self) -> bool {
+        self.as_ref().is_some_and(T::is_zero)
     }
 }
 
-/// Parses the `emprof serve` argument form.
-fn parse_serve<'a, I: Iterator<Item = &'a String>>(it: I) -> Result<ServeOpts, CliError> {
-    let mut opts = ServeOpts::default();
-    let mut it = it.peekable();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => opts.addr = take_value(&mut it, "--addr")?,
-            "--threads" => opts.threads = Some(take_threads(&mut it)?),
-            "--queue-frames" => {
-                opts.queue_frames = take_parsed(&mut it, "--queue-frames")?;
-                if opts.queue_frames == 0 {
-                    return Err(CliError::Usage("--queue-frames must be at least 1".into()));
-                }
-            }
-            "--shed" => opts.shed = true,
-            "--idle-timeout" => {
-                opts.idle_timeout_secs = take_parsed(&mut it, "--idle-timeout")?;
-            }
-            "--max-sessions" => {
-                opts.max_sessions = take_parsed(&mut it, "--max-sessions")?;
-                if opts.max_sessions == 0 {
-                    return Err(CliError::Usage("--max-sessions must be at least 1".into()));
-                }
-            }
-            "--duration" => opts.duration_secs = Some(take_parsed(&mut it, "--duration")?),
-            "--heartbeat" => {
-                let secs: u64 = take_parsed(&mut it, "--heartbeat")?;
-                if secs == 0 {
-                    return Err(CliError::Usage("--heartbeat must be at least 1".into()));
-                }
-                opts.heartbeat_secs = Some(secs);
-            }
-            "--fault-plan" => opts.fault_plan = Some(take_value(&mut it, "--fault-plan")?),
-            "--fault-seed" => opts.fault_seed = take_parsed(&mut it, "--fault-seed")?,
-            "--journal" => opts.journal_dir = Some(take_value(&mut it, "--journal")?),
-            "--metrics-addr" => {
-                opts.metrics_addr = Some(take_value(&mut it, "--metrics-addr")?);
-            }
-            "--flight-dir" => opts.flight_dir = Some(take_value(&mut it, "--flight-dir")?),
-            flag => {
-                if !(flag.starts_with("--") && opts.obs.take_flag(flag, &mut it)?) {
-                    return Err(CliError::Usage(format!("serve: unknown argument {flag}")));
-                }
-            }
-        }
-    }
-    Ok(opts)
+/// The list field of a repeatable flag.
+trait List {
+    /// Appends the item(s) `raw` names, or says why it names none.
+    fn append(&mut self, raw: &str) -> Result<(), String>;
+    fn clear(&mut self);
+    fn is_empty(&self) -> bool;
 }
 
-/// Parses one `--backends` entry: `name=addr[=journal]` or a bare
-/// `host:port` (auto-named `b<i>` by position).
-fn parse_backend(entry: &str, index: usize) -> Result<RouterBackend, CliError> {
-    let parts: Vec<&str> = entry.splitn(3, '=').collect();
-    let backend = match parts.as_slice() {
-        [addr] => RouterBackend {
-            name: format!("b{index}"),
-            addr: (*addr).to_string(),
-            journal_dir: None,
-        },
-        [name, addr] => RouterBackend {
-            name: (*name).to_string(),
-            addr: (*addr).to_string(),
-            journal_dir: None,
-        },
-        [name, addr, journal] => RouterBackend {
-            name: (*name).to_string(),
-            addr: (*addr).to_string(),
-            journal_dir: Some((*journal).to_string()),
-        },
-        _ => unreachable!("splitn(3) yields 1..=3 parts"),
-    };
-    if backend.name.is_empty() || backend.addr.is_empty() {
-        return Err(CliError::Usage(format!(
-            "--backends entry {entry:?} needs name=addr[=journal] or host:port"
-        )));
+impl<T: FromStr> List for Vec<T>
+where
+    T::Err: fmt::Display,
+{
+    fn append(&mut self, raw: &str) -> Result<(), String> {
+        self.push(parsed(raw)?);
+        Ok(())
     }
-    Ok(backend)
+    fn clear(&mut self) {
+        Vec::clear(self);
+    }
+    fn is_empty(&self) -> bool {
+        Vec::is_empty(self)
+    }
 }
 
-/// Parses the `emprof router` argument form.
-fn parse_router<'a, I: Iterator<Item = &'a String>>(it: I) -> Result<RouterOpts, CliError> {
-    let mut opts = RouterOpts::default();
-    let mut it = it.peekable();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => opts.addr = take_value(&mut it, "--addr")?,
-            "--backends" => {
-                let raw = take_value(&mut it, "--backends")?;
-                for entry in raw.split(',').filter(|e| !e.is_empty()) {
-                    opts.backends.push(parse_backend(entry, opts.backends.len())?);
-                }
+/// `--backends` takes a comma-separated list per occurrence: each entry
+/// is `name=addr[=journal]`, or a bare `host:port` named `b<i>` by its
+/// position in the whole list.
+impl List for Vec<RouterBackend> {
+    fn append(&mut self, raw: &str) -> Result<(), String> {
+        for entry in raw.split(',').filter(|e| !e.is_empty()) {
+            let parts: Vec<&str> = entry.splitn(3, '=').collect();
+            let (name, addr, journal) = match parts[..] {
+                [addr] => (format!("b{}", self.len()), addr, None),
+                [name, addr] => (name.to_string(), addr, None),
+                [name, addr, journal] => (name.to_string(), addr, Some(journal.to_string())),
+                _ => unreachable!("splitn(3) yields 1..=3 parts"),
+            };
+            if name.is_empty() || addr.is_empty() {
+                return Err(format!(
+                    "entry {entry:?} needs name=addr[=journal] or host:port"
+                ));
             }
-            "--replicas" => {
-                opts.replicas = take_parsed(&mut it, "--replicas")?;
-                if opts.replicas == 0 {
-                    return Err(CliError::Usage("--replicas must be at least 1".into()));
-                }
-            }
-            "--probe-ms" => {
-                opts.probe_ms = take_parsed(&mut it, "--probe-ms")?;
-                if opts.probe_ms == 0 {
-                    return Err(CliError::Usage("--probe-ms must be at least 1".into()));
-                }
-            }
-            "--down-after" => {
-                opts.down_after = take_parsed(&mut it, "--down-after")?;
-                if opts.down_after == 0 {
-                    return Err(CliError::Usage("--down-after must be at least 1".into()));
-                }
-            }
-            "--idle-timeout" => {
-                opts.idle_timeout_secs = take_parsed(&mut it, "--idle-timeout")?;
-            }
-            "--duration" => opts.duration_secs = Some(take_parsed(&mut it, "--duration")?),
-            "--metrics-addr" => {
-                opts.metrics_addr = Some(take_value(&mut it, "--metrics-addr")?);
-            }
-            other => {
-                return Err(CliError::Usage(format!("router: unknown argument {other}")));
-            }
+            self.push(RouterBackend {
+                name,
+                addr: addr.to_string(),
+                journal_dir: journal,
+            });
         }
+        Ok(())
     }
-    if opts.backends.is_empty() {
-        return Err(CliError::Usage(
-            "router requires --backends name=addr[=journal][,...]".into(),
-        ));
+    fn clear(&mut self) {
+        Vec::clear(self);
     }
-    Ok(opts)
+    fn is_empty(&self) -> bool {
+        Vec::is_empty(self)
+    }
 }
 
-/// Parses the `emprof record` argument form.
-fn parse_record<'a, I: Iterator<Item = &'a String>>(it: I) -> Result<RecordOpts, CliError> {
-    let mut positional = Vec::new();
-    let mut journal = None;
-    let mut rate = None;
-    let mut clock = None;
-    let mut device = "record".to_string();
-    let mut frame = 8_192usize;
-    let mut it = it.peekable();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--journal" => journal = Some(take_value(&mut it, "--journal")?),
-            "--rate" => rate = Some(take_parsed(&mut it, "--rate")?),
-            "--clock" => clock = Some(take_parsed(&mut it, "--clock")?),
-            "--device" => device = take_value(&mut it, "--device")?,
-            "--frame" => {
-                frame = take_parsed(&mut it, "--frame")?;
-                if frame == 0 {
-                    return Err(CliError::Usage("--frame must be at least 1".into()));
+use Field::{AtLeast1, Repeat, Switch, Value};
+
+/// Declares the argument table of a command's options struct: the field
+/// its positional argument lands in (if it takes one), the flags it
+/// cannot do without, and one `"--flag" => Kind(field)` entry per flag.
+macro_rules! flag_table {
+    (
+        $opts:ty $(, positional $pos:literal => $pfield:ident)?
+        $(, required [$($req:literal),*])?;
+        $($name:literal => $kind:ident($($field:ident).+),)*
+    ) => {
+        impl Args for $opts {
+            fn spec(&mut self) -> Spec<'_> {
+                Spec {
+                    positional: None $(.or(Some(($pos, &mut self.$pfield))))?,
+                    flags: vec![$(($name, $kind(&mut self.$($field).+))),*],
+                    required: &[$($($req),*)?],
                 }
             }
-            flag if flag.starts_with("--") => {
-                return Err(CliError::Usage(format!("record: unknown flag {flag}")));
-            }
-            _ => positional.push(arg.clone()),
-        }
-    }
-    let signal_path = match positional.as_slice() {
-        [p] => p.clone(),
-        _ => {
-            return Err(CliError::Usage(
-                "record requires exactly one signal CSV path".into(),
-            ))
         }
     };
-    Ok(RecordOpts {
-        signal_path,
-        journal_dir: journal
-            .ok_or_else(|| CliError::Usage("record requires --journal".into()))?,
-        sample_rate_hz: rate
-            .ok_or_else(|| CliError::Usage("record requires --rate".into()))?,
-        clock_hz: clock.ok_or_else(|| CliError::Usage("record requires --clock".into()))?,
-        device,
-        frame,
-    })
 }
 
-/// Parses the `emprof replay` argument form.
-fn parse_replay<'a, I: Iterator<Item = &'a String>>(it: I) -> Result<ReplayOpts, CliError> {
-    let mut journal = None;
-    let mut events_out = None;
-    let mut it = it.peekable();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--journal" => journal = Some(take_value(&mut it, "--journal")?),
-            "--events-out" => events_out = Some(take_value(&mut it, "--events-out")?),
-            other => {
-                return Err(CliError::Usage(format!("replay: unknown argument {other}")));
-            }
-        }
-    }
-    Ok(ReplayOpts {
-        journal_dir: journal
-            .ok_or_else(|| CliError::Usage("replay requires --journal".into()))?,
-        events_out,
-    })
+// `devices` and `demo` take no arguments.
+flag_table! { (); }
+
+flag_table! {
+    SimulateOpts, positional "<workload>" => workload;
+    "--device" => Value(device),
+    "--bandwidth" => Value(bandwidth_hz),
+    "--scale" => Value(scale),
+    "--seed" => Value(seed),
+    "--threads" => AtLeast1(threads),
+    "--signal-out" => Value(signal_out),
+    "--events-out" => Value(events_out),
+    "--fault-plan" => Value(fault_plan),
+    "--fault-seed" => Value(fault_seed),
+    "--adaptive" => Switch(adaptive),
+    "--dual-probe" => Switch(dual_probe),
+    "--metrics" => Value(obs.metrics_out),
+    "--trace" => Value(obs.trace_out),
+    "--verbose-stats" => Switch(obs.verbose_stats),
 }
 
-/// Parses the `emprof journal-inspect` argument form.
-fn parse_inspect<'a, I: Iterator<Item = &'a String>>(it: I) -> Result<InspectOpts, CliError> {
-    let mut positional = Vec::new();
-    for arg in it {
-        if arg.starts_with("--") {
-            return Err(CliError::Usage(format!(
-                "journal-inspect: unknown flag {arg}"
-            )));
-        }
-        positional.push(arg.clone());
-    }
-    match positional.as_slice() {
-        [dir] => Ok(InspectOpts {
-            journal_dir: dir.clone(),
-        }),
-        _ => Err(CliError::Usage(
-            "journal-inspect requires exactly one journal directory".into(),
-        )),
-    }
+flag_table! {
+    ProfileOpts, positional "<signal.csv>" => signal_path, required ["--rate", "--clock"];
+    "--rate" => Value(sample_rate_hz),
+    "--clock" => Value(clock_hz),
+    "--threads" => AtLeast1(threads),
+    "--events-out" => Value(events_out),
+    "--adaptive" => Switch(adaptive),
+    "--metrics" => Value(obs.metrics_out),
+    "--trace" => Value(obs.trace_out),
+    "--verbose-stats" => Switch(obs.verbose_stats),
 }
 
-/// Parses the `emprof query` argument form.
-fn parse_query<'a, I: Iterator<Item = &'a String>>(it: I) -> Result<QueryOpts, CliError> {
-    let mut opts = QueryOpts::default();
-    let mut it = it.peekable();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--journal" => opts.journal_dir = Some(take_value(&mut it, "--journal")?),
-            "--addr" => opts.addr = Some(take_value(&mut it, "--addr")?),
-            "--t0" => opts.t0 = take_parsed(&mut it, "--t0")?,
-            "--t1" => opts.t1 = take_parsed(&mut it, "--t1")?,
-            "--bucket" => opts.bucket_samples = take_parsed(&mut it, "--bucket")?,
-            "--session" => opts.sessions.push(take_parsed(&mut it, "--session")?),
-            "--json" => opts.json = true,
-            "--timeout" => {
-                opts.timeout_secs = take_parsed(&mut it, "--timeout")?;
-                if opts.timeout_secs == 0 {
-                    return Err(CliError::Usage("--timeout must be at least 1".into()));
-                }
-            }
-            "--retries" => opts.retries = take_parsed(&mut it, "--retries")?,
-            other => {
-                return Err(CliError::Usage(format!("query: unknown argument {other}")));
-            }
-        }
-    }
-    match (&opts.journal_dir, &opts.addr) {
-        (Some(_), Some(_)) => Err(CliError::Usage(
-            "query takes --journal DIR or --addr HOST:PORT, not both".into(),
-        )),
-        (None, None) => Err(CliError::Usage(
-            "query requires --journal DIR or --addr HOST:PORT".into(),
-        )),
-        _ => Ok(opts),
-    }
+flag_table! {
+    ServeOpts;
+    "--addr" => Value(addr),
+    "--threads" => AtLeast1(threads),
+    "--queue-frames" => AtLeast1(queue_frames),
+    "--shed" => Switch(shed),
+    "--idle-timeout" => AtLeast1(idle_timeout_secs),
+    "--max-sessions" => AtLeast1(max_sessions),
+    "--duration" => Value(duration_secs),
+    "--heartbeat" => AtLeast1(heartbeat_secs),
+    "--fault-plan" => Value(fault_plan),
+    "--fault-seed" => Value(fault_seed),
+    "--journal" => Value(journal_dir),
+    "--metrics-addr" => Value(metrics_addr),
+    "--flight-dir" => Value(flight_dir),
+    "--metrics" => Value(obs.metrics_out),
+    "--trace" => Value(obs.trace_out),
+    "--verbose-stats" => Switch(obs.verbose_stats),
 }
 
-/// Parses the `emprof push` argument form.
-fn parse_push<'a, I: Iterator<Item = &'a String>>(it: I) -> Result<PushOpts, CliError> {
-    let mut positional = Vec::new();
-    let mut addr = "127.0.0.1:7700".to_string();
-    let mut rate = None;
-    let mut clock = None;
-    let mut frame = 8_192usize;
-    let mut device = "push".to_string();
-    let mut events_out = None;
-    let mut timeout_secs = 60u64;
-    let mut retries = 5u32;
-    let mut fault_plan = None;
-    let mut fault_seed = 1u64;
-    let mut adaptive = false;
-    let mut it = it.peekable();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => addr = take_value(&mut it, "--addr")?,
-            "--adaptive" => adaptive = true,
-            "--rate" => rate = Some(take_parsed(&mut it, "--rate")?),
-            "--clock" => clock = Some(take_parsed(&mut it, "--clock")?),
-            "--frame" => {
-                frame = take_parsed(&mut it, "--frame")?;
-                if frame == 0 {
-                    return Err(CliError::Usage("--frame must be at least 1".into()));
-                }
-            }
-            "--device" => device = take_value(&mut it, "--device")?,
-            "--events-out" => events_out = Some(take_value(&mut it, "--events-out")?),
-            "--timeout" => {
-                timeout_secs = take_parsed(&mut it, "--timeout")?;
-                if timeout_secs == 0 {
-                    return Err(CliError::Usage("--timeout must be at least 1".into()));
-                }
-            }
-            "--retries" => retries = take_parsed(&mut it, "--retries")?,
-            "--fault-plan" => fault_plan = Some(take_value(&mut it, "--fault-plan")?),
-            "--fault-seed" => fault_seed = take_parsed(&mut it, "--fault-seed")?,
-            flag if flag.starts_with("--") => {
-                return Err(CliError::Usage(format!("push: unknown flag {flag}")));
-            }
-            _ => positional.push(arg.clone()),
-        }
-    }
-    let signal_path = match positional.as_slice() {
-        [p] => p.clone(),
-        _ => {
-            return Err(CliError::Usage(
-                "push requires exactly one signal CSV path".into(),
-            ))
-        }
-    };
-    Ok(PushOpts {
-        signal_path,
-        addr,
-        sample_rate_hz: rate
-            .ok_or_else(|| CliError::Usage("push requires --rate".into()))?,
-        clock_hz: clock.ok_or_else(|| CliError::Usage("push requires --clock".into()))?,
-        frame,
-        device,
-        events_out,
-        timeout_secs,
-        retries,
-        fault_plan,
-        fault_seed,
-        adaptive,
-    })
+flag_table! {
+    RouterOpts, required ["--backends"];
+    "--addr" => Value(addr),
+    "--backends" => Repeat(backends),
+    "--replicas" => AtLeast1(replicas),
+    "--probe-ms" => AtLeast1(probe_ms),
+    "--down-after" => AtLeast1(down_after),
+    "--idle-timeout" => AtLeast1(idle_timeout_secs),
+    "--duration" => Value(duration_secs),
+    "--metrics-addr" => Value(metrics_addr),
 }
 
-/// Parses the `emprof watch` argument form.
-fn parse_watch<'a, I: Iterator<Item = &'a String>>(it: I) -> Result<WatchOpts, CliError> {
-    let mut opts = WatchOpts {
-        addr: "127.0.0.1:7700".to_string(),
-        interval_ms: 500,
-        polls: None,
-        timeout_secs: 60,
-        retries: 5,
-    };
-    let mut it = it.peekable();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => opts.addr = take_value(&mut it, "--addr")?,
-            "--interval-ms" => opts.interval_ms = take_parsed(&mut it, "--interval-ms")?,
-            "--polls" => opts.polls = Some(take_parsed(&mut it, "--polls")?),
-            "--timeout" => {
-                opts.timeout_secs = take_parsed(&mut it, "--timeout")?;
-                if opts.timeout_secs == 0 {
-                    return Err(CliError::Usage("--timeout must be at least 1".into()));
-                }
-            }
-            "--retries" => opts.retries = take_parsed(&mut it, "--retries")?,
-            other => {
-                return Err(CliError::Usage(format!("watch: unknown argument {other}")));
-            }
-        }
-    }
-    Ok(opts)
+flag_table! {
+    RecordOpts, positional "<signal.csv>" => signal_path,
+    required ["--journal", "--rate", "--clock"];
+    "--journal" => Value(journal_dir),
+    "--rate" => Value(sample_rate_hz),
+    "--clock" => Value(clock_hz),
+    "--device" => Value(device),
+    "--frame" => AtLeast1(frame),
 }
 
-/// Parses the `emprof top` argument form.
-fn parse_top<'a, I: Iterator<Item = &'a String>>(it: I) -> Result<TopOpts, CliError> {
-    let mut opts = TopOpts::default();
-    let mut it = it.peekable();
-    let mut addrs = Vec::new();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => addrs.push(take_value(&mut it, "--addr")?),
-            "--interval-ms" => opts.interval_ms = take_parsed(&mut it, "--interval-ms")?,
-            "--once" => opts.once = true,
-            "--polls" => opts.polls = Some(take_parsed(&mut it, "--polls")?),
-            "--timeout" => {
-                opts.timeout_secs = take_parsed(&mut it, "--timeout")?;
-                if opts.timeout_secs == 0 {
-                    return Err(CliError::Usage("--timeout must be at least 1".into()));
-                }
-            }
-            "--retries" => opts.retries = take_parsed(&mut it, "--retries")?,
-            other => {
-                return Err(CliError::Usage(format!("top: unknown argument {other}")));
-            }
-        }
-    }
-    if !addrs.is_empty() {
-        opts.addrs = addrs;
-    }
-    Ok(opts)
+flag_table! {
+    ReplayOpts, required ["--journal"];
+    "--journal" => Value(journal_dir),
+    "--events-out" => Value(events_out),
 }
 
-/// Parses the `emprof dump-flight` argument form.
-fn parse_dump_flight<'a, I: Iterator<Item = &'a String>>(
-    it: I,
-) -> Result<DumpFlightOpts, CliError> {
-    let mut opts = DumpFlightOpts::default();
-    let mut it = it.peekable();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => opts.addr = take_value(&mut it, "--addr")?,
-            "--session" => opts.session = take_parsed(&mut it, "--session")?,
-            "--out" => opts.out_dir = Some(take_value(&mut it, "--out")?),
-            "--timeout" => {
-                opts.timeout_secs = take_parsed(&mut it, "--timeout")?;
-                if opts.timeout_secs == 0 {
-                    return Err(CliError::Usage("--timeout must be at least 1".into()));
-                }
-            }
-            "--retries" => opts.retries = take_parsed(&mut it, "--retries")?,
-            other => {
-                return Err(CliError::Usage(format!(
-                    "dump-flight: unknown argument {other}"
-                )));
-            }
-        }
-    }
-    Ok(opts)
+flag_table! {
+    InspectOpts, positional "<dir>" => journal_dir;
 }
 
-fn expect_end<'a, I: Iterator<Item = &'a String>>(mut it: I) -> Result<(), CliError> {
-    match it.next() {
-        None => Ok(()),
-        Some(extra) => Err(CliError::Usage(format!("unexpected argument {extra}"))),
-    }
+flag_table! {
+    QueryOpts;
+    "--journal" => Value(journal_dir),
+    "--addr" => Value(addr),
+    "--t0" => Value(t0),
+    "--t1" => Value(t1),
+    "--bucket" => Value(bucket_samples),
+    "--session" => Repeat(sessions),
+    "--json" => Switch(json),
+    "--timeout" => AtLeast1(timeout_secs),
+    "--retries" => Value(retries),
 }
 
-fn take_value<'a, I: Iterator<Item = &'a String>>(
-    it: &mut std::iter::Peekable<I>,
-    flag: &str,
-) -> Result<String, CliError> {
-    it.next()
-        .cloned()
-        .ok_or_else(|| CliError::Usage(format!("{flag} requires a value")))
+flag_table! {
+    PushOpts, positional "<signal.csv>" => signal_path, required ["--rate", "--clock"];
+    "--addr" => Value(addr),
+    "--rate" => Value(sample_rate_hz),
+    "--clock" => Value(clock_hz),
+    "--frame" => AtLeast1(frame),
+    "--device" => Value(device),
+    "--events-out" => Value(events_out),
+    "--timeout" => AtLeast1(timeout_secs),
+    "--retries" => Value(retries),
+    "--fault-plan" => Value(fault_plan),
+    "--fault-seed" => Value(fault_seed),
+    "--adaptive" => Switch(adaptive),
 }
 
-fn take_parsed<'a, I: Iterator<Item = &'a String>, T: std::str::FromStr>(
-    it: &mut std::iter::Peekable<I>,
-    flag: &str,
-) -> Result<T, CliError> {
-    let raw = take_value(it, flag)?;
-    raw.parse()
-        .map_err(|_| CliError::Usage(format!("{flag}: cannot parse {raw}")))
+flag_table! {
+    WatchOpts;
+    "--addr" => Value(addr),
+    "--interval-ms" => Value(interval_ms),
+    "--polls" => Value(polls),
+    "--timeout" => AtLeast1(timeout_secs),
+    "--retries" => Value(retries),
 }
 
-/// Parses `--threads N`, rejecting 0 (there is no zero-worker pipeline).
-fn take_threads<'a, I: Iterator<Item = &'a String>>(
-    it: &mut std::iter::Peekable<I>,
-) -> Result<usize, CliError> {
-    let n: usize = take_parsed(it, "--threads")?;
-    if n == 0 {
-        return Err(CliError::Usage("--threads must be at least 1".into()));
-    }
-    Ok(n)
+flag_table! {
+    TopOpts;
+    "--addr" => Repeat(addrs),
+    "--interval-ms" => Value(interval_ms),
+    "--once" => Switch(once),
+    "--polls" => Value(polls),
+    "--timeout" => AtLeast1(timeout_secs),
+    "--retries" => Value(retries),
+}
+
+flag_table! {
+    DumpFlightOpts;
+    "--addr" => Value(addr),
+    "--session" => Value(session),
+    "--out" => Value(out_dir),
+    "--timeout" => AtLeast1(timeout_secs),
+    "--retries" => Value(retries),
 }
 
 /// The usage text printed by `emprof help`.
@@ -1051,8 +918,8 @@ USAGE:
   emprof serve [--addr HOST:PORT] [--threads N] [--queue-frames N] [--shed]
                [--idle-timeout SECS] [--max-sessions N] [--duration SECS]
                [--heartbeat SECS] [--fault-plan SPEC] [--fault-seed N]
-               [--journal DIR] [--metrics-addr HOST:PORT] [--metrics FILE]
-               [--trace FILE] [--verbose-stats]
+               [--journal DIR] [--metrics-addr HOST:PORT] [--flight-dir DIR]
+               [--metrics FILE] [--trace FILE] [--verbose-stats]
       Run the network profiling service: one streaming EMPROF detector per
       connected producer, a bounded ingest queue per session, and a worker
       pool draining them. A full queue blocks that producer's socket
@@ -1187,7 +1054,7 @@ CALIBRATION (simulate / profile / push):
 
 FAULT INJECTION (simulate / serve / push):
   --fault-plan SPEC   deterministic signal-plane chaos: `none`, `chaos`,
-                      or a spec like
+                      `probe-walk` (slow downward probe-gain drift), or a spec like
                       `dropout=5e-4:8..64,corrupt=2e-3,gain=1e-4:0.5..1.5,
                       shift=5e-5:0.35:128..512` (rates per sample).
                       simulate/push corrupt the signal before analysis or
@@ -1339,8 +1206,10 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        match parse(&argv("profile cap.csv --rate 40e6 --clock 1e9 --metrics m.jsonl"))
-            .unwrap()
+        match parse(&argv(
+            "profile cap.csv --rate 40e6 --clock 1e9 --metrics m.jsonl",
+        ))
+        .unwrap()
         {
             Command::Profile(o) => {
                 assert_eq!(o.obs.metrics_out.as_deref(), Some("m.jsonl"));
@@ -1397,7 +1266,10 @@ mod tests {
 
     #[test]
     fn parses_serve() {
-        assert_eq!(parse(&argv("serve")).unwrap(), Command::Serve(ServeOpts::default()));
+        assert_eq!(
+            parse(&argv("serve")).unwrap(),
+            Command::Serve(ServeOpts::default())
+        );
         match parse(&argv(
             "serve --addr 0.0.0.0:9000 --threads 3 --queue-frames 16 --shed \
              --idle-timeout 5 --max-sessions 8 --duration 2 --verbose-stats",
@@ -1418,6 +1290,10 @@ mod tests {
         }
         assert!(matches!(
             parse(&argv("serve --queue-frames 0")),
+            Err(CliError::Usage(_))
+        ));
+        assert!(matches!(
+            parse(&argv("serve --idle-timeout 0")),
             Err(CliError::Usage(_))
         ));
         assert!(matches!(
@@ -1461,7 +1337,10 @@ mod tests {
 
     #[test]
     fn parses_watch() {
-        match parse(&argv("watch --addr 10.0.0.2:7700 --interval-ms 50 --polls 3")).unwrap()
+        match parse(&argv(
+            "watch --addr 10.0.0.2:7700 --interval-ms 50 --polls 3",
+        ))
+        .unwrap()
         {
             Command::Watch(o) => {
                 assert_eq!(o.addr, "10.0.0.2:7700");
@@ -1486,7 +1365,10 @@ mod tests {
 
     #[test]
     fn parses_top() {
-        assert_eq!(parse(&argv("top")).unwrap(), Command::Top(TopOpts::default()));
+        assert_eq!(
+            parse(&argv("top")).unwrap(),
+            Command::Top(TopOpts::default())
+        );
         match parse(&argv(
             "top --addr 10.0.0.2:7700 --interval-ms 250 --once --polls 3 \
              --timeout 5 --retries 1",
@@ -1513,7 +1395,11 @@ mod tests {
     #[test]
     fn parses_top_fleet_addrs() {
         // Repeated --addr builds the merged fleet view in order.
-        match parse(&argv("top --addr 10.0.0.2:7700 --addr 10.0.0.3:7700 --once")).unwrap() {
+        match parse(&argv(
+            "top --addr 10.0.0.2:7700 --addr 10.0.0.3:7700 --once",
+        ))
+        .unwrap()
+        {
             Command::Top(o) => {
                 assert_eq!(
                     o.addrs,
@@ -1569,6 +1455,10 @@ mod tests {
         ));
         assert!(matches!(
             parse(&argv("router --backends a=1:1 --replicas 0")),
+            Err(CliError::Usage(_))
+        ));
+        assert!(matches!(
+            parse(&argv("router --backends a=1:1 --idle-timeout 0")),
             Err(CliError::Usage(_))
         ));
         assert!(matches!(
@@ -1754,7 +1644,9 @@ mod tests {
             Err(CliError::Usage(_))
         ));
         assert!(matches!(
-            parse(&argv("record cap.csv --journal /tmp/j --rate 1 --clock 1 --frame 0")),
+            parse(&argv(
+                "record cap.csv --journal /tmp/j --rate 1 --clock 1 --frame 0"
+            )),
             Err(CliError::Usage(_))
         ));
         assert!(matches!(parse(&argv("replay")), Err(CliError::Usage(_))));
@@ -1834,6 +1726,103 @@ mod tests {
             parse(&argv("push cap.csv --rate 1 --clock 1 --timeout 0")),
             Err(CliError::Usage(_))
         ));
+    }
+
+    /// Every command line of the corpus parses to the value, or fails
+    /// with the usage error, recorded before the flag tables replaced
+    /// the per-command parse loops. `--idle-timeout 0` is the one line
+    /// that moved: it was accepted, and reaped every live session.
+    #[test]
+    fn parse_matches_the_recorded_corpus() {
+        let corpus = include_str!("../tests/data/parse_parity.tsv");
+        let mut checked = 0;
+        for line in corpus.lines() {
+            let mut fields = line.split('\t');
+            let (kind, args) = (fields.next().unwrap(), fields.next().unwrap());
+            let got = parse(&argv(args));
+            match kind {
+                "accept" => assert_eq!(
+                    format!("{got:?}"),
+                    format!("Ok({})", fields.next().unwrap()),
+                    "{args}"
+                ),
+                "reject" => assert!(matches!(got, Err(CliError::Usage(_))), "{args}: {got:?}"),
+                other => panic!("bad corpus line kind {other}"),
+            }
+            checked += 1;
+        }
+        assert!(checked > 400, "corpus has only {checked} lines");
+    }
+
+    /// A command's flag names, in table order.
+    fn flag_names<O: Args>() -> Vec<&'static str> {
+        O::default()
+            .spec()
+            .flags
+            .iter()
+            .map(|(name, _)| *name)
+            .collect()
+    }
+
+    /// Each command's USAGE synopsis names exactly the flags of its
+    /// table, and every synopsis belongs to a command with a table.
+    #[test]
+    fn usage_synopses_match_the_flag_tables() {
+        let tables = [
+            ("devices", flag_names::<()>()),
+            ("demo", flag_names::<()>()),
+            ("simulate", flag_names::<SimulateOpts>()),
+            ("profile", flag_names::<ProfileOpts>()),
+            ("serve", flag_names::<ServeOpts>()),
+            ("router", flag_names::<RouterOpts>()),
+            ("record", flag_names::<RecordOpts>()),
+            ("replay", flag_names::<ReplayOpts>()),
+            ("journal-inspect", flag_names::<InspectOpts>()),
+            ("query", flag_names::<QueryOpts>()),
+            ("push", flag_names::<PushOpts>()),
+            ("watch", flag_names::<WatchOpts>()),
+            ("top", flag_names::<TopOpts>()),
+            ("dump-flight", flag_names::<DumpFlightOpts>()),
+        ];
+        // A synopsis is its `  emprof <cmd>` line plus the lines below
+        // it indented deeper than the six-space description.
+        let mut synopses: Vec<(String, String)> = Vec::new();
+        let mut open = false;
+        for line in USAGE.lines() {
+            if let Some(rest) = line.strip_prefix("  emprof ") {
+                let cmd = rest.split_whitespace().next().unwrap().to_string();
+                synopses.push((cmd, rest.to_string()));
+                open = true;
+            } else if open && line.starts_with("       ") {
+                synopses.last_mut().unwrap().1.push_str(line);
+            } else {
+                open = false;
+            }
+        }
+        for (cmd, synopsis) in &synopses {
+            if cmd == "stats" {
+                assert!(synopsis.contains("[same flags as simulate]"), "{synopsis}");
+                continue;
+            }
+            let Some((_, table)) = tables.iter().find(|(name, _)| name == cmd) else {
+                panic!("USAGE documents `{cmd}`, which has no flag table here");
+            };
+            let mut named: Vec<&str> = synopsis
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter(|word| word.starts_with("--"))
+                .collect();
+            named.sort_unstable();
+            named.dedup();
+            let mut declared = table.clone();
+            declared.sort_unstable();
+            assert_eq!(named, declared, "`emprof {cmd}` synopsis vs its flag table");
+        }
+        for (cmd, _) in &tables {
+            assert!(
+                synopses.iter().any(|(name, _)| name == cmd),
+                "`{cmd}` has no USAGE synopsis"
+            );
+        }
     }
 
     #[test]

@@ -72,7 +72,8 @@ pub struct ClientConfig {
     /// wait, so with server heartbeats enabled this can be a little over
     /// the heartbeat interval.
     pub read_timeout: Duration,
-    /// First reconnect backoff delay; doubles per consecutive attempt.
+    /// Backoff delay before the second reconnect attempt (the first
+    /// redials at once); doubles per further attempt.
     pub backoff_base: Duration,
     /// Backoff ceiling.
     pub backoff_max: Duration,
@@ -273,8 +274,9 @@ impl Link {
         }
     }
 
-    /// Redials with backoff and re-attaches `state` on each fresh
-    /// connection before it replaces the lost one. Fatal server
+    /// Redials (at once, then with backoff before each further attempt)
+    /// and re-attaches `state` on each fresh connection before it
+    /// replaces the lost one. Fatal server
     /// rejections (e.g. `NO_SESSION` after the reaper finalized the
     /// session) propagate at once; spending the whole budget yields
     /// [`ClientError::ReconnectFailed`] with the last underlying cause,
@@ -287,7 +289,11 @@ impl Link {
     ) -> Result<(), ClientError> {
         let mut last = cause;
         for attempt in 0..self.cfg.max_reconnects {
-            std::thread::sleep(backoff_with_jitter(&self.cfg, attempt, &mut self.rng));
+            // A loss to a live server resumes without a wait; only a
+            // failed redial backs off.
+            if attempt > 0 {
+                std::thread::sleep(backoff_with_jitter(&self.cfg, attempt - 1, &mut self.rng));
+            }
             let timeout = self.cfg.read_timeout;
             let fresh = Conn::dial(&self.addrs[..], timeout)
                 .map_err(ClientError::from)
@@ -931,6 +937,34 @@ mod tests {
         let (m1, m2) = (metrics(), metrics());
         assert_ne!(m1.link.rng, m2.link.rng);
         drop((p1, p2, w1, w2, m1, m2));
+        server.shutdown();
+    }
+
+    /// The first redial after a transport loss goes out at once: with a
+    /// 2 s backoff base, resuming against a live server still takes
+    /// well under a second.
+    #[test]
+    fn first_reconnect_redials_at_once() {
+        let server = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
+        let config = EmprofConfig::for_rates(40e6, 1.0e9);
+        let cfg = ClientConfig {
+            backoff_base: Duration::from_secs(2),
+            ..ClientConfig::default()
+        };
+        let mut client =
+            ProfileClient::connect_with(server.local_addr(), "t", config, 40e6, 1.0e9, cfg)
+                .unwrap();
+        client.send(&[1.0; 64]).unwrap();
+        client.drop_connection();
+        let started = std::time::Instant::now();
+        client.flush().unwrap();
+        let took = started.elapsed();
+        assert_eq!(client.reconnects(), 1);
+        assert!(
+            took < Duration::from_millis(500),
+            "resume against a live server took {took:?}"
+        );
+        drop(client);
         server.shutdown();
     }
 }

@@ -58,6 +58,7 @@ use crate::proto::{
     ServerStatsWire, SessionRow, Tail, TailEvent, MAX_FLIGHT_DUMPS, MAX_SESSION_ROWS,
     SAMPLES_FITTING_PAYLOAD, VERSION,
 };
+use crate::queue::PushReceipt;
 use crate::session::{SeqAdmit, Session, SessionRegistry, Work};
 
 /// How long a reader waits for the worker pool to answer a FLUSH/FIN
@@ -1177,8 +1178,10 @@ fn session_loop(
                 let (tx, rx) = mpsc::sync_channel(1);
                 let marker = if fin { Work::Fin(tx) } else { Work::Flush(tx) };
                 // Control markers never shed; they block until there is
-                // room (the workers are guaranteed to make some).
-                session.queue.push_blocking(marker);
+                // room (the workers are guaranteed to make some), and
+                // that wait is backpressure like a batch's.
+                let receipt = session.queue.push_blocking(marker);
+                account_push(shared, session, &receipt);
                 shared.notify_ready(session);
                 match rx.recv_timeout(REPLY_TIMEOUT) {
                     Ok(reply) => {
@@ -1292,22 +1295,33 @@ fn ingest_batch(shared: &Arc<Shared>, session: &Arc<Session>, mut samples: Vec<f
     c.frames_in.fetch_add(1, Ordering::Relaxed);
     c.samples_in.fetch_add(n as u64, Ordering::Relaxed);
     session.samples_meter.mark(n as u64);
-    c.sheds.fetch_add(receipt.shed as u64, Ordering::Relaxed);
-    c.backpressure_ns
-        .fetch_add(receipt.blocked_ns, Ordering::Relaxed);
     let sc = &shared.counters;
     sc.frames_in.fetch_add(1, Ordering::Relaxed);
     sc.bytes_in.fetch_add(bytes, Ordering::Relaxed);
     sc.samples_in.fetch_add(n as u64, Ordering::Relaxed);
+    obs::counter_add!("serve.frames_in", 1);
+    obs::counter_add!("serve.bytes_in", bytes);
+    obs::counter_add!("serve.samples_in", n as u64);
+    obs::meter_mark!("meter.samples_in", n as u64);
+    account_push(shared, session, &receipt);
+    shared.notify_ready(session);
+}
+
+/// Books the queue side of one push into a session queue: the batches
+/// it shed, the time the reader blocked on a full queue, and the depth
+/// it left. SAMPLES batches and FLUSH/FIN markers both come through
+/// here, so a reader held up while it carries a marker counts as
+/// backpressure too.
+fn account_push(shared: &Shared, session: &Session, receipt: &PushReceipt) {
+    let (c, sc) = (&session.counters, &shared.counters);
+    c.sheds.fetch_add(receipt.shed as u64, Ordering::Relaxed);
+    c.backpressure_ns
+        .fetch_add(receipt.blocked_ns, Ordering::Relaxed);
     sc.sheds.fetch_add(receipt.shed as u64, Ordering::Relaxed);
     sc.backpressure_ns
         .fetch_add(receipt.blocked_ns, Ordering::Relaxed);
     sc.peak_queue_depth
         .fetch_max(receipt.depth as u64, Ordering::Relaxed);
-    obs::counter_add!("serve.frames_in", 1);
-    obs::counter_add!("serve.bytes_in", bytes);
-    obs::counter_add!("serve.samples_in", n as u64);
-    obs::meter_mark!("meter.samples_in", n as u64);
     if receipt.shed > 0 {
         obs::counter_add!("serve.sheds", receipt.shed as u64);
     }
@@ -1315,7 +1329,6 @@ fn ingest_batch(shared: &Arc<Shared>, session: &Arc<Session>, mut samples: Vec<f
         obs::counter_add!("serve.backpressure_ns", receipt.blocked_ns);
     }
     obs::gauge_set!("serve.queue_depth", receipt.depth as f64);
-    shared.notify_ready(session);
 }
 
 #[cfg(test)]
@@ -1362,6 +1375,45 @@ mod tests {
         let (c2, m2, e2) = ring.query(c1);
         assert_eq!((c2, m2, e2.len()), (3, 0, 1));
         assert_eq!(e2[0].session_id, 2);
+    }
+
+    /// A FLUSH that waits for room in a full session queue is
+    /// backpressure: its wait lands in the server's and the session's
+    /// `backpressure_ns`, as a blocked SAMPLES push's does.
+    #[test]
+    fn marker_wait_on_a_full_queue_counts_as_backpressure() {
+        let delay = Duration::from_millis(400);
+        let server = Server::bind(
+            "127.0.0.1:0",
+            ServeConfig {
+                threads: Parallelism::new(1),
+                queue_frames: 1,
+                ingest_delay: Some(delay),
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+        let config = emprof_core::EmprofConfig::for_rates(40e6, 1e9);
+        let mut client =
+            crate::ProfileClient::connect(server.local_addr(), "t", config, 40e6, 1e9).unwrap();
+        // The worker pops the first batch and sleeps on it; the second
+        // fills the one-frame queue, so the FLUSH behind it waits for
+        // the rest of the delay. Neither batch push waits that long.
+        client.send(&[1.0; 64]).unwrap();
+        client.send(&[1.0; 64]).unwrap();
+        client.flush().unwrap();
+        let blocked = server.stats().backpressure_ns;
+        assert!(
+            blocked >= delay.as_nanos() as u64 / 4,
+            "a FLUSH held up by a full queue recorded only {blocked} ns of backpressure"
+        );
+        let session = &server.shared.registry.all()[0];
+        assert_eq!(
+            session.counters.backpressure_ns.load(Ordering::Relaxed),
+            blocked
+        );
+        drop(client);
+        server.shutdown();
     }
 
     #[test]
