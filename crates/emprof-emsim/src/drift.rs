@@ -52,7 +52,10 @@ impl DriftModel {
     /// Returns a description of the first invalid field.
     pub fn validate(&self) -> Result<(), String> {
         if !(self.probe_gain > 0.0 && self.probe_gain.is_finite()) {
-            return Err(format!("probe gain must be positive, got {}", self.probe_gain));
+            return Err(format!(
+                "probe gain must be positive, got {}",
+                self.probe_gain
+            ));
         }
         if !(0.0..1.0).contains(&self.ripple_amplitude) {
             return Err(format!(
@@ -71,12 +74,7 @@ impl DriftModel {
 
     /// Produces the per-sample gain sequence for `n` samples at
     /// `sample_rate_hz`, using `rng` for the random walk.
-    pub fn gains<R: Rng + ?Sized>(
-        &self,
-        n: usize,
-        sample_rate_hz: f64,
-        rng: &mut R,
-    ) -> Vec<f64> {
+    pub fn gains<R: Rng + ?Sized>(&self, n: usize, sample_rate_hz: f64, rng: &mut R) -> Vec<f64> {
         let clamp = (3.0 * self.ripple_amplitude).max(0.1);
         let mut walk = 0.0f64;
         let omega = std::f64::consts::TAU * self.ripple_hz / sample_rate_hz;

@@ -265,8 +265,7 @@ mod tests {
             });
             let mag = rx.capture(&flat, 7).magnitude();
             let mean = mag.iter().sum::<f64>() / mag.len() as f64;
-            (mag.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / mag.len() as f64)
-                .sqrt()
+            (mag.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / mag.len() as f64).sqrt()
         };
         assert!(spread(10.0) > 3.0 * spread(30.0));
     }
@@ -278,8 +277,7 @@ mod tests {
         cfg.drift.probe_gain = 3.0;
         let rx = Receiver::new(cfg);
         let mag = rx.capture(&flat, 3).magnitude();
-        let mean = mag[100..mag.len() - 100].iter().sum::<f64>()
-            / (mag.len() - 200) as f64;
+        let mean = mag[100..mag.len() - 100].iter().sum::<f64>() / (mag.len() - 200) as f64;
         assert!((mean - 6.0).abs() < 0.1, "mean {mean}");
     }
 

@@ -83,27 +83,6 @@ fn fft_dir(buf: &mut [Complex], invert: bool) {
     }
 }
 
-/// Convenience: FFT of a real signal, returning the complex spectrum.
-///
-/// The input is zero-padded to the next power of two.
-pub fn forward_real(signal: &[f64]) -> Vec<Complex> {
-    let n = signal.len().next_power_of_two().max(1);
-    let mut buf: Vec<Complex> = signal.iter().map(|&v| Complex::from_re(v)).collect();
-    buf.resize(n, Complex::ZERO);
-    forward(&mut buf);
-    buf
-}
-
-/// Magnitude spectrum of a real signal (first half: bins 0..n/2).
-///
-/// The second half of a real signal's spectrum is the mirror image of the
-/// first, so only the non-redundant half is returned.
-pub fn magnitude_spectrum(signal: &[f64]) -> Vec<f64> {
-    let spec = forward_real(signal);
-    let half = spec.len() / 2;
-    spec[..half.max(1)].iter().map(|c| c.norm()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,10 +108,13 @@ mod tests {
     fn single_tone_lands_in_its_bin() {
         let n = 64;
         let k = 5;
-        let signal: Vec<f64> = (0..n)
-            .map(|i| (std::f64::consts::TAU * k as f64 * i as f64 / n as f64).cos())
+        let mut buf: Vec<Complex> = (0..n)
+            .map(|i| {
+                Complex::from_re((std::f64::consts::TAU * k as f64 * i as f64 / n as f64).cos())
+            })
             .collect();
-        let mag = magnitude_spectrum(&signal);
+        forward(&mut buf);
+        let mag: Vec<f64> = buf[..n / 2].iter().map(|c| c.norm()).collect();
         let peak = mag
             .iter()
             .enumerate()
@@ -181,12 +163,6 @@ mod tests {
         for i in 0..32 {
             assert_close(fab[i], fa[i] + fb[i], 1e-9);
         }
-    }
-
-    #[test]
-    fn real_input_zero_pads() {
-        let spec = forward_real(&[1.0, 2.0, 3.0]); // pads to 4
-        assert_eq!(spec.len(), 4);
     }
 
     #[test]

@@ -13,7 +13,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 use emprof_obs as obs;
 
 use crate::window::WindowKind;
-use crate::Complex;
 
 /// Designs a linear-phase lowpass FIR filter with the windowed-sinc method.
 ///
@@ -78,15 +77,15 @@ pub fn lowpass_with_window(taps: usize, cutoff: f64, window: WindowKind) -> Vec<
 ///
 /// The receiver chain redesigns the same anti-aliasing filter for every
 /// capture (identical length and cutoff each time); a 513-tap design costs
-/// hundreds of transcendental evaluations, so repeated `decimate`/
-/// `resample` calls pull the taps from this process-wide cache instead.
+/// hundreds of transcendental evaluations, so repeated `resample` calls
+/// pull the taps from this process-wide cache instead.
 /// Hits and misses are visible as the `signal.taps_cache.hit` / `.miss`
 /// counters when telemetry is on.
 pub fn lowpass_cached(taps: usize, cutoff: f64, window: WindowKind) -> Arc<Vec<f64>> {
     type TapCache = Mutex<HashMap<(usize, u64, WindowKind), Arc<Vec<f64>>>>;
     static CACHE: OnceLock<TapCache> = OnceLock::new();
     // Distinct designs in practice number in the dozens (one per
-    // decimation ratio); the cap only guards against pathological sweeps.
+    // resampling ratio); the cap only guards against pathological sweeps.
     const CACHE_CAP: usize = 64;
 
     let key = (taps, cutoff.to_bits(), window);
@@ -117,8 +116,8 @@ pub fn lowpass_cached(taps: usize, cutoff: f64, window: WindowKind) -> Arc<Vec<f
 /// filters).
 ///
 /// Use this when most outputs are needed. The receiver's band-limiting
-/// (`resample`, `decimate`) reads only the outputs its rate reduction
-/// keeps and evaluates those with [`filter_direct_at`] and
+/// (`resample`) reads only the outputs its rate reduction keeps and
+/// evaluates those with [`filter_direct_at`] and
 /// [`filter_direct_group`] instead.
 ///
 /// # Example
@@ -193,23 +192,25 @@ pub fn filter_direct_at<T: Copy + Into<f64>>(signal: &[T], taps: &[f64], i: usiz
     acc
 }
 
-/// Outputs `starts[j] + w` of [`filter_direct`], for each of the `G`
-/// ascending `starts` and each `w < W`, from one pass over the taps.
+/// Outputs `s` and `s + 1` of [`filter_direct`] for each of the `G`
+/// ascending `starts` `s`, from one pass over the taps.
 ///
-/// Away from the signal's edges the group's outputs all use every tap:
-/// the span of the signal they read is widened to `f64` once, into
-/// `span` (scratch, reused across calls), and the `G·W` sums run as
-/// independent accumulators, each in [`filter_direct_at`]'s order. Every
-/// value is therefore bit-identical to it, while the add chains overlap
-/// in the pipeline instead of each waiting on its own latency. Near an
-/// edge every output is a [`filter_direct_at`] call. Like
-/// [`filter_direct_at`], it reads any signal that widens to `f64`
+/// Away from the signal's edges every pair uses every tap. The span of
+/// the signal the group reads is widened to `f64` once, into `span`
+/// (scratch, reused across calls). Each pair then reads its own window
+/// of `taps.len() + 1` values of it, fixed before the tap loop: tap `j`
+/// reads the two adjacent values `taps.len() - 1 - j` in, one packed
+/// multiply and add per pair and tap. The `2·G` sums run as independent
+/// accumulators, each in [`filter_direct_at`]'s tap order, so every
+/// value is bit-identical to it, while the add chains overlap in the
+/// pipeline. Near an edge every output is a [`filter_direct_at`] call.
+/// Like [`filter_direct_at`], it reads any signal that widens to `f64`
 /// exactly.
 ///
 /// # Panics
 ///
-/// Panics if `taps` is empty, `G` or `W` is zero, `starts` is not
-/// ascending, or the last output is not an index into `signal`.
+/// Panics if `taps` is empty, `G` is zero, `starts` is not ascending, or
+/// the last output is not an index into `signal`.
 ///
 /// # Example
 ///
@@ -222,18 +223,18 @@ pub fn filter_direct_at<T: Copy + Into<f64>>(signal: &[T], taps: &[f64], i: usiz
 /// let got = fir::filter_direct_group(&x, &taps, &[40, 47], &mut Vec::new());
 /// assert_eq!(got, [[y[40], y[41]], [y[47], y[48]]]);
 /// ```
-pub fn filter_direct_group<T: Copy + Into<f64>, const G: usize, const W: usize>(
+pub fn filter_direct_group<T: Copy + Into<f64>, const G: usize>(
     signal: &[T],
     taps: &[f64],
     starts: &[usize; G],
     span: &mut Vec<f64>,
-) -> [[f64; W]; G] {
+) -> [[f64; 2]; G] {
     assert!(!taps.is_empty(), "FIR filter must have at least one tap");
     assert!(
-        G > 0 && W > 0 && starts.is_sorted(),
+        G > 0 && starts.is_sorted(),
         "group starts must be nonempty and ascending"
     );
-    let (first, last) = (starts[0], starts[G - 1] + W - 1);
+    let (first, last) = (starts[0], starts[G - 1] + 1);
     assert!(
         last < signal.len(),
         "output {last} outside a {}-sample signal",
@@ -243,48 +244,57 @@ pub fn filter_direct_group<T: Copy + Into<f64>, const G: usize, const W: usize>(
     let half = (k - 1) / 2;
     if first + half + 1 < k || last + half >= signal.len() {
         // Some tap falls off an edge for at least one output.
-        return starts.map(|s| std::array::from_fn(|w| filter_direct_at(signal, taps, s + w)));
+        return starts.map(|s| [s, s + 1].map(|i| filter_direct_at(signal, taps, i)));
     }
-    // Output i reads signal[i + half - k'] for tap k', so the group reads
-    // signal[lo..=last + half]. For tap k' the group's reads all fall in
-    // the window of the span that starts k - 1 - k' in, at offsets
-    // s - first + w.
+    // Output i reads signal[i + half - j] for tap j, so the group reads
+    // signal[lo..=last + half]. The pair at s reads its own window of the
+    // k + 1 values from s - first on: elements k - 1 - j (output s) and
+    // k - j (s + 1), side by side, so a tap is one packed load, multiply
+    // and add per pair.
     let lo = first + half + 1 - k;
     span.clear();
     span.extend(signal[lo..=last + half].iter().map(|&x| x.into()));
-    let window = last - first + 1;
-    let offsets = starts.map(|s| s - first);
-    // True for ascending starts; stated so the loop below indexes each
-    // window without a bounds check per tap.
-    assert!(offsets.iter().all(|&d| d < window && window - d >= W));
-    let mut acc = [[0.0; W]; G];
-    for (&t, x) in taps.iter().zip(span.windows(window).rev()) {
-        for (a, &d) in acc.iter_mut().zip(&offsets) {
-            for (w, a) in a.iter_mut().enumerate() {
-                *a += t * x[d + w];
+    // The loop's shape is what lets the compiler drop every bounds check
+    // from it: the windows are built by a loop (an `array::map` call
+    // hides their lengths) and re-sliced to `len` where they are read,
+    // the checked arithmetic, which cannot fail, states that no index
+    // overflows, and the taps are indexed by a range (walking them by
+    // iterator loses the fact that `j < k`).
+    let len = k.checked_add(1).expect("taps fit in memory");
+    let mut windows = [&span[..0]; G];
+    for (w, &s) in windows.iter_mut().zip(starts) {
+        *w = &span[s - first..][..len];
+    }
+    let mut acc = [[0.0; 2]; G];
+    #[allow(clippy::needless_range_loop)]
+    for j in 0..k {
+        let t = taps[j];
+        let m = (k - 1).checked_sub(j).expect("j < k");
+        for (a, g) in acc.iter_mut().zip(&windows) {
+            for (a, &x) in a.iter_mut().zip(&g[..len][m..m + 2]) {
+                *a += t * x;
             }
         }
     }
     acc
 }
 
-/// Measures the magnitude response of a filter at a normalized frequency
-/// (fraction of the sample rate, in `[0, 0.5]`).
-///
-/// Used by tests and ablations to verify pass-band flatness and stop-band
-/// rejection.
-pub fn magnitude_response(taps: &[f64], freq: f64) -> f64 {
-    let omega = std::f64::consts::TAU * freq;
-    let mut acc = Complex::ZERO;
-    for (n, &t) in taps.iter().enumerate() {
-        acc += Complex::from_phase(-omega * n as f64) * t;
-    }
-    acc.norm()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Complex;
+
+    /// The magnitude response of a filter at a normalized frequency
+    /// (fraction of the sample rate, in `[0, 0.5]`): the filter-design
+    /// tests' oracle for pass-band flatness and stop-band rejection.
+    fn magnitude_response(taps: &[f64], freq: f64) -> f64 {
+        let omega = std::f64::consts::TAU * freq;
+        let mut acc = Complex::ZERO;
+        for (n, &t) in taps.iter().enumerate() {
+            acc += Complex::from_phase(-omega * n as f64) * t;
+        }
+        acc.norm()
+    }
 
     #[test]
     fn lowpass_has_unit_dc_gain() {
@@ -390,17 +400,15 @@ mod tests {
                         direct[i],
                         "k={k} n={n} i={i}"
                     );
-                    let one: [[f64; 1]; 1] = filter_direct_group(&x, &taps, &[i], &mut span);
-                    assert_eq!(one, [[direct[i]]], "k={k} n={n} i={i}");
                     if i + 1 < n {
-                        let pair: [[f64; 2]; 1] = filter_direct_group(&x, &taps, &[i], &mut span);
+                        let pair = filter_direct_group(&x, &taps, &[i], &mut span);
                         assert_eq!(pair, [[direct[i], direct[i + 1]]], "k={k} n={n} i={i}");
                     }
                     // Uneven gaps, a repeated start and a group that
                     // straddles an edge wherever one is near.
                     if n >= 2 {
                         let starts = [i, i + 1, i + 1, i + 4, i + 9].map(|s| s.min(n - 2));
-                        let got: [[f64; 2]; 5] = filter_direct_group(&x, &taps, &starts, &mut span);
+                        let got = filter_direct_group(&x, &taps, &starts, &mut span);
                         let want = starts.map(|s| [direct[s], direct[s + 1]]);
                         assert_eq!(got, want, "k={k} n={n} starts={starts:?}");
                     }
@@ -410,15 +418,67 @@ mod tests {
     }
 
     #[test]
+    fn group_kernel_matches_direct_bit_for_bit() {
+        // Asymmetric taps, so a kernel that walks them backwards differs
+        // from one that walks them forwards, and an `f32` signal with
+        // signed zeros, subnormals and both signs at every scale.
+        let odd = |i: usize| (i.wrapping_mul(2_654_435_761) >> 7) % 1_000;
+        let specials = [
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE / 8.0,
+            -f32::from_bits(1),
+            1.5e-39,
+        ];
+        for k in [1usize, 2, 33, 417, 513] {
+            let taps: Vec<f64> = (0..k)
+                .map(|j| (odd(j + 7) as f64 - 480.0) / 997.0)
+                .collect();
+            let n = 2 * k + 220;
+            let x: Vec<f32> = (0..n)
+                .map(|i| match odd(i) % 7 {
+                    0..=2 => specials[odd(i + 1) % specials.len()],
+                    v => (odd(i + 2) as f32 - 500.0) * 10f32.powi(v as i32 - 5),
+                })
+                .collect();
+            let wide: Vec<f64> = x.iter().map(|&v| f64::from(v)).collect();
+            let direct: Vec<u64> = filter_direct(&wide, &taps)
+                .into_iter()
+                .map(f64::to_bits)
+                .collect();
+            let mut span = Vec::new();
+            // Starts 1 apart (overlapping pairs), 2 apart (abutting) and
+            // 25 or 26 apart, as at the Olimex ratio. The sweep puts a
+            // group on every start from the left edge to the right one,
+            // so both edge fallbacks and the first and last groups the
+            // kernel takes are hit.
+            let gaps: [&dyn Fn(usize) -> usize; 3] = [&|j| j, &|j| 2 * j, &|j| j * 126 / 5];
+            for gap in gaps {
+                let offsets: [usize; 8] = std::array::from_fn(gap);
+                for first in 0..n - 1 - offsets[7] {
+                    let starts = offsets.map(|d| first + d);
+                    let got = filter_direct_group(&x, &taps, &starts, &mut span);
+                    let want = starts.map(|s| [direct[s], direct[s + 1]]);
+                    assert_eq!(
+                        got.map(|p| p.map(f64::to_bits)),
+                        want,
+                        "k={k} starts={starts:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "outside")]
     fn group_past_the_last_output_panics() {
-        let _: [[f64; 2]; 1] = filter_direct_group(&[1.0, 2.0], &[1.0], &[1], &mut Vec::new());
+        filter_direct_group(&[1.0, 2.0], &[1.0], &[1], &mut Vec::new());
     }
 
     #[test]
     #[should_panic(expected = "ascending")]
     fn group_starts_out_of_order_panic() {
-        let _: [[f64; 1]; 2] = filter_direct_group(&[1.0, 2.0], &[1.0], &[1, 0], &mut Vec::new());
+        filter_direct_group(&[1.0, 2.0], &[1.0], &[1, 0], &mut Vec::new());
     }
 
     #[test]

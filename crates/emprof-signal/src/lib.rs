@@ -8,7 +8,7 @@
 //!
 //! * [`Complex`] — complex (IQ) baseband samples,
 //! * [`fir`] — windowed-sinc FIR filter design and application,
-//! * [`resample`] — anti-aliased decimation and fractional resampling,
+//! * [`resample`] — anti-aliased fractional resampling,
 //! * [`noise`] — additive white Gaussian noise sources,
 //! * [`stats`] — O(n) moving minimum/maximum/average used by EMPROF's
 //!   normalization stage,

@@ -91,20 +91,6 @@ pub fn add_awgn_complex<R: Rng + ?Sized>(signal: &mut [Complex], snr_db: f64, rn
     }
 }
 
-/// Adds real AWGN to a real signal at a given signal-to-noise ratio;
-/// see [`add_awgn_complex`] for the power convention.
-pub fn add_awgn<R: Rng + ?Sized>(signal: &mut [f64], snr_db: f64, rng: &mut R) {
-    let power: f64 = signal.iter().map(|v| v * v).sum::<f64>() / signal.len().max(1) as f64;
-    if power == 0.0 {
-        return;
-    }
-    let sigma = (power / 10f64.powf(snr_db / 10.0)).sqrt();
-    let mut g = Gaussian::new(0.0, sigma);
-    for s in signal {
-        *s += g.sample(rng);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,25 +149,6 @@ mod tests {
         let mut x = vec![Complex::ZERO; 100];
         add_awgn_complex(&mut x, 10.0, &mut rng);
         assert!(x.iter().all(|c| *c == Complex::ZERO));
-    }
-
-    #[test]
-    fn real_awgn_snr() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let clean = vec![2.0; 100_000];
-        let mut noisy = clean.clone();
-        add_awgn(&mut noisy, 10.0, &mut rng);
-        let noise_power: f64 = noisy
-            .iter()
-            .zip(&clean)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            / clean.len() as f64;
-        // Signal power 4.0, SNR 10 dB -> noise power 0.4.
-        assert!(
-            (noise_power - 0.4).abs() < 0.02,
-            "noise power {noise_power}"
-        );
     }
 
     #[test]

@@ -3,17 +3,17 @@
 //! The processor emits one activity sample per clock cycle (~1 GHz) while
 //! the capture rig digitizes at the measurement bandwidth (20–160 MHz).
 //! The ratio is rarely an integer (e.g. 1.008 GHz / 40 MHz = 25.2), so the
-//! chain needs both integer decimation and fractional resampling. Both are
-//! anti-aliased by filtering *before* rate reduction.
+//! chain resamples by linear interpolation, anti-aliased by filtering
+//! *before* the rate falls.
 //!
-//! The filtered signal is never built. Each output reads only one or two
+//! The filtered signal is never built. Each output reads only two
 //! filtered values (~2 in 25 at the Olimex ratio), so those values are
 //! computed where they are read: [`fir::filter_direct_group`] evaluates
-//! the values of [`GROUP`] consecutive outputs in one pass over the taps,
+//! the pairs of [`GROUP`] consecutive outputs in one pass over the taps,
 //! and outputs at the signal's edges, or left over at the end of a range,
 //! use [`fir::filter_direct_at`]. Every output is therefore bit-identical
-//! to [`fir::filter_direct`] followed by picking or interpolating, and
-//! neither function allocates anything proportional to the input.
+//! to [`fir::filter_direct`] followed by interpolating, and nothing
+//! proportional to the input is allocated besides the output.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -22,70 +22,6 @@ use emprof_par::{pool, Parallelism};
 
 use crate::fir;
 use crate::window::WindowKind;
-use crate::Complex;
-
-/// Decimates a real signal by an integer factor after applying an
-/// anti-aliasing lowpass filter.
-///
-/// The filter is [`anti_alias_filter`] for the factor: its cutoff sits at
-/// `0.45 / factor` of the input rate (slightly inside Nyquist of the
-/// output rate) and its length scales with the factor so the transition
-/// band stays proportionally narrow.
-///
-/// # Panics
-///
-/// Panics if `factor == 0`.
-///
-/// # Example
-///
-/// ```
-/// use emprof_signal::resample;
-///
-/// let x = vec![1.0; 1000];
-/// let y = resample::decimate(&x, 10);
-/// assert_eq!(y.len(), 100);
-/// assert!((y[50] - 1.0).abs() < 1e-9);
-/// ```
-pub fn decimate(signal: &[f64], factor: usize) -> Vec<f64> {
-    decimate_par(signal, factor, Parallelism::sequential())
-}
-
-/// [`decimate`] with the anti-aliasing filter fanned out over a worker
-/// pool; output is bit-identical to [`decimate`] for any thread count.
-///
-/// Output `m` is output `m * factor` of the anti-aliasing filter, so it
-/// equals `fir::filter_direct(..)` stepped by `factor`, bit for bit,
-/// without filtering the samples in between. [`GROUP`] outputs at a time
-/// come from one [`fir::filter_direct_group`] pass. Like
-/// [`resample_par`], it reads any signal that widens to `f64` exactly.
-///
-/// # Panics
-///
-/// Panics if `factor == 0`.
-pub fn decimate_par<T: Copy + Into<f64> + Sync>(
-    signal: &[T],
-    factor: usize,
-    par: Parallelism,
-) -> Vec<f64> {
-    assert!(factor > 0, "decimation factor must be nonzero");
-    if factor == 1 {
-        return signal.iter().map(|&x| x.into()).collect();
-    }
-    let taps = anti_alias_filter(factor as f64);
-    pool::map_ranges(par, signal.len().div_ceil(factor), |range| {
-        let mut span = Vec::new();
-        in_groups(
-            range,
-            |m| {
-                let starts = std::array::from_fn(|j| (m + j) * factor);
-                let v: [[f64; 1]; GROUP] =
-                    fir::filter_direct_group(signal, &taps, &starts, &mut span);
-                Some(v.map(|[y]| y))
-            },
-            |m| fir::filter_direct_at(signal, &taps, m * factor),
-        )
-    })
-}
 
 /// Resamples a real signal by an arbitrary positive rational-ish ratio
 /// `out_rate / in_rate`, anti-alias filtering first when the rate is being
@@ -152,59 +88,44 @@ pub fn resample_par<T: Copy + Into<f64> + Sync>(
 
 /// Outputs `range` of a falling-rate [`resample_par`] at `ratio`, read
 /// through the anti-aliasing filter `taps`.
+///
+/// [`GROUP`] outputs at a time take their pairs from one
+/// [`fir::filter_direct_group`] pass, until a group is cut off by the
+/// end of the range or would read past the signal's right edge. The
+/// rest go one at a time through [`fir::filter_direct_at`].
 fn downsample<T: Copy + Into<f64>>(
     signal: &[T],
     taps: &[f64],
     ratio: f64,
     range: Range<usize>,
 ) -> Vec<f64> {
+    let mut out = Vec::with_capacity(range.len());
     let mut span = Vec::new();
-    in_groups(
-        range,
-        |n| {
-            let pos: [f64; GROUP] = std::array::from_fn(|j| (n + j) as f64 * ratio);
-            let i = pos.map(|p| p.floor() as usize);
-            // An output whose pair would pass the right edge clamps;
-            // those go one at a time. Only rounding gets an output there,
-            // at a ratio within about `len · 2⁻⁵²` of 1 on a signal of
-            // about 2²⁶ samples or more.
-            if i[GROUP - 1] + 1 >= signal.len() {
-                return None;
-            }
-            let v: [[f64; 2]; GROUP] = fir::filter_direct_group(signal, taps, &i, &mut span);
-            Some(std::array::from_fn(|j| {
-                lerp(v[j][0], v[j][1], pos[j] - i[j] as f64)
-            }))
-        },
-        |n| {
-            sample_linear(signal.len(), n as f64 * ratio, |i| {
-                fir::filter_direct_at(signal, taps, i)
-            })
-        },
-    )
+    let mut n = range.start;
+    while n + GROUP <= range.end {
+        let pos: [f64; GROUP] = std::array::from_fn(|j| (n + j) as f64 * ratio);
+        let i = pos.map(|p| p.floor() as usize);
+        // An output whose pair would pass the right edge clamps; those
+        // go one at a time. Only rounding gets an output there, at a
+        // ratio within about `len · 2⁻⁵²` of 1 on a signal of about 2²⁶
+        // samples or more.
+        if i[GROUP - 1] + 1 >= signal.len() {
+            break;
+        }
+        let v = fir::filter_direct_group(signal, taps, &i, &mut span);
+        out.extend((0..GROUP).map(|j| lerp(v[j][0], v[j][1], pos[j] - i[j] as f64)));
+        n += GROUP;
+    }
+    out.extend((n..range.end).map(|n| {
+        sample_linear(signal.len(), n as f64 * ratio, |i| {
+            fir::filter_direct_at(signal, taps, i)
+        })
+    }));
+    out
 }
 
 /// Outputs [`fir::filter_direct_group`] evaluates in one pass.
 pub const GROUP: usize = 8;
-
-/// Maps `range` to outputs [`GROUP`] at a time through `group` (the
-/// group starting at its argument) until a group is cut off by the end
-/// of the range or `group` declines it, then one at a time through `one`.
-fn in_groups(
-    range: Range<usize>,
-    mut group: impl FnMut(usize) -> Option<[f64; GROUP]>,
-    one: impl Fn(usize) -> f64,
-) -> Vec<f64> {
-    let mut out = Vec::with_capacity(range.len());
-    let mut n = range.start;
-    while n + GROUP <= range.end {
-        let Some(values) = group(n) else { break };
-        out.extend(values);
-        n += GROUP;
-    }
-    out.extend((n..range.end).map(one));
-    out
-}
 
 /// Linearly interpolates a `len`-sample signal, read through `at`, at a
 /// fractional index, clamping to the final sample at the right edge.
@@ -221,24 +142,7 @@ fn lerp(a: f64, b: f64, frac: f64) -> f64 {
     a * (1.0 - frac) + b * frac
 }
 
-/// Complex variant of [`resample`] for IQ streams.
-///
-/// # Panics
-///
-/// Panics if either rate is not strictly positive.
-pub fn resample_complex(signal: &[Complex], in_rate: f64, out_rate: f64) -> Vec<Complex> {
-    let re: Vec<f64> = signal.iter().map(|c| c.re).collect();
-    let im: Vec<f64> = signal.iter().map(|c| c.im).collect();
-    let re_out = resample(&re, in_rate, out_rate);
-    let im_out = resample(&im, in_rate, out_rate);
-    re_out
-        .into_iter()
-        .zip(im_out)
-        .map(|(re, im)| Complex::new(re, im))
-        .collect()
-}
-
-/// The anti-aliasing lowpass [`decimate`] and [`resample`] apply when
+/// The anti-aliasing lowpass [`resample`] applies when
 /// the rate falls by `ratio` (input rate over output rate, above 1).
 ///
 /// The cutoff sits at `0.45 / ratio` of the input rate, slightly inside
@@ -260,33 +164,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn decimate_by_one_is_identity() {
-        let x = vec![1.0, 2.0, 3.0];
-        assert_eq!(decimate(&x, 1), x);
-    }
-
-    #[test]
-    fn decimate_length() {
-        let x = vec![0.0; 1003];
-        assert_eq!(decimate(&x, 10).len(), 101); // ceil(1003/10) via step_by
-    }
-
-    #[test]
-    fn decimate_preserves_dc() {
-        let x = vec![2.5; 2000];
-        let y = decimate(&x, 25);
-        assert!((y[40] - 2.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn decimate_removes_aliasing_tone() {
+    fn resample_removes_aliasing_tone() {
         // A tone just above the output Nyquist must not alias into the output.
         let factor = 8;
         let f = 0.45 / factor as f64 * 2.2; // above output Nyquist at input rate
         let x: Vec<f64> = (0..4000)
             .map(|i| (std::f64::consts::TAU * f * i as f64).sin())
             .collect();
-        let y = decimate(&x, factor);
+        let y = resample(&x, factor as f64, 1.0);
         let peak = y[50..y.len() - 50]
             .iter()
             .fold(0.0f64, |m, &v| m.max(v.abs()));
@@ -332,20 +217,6 @@ mod tests {
             (min_idx as i64 - expected).abs() <= 2,
             "dip at {min_idx}, expected near {expected}"
         );
-    }
-
-    #[test]
-    fn complex_resample_matches_componentwise() {
-        let x: Vec<Complex> = (0..500)
-            .map(|i| Complex::new((i as f64 * 0.01).sin(), (i as f64 * 0.013).cos()))
-            .collect();
-        let y = resample_complex(&x, 10.0, 3.0);
-        let re: Vec<f64> = x.iter().map(|c| c.re).collect();
-        let yr = resample(&re, 10.0, 3.0);
-        assert_eq!(y.len(), yr.len());
-        for (a, b) in y.iter().zip(&yr) {
-            assert!((a.re - b).abs() < 1e-12);
-        }
     }
 
     #[test]
@@ -406,7 +277,5 @@ mod tests {
                 assert_eq!(seq, par, "{in_rate}->{out_rate} threads {threads}");
             }
         }
-        let seq = decimate(&x, 25);
-        assert_eq!(seq, decimate_par(&x, 25, Parallelism::new(3)));
     }
 }

@@ -209,42 +209,4 @@ proptest! {
             }
         }
     }
-
-    /// Integer decimation is exactly `filter_direct` stepped by the
-    /// factor, for every thread count, and within FFT rounding of the
-    /// overlap-save composite; for `f32` input too, at the drawn length
-    /// and at the group kernel's edge lengths.
-    #[test]
-    fn decimate_is_filter_then_step(
-        signal in bounded_signal(2_500),
-        factor in 2usize..30,
-        extra in 0usize..1_000,
-    ) {
-        let scale = signal.iter().fold(1.0f64, |m, &v| m.max(v.abs()));
-        let taps = resample::anti_alias_filter(factor as f64);
-        let want: Vec<f64> =
-            fir::filter_direct(&signal, &taps).into_iter().step_by(factor).collect();
-        for threads in THREADS {
-            let got = resample::decimate_par(&signal, factor, Parallelism::new(threads));
-            prop_assert_eq!(&got, &want, "factor {} threads {}", factor, threads);
-        }
-        let fft: Vec<f64> = fir::filter(&signal, &taps).into_iter().step_by(factor).collect();
-        assert_close(&want, &fft, scale)?;
-
-        let lengths = edge_lengths(taps.len(), factor as f64, extra);
-        for len in lengths.into_iter().chain([signal.len()]) {
-            let (wide, narrow) = at_length(&signal, len);
-            let want: Vec<f64> =
-                fir::filter_direct(&wide, &taps).into_iter().step_by(factor).collect();
-            for threads in THREADS {
-                let par = Parallelism::new(threads);
-                let got = resample::decimate_par(&narrow, factor, par);
-                prop_assert_eq!(&got, &want, "f32 factor {} len {} threads {}", factor, len, threads);
-                if len != signal.len() {
-                    let got = resample::decimate_par(&wide, factor, par);
-                    prop_assert_eq!(&got, &want, "factor {} len {} threads {}", factor, len, threads);
-                }
-            }
-        }
-    }
 }
