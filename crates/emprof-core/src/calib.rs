@@ -209,9 +209,10 @@ impl BlockParams {
     }
 }
 
-/// The online calibration loop: feed it completed blocks in order via
-/// [`observe_block`](Calibrator::observe_block), read the parameters for
-/// the *next* block via [`params`](Calibrator::params).
+/// The online calibration loop: feed it a signal's blocks in order (the
+/// batch path plans them with `extend_schedule`, the streaming one with
+/// `observe_stream`), read the parameters for the *next* block via
+/// [`params`](Calibrator::params).
 ///
 /// Before the first observed block it returns the base (static)
 /// configuration, which makes the schedule causal: block `k`'s
@@ -346,18 +347,12 @@ impl Calibrator {
         }
     }
 
-    /// Folds one completed block of (finite) samples into the estimates
-    /// and steps the confidence state machine. Blocks must be fed in
-    /// order; all paths feed the identical block slices. A block holding
-    /// a non-finite sample is not folded: it would poison every estimate.
-    pub fn observe_block(&mut self, block: &[f64]) {
-        let _ = self.try_observe_block(block);
-    }
-
-    /// [`observe_block`](Calibrator::observe_block), or `Err(i)` when
-    /// `block[i]` is the block's first non-finite sample. The check rides
-    /// on the pass that reads the block and fails before any state
-    /// changes.
+    /// Folds one completed block of samples into the estimates and steps
+    /// the confidence state machine, or returns `Err(i)` when `block[i]`
+    /// is the block's first non-finite sample: such a block is not
+    /// folded, as it would poison every estimate. Blocks must be fed in
+    /// order. The check rides on the pass that reads the block and fails
+    /// before any state changes.
     fn try_observe_block(&mut self, block: &[f64]) -> Result<(), usize> {
         let mut stats = BlockStats::default();
         for (i, &v) in block.iter().enumerate() {
@@ -588,7 +583,7 @@ mod tests {
         for v in blk.iter_mut().skip(400).take(12) {
             *v = 0.5;
         }
-        cal.observe_block(&blk);
+        cal.try_observe_block(&blk).unwrap();
         let clean = cal.params();
         assert!((clean.threshold - 0.35).abs() < 1e-9, "clean stays at base");
         assert!(!clean.degraded);
@@ -603,7 +598,7 @@ mod tests {
                     dip + noise
                 })
                 .collect();
-            cal.observe_block(&noisy);
+            cal.try_observe_block(&noisy).unwrap();
         }
         let p = cal.params();
         assert!(
@@ -621,7 +616,7 @@ mod tests {
             for v in blk.iter_mut().skip(400).take(12) {
                 *v = 0.5;
             }
-            cal.observe_block(&blk);
+            cal.try_observe_block(&blk).unwrap();
         }
         assert!(!cal.is_degraded(), "state machine never recovered");
         assert_eq!(cal.transitions.1, 1);
@@ -635,7 +630,7 @@ mod tests {
         let mut level = 8.0;
         for _ in 0..6 {
             let blk: Vec<f64> = vec![level; 2000];
-            cal.observe_block(&blk);
+            cal.try_observe_block(&blk).unwrap();
             level *= 0.5;
         }
         let p = cal.params();

@@ -10,6 +10,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
+use crate::registry::HistogramSnapshot;
+
 /// A monotonically increasing (wrapping) event counter.
 #[derive(Debug, Default)]
 pub struct Counter {
@@ -295,15 +297,17 @@ impl LogHistogram {
 
     /// Non-empty buckets as `(low, high, count)` triples.
     pub fn nonzero_buckets(&self) -> Vec<(u64, u64, u64)> {
-        (0..LOG_BUCKETS)
-            .filter_map(|i| {
-                let n = self.bucket_count(i);
-                (n > 0).then(|| {
-                    let (lo, hi) = Self::bucket_bounds(i);
-                    (lo, hi, n)
-                })
-            })
-            .collect()
+        nonzero_log_buckets(|i| self.bucket_count(i))
+    }
+
+    /// A point-in-time [`HistogramSnapshot`] of the histogram.
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        let count = self.count();
+        let sum = self.sum();
+        let min = self.min.load(Ordering::Relaxed);
+        let max = self.max.load(Ordering::Relaxed);
+        let buckets = std::array::from_fn(|i| self.bucket_count(i));
+        HistogramSnapshot::from_log_counts(&buckets, count, sum, min, max)
     }
 
     /// An estimate of the `q`-quantile (`0.0..=1.0`) of the recorded
@@ -352,6 +356,20 @@ impl Default for LogHistogram {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// The non-empty buckets of a log histogram whose bucket `i` holds
+/// `count(i)` values, as `(low, high, count)` triples.
+pub(crate) fn nonzero_log_buckets(count: impl Fn(usize) -> u64) -> Vec<(u64, u64, u64)> {
+    (0..LOG_BUCKETS)
+        .filter_map(|i| {
+            let n = count(i);
+            (n > 0).then(|| {
+                let (lo, hi) = LogHistogram::bucket_bounds(i);
+                (lo, hi, n)
+            })
+        })
+        .collect()
 }
 
 /// The shared quantile estimator over `(low, high, count)` bucket

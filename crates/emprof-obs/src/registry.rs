@@ -3,7 +3,9 @@
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-use crate::metrics::{bucket_quantile, Counter, Gauge, LogHistogram, Meter};
+use crate::metrics::{
+    bucket_quantile, nonzero_log_buckets, Counter, Gauge, LogHistogram, Meter, LOG_BUCKETS,
+};
 use crate::span::SpanStat;
 
 /// A thread-safe collection of named metrics.
@@ -128,18 +130,7 @@ impl Registry {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .iter()
-            .map(|(k, v)| {
-                (
-                    k.clone(),
-                    HistogramSnapshot {
-                        count: v.count(),
-                        sum: v.sum(),
-                        min: v.min(),
-                        max: v.max(),
-                        buckets: v.nonzero_buckets(),
-                    },
-                )
-            })
+            .map(|(k, v)| (k.clone(), v.snapshot()))
             .collect();
         let spans = self
             .spans
@@ -243,6 +234,28 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// The snapshot of a log histogram kept as plain counters: bucket `i`
+    /// of `buckets` counts the values in
+    /// [`LogHistogram::bucket_bounds`]`(i)`, `sum` wraps, and `min` and
+    /// `max` are the running extrema, reported only when `count > 0`.
+    /// [`LogHistogram::snapshot`] goes through here too, so a fold that
+    /// keeps its own counters snapshots exactly as the live histogram.
+    pub fn from_log_counts(
+        buckets: &[u64; LOG_BUCKETS],
+        count: u64,
+        sum: u64,
+        min: u64,
+        max: u64,
+    ) -> HistogramSnapshot {
+        HistogramSnapshot {
+            count,
+            sum,
+            min: (count > 0).then_some(min),
+            max: (count > 0).then_some(max),
+            buckets: nonzero_log_buckets(|i| buckets[i]),
+        }
+    }
+
     /// The `q`-quantile estimate (`0.0..=1.0`) of the snapshotted
     /// distribution; see [`crate::metrics::LogHistogram::quantile`].
     pub fn quantile(&self, q: f64) -> Option<f64> {

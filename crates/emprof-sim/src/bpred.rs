@@ -120,15 +120,6 @@ impl BimodalPredictor {
     pub fn mispredictions(&self) -> u64 {
         self.mispredictions
     }
-
-    /// Misprediction rate in `[0, 1]` (0 if nothing predicted yet).
-    pub fn mispredict_rate(&self) -> f64 {
-        if self.predictions == 0 {
-            0.0
-        } else {
-            self.mispredictions as f64 / self.predictions as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -164,11 +155,10 @@ mod tests {
     #[test]
     fn alternating_pattern_defeats_bimodal() {
         let mut p = BimodalPredictor::new(BpredConfig::default());
-        for i in 0..1000 {
-            p.update(0x80, i % 2 == 0);
-        }
-        // Bimodal cannot learn strict alternation: ~50% mispredictions.
-        assert!(p.mispredict_rate() > 0.4, "rate {}", p.mispredict_rate());
+        // Bimodal cannot learn strict alternation: ~50% of the outcomes
+        // the pipeline sees from `update` are mispredictions.
+        let wrong = (0..1000).filter(|i| !p.update(0x80, i % 2 == 0)).count();
+        assert!(wrong > 400, "{wrong} mispredictions in 1000");
     }
 
     #[test]

@@ -166,7 +166,11 @@ impl SegmentCache {
 
     /// Entries currently cached (for tests and telemetry).
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).map.len()
+        self.inner
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .map
+            .len()
     }
 
     /// Whether the cache is empty.
@@ -198,7 +202,10 @@ mod tests {
         assert!(cache.get(dir, 0, 100, None).is_some());
         // Same key, different length: the file changed → miss + evict.
         assert!(cache.get(dir, 0, 101, None).is_none());
-        assert!(cache.get(dir, 0, 100, None).is_none(), "entry was discarded");
+        assert!(
+            cache.get(dir, 0, 100, None).is_none(),
+            "entry was discarded"
+        );
     }
 
     #[test]

@@ -336,7 +336,8 @@ mod tests {
         f.write_all(&header).unwrap();
         f.write_all(&encode_record_frame(&Record::Cursor { acked_events: 1 }))
             .unwrap();
-        f.write_all(&encode_record_frame(&Record::Footer(lying))).unwrap();
+        f.write_all(&encode_record_frame(&Record::Footer(lying)))
+            .unwrap();
         drop(f);
         let report = inspect_dir(&dir).unwrap();
         assert_eq!(report.segments[0].footer, FooterStatus::Mismatch);

@@ -284,10 +284,7 @@ impl Journal {
         let writer = fs::OpenOptions::new().append(true).open(&active.path)?;
         report.segments = segments.len() + 1;
         if report.truncations > 0 {
-            obs::counter_add!(
-                "store.recovered_truncations",
-                report.truncations as u64
-            );
+            obs::counter_add!("store.recovered_truncations", report.truncations as u64);
         }
         let journal = Journal {
             dir: dir.to_path_buf(),
@@ -377,9 +374,12 @@ impl Journal {
     /// As [`Journal::append`].
     pub fn append_samples(&mut self, seq: u64, samples: &[f64]) -> io::Result<u64> {
         let index = self.write_frame(|f| {
-            write_record_frame(f, RecordKind::Samples, |p| codec::put_samples(p, seq, samples));
+            write_record_frame(f, RecordKind::Samples, |p| {
+                codec::put_samples(p, seq, samples)
+            });
         })?;
-        self.active.note_samples(samples.len(), self.frame.len() as u64);
+        self.active
+            .note_samples(samples.len(), self.frame.len() as u64);
         Ok(index)
     }
 
@@ -555,7 +555,10 @@ mod tests {
         assert_eq!(a.active.stats, b.active.stats);
         assert_eq!(a.active.has_samples, b.active.has_samples);
         let seg = segment_file_name(0);
-        assert_eq!(fs::read(da.join(&seg)).unwrap(), fs::read(db.join(&seg)).unwrap());
+        assert_eq!(
+            fs::read(da.join(&seg)).unwrap(),
+            fs::read(db.join(&seg)).unwrap()
+        );
         fs::remove_dir_all(&da).unwrap();
         fs::remove_dir_all(&db).unwrap();
     }
@@ -791,7 +794,11 @@ mod tests {
         j.roll().unwrap();
         j.append(&cursor(1)).unwrap();
         assert_eq!(j.compact(u64::MAX, false).unwrap(), 0, "samples pin");
-        assert_eq!(j.compact(u64::MAX, true).unwrap(), 1, "released after finish");
+        assert_eq!(
+            j.compact(u64::MAX, true).unwrap(),
+            1,
+            "released after finish"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 }

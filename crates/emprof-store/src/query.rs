@@ -52,7 +52,7 @@ use std::sync::Arc;
 use std::time::SystemTime;
 
 use emprof_core::{parallel_map, Parallelism, StallEvent};
-use emprof_obs::metrics::LogHistogram;
+use emprof_obs::metrics::{LogHistogram, LOG_BUCKETS};
 use emprof_obs::HistogramSnapshot;
 
 use crate::cache::{DecodedSegment, SegmentCache};
@@ -181,7 +181,13 @@ pub struct QueryAccumulator {
     events: u64,
     degraded: u64,
     refresh_collisions: u64,
-    hist: LogHistogram,
+    /// The stall-latency histogram as plain counters, since one thread
+    /// owns the fold: counts in [`LogHistogram`]'s buckets, the wrapping
+    /// sum and the extrema. Its count is `events`.
+    buckets: [u64; LOG_BUCKETS],
+    sum: u64,
+    min: u64,
+    max: u64,
     timeline: Vec<u64>,
     rows: Vec<QuerySessionRow>,
     /// Work accounting, merged in by the engine; stays zero for pure
@@ -203,7 +209,10 @@ impl QueryAccumulator {
             events: 0,
             degraded: 0,
             refresh_collisions: 0,
-            hist: LogHistogram::new(),
+            buckets: [0; LOG_BUCKETS],
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
             timeline,
             rows: Vec::new(),
             accounting: QueryAccounting::default(),
@@ -238,7 +247,11 @@ impl QueryAccumulator {
             }
             // Durations are f64 cycles; the histogram domain is u64.
             // `as` saturates (NaN to 0), identically everywhere.
-            self.hist.record(e.duration_cycles as u64);
+            let cycles = e.duration_cycles as u64;
+            self.buckets[LogHistogram::bucket_index(cycles)] += 1;
+            self.sum = self.sum.wrapping_add(cycles);
+            self.min = self.min.min(cycles);
+            self.max = self.max.max(cycles);
             if !self.timeline.is_empty() {
                 let bucket = ((start - self.spec.t0) / self.spec.bucket_samples) as usize;
                 self.timeline[bucket] += 1;
@@ -258,13 +271,13 @@ impl QueryAccumulator {
             events: self.events,
             degraded: self.degraded,
             refresh_collisions: self.refresh_collisions,
-            latency: HistogramSnapshot {
-                count: self.hist.count(),
-                sum: self.hist.sum(),
-                min: self.hist.min(),
-                max: self.hist.max(),
-                buckets: self.hist.nonzero_buckets(),
-            },
+            latency: HistogramSnapshot::from_log_counts(
+                &self.buckets,
+                self.events,
+                self.sum,
+                self.min,
+                self.max,
+            ),
             timeline: self.timeline,
             sessions: self.rows,
             accounting: self.accounting,
@@ -652,8 +665,11 @@ mod tests {
             } else {
                 Confidence::High
             };
-            sj.append_events(seq, &[ev((seq * 1000) as usize, 100.0 + seq as f64, kind, conf)])
-                .unwrap();
+            sj.append_events(
+                seq,
+                &[ev((seq * 1000) as usize, 100.0 + seq as f64, kind, conf)],
+            )
+            .unwrap();
         }
         sj.sync().unwrap();
     }
@@ -683,6 +699,71 @@ mod tests {
         assert_eq!(got.sessions, want.sessions);
         assert_eq!(got.events, 16, "starts 5000..=20000 inclusive");
         fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// The fold's latency histogram against the concurrent
+    /// [`LogHistogram`] fed the same `duration_cycles as u64` values:
+    /// every bucket edge, the saturating casts, a sum that wraps, and
+    /// extrema that span sessions.
+    #[test]
+    fn latency_fold_equals_a_log_histogram() {
+        fn oracle(h: &LogHistogram) -> HistogramSnapshot {
+            HistogramSnapshot {
+                count: h.count(),
+                sum: h.sum(),
+                min: h.min(),
+                max: h.max(),
+                buckets: h.nonzero_buckets(),
+            }
+        }
+        let empty = QueryAccumulator::new(&QuerySpec::all()).unwrap().finish();
+        assert_eq!(empty.latency, oracle(&LogHistogram::new()));
+        assert_eq!((empty.latency.min, empty.latency.max), (None, None));
+
+        let mut durations = vec![
+            0.0,
+            -0.0,
+            0.25,
+            0.999,
+            1.5,
+            2.5,
+            f64::NAN,
+            -3.0,
+            f64::NEG_INFINITY,
+            f64::INFINITY,
+            1e30,
+            u64::MAX as f64,
+            f64::MAX,
+        ];
+        for k in 0..64 {
+            let p = 1u64 << k;
+            durations.extend([(p - 1) as f64, p as f64, (p + 1) as f64]);
+            durations.extend([p as f64 - 0.5, p as f64 + 0.5]);
+        }
+        let wide: u128 = durations.iter().map(|&d| (d as u64) as u128).sum();
+        assert!(wide > u64::MAX as u128, "the sum must wrap");
+
+        let h = LogHistogram::new();
+        let mut acc = QueryAccumulator::new(&QuerySpec::all()).unwrap();
+        let (first, second) = durations.split_at(durations.len() / 2);
+        for (session, part) in [(1, first), (2, second)] {
+            let events: Vec<(u64, StallEvent)> = part
+                .iter()
+                .enumerate()
+                .map(|(i, &d)| {
+                    h.record(d as u64);
+                    (i as u64, ev(i * 10, d, StallKind::Normal, Confidence::High))
+                })
+                .collect();
+            acc.add_session(session, "dev", events.iter());
+        }
+        let got = acc.finish();
+        assert_eq!(got.latency, oracle(&h));
+        assert_eq!(got.latency.count, durations.len() as u64);
+        assert_eq!(
+            (got.latency.min, got.latency.max),
+            (Some(0), Some(u64::MAX))
+        );
     }
 
     #[test]
@@ -814,13 +895,23 @@ mod tests {
         };
         let cache = SegmentCache::default();
         let first = query_journals(&root, &spec, Some(&cache)).unwrap();
-        assert!(first.accounting.segments_pruned > 0, "{:?}", first.accounting);
+        assert!(
+            first.accounting.segments_pruned > 0,
+            "{:?}",
+            first.accounting
+        );
         let second = query_journals(&root, &spec, Some(&cache)).unwrap();
         // Pruned sealed segments were cached by the first query and stay
         // pruned on a hit; only each session's open tail is walked again.
         assert_eq!(second.accounting.cache_misses, 2, "{:?}", second.accounting);
-        assert_eq!(second.accounting.segments_pruned, first.accounting.segments_pruned);
-        assert_eq!(second.accounting.segments_scanned, first.accounting.segments_scanned);
+        assert_eq!(
+            second.accounting.segments_pruned,
+            first.accounting.segments_pruned
+        );
+        assert_eq!(
+            second.accounting.segments_scanned,
+            first.accounting.segments_scanned
+        );
         assert_eq!(second.events, first.events);
         assert_eq!(second.latency, first.latency);
         assert_eq!(second.sessions, first.sessions);
@@ -972,10 +1063,17 @@ mod tests {
             assert!(segs.len() > 8, "{tag}: {} segments", segs.len());
             damage(&segs);
             let results = assert_parallel_equals_sequential(&root);
-            let damaged = results[0].sessions.iter().find(|r| r.session_id == 2).unwrap();
+            let damaged = results[0]
+                .sessions
+                .iter()
+                .find(|r| r.session_id == 2)
+                .unwrap();
             assert_eq!(damaged.events < 60, tag != "clean", "{tag}: {damaged:?}");
             let mixed = results[9].accounting;
-            assert!(mixed.cache_hits > 0 && mixed.cache_misses > 2, "{tag}: {mixed:?}");
+            assert!(
+                mixed.cache_hits > 0 && mixed.cache_misses > 2,
+                "{tag}: {mixed:?}"
+            );
             fs::remove_dir_all(&root).unwrap();
         }
     }

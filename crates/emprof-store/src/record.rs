@@ -138,7 +138,10 @@ pub(crate) fn sequenced(
     first_seq: u64,
     events: &[StallEvent],
 ) -> impl Iterator<Item = (u64, StallEvent)> + '_ {
-    events.iter().enumerate().map(move |(i, e)| (first_seq + i as u64, *e))
+    events
+        .iter()
+        .enumerate()
+        .map(move |(i, e)| (first_seq + i as u64, *e))
 }
 
 /// Identity of a journaled session, written as the first record of a
@@ -530,7 +533,10 @@ mod tests {
         assert_eq!(f.samples_count, 300);
         assert_eq!((f.min_event_start, f.max_event_end), (40, 230));
         assert_eq!((f.min_event_seq, f.max_event_seq), (5, 6));
-        assert_eq!((f.min_duration_cycles, f.max_duration_cycles), (750.0, 1250.0));
+        assert_eq!(
+            (f.min_duration_cycles, f.max_duration_cycles),
+            (750.0, 1250.0)
+        );
         assert!(f.overlaps(0, u64::MAX));
         assert!(f.overlaps(90, 199));
         assert!(!f.overlaps(231, u64::MAX));

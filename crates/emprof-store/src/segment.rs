@@ -229,8 +229,7 @@ fn scan_frames<R>(
     mut read: impl FnMut(u8, &[u8]) -> Result<R, DecodeError>,
 ) -> io::Result<Option<SegmentScan<R>>> {
     let mut seg_header = [0u8; SEGMENT_HEADER_LEN];
-    if file_len < SEGMENT_HEADER_LEN as u64
-        || read_full(src, &mut seg_header)? < SEGMENT_HEADER_LEN
+    if file_len < SEGMENT_HEADER_LEN as u64 || read_full(src, &mut seg_header)? < SEGMENT_HEADER_LEN
     {
         return Ok(None);
     }
@@ -471,10 +470,8 @@ mod tests {
     }
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "emprof-store-seg-{}-{tag}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("emprof-store-seg-{}-{tag}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         dir
@@ -489,13 +486,18 @@ mod tests {
     }
 
     fn cursors(n: u64) -> Vec<Record> {
-        (1..=n).map(|i| Record::Cursor { acked_events: i }).collect()
+        (1..=n)
+            .map(|i| Record::Cursor { acked_events: i })
+            .collect()
     }
 
     #[test]
     fn file_names_roundtrip() {
         for base in [0u64, 1, 42, u64::MAX] {
-            assert_eq!(parse_segment_file_name(&segment_file_name(base)), Some(base));
+            assert_eq!(
+                parse_segment_file_name(&segment_file_name(base)),
+                Some(base)
+            );
         }
         assert_eq!(parse_segment_file_name("seg-x.emj"), None);
         assert_eq!(parse_segment_file_name("other.emj"), None);

@@ -10,10 +10,10 @@ cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Formatting, for the crates that are rustfmt-clean: the simulator, the
-# workload generators, the detector, the DSP substrate, the EM synthesis and
-# the CLI; and for the soak driver's sources, while the rest of emprof-bench
-# is not yet.
-cargo fmt --check -p emprof-sim -p emprof-workloads -p emprof-core -p emprof-signal -p emprof-emsim -p emprof-cli
+# workload generators, the detector, the DSP substrate, the EM synthesis, the
+# CLI and the journal store; and for the soak driver's sources, while the
+# rest of emprof-bench is not yet.
+cargo fmt --check -p emprof-sim -p emprof-workloads -p emprof-core -p emprof-signal -p emprof-emsim -p emprof-cli -p emprof-store
 rustfmt --check --edition 2021 crates/bench/src/soak.rs crates/bench/src/bin/soak/*.rs crates/bench/tests/soak_cli.rs
 
 # Rustdoc with warnings denied: broken or ambiguous intra-doc links
