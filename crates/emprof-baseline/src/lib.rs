@@ -86,7 +86,10 @@ impl PerfModel {
         for (name, v) in [
             ("background_mean", self.background_mean),
             ("background_std", self.background_std),
-            ("observer_misses_per_sample", self.observer_misses_per_sample),
+            (
+                "observer_misses_per_sample",
+                self.observer_misses_per_sample,
+            ),
         ] {
             if !(v >= 0.0 && v.is_finite()) {
                 return Err(format!("{name} must be non-negative, got {v}"));

@@ -124,9 +124,7 @@ impl RefreshConfig {
                     self.burst_interval_ns
                 ));
             }
-            if !(self.burst_duration_ns > 0.0
-                && self.burst_duration_ns < self.burst_interval_ns)
-            {
+            if !(self.burst_duration_ns > 0.0 && self.burst_duration_ns < self.burst_interval_ns) {
                 return Err(format!(
                     "burst_duration_ns ({}) must be positive and smaller than the interval ({})",
                     self.burst_duration_ns, self.burst_interval_ns

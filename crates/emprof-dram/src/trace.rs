@@ -110,8 +110,7 @@ impl CasTrace {
             {
                 let bin_start = i as f64 * sample_period_ns;
                 let bin_end = bin_start + sample_period_ns;
-                let overlap =
-                    (ev.end_ns().min(bin_end) - ev.start_ns.max(bin_start)).max(0.0);
+                let overlap = (ev.end_ns().min(bin_end) - ev.start_ns.max(bin_start)).max(0.0);
                 *env = (*env + overlap / sample_period_ns).min(1.0);
             }
         }

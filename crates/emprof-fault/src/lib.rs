@@ -335,7 +335,9 @@ impl FromStr for FaultPlan {
                 other => return Err(PlanParseError(format!("unknown clause `{other}`"))),
             }
             if parts.next().is_some() {
-                return Err(PlanParseError(format!("clause `{clause}` has extra fields")));
+                return Err(PlanParseError(format!(
+                    "clause `{clause}` has extra fields"
+                )));
             }
         }
         plan.validate().map_err(PlanParseError)?;
@@ -551,7 +553,10 @@ pub fn survivor_dropout_points(dropouts: &[(u64, u64)], faulted: &[f64]) -> Vec<
     let mut cursor = 0usize;
     for start in sorted {
         let start = start as usize;
-        finite += faulted[cursor..start].iter().filter(|v| v.is_finite()).count();
+        finite += faulted[cursor..start]
+            .iter()
+            .filter(|v| v.is_finite())
+            .count();
         cursor = start;
         points.push(finite);
     }
@@ -710,7 +715,10 @@ mod tests {
             "walk=0.1:2.0:0.1",
             "walk=0.1:0.5:0.1:extra",
         ] {
-            assert!(bad.parse::<FaultPlan>().is_err(), "`{bad}` should not parse");
+            assert!(
+                bad.parse::<FaultPlan>().is_err(),
+                "`{bad}` should not parse"
+            );
         }
     }
 

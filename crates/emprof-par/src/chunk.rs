@@ -78,7 +78,11 @@ impl ChunkPlan {
                 start = end;
             }
         }
-        ChunkPlan { chunks, len, margin }
+        ChunkPlan {
+            chunks,
+            len,
+            margin,
+        }
     }
 
     /// The planned chunks, in signal order.
@@ -108,9 +112,13 @@ mod tests {
 
     #[test]
     fn cores_tile_the_signal() {
-        for (len, chunks, margin) in
-            [(100, 4, 10), (101, 4, 0), (7, 16, 3), (1, 1, 5), (1000, 3, 999)]
-        {
+        for (len, chunks, margin) in [
+            (100, 4, 10),
+            (101, 4, 0),
+            (7, 16, 3),
+            (1, 1, 5),
+            (1000, 3, 999),
+        ] {
             let plan = ChunkPlan::new(len, chunks, margin);
             let mut cursor = 0;
             for c in plan.chunks() {

@@ -117,7 +117,10 @@ mod tests {
     fn map_handles_tiny_inputs() {
         let empty: Vec<u32> = Vec::new();
         assert!(parallel_map(Parallelism::new(4), &empty, |&x| x).is_empty());
-        assert_eq!(parallel_map(Parallelism::new(4), &[7u32], |&x| x + 1), vec![8]);
+        assert_eq!(
+            parallel_map(Parallelism::new(4), &[7u32], |&x| x + 1),
+            vec![8]
+        );
     }
 
     #[test]

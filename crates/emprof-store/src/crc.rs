@@ -13,15 +13,36 @@
 //! then its payload, is derived from the CRC a SAMPLES frame already
 //! carried and had verified, so a sample byte is hashed once per side.
 //!
-//! The kernel is slicing-by-8 (eight table lookups per eight bytes)
-//! run as three independent lanes over any input of 768 bytes or more.
-//! One chain waits on each lookup before the next can start; three
-//! chains keep the core busy, about twice the bytes per second on a
-//! journal segment or a SAMPLES payload, with the same tables and
-//! exactly the same digest. The lanes are joined with the algebra of
-//! [`combine`], but the equal lane lengths share one shift, computed
-//! once and applied in Horner form, so a join costs one shift and two
-//! products instead of two of each.
+//! Inputs shorter than 4 KiB run a slicing-by-8 kernel (eight
+//! table lookups per eight bytes), as three independent lanes once they
+//! reach 768 bytes. One chain waits on each lookup before the next can
+//! start; three chains keep the core busy, about twice the bytes per
+//! second, with the same tables and exactly the same digest. The lanes
+//! are joined with the algebra of [`combine`], but the equal lane
+//! lengths share one shift, computed once and applied in Horner form,
+//! so a join costs one shift and two products instead of two of each.
+//!
+//! Longer inputs are *folded* first, with no table at all. Let
+//! `y = x^64`, the shift of one 8-byte word. The sparse polynomial
+//! `Q = y^300 + y^155 + y^117 + y^89 + 1` is a multiple of the CRC
+//! polynomial: `x^(64·j) mod P` is `byte_shift(8·j)`, and a
+//! meet-in-the-middle search over those residues for `j ≤ 700` found
+//! four exponents whose residues XOR to the residue of `y^300` (the
+//! idea behind Chorba, S. Russell, 2024). Since `Q ≡ 0`, a word that
+//! at least 300 more words follow can be removed from its place and
+//! XORed into the words 145, 183, 211 and 300 places later without
+//! changing the digest. The fold does this to every word but
+//! the last 300, front to back, so each folded word carries everything
+//! folded into it; what is left is 300 words whose CRC is the digest.
+//! The register joins the message first: advancing register `r` over a
+//! message is advancing zero over the message with `r` XORed into its
+//! first four bytes, so `r` is XORed into the first word and the fold
+//! continues from zero. The last 300 words cannot be pushed further (a
+//! push would land past the end), so they go through the three-lane
+//! slicing kernel, at one fixed lane length whose shift is a constant.
+//! The fold is a few loads and XORs per word, which the compiler
+//! vectorizes with baseline SSE2; it reads and writes the same bytes as
+//! the tables and needs no `unsafe`, `std::arch` or heap allocation.
 
 /// The reflected IEEE polynomial.
 const POLY: u32 = 0xEDB8_8320;
@@ -66,6 +87,33 @@ static TABLES: [[u32; 256]; 8] = build_tables();
 /// lanes' join costs more than they save.
 const LANE_MIN: usize = 3 * 256;
 
+/// Inputs at least this long are folded ([`fold`]) before the tables
+/// run. The fold needs more than [`FOLD_SPAN`] words, and below about
+/// 3.5 KiB, where those last words are most of the input, it is no
+/// faster than the lanes (DESIGN.md §11).
+const FOLD_MIN: usize = 4096;
+
+/// How far, in words, [`fold`] pushes a word. A word `m` words before
+/// the end stands for `y^m`, and modulo `Q = y^300 + y^155 + y^117 +
+/// y^89 + 1` that is `y^(m−145) + y^(m−183) + y^(m−211) + y^(m−300)`.
+const FOLD_DIST: [usize; 4] = [300 - 155, 300 - 117, 300 - 89, 300];
+
+/// The words a fold leaves unfolded at the end of its input: `Q`'s
+/// degree, the farthest push.
+const FOLD_SPAN: usize = FOLD_DIST[3];
+
+/// The nearest push. A chunk of this many words reads only words that
+/// earlier chunks finished, so its loop has no carried dependency.
+const FOLD_CHUNK: usize = FOLD_DIST[0];
+
+/// The fold's stack window, in words: the [`FOLD_SPAN`] words a chunk
+/// reads back to, then five chunks.
+const FOLD_WINDOW: usize = FOLD_SPAN + 5 * FOLD_CHUNK;
+
+/// The join shift `x^(8·lane)` of the three lanes over a fold's last
+/// [`FOLD_SPAN`] words, a third of them each.
+const TAIL_SHIFT: u32 = byte_shift(8 * FOLD_SPAN / 3);
+
 /// One slicing-by-8 step: the raw register advanced over eight bytes.
 #[inline(always)]
 fn step8(crc: u32, word: &[u8; 8]) -> u32 {
@@ -84,8 +132,9 @@ fn step8(crc: u32, word: &[u8; 8]) -> u32 {
 
 /// Advances the raw (pre-inverted) CRC register over `bytes`.
 ///
-/// An input of at least [`LANE_MIN`] bytes is cut into three equal lanes
-/// of whole 8-byte words and a short tail. One loop runs a slicing-by-8
+/// An input of at least [`FOLD_MIN`] bytes is folded ([`fold`]). An
+/// input of at least [`LANE_MIN`] bytes is cut into three equal lanes of
+/// whole 8-byte words and a short tail. One loop runs a slicing-by-8
 /// chain over each lane, the first from `crc` and the other two from
 /// zero; the three chains share no state, so their table lookups
 /// overlap in the pipeline instead of waiting on one another. The raw
@@ -95,20 +144,21 @@ fn step8(crc: u32, word: &[u8; 8]) -> u32 {
 /// tail, and any shorter input, runs eight bytes per step and then
 /// bytewise.
 fn update(mut crc: u32, mut bytes: &[u8]) -> u32 {
+    if bytes.len() >= FOLD_MIN {
+        return fold(crc, bytes);
+    }
     if bytes.len() >= LANE_MIN {
         let lane = bytes.len() / 24 * 8;
-        let words = bytes[..3 * lane].as_chunks::<8>().0;
-        let (a, rest) = words.split_at(lane / 8);
-        let (b, c) = rest.split_at(lane / 8);
-        let (mut ca, mut cb, mut cc) = (crc, 0, 0);
-        for ((wa, wb), wc) in a.iter().zip(b).zip(c) {
-            ca = step8(ca, wa);
-            cb = step8(cb, wb);
-            cc = step8(cc, wc);
-        }
+        let [ca, cb, cc] = lanes(crc, bytes[..3 * lane].as_chunks::<8>().0);
         crc = join_lanes(ca, cb, cc, lane);
         bytes = &bytes[3 * lane..];
     }
+    chain(crc, bytes)
+}
+
+/// One slicing-by-8 chain over `bytes`, eight bytes per step and then
+/// bytewise.
+fn chain(mut crc: u32, bytes: &[u8]) -> u32 {
     let (words, tail) = bytes.as_chunks::<8>();
     for w in words {
         crc = step8(crc, w);
@@ -117,6 +167,73 @@ fn update(mut crc: u32, mut bytes: &[u8]) -> u32 {
         crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xff) as usize];
     }
     crc
+}
+
+/// Three slicing-by-8 chains over the thirds of `words`, whose length
+/// is a multiple of three: the first from `crc`, the others from zero.
+fn lanes(crc: u32, words: &[[u8; 8]]) -> [u32; 3] {
+    let lane = words.len() / 3;
+    let (a, rest) = words.split_at(lane);
+    let (b, c) = rest.split_at(lane);
+    let (mut ca, mut cb, mut cc) = (crc, 0, 0);
+    for ((wa, wb), wc) in a.iter().zip(b).zip(c) {
+        ca = step8(ca, wa);
+        cb = step8(cb, wb);
+        cc = step8(cc, wc);
+    }
+    [ca, cb, cc]
+}
+
+/// Advances the raw register over `bytes`, at least [`FOLD_MIN`] long,
+/// by folding all but its last [`FOLD_SPAN`] whole words (module docs).
+///
+/// With `d_k` the little-endian words and `n` of them, the folded word
+/// is `w_k = d_k ⊕ w_(k−145) ⊕ w_(k−183) ⊕ w_(k−211) ⊕ w_(k−300)` for
+/// `k < n − 300`, a term before the message being zero except that
+/// `w_(−300)` is the register, which `w_0` alone reads. Each of the last
+/// 300 words is XORed with the terms from folded words only, and the
+/// result is those words' CRC from zero, then the bytes past the last
+/// whole word. The words live in a stack window that slides its last
+/// [`FOLD_SPAN`] words to its front when full; the unfolded words'
+/// slots read as zero. Kept out of line, so that the window's 10 KiB of
+/// stack is reserved only by calls that fold.
+#[inline(never)]
+fn fold(crc: u32, bytes: &[u8]) -> u32 {
+    let (words, tail) = bytes.as_chunks::<8>();
+    let (body, last) = words.split_at(words.len() - FOLD_SPAN);
+    let mut win = [[0u8; 8]; FOLD_WINDOW];
+    win[0] = u64::from(crc).to_le_bytes();
+    for block in body.chunks(FOLD_WINDOW - FOLD_SPAN) {
+        for (at, chunk) in (FOLD_SPAN..)
+            .step_by(FOLD_CHUNK)
+            .zip(block.chunks(FOLD_CHUNK))
+        {
+            let (done, next) = win.split_at_mut(at);
+            fold_words(&mut next[..chunk.len()], chunk, done, at);
+        }
+        let end = FOLD_SPAN + block.len();
+        win.copy_within(end - FOLD_SPAN..end, 0);
+    }
+    let reach = 2 * FOLD_SPAN - FOLD_CHUNK;
+    win[FOLD_SPAN..reach].fill([0; 8]);
+    let mut left = [[0u8; 8]; FOLD_SPAN];
+    fold_words(&mut left, last, &win[..reach], FOLD_SPAN);
+    let [ca, cb, cc] = lanes(0, &left);
+    chain(join_shifted(ca, cb, cc, TAIL_SHIFT), tail)
+}
+
+/// `out[i] = words[i] ⊕ hist[at + i − d]` over the [`FOLD_DIST`] `d`:
+/// one fold step for `out.len()` words, the first of which is `at`
+/// words into `hist`'s numbering.
+#[inline(always)]
+fn fold_words(out: &mut [[u8; 8]], words: &[[u8; 8]], hist: &[[u8; 8]], at: usize) {
+    let n = out.len();
+    let words = &words[..n];
+    let [a, b, c, d] = FOLD_DIST.map(|d| &hist[at - d..][..n]);
+    let le = |w: &[u8; 8]| u64::from_le_bytes(*w);
+    for i in 0..n {
+        out[i] = (le(&words[i]) ^ le(&a[i]) ^ le(&b[i]) ^ le(&c[i]) ^ le(&d[i])).to_le_bytes();
+    }
 }
 
 /// CRC-32 of `bytes` (IEEE, as used by zip/png/ethernet).
@@ -157,7 +274,7 @@ static X2N: [u32; 32] = build_x2n();
 /// `x^(8 len)` modulo the CRC polynomial: the shift that appending
 /// `len` bytes applies to the register before them, in O(log `len`) as
 /// the product of `x^(2^(k+3))` over the set bits `k` of `len`.
-fn byte_shift(len: usize) -> u32 {
+const fn byte_shift(len: usize) -> u32 {
     let mut shift = 1u32 << 31; // x^0
     let mut n = len as u64;
     let mut k = 3;
@@ -185,7 +302,11 @@ pub fn combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
 /// it is computed once and applied in Horner form, `(a·s ⊕ b)·s ⊕ c`:
 /// exactly `combine(combine(a, b, lane), c, lane)`, at half the cost.
 fn join_lanes(a: u32, b: u32, c: u32, lane: usize) -> u32 {
-    let s = byte_shift(lane);
+    join_shifted(a, b, c, byte_shift(lane))
+}
+
+/// [`join_lanes`] with the shift `s` given.
+fn join_shifted(a: u32, b: u32, c: u32, s: u32) -> u32 {
     mul_mod_poly(s, mul_mod_poly(s, a) ^ b) ^ c
 }
 
@@ -247,7 +368,14 @@ mod tests {
     /// The textbook bytewise CRC-32, straight from the polynomial: the
     /// reference the lane kernel must match.
     fn bytewise(bytes: &[u8]) -> u32 {
+        *bytewise_prefixes(bytes).last().unwrap()
+    }
+
+    /// The bytewise digest of every prefix of `bytes`, the empty one
+    /// first, from one pass.
+    fn bytewise_prefixes(bytes: &[u8]) -> Vec<u32> {
         let mut crc = !0u32;
+        let mut digests = vec![!crc];
         for &b in bytes {
             crc ^= b as u32;
             for _ in 0..8 {
@@ -257,8 +385,9 @@ mod tests {
                     crc >> 1
                 };
             }
+            digests.push(!crc);
         }
-        !crc
+        digests
     }
 
     /// Deterministic pseudo-random bytes (64-bit LCG, high byte).
@@ -342,6 +471,60 @@ mod tests {
         }
         inc.update(&data[at..]);
         assert_eq!(inc.finish(), want);
+    }
+
+    #[test]
+    fn sparse_multiple_of_the_polynomial_is_zero() {
+        // Q = y^300 + y^155 + y^117 + y^89 + 1 with y = x^64, and
+        // byte_shift(8·j) = y^j modulo the CRC polynomial.
+        let q = [300, 155, 117, 89, 0]
+            .iter()
+            .fold(0, |acc, &j| acc ^ byte_shift(8 * j));
+        assert_eq!(q, 0);
+        // The fold's distances are Q's: y^300 ≡ the sum of y^(300 − d).
+        let pushed = FOLD_DIST
+            .iter()
+            .fold(0, |acc, &d| acc ^ byte_shift(8 * (FOLD_SPAN - d)));
+        assert_eq!(pushed, byte_shift(8 * FOLD_SPAN));
+    }
+
+    #[test]
+    fn fold_matches_bytewise_at_every_length_around_the_threshold() {
+        // From 64 bytes below the fold threshold to 600 words above it,
+        // at every byte offset within a word: every tail length, every
+        // chunk and window-slide position of the body's end.
+        let data = noise(FOLD_MIN + 8 * 600 + 8, 37);
+        for off in 0..8 {
+            let want = bytewise_prefixes(&data[off..]);
+            for len in FOLD_MIN - 64..=FOLD_MIN + 8 * 600 {
+                let got = crc32(&data[off..off + len]);
+                assert_eq!(got, want[len], "offset {off} length {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_digest_folds_from_any_register() {
+        // Pieces from empty to three fold thresholds long, so the fold
+        // runs from the registers the pieces before it left, and the
+        // digest after every piece equals the bytewise one.
+        let data = noise(1 << 20, 41);
+        let want = bytewise_prefixes(&data);
+        let picks = noise(2 * 150, 43);
+        let mut inc = Crc32::new();
+        let (mut at, mut folded) = (0, 0);
+        for p in picks.chunks_exact(2) {
+            let len = (p[0] as usize * 256 + p[1] as usize) % (3 * FOLD_MIN);
+            let end = (at + len).min(data.len());
+            inc.update(&data[at..end]);
+            folded += usize::from(end - at >= FOLD_MIN && at > 0);
+            at = end;
+            assert_eq!(inc.finish(), want[at], "prefix {at}");
+        }
+        assert!(
+            folded > 50,
+            "only {folded} folds from a register other than !0"
+        );
     }
 
     #[test]

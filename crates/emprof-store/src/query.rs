@@ -104,7 +104,7 @@ impl QuerySpec {
 
     /// Timeline length implied by the window, or an error when it
     /// would exceed [`MAX_TIMELINE_BUCKETS`].
-    pub fn timeline_len(&self) -> io::Result<usize> {
+    fn timeline_len(&self) -> io::Result<usize> {
         if self.bucket_samples == 0 || self.t1 < self.t0 {
             return Ok(0);
         }

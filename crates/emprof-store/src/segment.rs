@@ -73,7 +73,7 @@ pub fn encode_segment_header(base_index: u64) -> [u8; SEGMENT_HEADER_LEN] {
 }
 
 /// Validates a segment header, returning its base index.
-pub fn decode_segment_header(h: &[u8]) -> Option<u64> {
+fn decode_segment_header(h: &[u8]) -> Option<u64> {
     if h.len() < SEGMENT_HEADER_LEN || h[0..8] != SEGMENT_MAGIC {
         return None;
     }

@@ -10,10 +10,11 @@ cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Formatting, for the crates that are rustfmt-clean: the simulator, the
-# workload generators, the detector, the DSP substrate, the EM synthesis, the
-# CLI and the journal store; and for the soak driver's sources, while the
-# rest of emprof-bench is not yet.
-cargo fmt --check -p emprof-sim -p emprof-workloads -p emprof-core -p emprof-signal -p emprof-emsim -p emprof-cli -p emprof-store
+# DRAM model, the workload generators, the detector, the perf-style
+# sampling baseline, the DSP substrate, the EM synthesis, the parallel
+# runtime, the fault injector, the CLI and the journal store; and for the
+# soak driver's sources, while the rest of emprof-bench is not yet.
+cargo fmt --check -p emprof-sim -p emprof-dram -p emprof-workloads -p emprof-core -p emprof-baseline -p emprof-signal -p emprof-emsim -p emprof-par -p emprof-fault -p emprof-cli -p emprof-store
 rustfmt --check --edition 2021 crates/bench/src/soak.rs crates/bench/src/bin/soak/*.rs crates/bench/tests/soak_cli.rs
 
 # Rustdoc with warnings denied: broken or ambiguous intra-doc links
@@ -56,17 +57,24 @@ cargo run -q --release -p emprof-bench --bin perf_pipeline -- --smoke --out targ
 # patterns, and concurrent sessions against a real loopback server.
 cargo test -q --release --test serve_equivalence
 
-# Wire codec, golden wire and journal bytes, the served wire surface,
-# and the allocation-free SAMPLES paths (decode alone; decode, raw
-# journal append and pooled copy together), run optimised too: the
-# payload codecs are generated from their declarations, and the CRC-32
-# kernel and the allocation counts are only meaningful as shipped.
-cargo test -q --release --test prop_codec --test wire_golden --test journal_golden --test serve_wire --test alloc_ingest --test alloc_journal
+# Bit-identity of the CRC-32 kernels, optimised: the fold (a vectorized
+# XOR recurrence over a sparse multiple of the polynomial) against a
+# bytewise reference at every length around its threshold, at every byte
+# offset and from registers other than the initial one, the lanes, and
+# the identity the fold rests on; then the golden wire and journal
+# bytes, which every checksum on disk and on the wire must still match.
+cargo test -q --release -p emprof-store --lib crc
+cargo test -q --release --test journal_golden --test wire_golden
 
-# The store's unit tests, optimised: the three-lane CRC-32 kernel
-# against a bytewise reference at every length to 4 KiB, at odd offsets
-# around the lane threshold and over a multi-MiB buffer fed at random
-# splits, plus the segment walk, the sort-dedup fold and the codecs.
+# Wire codec, the served wire surface, and the allocation-free SAMPLES
+# paths (decode alone; decode, raw journal append and pooled copy
+# together), run optimised too: the payload codecs are generated from
+# their declarations, and the allocation counts are only meaningful as
+# shipped.
+cargo test -q --release --test prop_codec --test serve_wire --test alloc_ingest --test alloc_journal
+
+# The store's unit tests, optimised: the segment walk, the sort-dedup
+# fold and the codecs (the CRC-32 tests above run again here).
 cargo test -q --release -p emprof-store
 
 # Serve soak: 4 concurrent sessions for a fixed number of rounds, their
