@@ -9,7 +9,7 @@
 //!   minimal-movement guarantee: a topology change only moves the keys
 //!   whose arc changed (`tests/prop_ring.rs` proves it).
 //! * [`router`] — the `emprof router` front tier: speaks the existing
-//!   v4 wire protocol to clients, proxies frames to the owning backend,
+//!   wire protocol to clients, proxies frames to the owning backend,
 //!   probes backend health over NODE_HEALTH frames with jittered
 //!   exponential backoff, answers CLUSTER_STATE with the fleet table,
 //!   and serves its own `/metrics`.

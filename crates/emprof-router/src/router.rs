@@ -1,4 +1,4 @@
-//! The router front tier: terminates the v4 protocol toward clients,
+//! The router front tier: terminates the wire protocol toward clients,
 //! owns the session→backend mapping via the [`HashRing`], probes
 //! backend health, and migrates sessions off dead backends by
 //! replaying their `emprof-store` journals into the new owner.
@@ -14,8 +14,10 @@
 //! * `event_offset` — client event seq = backend event seq + offset.
 //!
 //! Both are 0 for a session that has never been lossily migrated, so
-//! the common path forwards sequence numbers unchanged and the
-//! backend's `admit_seq` dedup works on the client's own numbering.
+//! the common path forwards each SAMPLES frame as the sealed bytes that
+//! arrived, and the backend's `admit_seq` dedup works on the client's
+//! own numbering. Only after a lossy migration is a frame copied with
+//! its sequence shifted and resealed.
 //!
 //! ## Migration
 //!
@@ -38,7 +40,7 @@
 //! writer. A *draining* backend keeps its sessions (drain only stops
 //! new placements) until it actually goes down.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -49,11 +51,13 @@ use std::time::{Duration, Instant};
 
 use emprof_obs as obs;
 use emprof_serve::client::{backoff_with_jitter, ClientConfig, ClientError};
-use emprof_serve::net::{self, Ack, Conn, Edge, Stop, POLL_INTERVAL};
+use emprof_serve::net::{self, Ack, Conn, Edge, Incoming, ReplayBuffer, Stop, POLL_INTERVAL};
 use emprof_serve::proto::{
     self, ClusterAction, ErrorCode, Frame, HealthWire, Hello, MetricsReply, NodeHealthWire,
-    QueryResultWire, QuerySpecWire, ServerStatsWire, SessionRow, SAMPLES_FITTING_PAYLOAD, VERSION,
+    QueryResultWire, QuerySpecWire, SamplesView, ServerStatsWire, SessionRow,
+    SAMPLES_FITTING_PAYLOAD, VERSION,
 };
+use emprof_serve::session::splitmix64;
 use emprof_store::JournalConfig;
 
 use crate::ring::{fnv1a_64, HashRing};
@@ -195,8 +199,9 @@ struct RouterSession {
     last_offered_end_c: u64,
     /// Whether the final (FIN) stats were forwarded to the client.
     fin_reported: bool,
-    /// Replay buffer: client-space frames not yet backend-acked.
-    unacked: VecDeque<(u64, Vec<f64>)>,
+    /// Replay buffer: the client's sealed frames, under their
+    /// client-space sequences, not yet backend-acked.
+    unacked: ReplayBuffer,
     /// Oldest frames were dropped from `unacked` (cap); a replay that
     /// needs them must fall back to a client-driven resume.
     unacked_torn: bool,
@@ -230,6 +235,24 @@ impl RouterSession {
             resume_session_id: if resume { self.bsid } else { 0 },
             resume_token: if resume { self.btoken } else { 0 },
         }
+    }
+
+    /// The HELLO_ACK that attaches the client, reporting the backend's
+    /// acked sequence in client space.
+    fn hello_ack(&self) -> Frame {
+        Frame::HelloAck {
+            version: VERSION,
+            session_id: self.rsid,
+            max_samples_per_frame: SAMPLES_FITTING_PAYLOAD,
+            resume_token: self.rtoken,
+            acked_seq: self.backend_acked + self.seq_offset,
+            trace_id: self.trace_id,
+        }
+    }
+
+    /// Finished, and every offered event acknowledged by the client.
+    fn retired(&self) -> bool {
+        self.fin_reported && self.events_acked_c >= self.last_offered_end_c
     }
 }
 
@@ -289,15 +312,6 @@ struct RouterShared {
     local_addr: String,
 }
 
-/// SplitMix64 — the same mixer the serve registry uses for resume
-/// tokens.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 impl RouterShared {
     fn backends_up(&self) -> u64 {
         self.backends
@@ -312,7 +326,11 @@ impl RouterShared {
         let c = &self.counters;
         RouterStatsSnapshot {
             sessions_opened: c.sessions_opened.load(Ordering::Relaxed),
-            sessions_active: self.sessions.lock().unwrap_or_else(|e| e.into_inner()).len() as u64,
+            sessions_active: self
+                .sessions
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .len() as u64,
             frames_in: c.frames_in.load(Ordering::Relaxed),
             samples_in: c.samples_in.load(Ordering::Relaxed),
             events_out: c.events_out.load(Ordering::Relaxed),
@@ -358,33 +376,18 @@ impl RouterShared {
         }
     }
 
-    fn backend_journal_dir(&self, name: &str) -> Option<PathBuf> {
-        self.backends
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(name)?
-            .spec
-            .journal_dir
-            .clone()
-    }
-
-    fn backend_addr(&self, name: &str) -> Option<String> {
-        Some(
-            self.backends
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .get(name)?
-                .spec
-                .addr
-                .clone(),
-        )
+    fn backend_spec(&self, name: &str) -> Option<BackendSpec> {
+        let backends = self.backends.lock().unwrap_or_else(|e| e.into_inner());
+        Some(backends.get(name)?.spec.clone())
     }
 
     fn note_migration(&self, from: &str, to: &str, lossy: bool) {
         self.counters.migrations.fetch_add(1, Ordering::Relaxed);
         obs::counter_add!("router.migrations", 1);
         if lossy {
-            self.counters.migrations_lossy.fetch_add(1, Ordering::Relaxed);
+            self.counters
+                .migrations_lossy
+                .fetch_add(1, Ordering::Relaxed);
             obs::counter_add!("router.migrations_lossy", 1);
         }
         let mut backends = self.backends.lock().unwrap_or_else(|e| e.into_inner());
@@ -483,7 +486,11 @@ impl RouterShared {
     }
 
     fn note_sessions_active(&self) {
-        let n = self.sessions.lock().unwrap_or_else(|e| e.into_inner()).len();
+        let n = self
+            .sessions
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .len();
         obs::gauge_set!("router.sessions_active", n as f64);
     }
 }
@@ -552,32 +559,40 @@ fn migrate_session(shared: &Arc<RouterShared>, sess: &mut RouterSession) -> Resu
 
     // Journal handoff: read the dead node's journal for this session.
     let recovered = shared
-        .backend_journal_dir(&old)
+        .backend_spec(&old)
+        .and_then(|b| b.journal_dir)
         .map(|root| root.join(format!("session-{}", sess.bsid)))
-        .and_then(|dir| emprof_store::read_session(&dir, JournalConfig::default()).ok().flatten()
-            .map(|rec| (dir, rec)));
+        .and_then(|dir| {
+            emprof_store::read_session(&dir, JournalConfig::default())
+                .ok()
+                .flatten()
+                .map(|rec| (dir, rec))
+        });
 
-    if let Some((old_dir, rec)) = recovered {
+    if let Some((_, rec)) = &recovered {
         // The replay buffer must cover everything past the journal's
         // watermark, or the continuation would have a sequence gap the
         // backend rejects. (Client-space seq of the journal watermark.)
         let journal_acked_c = rec.acked_samples_seq + sess.seq_offset;
-        let oldest_buffered = sess.unacked.front().map(|&(cseq, _)| cseq);
         if sess.unacked_torn
-            && oldest_buffered.is_some_and(|cseq| cseq > journal_acked_c + 1)
+            && sess
+                .unacked
+                .oldest_seq()
+                .is_some_and(|cseq| cseq > journal_acked_c + 1)
         {
             return Err(BErr::ReplayGap);
         }
+    }
 
-        let (mut bconn, ack) = dial_backend(&new_addr, sess.hello(false), &shared.stop)?;
+    let (mut bconn, ack) = dial_backend(&new_addr, sess.hello(false), &shared.stop)?;
+    // The backend-space sequence the new owner has ingested through,
+    // and the watermark to record for it.
+    let (ingested, acked) = if let Some((old_dir, rec)) = &recovered {
         // Replay the accepted sample stream with its original backend-
         // space sequence numbers: the deterministic detector rebuilds
         // the exact pre-crash state and event numbering.
         for (seq, samples) in &rec.samples {
-            bconn.write(&Frame::Samples {
-                seq: *seq,
-                samples: samples.clone(),
-            })?;
+            bconn.write_encoded(&proto::encode_samples(*seq, samples))?;
         }
         // Quiesce so the regenerated events finalize, then seed the v3
         // delivery cursor at the recovered value. The events of this
@@ -595,50 +610,43 @@ fn migrate_session(shared: &Arc<RouterShared>, sess: &mut RouterSession) -> Resu
                 seq: rec.acked_events,
             })?;
         }
-        // Top up with the router-buffered frames the journal missed.
-        for (cseq, samples) in &sess.unacked {
-            let bseq = cseq - sess.seq_offset;
-            if bseq > stats.acked_seq {
-                bconn.write(&Frame::Samples {
-                    seq: bseq,
-                    samples: samples.clone(),
-                })?;
-            }
-        }
-        sess.backend = new_name.clone();
-        sess.bsid = ack.session_id;
-        sess.btoken = ack.resume_token;
-        sess.backend_acked = stats.acked_seq.max(rec.acked_samples_seq);
-        shared.note_migration(&old, &new_name, false);
         // The old node is dead; were it to restart on the same journal
         // directory it would resurrect a session the fleet has already
         // moved — delete the handed-off journal to make the migration
         // exactly-once across restarts too.
-        let _ = fs::remove_dir_all(&old_dir);
-        Ok(bconn)
+        let _ = fs::remove_dir_all(old_dir);
+        (stats.acked_seq, stats.acked_seq.max(rec.acked_samples_seq))
     } else {
         // No journal to hand off: bridge a fresh backend session with
         // sequence offsets. The detector state inside the lost window
         // is gone — honestly lossy, counted as such.
-        let (mut bconn, ack) = dial_backend(&new_addr, sess.hello(false), &shared.stop)?;
-        let backend_acked_c = sess.backend_acked + sess.seq_offset;
-        sess.seq_offset = backend_acked_c;
+        sess.seq_offset += sess.backend_acked;
         sess.event_offset = sess.last_offered_end_c.max(sess.events_acked_c);
-        sess.backend = new_name.clone();
-        sess.bsid = ack.session_id;
-        sess.btoken = ack.resume_token;
-        sess.backend_acked = 0;
-        for (cseq, samples) in &sess.unacked {
-            if *cseq > sess.seq_offset {
-                bconn.write(&Frame::Samples {
-                    seq: cseq - sess.seq_offset,
-                    samples: samples.clone(),
-                })?;
-            }
+        (0, 0)
+    };
+    sess.backend = new_name.clone();
+    sess.bsid = ack.session_id;
+    sess.btoken = ack.resume_token;
+    sess.backend_acked = acked;
+    // Top up with the router-buffered frames the new owner lacks.
+    replay_unacked(&mut bconn, sess, ingested + sess.seq_offset)?;
+    shared.note_migration(&old, &new_name, recovered.is_none());
+    Ok(bconn)
+}
+
+/// Writes every buffered frame past client-space sequence `after_c` to
+/// the backend: as it arrived while the session's sequence offset is 0,
+/// and after a lossy migration as a copy resealed under its
+/// backend-space sequence.
+fn replay_unacked(b: &mut Conn, sess: &RouterSession, after_c: u64) -> io::Result<()> {
+    for (cseq, frame) in sess.unacked.after(after_c.max(sess.seq_offset)) {
+        if sess.seq_offset == 0 {
+            b.write_encoded(frame)?;
+        } else {
+            b.write_encoded(&proto::resequence_samples(frame, cseq - sess.seq_offset))?;
         }
-        shared.note_migration(&old, &new_name, true);
-        Ok(bconn)
     }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -802,10 +810,15 @@ fn prober_loop(shared: &Arc<RouterShared>) {
             if next_probe.get(&name).is_some_and(|&t| now < t) {
                 continue;
             }
-            let Some(addr) = shared.backend_addr(&name) else {
+            let Some(BackendSpec { addr, .. }) = shared.backend_spec(&name) else {
                 continue;
             };
-            match ask_backend(&addr, &Frame::NodeHealthRequest, &shared.stop, REPLY_TIMEOUT) {
+            match ask_backend(
+                &addr,
+                &Frame::NodeHealthRequest,
+                &shared.stop,
+                REPLY_TIMEOUT,
+            ) {
                 Ok(Frame::NodeHealthReply(reply)) => {
                     let mut backends = shared.backends.lock().unwrap_or_else(|e| e.into_inner());
                     if let Some(b) = backends.get_mut(&name) {
@@ -824,7 +837,10 @@ fn prober_loop(shared: &Arc<RouterShared>) {
                     next_probe.insert(name, now + shared.config.probe_interval);
                 }
                 _ => {
-                    shared.counters.probe_failures.fetch_add(1, Ordering::Relaxed);
+                    shared
+                        .counters
+                        .probe_failures
+                        .fetch_add(1, Ordering::Relaxed);
                     obs::counter_add!("router.probe_failures", 1);
                     let (failures, marked_down) = {
                         let mut backends =
@@ -1007,15 +1023,13 @@ fn apply_cluster_join(
     match action {
         ClusterAction::Join => {
             let mut backends = shared.backends.lock().unwrap_or_else(|e| e.into_inner());
-            let state = backends
-                .entry(name.to_string())
-                .or_insert_with(|| {
-                    BackendState::new(BackendSpec {
-                        name: name.to_string(),
-                        addr: addr.to_string(),
-                        journal_dir: None,
-                    })
-                });
+            let state = backends.entry(name.to_string()).or_insert_with(|| {
+                BackendState::new(BackendSpec {
+                    name: name.to_string(),
+                    addr: addr.to_string(),
+                    journal_dir: None,
+                })
+            });
             if !addr.is_empty() {
                 state.spec.addr = addr.to_string();
             }
@@ -1078,7 +1092,11 @@ fn proxy_connection(conn: &mut Conn, shared: &Arc<RouterShared>, hello: Hello) {
             None => return,
         }
     };
-    let exit = proxy_loop(conn, shared, &entry, &mut bconn, my_gen);
+    let ack = entry.lock().unwrap_or_else(|e| e.into_inner()).hello_ack();
+    let exit = match conn.write(&ack) {
+        Ok(()) => proxy_loop(conn, shared, &entry, &mut bconn, my_gen),
+        Err(_) => ProxyExit::Lost,
+    };
     let rsid = {
         let mut s = entry.lock().unwrap_or_else(|e| e.into_inner());
         if s.conn_gen == my_gen {
@@ -1165,7 +1183,7 @@ fn attach_fresh(
         events_acked_c: 0,
         last_offered_end_c: 0,
         fin_reported: false,
-        unacked: VecDeque::new(),
+        unacked: ReplayBuffer::default(),
         unacked_torn: false,
         events_degraded: 0,
         conn_gen: 1,
@@ -1180,24 +1198,12 @@ fn attach_fresh(
         .lock()
         .unwrap_or_else(|e| e.into_inner())
         .insert(rsid, Arc::clone(&entry));
-    shared.counters.sessions_opened.fetch_add(1, Ordering::Relaxed);
+    shared
+        .counters
+        .sessions_opened
+        .fetch_add(1, Ordering::Relaxed);
     obs::counter_add!("router.sessions_opened", 1);
     shared.note_sessions_active();
-    if conn
-        .write(&Frame::HelloAck {
-            version: VERSION,
-            session_id: rsid,
-            max_samples_per_frame: SAMPLES_FITTING_PAYLOAD,
-            resume_token: rtoken,
-            acked_seq: 0,
-            trace_id,
-        })
-        .is_err()
-    {
-        let mut s = entry.lock().unwrap_or_else(|e| e.into_inner());
-        s.attached = false;
-        return None;
-    }
     Some((entry, bconn, 1))
 }
 
@@ -1237,7 +1243,10 @@ fn attach_resume(
     // First try to reclaim the current owner; a dead owner triggers
     // migration (journaled when possible).
     let bconn = match dial_backend(
-        &shared.backend_addr(&s.backend).unwrap_or_default(),
+        &shared
+            .backend_spec(&s.backend)
+            .map(|b| b.addr)
+            .unwrap_or_default(),
         s.hello(true),
         &shared.stop,
     ) {
@@ -1245,7 +1254,10 @@ fn attach_resume(
             s.backend_acked = ack.acked_seq;
             Ok(bconn)
         }
-        Err(BErr::Backend(ClientError::Server { code: ErrorCode::NoSession, .. })) => {
+        Err(BErr::Backend(ClientError::Server {
+            code: ErrorCode::NoSession,
+            ..
+        })) => {
             // The backend reaped or retired it; nothing to resume.
             drop(s);
             conn.bail(ErrorCode::NoSession, "session expired on its backend");
@@ -1264,28 +1276,10 @@ fn attach_resume(
     // Prune the replay buffer to the surviving watermark before the
     // client replays on top of it.
     let acked_c = s.backend_acked + s.seq_offset;
-    while s.unacked.front().is_some_and(|&(cseq, _)| cseq <= acked_c) {
-        s.unacked.pop_front();
-    }
+    s.unacked.prune_through(acked_c);
     shared.counters.reconnects.fetch_add(1, Ordering::Relaxed);
     obs::counter_add!("router.reconnects", 1);
-    let ack = Frame::HelloAck {
-        version: VERSION,
-        session_id: s.rsid,
-        max_samples_per_frame: SAMPLES_FITTING_PAYLOAD,
-        resume_token: s.rtoken,
-        acked_seq: acked_c,
-        trace_id: s.trace_id,
-    };
     drop(s);
-    if conn.write(&ack).is_err() {
-        let mut s = entry.lock().unwrap_or_else(|e| e.into_inner());
-        if s.conn_gen == my_gen {
-            s.attached = false;
-        }
-        let _ = bconn;
-        return None;
-    }
     Some((entry, bconn, my_gen))
 }
 
@@ -1321,11 +1315,14 @@ fn proxy_loop(
     my_gen: u64,
 ) -> ProxyExit {
     loop {
-        let frame = match conn.read_frame(&shared.stop, None) {
+        // A SAMPLES frame is kept as the sealed bytes that arrived.
+        let keep = |v: SamplesView<'_>| (v.seq, v.len(), v.frame().to_vec());
+        let no_heartbeat = None::<(Duration, fn() -> Frame)>;
+        let frame = match conn.read_frame_with(&shared.stop, None, no_heartbeat, keep) {
             Ok(Some(f)) => f,
             Ok(None) => {
                 let s = entry.lock().unwrap_or_else(|e| e.into_inner());
-                return if s.fin_reported && s.events_acked_c >= s.last_offered_end_c {
+                return if s.retired() {
                     ProxyExit::Retired
                 } else {
                     ProxyExit::Lost
@@ -1355,35 +1352,22 @@ fn proxy_loop(
             }
         }
         match frame {
-            Frame::Samples { seq, samples } => {
-                shared.counters.frames_in.fetch_add(1, Ordering::Relaxed);
-                shared
-                    .counters
-                    .samples_in
-                    .fetch_add(samples.len() as u64, Ordering::Relaxed);
-                shared.counters.bytes_in.fetch_add(
-                    proto::samples_frame_len(samples.len()) as u64,
-                    Ordering::Relaxed,
-                );
+            Incoming::Samples((seq, n, sealed)) => {
+                let c = &shared.counters;
+                c.frames_in.fetch_add(1, Ordering::Relaxed);
+                c.samples_in.fetch_add(n as u64, Ordering::Relaxed);
+                c.bytes_in.fetch_add(sealed.len() as u64, Ordering::Relaxed);
                 obs::counter_add!("router.frames_forwarded", 1);
-                s.samples_pushed += samples.len() as u64;
+                s.samples_pushed += n as u64;
                 // Buffer before forwarding: a mid-write backend death is
                 // then covered by the migration replay.
-                s.unacked.push_back((seq, samples));
+                s.unacked.push(seq, sealed);
                 while s.unacked.len() > UNACKED_CAP {
-                    s.unacked.pop_front();
+                    s.unacked.pop_oldest();
                     s.unacked_torn = true;
                 }
                 let forward = with_backend_retry(shared, &mut s, bconn, |b, s| {
-                    let (bseq, samples) = {
-                        let (cseq, samples) = s.unacked.back().expect("just pushed");
-                        (cseq - s.seq_offset, samples.clone())
-                    };
-                    b.write(&Frame::Samples {
-                        seq: bseq,
-                        samples,
-                    })?;
-                    Ok(())
+                    Ok(replay_unacked(b, s, seq.saturating_sub(1))?)
                 });
                 if let Err(e) = forward {
                     drop(s);
@@ -1391,7 +1375,7 @@ fn proxy_loop(
                     return ProxyExit::Lost;
                 }
             }
-            ctl @ (Frame::Flush | Frame::Fin) => {
+            Incoming::Frame(ctl @ (Frame::Flush | Frame::Fin)) => {
                 let fin = matches!(ctl, Frame::Fin);
                 // Forward the control frame and stream the reply back,
                 // translating the event and sample numbering. On a
@@ -1436,8 +1420,9 @@ fn proxy_loop(
                             // Re-offered (unacked) events reappear below
                             // the watermark; only count the fresh suffix.
                             let prev = s.last_offered_end_c;
-                            s.last_offered_end_c =
-                                s.last_offered_end_c.max(first_seq + events.len() as u64 - 1);
+                            s.last_offered_end_c = s
+                                .last_offered_end_c
+                                .max(first_seq + events.len() as u64 - 1);
                             s.events_degraded += events
                                 .iter()
                                 .enumerate()
@@ -1453,10 +1438,7 @@ fn proxy_loop(
                         }
                         Frame::Stats(stats) => {
                             s.backend_acked = stats.acked_seq.saturating_sub(s.seq_offset);
-                            let acked_c = stats.acked_seq;
-                            while s.unacked.front().is_some_and(|&(cseq, _)| cseq <= acked_c) {
-                                s.unacked.pop_front();
-                            }
+                            s.unacked.prune_through(stats.acked_seq);
                             if s.unacked.is_empty() {
                                 s.unacked_torn = false;
                             }
@@ -1474,14 +1456,13 @@ fn proxy_loop(
                     }
                 }
             }
-            Frame::EventsAck { seq } => {
+            Incoming::Frame(Frame::EventsAck { seq }) => {
                 s.events_acked_c = s.events_acked_c.max(seq);
                 let bseq = seq.saturating_sub(s.event_offset);
-                let retired = s.fin_reported && s.events_acked_c >= s.last_offered_end_c;
+                let retired = s.retired();
                 if bseq > 0 {
                     let forward = with_backend_retry(shared, &mut s, bconn, |b, _| {
-                        b.write(&Frame::EventsAck { seq: bseq })?;
-                        Ok(())
+                        Ok(b.write(&Frame::EventsAck { seq: bseq })?)
                     });
                     if forward.is_err() && !retired {
                         drop(s);

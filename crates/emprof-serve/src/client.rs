@@ -48,7 +48,6 @@
 //! idle-but-alive connection never trips the read timeout. All knobs
 //! live in [`ClientConfig`].
 
-use std::collections::VecDeque;
 use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::time::Duration;
@@ -56,7 +55,7 @@ use std::time::Duration;
 use emprof_core::{EmprofConfig, StallEvent};
 use emprof_obs as obs;
 
-use crate::net::{Ack, Conn, NO_STOP};
+use crate::net::{Ack, Conn, ReplayBuffer, NO_STOP};
 use crate::proto::{
     self, ClusterAction, ErrorCode, FlightDumpWire, Frame, HealthWire, Hello, MetricsReply,
     NodeHealthWire, ProtoError, QueryResultWire, QuerySpecWire, SessionStatsWire, Tail,
@@ -139,7 +138,10 @@ impl std::fmt::Display for ClientError {
             }
             ClientError::Unexpected(what) => write!(f, "unexpected server reply: {what}"),
             ClientError::ReconnectFailed { attempts, last } => {
-                write!(f, "reconnect failed after {attempts} attempts; last error: {last}")
+                write!(
+                    f,
+                    "reconnect failed after {attempts} attempts; last error: {last}"
+                )
             }
         }
     }
@@ -329,12 +331,10 @@ struct Upload {
     max_samples_per_frame: usize,
     /// Sequence for the next SAMPLES frame (sequences start at 1).
     next_seq: u64,
-    /// Highest sequence the server has acknowledged.
-    acked_seq: u64,
-    /// Frames past `acked_seq` with their sequence numbers, retained
-    /// for replay after a resume: the bytes encoded and sealed once by
-    /// [`ProfileClient::send`], written again as they are.
-    unacked: VecDeque<(u64, Vec<u8>)>,
+    /// Frames past the highest sequence the server has acknowledged,
+    /// retained for replay after a resume: the bytes encoded and sealed
+    /// once by [`ProfileClient::send`], written again as they are.
+    unacked: ReplayBuffer,
     /// Highest event sequence number consumed (events are numbered from
     /// 1 by the server). Replies re-offer the server's unacked suffix;
     /// everything at or below this watermark is a duplicate and is
@@ -354,14 +354,7 @@ impl Upload {
         self.resume_token = ack.resume_token;
         self.trace_id = ack.trace_id;
         self.max_samples_per_frame = ack.max_samples_per_frame as usize;
-        self.note_acked(ack.acked_seq);
-    }
-
-    fn note_acked(&mut self, acked: u64) {
-        self.acked_seq = self.acked_seq.max(acked);
-        while self.unacked.front().is_some_and(|(seq, _)| *seq <= self.acked_seq) {
-            self.unacked.pop_front();
-        }
+        self.unacked.prune_through(ack.acked_seq);
     }
 
     /// Reads an `EVENTS* STATS` reply, deduplicating against the
@@ -390,7 +383,7 @@ impl Upload {
                 }
             },
         );
-        self.note_acked(hb_acked);
+        self.unacked.prune_through(hb_acked);
         let stats = reply?;
         self.pending_events.extend(fresh);
         self.events_seen = self.events_seen.max(offered);
@@ -409,7 +402,7 @@ impl Reattach for Upload {
             ..self.hello.clone()
         };
         self.adopt(conn.handshake(hello, &NO_STOP, timeout)?);
-        for (_, frame) in &self.unacked {
+        for (_, frame) in self.unacked.after(0) {
             conn.write_encoded(frame)?;
         }
         Ok(())
@@ -499,8 +492,7 @@ impl ProfileClient {
             trace_id: 0,
             max_samples_per_frame: 1,
             next_seq: 1,
-            acked_seq: 0,
-            unacked: VecDeque::new(),
+            unacked: ReplayBuffer::default(),
             events_seen: 0,
             pending_events: Vec::new(),
         };
@@ -548,16 +540,15 @@ impl ProfileClient {
             self.upload.next_seq += 1;
             self.upload
                 .unacked
-                .push_back((seq, proto::encode_samples(seq, chunk)));
+                .push(seq, proto::encode_samples(seq, chunk));
             // On transport loss, the resume replays the whole unacked
             // queue (which includes this frame); the retried write is
             // then a duplicate the server drops by sequence number. A
             // resume that reports the frame ingested has dropped it
             // from the queue, and nothing is left to write.
             self.link.run(&mut self.upload, |conn, upload| {
-                match upload.unacked.back() {
-                    Some((last, frame)) if *last == seq => conn.write_encoded(frame)?,
-                    _ => {}
+                for (_, frame) in upload.unacked.after(seq - 1) {
+                    conn.write_encoded(frame)?;
                 }
                 Ok(())
             })?;
@@ -617,7 +608,7 @@ impl ProfileClient {
             conn.write(&Frame::EventsAck { seq: offered })?;
             Ok(stats)
         })?;
-        self.upload.note_acked(stats.acked_seq);
+        self.upload.unacked.prune_through(stats.acked_seq);
         Ok(stats)
     }
 
@@ -644,7 +635,7 @@ impl ProfileClient {
             |a| hb_acked = hb_acked.max(a),
             |_, _| {},
         )?;
-        self.upload.note_acked(hb_acked);
+        self.upload.unacked.prune_through(hb_acked);
         self.drop_connection();
         Ok(())
     }
@@ -913,7 +904,8 @@ impl MetricsClient {
     /// reconnecting (polling is stateless, so a retry is always safe).
     fn request(&mut self, req: &Frame) -> Result<Frame, ClientError> {
         let timeout = self.link.cfg.read_timeout;
-        self.link.run(&mut (), |conn, ()| conn.ask(req, &NO_STOP, timeout))
+        self.link
+            .run(&mut (), |conn, ()| conn.ask(req, &NO_STOP, timeout))
     }
 }
 

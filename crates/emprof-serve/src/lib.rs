@@ -238,8 +238,7 @@ mod tests {
             },
         )
         .unwrap();
-        let _first =
-            ProfileClient::connect(server.local_addr(), "a", config(), FS, CLK).unwrap();
+        let _first = ProfileClient::connect(server.local_addr(), "a", config(), FS, CLK).unwrap();
         let second = ProfileClient::connect(server.local_addr(), "b", config(), FS, CLK);
         match second {
             Err(ClientError::Server { code, .. }) => {
@@ -268,7 +267,9 @@ mod tests {
         use std::io::{Read, Write};
         let server = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
         let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
-        stream.write_all(b"GET / HTTP/1.1\r\n\r\n................").unwrap();
+        stream
+            .write_all(b"GET / HTTP/1.1\r\n\r\n................")
+            .unwrap();
         let mut reply = Vec::new();
         stream
             .set_read_timeout(Some(std::time::Duration::from_secs(5)))

@@ -15,8 +15,10 @@
 //! a reply, absorbing HEARTBEATs and turning ERROR frames into
 //! [`ClientError::Server`]. The three clients and the router's backend
 //! leg read every reply through it, so [`Conn::read_frame_with`] is the
-//! one place frames are read off a socket.
+//! one place frames are read off a socket. Both ends of a routed link
+//! keep their unacknowledged SAMPLES frames in one [`ReplayBuffer`].
 
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -105,6 +107,58 @@ pub enum Incoming<S> {
     Samples(S),
     /// Any frame but SAMPLES.
     Frame(Frame),
+}
+
+/// Sealed SAMPLES frames sent but not yet acknowledged, by ascending
+/// sequence: a client's resume replay, a router's migration replay.
+/// When to flush or drop frames is its owner's rule.
+#[derive(Debug, Default)]
+pub struct ReplayBuffer {
+    frames: VecDeque<(u64, Vec<u8>)>,
+}
+
+impl ReplayBuffer {
+    /// Appends `frame`, sealed under sequence `seq`. A replayed `seq`
+    /// first drops the held frames from `seq` on, so each is held once.
+    pub fn push(&mut self, seq: u64, frame: Vec<u8>) {
+        while self.frames.back().is_some_and(|&(s, _)| s >= seq) {
+            self.frames.pop_back();
+        }
+        self.frames.push_back((seq, frame));
+    }
+
+    /// Drops every frame through sequence `acked`.
+    pub fn prune_through(&mut self, acked: u64) {
+        while self.oldest_seq().is_some_and(|s| s <= acked) {
+            self.frames.pop_front();
+        }
+    }
+
+    /// The oldest buffered sequence.
+    pub fn oldest_seq(&self) -> Option<u64> {
+        self.frames.front().map(|&(s, _)| s)
+    }
+
+    /// Removes the oldest frame.
+    pub fn pop_oldest(&mut self) -> Option<(u64, Vec<u8>)> {
+        self.frames.pop_front()
+    }
+
+    /// The frames past sequence `seq`, oldest first.
+    pub fn after(&self, seq: u64) -> impl Iterator<Item = (u64, &[u8])> {
+        let start = self.frames.partition_point(|&(s, _)| s <= seq);
+        self.frames.range(start..).map(|(s, f)| (*s, f.as_slice()))
+    }
+
+    /// Number of frames held.
+    pub fn len(&self) -> usize {
+        self.frames.len()
+    }
+
+    /// Whether no frame is held.
+    pub fn is_empty(&self) -> bool {
+        self.frames.is_empty()
+    }
 }
 
 /// A framed connection with an accumulation buffer, so short read
@@ -483,8 +537,7 @@ impl Edge {
                         .name(format!("{}-conn", S::NAME))
                         .spawn(move || conn_service.serve(stream));
                     if let Ok(handle) = spawned {
-                        let mut readers =
-                            accept_readers.lock().unwrap_or_else(|e| e.into_inner());
+                        let mut readers = accept_readers.lock().unwrap_or_else(|e| e.into_inner());
                         // An exited thread keeps its stack until its
                         // handle is joined or dropped: let go of the
                         // readers whose connection has ended, so memory
@@ -696,6 +749,46 @@ mod tests {
         frames
     }
 
+    fn held(buf: &ReplayBuffer, after: u64) -> Vec<(u64, Vec<u8>)> {
+        buf.after(after).map(|(s, f)| (s, f.to_vec())).collect()
+    }
+
+    #[test]
+    fn replay_buffer_prunes_through_the_ack_and_replays_past_it() {
+        let mut buf = ReplayBuffer::default();
+        assert!(buf.is_empty() && buf.oldest_seq().is_none());
+        for seq in 3..=8u64 {
+            buf.push(seq, vec![seq as u8; seq as usize]);
+        }
+        assert_eq!((buf.len(), buf.oldest_seq()), (6, Some(3)));
+        let seqs = |after| {
+            held(&buf, after)
+                .into_iter()
+                .map(|(s, _)| s)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(seqs(0), [3, 4, 5, 6, 7, 8]);
+        assert_eq!(seqs(5), [6, 7, 8]);
+        assert_eq!(seqs(7), [8]);
+        assert!(seqs(8).is_empty());
+        assert_eq!(held(&buf, 7), [(8, vec![8u8; 8])]);
+
+        // Pruning drops the acked frame itself, and nothing past it.
+        buf.prune_through(5);
+        assert_eq!((buf.len(), buf.oldest_seq()), (3, Some(6)));
+        buf.prune_through(2);
+        assert_eq!(buf.len(), 3);
+
+        // A replayed sequence replaces the frames from it on.
+        buf.push(7, vec![70]);
+        assert_eq!(held(&buf, 0), [(6, vec![6u8; 6]), (7, vec![70])]);
+        buf.push(8, vec![80]);
+        assert_eq!(buf.pop_oldest(), Some((6, vec![6u8; 6])));
+        assert_eq!(held(&buf, 0), [(7, vec![70]), (8, vec![80])]);
+        buf.prune_through(u64::MAX);
+        assert!(buf.is_empty());
+    }
+
     #[test]
     fn pieces_straddling_poll_timeouts_decode_in_order() {
         let frames = mixed_frames();
@@ -846,7 +939,10 @@ mod tests {
             drop(TcpStream::connect(edge.local_addr()).unwrap());
             let started = Instant::now();
             while service.served.load(Ordering::SeqCst) < n {
-                assert!(started.elapsed() < Duration::from_secs(10), "connection {n} hung");
+                assert!(
+                    started.elapsed() < Duration::from_secs(10),
+                    "connection {n} hung"
+                );
                 std::thread::sleep(Duration::from_millis(2));
             }
             // Every accept lets go of the readers that had exited: held

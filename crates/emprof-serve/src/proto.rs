@@ -19,9 +19,9 @@
 //! Both checksums are the journal's CRC-32 ([`emprof_store::crc`]), so
 //! a SAMPLES payload is hashed once on each side: the sender seals it
 //! with [`encode_samples`] (or [`encode_frame`]), the receiver verifies
-//! it while splitting the frame, and the verified CRC travels on in the
-//! [`SamplesView`], from which the journal derives its record CRC for the
-//! same bytes without reading them again.
+//! it while splitting the frame, and the verified frame travels on in
+//! the [`SamplesView`]: the journal takes its record CRC from the header
+//! without reading the payload again, and a router forwards the frame.
 //!
 //! Decoding is fuzz-resistant by construction: the header is validated
 //! (magic, version, header checksum, length bound) before a single
@@ -814,12 +814,18 @@ impl std::fmt::Display for ProtoError {
             ProtoError::Io(e) => write!(f, "i/o: {e}"),
             ProtoError::BadMagic => write!(f, "bad magic (not an EMPROF stream)"),
             ProtoError::UnsupportedVersion(v) => {
-                write!(f, "unsupported protocol version {v} (this build speaks {VERSION})")
+                write!(
+                    f,
+                    "unsupported protocol version {v} (this build speaks {VERSION})"
+                )
             }
             ProtoError::HeaderChecksum => write!(f, "header checksum mismatch"),
             ProtoError::PayloadChecksum => write!(f, "payload checksum mismatch"),
             ProtoError::Oversized(n) => {
-                write!(f, "payload of {n} bytes exceeds the {MAX_PAYLOAD}-byte bound")
+                write!(
+                    f,
+                    "payload of {n} bytes exceeds the {MAX_PAYLOAD}-byte bound"
+                )
             }
             ProtoError::UnknownType(t) => write!(f, "unknown frame type {t}"),
             ProtoError::Malformed(what) => write!(f, "malformed payload: {what}"),
@@ -904,19 +910,19 @@ pub fn seal_frame(ty: u8, flags: u8, payload: &[u8]) -> Vec<u8> {
 // SAMPLES view.
 
 /// A SAMPLES frame decoded zero-copy: the sequence number plus the
-/// payload bytes, borrowed straight from the receive buffer, and the
-/// payload CRC-32 the frame carried and the decoder verified. Samples
+/// whole verified frame, header and payload, borrowed straight from the
+/// receive buffer. The payload and its CRC-32 are read from that frame,
+/// so a journal appends the payload under the checksum the decoder
+/// verified, and a router forwards the frame as it arrived. Samples
 /// are decoded lazily as they are read, so a frame that is validated
 /// but never consumed costs no per-sample work at all.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SamplesView<'a> {
     /// Sequence number of this batch (first sample's global index).
     pub seq: u64,
-    /// The whole payload: sequence number, count, then `len() * 8`
-    /// bytes of little-endian f64s.
-    payload: &'a [u8],
-    /// CRC-32 of `payload`, verified against the frame header.
-    crc: u32,
+    /// The whole frame: the header, then the payload of sequence
+    /// number, count and `len() * 8` bytes of little-endian f64s.
+    frame: &'a [u8],
 }
 
 /// Payload bytes ahead of a SAMPLES frame's samples: sequence and count.
@@ -934,7 +940,7 @@ impl<'a> SamplesView<'a> {
     /// Number of samples in the frame.
     #[must_use]
     pub fn len(&self) -> usize {
-        (self.payload.len() - SAMPLES_PREFIX) / 8
+        (self.frame.len() - HEADER_LEN - SAMPLES_PREFIX) / 8
     }
 
     /// Whether the frame carries no samples.
@@ -943,23 +949,29 @@ impl<'a> SamplesView<'a> {
         self.len() == 0
     }
 
+    /// The frame's bytes exactly as they arrived, header included.
+    #[must_use]
+    pub fn frame(&self) -> &'a [u8] {
+        self.frame
+    }
+
     /// The payload bytes as they arrived — the encoding a journal
     /// `Samples` record stores.
     #[must_use]
     pub fn payload(&self) -> &'a [u8] {
-        self.payload
+        &self.frame[HEADER_LEN..]
     }
 
-    /// The payload's CRC-32, as the frame carried it and the decoder
-    /// verified it.
+    /// The payload's CRC-32, as the frame's header carried it and the
+    /// decoder verified it.
     #[must_use]
     pub fn crc(&self) -> u32 {
-        self.crc
+        u32::from_le_bytes(self.frame[12..HEADER_LEN].try_into().unwrap())
     }
 
     /// Iterates the samples, decoding each f64 from the borrowed bytes.
     pub fn iter(&self) -> impl Iterator<Item = f64> + 'a {
-        codec::f64s(&self.payload[SAMPLES_PREFIX..])
+        codec::f64s(&self.frame[HEADER_LEN + SAMPLES_PREFIX..])
     }
 
     /// Appends every sample to `out`. Reserves once up front; when `out`
@@ -981,15 +993,26 @@ pub enum FrameView<'a> {
     Owned(Frame),
 }
 
-/// Parses and bounds-checks a SAMPLES payload, whose CRC-32 `crc`
-/// verified, into a [`SamplesView`]. Shares validation with the owned
-/// decode path: sequence number, sample count against
-/// [`SAMPLES_FITTING_PAYLOAD`], exact payload length.
-fn samples_view(payload: &[u8], crc: u32) -> Result<SamplesView<'_>, DecodeError> {
-    let mut c = Reader::new(payload);
+/// Parses and bounds-checks a verified SAMPLES frame into a
+/// [`SamplesView`]. Shares validation with the owned decode path:
+/// sequence number, sample count against [`SAMPLES_FITTING_PAYLOAD`],
+/// exact payload length.
+fn samples_view(frame: &[u8]) -> Result<SamplesView<'_>, DecodeError> {
+    let mut c = Reader::new(&frame[HEADER_LEN..]);
     let (seq, _) = c.samples(SAMPLES_FITTING_PAYLOAD)?;
     c.done()?;
-    Ok(SamplesView { seq, payload, crc })
+    Ok(SamplesView { seq, frame })
+}
+
+/// A copy of `frame`, a sealed SAMPLES frame, carrying sequence number
+/// `seq` instead of its own, resealed: the bytes [`encode_samples`]
+/// writes for `seq` and the same samples, without decoding them.
+#[must_use]
+pub fn resequence_samples(frame: &[u8], seq: u64) -> Vec<u8> {
+    let mut out = frame.to_vec();
+    out[HEADER_LEN..HEADER_LEN + 8].copy_from_slice(&seq.to_le_bytes());
+    seal(&mut out, FrameType::Samples as u8, 0);
+    out
 }
 
 // The frame table: each variant's frame type, payload and, for the two
@@ -1109,9 +1132,9 @@ fn validate_header(header: &[u8]) -> Result<(FrameType, u8, usize, u32), ProtoEr
 /// Validates and splits one frame out of a byte slice **without
 /// copying**: header checks, then the payload CRC-32 verified over the
 /// borrowed payload bytes — the one pass over them on the receiving
-/// side. Returns the frame type, flags, the payload slice, its verified
-/// CRC, and the total bytes consumed.
-fn split_frame(bytes: &[u8]) -> Result<(FrameType, u8, &[u8], u32, usize), ProtoError> {
+/// side. Returns the frame type, flags, the payload slice, and the
+/// total bytes consumed.
+fn split_frame(bytes: &[u8]) -> Result<(FrameType, u8, &[u8], usize), ProtoError> {
     if bytes.len() < HEADER_LEN {
         return Err(ProtoError::Io(io::ErrorKind::UnexpectedEof.into()));
     }
@@ -1124,7 +1147,7 @@ fn split_frame(bytes: &[u8]) -> Result<(FrameType, u8, &[u8], u32, usize), Proto
     if crc32(payload) != sum {
         return Err(ProtoError::PayloadChecksum);
     }
-    Ok((ty, flags, payload, sum, end))
+    Ok((ty, flags, payload, end))
 }
 
 /// Decodes one frame from a byte slice, returning the frame and how many
@@ -1140,7 +1163,7 @@ fn split_frame(bytes: &[u8]) -> Result<(FrameType, u8, &[u8], u32, usize), Proto
 /// than one whole frame. A bad header or payload checksum, a payload
 /// over its bound, or a malformed payload is its own [`ProtoError`].
 pub fn decode_frame(bytes: &[u8]) -> Result<(Frame, usize), ProtoError> {
-    let (ty, flags, payload, _, consumed) = split_frame(bytes)?;
+    let (ty, flags, payload, consumed) = split_frame(bytes)?;
     Ok((decode_payload(ty, flags, payload)?, consumed))
 }
 
@@ -1154,9 +1177,9 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(Frame, usize), ProtoError> {
 ///
 /// Exactly as [`decode_frame`].
 pub fn decode_frame_view(bytes: &[u8]) -> Result<(FrameView<'_>, usize), ProtoError> {
-    let (ty, flags, payload, crc, consumed) = split_frame(bytes)?;
+    let (ty, flags, payload, consumed) = split_frame(bytes)?;
     let view = match ty {
-        FrameType::Samples => FrameView::Samples(samples_view(payload, crc)?),
+        FrameType::Samples => FrameView::Samples(samples_view(&bytes[..consumed])?),
         _ => FrameView::Owned(decode_payload(ty, flags, payload)?),
     };
     Ok((view, consumed))
@@ -1515,7 +1538,10 @@ mod tests {
         let mut payload = Vec::new();
         payload.extend_from_slice(&(MAX_CLUSTER_NODES + 1).to_le_bytes());
         let bytes = seal_frame(FrameType::ClusterState as u8, 0, &payload);
-        assert!(matches!(decode_frame(&bytes), Err(ProtoError::Malformed(_))));
+        assert!(matches!(
+            decode_frame(&bytes),
+            Err(ProtoError::Malformed(_))
+        ));
 
         // An unknown cluster action byte is malformed, not a panic.
         let mut join = encode_frame(&Frame::ClusterJoin {
@@ -1575,7 +1601,10 @@ mod tests {
         payload.extend_from_slice(&0u64.to_le_bytes());
         payload.extend_from_slice(&(MAX_QUERY_SESSIONS + 1).to_le_bytes());
         let bytes = seal_frame(FrameType::Query as u8, 0, &payload);
-        assert!(matches!(decode_frame(&bytes), Err(ProtoError::Malformed(_))));
+        assert!(matches!(
+            decode_frame(&bytes),
+            Err(ProtoError::Malformed(_))
+        ));
     }
 
     #[test]
@@ -1707,11 +1736,41 @@ mod tests {
             panic!("not a SAMPLES view");
         };
         assert_eq!(used, bytes.len());
+        assert_eq!(v.frame(), &bytes[..]);
         assert_eq!(v.payload(), &bytes[HEADER_LEN..]);
         assert_eq!(v.crc(), crc32(v.payload()));
         assert_eq!(v.crc().to_le_bytes(), bytes[12..16]);
         let back: Vec<u64> = v.iter().map(f64::to_bits).collect();
-        assert_eq!(back, samples.iter().map(|x| x.to_bits()).collect::<Vec<_>>());
+        assert_eq!(
+            back,
+            samples.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        );
+    }
+
+    #[test]
+    fn resequenced_samples_equal_a_fresh_encode() {
+        let seqs = [0, 1, 2, 255, 256, 1 << 32, u64::MAX - 1, u64::MAX];
+        for n in [0usize, 1, 7, 5_000] {
+            let samples: Vec<f64> = (0..n as u64)
+                .map(|i| f64::from_bits(i.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
+                .collect();
+            for &from in &seqs {
+                let frame = encode_samples(from, &samples);
+                for &to in &seqs {
+                    let moved = resequence_samples(&frame, to);
+                    assert_eq!(moved, encode_samples(to, &samples), "n {n}, {from} -> {to}");
+                    let Ok((FrameView::Samples(v), used)) = decode_frame_view(&moved) else {
+                        panic!("resequenced frame must decode: n {n}, {from} -> {to}");
+                    };
+                    assert_eq!((v.seq, v.len(), used), (to, n, moved.len()));
+                    assert_eq!(v.frame(), &moved[..]);
+                    assert!(v
+                        .iter()
+                        .map(f64::to_bits)
+                        .eq(samples.iter().map(|x| x.to_bits())));
+                }
+            }
+        }
     }
 
     #[test]
@@ -1722,8 +1781,14 @@ mod tests {
         payload.extend_from_slice(&1u64.to_le_bytes());
         payload.extend_from_slice(&(SAMPLES_FITTING_PAYLOAD + 1).to_le_bytes());
         let bytes = seal_frame(FrameType::Samples as u8, 0, &payload);
-        assert!(matches!(decode_frame(&bytes), Err(ProtoError::Malformed(_))));
-        assert!(matches!(decode_frame_view(&bytes), Err(ProtoError::Malformed(_))));
+        assert!(matches!(
+            decode_frame(&bytes),
+            Err(ProtoError::Malformed(_))
+        ));
+        assert!(matches!(
+            decode_frame_view(&bytes),
+            Err(ProtoError::Malformed(_))
+        ));
         // The bound is the most samples whose payload fits MAX_PAYLOAD.
         let at_bound = SAMPLES_PREFIX + SAMPLES_FITTING_PAYLOAD as usize * 8;
         assert!(at_bound <= MAX_PAYLOAD as usize);
@@ -1736,7 +1801,10 @@ mod tests {
         bytes[8..12].copy_from_slice(&(MAX_PAYLOAD + 1).to_le_bytes());
         let hsum = header_checksum(&bytes);
         bytes[6..8].copy_from_slice(&hsum.to_le_bytes());
-        assert!(matches!(decode_frame(&bytes), Err(ProtoError::Oversized(_))));
+        assert!(matches!(
+            decode_frame(&bytes),
+            Err(ProtoError::Oversized(_))
+        ));
     }
 
     #[test]
@@ -1772,7 +1840,9 @@ mod tests {
         // panicking or over-allocating.
         let mut state = 0x12345678u64;
         let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             (state >> 33) as u8
         };
         for len in [0usize, 3, 15, 16, 17, 64, 300] {

@@ -11,7 +11,6 @@
 //! instead of blocking.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
@@ -30,15 +29,14 @@ pub struct PushReceipt {
 ///
 /// `push_*` is called by the connection reader, `try_pop` by workers;
 /// both sides may be multiple threads (workers racing for the same
-/// session serialize on the session lock, not here).
+/// session serialize on the session lock, not here). Each push reports
+/// the depth it reached in its [`PushReceipt`]; the server folds those
+/// into its peak queue depth.
 #[derive(Debug)]
 pub struct BoundedQueue<T> {
     inner: Mutex<VecDeque<T>>,
     space: Condvar,
     capacity: usize,
-    /// High-water mark of the queue depth, for the bounded-backpressure
-    /// assertion in tests and the `serve.queue_depth` gauge.
-    peak_depth: AtomicU64,
 }
 
 impl<T> BoundedQueue<T> {
@@ -48,7 +46,6 @@ impl<T> BoundedQueue<T> {
             inner: Mutex::new(VecDeque::new()),
             space: Condvar::new(),
             capacity: capacity.max(1),
-            peak_depth: AtomicU64::new(0),
         }
     }
 
@@ -60,15 +57,6 @@ impl<T> BoundedQueue<T> {
     /// Current depth.
     pub fn depth(&self) -> usize {
         self.inner.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    /// The highest depth ever observed.
-    pub fn peak_depth(&self) -> usize {
-        self.peak_depth.load(Ordering::Relaxed) as usize
-    }
-
-    fn note_depth(&self, depth: usize) {
-        self.peak_depth.fetch_max(depth as u64, Ordering::Relaxed);
     }
 
     /// Pushes, blocking while the queue is full. Returns how long the
@@ -85,10 +73,6 @@ impl<T> BoundedQueue<T> {
         }
         q.push_back(item);
         let depth = q.len();
-        // Record the high-water mark while still holding the lock: a
-        // concurrent pop between unlock and the mark would make
-        // peak_depth under-report the depth this push actually reached.
-        self.note_depth(depth);
         drop(q);
         PushReceipt {
             blocked_ns,
@@ -128,7 +112,6 @@ impl<T> BoundedQueue<T> {
         }
         q.push_back(item);
         let depth = q.len();
-        self.note_depth(depth);
         drop(q);
         PushReceipt {
             blocked_ns,
@@ -158,14 +141,13 @@ mod tests {
         let q = BoundedQueue::new(3);
         assert_eq!(q.capacity(), 3);
         for i in 0..3 {
-            q.push_blocking(i);
+            assert_eq!(q.push_blocking(i).depth, i + 1);
         }
         assert_eq!(q.depth(), 3);
         assert_eq!(q.try_pop(), Some(0));
         assert_eq!(q.try_pop(), Some(1));
         assert_eq!(q.try_pop(), Some(2));
         assert_eq!(q.try_pop(), None);
-        assert_eq!(q.peak_depth(), 3);
     }
 
     #[test]
@@ -212,6 +194,5 @@ mod tests {
             let r = q.push_shedding(i, |_| true);
             assert!(r.depth <= 4);
         }
-        assert!(q.peak_depth() <= 4);
     }
 }

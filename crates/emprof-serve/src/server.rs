@@ -207,7 +207,8 @@ impl TailRing {
             if self.events.len() >= self.capacity {
                 self.events.pop_front();
             }
-            self.events.push_back((self.next_seq, TailEvent { session_id, event }));
+            self.events
+                .push_back((self.next_seq, TailEvent { session_id, event }));
             self.next_seq += 1;
         }
     }
@@ -318,12 +319,8 @@ impl Shared {
     /// being served, or the remote-equals-local guarantee breaks.
     fn metrics_reply(&self) -> MetricsReply {
         let epoch = self.registry.epoch();
-        let mut sessions: Vec<SessionRow> = self
-            .registry
-            .all()
-            .iter()
-            .map(|s| s.row(epoch))
-            .collect();
+        let mut sessions: Vec<SessionRow> =
+            self.registry.all().iter().map(|s| s.row(epoch)).collect();
         sessions.sort_by_key(|r| r.session_id);
         sessions.truncate(MAX_SESSION_ROWS as usize);
         MetricsReply {
@@ -524,11 +521,6 @@ impl Server {
         obs::counter_add!("serve.drains", 1);
     }
 
-    /// Whether the node is in drain mode.
-    pub fn is_draining(&self) -> bool {
-        self.shared.draining.load(Ordering::SeqCst)
-    }
-
     /// Graceful shutdown: stop accepting, drain every session queue,
     /// finalize every session, join every thread, return final stats.
     /// Journal directories of sessions whose events were not fully
@@ -601,10 +593,7 @@ fn recover_sessions(shared: &Shared, dir: &Path) {
         }
         match SessionJournal::open(&path, JournalConfig::default()) {
             Ok(Some((journal, rec))) => {
-                obs::counter_add!(
-                    "store.recovered_truncations",
-                    rec.report.truncations as u64
-                );
+                obs::counter_add!("store.recovered_truncations", rec.report.truncations as u64);
                 let session = Arc::new(Session::from_recovery(
                     rec,
                     journal,
@@ -1033,7 +1022,10 @@ fn session_connection(conn: &mut Conn, shared: &Arc<Shared>, hello: Hello) {
             conn.bail(ErrorCode::SessionLimit, "session limit reached");
             return;
         };
-        shared.counters.sessions_opened.fetch_add(1, Ordering::Relaxed);
+        shared
+            .counters
+            .sessions_opened
+            .fetch_add(1, Ordering::Relaxed);
         session
     };
     shared.note_sessions_active();
@@ -1116,7 +1108,9 @@ fn dump_flight(shared: &Arc<Shared>, session: &Session, reason: &str) {
     else {
         return;
     };
-    let json = session.flight.dump_json(session.id, session.trace_id, reason);
+    let json = session
+        .flight
+        .dump_json(session.id, session.trace_id, reason);
     match emprof_store::write_flight_dump(root, session.id, &json) {
         Ok(_) => obs::counter_add!("flight.dumps", 1),
         Err(_) => obs::counter_add!("flight.dump_errors", 1),
@@ -1256,7 +1250,10 @@ fn session_loop(
             }
             Ok(None) => {
                 if shared.stop.is_raised() {
-                    conn.bail(ErrorCode::Shutdown, "server shutting down; session finalized");
+                    conn.bail(
+                        ErrorCode::Shutdown,
+                        "server shutting down; session finalized",
+                    );
                     return SessionExit::Clean;
                 }
                 // Peer closed without FIN (or shutdown): *detach*. The
@@ -1287,7 +1284,9 @@ fn ingest_batch(shared: &Arc<Shared>, session: &Arc<Session>, mut samples: Vec<f
     let n = samples.len();
     let bytes = samples_frame_len(n) as u64;
     let receipt = if shared.config.shed {
-        session.queue.push_shedding(Work::Samples(samples), Work::sheddable)
+        session
+            .queue
+            .push_shedding(Work::Samples(samples), Work::sheddable)
     } else {
         session.queue.push_blocking(Work::Samples(samples))
     };

@@ -38,7 +38,7 @@ fn count_degraded(events: &[StallEvent]) -> u64 {
 /// Splitmix64 finalizer: the session trace id is derived from the
 /// resume token, so it is stable across resumes *and* across server
 /// restarts (the token is journaled in the session's identity record).
-pub(crate) fn splitmix64(seed: u64) -> u64 {
+pub fn splitmix64(seed: u64) -> u64 {
     let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -290,9 +290,7 @@ impl Session {
             let replayed = events.len() as u64;
             if replayed > rec.journaled_events {
                 let first = rec.journaled_events + 1;
-                if let Err(e) =
-                    journal.append_events(first, &events[(first - 1) as usize..])
-                {
+                if let Err(e) = journal.append_events(first, &events[(first - 1) as usize..]) {
                     note_journal_error("recovery", &e);
                 }
             }
@@ -435,7 +433,8 @@ impl Session {
     /// connection cannot race a resumed one.
     pub fn attach(&self) -> u64 {
         let generation = self.conn_generation.fetch_add(1, Ordering::AcqRel) + 1;
-        self.flight.note("attach", &format!("generation {generation}"));
+        self.flight
+            .note("attach", &format!("generation {generation}"));
         generation
     }
 
@@ -443,7 +442,8 @@ impl Session {
     /// (already superseded by a resume) detaching is a no-op.
     pub fn detach(&self, generation: u64) {
         self.detached_gen.fetch_max(generation, Ordering::AcqRel);
-        self.flight.note("detach", &format!("generation {generation}"));
+        self.flight
+            .note("detach", &format!("generation {generation}"));
     }
 
     /// Whether a connection is currently attached.
@@ -463,7 +463,7 @@ impl Session {
     }
 
     /// How long since the client last sent a frame.
-    pub fn idle_for(&self, epoch: Instant) -> Duration {
+    fn idle_for(&self, epoch: Instant) -> Duration {
         let now = epoch.elapsed().as_nanos() as u64;
         Duration::from_nanos(now.saturating_sub(self.last_active_ns.load(Ordering::Relaxed)))
     }
@@ -820,7 +820,10 @@ impl SessionRegistry {
 
     /// Number of live sessions.
     pub fn active(&self) -> usize {
-        self.sessions.lock().unwrap_or_else(|e| e.into_inner()).len()
+        self.sessions
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .len()
     }
 
     /// All live sessions (snapshot).
@@ -931,8 +934,7 @@ mod tests {
     fn unacked_events_are_redelivered_until_acked() {
         let reg = SessionRegistry::new();
         let s = registry_session(&reg);
-        s.queue
-            .push_blocking(Work::Samples(dipped_signal(30_000)));
+        s.queue.push_blocking(Work::Samples(dipped_signal(30_000)));
         let flush = |s: &Session| {
             let (tx, rx) = mpsc::sync_channel(1);
             s.queue.push_blocking(Work::Flush(tx));
@@ -962,8 +964,7 @@ mod tests {
     fn ack_events_signals_completion_only_when_finished_and_fully_acked() {
         let reg = SessionRegistry::new();
         let s = registry_session(&reg);
-        s.queue
-            .push_blocking(Work::Samples(dipped_signal(30_000)));
+        s.queue.push_blocking(Work::Samples(dipped_signal(30_000)));
         let (tx, rx) = mpsc::sync_channel(1);
         s.queue.push_blocking(Work::Fin(tx));
         s.drain(|_| {});

@@ -12,9 +12,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 # Formatting, for the crates that are rustfmt-clean: the simulator, the
 # DRAM model, the workload generators, the detector, the perf-style
 # sampling baseline, the DSP substrate, the EM synthesis, the parallel
-# runtime, the fault injector, the CLI and the journal store; and for the
-# soak driver's sources, while the rest of emprof-bench is not yet.
-cargo fmt --check -p emprof-sim -p emprof-dram -p emprof-workloads -p emprof-core -p emprof-baseline -p emprof-signal -p emprof-emsim -p emprof-par -p emprof-fault -p emprof-cli -p emprof-store
+# runtime, the fault injector, the CLI, the journal store, the serving
+# crate and the router; and for the soak driver's sources, while the
+# rest of emprof-bench is not yet.
+cargo fmt --check -p emprof-sim -p emprof-dram -p emprof-workloads -p emprof-core -p emprof-baseline -p emprof-signal -p emprof-emsim -p emprof-par -p emprof-fault -p emprof-cli -p emprof-store -p emprof-serve -p emprof-router
 rustfmt --check --edition 2021 crates/bench/src/soak.rs crates/bench/src/bin/soak/*.rs crates/bench/tests/soak_cli.rs
 
 # Rustdoc with warnings denied: broken or ambiguous intra-doc links
