@@ -29,9 +29,13 @@ fn bench_detector(c: &mut Criterion) {
         let signal = synthetic_magnitude(len);
         let emprof = Emprof::new(EmprofConfig::for_rates(40e6, 1.0e9));
         group.throughput(Throughput::Elements(len as u64));
-        group.bench_with_input(BenchmarkId::new("profile_magnitude", len), &signal, |b, s| {
-            b.iter(|| emprof.profile_magnitude(s, 40e6, 1.0e9));
-        });
+        group.bench_with_input(
+            BenchmarkId::new("profile_magnitude", len),
+            &signal,
+            |b, s| {
+                b.iter(|| emprof.profile_magnitude(s, 40e6, 1.0e9));
+            },
+        );
     }
     group.finish();
 }

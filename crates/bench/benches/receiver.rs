@@ -12,9 +12,7 @@ fn bench_receiver(c: &mut Criterion) {
     let mut group = c.benchmark_group("receiver");
     group.sample_size(15);
     let cycles = 2_000_000usize;
-    let samples: Vec<f32> = (0..cycles)
-        .map(|i| 3.0 + ((i % 23) as f32) * 0.1)
-        .collect();
+    let samples: Vec<f32> = (0..cycles).map(|i| 3.0 + ((i % 23) as f32) * 0.1).collect();
     let trace = PowerTrace::from_samples(samples, 1.0e9);
     group.throughput(Throughput::Elements(cycles as u64));
     for bw in [20e6, 40e6, 160e6] {

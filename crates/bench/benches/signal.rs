@@ -5,8 +5,8 @@
 //! tracked here.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use emprof_signal::stft::{Stft, StftConfig};
 use emprof_signal::stats;
+use emprof_signal::stft::{Stft, StftConfig};
 
 fn bench_signal(c: &mut Criterion) {
     let n = 1_000_000usize;

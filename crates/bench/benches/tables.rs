@@ -97,12 +97,9 @@ fn bench_tables(c: &mut Criterion) {
             ..Default::default()
         };
         b.iter(|| {
-            let set = SignatureSet::train(
-                &signal,
-                &[("a", 0..60_000), ("b", 60_000..120_000)],
-                cfg,
-            )
-            .unwrap();
+            let set =
+                SignatureSet::train(&signal, &[("a", 0..60_000), ("b", 60_000..120_000)], cfg)
+                    .unwrap();
             set.classify(&signal).len()
         });
     });

@@ -46,8 +46,7 @@ fn main() {
         let result = Simulator::new(device.clone())
             .with_max_cycles(MAX_CYCLES)
             .run(Interpreter::new(&program));
-        let capture =
-            Receiver::new(ReceiverConfig::paper_setup(40e6)).capture(&result.power, 0xBB);
+        let capture = Receiver::new(ReceiverConfig::paper_setup(40e6)).capture(&result.power, 0xBB);
         let profile = Emprof::new(EmprofConfig::for_rates(
             capture.sample_rate_hz(),
             device.clock_hz,

@@ -44,7 +44,12 @@ fn main() {
         "Ablation — normalization window under ±15% supply drift\n(TM=1024 CM=10, Olimex, 40 MHz; default window = {} samples)\n",
         base.norm_window_samples
     );
-    let mut t = Table::new(vec!["window (samples)", "window (us)", "reported", "accuracy (%)"]);
+    let mut t = Table::new(vec![
+        "window (samples)",
+        "window (us)",
+        "reported",
+        "accuracy (%)",
+    ]);
     for window_samples in [64usize, 250, 1000, 2000, 8000, 32_000, 128_000] {
         let cfg = EmprofConfig {
             norm_window_samples: window_samples,

@@ -8,15 +8,17 @@
 
 use emprof_bench::plot::ascii_plot;
 use emprof_bench::runner::em_run;
-use emprof_signal::stats::moving_average;
 use emprof_core::StallKind;
+use emprof_signal::stats::moving_average;
 use emprof_sim::{DeviceModel, Interpreter};
 use emprof_workloads::microbench::MicrobenchConfig;
 
 fn main() {
     let device = DeviceModel::olimex();
     // Isolated misses (CM=1) give the clean single-stall view of Fig. 1.
-    let program = MicrobenchConfig::new(64, 1).build().expect("valid microbenchmark");
+    let program = MicrobenchConfig::new(64, 1)
+        .build()
+        .expect("valid microbenchmark");
     let run = em_run(device.clone(), Interpreter::new(&program), 40e6, 0xF1);
     let mag = run.capture.magnitude();
     let avg = moving_average(&mag, 9);

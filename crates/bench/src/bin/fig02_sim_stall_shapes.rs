@@ -11,8 +11,7 @@ use emprof_workloads::array_walk::{ArrayWalkConfig, MissLevel};
 
 fn run(level: MissLevel) -> (Vec<f64>, f64) {
     let device = DeviceModel::sesc_like();
-    let config =
-        ArrayWalkConfig::for_level(level, device.l1d.size_bytes, device.llc.size_bytes);
+    let config = ArrayWalkConfig::for_level(level, device.l1d.size_bytes, device.llc.size_bytes);
     let program = config.build().expect("valid array walk");
     let result = Simulator::new(device)
         .with_max_cycles(600_000_000)

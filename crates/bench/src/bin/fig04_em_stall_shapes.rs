@@ -31,18 +31,18 @@ fn main() {
                     .expect("miss-level walk stalls");
                 let lo = e.start_sample.saturating_sub(30);
                 let hi = (e.end_sample + 30).min(mag.len());
-                println!("{label} — detected stall of {:.0} cycles (~{:.0} ns):",
+                println!(
+                    "{label} — detected stall of {:.0} cycles (~{:.0} ns):",
                     e.duration_cycles,
-                    e.duration_cycles / run.device.clock_hz * 1e9);
+                    e.duration_cycles / run.device.clock_hz * 1e9
+                );
                 println!("{}\n", ascii_plot(&mag[lo..hi], 80, 8));
             }
             _ => {
                 // LLC-hit stalls are too brief for the detector (by
                 // design). The first pass over the array is cold (real
                 // LLC misses), so report the warmed-up final third only.
-                let steady = run
-                    .profile
-                    .slice_samples(mag.len() * 2 / 3, mag.len());
+                let steady = run.profile.slice_samples(mag.len() * 2 / 3, mag.len());
                 let lo = mag.len() * 3 / 4;
                 let hi = (lo + 140).min(mag.len());
                 println!(

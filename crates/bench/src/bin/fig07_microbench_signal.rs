@@ -19,8 +19,8 @@ fn main() {
 
     // Identify the measured section from the signal alone, as the paper
     // does using the stable blank-loop patterns.
-    let window = section::measured_window(&run.profile, 400)
-        .expect("blank loops bracket the miss section");
+    let window =
+        section::measured_window(&run.profile, 400).expect("blank loops bracket the miss section");
     println!(
         "\nsignal-identified miss section: samples {} .. {} of {}",
         window.0,
@@ -39,7 +39,10 @@ fn main() {
     let tenth = &sliced.events()[12];
     let lo = first.start_sample.saturating_sub(20);
     let hi = (tenth.end_sample + 20).min(mag.len());
-    println!("\nFig. 7b — zoom into one CM=10 group ({} samples):\n", hi - lo);
+    println!(
+        "\nFig. 7b — zoom into one CM=10 group ({} samples):\n",
+        hi - lo
+    );
     println!("{}", ascii_plot(&mag[lo..hi], 110, 9));
     println!("\npaper: ten distinct ~300 ns dips per group, separated by the");
     println!("address-computation work, with the micro-function gap between groups.");

@@ -88,7 +88,5 @@ fn main() {
         "mean per-stall memory-signal peak: {stall_peak:.3} — {:.1}x the busy level",
         stall_peak / busy_level.max(1e-9)
     );
-    println!(
-        "(paper: LLC misses show as simultaneous processor dips and memory bursts)"
-    );
+    println!("(paper: LLC misses show as simultaneous processor dips and memory bursts)");
 }

@@ -25,9 +25,11 @@ fn main() {
             .collect();
         let mut counts: Vec<u64> = hist.bins().to_vec();
         counts.push(hist.overflow());
-        println!("{name} ({} stalls, mean {:.0} cycles):",
+        println!(
+            "{name} ({} stalls, mean {:.0} cycles):",
             profile.events().len(),
-            profile.mean_latency_cycles());
+            profile.mean_latency_cycles()
+        );
         println!("{}\n", histogram_bars(&labels, &counts, 48));
         println!(
             "tail fraction (>= 600 cycles): {:.3}\n",

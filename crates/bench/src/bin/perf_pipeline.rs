@@ -81,7 +81,11 @@ fn main() {
     );
 
     let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"mode\": \"{}\",", if smoke { "smoke" } else { "full" });
+    let _ = writeln!(
+        json,
+        "  \"mode\": \"{}\",",
+        if smoke { "smoke" } else { "full" }
+    );
     let _ = writeln!(json, "  \"host_parallelism\": {host},");
     let _ = writeln!(json, "  \"host_cpu\": \"{cpu}\",");
 
@@ -233,8 +237,9 @@ fn bench_detector(smoke: bool, host: usize, json: &mut String) {
     let mut reference: Option<Profile> = None;
     for threads in thread_sweep(host) {
         let par = Parallelism::new(threads);
-        let (secs, profile) =
-            time_best(reps, || emprof.profile_magnitude_par(&magnitude, FS, CLK, par));
+        let (secs, profile) = time_best(reps, || {
+            emprof.profile_magnitude_par(&magnitude, FS, CLK, par)
+        });
         match &reference {
             None => reference = Some(profile),
             Some(r) => assert_eq!(r, &profile, "thread count changed the profile"),
@@ -266,12 +271,10 @@ fn bench_pipeline(smoke: bool, host: usize, json: &mut String) {
     for threads in thread_sweep(host) {
         let par = Parallelism::new(threads);
         let (secs, profile) = time_best(reps, || {
-            let rx =
-                Receiver::new(ReceiverConfig::paper_setup(FS)).with_parallelism(par);
+            let rx = Receiver::new(ReceiverConfig::paper_setup(FS)).with_parallelism(par);
             let capture = rx.capture(&trace, 11);
             let magnitude = capture.magnitude_par(par);
-            let emprof =
-                Emprof::new(EmprofConfig::for_rates(capture.sample_rate_hz(), CLK));
+            let emprof = Emprof::new(EmprofConfig::for_rates(capture.sample_rate_hz(), CLK));
             emprof.profile_magnitude_par(&magnitude, capture.sample_rate_hz(), CLK, par)
         });
         match &reference {
@@ -280,5 +283,11 @@ fn bench_pipeline(smoke: bool, host: usize, json: &mut String) {
         }
         runs.push((threads, secs));
     }
-    report_sweep("end-to-end sim→EM→detect leg", "pipeline", cycles, &runs, json);
+    report_sweep(
+        "end-to-end sim→EM→detect leg",
+        "pipeline",
+        cycles,
+        &runs,
+        json,
+    );
 }

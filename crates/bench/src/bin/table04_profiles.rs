@@ -63,7 +63,10 @@ fn main() {
             .collect();
         push_row(
             &mut t,
-            &format!("TM={} CM={}", config.total_misses, config.consecutive_misses),
+            &format!(
+                "TM={} CM={}",
+                config.total_misses, config.consecutive_misses
+            ),
             &cells,
         );
     }

@@ -91,7 +91,9 @@ fn bucketize(series: &[f64], width: usize) -> Vec<f64> {
     (0..width)
         .map(|i| {
             let lo = (i as f64 * per) as usize;
-            let hi = (((i + 1) as f64 * per) as usize).min(series.len()).max(lo + 1);
+            let hi = (((i + 1) as f64 * per) as usize)
+                .min(series.len())
+                .max(lo + 1);
             series[lo..hi].iter().sum::<f64>() / (hi - lo) as f64
         })
         .collect()
@@ -128,11 +130,7 @@ mod tests {
 
     #[test]
     fn histogram_bars_scale() {
-        let out = histogram_bars(
-            &["0-100".to_string(), "100-200".to_string()],
-            &[10, 5],
-            20,
-        );
+        let out = histogram_bars(&["0-100".to_string(), "100-200".to_string()], &[10, 5], 20);
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 2);
         assert!(lines[0].matches('#').count() > lines[1].matches('#').count());

@@ -96,12 +96,7 @@ mod tests {
     #[test]
     fn em_run_produces_consistent_artifacts() {
         let program = MicrobenchConfig::new(32, 4).build().unwrap();
-        let run = em_run(
-            DeviceModel::olimex(),
-            Interpreter::new(&program),
-            40e6,
-            1,
-        );
+        let run = em_run(DeviceModel::olimex(), Interpreter::new(&program), 40e6, 1);
         assert_eq!(run.result.power.len() as u64, run.result.stats.cycles);
         assert!(!run.capture.is_empty());
         assert_eq!(run.profile.total_samples(), run.capture.len());
@@ -111,9 +106,6 @@ mod tests {
     fn power_run_profiles_averaged_trace() {
         let program = MicrobenchConfig::new(32, 4).build().unwrap();
         let (result, profile) = power_run(DeviceModel::sesc_like(), Interpreter::new(&program), 1);
-        assert_eq!(
-            profile.total_samples(),
-            result.power.len().div_ceil(20)
-        );
+        assert_eq!(profile.total_samples(), result.power.len().div_ceil(20));
     }
 }

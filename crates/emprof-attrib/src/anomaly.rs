@@ -196,15 +196,16 @@ impl AnomalyDetector {
         let distances = self.frame_distances(signal);
         let mut anomalies = Vec::new();
         let mut run: Option<(usize, f64)> = None; // (first frame, peak)
-        let close = |anomalies: &mut Vec<Anomaly>, start_frame: usize, end_frame: usize, peak: f64| {
-            if end_frame - start_frame >= self.min_frames {
-                anomalies.push(Anomaly {
-                    start_sample: start_frame * self.stft.hop,
-                    end_sample: (end_frame - 1) * self.stft.hop + self.stft.frame_len,
-                    peak_distance: peak,
-                });
-            }
-        };
+        let close =
+            |anomalies: &mut Vec<Anomaly>, start_frame: usize, end_frame: usize, peak: f64| {
+                if end_frame - start_frame >= self.min_frames {
+                    anomalies.push(Anomaly {
+                        start_sample: start_frame * self.stft.hop,
+                        end_sample: (end_frame - 1) * self.stft.hop + self.stft.frame_len,
+                        peak_distance: peak,
+                    });
+                }
+            };
         for (t, &d) in distances.iter().enumerate() {
             if d > self.distance_threshold {
                 run = match run {
@@ -256,7 +257,7 @@ mod tests {
     }
 
     #[test]
-    fn clean_run_raises_no_alarms(){
+    fn clean_run_raises_no_alarms() {
         let det = detector();
         let monitored = normal_run(6);
         assert!(det.detect(&monitored).is_empty());

@@ -378,9 +378,8 @@ mod tests {
     #[test]
     fn trains_distinct_signatures() {
         let signal = two_region_signal();
-        let set =
-            SignatureSet::train(&signal, &[("a", 0..50_000), ("b", 50_000..100_000)], cfg())
-                .unwrap();
+        let set = SignatureSet::train(&signal, &[("a", 0..50_000), ("b", 50_000..100_000)], cfg())
+            .unwrap();
         let d = cosine_distance(
             set.signatures()[0].spectrum(),
             set.signatures()[1].spectrum(),
@@ -391,9 +390,8 @@ mod tests {
     #[test]
     fn classification_recovers_regions() {
         let signal = two_region_signal();
-        let set =
-            SignatureSet::train(&signal, &[("a", 0..50_000), ("b", 50_000..100_000)], cfg())
-                .unwrap();
+        let set = SignatureSet::train(&signal, &[("a", 0..50_000), ("b", 50_000..100_000)], cfg())
+            .unwrap();
         let labels = set.classify(&signal);
         let mid = labels.len() / 2;
         let first_half_a = labels[..mid - 5].iter().filter(|&&l| l == 0).count();
@@ -453,16 +451,14 @@ mod tests {
             kind: StallKind::Normal,
             confidence: Confidence::High,
         };
-        let profile = Profile::new(
-            vec![ev(100), ev(400), ev(700), ev(1500)],
-            2000,
-            40e6,
-            1.0e9,
-        );
+        let profile = Profile::new(vec![ev(100), ev(400), ev(700), ev(1500)], 2000, 40e6, 1.0e9);
         let signal = two_region_signal();
-        let set =
-            SignatureSet::train(&signal, &[("hot", 0..50_000), ("cool", 50_000..100_000)], cfg())
-                .unwrap();
+        let set = SignatureSet::train(
+            &signal,
+            &[("hot", 0..50_000), ("cool", 50_000..100_000)],
+            cfg(),
+        )
+        .unwrap();
         let segments = vec![
             Segment {
                 region: 0,
@@ -494,9 +490,8 @@ mod tests {
         };
         let profile = Profile::new(vec![ev(100), ev(1200)], 2000, 40e6, 1.0e9);
         let signal = two_region_signal();
-        let set =
-            SignatureSet::train(&signal, &[("a", 0..50_000), ("b", 50_000..100_000)], cfg())
-                .unwrap();
+        let set = SignatureSet::train(&signal, &[("a", 0..50_000), ("b", 50_000..100_000)], cfg())
+            .unwrap();
         // Region 0 appears twice.
         let segments = vec![
             Segment {

@@ -245,9 +245,11 @@ impl StreamingEmprof {
     /// same events, and the same drained events at every slice boundary.
     pub fn extend_from_slice(&mut self, samples: &[f64]) {
         let before = self.buf.len();
-        if samples.iter().all(|v| v.is_finite()) {
-            self.buf.extend_from_slice(samples);
-        } else {
+        // Copy first, then check the copy: the batch is read cold once,
+        // and the check reads what the copy left in cache.
+        self.buf.extend_from_slice(samples);
+        if !self.buf[before..].iter().all(|v| v.is_finite()) {
+            self.buf.truncate(before);
             for &v in samples {
                 if v.is_finite() {
                     self.buf.push(v);

@@ -75,11 +75,7 @@ impl FlightRecorder {
     }
 
     fn push(&self, kind: &'static str, label: &str, detail: &str) {
-        let at_ns = self
-            .epoch
-            .elapsed()
-            .as_nanos()
-            .min(u64::MAX as u128) as u64;
+        let at_ns = self.epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
         if ring.len() >= self.capacity {
             ring.pop_front();

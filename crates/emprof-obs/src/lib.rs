@@ -157,7 +157,8 @@ macro_rules! counter_add {
         if $crate::is_enabled() {
             static __C: $crate::__OnceLock<&'static $crate::metrics::Counter> =
                 $crate::__OnceLock::new();
-            __C.get_or_init(|| $crate::registry().counter($name)).add($n as u64);
+            __C.get_or_init(|| $crate::registry().counter($name))
+                .add($n as u64);
         }
     }};
 }
@@ -169,7 +170,8 @@ macro_rules! gauge_set {
         if $crate::is_enabled() {
             static __G: $crate::__OnceLock<&'static $crate::metrics::Gauge> =
                 $crate::__OnceLock::new();
-            __G.get_or_init(|| $crate::registry().gauge($name)).set($v as f64);
+            __G.get_or_init(|| $crate::registry().gauge($name))
+                .set($v as f64);
         }
     }};
 }
@@ -182,7 +184,8 @@ macro_rules! histogram_record {
         if $crate::is_enabled() {
             static __H: $crate::__OnceLock<&'static $crate::metrics::LogHistogram> =
                 $crate::__OnceLock::new();
-            __H.get_or_init(|| $crate::registry().histogram($name)).record($v as u64);
+            __H.get_or_init(|| $crate::registry().histogram($name))
+                .record($v as u64);
         }
     }};
 }
@@ -195,7 +198,8 @@ macro_rules! meter_mark {
         if $crate::is_enabled() {
             static __M: $crate::__OnceLock<&'static $crate::metrics::Meter> =
                 $crate::__OnceLock::new();
-            __M.get_or_init(|| $crate::registry().meter($name)).mark($n as u64);
+            __M.get_or_init(|| $crate::registry().meter($name))
+                .mark($n as u64);
         }
     }};
 }

@@ -167,10 +167,7 @@ mod tests {
     #[test]
     fn label_values_are_escaped() {
         assert_eq!(escape_label_value("plain"), "plain");
-        assert_eq!(
-            escape_label_value("a\"b\\c\nd"),
-            "a\\\"b\\\\c\\nd"
-        );
+        assert_eq!(escape_label_value("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 
     #[test]

@@ -71,13 +71,28 @@ impl Registry {
     /// Zeroes every registered metric, keeping registrations (and thus
     /// any cached handles) valid.
     pub fn reset(&self) {
-        for c in self.counters.lock().unwrap_or_else(|e| e.into_inner()).values() {
+        for c in self
+            .counters
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .values()
+        {
             c.reset();
         }
-        for g in self.gauges.lock().unwrap_or_else(|e| e.into_inner()).values() {
+        for g in self
+            .gauges
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .values()
+        {
             g.reset();
         }
-        for m in self.meters.lock().unwrap_or_else(|e| e.into_inner()).values() {
+        for m in self
+            .meters
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .values()
+        {
             m.reset();
         }
         for h in self
@@ -88,7 +103,12 @@ impl Registry {
         {
             h.reset();
         }
-        for s in self.spans.lock().unwrap_or_else(|e| e.into_inner()).values() {
+        for s in self
+            .spans
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .values()
+        {
             s.reset();
         }
     }
@@ -176,10 +196,7 @@ impl Snapshot {
 
     /// The value of gauge `name`, if present.
     pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
+        self.gauges.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
     }
 
     /// The summary of span `name`, if it completed at least once.

@@ -397,19 +397,13 @@ mod tests {
             .iter()
             .map(|row| row.trim_end().len())
             .collect();
-        assert_eq!(
-            ends[0], ends[1],
-            "counter value columns misaligned:\n{out}"
-        );
+        assert_eq!(ends[0], ends[1], "counter value columns misaligned:\n{out}");
         let span_rows: Vec<&str> = out
             .lines()
             .skip(1) // header line of the spans section
             .take_while(|l| l.starts_with("  "))
             .collect();
-        let count_col: Vec<usize> = span_rows
-            .iter()
-            .map(|row| row.trim_end().len())
-            .collect();
+        let count_col: Vec<usize> = span_rows.iter().map(|row| row.trim_end().len()).collect();
         assert!(
             count_col.windows(2).all(|w| w[0] == w[1]),
             "span columns misaligned:\n{out}"

@@ -41,6 +41,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::sync::OnceLock;
+
 pub mod chunk;
 pub mod pool;
 
@@ -69,13 +71,16 @@ impl Parallelism {
         Parallelism(threads.max(1))
     }
 
-    /// The hardware's available parallelism (1 if it cannot be queried).
+    /// The hardware's available parallelism (1 if it cannot be queried),
+    /// read once per process: the query re-reads cgroup files, and
+    /// [`Parallelism::resolve`] runs on every journal query.
     pub fn available() -> Self {
-        Parallelism::new(
+        static AVAILABLE: OnceLock<usize> = OnceLock::new();
+        Parallelism::new(*AVAILABLE.get_or_init(|| {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-        )
+                .unwrap_or(1)
+        }))
     }
 
     /// Resolution used by the CLI: an explicit override wins, then a

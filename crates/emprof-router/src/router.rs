@@ -1315,8 +1315,17 @@ fn proxy_loop(
     my_gen: u64,
 ) -> ProxyExit {
     loop {
-        // A SAMPLES frame is kept as the sealed bytes that arrived.
-        let keep = |v: SamplesView<'_>| (v.seq, v.len(), v.frame().to_vec());
+        // A SAMPLES frame is kept as the sealed bytes that arrived, copied
+        // into a buffer the replay buffer recycled.
+        let keep = |v: SamplesView<'_>| {
+            let mut sealed = entry
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .unacked
+                .spare();
+            sealed.extend_from_slice(v.frame());
+            (v.seq, v.len(), sealed)
+        };
         let no_heartbeat = None::<(Duration, fn() -> Frame)>;
         let frame = match conn.read_frame_with(&shared.stop, None, no_heartbeat, keep) {
             Ok(Some(f)) => f,

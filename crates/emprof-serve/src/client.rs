@@ -538,9 +538,9 @@ impl ProfileClient {
         for chunk in samples.chunks(self.upload.max_samples_per_frame) {
             let seq = self.upload.next_seq;
             self.upload.next_seq += 1;
-            self.upload
-                .unacked
-                .push(seq, proto::encode_samples(seq, chunk));
+            let mut frame = self.upload.unacked.spare();
+            proto::encode_samples_into(&mut frame, seq, chunk);
+            self.upload.unacked.push(seq, frame);
             // On transport loss, the resume replays the whole unacked
             // queue (which includes this frame); the retried write is
             // then a duplicate the server drops by sequence number. A

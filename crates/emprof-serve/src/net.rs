@@ -109,28 +109,52 @@ pub enum Incoming<S> {
     Frame(Frame),
 }
 
+/// Most frame buffers a [`ReplayBuffer`] keeps for reuse.
+const SPARE_FRAMES: usize = 256;
+
 /// Sealed SAMPLES frames sent but not yet acknowledged, by ascending
 /// sequence: a client's resume replay, a router's migration replay.
 /// When to flush or drop frames is its owner's rule.
+///
+/// The buffers of frames it drops are kept, emptied, for the owner's
+/// next frame ([`ReplayBuffer::spare`]), so a steady stream of frames
+/// allocates nothing. At most 256 spares are kept. Since an owner takes
+/// a spare before it allocates, held frames and spares together never
+/// outnumber the most frames the buffer has held at once: recycling
+/// raises no peak.
 #[derive(Debug, Default)]
 pub struct ReplayBuffer {
     frames: VecDeque<(u64, Vec<u8>)>,
+    spares: Vec<Vec<u8>>,
 }
 
 impl ReplayBuffer {
+    /// An empty buffer for the next frame: the buffer of a dropped frame
+    /// when one is kept, else a new one.
+    pub fn spare(&mut self) -> Vec<u8> {
+        self.spares.pop().unwrap_or_default()
+    }
+
+    fn recycle(&mut self, mut frame: Vec<u8>) {
+        if self.spares.len() < SPARE_FRAMES {
+            frame.clear();
+            self.spares.push(frame);
+        }
+    }
+
     /// Appends `frame`, sealed under sequence `seq`. A replayed `seq`
     /// first drops the held frames from `seq` on, so each is held once.
     pub fn push(&mut self, seq: u64, frame: Vec<u8>) {
-        while self.frames.back().is_some_and(|&(s, _)| s >= seq) {
-            self.frames.pop_back();
+        while let Some((_, dropped)) = self.frames.pop_back_if(|(s, _)| *s >= seq) {
+            self.recycle(dropped);
         }
         self.frames.push_back((seq, frame));
     }
 
     /// Drops every frame through sequence `acked`.
     pub fn prune_through(&mut self, acked: u64) {
-        while self.oldest_seq().is_some_and(|s| s <= acked) {
-            self.frames.pop_front();
+        while let Some((_, dropped)) = self.frames.pop_front_if(|(s, _)| *s <= acked) {
+            self.recycle(dropped);
         }
     }
 
@@ -161,12 +185,99 @@ impl ReplayBuffer {
     }
 }
 
-/// A framed connection with an accumulation buffer, so short read
-/// timeouts (used to observe a stop) never lose frame sync.
+/// Smallest receive buffer a [`Conn`] reads into, once it first reads.
+const RECV_MIN: usize = 64 * 1024;
+
+/// A receive buffer frames are decoded from in place.
+///
+/// Reads land straight in the buffer, and frames are consumed by moving
+/// a cursor: bytes `head..tail` are received and not yet consumed. The
+/// unconsumed bytes move to the front only when the frame under way
+/// would not fit past `head`, and the buffer grows only when that frame
+/// is larger than the whole buffer.
+#[derive(Debug, Default)]
+struct RecvBuf {
+    buf: Vec<u8>,
+    head: usize,
+    tail: usize,
+}
+
+impl RecvBuf {
+    /// Whether every received byte has been consumed.
+    fn is_empty(&self) -> bool {
+        self.head == self.tail
+    }
+
+    /// Decodes the next frame if all of it has arrived, handing a
+    /// SAMPLES frame to `on_samples` while its bytes are in the buffer.
+    fn next_frame<S>(
+        &mut self,
+        on_samples: &mut impl FnMut(SamplesView<'_>) -> S,
+    ) -> Result<Option<Incoming<S>>, ProtoError> {
+        let pending = &self.buf[self.head..self.tail];
+        if pending.len() < proto::HEADER_LEN {
+            return Ok(None);
+        }
+        let (view, consumed) = match proto::decode_frame_view(pending) {
+            Ok(decoded) => decoded,
+            Err(ProtoError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
+            Err(e) => return Err(e),
+        };
+        let read = match view {
+            FrameView::Samples(v) => Incoming::Samples(on_samples(v)),
+            FrameView::Owned(frame) => Incoming::Frame(frame),
+        };
+        self.head += consumed;
+        if self.is_empty() {
+            // Nothing left over: the next read starts at the front, with
+            // the whole buffer free.
+            (self.head, self.tail) = (0, 0);
+        }
+        Ok(Some(read))
+    }
+
+    /// One read from `src` into the buffer; `Ok(0)` is end of stream.
+    fn fill(&mut self, src: &mut impl Read) -> io::Result<usize> {
+        self.make_room();
+        let n = src.read(&mut self.buf[self.tail..])?;
+        self.tail += n;
+        Ok(n)
+    }
+
+    /// Makes room past `tail` for the next read: at least one byte, and
+    /// the whole of the frame under way (its header when that has not
+    /// all arrived) between `head` and the end of the buffer. A frame
+    /// the buffer cannot hold from `head` moves to the front first; one
+    /// larger than the whole buffer grows it. A read follows only a
+    /// [`RecvBuf::next_frame`] that found no whole frame, so a header in
+    /// the buffer has passed its checks, which bound its length.
+    fn make_room(&mut self) {
+        let pending = self.tail - self.head;
+        let frame = if pending >= proto::HEADER_LEN {
+            proto::announced_frame_len(&self.buf[self.head..self.tail])
+        } else {
+            proto::HEADER_LEN
+        };
+        let want = frame.max(pending + 1);
+        if self.head + want > self.buf.len() {
+            self.buf.copy_within(self.head..self.tail, 0);
+            (self.head, self.tail) = (0, pending);
+            if want > self.buf.len() {
+                let grown = want.max(2 * self.buf.len()).max(RECV_MIN);
+                self.buf.resize(grown, 0);
+            }
+        }
+    }
+}
+
+/// A framed connection with a persistent receive buffer, so short read
+/// timeouts (used to observe a stop) never lose frame sync. Frames are
+/// decoded in place from the bytes that were read, with no copy in
+/// between.
 #[derive(Debug)]
 pub struct Conn {
     stream: TcpStream,
-    buf: Vec<u8>,
+    recv: RecvBuf,
     /// When a graceful stop's drain of this socket gives up, set the
     /// first time a read sees the stop flag.
     drain_deadline: Option<Instant>,
@@ -183,7 +294,7 @@ impl Conn {
         let _ = stream.set_nodelay(true);
         Ok(Conn {
             stream,
-            buf: Vec::new(),
+            recv: RecvBuf::default(),
             drain_deadline: None,
         })
     }
@@ -256,9 +367,9 @@ impl Conn {
     /// A heartbeat write failure is a transport loss, surfaced as an I/O
     /// error.
     ///
-    /// A SAMPLES frame is decoded zero-copy from the accumulation buffer
-    /// and handed to `on_samples` as a [`SamplesView`] before the buffer
-    /// lets go of its bytes: the server's session hook admits the frame,
+    /// A SAMPLES frame is decoded zero-copy from the receive buffer and
+    /// handed to `on_samples` as a [`SamplesView`] before the buffer lets
+    /// go of its bytes: the server's session hook admits the frame,
     /// journals its payload bytes as they arrived, and copies the
     /// samples into a pooled buffer, so steady-state ingest is
     /// allocation-free per frame.
@@ -275,19 +386,8 @@ impl Conn {
     ) -> Result<Option<Incoming<S>>, ProtoError> {
         let mut last_io = Instant::now();
         loop {
-            if self.buf.len() >= proto::HEADER_LEN {
-                match proto::decode_frame_view(&self.buf) {
-                    Ok((view, consumed)) => {
-                        let read = match view {
-                            FrameView::Samples(v) => Incoming::Samples(on_samples(v)),
-                            FrameView::Owned(frame) => Incoming::Frame(frame),
-                        };
-                        self.buf.drain(..consumed);
-                        return Ok(Some(read));
-                    }
-                    Err(ProtoError::Io(e)) if e.kind() == io::ErrorKind::UnexpectedEof => {}
-                    Err(e) => return Err(e),
-                }
+            if let Some(read) = self.recv.next_frame(&mut on_samples)? {
+                return Ok(Some(read));
             }
             if stop.is_raised() {
                 let limit = *self
@@ -300,19 +400,15 @@ impl Conn {
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 return Err(ProtoError::Io(io::ErrorKind::TimedOut.into()));
             }
-            let mut tmp = [0u8; 64 * 1024];
-            match self.stream.read(&mut tmp) {
+            match self.recv.fill(&mut self.stream) {
                 Ok(0) => {
-                    return if self.buf.is_empty() {
+                    return if self.recv.is_empty() {
                         Ok(None)
                     } else {
                         Err(ProtoError::Io(io::ErrorKind::UnexpectedEof.into()))
                     }
                 }
-                Ok(n) => {
-                    self.buf.extend_from_slice(&tmp[..n]);
-                    last_io = Instant::now();
-                }
+                Ok(_) => last_io = Instant::now(),
                 Err(e)
                     if matches!(
                         e.kind(),
@@ -749,6 +845,158 @@ mod tests {
         frames
     }
 
+    /// A stream that hands out `bytes` in reads of at most the next size
+    /// of `sizes` (cycled), then end of stream.
+    struct Scripted<'a> {
+        bytes: &'a [u8],
+        sizes: std::iter::Cycle<std::slice::Iter<'a, usize>>,
+    }
+
+    impl Read for Scripted<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let n = (*self.sizes.next().unwrap())
+                .min(out.len())
+                .min(self.bytes.len());
+            out[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    /// Everything a [`RecvBuf`] decodes from `bytes` read in pieces of
+    /// `sizes`: the frames, and whether bytes were left over at the end
+    /// of the stream.
+    fn decode_scripted(bytes: &[u8], sizes: &[usize]) -> (Vec<Frame>, bool, RecvBuf) {
+        let mut src = Scripted {
+            bytes,
+            sizes: sizes.iter().cycle(),
+        };
+        let mut recv = RecvBuf::default();
+        let mut owned = |v: SamplesView<'_>| Frame::Samples {
+            seq: v.seq,
+            samples: v.iter().collect(),
+        };
+        let mut got = Vec::new();
+        loop {
+            while let Some(read) = recv.next_frame(&mut owned).unwrap() {
+                got.push(match read {
+                    Incoming::Samples(frame) | Incoming::Frame(frame) => frame,
+                });
+                // Every frame takes at least a header's worth of bytes.
+                assert!(
+                    got.len() <= bytes.len() / proto::HEADER_LEN,
+                    "frames out of nothing"
+                );
+            }
+            if recv.fill(&mut src).unwrap() == 0 {
+                let left_over = !recv.is_empty();
+                return (got, left_over, recv);
+            }
+        }
+    }
+
+    #[test]
+    fn recv_buf_decodes_frames_fed_one_byte_per_read() {
+        let frames = mixed_frames();
+        let bytes: Vec<u8> = frames.iter().flat_map(proto::encode_frame).collect();
+        let (got, left_over, recv) = decode_scripted(&bytes, &[1]);
+        assert_eq!(got, frames);
+        assert!(!left_over);
+        assert_eq!(recv.buf.len(), RECV_MIN, "one-byte reads never grow it");
+    }
+
+    #[test]
+    fn recv_buf_decodes_several_frames_from_one_read() {
+        let frames = mixed_frames();
+        let bytes: Vec<u8> = frames.iter().flat_map(proto::encode_frame).collect();
+        // Whole buffers at a time, and reads that end mid-header and
+        // mid-payload at shifting offsets.
+        for sizes in [&[usize::MAX][..], &[3, 20_000, 7, 41_000], &[65_535, 17]] {
+            let (got, left_over, recv) = decode_scripted(&bytes, sizes);
+            assert_eq!(got, frames, "reads of {sizes:?}");
+            assert!(!left_over);
+            assert_eq!(recv.buf.len(), RECV_MIN, "reads of {sizes:?}");
+        }
+    }
+
+    #[test]
+    fn recv_buf_grows_for_a_frame_larger_than_its_capacity() {
+        let big = |seq, n: usize| Frame::Samples {
+            seq,
+            samples: (0..n).map(|k| k as f64 * 0.5).collect(),
+        };
+        let frames = vec![
+            Frame::Flush,
+            big(1, 8192),
+            Frame::EventsAck { seq: 3 },
+            big(2, 100_000),
+            big(3, 5),
+            big(4, 300_000),
+            Frame::Fin,
+        ];
+        let bytes: Vec<u8> = frames.iter().flat_map(proto::encode_frame).collect();
+        for sizes in [&[usize::MAX][..], &[64 * 1024], &[1000, 1]] {
+            let (got, left_over, recv) = decode_scripted(&bytes, sizes);
+            assert_eq!(got, frames, "reads of {sizes:?}");
+            assert!(!left_over);
+            // The largest frame fits; the buffer did not grow past twice
+            // the size it needed.
+            let largest = proto::samples_frame_len(300_000);
+            assert!(recv.buf.len() >= largest && recv.buf.len() <= 2 * largest);
+        }
+    }
+
+    #[test]
+    fn a_partial_frame_at_end_of_stream_is_unexpected_eof() {
+        let (mut conn, mut peer) = pair();
+        let whole = proto::encode_frame(&Frame::EventsAck { seq: 5 });
+        let cut = proto::encode_samples(1, &[1.0; 100]);
+        peer.write_all(&whole).unwrap();
+        peer.write_all(&cut[..cut.len() / 2]).unwrap();
+        peer.shutdown(std::net::Shutdown::Write).unwrap();
+        let stop = Stop::default();
+        assert_eq!(
+            conn.read_frame(&stop, None).unwrap(),
+            Some(Frame::EventsAck { seq: 5 })
+        );
+        let err = conn.read_frame(&stop, None).unwrap_err();
+        assert!(
+            matches!(&err, ProtoError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof),
+            "{err:?}"
+        );
+        // The same stream cut between frames ends cleanly.
+        let (_, left_over, _) = decode_scripted(&whole, &[1]);
+        assert!(!left_over);
+        let (_, left_over, _) = decode_scripted(&[&whole[..], &cut[..9]].concat(), &[4]);
+        assert!(left_over);
+    }
+
+    #[test]
+    fn a_stop_mid_frame_returns_the_whole_frames_then_none() {
+        for kill in [false, true] {
+            let (mut conn, mut peer) = pair();
+            let whole = proto::encode_samples(1, &[2.0; 3000]);
+            let cut = proto::encode_samples(2, &[3.0; 3000]);
+            peer.write_all(&whole).unwrap();
+            peer.write_all(&cut[..cut.len() - 1]).unwrap();
+            let stop = Stop::default();
+            // The first frame is read before the stop; the stop comes
+            // while the second is short of its last byte.
+            let first = conn.read_frame(&stop, None).unwrap();
+            assert_eq!(first, Some(proto::decode_frame(&whole).unwrap().0));
+            stop.raise(kill);
+            let started = Instant::now();
+            assert_eq!(conn.read_frame(&stop, None).unwrap(), None, "kill {kill}");
+            // A drain ends at the first quiet read timeout; a kill at once.
+            let bound = if kill {
+                POLL_INTERVAL
+            } else {
+                3 * POLL_INTERVAL
+            };
+            assert!(started.elapsed() < bound, "kill {kill}");
+        }
+    }
+
     fn held(buf: &ReplayBuffer, after: u64) -> Vec<(u64, Vec<u8>)> {
         buf.after(after).map(|(s, f)| (s, f.to_vec())).collect()
     }
@@ -787,6 +1035,33 @@ mod tests {
         assert_eq!(held(&buf, 0), [(7, vec![70]), (8, vec![80])]);
         buf.prune_through(u64::MAX);
         assert!(buf.is_empty());
+    }
+
+    #[test]
+    fn replay_buffer_hands_back_the_buffers_of_dropped_frames() {
+        let mut buf = ReplayBuffer::default();
+        assert_eq!(buf.spare().capacity(), 0, "nothing dropped yet");
+        for seq in 1..=3u64 {
+            let mut frame = buf.spare();
+            frame.extend_from_slice(&[seq as u8; 100]);
+            buf.push(seq, frame);
+        }
+        // A replayed sequence and a prune each give their buffers back,
+        // emptied, and the held frames are untouched.
+        buf.push(3, vec![30; 10]);
+        buf.prune_through(1);
+        assert_eq!(held(&buf, 0), [(2, vec![2u8; 100]), (3, vec![30; 10])]);
+        for _ in 0..2 {
+            let spare = buf.spare();
+            assert!(spare.is_empty() && spare.capacity() >= 100);
+        }
+        assert_eq!(buf.spare().capacity(), 0, "two frames were dropped");
+        // The spares are bounded.
+        for seq in 10..10 + 2 * SPARE_FRAMES as u64 {
+            buf.push(seq, vec![0; 8]);
+        }
+        buf.prune_through(u64::MAX);
+        assert_eq!(buf.spares.len(), SPARE_FRAMES);
     }
 
     #[test]

@@ -1099,11 +1099,28 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
 /// exactly sized buffer: the bytes [`encode_frame`] writes for the owned
 /// frame, without first copying the batch into one.
 pub fn encode_samples(seq: u64, samples: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(samples_frame_len(samples.len()));
-    out.resize(HEADER_LEN, 0);
-    codec::put_samples(&mut out, seq, samples);
-    seal(&mut out, FrameType::Samples as u8, 0);
+    let mut out = Vec::new();
+    encode_samples_into(&mut out, seq, samples);
     out
+}
+
+/// [`encode_samples`] into `out`, replacing its contents: a buffer that
+/// already holds a frame's worth of capacity is reused without
+/// allocating.
+pub fn encode_samples_into(out: &mut Vec<u8>, seq: u64, samples: &[f64]) {
+    out.clear();
+    out.reserve_exact(samples_frame_len(samples.len()));
+    out.resize(HEADER_LEN, 0);
+    codec::put_samples(out, seq, samples);
+    seal(out, FrameType::Samples as u8, 0);
+}
+
+/// The whole length of the frame `header` opens, as its length field
+/// announces it. Meaningful once [`decode_frame_view`] has accepted the
+/// header, which bounds the length by [`MAX_PAYLOAD`].
+pub(crate) fn announced_frame_len(header: &[u8]) -> usize {
+    let len: [u8; 4] = header[8..12].try_into().expect("a header holds its length");
+    HEADER_LEN + u32::from_le_bytes(len) as usize
 }
 
 /// Validates a frame header, returning the frame type, flags, payload

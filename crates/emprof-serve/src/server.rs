@@ -16,9 +16,11 @@
 //!   reads — explicit backpressure instead of unbounded buffering.
 //!   With [`ServeConfig::shed`], a full queue instead drops its oldest
 //!   batch and counts it.
-//! * **worker pool** — `threads` workers pop ready sessions from a
-//!   channel and drain their queues under the session lock, feeding the
-//!   per-session [`StreamingEmprof`](emprof_core::StreamingEmprof).
+//! * **worker pool** — `threads` workers take ready sessions from one
+//!   ready queue and drain their queues under the session lock,
+//!   feeding the per-session
+//!   [`StreamingEmprof`](emprof_core::StreamingEmprof). A session is
+//!   queued once per idle → ready transition, not once per frame.
 //! * **reaper thread** — periodically finalizes and removes sessions
 //!   whose producers went idle past [`ServeConfig::idle_timeout`].
 //!
@@ -59,7 +61,7 @@ use crate::proto::{
     SAMPLES_FITTING_PAYLOAD, VERSION,
 };
 use crate::queue::PushReceipt;
-use crate::session::{SeqAdmit, Session, SessionRegistry, Work};
+use crate::session::{ReadyQueue, SeqAdmit, Session, SessionRegistry, Work};
 
 /// How long a reader waits for the worker pool to answer a FLUSH/FIN
 /// marker before giving up on the connection.
@@ -232,10 +234,9 @@ struct Shared {
     registry: SessionRegistry,
     counters: ServerCounters,
     tail: Mutex<TailRing>,
-    /// Cloned by readers to notify workers; dropped at shutdown so the
-    /// worker loop drains and exits.
-    ready_tx: Mutex<Option<mpsc::Sender<Arc<Session>>>>,
-    ready_rx: Mutex<mpsc::Receiver<Arc<Session>>>,
+    /// Sessions with queued work; closed at shutdown so the workers
+    /// drain it and exit.
+    ready: ReadyQueue,
     /// [`Server::kill`] raises the kill flag with the stop flag: readers
     /// then stop at once, as a crash would, instead of first reading
     /// what their peers already sent.
@@ -275,13 +276,6 @@ impl Shared {
         obs::meter_mark!("meter.events_out", events.len() as u64);
         let mut tail = self.tail.lock().unwrap_or_else(|e| e.into_inner());
         tail.push(session_id, events);
-    }
-
-    fn notify_ready(&self, session: &Arc<Session>) {
-        let tx = self.ready_tx.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(tx) = tx.as_ref() {
-            let _ = tx.send(Arc::clone(session));
-        }
     }
 
     fn stats(&self) -> ServerStatsSnapshot {
@@ -442,13 +436,11 @@ impl Server {
         let workers = config.threads.get();
         let metrics_addr = config.metrics_addr.clone();
         let (edge, shared) = Edge::bind(addr, metrics_addr.as_deref(), |local_addr| {
-            let (ready_tx, ready_rx) = mpsc::channel();
             let shared = Shared {
                 registry: SessionRegistry::new(),
                 counters: ServerCounters::default(),
                 tail: Mutex::new(TailRing::new(config.tail_capacity)),
-                ready_tx: Mutex::new(Some(ready_tx)),
-                ready_rx: Mutex::new(ready_rx),
+                ready: ReadyQueue::default(),
                 stop: Stop::default(),
                 draining: AtomicBool::new(false),
                 local_addr: local_addr.to_string(),
@@ -545,12 +537,9 @@ impl Server {
             return;
         }
         self.edge.shutdown();
-        // Closing the ready channel lets workers drain it and exit.
-        self.shared
-            .ready_tx
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take();
+        // The readers are joined, so nothing more is scheduled: closing
+        // the ready queue lets the workers drain it and exit.
+        self.shared.ready.close();
         for h in self.worker_handles.drain(..) {
             let _ = h.join();
         }
@@ -651,22 +640,12 @@ fn delete_journal_and_flight(shared: &Arc<Shared>, session: &Session) {
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
-    loop {
-        let msg = {
-            let rx = shared.ready_rx.lock().unwrap_or_else(|e| e.into_inner());
-            rx.recv_timeout(POLL_INTERVAL)
-        };
-        match msg {
-            Ok(session) => {
-                let _sp = obs::span!("serve.drain");
-                session.drain_paced(shared.config.ingest_delay, |evs| {
-                    shared.record_events(session.id, evs);
-                });
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => return,
-        }
-    }
+    shared.ready.work(|session| {
+        let _sp = obs::span!("serve.drain");
+        session.drain_paced(shared.config.ingest_delay, |evs| {
+            shared.record_events(session.id, evs);
+        });
+    });
 }
 
 fn reaper_loop(shared: &Arc<Shared>) {
@@ -1176,7 +1155,7 @@ fn session_loop(
                 // that wait is backpressure like a batch's.
                 let receipt = session.queue.push_blocking(marker);
                 account_push(shared, session, &receipt);
-                shared.notify_ready(session);
+                shared.ready.schedule(session);
                 match rx.recv_timeout(REPLY_TIMEOUT) {
                     Ok(reply) => {
                         // Delivery is *offered*, never marked: the reply
@@ -1303,7 +1282,7 @@ fn ingest_batch(shared: &Arc<Shared>, session: &Arc<Session>, mut samples: Vec<f
     obs::counter_add!("serve.samples_in", n as u64);
     obs::meter_mark!("meter.samples_in", n as u64);
     account_push(shared, session, &receipt);
-    shared.notify_ready(session);
+    shared.ready.schedule(session);
 }
 
 /// Books the queue side of one push into a session queue: the batches

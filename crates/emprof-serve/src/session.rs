@@ -9,9 +9,9 @@
 //! shutdown, or by the reaper — always runs `finish()`, so trailing
 //! events are never lost.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use emprof_core::{Confidence, EmprofConfig, StallEvent, StreamingEmprof};
@@ -193,6 +193,10 @@ pub struct Session {
     /// of allocating per frame. Buffers shed under overload are simply
     /// dropped (the pool refills on the next miss).
     spare_bufs: Mutex<Vec<Vec<f64>>>,
+    /// Whether the session is in a [`ReadyQueue`] or a worker has taken
+    /// it and not yet cleared the flag: set by the push that finds it
+    /// idle, cleared by the worker before it drains.
+    scheduled: AtomicBool,
 }
 
 /// Cap on pooled sample buffers per session; enough to cover the frames
@@ -240,6 +244,7 @@ impl Session {
             detached_gen: AtomicU64::new(0),
             last_active_ns: AtomicU64::new(epoch.elapsed().as_nanos() as u64),
             spare_bufs: Mutex::new(Vec::new()),
+            scheduled: AtomicBool::new(false),
         }
     }
 
@@ -323,6 +328,7 @@ impl Session {
             detached_gen: AtomicU64::new(0),
             last_active_ns: AtomicU64::new(epoch.elapsed().as_nanos() as u64),
             spare_bufs: Mutex::new(Vec::new()),
+            scheduled: AtomicBool::new(false),
         }
     }
 
@@ -700,6 +706,73 @@ impl Session {
     }
 }
 
+/// Sessions with queued work, waiting for a pool worker.
+///
+/// A session is queued once per idle → ready transition, not once per
+/// push: [`ReadyQueue::schedule`] enqueues it only when its `scheduled`
+/// flag was clear, and [`ReadyQueue::work`] clears the flag *before*
+/// draining. A push that lands after the drain's last pop therefore
+/// finds the flag clear and queues the session again, so no work is
+/// stranded; a push during the drain may queue it once more, and that
+/// lap finds little or nothing to do.
+#[derive(Debug, Default)]
+pub(crate) struct ReadyQueue {
+    state: Mutex<ReadyState>,
+    wake: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct ReadyState {
+    sessions: VecDeque<Arc<Session>>,
+    closed: bool,
+}
+
+impl ReadyQueue {
+    /// Queues `session` for a worker unless it is already queued or
+    /// about to be drained. Call it after every push into the session's
+    /// queue.
+    pub(crate) fn schedule(&self, session: &Arc<Session>) {
+        if session.scheduled.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        st.sessions.push_back(Arc::clone(session));
+        drop(st);
+        self.wake.notify_one();
+    }
+
+    /// Ends [`ReadyQueue::work`] once every queued session is drained.
+    pub(crate) fn close(&self) {
+        self.state.lock().unwrap_or_else(|e| e.into_inner()).closed = true;
+        self.wake.notify_all();
+    }
+
+    /// A worker's loop: takes each ready session in turn, clears its
+    /// `scheduled` flag, and hands it to `drain`. Returns once the queue
+    /// is closed and empty.
+    pub(crate) fn work(&self, mut drain: impl FnMut(&Arc<Session>)) {
+        while let Some(session) = self.next() {
+            // Before the drain: see the type's docs.
+            session.scheduled.store(false, Ordering::SeqCst);
+            drain(&session);
+        }
+    }
+
+    /// Blocks for the next ready session; `None` once closed and empty.
+    fn next(&self) -> Option<Arc<Session>> {
+        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        loop {
+            if let Some(session) = st.sessions.pop_front() {
+                return Some(session);
+            }
+            if st.closed {
+                return None;
+            }
+            st = self.wake.wait(st).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+}
+
 /// Best-effort journal failure accounting: a sick disk must not take
 /// down live profiling, but it must not be silent either.
 fn note_journal_error(what: &str, e: &std::io::Error) {
@@ -1046,6 +1119,125 @@ mod tests {
         for expected in ["create", "attach", "detach", "drain"] {
             assert!(labels.iter().any(|l| l == expected), "missing {expected:?}");
         }
+    }
+
+    /// Pushes `work` into `s`'s queue and schedules it, as a connection
+    /// reader does.
+    fn push_ready(ready: &ReadyQueue, s: &Arc<Session>, work: Work) {
+        s.queue.push_blocking(work);
+        ready.schedule(s);
+    }
+
+    fn queued(ready: &ReadyQueue) -> usize {
+        ready.state.lock().unwrap().sessions.len()
+    }
+
+    #[test]
+    fn a_session_is_queued_once_per_idle_to_ready_transition() {
+        let reg = SessionRegistry::new();
+        let s = registry_session(&reg);
+        let ready = ReadyQueue::default();
+        for _ in 0..5 {
+            push_ready(&ready, &s, Work::Samples(vec![5.0; 100]));
+        }
+        assert_eq!(queued(&ready), 1, "five pushes, one ready entry");
+        ready.close();
+        let mut laps = 0;
+        ready.work(|s| {
+            laps += 1;
+            s.drain(|_| {});
+        });
+        assert_eq!((laps, s.queue.depth()), (1, 0));
+    }
+
+    /// The interleaving the `scheduled` flag exists for: a push that
+    /// lands after the drain's last pop, while the worker still holds
+    /// the session. The flag is already clear, so the push queues the
+    /// session again and the next lap ingests it.
+    #[test]
+    fn a_push_after_the_drains_last_pop_queues_the_session_again() {
+        let reg = SessionRegistry::new();
+        let s = registry_session(&reg);
+        let ready = ReadyQueue::default();
+        push_ready(&ready, &s, Work::Samples(vec![5.0; 100]));
+        // Closed up front: `work` returns once nothing is queued.
+        ready.close();
+        let mut laps = 0;
+        ready.work(|session| {
+            laps += 1;
+            session.drain(|_| {});
+            if laps == 1 {
+                push_ready(&ready, session, Work::Samples(vec![5.0; 100]));
+            }
+        });
+        assert_eq!(laps, 2, "the late push was stranded");
+        assert_eq!(s.queue.depth(), 0);
+        assert_eq!(s.stats().samples_pushed, 200);
+    }
+
+    #[test]
+    fn closing_drains_every_queued_session_first() {
+        let reg = SessionRegistry::new();
+        let ready = ReadyQueue::default();
+        let sessions: Vec<_> = (0..6).map(|_| registry_session(&reg)).collect();
+        for (i, s) in sessions.iter().enumerate() {
+            for _ in 0..=i {
+                push_ready(&ready, s, Work::Samples(vec![5.0; 50]));
+            }
+        }
+        ready.close();
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    ready.work(|s| {
+                        s.drain(|_| {});
+                    });
+                });
+            }
+        });
+        for (i, s) in sessions.iter().enumerate() {
+            assert_eq!(s.queue.depth(), 0);
+            assert_eq!(s.stats().samples_pushed, 50 * (i as u64 + 1));
+        }
+        assert_eq!(queued(&ready), 0);
+    }
+
+    /// A reader pushing batches and FLUSH markers while two workers
+    /// drain: every FLUSH is answered, and everything pushed is
+    /// ingested.
+    #[test]
+    fn a_reader_racing_the_workers_strands_no_work() {
+        const ROUNDS: usize = 400;
+        let reg = SessionRegistry::new();
+        let s = registry_session(&reg);
+        let ready = ReadyQueue::default();
+        let mut unanswered = None;
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    ready.work(|s| {
+                        s.drain(|_| {});
+                    });
+                });
+            }
+            for round in 0..ROUNDS {
+                for _ in 0..round % 3 {
+                    push_ready(&ready, &s, Work::Samples(vec![5.0; 64]));
+                }
+                let (tx, rx) = mpsc::sync_channel(1);
+                push_ready(&ready, &s, Work::Flush(tx));
+                if rx.recv_timeout(Duration::from_secs(10)).is_err() {
+                    unanswered = Some(round);
+                    break;
+                }
+            }
+            // Closed either way, so the workers return and the scope ends.
+            ready.close();
+        });
+        assert_eq!(unanswered, None, "a FLUSH was never answered");
+        let batches: usize = (0..ROUNDS).map(|r| r % 3).sum();
+        assert_eq!(s.stats().samples_pushed, 64 * batches as u64);
+        assert_eq!((s.queue.depth(), queued(&ready)), (0, 0));
     }
 
     #[test]

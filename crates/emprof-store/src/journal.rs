@@ -26,7 +26,7 @@
 //! retained suffix is always self-describing.
 
 use std::fs;
-use std::io::{self, Write};
+use std::io::{self, IoSlice, Write};
 use std::path::{Path, PathBuf};
 
 use emprof_obs as obs;
@@ -34,8 +34,8 @@ use emprof_obs as obs;
 use crate::codec;
 use crate::record::{Record, RecordKind, SegmentFooter};
 use crate::segment::{
-    encode_segment_header, parse_segment_file_name, scan_segment, segment_file_name,
-    write_record_frame, write_record_frame_raw, SEGMENT_HEADER_LEN,
+    encode_segment_header, parse_segment_file_name, raw_record_header, scan_segment,
+    segment_file_name, write_record_frame, SEGMENT_HEADER_LEN,
 };
 
 /// Journal tuning knobs.
@@ -386,9 +386,10 @@ impl Journal {
     /// Appends a [`Record::Samples`] record from its encoded payload —
     /// a SAMPLES wire payload is exactly that encoding — and the
     /// payload's CRC-32, as the wire carried and verified them: the
-    /// payload bytes are copied as they are and not hashed again. The
-    /// record on disk is byte-identical to [`Journal::append_samples`] of
-    /// the decoded batch.
+    /// payload bytes are written as they are, from the caller's buffer
+    /// in one vectored write behind the record header, and not hashed
+    /// again. The record on disk is byte-identical to
+    /// [`Journal::append_samples`] of the decoded batch.
     ///
     /// `payload_crc` must be `crc32(payload)`; a wrong one writes a
     /// record that the next open discards as a torn tail.
@@ -402,10 +403,14 @@ impl Journal {
         let count = Record::samples_payload(payload)
             .map(|(_, raw)| raw.len() / 8)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-        let index = self.write_frame(|f| {
-            write_record_frame_raw(f, RecordKind::Samples, payload, payload_crc);
-        })?;
-        self.active.note_samples(count, self.frame.len() as u64);
+        let header = raw_record_header(RecordKind::Samples, payload, payload_crc);
+        write_all_vectored(
+            &mut self.writer,
+            &mut [IoSlice::new(&header), IoSlice::new(payload)],
+        )?;
+        let len = (header.len() + payload.len()) as u64;
+        let index = self.appended(len)?;
+        self.active.note_samples(count, len);
         Ok(index)
     }
 
@@ -416,13 +421,20 @@ impl Journal {
         self.frame.clear();
         frame(&mut self.frame);
         self.writer.write_all(&self.frame)?;
+        self.appended(self.frame.len() as u64)
+    }
+
+    /// Completes an append of `len` frame bytes already written: syncs
+    /// under [`JournalConfig::sync_on_append`], and hands out the
+    /// record's index.
+    fn appended(&mut self, len: u64) -> io::Result<u64> {
         if self.cfg.sync_on_append {
             self.writer.sync_data()?;
         }
         let index = self.next_index;
         self.next_index += 1;
         obs::counter_add!("store.appends", 1);
-        obs::counter_add!("store.bytes_written", self.frame.len() as u64);
+        obs::counter_add!("store.bytes_written", len);
         Ok(index)
     }
 
@@ -467,11 +479,34 @@ impl Journal {
     }
 }
 
+/// Writes all of `bufs` to `w`, in order, with as few vectored writes
+/// as `w` takes them in.
+fn write_all_vectored(w: &mut impl Write, mut bufs: &mut [IoSlice<'_>]) -> io::Result<()> {
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
+/// Creates the segment file for `base_index` holding its header.
+///
+/// The header is not synced. Under the default contract (process
+/// crashes, not power loss; see [`JournalConfig::sync_on_append`]) the
+/// page cache already holds it. Under `sync_on_append` the segment's
+/// first append syncs the whole file, header included, before that
+/// record is acknowledged. Either way no acknowledged record's
+/// durability depends on a sync here: a header lost to power loss
+/// before any append leaves an invalid last segment with nothing in it,
+/// which recovery drops.
 fn new_segment(dir: &Path, base_index: u64) -> io::Result<SegmentInfo> {
     let path = dir.join(segment_file_name(base_index));
     let mut f = fs::File::create(&path)?;
     f.write_all(&encode_segment_header(base_index))?;
-    f.sync_data()?;
     Ok(SegmentInfo {
         path,
         bytes: SEGMENT_HEADER_LEN as u64,
@@ -561,6 +596,52 @@ mod tests {
         );
         fs::remove_dir_all(&da).unwrap();
         fs::remove_dir_all(&db).unwrap();
+    }
+
+    /// A writer that takes at most `max` bytes per call, and fails every
+    /// other call with `Interrupted`.
+    struct Trickle {
+        out: Vec<u8>,
+        max: usize,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(2) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let mut n = 0;
+            for b in bufs {
+                let take = b.len().min(self.max - n);
+                self.out.extend_from_slice(&b[..take]);
+                n += take;
+            }
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn vectored_writes_resume_after_short_and_interrupted_writes() {
+        let (head, body) = ([1u8, 2, 3, 4, 5, 6, 7, 8, 9], [10u8; 40]);
+        for max in [1, 4, 9, 10, 49, 64] {
+            let mut w = Trickle {
+                out: Vec::new(),
+                max,
+                calls: 0,
+            };
+            write_all_vectored(&mut w, &mut [IoSlice::new(&head), IoSlice::new(&body)]).unwrap();
+            assert_eq!(w.out, [&head[..], &body[..]].concat(), "max {max}");
+        }
     }
 
     #[test]

@@ -129,21 +129,19 @@ pub(crate) fn write_record_frame(
     out[at..at + RECORD_HEADER_LEN].copy_from_slice(&header);
 }
 
-/// Appends one record frame around `payload`, whose CRC-32 the caller
-/// already holds: the frame CRC, over the kind byte and then the
+/// The header of the record frame around `payload`, whose CRC-32 the
+/// caller already holds: the frame CRC, over the kind byte and then the
 /// payload, is derived from it with [`combine`] instead of rehashing the
-/// payload. The frame bytes equal [`write_record_frame`]'s for the same
-/// kind and payload.
-pub(crate) fn write_record_frame_raw(
-    out: &mut Vec<u8>,
+/// payload. This header followed by `payload` is the frame
+/// [`write_record_frame`] writes for the same kind and payload.
+pub(crate) fn raw_record_header(
     kind: RecordKind,
     payload: &[u8],
     payload_crc: u32,
-) {
+) -> [u8; RECORD_HEADER_LEN] {
     debug_assert_eq!(crc32(payload), payload_crc, "payload CRC mismatch");
     let crc = combine(crc32(&[kind as u8]), payload_crc, payload.len());
-    out.extend_from_slice(&record_header(payload.len(), kind, crc));
-    out.extend_from_slice(payload);
+    record_header(payload.len(), kind, crc)
 }
 
 /// Serializes one record frame (header + payload) ready to append.

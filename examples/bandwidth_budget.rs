@@ -28,8 +28,7 @@ fn main() {
         "bandwidth", "stalls", "avg stall (cyc)", "stall time %"
     );
     for bw in PAPER_BANDWIDTHS_HZ {
-        let capture =
-            Receiver::new(ReceiverConfig::paper_setup(bw)).capture(&result.power, 9);
+        let capture = Receiver::new(ReceiverConfig::paper_setup(bw)).capture(&result.power, 9);
         let emprof = Emprof::new(EmprofConfig::for_rates(
             capture.sample_rate_hz(),
             device.clock_hz,

@@ -24,8 +24,7 @@ fn main() {
     let config = EmprofConfig::for_rates(capture.sample_rate_hz(), device.clock_hz);
 
     // A real profiling service on an ephemeral loopback port.
-    let server =
-        Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind loopback server");
+    let server = Server::bind("127.0.0.1:0", ServeConfig::default()).expect("bind loopback server");
     println!("emprof-serve listening on {}", server.local_addr());
 
     // Stream the capture in 4096-sample frames (≈100 µs of signal each),
@@ -60,11 +59,8 @@ fn main() {
     let server_stats = server.shutdown();
 
     // The offline batch analysis of the same capture.
-    let batch = Emprof::new(config).profile_capture(
-        &magnitude,
-        capture.sample_rate_hz(),
-        device.clock_hz,
-    );
+    let batch =
+        Emprof::new(config).profile_capture(&magnitude, capture.sample_rate_hz(), device.clock_hz);
 
     println!(
         "served {} samples in 4096-sample frames over {} wire frames \

@@ -9,14 +9,8 @@ cargo build --release
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Formatting, for the crates that are rustfmt-clean: the simulator, the
-# DRAM model, the workload generators, the detector, the perf-style
-# sampling baseline, the DSP substrate, the EM synthesis, the parallel
-# runtime, the fault injector, the CLI, the journal store, the serving
-# crate and the router; and for the soak driver's sources, while the
-# rest of emprof-bench is not yet.
-cargo fmt --check -p emprof-sim -p emprof-dram -p emprof-workloads -p emprof-core -p emprof-baseline -p emprof-signal -p emprof-emsim -p emprof-par -p emprof-fault -p emprof-cli -p emprof-store -p emprof-serve -p emprof-router
-rustfmt --check --edition 2021 crates/bench/src/soak.rs crates/bench/src/bin/soak/*.rs crates/bench/tests/soak_cli.rs
+# Formatting: every package in the workspace is rustfmt-clean.
+cargo fmt --all --check
 
 # Rustdoc with warnings denied: broken or ambiguous intra-doc links
 # (and public docs linking private items) fail the gate.
@@ -69,10 +63,11 @@ cargo test -q --release --test journal_golden --test wire_golden
 
 # Wire codec, the served wire surface, and the allocation-free SAMPLES
 # paths (decode alone; decode, raw journal append and pooled copy
-# together), run optimised too: the payload codecs are generated from
-# their declarations, and the allocation counts are only meaningful as
+# together; the replay buffer's encode, push, prune and reuse cycle),
+# run optimised too: the payload codecs are generated from their
+# declarations, and the allocation counts are only meaningful as
 # shipped.
-cargo test -q --release --test prop_codec --test serve_wire --test alloc_ingest --test alloc_journal
+cargo test -q --release --test prop_codec --test serve_wire --test alloc_ingest --test alloc_journal --test alloc_replay
 
 # The store's unit tests, optimised: the segment walk, the sort-dedup
 # fold and the codecs (the CRC-32 tests above run again here).

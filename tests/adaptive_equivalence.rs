@@ -131,7 +131,10 @@ fn threshold_tracks_attenuation_ramp_monotonically() {
     }
     let first = *thresholds.first().unwrap();
     let last = *thresholds.last().unwrap();
-    assert_eq!(first, cfg.threshold, "schedule must start at the base threshold");
+    assert_eq!(
+        first, cfg.threshold,
+        "schedule must start at the base threshold"
+    );
     assert!(
         last > first + 0.1,
         "threshold never adapted: first {first}, last {last}"

@@ -55,7 +55,10 @@ fn samples_decode_path_is_allocation_free() {
         let samples: Vec<f64> = (0..SAMPLES_PER_FRAME)
             .map(|i| (seq as f64) + (i as f64) * 0.001)
             .collect();
-        wire.extend_from_slice(&proto::encode_frame(&Frame::Samples { seq: seq + 1, samples }));
+        wire.extend_from_slice(&proto::encode_frame(&Frame::Samples {
+            seq: seq + 1,
+            samples,
+        }));
     }
 
     // Warm reusable state: one sample buffer with enough capacity, the

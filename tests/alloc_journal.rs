@@ -105,7 +105,11 @@ fn journaled_samples_path_is_allocation_free() {
         "decode, raw journal append and pooled copy allocated {allocs} times over {FRAMES} frames"
     );
     assert_eq!(journal.stats().segments, 1, "the journal must not roll");
-    assert_eq!(journal.stats().next_index, FRAMES + 2, "meta, then every frame");
+    assert_eq!(
+        journal.stats().next_index,
+        FRAMES + 2,
+        "meta, then every frame"
+    );
 
     // Sanity: the decoded append of the same batch, through an owned
     // decode, does allocate, so the counter is wired.

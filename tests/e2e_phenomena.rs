@@ -15,7 +15,8 @@ fn profile_capture(
     bandwidth: f64,
     seed: u64,
 ) -> (emprof::core::Profile, emprof::emsim::CapturedSignal) {
-    let capture = Receiver::new(ReceiverConfig::paper_setup(bandwidth)).capture(&result.power, seed);
+    let capture =
+        Receiver::new(ReceiverConfig::paper_setup(bandwidth)).capture(&result.power, seed);
     let emprof = Emprof::new(EmprofConfig::for_rates(
         capture.sample_rate_hz(),
         device.clock_hz,

@@ -70,7 +70,10 @@ fn summary_exposes_tail_latencies() {
         summary.p99_latency_cycles,
         summary.p50_latency_cycles
     );
-    assert!(summary.stall_fraction > 0.3, "crypto kernel is memory-bound");
+    assert!(
+        summary.stall_fraction > 0.3,
+        "crypto kernel is memory-bound"
+    );
 }
 
 /// A profile survives the CSV round trip with counts and totals intact.

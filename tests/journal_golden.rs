@@ -56,7 +56,9 @@ fn meta() -> SessionMeta {
 /// lossy encoder would not preserve (signed zero, subnormal, a NaN with
 /// a payload, infinities).
 fn samples(seq: u64) -> Vec<f64> {
-    let mut s: Vec<f64> = (0..12).map(|i| 5.0 + (seq * 12 + i) as f64 / 64.0).collect();
+    let mut s: Vec<f64> = (0..12)
+        .map(|i| 5.0 + (seq * 12 + i) as f64 / 64.0)
+        .collect();
     s.extend_from_slice(&[
         -0.0,
         f64::from_bits(1),

@@ -252,8 +252,14 @@ fn forced_transport_loss_dumps_flight_recorder() {
     };
     let dump = std::fs::read_to_string(&path).unwrap();
     let trace_hex = format!("\"trace_id\":\"{trace:#018x}\"");
-    assert!(dump.contains("\"type\":\"flight\""), "not a flight dump: {dump}");
-    assert!(dump.contains(&trace_hex), "dump missing {trace_hex}: {dump}");
+    assert!(
+        dump.contains("\"type\":\"flight\""),
+        "not a flight dump: {dump}"
+    );
+    assert!(
+        dump.contains(&trace_hex),
+        "dump missing {trace_hex}: {dump}"
+    );
     assert!(
         dump.contains("\"kind\":\"span\"") && dump.contains("drain"),
         "dump missing the session's drain span: {dump}"
@@ -321,9 +327,18 @@ fn explicit_flight_dir_works_without_a_journal() {
     };
     let dump = std::fs::read_to_string(&path).unwrap();
     let trace_hex = format!("\"trace_id\":\"{trace:#018x}\"");
-    assert!(dump.contains("\"type\":\"flight\""), "not a flight dump: {dump}");
-    assert!(dump.contains(&trace_hex), "dump missing {trace_hex}: {dump}");
-    assert!(dump.contains("transport loss"), "missing fault reason: {dump}");
+    assert!(
+        dump.contains("\"type\":\"flight\""),
+        "not a flight dump: {dump}"
+    );
+    assert!(
+        dump.contains(&trace_hex),
+        "dump missing {trace_hex}: {dump}"
+    );
+    assert!(
+        dump.contains("transport loss"),
+        "missing fault reason: {dump}"
+    );
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&flight_root);

@@ -115,8 +115,8 @@ fn parallel_capture_chain_is_bit_exact_with_telemetry_on() {
     let seq_samples = obs::snapshot().counter("emsim.samples");
 
     obs::reset();
-    let par_rx = Receiver::new(ReceiverConfig::paper_setup(40e6))
-        .with_parallelism(Parallelism::new(4));
+    let par_rx =
+        Receiver::new(ReceiverConfig::paper_setup(40e6)).with_parallelism(Parallelism::new(4));
     let par = par_rx.capture(&trace, 11);
     let par_samples = obs::snapshot().counter("emsim.samples");
     obs::disable();

@@ -118,7 +118,13 @@ fn flat_signal_matches_reference() {
             let norm = normalize_moving_minmax(&signal, window);
             let mut fused_norm = Vec::new();
             let runs = fused::detect_runs_range(
-                &signal, window, 0.35, 0.5, 0, signal.len(), Some(&mut fused_norm),
+                &signal,
+                window,
+                0.35,
+                0.5,
+                0,
+                signal.len(),
+                Some(&mut fused_norm),
             )
             .expect("finite");
             assert_eq!(fused_norm, norm);
@@ -136,8 +142,16 @@ fn all_dip_signal_matches_reference() {
     for window in [3, 64, 801, 4000] {
         let norm = normalize_moving_minmax(&signal, window);
         let runs = fused::detect_runs(&signal, window, 0.35, 0.5).expect("finite");
-        assert_eq!(runs.below_threshold, reference_runs(&norm, 0.35), "window {window}");
-        assert_eq!(runs.below_edge, reference_runs(&norm, 0.5), "window {window}");
+        assert_eq!(
+            runs.below_threshold,
+            reference_runs(&norm, 0.35),
+            "window {window}"
+        );
+        assert_eq!(
+            runs.below_edge,
+            reference_runs(&norm, 0.5),
+            "window {window}"
+        );
     }
 }
 
@@ -163,7 +177,13 @@ fn extreme_finite_values_match_reference() {
         let norm = normalize_moving_minmax(&signal, window);
         let mut fused_norm = Vec::new();
         let runs = fused::detect_runs_range(
-            &signal, window, 0.35, 0.5, 0, signal.len(), Some(&mut fused_norm),
+            &signal,
+            window,
+            0.35,
+            0.5,
+            0,
+            signal.len(),
+            Some(&mut fused_norm),
         )
         .expect("finite");
         assert_eq!(fused_norm, norm, "window {window}");

@@ -330,7 +330,9 @@ fn query_survives_concurrent_compaction() {
     // Steady state: the race is over, the invariant still holds.
     let spec = QuerySpec::all();
     let got = query_journals(&dir, &spec, None).unwrap();
-    let rec = read_session(&dir, cfg).unwrap().expect("journal must recover");
+    let rec = read_session(&dir, cfg)
+        .unwrap()
+        .expect("journal must recover");
     let mut acc = QueryAccumulator::new(&spec).unwrap();
     acc.add_session(1, &rec.meta.device, rec.events.iter());
     let want = acc.finish();

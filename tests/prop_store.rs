@@ -106,10 +106,7 @@ fn segment_files(dir: &std::path::Path) -> Vec<PathBuf> {
 /// Asserts the recovered state is an honest prefix: every recovered
 /// batch is bit-identical to the batch originally written under that
 /// sequence number, with no gaps.
-fn assert_honest_prefix(
-    recovered: &[(u64, Vec<f64>)],
-    written: &[(u64, Vec<f64>)],
-) {
+fn assert_honest_prefix(recovered: &[(u64, Vec<f64>)], written: &[(u64, Vec<f64>)]) {
     assert!(recovered.len() <= written.len());
     for (got, want) in recovered.iter().zip(written.iter()) {
         assert_eq!(got.0, want.0, "recovered sequence out of order");

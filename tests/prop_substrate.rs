@@ -3,7 +3,7 @@
 use emprof::dram::{DramConfig, MemoryController, RefreshConfig};
 use emprof::sim::cache::{Cache, CacheConfig, Replacement};
 use emprof::sim::isa::{Inst, Program, Reg};
-use emprof::sim::{DeviceModel, Interpreter, InstructionSource, Simulator};
+use emprof::sim::{DeviceModel, InstructionSource, Interpreter, Simulator};
 use proptest::prelude::*;
 
 proptest! {

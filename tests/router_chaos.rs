@@ -135,11 +135,17 @@ fn drain_stops_new_placements_but_keeps_existing_sessions() {
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     loop {
         let state = router.cluster_state();
-        let row = state.iter().find(|n| n.name == format!("b{owner}")).unwrap();
+        let row = state
+            .iter()
+            .find(|n| n.name == format!("b{owner}"))
+            .unwrap();
         if row.draining {
             break;
         }
-        assert!(std::time::Instant::now() < deadline, "drain flag never surfaced");
+        assert!(
+            std::time::Instant::now() < deadline,
+            "drain flag never surfaced"
+        );
         std::thread::sleep(Duration::from_millis(20));
     }
 
@@ -152,14 +158,9 @@ fn drain_stops_new_placements_but_keeps_existing_sessions() {
     let before = backends[owner].sessions_active();
     for k in 0..4 {
         let sig = signal_for(10 + k);
-        let mut c = ProfileClient::connect(
-            router.local_addr(),
-            &format!("fresh{k}"),
-            config(),
-            FS,
-            CLK,
-        )
-        .unwrap();
+        let mut c =
+            ProfileClient::connect(router.local_addr(), &format!("fresh{k}"), config(), FS, CLK)
+                .unwrap();
         c.send(&sig[..512]).unwrap();
         let (_, stats) = c.finish().unwrap();
         assert!(stats.final_report);
@@ -177,7 +178,10 @@ fn drain_stops_new_placements_but_keeps_existing_sessions() {
     assert_eq!(stats.samples_pushed, signal.len() as u64);
 
     let rstats = router.shutdown();
-    assert_eq!(rstats.migrations, 0, "drain alone must not migrate anything");
+    assert_eq!(
+        rstats.migrations, 0,
+        "drain alone must not migrate anything"
+    );
     cleanup(backends, dirs);
 }
 
@@ -222,7 +226,11 @@ fn cascading_kills_still_equal_batch() {
     assert!(stats.final_report);
     assert_eq!(stats.samples_pushed, signal.len() as u64);
     events.extend(tail);
-    assert_eq!(events, batch_events(&signal), "double migration diverged from batch");
+    assert_eq!(
+        events,
+        batch_events(&signal),
+        "double migration diverged from batch"
+    );
 
     let rstats = router.shutdown();
     assert!(rstats.migrations >= 2);
@@ -284,7 +292,10 @@ fn lossy_migration_without_journal_is_counted_honestly() {
 
     client.send(&signal[half..]).unwrap();
     let (_, stats) = client.finish().unwrap();
-    assert!(stats.final_report, "lossy migration must still finish the session");
+    assert!(
+        stats.final_report,
+        "lossy migration must still finish the session"
+    );
 
     let rstats = router.shutdown();
     assert!(rstats.migrations >= 1);
@@ -336,7 +347,9 @@ fn cluster_join_grows_and_shrinks_the_ring_at_runtime() {
     assert_eq!(evs, batch_events(&sig));
 
     // LEAVE pulls it off the ring; the health row flips to draining.
-    let row = metrics.cluster_join("b1", "", ClusterAction::Leave).unwrap();
+    let row = metrics
+        .cluster_join("b1", "", ClusterAction::Leave)
+        .unwrap();
     assert!(row.draining);
     let sig = signal_for(9);
     let mut c =
@@ -348,7 +361,10 @@ fn cluster_join_grows_and_shrinks_the_ring_at_runtime() {
     // the final EVENTS_ACK, then insist nothing lingers.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while backends[0].sessions_active() + backends[1].sessions_active() > 0 {
-        assert!(std::time::Instant::now() < deadline, "finished sessions lingered");
+        assert!(
+            std::time::Instant::now() < deadline,
+            "finished sessions lingered"
+        );
         std::thread::sleep(Duration::from_millis(20));
     }
 

@@ -189,8 +189,7 @@ fn routed_sessions_spread_over_backends_and_equal_batch() {
                 let frame = 13 + k * 977;
                 let flush = if k % 2 == 0 { Some(3) } else { None };
                 barrier.wait();
-                let routed =
-                    route_signal(&router, &format!("dev{k}"), &signal, frame, flush);
+                let routed = route_signal(&router, &format!("dev{k}"), &signal, frame, flush);
                 assert_eq!(
                     routed,
                     batch_events(&signal),
@@ -295,7 +294,10 @@ fn backend_kill_mid_stream_migrates_exactly_once() {
     );
     let rstats = router.shutdown();
     assert!(rstats.migrations >= 1, "kill must force a migration");
-    assert_eq!(rstats.migrations_lossy, 0, "journaled fleet must never migrate lossily");
+    assert_eq!(
+        rstats.migrations_lossy, 0,
+        "journaled fleet must never migrate lossily"
+    );
     for b in backends {
         b.shutdown();
     }
@@ -353,7 +355,9 @@ fn router_observability_surface() {
 
     // The same surface over plain HTTP: per-backend health rows plus
     // the fleet session/migration aggregates a scraper alerts on.
-    let scrape_addr = router.metrics_local_addr().expect("router metrics listener");
+    let scrape_addr = router
+        .metrics_local_addr()
+        .expect("router metrics listener");
     let response = http_get(scrape_addr, "/metrics");
     assert!(response.starts_with("HTTP/1.1 200"), "{response:?}");
     let body = response.split("\r\n\r\n").nth(1).expect("scrape body");
@@ -365,7 +369,10 @@ fn router_observability_surface() {
     }
     assert!(body.contains("emprof_router_sessions_active 1\n"), "{body}");
     assert!(body.contains("emprof_router_migrations 0\n"), "{body}");
-    assert!(body.contains("emprof_router_migrations_lossy 0\n"), "{body}");
+    assert!(
+        body.contains("emprof_router_migrations_lossy 0\n"),
+        "{body}"
+    );
     assert!(body.contains("emprof_router_backend_sessions"), "{body}");
     assert!(http_get(scrape_addr, "/nope").starts_with("HTTP/1.1 404"));
 

@@ -51,8 +51,7 @@ fn serve_signal(
     frame: usize,
     flush_every: Option<usize>,
 ) -> Vec<StallEvent> {
-    let mut client =
-        ProfileClient::connect(server.local_addr(), "eq", config(), FS, CLK).unwrap();
+    let mut client = ProfileClient::connect(server.local_addr(), "eq", config(), FS, CLK).unwrap();
     let mut events = Vec::new();
     for (i, chunk) in signal.chunks(frame).enumerate() {
         client.send(chunk).unwrap();
@@ -159,8 +158,9 @@ fn backpressure_is_bounded_and_observable() {
         },
     )
     .unwrap();
-    let segments: Vec<(u16, u16, u8)> =
-        (0..24).map(|j| ((j * 37) as u16, (j * 53) as u16, (j * 11) as u8)).collect();
+    let segments: Vec<(u16, u16, u8)> = (0..24)
+        .map(|j| ((j * 37) as u16, (j * 53) as u16, (j * 11) as u8))
+        .collect();
     let signal = build_signal(&segments);
     let served = serve_signal(&server, &signal, 256, None);
     assert_eq!(served, batch_events(&signal));
@@ -195,7 +195,9 @@ fn shed_mode_drops_and_counts() {
     )
     .unwrap();
     let signal = build_signal(
-        &(0..40).map(|j| ((j * 31) as u16, (j * 71) as u16, (j * 13) as u8)).collect::<Vec<_>>(),
+        &(0..40)
+            .map(|j| ((j * 31) as u16, (j * 71) as u16, (j * 13) as u8))
+            .collect::<Vec<_>>(),
     );
     let mut client =
         ProfileClient::connect(server.local_addr(), "shed", config(), FS, CLK).unwrap();
@@ -205,7 +207,10 @@ fn shed_mode_drops_and_counts() {
     let (_, stats) = client.finish().unwrap();
     assert!(stats.final_report);
     let totals = server.shutdown();
-    assert!(totals.sheds > 0, "a 5 ms/batch worker behind a 2-frame queue must shed");
+    assert!(
+        totals.sheds > 0,
+        "a 5 ms/batch worker behind a 2-frame queue must shed"
+    );
     // Wire-level ingest counts everything received; the detector only
     // sees what survived the queue.
     assert_eq!(totals.samples_in, signal.len() as u64);
@@ -228,7 +233,9 @@ fn serve_telemetry_counters_are_recorded() {
     obs::enable();
     let server = Server::bind("127.0.0.1:0", ServeConfig::default()).unwrap();
     let signal = build_signal(
-        &(0..12).map(|j| ((j * 41) as u16, (j * 67) as u16, (j * 17) as u8)).collect::<Vec<_>>(),
+        &(0..12)
+            .map(|j| ((j * 41) as u16, (j * 67) as u16, (j * 17) as u8))
+            .collect::<Vec<_>>(),
     );
     let served = serve_signal(&server, &signal, 512, Some(2));
     assert_eq!(served, batch_events(&signal));
@@ -242,7 +249,10 @@ fn serve_telemetry_counters_are_recorded() {
     assert!(counter("serve.samples_in") >= stats.samples_in);
     assert!(counter("serve.events") >= stats.events_total);
     assert!(
-        snapshot.spans.iter().any(|(name, _)| name == "serve.session"),
+        snapshot
+            .spans
+            .iter()
+            .any(|(name, _)| name == "serve.session"),
         "serve.session span missing from telemetry"
     );
 }

@@ -206,7 +206,12 @@ fn journaled_config(dir: &std::path::Path) -> ServeConfig {
 #[test]
 fn server_restart_with_journal_is_exactly_once() {
     let dir = fresh_journal_dir();
-    let signal = build_signal(&[(900, 40, 200), (500, 80, 120), (700, 25, 255), (400, 60, 80)]);
+    let signal = build_signal(&[
+        (900, 40, 200),
+        (500, 80, 120),
+        (700, 25, 255),
+        (400, 60, 80),
+    ]);
     let expected = Emprof::new(config())
         .profile_magnitude(&signal, FS, CLK)
         .events()
@@ -224,10 +229,9 @@ fn server_restart_with_journal_is_exactly_once() {
     .unwrap();
 
     let chunks: Vec<&[f64]> = signal.chunks(777).collect();
-    let crash_points: BTreeSet<usize> =
-        [chunks.len() / 4, chunks.len() / 2, 3 * chunks.len() / 4]
-            .into_iter()
-            .collect();
+    let crash_points: BTreeSet<usize> = [chunks.len() / 4, chunks.len() / 2, 3 * chunks.len() / 4]
+        .into_iter()
+        .collect();
     let mut served = Vec::new();
     for (i, chunk) in chunks.iter().enumerate() {
         client.send(chunk).expect("send survives restarts");
@@ -251,8 +255,14 @@ fn server_restart_with_journal_is_exactly_once() {
 
     assert!(stats.final_report);
     assert_eq!(stats.samples_pushed, signal.len() as u64);
-    assert!(resumes >= crash_points.len() as u64, "restarts never resumed");
-    assert_eq!(served, expected, "restarted delivery lost or duplicated events");
+    assert!(
+        resumes >= crash_points.len() as u64,
+        "restarts never resumed"
+    );
+    assert_eq!(
+        served, expected,
+        "restarted delivery lost or duplicated events"
+    );
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -281,9 +291,7 @@ fn acked_fin_compacts_the_journal_away() {
     // session (and its journal dir) disappears within a poll or two.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     loop {
-        let dirs = std::fs::read_dir(&dir)
-            .map(|d| d.count())
-            .unwrap_or(0);
+        let dirs = std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0);
         if dirs == 0 || std::time::Instant::now() > deadline {
             assert_eq!(dirs, 0, "acked+finished session journal was not deleted");
             break;
@@ -292,7 +300,11 @@ fn acked_fin_compacts_the_journal_away() {
     }
     server.shutdown();
     let restarted = Server::bind("127.0.0.1:0", journaled_config(&dir)).unwrap();
-    assert_eq!(restarted.sessions_active(), 0, "finished session resurrected");
+    assert_eq!(
+        restarted.sessions_active(),
+        0,
+        "finished session resurrected"
+    );
     restarted.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
