@@ -44,7 +44,6 @@ impl Chunk {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkPlan {
     chunks: Vec<Chunk>,
-    len: usize,
     margin: usize,
 }
 
@@ -78,11 +77,7 @@ impl ChunkPlan {
                 start = end;
             }
         }
-        ChunkPlan {
-            chunks,
-            len,
-            margin,
-        }
+        ChunkPlan { chunks, margin }
     }
 
     /// The planned chunks, in signal order.
@@ -93,11 +88,6 @@ impl ChunkPlan {
     /// Number of chunks.
     pub fn count(&self) -> usize {
         self.chunks.len()
-    }
-
-    /// The planned signal length.
-    pub fn signal_len(&self) -> usize {
-        self.len
     }
 
     /// The overlap margin each padded range extends by.
@@ -164,6 +154,5 @@ mod tests {
     fn empty_signal_gives_empty_plan() {
         let plan = ChunkPlan::new(0, 4, 10);
         assert_eq!(plan.count(), 0);
-        assert_eq!(plan.signal_len(), 0);
     }
 }

@@ -11,9 +11,10 @@
 //!   `EMPROF_THREADS` environment variable, or
 //!   [`std::thread::available_parallelism`].
 //! * [`pool::parallel_map`] — a scoped-thread fork/join map with atomic
-//!   work claiming. No queues persist between calls; worker lifetime is
-//!   bounded by the call, so the crate needs no `unsafe` and no
-//!   dependencies.
+//!   work claiming. The caller is one of the workers: it claims items
+//!   alongside the threads it spawns, one fewer than the worker count.
+//!   No queues persist between calls; worker lifetime is bounded by the
+//!   call, so the crate needs no `unsafe` and no dependencies.
 //! * [`chunk::ChunkPlan`] — splits a capture into near-equal chunks with
 //!   an overlap *margin* on each side, sized by the caller from the
 //!   normalization window and FIR group delay (see DESIGN.md §8 for the

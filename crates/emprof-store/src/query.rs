@@ -30,18 +30,21 @@
 //! 3. The cache stores fully decoded sealed segments, pruned ones
 //!    included, validated by file stat on every hit, so the hit path
 //!    folds the same records the cold path would read.
-//! 4. Cache-missed segments are walked in parallel, on `EMPROF_THREADS`
-//!    workers per session, but the fold visits their results in
-//!    segment order, and a stat or walk error is raised only when the
-//!    fold reaches its segment. The parallel engine therefore answers,
-//!    and accounts, exactly as a one-segment-at-a-time loop would.
+//! 4. Every selected session is planned first. The cache misses of
+//!    consecutive sessions are then walked in parallel, on
+//!    `EMPROF_THREADS` workers, in fan-outs of a few misses per worker,
+//!    but each session's fold visits its results in segment order, and
+//!    a stat or walk error is raised only when the fold reaches its
+//!    segment. The parallel engine therefore answers, and accounts,
+//!    exactly as a one-segment-at-a-time loop would.
 //!
 //! Reads are strictly read-only (the frame walk of [`scan_segment`],
 //! never [`crate::journal::Journal::open`], which repairs in place), so
 //! querying a live server's journals is safe. Ack-driven compaction
 //! can still delete a segment between the directory listing and the
-//! read; the engine re-lists and replans (compaction is prefix-only
-//! and monotone, so a bounded number of replans always converges).
+//! read; the engine re-lists and replans that session alone
+//! (compaction is prefix-only and monotone, so a bounded number of
+//! replans always converges).
 //!
 //! [`scan_segment`]: crate::segment::scan_segment
 
@@ -58,16 +61,16 @@ use emprof_obs::HistogramSnapshot;
 use crate::cache::{DecodedSegment, SegmentCache};
 use crate::record::{sequenced, Record, Scanned, SegmentFooter, SessionMeta};
 use crate::segment::{parse_segment_file_name, scan_segment_with};
-use crate::session::fold_by_seq;
+use crate::session::{fold_by_seq, in_seq_order};
 
 /// Upper bound on event-rate timeline buckets per query.
 pub const MAX_TIMELINE_BUCKETS: u64 = 4096;
 
-/// How many times a query replans a session after losing a segment to
-/// concurrent compaction before giving up. Compaction only ever
-/// deletes a monotone prefix, so each replan strictly shrinks the
-/// contested range; this bound is never hit outside of pathological
-/// delete loops.
+/// How many times a query plans a session, the first plan included,
+/// before giving up when each plan loses a segment to concurrent
+/// compaction. Compaction only ever deletes a monotone prefix, so each
+/// replan strictly shrinks the contested range; this bound is never hit
+/// outside of pathological delete loops.
 const MAX_REPLANS: usize = 5;
 
 /// What to compute, over which window and sessions.
@@ -291,9 +294,9 @@ impl QueryAccumulator {
 /// or a flat `emprof record` directory of segments. Sessions without a
 /// surviving identity checkpoint contribute nothing (exactly as replay
 /// treats them). Pass a [`SegmentCache`] to reuse decoded sealed
-/// segments across queries. Each session's cache-missed segments are
-/// walked on `EMPROF_THREADS` workers (else one per hardware thread);
-/// the answer does not depend on the count.
+/// segments across queries. Cache-missed segments are walked on
+/// `EMPROF_THREADS` workers (else one per hardware thread); the answer
+/// does not depend on the count.
 ///
 /// # Errors
 ///
@@ -308,9 +311,9 @@ pub fn query_journals(
     query_journals_with(root, spec, cache, Parallelism::resolve(None))
 }
 
-/// [`query_journals`] with `par` workers scanning each session's
-/// cache-missed segments. The result, accounting included, is the same
-/// for every worker count.
+/// [`query_journals`] with `par` workers scanning the cache-missed
+/// segments. The result, accounting included, is the same for every
+/// worker count.
 pub(crate) fn query_journals_with(
     root: &Path,
     spec: &QuerySpec,
@@ -318,16 +321,8 @@ pub(crate) fn query_journals_with(
     par: Parallelism,
 ) -> io::Result<QueryResult> {
     let mut acc = QueryAccumulator::new(spec)?;
-    for (id_hint, dir) in discover_sessions(root)? {
-        // A directory-named session the filter excludes is skipped
-        // without touching any of its segments.
-        if let Some(id) = id_hint {
-            if !spec.matches_session(id) {
-                continue;
-            }
-        }
-        query_session(&dir, id_hint, spec, cache, par, &mut acc)?;
-    }
+    let plans = plan_sessions(root, spec, cache)?;
+    fold_sessions(plans, spec, cache, par, &mut acc, &mut |_| {})?;
     Ok(acc.finish())
 }
 
@@ -359,51 +354,223 @@ fn discover_sessions(root: &Path) -> io::Result<Vec<(Option<u64>, PathBuf)>> {
     Ok(sessions)
 }
 
-/// Queries one session directory, replanning when compaction deletes a
-/// listed segment out from under the read.
-fn query_session(
-    dir: &Path,
+type SessionRead = (SessionMeta, Vec<SegmentEvents>, QueryAccounting);
+
+/// A folded segment's `(sequence, event)` pairs: shared with the cache,
+/// or owned when the segment is not cached.
+enum SegmentEvents {
+    Shared(Arc<DecodedSegment>),
+    Owned(Vec<(u64, StallEvent)>),
+}
+
+impl SegmentEvents {
+    fn as_slice(&self) -> &[(u64, StallEvent)] {
+        match self {
+            SegmentEvents::Shared(seg) => &seg.events,
+            SegmentEvents::Owned(events) => events,
+        }
+    }
+}
+
+/// One selected session as planned: its directory, the id its name
+/// gives, and its planned segments, or the listing's error, held until
+/// the fold reaches the session.
+struct SessionPlan {
+    dir: PathBuf,
     id_hint: Option<u64>,
+    segments: io::Result<Vec<Planned>>,
+}
+
+/// One listed segment as planned: its stat and, when the cache holds a
+/// valid entry for it, that entry.
+struct Planned {
+    base: u64,
+    path: PathBuf,
+    stat: io::Result<(u64, Option<SystemTime>)>,
+    hit: Option<Arc<DecodedSegment>>,
+}
+
+impl Planned {
+    /// Whether the fold reads this segment from a walk.
+    fn is_miss(&self) -> bool {
+        self.stat.is_ok() && self.hit.is_none()
+    }
+}
+
+/// Plans every session under `root` the filter selects, in session
+/// order. A directory-named session the filter excludes is skipped
+/// without touching any of its segments.
+fn plan_sessions(
+    root: &Path,
+    spec: &QuerySpec,
+    cache: Option<&SegmentCache>,
+) -> io::Result<Vec<SessionPlan>> {
+    Ok(discover_sessions(root)?
+        .into_iter()
+        .filter(|(id, _)| id.is_none_or(|id| spec.matches_session(id)))
+        .map(|(id_hint, dir)| SessionPlan {
+            segments: plan_segments(&dir, cache),
+            dir,
+            id_hint,
+        })
+        .collect())
+}
+
+/// Lists a session directory's segments in base order, then stats each
+/// and looks it up in the cache. A duplicate base ends the list:
+/// recovery keeps the first copy and drops the rest of the journal.
+fn plan_segments(dir: &Path, cache: Option<&SegmentCache>) -> io::Result<Vec<Planned>> {
+    let mut segs: Vec<(u64, PathBuf)> = Vec::new();
+    for entry in fs::read_dir(dir)? {
+        let entry = entry?;
+        if !entry.file_type()?.is_file() {
+            continue;
+        }
+        let name = entry.file_name();
+        let Some(name) = name.to_str() else { continue };
+        if let Some(base) = parse_segment_file_name(name) {
+            segs.push((base, entry.path()));
+        }
+    }
+    segs.sort_by_key(|s| s.0);
+    if let Some(dup) = segs.windows(2).position(|w| w[0].0 == w[1].0) {
+        segs.truncate(dup + 1);
+    }
+    Ok(segs
+        .into_iter()
+        .map(|(base, path)| {
+            let stat = fs::metadata(&path).map(|md| (md.len(), md.modified().ok()));
+            let hit = match (cache, &stat) {
+                (Some(c), Ok((len, modified))) => c.get(dir, base, *len, *modified),
+                _ => None,
+            };
+            Planned {
+                base,
+                path,
+                stat,
+                hit,
+            }
+        })
+        .collect())
+}
+
+/// Cache-missed segments one fan-out walks per worker. A fan-out takes
+/// consecutive misses across session boundaries, so this bounds the
+/// walked segments waiting for their session's fold.
+const FANOUT_PER_WORKER: usize = 4;
+
+/// The cache misses of a run of planned sessions, walked on demand in
+/// fan-outs of up to [`FANOUT_PER_WORKER`] misses per worker.
+struct Walks {
+    par: Parallelism,
+    paths: Vec<PathBuf>,
+    /// Where each session's misses start in `paths`.
+    first: Vec<usize>,
+    /// The walks of `paths[at..at + walked.len()]`, the last fan-out.
+    at: usize,
+    walked: Vec<Option<io::Result<Option<Walked>>>>,
+}
+
+impl Walks {
+    fn new<'a>(par: Parallelism, sessions: impl IntoIterator<Item = &'a [Planned]>) -> Walks {
+        let (mut paths, mut first) = (Vec::new(), Vec::new());
+        for segments in sessions {
+            first.push(paths.len());
+            let misses = segments.iter().filter(|p| p.is_miss());
+            paths.extend(misses.map(|p| p.path.clone()));
+        }
+        Walks {
+            par,
+            paths,
+            first,
+            at: 0,
+            walked: Vec::new(),
+        }
+    }
+
+    /// The walk of session `session`'s `k`th cache miss. Sessions ask
+    /// in order, so a miss past the last fan-out starts the next one
+    /// there; walks left untaken (their session's fold stopped early)
+    /// are dropped with it.
+    fn take(&mut self, session: usize, k: usize) -> io::Result<Option<Walked>> {
+        let i = self.first[session] + k;
+        debug_assert!(i >= self.at, "misses are taken in order");
+        if i >= self.at + self.walked.len() {
+            let end = self.paths.len().min(i + FANOUT_PER_WORKER * self.par.get());
+            self.walked = parallel_map(self.par, &self.paths[i..end], |path| Some(walk(path)));
+            self.at = i;
+        }
+        self.walked[i - self.at]
+            .take()
+            .expect("each walk is taken once")
+    }
+}
+
+/// Walks and folds planned sessions into `acc`, in order. Consecutive
+/// sessions' misses share fan-outs, and each session folds in its turn.
+/// A session that lost a listed segment to compaction (`NotFound`) is
+/// re-listed and replanned alone, up to [`MAX_REPLANS`] attempts; the
+/// failed attempt's accounting is discarded so nothing double-counts.
+/// `on_replan` hears of each replan.
+fn fold_sessions(
+    plans: Vec<SessionPlan>,
     spec: &QuerySpec,
     cache: Option<&SegmentCache>,
     par: Parallelism,
     acc: &mut QueryAccumulator,
+    on_replan: &mut dyn FnMut(&Path),
 ) -> io::Result<()> {
-    for _ in 0..MAX_REPLANS {
-        match query_session_once(dir, spec, cache, par) {
-            Ok(None) => return Ok(()),
-            Ok(Some((meta, events, acct))) => {
-                acc.accounting.segments_scanned += acct.segments_scanned;
-                acc.accounting.segments_pruned += acct.segments_pruned;
-                acc.accounting.cache_hits += acct.cache_hits;
-                acc.accounting.cache_misses += acct.cache_misses;
-                let session_id = id_hint.unwrap_or(meta.session_id);
-                if spec.matches_session(session_id) {
-                    acc.add_session(session_id, &meta.device, events.iter());
-                }
-                return Ok(());
+    let lost = |read: &io::Result<_>| matches!(read, Err(e) if e.kind() == io::ErrorKind::NotFound);
+    let mut walks = Walks::new(
+        par,
+        plans.iter().map(|p| p.segments.as_deref().unwrap_or(&[])),
+    );
+    for (s, plan) in plans.into_iter().enumerate() {
+        let SessionPlan {
+            dir,
+            id_hint,
+            segments,
+        } = plan;
+        let mut read =
+            segments.and_then(|segs| fold_session(&dir, segs, spec, cache, |k| walks.take(s, k)));
+        for _ in 1..MAX_REPLANS {
+            if !lost(&read) {
+                break;
             }
-            // A listed segment vanished: ack-driven compaction beat us
-            // to it. Re-list and replan; the partial attempt's
-            // accounting is discarded so nothing double-counts.
-            Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
-            Err(e) => return Err(e),
+            on_replan(&dir);
+            read = plan_segments(&dir, cache).and_then(|segs| {
+                let mut own = Walks::new(par, [segs.as_slice()]);
+                fold_session(&dir, segs, spec, cache, |k| own.take(0, k))
+            });
+        }
+        if lost(&read) {
+            return Err(io::Error::other(
+                "query lost a segment to compaction on every replan",
+            ));
+        }
+        let Some((meta, parts, acct)) = read? else {
+            continue;
+        };
+        acc.accounting.segments_scanned += acct.segments_scanned;
+        acc.accounting.segments_pruned += acct.segments_pruned;
+        acc.accounting.cache_hits += acct.cache_hits;
+        acc.accounting.cache_misses += acct.cache_misses;
+        let session_id = id_hint.unwrap_or(meta.session_id);
+        if !spec.matches_session(session_id) {
+            continue;
+        }
+        // The sequence fold of the segments' pairs in segment order. In
+        // sequence order already, they are what it would return, so they
+        // are folded where they lie instead of being gathered first.
+        let parts: Vec<&[(u64, StallEvent)]> = parts.iter().map(SegmentEvents::as_slice).collect();
+        let in_order = parts.iter().copied().flatten();
+        if in_seq_order(in_order.clone()) {
+            acc.add_session(session_id, &meta.device, in_order);
+        } else {
+            acc.add_session(session_id, &meta.device, &fold_by_seq(parts.concat()));
         }
     }
-    Err(io::Error::other(
-        "query lost a segment to compaction on every replan",
-    ))
-}
-
-type SessionRead = (SessionMeta, Vec<(u64, StallEvent)>, QueryAccounting);
-
-/// One listed segment as planned: its stat and, when the cache holds a
-/// valid entry for it, that entry.
-struct Planned<'a> {
-    base: u64,
-    path: &'a Path,
-    stat: io::Result<(u64, Option<SystemTime>)>,
-    hit: Option<Arc<DecodedSegment>>,
+    Ok(())
 }
 
 /// A cache-missed segment after its checked walk, reduced to what the
@@ -433,7 +600,12 @@ fn walk(path: &Path) -> io::Result<Option<Walked>> {
     };
     let records = scan.records.len() as u64;
     let mut meta = None;
-    let mut events = Vec::new();
+    // Sized once: the walked events wait for their session's fold.
+    let batches = scan.records.iter().map(|(_, rec)| match rec {
+        Scanned::Record(Record::Events { events, .. }) => events.len(),
+        _ => 0,
+    });
+    let mut events = Vec::with_capacity(batches.sum());
     for (_, rec) in scan.records {
         match rec {
             Scanned::Record(Record::Meta(m)) => meta = Some(m),
@@ -454,68 +626,23 @@ fn walk(path: &Path) -> io::Result<Option<Walked>> {
     }))
 }
 
-/// One read attempt over a session directory snapshot. `NotFound` from
-/// any segment read means the snapshot went stale (compaction); the
-/// caller replans.
-///
-/// Three phases: plan (stat every listed segment and look it up in the
-/// cache, in list order), fan out (walk the cache misses on `par`
-/// workers), fold (the valid-prefix state machine, in segment order).
-/// A stat or walk error is held until the fold reaches its segment, so
-/// a segment past the first anomaly never fails or replans the query.
-fn query_session_once(
+/// Folds one planned session: the valid-prefix state machine, in
+/// segment order, over cache hits and the walks of the misses, where
+/// `miss(k)` is the walk of the session's `k`th miss. A stat or walk
+/// error is raised only when the fold reaches its segment, so a segment
+/// past the first anomaly never fails or replans the query. `NotFound`
+/// means the plan went stale (compaction); the caller replans.
+fn fold_session(
     dir: &Path,
+    plan: Vec<Planned>,
     spec: &QuerySpec,
     cache: Option<&SegmentCache>,
-    par: Parallelism,
+    mut miss: impl FnMut(usize) -> io::Result<Option<Walked>>,
 ) -> io::Result<Option<SessionRead>> {
-    let mut segs: Vec<(u64, PathBuf)> = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        if !entry.file_type()?.is_file() {
-            continue;
-        }
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(base) = parse_segment_file_name(name) {
-            segs.push((base, entry.path()));
-        }
-    }
-    segs.sort_by_key(|s| s.0);
-    if segs.is_empty() {
-        return Ok(None);
-    }
-    // A duplicate base ends the plan: recovery keeps the first copy and
-    // drops the rest of the journal.
-    if let Some(dup) = segs.windows(2).position(|w| w[0].0 == w[1].0) {
-        segs.truncate(dup + 1);
-    }
-    let plan: Vec<Planned> = segs
-        .iter()
-        .map(|(base, path)| {
-            let stat = fs::metadata(path).map(|md| (md.len(), md.modified().ok()));
-            let hit = match (cache, &stat) {
-                (Some(c), Ok((len, modified))) => c.get(dir, *base, *len, *modified),
-                _ => None,
-            };
-            Planned {
-                base: *base,
-                path,
-                stat,
-                hit,
-            }
-        })
-        .collect();
-    let misses: Vec<&Path> = plan
-        .iter()
-        .filter(|p| p.stat.is_ok() && p.hit.is_none())
-        .map(|p| p.path)
-        .collect();
-    let mut walks = parallel_map(par, &misses, |path| walk(path)).into_iter();
-
     let mut meta: Option<SessionMeta> = None;
-    let mut folded: Vec<(u64, StallEvent)> = Vec::new();
+    let mut parts: Vec<SegmentEvents> = Vec::new();
     let mut acct = QueryAccounting::default();
+    let mut misses = 0;
     // Replay's valid-prefix state machine, mirrored record for record:
     // recovery (`Journal::open`) discards everything after the first
     // anomaly — a duplicate base, a bad or mismatched header,
@@ -534,15 +661,15 @@ fn query_session_once(
             // The first retained segment always folds: checkpoint
             // discipline puts the session's Meta at its head, and
             // pruning decisions only ever skip event payloads.
-            if i > 0 && !seg.footer.overlaps(spec.t0, spec.t1) {
-                acct.segments_pruned += 1;
-            } else {
-                folded.extend_from_slice(&seg.events);
-                acct.segments_scanned += 1;
-            }
             // The scan recovery would run counts the footer record
             // itself; the footer's own record_count does not.
             next_index = base + seg.footer.record_count + 1;
+            if i > 0 && !seg.footer.overlaps(spec.t0, spec.t1) {
+                acct.segments_pruned += 1;
+            } else {
+                parts.push(SegmentEvents::Shared(seg));
+                acct.segments_scanned += 1;
+            }
             continue;
         }
         if cache.is_some() {
@@ -551,7 +678,9 @@ fn query_session_once(
         // Every segment is walked and checked as recovery walks it, a
         // pruned one too: a tail footer survives damage further in, and
         // recovery ends the prefix there.
-        let Some(w) = walks.next().expect("one walk per cache miss")? else {
+        let walked = miss(misses);
+        misses += 1;
+        let Some(w) = walked? else {
             // Invalid header: recovery drops this file and everything
             // after it.
             break;
@@ -566,27 +695,29 @@ fn query_session_once(
         // A pruned segment's checkpoint still counts, as on a hit and in
         // replay: pruning only ever skips event payloads.
         meta = w.meta.clone().or(meta);
-        if i > 0 && w.footer.is_some_and(|f| !f.overlaps(spec.t0, spec.t1)) {
-            acct.segments_pruned += 1;
-        } else {
-            folded.extend_from_slice(&w.events);
-            acct.segments_scanned += 1;
-        }
+        let pruned = i > 0 && w.footer.is_some_and(|f| !f.overlaps(spec.t0, spec.t1));
         // Only a sealed segment is immutable and safe to cache; a
         // pruned one too, so warm queries need not walk it again.
-        if let (Some(c), Some(footer)) = (cache, w.footer) {
-            c.insert(
-                dir,
-                base,
-                Arc::new(DecodedSegment {
+        let events = match (cache, w.footer) {
+            (Some(c), Some(footer)) => {
+                let seg = Arc::new(DecodedSegment {
                     base_index: base,
                     meta: w.meta,
                     events: w.events,
                     footer,
                     file_len,
                     modified,
-                }),
-            );
+                });
+                c.insert(dir, base, Arc::clone(&seg));
+                SegmentEvents::Shared(seg)
+            }
+            _ => SegmentEvents::Owned(w.events),
+        };
+        if pruned {
+            acct.segments_pruned += 1;
+        } else {
+            parts.push(events);
+            acct.segments_scanned += 1;
         }
         if w.torn {
             // Recovery truncates a torn segment to its valid prefix
@@ -599,7 +730,7 @@ fn query_session_once(
         // journal, so queries do too.
         return Ok(None);
     };
-    Ok(Some((meta, fold_by_seq(folded), acct)))
+    Ok(Some((meta, parts, acct)))
 }
 
 #[cfg(test)]
@@ -1017,6 +1148,201 @@ mod tests {
         let seq = runs(1);
         assert_eq!(runs(4), seq);
         seq
+    }
+
+    /// Four sessions of 60 events: session 2 with a byte flipped in a
+    /// middle segment. `cache` is warmed, then every third segment of
+    /// each session is restamped, so the next query mixes hits and
+    /// misses within every session.
+    fn mixed_root(root: &Path, cache: &SegmentCache) {
+        for id in 1..=4 {
+            write_session(&root.join(format!("session-{id}")), id, 60);
+        }
+        let damaged = segment_paths(&root.join("session-2"));
+        let middle = &damaged[damaged.len() / 2];
+        let mut bytes = fs::read(middle).unwrap();
+        let at = bytes.len() / 2;
+        bytes[at] ^= 0xff;
+        fs::write(middle, bytes).unwrap();
+        query_journals_with(root, &QuerySpec::all(), Some(cache), Parallelism::new(2)).unwrap();
+        for id in 1..=4 {
+            let segs = segment_paths(&root.join(format!("session-{id}")));
+            for (i, p) in segs.iter().enumerate().step_by(3) {
+                let f = fs::OpenOptions::new().write(true).open(p).unwrap();
+                let at = std::time::Duration::from_secs(1_000_000 + i as u64);
+                f.set_modified(std::time::UNIX_EPOCH + at).unwrap();
+            }
+        }
+    }
+
+    /// Deletes a middle segment of session 3 that [`mixed_root`] left a
+    /// cache miss, as compaction might between plan and walk.
+    fn vanish(root: &Path) {
+        let segs = segment_paths(&root.join("session-3"));
+        fs::remove_file(&segs[segs.len() / 6 * 3]).unwrap();
+    }
+
+    #[test]
+    fn one_fanout_per_query_equals_a_per_session_loop() {
+        let spec = QuerySpec {
+            t0: 9_000,
+            t1: 41_000,
+            sessions: Vec::new(),
+            bucket_samples: 2_000,
+        };
+        // The query as shipped, at four workers and at one: every session
+        // planned, then one run of fan-outs for all of them.
+        let fanned = |threads: usize| {
+            let (root, cache) = (tmp_dir("fanout"), SegmentCache::default());
+            mixed_root(&root, &cache);
+            let mut acc = QueryAccumulator::new(&spec).unwrap();
+            let plans = plan_sessions(&root, &spec, Some(&cache)).unwrap();
+            vanish(&root);
+            let mut replanned = Vec::new();
+            let par = Parallelism::new(threads);
+            fold_sessions(plans, &spec, Some(&cache), par, &mut acc, &mut |d| {
+                replanned.push(d.strip_prefix(&root).unwrap().to_path_buf());
+            })
+            .unwrap();
+            fs::remove_dir_all(&root).unwrap();
+            (acc.finish(), replanned)
+        };
+        // The loop it replaced: each session planned, walked and folded
+        // before the next is listed.
+        let looped = {
+            let (root, cache) = (tmp_dir("loop"), SegmentCache::default());
+            mixed_root(&root, &cache);
+            let mut acc = QueryAccumulator::new(&spec).unwrap();
+            let mut replanned = Vec::new();
+            for plan in plan_sessions(&root, &spec, None).unwrap() {
+                let plan = SessionPlan {
+                    segments: plan_segments(&plan.dir, Some(&cache)),
+                    ..plan
+                };
+                if plan.dir.ends_with("session-3") {
+                    vanish(&root);
+                }
+                let par = Parallelism::new(4);
+                fold_sessions(vec![plan], &spec, Some(&cache), par, &mut acc, &mut |d| {
+                    replanned.push(d.strip_prefix(&root).unwrap().to_path_buf());
+                })
+                .unwrap();
+            }
+            fs::remove_dir_all(&root).unwrap();
+            (acc.finish(), replanned)
+        };
+        let (want, replanned) = &looped;
+        assert_eq!(replanned, &[PathBuf::from("session-3")]);
+        let acct = want.accounting;
+        assert!(acct.cache_hits > 4 && acct.cache_misses > 4, "{acct:?}");
+        let rows: Vec<u64> = want.sessions.iter().map(|r| r.events).collect();
+        // Session 2 ends at its damage and session 3 lost a segment's
+        // events: starts 9 000..=41 000 are 33 events in each whole one.
+        assert!(rows[0] == 33 && rows[3] == 33, "{rows:?}");
+        assert!(rows[1] < 33 && rows[2] < 33, "{rows:?}");
+        assert_eq!(fanned(4), looped);
+        assert_eq!(fanned(1), looped);
+    }
+
+    #[test]
+    fn a_fanout_spans_sessions_up_to_its_cap() {
+        let root = tmp_dir("fanoutcap");
+        for id in 1..=3 {
+            write_session(&root.join(format!("session-{id}")), id, 3);
+        }
+        let plans = plan_sessions(&root, &QuerySpec::all(), None).unwrap();
+        let segments: Vec<&[Planned]> = plans
+            .iter()
+            .map(|p| p.segments.as_deref().unwrap())
+            .collect();
+        let total: usize = segments.iter().map(|s| s.len()).sum();
+        let last = segments.len() - 1;
+        assert!(total > 4 && total <= 8, "{total} segments");
+        for threads in [1, 2] {
+            let cap = FANOUT_PER_WORKER * threads;
+            let mut walks = Walks::new(Parallelism::new(threads), segments.iter().copied());
+            // The first miss walks the next `cap` misses, whatever session
+            // they belong to.
+            assert!(walks.take(0, 0).unwrap().is_some());
+            assert_eq!((walks.at, walks.walked.len()), (0, total.min(cap)));
+            // The last session's last miss comes from that fan-out when it
+            // reached that far, else from the next, which starts there.
+            let k = segments[last].len() - 1;
+            assert!(walks.take(last, k).unwrap().is_some());
+            let at = if total <= cap { 0 } else { total - 1 };
+            assert_eq!(walks.at, at, "threads {threads}");
+        }
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn out_of_order_and_repeated_sequences_fold_as_recovery_folds() {
+        let root = tmp_dir("unordered");
+        let dir = root.join("session-5");
+        let mut j = crate::journal::Journal::open_with(&dir, small_cfg())
+            .unwrap()
+            .journal;
+        let batch = |seq: u64, dur: f64| Record::Events {
+            first_seq: seq,
+            events: vec![ev(
+                seq as usize * 1000,
+                dur,
+                StallKind::Normal,
+                Confidence::High,
+            )],
+        };
+        j.append(&Record::Meta(meta(5))).unwrap();
+        j.append(&batch(4, 400.0)).unwrap();
+        j.append(&batch(1, 100.0)).unwrap();
+        j.roll().unwrap();
+        j.append(&batch(2, 200.0)).unwrap();
+        j.append(&batch(4, 444.0)).unwrap();
+        j.roll().unwrap();
+        j.append(&batch(3, 300.0)).unwrap();
+        j.append(&batch(2, 222.0)).unwrap();
+        j.sync().unwrap();
+        drop(j);
+        let specs = [
+            QuerySpec::all(),
+            QuerySpec {
+                t0: 1_500,
+                t1: 3_500,
+                sessions: Vec::new(),
+                bucket_samples: 500,
+            },
+        ];
+        let got: Vec<Vec<QueryResult>> = [1, 4]
+            .iter()
+            .map(|&t| {
+                let par = Parallelism::new(t);
+                specs
+                    .iter()
+                    .map(|s| query_journals_with(&root, s, None, par).unwrap())
+                    .collect()
+            })
+            .collect();
+        let (_, rec) = SessionJournal::open(&dir, small_cfg())
+            .unwrap()
+            .expect("has meta");
+        let kept: Vec<(u64, f64)> = rec
+            .events
+            .iter()
+            .map(|(seq, e)| (*seq, e.duration_cycles))
+            .collect();
+        assert_eq!(kept, [(1, 100.0), (2, 222.0), (3, 300.0), (4, 444.0)]);
+        for (i, spec) in specs.iter().enumerate() {
+            let mut acc = QueryAccumulator::new(spec).unwrap();
+            acc.add_session(5, &rec.meta.device, rec.events.iter());
+            let want = acc.finish();
+            for r in &got {
+                assert_eq!(r[i].latency, want.latency, "{spec:?}");
+                assert_eq!(r[i].timeline, want.timeline, "{spec:?}");
+                assert_eq!(r[i].sessions, want.sessions, "{spec:?}");
+            }
+        }
+        assert_eq!(got[0][0].latency.sum, 100 + 222 + 300 + 444);
+        assert_eq!(got[0][1].latency.sum, 222 + 300);
+        fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

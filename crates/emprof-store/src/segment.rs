@@ -21,13 +21,14 @@
 //! The first frame that is truncated, oversized, or CRC-corrupt ends
 //! the valid prefix: everything before it is intact (CRC-verified),
 //! everything from it on is treated as a torn write. Scanning never
-//! panics and reads the file one record at a time, so a walk holds at
-//! most one bounded record payload.
+//! panics and reads the file in blocks of 256 KiB, checking records in
+//! place, so a walk holds at most a block plus one bounded record.
 
 use std::fs;
 use std::io;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
+use std::sync::{Mutex, PoisonError};
 
 use crate::crc::{combine, crc32, Crc32};
 use crate::record::{DecodeError, Record, RecordKind, SegmentFooter, FOOTER_PAYLOAD_LEN};
@@ -168,7 +169,8 @@ pub struct SegmentScan<R = Record> {
 /// Scans a segment file, validating the header and every record frame.
 /// Returns `None` when the header itself is invalid (the whole file is
 /// unusable — a torn header write or foreign file). The walk covers the
-/// file's length as of the open and holds one record payload at a time.
+/// file's length as of the open and holds one block, plus the record
+/// that runs over its end, at a time.
 ///
 /// # Errors
 ///
@@ -195,71 +197,146 @@ pub(crate) fn scan_segment_with<R>(
 ) -> io::Result<Option<SegmentScan<R>>> {
     let mut file = fs::File::open(path)?;
     let file_len = file.metadata()?.len();
-    scan_frames(&mut file, file_len, read)
-}
-
-/// Reads until `buf` is full or the source ends, returning the bytes
-/// read: a file that shrank after its length was taken reads short, and
-/// the walk treats the bytes it lost as a torn tail, as it would the
-/// tail of a short whole-file read.
-fn read_full(src: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
-    let mut got = 0;
-    while got < buf.len() {
-        match src.read(&mut buf[got..]) {
-            Ok(0) => break,
-            Ok(n) => got += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+    // Every update leaves the list whole, so a poisoned lock is taken over.
+    let spare = || SPARE_BUFFERS.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut buf = spare().pop().unwrap_or_default();
+    let scan = scan_frames(&mut file, file_len, SCAN_BLOCK, &mut buf, read);
+    // A buffer grown for a record much larger than a block is let go.
+    if buf.capacity() <= 2 * SCAN_BLOCK {
+        let mut spare = spare();
+        if spare.len() < MAX_SPARE_BUFFERS {
+            spare.push(buf);
         }
     }
-    Ok(got)
+    scan
+}
+
+/// Walk buffers kept between walks, so that walks, on whichever thread,
+/// reuse a buffer already faulted in instead of each mapping, faulting
+/// in and unmapping its own (a block is above the allocator's mmap
+/// threshold). At most [`MAX_SPARE_BUFFERS`] are kept, each at most two
+/// blocks.
+static SPARE_BUFFERS: Mutex<Vec<Vec<u8>>> = Mutex::new(Vec::new());
+
+/// The most walk buffers kept between walks: enough for the walks one
+/// query fan-out runs at once on a small host.
+const MAX_SPARE_BUFFERS: usize = 4;
+
+/// Bytes a segment walk asks for per `read` call: a few record frames
+/// of the serve path's 64 KiB sample batches.
+pub(crate) const SCAN_BLOCK: usize = 256 << 10;
+
+/// The first `file_len` bytes of a source, read in blocks into one
+/// reused buffer: `buf[start..end]` holds the bytes not yet consumed.
+struct Blocks<'a, S> {
+    src: &'a mut S,
+    block: usize,
+    buf: &'a mut Vec<u8>,
+    start: usize,
+    end: usize,
+    /// Bytes before `file_len` not yet read from `src`.
+    unread: u64,
+}
+
+impl<'a, S: Read> Blocks<'a, S> {
+    fn new(src: &'a mut S, file_len: u64, block: usize, buf: &'a mut Vec<u8>) -> Self {
+        Blocks {
+            src,
+            block,
+            buf,
+            start: 0,
+            end: 0,
+            unread: file_len,
+        }
+    }
+
+    /// The buffered bytes not yet consumed.
+    fn window(&self) -> &[u8] {
+        &self.buf[self.start..self.end]
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.start += n;
+    }
+
+    /// Makes the window at least `need` bytes long. Once every byte read
+    /// is consumed, the next read starts a block at the front of the
+    /// buffer. A read fills the block, or goes past its end only as far
+    /// as the frame being completed needs: a record that runs over a
+    /// block's end, or is larger than a block, is completed in place, so
+    /// no byte is moved or read twice, and the buffer stays within a
+    /// block plus one record. `false` when the source ends first: a file
+    /// that shrank after its length was taken reads short, and the walk
+    /// treats the bytes it lost as a torn tail, as it would the tail of
+    /// a short whole-file read. Nothing past `file_len` is ever read.
+    fn fill(&mut self, need: usize) -> io::Result<bool> {
+        if self.end - self.start >= need {
+            return Ok(true);
+        }
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+        }
+        let left = usize::try_from(self.unread).unwrap_or(usize::MAX);
+        let stop = (self.start + need)
+            .max(self.block)
+            .min(self.end.saturating_add(left));
+        if stop > self.buf.len() {
+            self.buf.reserve_exact(stop - self.buf.len());
+            self.buf.resize(stop, 0);
+        }
+        while self.end - self.start < need {
+            match self.src.read(&mut self.buf[self.end..stop]) {
+                Ok(0) => return Ok(false),
+                Ok(n) => {
+                    self.end += n;
+                    self.unread -= n as u64;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(true)
+    }
 }
 
 /// The walk of [`scan_segment_with`] over the first `file_len` bytes of
-/// `src`, one record at a time: after the segment and first record
-/// headers, each read takes one payload plus the next record's header
-/// into one reused buffer. A length is checked against [`MAX_RECORD`]
-/// and the bytes left before anything is read for it, so the walk holds
-/// at most one record payload and never reads past `file_len`.
+/// `src`, read `block` bytes at a time into `buf` (whatever it holds is
+/// overwritten; it only grows) and checked in place. A length is checked
+/// against [`MAX_RECORD`] and the bytes left before the walk waits for
+/// it, so the walk holds at most a block plus one record and never reads
+/// past `file_len`.
 fn scan_frames<R>(
     src: &mut impl Read,
     file_len: u64,
+    block: usize,
+    buf: &mut Vec<u8>,
     mut read: impl FnMut(u8, &[u8]) -> Result<R, DecodeError>,
 ) -> io::Result<Option<SegmentScan<R>>> {
-    let mut seg_header = [0u8; SEGMENT_HEADER_LEN];
-    if file_len < SEGMENT_HEADER_LEN as u64 || read_full(src, &mut seg_header)? < SEGMENT_HEADER_LEN
-    {
+    if file_len < SEGMENT_HEADER_LEN as u64 {
         return Ok(None);
     }
-    let Some(base_index) = decode_segment_header(&seg_header) else {
+    let mut blocks = Blocks::new(src, file_len, block, buf);
+    if !blocks.fill(SEGMENT_HEADER_LEN)? {
+        return Ok(None);
+    }
+    let Some(base_index) = decode_segment_header(blocks.window()) else {
         return Ok(None);
     };
+    blocks.consume(SEGMENT_HEADER_LEN);
     let mut records = Vec::new();
     let mut pos = SEGMENT_HEADER_LEN as u64;
-    let mut header = [0u8; RECORD_HEADER_LEN];
-    let mut buf = Vec::new();
-    let mut more = file_len - pos >= RECORD_HEADER_LEN as u64
-        && read_full(src, &mut header)? == RECORD_HEADER_LEN;
-    while more {
-        let (len, kind, crc) = parse_record_header(&header);
+    while file_len - pos >= RECORD_HEADER_LEN as u64 && blocks.fill(RECORD_HEADER_LEN)? {
+        let (len, kind, crc) = parse_record_header(blocks.window());
         let left = file_len - pos - RECORD_HEADER_LEN as u64;
         if len > MAX_RECORD || u64::from(len) > left {
             break;
         }
-        let len = len as usize;
-        let next = if left - len as u64 >= RECORD_HEADER_LEN as u64 {
-            RECORD_HEADER_LEN
-        } else {
-            0
-        };
-        if buf.len() < len + next {
-            buf.resize(len + next, 0);
-        }
-        let got = read_full(src, &mut buf[..len + next])?;
-        if got < len {
+        let frame = RECORD_HEADER_LEN + len as usize;
+        if !blocks.fill(frame)? {
             break;
         }
-        let payload = &buf[..len];
+        let payload = &blocks.window()[RECORD_HEADER_LEN..frame];
         if frame_crc(kind, payload) != crc {
             break;
         }
@@ -267,11 +344,8 @@ fn scan_frames<R>(
             break;
         };
         records.push((base_index + records.len() as u64, rec));
-        pos += (RECORD_HEADER_LEN + len) as u64;
-        more = next == RECORD_HEADER_LEN && got == len + next;
-        if more {
-            header.copy_from_slice(&buf[len..len + next]);
-        }
+        blocks.consume(frame);
+        pos += frame as u64;
     }
     Ok(Some(SegmentScan {
         base_index,
@@ -364,9 +438,54 @@ mod tests {
         })
     }
 
-    /// The streamed walk over `src`, told the file is `declared` bytes.
-    fn scan_stream(src: &[u8], declared: usize) -> Option<SegmentScan> {
-        scan_frames(&mut &src[..], declared as u64, Record::decode).unwrap()
+    /// A source that hands out at most `most` bytes per read and is
+    /// interrupted before every other read.
+    struct ShortReads<'a> {
+        src: &'a [u8],
+        most: usize,
+        interrupt: bool,
+    }
+
+    impl Read for ShortReads<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.interrupt = !self.interrupt;
+            if self.interrupt {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            let n = buf.len().min(self.most).min(self.src.len());
+            buf[..n].copy_from_slice(&self.src[..n]);
+            self.src = &self.src[n..];
+            Ok(n)
+        }
+    }
+
+    /// The streamed walk over `src` in `block`-byte blocks, told the
+    /// file is `declared` bytes, reading at most `most` bytes at a time.
+    /// It must read nothing past `declared`.
+    fn scan_stream(src: &[u8], declared: usize, block: usize, most: usize) -> Option<SegmentScan> {
+        scan_stream_into(src, declared, block, most, &mut vec![0xa5; block % 97])
+    }
+
+    /// [`scan_stream`] into `buf`, which may hold anything beforehand.
+    fn scan_stream_into(
+        src: &[u8],
+        declared: usize,
+        block: usize,
+        most: usize,
+        buf: &mut Vec<u8>,
+    ) -> Option<SegmentScan> {
+        let mut reader = ShortReads {
+            src,
+            most,
+            interrupt: false,
+        };
+        let scan = scan_frames(&mut reader, declared as u64, block, buf, Record::decode).unwrap();
+        let read = src.len() - reader.src.len();
+        assert!(
+            read <= declared,
+            "read {read} bytes of a {declared}-byte file"
+        );
+        scan
     }
 
     type ScanView = Option<(u64, Vec<(u64, Record)>, u64, bool)>;
@@ -402,9 +521,13 @@ mod tests {
         /// The streamed walk equals the whole-buffer walk over the file
         /// as it was when its length was taken, whatever the damage
         /// (truncation, byte flips, an oversized length field, a bad
-        /// header) and even when the file has grown since.
+        /// header), even when the file has grown since, for any block
+        /// size (records straddle blocks and outgrow the buffer) and
+        /// however short the reads come back.
         #[test]
         fn streamed_walk_equals_whole_buffer_walk(
+            block in (0u8..3, 1usize..2048),
+            most in (0u8..3, 1usize..4096),
             base in any::<u64>(),
             records in prop::collection::vec((0u8..3, any::<u64>(), 0usize..40), 0..12),
             oversize in (0u8..3, any::<usize>(), 0u32..=MAX_RECORD),
@@ -435,9 +558,13 @@ mod tests {
             }
             let (truncate, at, grown) = cut;
             let declared = if truncate { at % (bytes.len() + 1) } else { bytes.len() };
+            // A block of a few bytes, of a few records, or the shipped
+            // one; reads of a few bytes, of a few records, or unbounded.
+            let block = [1 + block.1 % 48, block.1, SCAN_BLOCK][usize::from(block.0)];
+            let most = [1 + most.1 % 16, most.1, usize::MAX][usize::from(most.0)];
             let want = view(scan_bytes_reference(&bytes[..declared]));
             let src = if grown { &bytes[..] } else { &bytes[..declared] };
-            prop_assert_eq!(view(scan_stream(src, declared)), want);
+            prop_assert_eq!(view(scan_stream(src, declared, block, most)), want);
         }
     }
 
@@ -453,18 +580,78 @@ mod tests {
         // Lost mid-record, at a record boundary, inside the first record
         // header: the prefix ends where the bytes run out, marked torn
         // because the declared length was never reached.
-        for (have, valid, kept) in [
-            (ends[2] - 3, ends[1], 2),
-            (ends[1], ends[1], 2),
-            (SEGMENT_HEADER_LEN + 4, SEGMENT_HEADER_LEN, 0),
-        ] {
-            let scan = scan_stream(&bytes[..have], declared).expect("header intact");
-            assert!(scan.torn, "shrunk to {have}");
-            assert_eq!(scan.valid_len, valid as u64, "shrunk to {have}");
-            assert_eq!(scan.records.len(), kept, "shrunk to {have}");
+        for block in [1, 7, 64, SCAN_BLOCK] {
+            for (have, valid, kept) in [
+                (ends[2] - 3, ends[1], 2),
+                (ends[1], ends[1], 2),
+                (SEGMENT_HEADER_LEN + 4, SEGMENT_HEADER_LEN, 0),
+            ] {
+                let scan = scan_stream(&bytes[..have], declared, block, 5).expect("header intact");
+                assert!(scan.torn, "shrunk to {have}, block {block}");
+                assert_eq!(scan.valid_len, valid as u64, "shrunk to {have}");
+                assert_eq!(scan.records.len(), kept, "shrunk to {have}");
+            }
+            // Lost inside the segment header: unusable, as a short read is.
+            let header = &bytes[..SEGMENT_HEADER_LEN - 1];
+            assert!(scan_stream(header, declared, block, 5).is_none());
         }
-        // Lost inside the segment header: unusable, as a short read is.
-        assert!(scan_stream(&bytes[..SEGMENT_HEADER_LEN - 1], declared).is_none());
+    }
+
+    /// Records of many sizes walked in blocks smaller than most of
+    /// them: the buffer never holds more than a block plus one record.
+    #[test]
+    fn walk_buffer_stays_within_a_block_plus_a_record() {
+        let mut bytes = encode_segment_header(1).to_vec();
+        let mut largest = 0;
+        for i in 0..300u64 {
+            let frame = encode_record_frame(&record(((i % 3) as u8, i * 7919, (i % 41) as usize)));
+            largest = largest.max(frame.len());
+            bytes.extend_from_slice(&frame);
+        }
+        for block in [1, 50, 100, 1000] {
+            let mut buf = Vec::new();
+            let scan = scan_stream_into(&bytes, bytes.len(), block, usize::MAX, &mut buf);
+            let scan = scan.expect("header");
+            assert_eq!((scan.records.len(), scan.torn), (300, false));
+            assert!(buf.len() <= block + largest, "block {block}: {}", buf.len());
+        }
+    }
+
+    /// A Samples record as large as the wire lets a batch be (a 4 MiB
+    /// payload), far larger than a block, read intact and torn inside it.
+    #[test]
+    fn record_larger_than_a_block_grows_the_buffer() {
+        let n = (4 << 20) / 8 - 2;
+        let big = Record::Samples {
+            seq: 3,
+            samples: (0..n).map(|i| i as f64 * 0.5).collect(),
+        };
+        let mut bytes = encode_segment_header(11).to_vec();
+        bytes.extend_from_slice(&encode_record_frame(&Record::Cursor { acked_events: 1 }));
+        let big_at = bytes.len();
+        let frame = encode_record_frame(&big);
+        assert_eq!(frame.len() - RECORD_HEADER_LEN, 12 + 8 * n);
+        assert!(frame.len() > 16 * SCAN_BLOCK && frame.len() <= (4 << 20) + 9);
+        bytes.extend_from_slice(&frame);
+        let big_end = bytes.len();
+        bytes.extend_from_slice(&encode_record_frame(&Record::Cursor { acked_events: 2 }));
+        for most in [usize::MAX, 100_003] {
+            let scan = scan_stream(&bytes, bytes.len(), SCAN_BLOCK, most).expect("header");
+            assert!(!scan.torn);
+            assert_eq!(scan.valid_len, bytes.len() as u64);
+            assert_eq!(scan.records.len(), 3);
+            assert_eq!(scan.records[1], (12, big.clone()));
+            // Torn inside the large record: the prefix ends before it.
+            let cut = big_at + frame.len() / 2;
+            let scan = scan_stream(&bytes[..cut], cut, SCAN_BLOCK, most).expect("header");
+            assert!(scan.torn);
+            assert_eq!(scan.valid_len, big_at as u64);
+            assert_eq!(scan.records.len(), 1);
+            // The file shrinks inside it after its length was taken.
+            let scan = scan_stream(&bytes[..cut], big_end, SCAN_BLOCK, most).expect("header");
+            assert!(scan.torn);
+            assert_eq!(scan.valid_len, big_at as u64);
+        }
     }
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {

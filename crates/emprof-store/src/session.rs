@@ -19,12 +19,26 @@ use emprof_core::StallEvent;
 use crate::journal::{Journal, JournalConfig, JournalStats, RecoveryReport};
 use crate::record::{Record, SessionMeta, MAX_EVENTS_PER_RECORD, MAX_SAMPLES_PER_RECORD};
 
+/// Whether `(sequence, item)` pairs run strictly increasing in sequence,
+/// as journals append them: the input [`fold_by_seq`] returns as it is.
+pub(crate) fn in_seq_order<'a, T: 'a>(items: impl IntoIterator<Item = &'a (u64, T)>) -> bool {
+    let mut last = None;
+    items
+        .into_iter()
+        .all(|(seq, _)| last.replace(*seq).is_none_or(|l| l < *seq))
+}
+
 /// The one sequence fold, shared by recovery and the query engine:
-/// `(sequence, item)` pairs in journal order, stably sorted by sequence
-/// (journals append in order, so mostly one run), the last-journaled
-/// copy of each sequence kept — a map keyed by sequence, built in one
-/// pass. `dedup_by` keeps a run's first slot; each later copy swaps in.
+/// `(sequence, item)` pairs in journal order, stably sorted by sequence,
+/// the last-journaled copy of each sequence kept — a map keyed by
+/// sequence, built in one pass. Journals append in order, so the input
+/// is usually strictly increasing already, and then it is returned as
+/// it is; otherwise `dedup_by` keeps a run's first slot and each later
+/// copy swaps in.
 pub(crate) fn fold_by_seq<T>(mut items: Vec<(u64, T)>) -> Vec<(u64, T)> {
+    if in_seq_order(&items) {
+        return items;
+    }
     items.sort_by_key(|(seq, _)| *seq);
     items.dedup_by(|later, kept| {
         later.0 == kept.0 && {
@@ -366,6 +380,28 @@ mod tests {
             duration_cycles: 300.0,
             kind: StallKind::Normal,
             confidence: Confidence::High,
+        }
+    }
+
+    #[test]
+    fn fold_returns_increasing_input_as_it_is() {
+        let items: Vec<(u64, char)> = vec![(1, 'a'), (2, 'b'), (7, 'c'), (9, 'd')];
+        assert_eq!(fold_by_seq(items.clone()), items);
+        assert!(fold_by_seq(Vec::<(u64, char)>::new()).is_empty());
+    }
+
+    #[test]
+    fn fold_sorts_stably_and_keeps_the_last_copy() {
+        for (input, want) in [
+            (
+                vec![(3, 'a'), (1, 'b'), (3, 'c'), (2, 'd'), (1, 'e')],
+                vec![(1, 'e'), (2, 'd'), (3, 'c')],
+            ),
+            // Increasing but not strictly: the repeat still folds.
+            (vec![(1, 'a'), (1, 'b'), (2, 'c')], vec![(1, 'b'), (2, 'c')]),
+            (vec![(2, 'a'), (1, 'b')], vec![(1, 'b'), (2, 'a')]),
+        ] {
+            assert_eq!(fold_by_seq(input.clone()), want, "{input:?}");
         }
     }
 

@@ -69,9 +69,12 @@ cargo test -q --release --test journal_golden --test wire_golden
 # shipped.
 cargo test -q --release --test prop_codec --test serve_wire --test alloc_ingest --test alloc_journal --test alloc_replay
 
-# The store's unit tests, optimised: the segment walk, the sort-dedup
-# fold and the codecs (the CRC-32 tests above run again here).
+# The store's unit tests, optimised: the block-buffered segment walk,
+# the sort-dedup fold, the query's fan-out and the codecs (the CRC-32
+# tests above run again here). Then the worker pool's, whose calling
+# thread claims items alongside the workers it spawns.
 cargo test -q --release -p emprof-store
+cargo test -q --release -p emprof-par
 
 # Serve soak: 4 concurrent sessions for a fixed number of rounds, their
 # workers slowed so the sessions fill their queues; fails on any lost
