@@ -51,7 +51,7 @@
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::SystemTime;
 
 use emprof_core::{parallel_map, Parallelism, StallEvent};
@@ -61,7 +61,7 @@ use emprof_obs::HistogramSnapshot;
 use crate::cache::{DecodedSegment, SegmentCache};
 use crate::record::{sequenced, Record, Scanned, SegmentFooter, SessionMeta};
 use crate::segment::{parse_segment_file_name, scan_segment_with};
-use crate::session::{fold_by_seq, in_seq_order};
+use crate::session::{in_seq_order, sort_by_seq};
 
 /// Upper bound on event-rate timeline buckets per query.
 pub const MAX_TIMELINE_BUCKETS: u64 = 4096;
@@ -322,7 +322,7 @@ pub(crate) fn query_journals_with(
 ) -> io::Result<QueryResult> {
     let mut acc = QueryAccumulator::new(spec)?;
     let plans = plan_sessions(root, spec, cache)?;
-    fold_sessions(plans, spec, cache, par, &mut acc, &mut |_| {})?;
+    fold_sessions(plans, spec, cache, par, &mut acc)?;
     Ok(acc.finish())
 }
 
@@ -382,12 +382,13 @@ struct SessionPlan {
 }
 
 /// One listed segment as planned: its stat and, when the cache holds a
-/// valid entry for it, that entry.
+/// valid entry for it, that entry, held weakly: a plan keeps no entry
+/// alive that the cache evicts before the fold reaches it.
 struct Planned {
     base: u64,
     path: PathBuf,
     stat: io::Result<(u64, Option<SystemTime>)>,
-    hit: Option<Arc<DecodedSegment>>,
+    hit: Option<Weak<DecodedSegment>>,
 }
 
 impl Planned {
@@ -441,7 +442,9 @@ fn plan_segments(dir: &Path, cache: Option<&SegmentCache>) -> io::Result<Vec<Pla
         .map(|(base, path)| {
             let stat = fs::metadata(&path).map(|md| (md.len(), md.modified().ok()));
             let hit = match (cache, &stat) {
-                (Some(c), Ok((len, modified))) => c.get(dir, base, *len, *modified),
+                (Some(c), Ok((len, modified))) => c
+                    .get(dir, base, *len, *modified)
+                    .map(|seg| Arc::downgrade(&seg)),
                 _ => None,
             };
             Planned {
@@ -511,14 +514,12 @@ impl Walks {
 /// A session that lost a listed segment to compaction (`NotFound`) is
 /// re-listed and replanned alone, up to [`MAX_REPLANS`] attempts; the
 /// failed attempt's accounting is discarded so nothing double-counts.
-/// `on_replan` hears of each replan.
 fn fold_sessions(
     plans: Vec<SessionPlan>,
     spec: &QuerySpec,
     cache: Option<&SegmentCache>,
     par: Parallelism,
     acc: &mut QueryAccumulator,
-    on_replan: &mut dyn FnMut(&Path),
 ) -> io::Result<()> {
     let lost = |read: &io::Result<_>| matches!(read, Err(e) if e.kind() == io::ErrorKind::NotFound);
     let mut walks = Walks::new(
@@ -537,7 +538,6 @@ fn fold_sessions(
             if !lost(&read) {
                 break;
             }
-            on_replan(&dir);
             read = plan_segments(&dir, cache).and_then(|segs| {
                 let mut own = Walks::new(par, [segs.as_slice()]);
                 fold_session(&dir, segs, spec, cache, |k| own.take(0, k))
@@ -567,7 +567,7 @@ fn fold_sessions(
         if in_seq_order(in_order.clone()) {
             acc.add_session(session_id, &meta.device, in_order);
         } else {
-            acc.add_session(session_id, &meta.device, &fold_by_seq(parts.concat()));
+            acc.add_session(session_id, &meta.device, &sort_by_seq(parts.concat()));
         }
     }
     Ok(())
@@ -651,7 +651,9 @@ fn fold_session(
     let mut next_index = 0u64;
     for (i, p) in plan.into_iter().enumerate() {
         let (base, (file_len, modified)) = (p.base, p.stat?);
-        if let Some(seg) = p.hit {
+        // The query's own inserts may have evicted a planned hit since; it
+        // is then walked here, as a miss.
+        if let Some(seg) = p.hit.as_ref().and_then(Weak::upgrade) {
             acct.cache_hits += 1;
             if base < next_index {
                 // Overlapping coverage: outside the valid prefix.
@@ -678,8 +680,12 @@ fn fold_session(
         // Every segment is walked and checked as recovery walks it, a
         // pruned one too: a tail footer survives damage further in, and
         // recovery ends the prefix there.
-        let walked = miss(misses);
-        misses += 1;
+        let walked = if p.hit.is_some() {
+            walk(&p.path)
+        } else {
+            misses += 1;
+            miss(misses - 1)
+        };
         let Some(w) = walked? else {
             // Invalid header: recovery drops this file and everything
             // after it.
@@ -1198,50 +1204,124 @@ mod tests {
             let mut acc = QueryAccumulator::new(&spec).unwrap();
             let plans = plan_sessions(&root, &spec, Some(&cache)).unwrap();
             vanish(&root);
-            let mut replanned = Vec::new();
             let par = Parallelism::new(threads);
-            fold_sessions(plans, &spec, Some(&cache), par, &mut acc, &mut |d| {
-                replanned.push(d.strip_prefix(&root).unwrap().to_path_buf());
-            })
-            .unwrap();
+            fold_sessions(plans, &spec, Some(&cache), par, &mut acc).unwrap();
             fs::remove_dir_all(&root).unwrap();
-            (acc.finish(), replanned)
+            acc.finish()
         };
-        // The loop it replaced: each session planned, walked and folded
-        // before the next is listed.
+        // The answers of replay: each session recovered on its own.
+        let replayed = {
+            let (root, cache) = (tmp_dir("replay"), SegmentCache::default());
+            mixed_root(&root, &cache);
+            vanish(&root);
+            let mut acc = QueryAccumulator::new(&spec).unwrap();
+            for id in 1..=4 {
+                let dir = root.join(format!("session-{id}"));
+                let rec = crate::session::read_session(&dir, small_cfg())
+                    .unwrap()
+                    .unwrap();
+                acc.add_session(id, &rec.meta.device, rec.events.iter());
+            }
+            fs::remove_dir_all(&root).unwrap();
+            acc.finish()
+        };
+        // The accounting of the loop it replaced: each session planned,
+        // walked and folded alone before the next is listed, and only
+        // session 3, which loses a segment between its plan and its walk,
+        // planned again.
         let looped = {
             let (root, cache) = (tmp_dir("loop"), SegmentCache::default());
             mixed_root(&root, &cache);
-            let mut acc = QueryAccumulator::new(&spec).unwrap();
-            let mut replanned = Vec::new();
+            let mut sum = QueryAccounting::default();
             for plan in plan_sessions(&root, &spec, None).unwrap() {
-                let plan = SessionPlan {
-                    segments: plan_segments(&plan.dir, Some(&cache)),
-                    ..plan
+                let fold = |segs: Vec<Planned>| {
+                    let mut walks = Walks::new(Parallelism::new(4), [segs.as_slice()]);
+                    fold_session(&plan.dir, segs, &spec, Some(&cache), |k| walks.take(0, k))
                 };
-                if plan.dir.ends_with("session-3") {
+                let segs = plan_segments(&plan.dir, Some(&cache)).unwrap();
+                let vanishes = plan.dir.ends_with("session-3");
+                if vanishes {
                     vanish(&root);
                 }
-                let par = Parallelism::new(4);
-                fold_sessions(vec![plan], &spec, Some(&cache), par, &mut acc, &mut |d| {
-                    replanned.push(d.strip_prefix(&root).unwrap().to_path_buf());
-                })
-                .unwrap();
+                let mut read = fold(segs);
+                if vanishes {
+                    let lost = read.map(|_| ()).unwrap_err();
+                    assert_eq!(lost.kind(), io::ErrorKind::NotFound);
+                    read = fold(plan_segments(&plan.dir, Some(&cache)).unwrap());
+                }
+                let (_, _, acct) = read.unwrap().unwrap();
+                sum.segments_scanned += acct.segments_scanned;
+                sum.segments_pruned += acct.segments_pruned;
+                sum.cache_hits += acct.cache_hits;
+                sum.cache_misses += acct.cache_misses;
             }
             fs::remove_dir_all(&root).unwrap();
-            (acc.finish(), replanned)
+            sum
         };
-        let (want, replanned) = &looped;
-        assert_eq!(replanned, &[PathBuf::from("session-3")]);
-        let acct = want.accounting;
-        assert!(acct.cache_hits > 4 && acct.cache_misses > 4, "{acct:?}");
-        let rows: Vec<u64> = want.sessions.iter().map(|r| r.events).collect();
+        assert!(
+            looped.cache_hits > 4 && looped.cache_misses > 4,
+            "{looped:?}"
+        );
+        let rows: Vec<u64> = replayed.sessions.iter().map(|r| r.events).collect();
         // Session 2 ends at its damage and session 3 lost a segment's
         // events: starts 9 000..=41 000 are 33 events in each whole one.
         assert!(rows[0] == 33 && rows[3] == 33, "{rows:?}");
         assert!(rows[1] < 33 && rows[2] < 33, "{rows:?}");
-        assert_eq!(fanned(4), looped);
-        assert_eq!(fanned(1), looped);
+        for threads in [4, 1] {
+            let got = fanned(threads);
+            // A replan of any other session would find the segments its
+            // first attempt cached, and count them as hits.
+            assert_eq!(got.accounting, looped, "threads {threads}");
+            let answers = QueryResult {
+                accounting: QueryAccounting::default(),
+                ..got
+            };
+            assert_eq!(answers, replayed, "threads {threads}");
+        }
+    }
+
+    #[test]
+    fn a_hit_evicted_before_its_fold_is_walked_as_a_miss() {
+        let root = tmp_dir("evicted");
+        for id in 1..=2 {
+            write_session(&root.join(format!("session-{id}")), id, 30);
+        }
+        let only_2 = QuerySpec {
+            sessions: vec![2],
+            ..QuerySpec::all()
+        };
+        let sealed = {
+            let cache = SegmentCache::default();
+            query_journals(&root, &only_2, Some(&cache)).unwrap();
+            cache.len()
+        };
+        assert!(sealed > 2, "{sealed} sealed segments");
+        let cold = query_journals(&root, &QuerySpec::all(), None).unwrap();
+        let segments = cold.accounting.segments_scanned + cold.accounting.segments_pruned;
+        for threads in [1, 4] {
+            // Room for one session's sealed segments, which hold session 2's:
+            // session 1's inserts evict every hit session 2 was planned with.
+            let cache = SegmentCache::new(crate::cache::SegmentCacheConfig {
+                max_entries: sealed,
+                ..Default::default()
+            });
+            query_journals(&root, &only_2, Some(&cache)).unwrap();
+            let par = Parallelism::new(threads);
+            let got = query_journals_with(&root, &QuerySpec::all(), Some(&cache), par).unwrap();
+            assert_eq!(got.accounting.cache_hits, 0, "threads {threads}");
+            assert_eq!(got.accounting.cache_misses, segments, "threads {threads}");
+            let uncached = QueryAccounting {
+                cache_hits: 0,
+                cache_misses: 0,
+                ..got.accounting
+            };
+            let answers = QueryResult {
+                accounting: uncached,
+                ..got
+            };
+            assert_eq!(answers, cold, "threads {threads}");
+        }
+        fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

@@ -28,7 +28,6 @@ use std::fs;
 use std::io;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
-use std::sync::{Mutex, PoisonError};
 
 use crate::crc::{combine, crc32, Crc32};
 use crate::record::{DecodeError, Record, RecordKind, SegmentFooter, FOOTER_PAYLOAD_LEN};
@@ -197,30 +196,8 @@ pub(crate) fn scan_segment_with<R>(
 ) -> io::Result<Option<SegmentScan<R>>> {
     let mut file = fs::File::open(path)?;
     let file_len = file.metadata()?.len();
-    // Every update leaves the list whole, so a poisoned lock is taken over.
-    let spare = || SPARE_BUFFERS.lock().unwrap_or_else(PoisonError::into_inner);
-    let mut buf = spare().pop().unwrap_or_default();
-    let scan = scan_frames(&mut file, file_len, SCAN_BLOCK, &mut buf, read);
-    // A buffer grown for a record much larger than a block is let go.
-    if buf.capacity() <= 2 * SCAN_BLOCK {
-        let mut spare = spare();
-        if spare.len() < MAX_SPARE_BUFFERS {
-            spare.push(buf);
-        }
-    }
-    scan
+    scan_frames(&mut file, file_len, SCAN_BLOCK, &mut Vec::new(), read)
 }
-
-/// Walk buffers kept between walks, so that walks, on whichever thread,
-/// reuse a buffer already faulted in instead of each mapping, faulting
-/// in and unmapping its own (a block is above the allocator's mmap
-/// threshold). At most [`MAX_SPARE_BUFFERS`] are kept, each at most two
-/// blocks.
-static SPARE_BUFFERS: Mutex<Vec<Vec<u8>>> = Mutex::new(Vec::new());
-
-/// The most walk buffers kept between walks: enough for the walks one
-/// query fan-out runs at once on a small host.
-const MAX_SPARE_BUFFERS: usize = 4;
 
 /// Bytes a segment walk asks for per `read` call: a few record frames
 /// of the serve path's 64 KiB sample batches.

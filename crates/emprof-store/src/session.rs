@@ -33,12 +33,19 @@ pub(crate) fn in_seq_order<'a, T: 'a>(items: impl IntoIterator<Item = &'a (u64, 
 /// the last-journaled copy of each sequence kept — a map keyed by
 /// sequence, built in one pass. Journals append in order, so the input
 /// is usually strictly increasing already, and then it is returned as
-/// it is; otherwise `dedup_by` keeps a run's first slot and each later
-/// copy swaps in.
-pub(crate) fn fold_by_seq<T>(mut items: Vec<(u64, T)>) -> Vec<(u64, T)> {
+/// it is; otherwise [`sort_by_seq`] folds it.
+pub(crate) fn fold_by_seq<T>(items: Vec<(u64, T)>) -> Vec<(u64, T)> {
     if in_seq_order(&items) {
-        return items;
+        items
+    } else {
+        sort_by_seq(items)
     }
+}
+
+/// [`fold_by_seq`] for input its caller already found out of sequence
+/// order: the stable sort, after which `dedup_by` keeps a run's first
+/// slot and each later copy swaps in.
+pub(crate) fn sort_by_seq<T>(mut items: Vec<(u64, T)>) -> Vec<(u64, T)> {
     items.sort_by_key(|(seq, _)| *seq);
     items.dedup_by(|later, kept| {
         later.0 == kept.0 && {
@@ -402,6 +409,7 @@ mod tests {
             (vec![(2, 'a'), (1, 'b')], vec![(1, 'b'), (2, 'a')]),
         ] {
             assert_eq!(fold_by_seq(input.clone()), want, "{input:?}");
+            assert_eq!(sort_by_seq(input.clone()), want, "{input:?}");
         }
     }
 
